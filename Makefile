@@ -61,20 +61,20 @@ serve-smoke:
 load-smoke:
 	./scripts/load_smoke.sh
 
-# Sharded-estimation smoke: boots two estimator workers plus binary-
-# and JSON-codec coordinators on random ports, asserts σ and a full
-# solve are bit-identical to a single-process daemon in both codecs,
-# that the binary codec cuts wire bytes ≥3×, and appends codec-tagged
-# shard throughput to BENCH_shard.json.
+# Sharded-estimation smoke: boots two estimator workers plus two
+# coordinators on random ports — one with weighted planning and
+# speculation (the defaults), one with static planning — asserts σ and
+# a full solve are bit-identical to a single-process daemon through
+# both, and appends shard throughput to BENCH_shard.json.
 shard-smoke:
 	./scripts/shard_smoke.sh
 
 # Elastic-fleet smoke (DESIGN.md §13): a dynamic coordinator plus
 # three self-registering workers survive a kill -9 mid-solve, a
 # SIGTERM graceful drain, and a rejoin — every σ bit-identical to a
-# single-process daemon, zero failed jobs, registration-time codec
-# negotiation asserted, SIGHUP quota reload applied live. Appends a
-# kind:"fleet" record to BENCH_shard.json.
+# single-process daemon, zero failed jobs, an incompatible frame
+# version refused 409 at registration, SIGHUP quota reload applied
+# live. Appends a kind:"fleet" record to BENCH_shard.json.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
@@ -115,4 +115,5 @@ fuzz:
 	$(GO) test ./internal/gridcache -run '^FuzzGroupKeyCodec$$' -fuzz '^FuzzGroupKeyCodec$$' -fuzztime 10s
 	$(GO) test ./internal/graph -run '^FuzzDecodeBinaryExport$$' -fuzz '^FuzzDecodeBinaryExport$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeProblemUploadBinary$$' -fuzz '^FuzzDecodeProblemUploadBinary$$' -fuzztime 10s
+	$(GO) test ./internal/shard -run '^FuzzDecodeEstimateRequestBinary$$' -fuzz '^FuzzDecodeEstimateRequestBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeEstimateResponseBinary$$' -fuzz '^FuzzDecodeEstimateResponseBinary$$' -fuzztime 10s

@@ -8,7 +8,7 @@
 //	imdppbench -fig 9 -scale 0.5       # Fig. 9 at half dataset scale
 //	imdppbench -fig tables,case        # Table II/III + case studies
 //	imdppbench -fig solve              # solver bench → BENCH_solve.json
-//	imdppbench -fig shard -codec both  # shard wire/plan bench → BENCH_shard.json
+//	imdppbench -fig shard              # shard wire/plan bench → BENCH_shard.json
 //	imdppbench -fig sketch             # RR-sketch (ε, δ) harness → BENCH_sketch.json
 //	imdppbench -fig gridcache          # grid-cache cold/warm bench → BENCH_gridcache.json
 //
@@ -24,13 +24,12 @@
 // machine-readable phase timings, estimator throughput (samples/sec)
 // and σ to -benchout; shard boots an in-process worker fleet and
 // drives a CELF-shaped batched-estimation workload through the shard
-// RPC, appending one record per codec (-codec json|binary|both) with
-// the -weighted planning mode, wire bytes and throughput to
-// -shardout; sketch is the statistical harness of the approximate
-// backend (DESIGN.md §9) — per synthetic preset it builds an RR index
-// at (-epsilon, -delta), asserts every sketch σ lands within the
-// ε·n·W additive contract of the MC ground truth, asserts ≥5×
-// σ-query throughput on the largest preset, and appends the
+// RPC, appending one record with the -weighted planning mode, wire
+// bytes and throughput to -shardout; sketch is the statistical harness
+// of the approximate backend (DESIGN.md §9) — per synthetic preset it
+// builds an RR index at (-epsilon, -delta), asserts every sketch σ
+// lands within the ε·n·W additive contract of the MC ground truth,
+// asserts ≥5× σ-query throughput on the largest preset, and appends the
 // error/throughput records to -sketchout — so CI tracks the perf
 // trajectory of the solver, the wire and the approximation together.
 package main
@@ -67,7 +66,6 @@ func main() {
 	promos := flag.Int("T", 10, "promotions for -fig solve")
 	benchout := flag.String("benchout", "BENCH_solve.json", "output path of the -fig solve JSON report")
 	shardout := flag.String("shardout", "BENCH_shard.json", "append path of the -fig shard JSON records")
-	codec := flag.String("codec", "both", "-fig shard wire codec: json, binary or both (one record each)")
 	weighted := flag.Bool("weighted", true, "-fig shard: throughput-proportional shard planning")
 	shardN := flag.Int("shards", 2, "-fig shard: in-process worker count")
 	epsilon := flag.Float64("epsilon", 0.05, "-fig sketch: additive accuracy ε of the (ε, δ) contract")
@@ -174,7 +172,7 @@ func main() {
 	}
 	if want["shard"] {
 		start := time.Now()
-		if err := shardBench(*preset, *scale, *budget, *promos, *solverMC, *seed, *codec, *weighted, *shardN, *shardout); err != nil {
+		if err := shardBench(*preset, *scale, *budget, *promos, *solverMC, *seed, *weighted, *shardN, *shardout); err != nil {
 			fmt.Fprintf(os.Stderr, "shard: %v\n", err)
 			os.Exit(1)
 		}
@@ -325,14 +323,13 @@ func gridcacheBench(preset string, scale, budget float64, T, mc int, seed uint64
 }
 
 // shardReport is one appended line of the shard wire/planning
-// trajectory (BENCH_shard.json): which codec and planner produced the
-// numbers, the wire bytes they cost, and the estimation throughput.
+// trajectory (BENCH_shard.json): which planner produced the numbers,
+// the wire bytes they cost, and the estimation throughput.
 type shardReport struct {
 	TS       int64   `json:"ts"`
 	Bench    string  `json:"bench"`
 	Preset   string  `json:"preset"`
 	Scale    float64 `json:"scale"`
-	Codec    string  `json:"codec"`
 	Weighted bool    `json:"weighted"`
 	Shards   int     `json:"shards"`
 	MC       int     `json:"mc"`
@@ -350,19 +347,10 @@ type shardReport struct {
 
 // shardBench boots an in-process worker fleet and drives a CELF-shaped
 // batched-estimation workload (one problem upload amortized over
-// many-group σ batches) through the shard RPC, appending one record
-// per requested codec to out. σ of group 0 is recorded so trajectory
-// diffs can also confirm the modes agree bit-for-bit.
-func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, codec string, weighted bool, shards int, out string) error {
-	var codecs []string
-	switch codec {
-	case "both":
-		codecs = []string{"json", "binary"}
-	case "json", "binary":
-		codecs = []string{codec}
-	default:
-		return fmt.Errorf("unknown codec %q (want json|binary|both)", codec)
-	}
+// many-group σ batches) through the shard RPC, appending one record to
+// out. σ of group 0 is recorded so trajectory diffs can also confirm
+// the planning modes agree bit-for-bit.
+func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, weighted bool, shards int, out string) error {
 	builders := map[string]func(dataset.Scale) (*dataset.Dataset, error){
 		"Amazon": dataset.Amazon, "Yelp": dataset.Yelp,
 		"Douban": dataset.Douban, "Gowalla": dataset.Gowalla,
@@ -393,64 +381,59 @@ func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, co
 	defer f.Close()
 	enc := json.NewEncoder(f)
 
-	for _, c := range codecs {
-		urls := make([]string, shards)
-		servers := make([]*httptest.Server, shards)
-		for i := range urls {
-			w := shard.NewWorker(shard.WorkerConfig{})
-			mux := http.NewServeMux()
-			w.Mount(mux)
-			mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-				rw.WriteHeader(http.StatusOK)
-				_, _ = rw.Write([]byte(`{"ok":true}`))
-			})
-			servers[i] = httptest.NewServer(mux)
-			urls[i] = servers[i].URL
-		}
-		pool := shard.NewPool(urls, nil)
-		if err := pool.SetCodec(c); err != nil {
-			return err
-		}
-		pool.SetWeighted(weighted)
-		est := shard.NewEstimator(pool, p, mc, seed, 0)
-
-		start := time.Now()
-		var sigma0 float64
-		for b := 0; b < batches; b++ {
-			ests := est.RunBatchPi(groups, nil)
-			sigma0 = ests[0].Sigma
-		}
-		elapsed := time.Since(start)
-		st := pool.Snapshot()
-		pool.Close()
-		for _, srv := range servers {
-			srv.Close()
-		}
-		if st.LocalFallbacks > 0 {
-			return fmt.Errorf("codec %s: %d local fallbacks — the fleet was not exercised", c, st.LocalFallbacks)
-		}
-
-		samples := uint64(nGroups * mc * batches)
-		rep := shardReport{
-			TS: time.Now().Unix(), Bench: "shard", Preset: preset, Scale: scale,
-			Codec: c, Weighted: st.Weighted, Shards: shards,
-			MC: mc, Groups: nGroups, Batches: batches,
-			Samples:         samples,
-			BytesTx:         st.BytesTx,
-			BytesRx:         st.BytesRx,
-			Redispatches:    st.Redispatches,
-			SpeculativeHits: st.SpeculativeHits,
-			Sigma:           sigma0,
-		}
-		if secs := elapsed.Seconds(); secs > 0 {
-			rep.SamplesPerSec = float64(samples) / secs
-		}
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		fmt.Printf("shard: codec=%s weighted=%v shards=%d σ₀=%.3f throughput=%.0f samples/sec wire=%d tx + %d rx bytes\n",
-			c, weighted, shards, sigma0, rep.SamplesPerSec, st.BytesTx, st.BytesRx)
+	urls := make([]string, shards)
+	servers := make([]*httptest.Server, shards)
+	for i := range urls {
+		w := shard.NewWorker(shard.WorkerConfig{})
+		mux := http.NewServeMux()
+		w.Mount(mux)
+		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
+			rw.WriteHeader(http.StatusOK)
+			_, _ = rw.Write([]byte(`{"ok":true}`))
+		})
+		servers[i] = httptest.NewServer(mux)
+		urls[i] = servers[i].URL
 	}
+	pool := shard.NewPool(urls, nil)
+	pool.SetWeighted(weighted)
+	est := shard.NewEstimator(pool, p, mc, seed, 0)
+
+	start := time.Now()
+	var sigma0 float64
+	for b := 0; b < batches; b++ {
+		ests := est.RunBatchPi(groups, nil)
+		sigma0 = ests[0].Sigma
+	}
+	elapsed := time.Since(start)
+	st := pool.Snapshot()
+	pool.Close()
+	for _, srv := range servers {
+		srv.Close()
+	}
+	if st.LocalFallbacks > 0 {
+		return fmt.Errorf("%d local fallbacks — the fleet was not exercised", st.LocalFallbacks)
+	}
+
+	samples := uint64(nGroups * mc * batches)
+	rep := shardReport{
+		TS: time.Now().Unix(), Bench: "shard", Preset: preset, Scale: scale,
+		Weighted: st.Weighted, Shards: shards,
+		MC: mc, Groups: nGroups, Batches: batches,
+		Samples:         samples,
+		BytesTx:         st.BytesTx,
+		BytesRx:         st.BytesRx,
+		Redispatches:    st.Redispatches,
+		SpeculativeHits: st.SpeculativeHits,
+		Sigma:           sigma0,
+	}
+	if secs := elapsed.Seconds(); secs > 0 {
+		rep.SamplesPerSec = float64(samples) / secs
+	}
+	if err := enc.Encode(rep); err != nil {
+		return err
+	}
+	fmt.Printf("shard: weighted=%v shards=%d σ₀=%.3f throughput=%.0f samples/sec wire=%d tx + %d rx bytes\n",
+		weighted, shards, sigma0, rep.SamplesPerSec, st.BytesTx, st.BytesRx)
 	return nil
 }
 

@@ -72,7 +72,6 @@ func main() {
 	shardDynamic := flag.Bool("shard-dynamic", false, "accept dynamic worker registration on /v1/shard/register; registered workers are heartbeat-monitored and drained gracefully (DESIGN.md §13)")
 	shardHeartbeat := flag.Duration("shard-heartbeat", 2*time.Second, "heartbeat cadence dictated to registered workers; a worker silent for 3 intervals is suspected")
 	shardProbe := flag.Duration("shard-probe", 5*time.Second, "worker health-probe interval")
-	shardCodec := flag.String("shard-codec", "binary", "shard RPC wire codec: binary (DESIGN.md §8) or json; binary falls back to json per worker on mixed-version fleets")
 	shardWeighted := flag.Bool("shard-weighted", true, "size shard ranges proportionally to measured worker throughput")
 	shardSpec := flag.Bool("shard-speculate", true, "speculatively re-dispatch straggler shards to idle workers")
 	sketchDir := flag.String("sketch-dir", "", "directory persisting RR sketch indexes across restarts (empty = memory only)")
@@ -144,9 +143,6 @@ func main() {
 				urls = strings.Split(*shardWorkers, ",")
 			}
 			pool = imdpp.NewShardPool(urls, nil)
-			if err := pool.SetCodec(*shardCodec); err != nil {
-				fatal(logger, err.Error())
-			}
 			pool.SetWeighted(*shardWeighted)
 			pool.SetSpeculation(*shardSpec)
 			pool.SetLogger(logger)
@@ -155,7 +151,7 @@ func main() {
 			}
 			healthy := pool.Check(context.Background())
 			logger.Info("shard pool ready",
-				"healthy", healthy, "workers", pool.Size(), "codec", pool.Codec(),
+				"healthy", healthy, "workers", pool.Size(),
 				"weighted", *shardWeighted, "speculate", *shardSpec, "dynamic", *shardDynamic)
 			pool.StartHealthLoop(*shardProbe)
 			cfg.Backend = imdpp.ShardBackend(pool)

@@ -670,8 +670,8 @@ func mustMarshal(t *testing.T, v any) []byte {
 
 // TestDaemonDynamicFleet walks the elastic-fleet path (DESIGN.md §13)
 // at the daemon level: a coordinator with -shard-dynamic semantics
-// mounts the registration routes, a worker's registrar announces it,
-// negotiation seeds the wire codec without any probe RPC, σ through
+// mounts the registration routes, a worker's registrar announces it
+// and is alive before any probe or estimate RPC, σ through
 // the registered fleet is bit-identical to local, and a draining
 // worker reports unhealthy before deregistering.
 func TestDaemonDynamicFleet(t *testing.T) {
@@ -724,8 +724,8 @@ func TestDaemonDynamicFleet(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// negotiation happened at registration: the remote's codec is
-	// settled before any estimate RPC, no per-request probe needed
+	// the compatibility check happened at registration: the remote is
+	// alive before any estimate RPC, no per-request probe needed
 	var m struct {
 		Shard *imdpp.ShardPoolStats `json:"shard"`
 	}
@@ -736,8 +736,8 @@ func TestDaemonDynamicFleet(t *testing.T) {
 		t.Fatalf("want 1 remote, got %+v", m.Shard.Remotes)
 	}
 	r := m.Shard.Remotes[0]
-	if !r.Registered || r.State != "alive" || r.Codec != "binary" {
-		t.Fatalf("registration did not negotiate caps: %+v", r)
+	if !r.Registered || r.State != "alive" {
+		t.Fatalf("registered worker not alive: %+v", r)
 	}
 
 	// σ through the dynamically-registered fleet is bit-identical

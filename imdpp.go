@@ -320,9 +320,9 @@ type (
 	// ShardWorkerStats is the worker-side counter snapshot.
 	ShardWorkerStats = shard.WorkerStats
 	// ShardWorkerCaps is the capability advertisement a worker sends at
-	// registration — codec version, traced-frame support, capacity hint
-	// — so mixed fleets negotiate once instead of probing per request
-	// (DESIGN.md §13).
+	// registration — frame version and capacity hint. A frame version
+	// other than the coordinator's is refused once, at registration,
+	// with a typed 409 incompatible_worker (DESIGN.md §13).
 	ShardWorkerCaps = shard.WorkerCaps
 	// ShardRegistrar is the worker-side fleet-membership loop:
 	// register, heartbeat, re-register across coordinator restarts,
@@ -355,7 +355,7 @@ var (
 	// (imdppd -worker -register wires it).
 	NewShardRegistrar = shard.NewRegistrar
 	// DefaultShardWorkerCaps advertises this binary's native
-	// capabilities: current codec version, traced frames, GOMAXPROCS.
+	// capabilities: its shard frame version and GOMAXPROCS.
 	DefaultShardWorkerCaps = shard.DefaultWorkerCaps
 )
 

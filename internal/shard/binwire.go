@@ -17,13 +17,14 @@ import (
 	"imdpp/internal/wirebin"
 )
 
-// Binary wire format of the shard RPC (DESIGN.md §8). Every binary
-// request/response body is one frame:
+// Binary wire format of the shard RPC (DESIGN.md §8), its only wire
+// format. Every estimate request, estimate response and problem upload
+// body is one frame:
 //
 //	magic   [3]byte  "IMB"
 //	version byte     1
 //	kind    byte     frameProblem | frameEstimateReq | frameEstimateResp
-//	flags   byte     bit 0: payload is DEFLATE-compressed
+//	flags   byte     bit 0: payload is DEFLATE-compressed; bit 1: traced
 //	length  u32 LE   payload byte count (after compression)
 //	payload [length]byte
 //
@@ -31,21 +32,17 @@ import (
 // slices, tagged compact floats — see internal/wirebin). Frames are
 // self-describing enough to reject version or kind drift with a typed
 // error before any payload decoding; semantic compatibility between
-// coordinator and worker builds is still gated by the content hash,
-// exactly as on the JSON path — a worker whose decoder disagrees with
-// the coordinator's encoder lands on a different hash and the upload
-// fails loudly with hash_mismatch.
+// coordinator and worker builds is still gated by the content hash — a
+// worker whose decoder disagrees with the coordinator's encoder lands
+// on a different hash and the upload fails loudly with hash_mismatch.
 //
-// Negotiation is plain HTTP: a binary-capable coordinator sends
-// Content-Type: application/x-imdpp-shard and advertises the same
-// type in Accept; a binary-capable worker decodes by Content-Type and
-// answers estimate responses binary iff Accept asks. JSON remains the
-// fallback in both directions, so mixed-version fleets degrade to the
-// PR 4 wire format instead of failing (README "Deploying a worker
-// fleet").
+// There is no per-request negotiation: the coordinator always sends
+// Content-Type: application/x-imdpp-shard, the worker refuses any
+// other body type with 415, and frame-version compatibility is checked
+// once, when a worker registers (DESIGN.md §13). Errors, upload acks
+// and the registry RPCs stay JSON.
 
-// ContentTypeBinary negotiates the binary shard codec; JSON bodies
-// keep application/json.
+// ContentTypeBinary is the media type of every shard frame body.
 const ContentTypeBinary = "application/x-imdpp-shard"
 
 // Frame kind bytes.
@@ -60,11 +57,8 @@ const (
 	flagDeflate  = 1 << 0
 	// flagTraced marks a frame whose payload ends with trace-context
 	// fields (request: trace + parent span id; response: worker span
-	// records). A pre-tracing decoder ignores the unknown flag, decodes
-	// the base payload and then fails r.Done() on the trailing bytes
-	// with a 400 — which is exactly the negotiation signal the pool's
-	// trace demotion listens for (DESIGN.md §11), mirroring the PR 5
-	// codec fallback.
+	// records, DESIGN.md §11). Untraced frames carry neither the bit
+	// nor the fields.
 	flagTraced = 1 << 1
 	// compressMin is the payload size below which DEFLATE is skipped:
 	// tiny frames (estimate requests, acks) gain nothing and would pay
@@ -81,9 +75,9 @@ const (
 var frameMagic = [3]byte{'I', 'M', 'B'}
 
 var flateWriters = sync.Pool{New: func() any {
-	// BestSpeed: the wire win over JSON is already structural; flate
-	// exists to strip the residual entropy of float runs, and the hot
-	// path cannot afford higher levels
+	// BestSpeed: the wire win is already structural; flate exists to
+	// strip the residual entropy of float runs, and the hot path cannot
+	// afford higher levels
 	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
 	return w
 }}
@@ -126,15 +120,9 @@ func finishFrame(b []byte, start int) []byte {
 }
 
 // openFrame validates a frame's header and returns its decoded (and,
-// when flagged, decompressed) payload.
-func openFrame(data []byte, wantKind byte) ([]byte, error) {
-	payload, _, err := openFrameFlags(data, wantKind)
-	return payload, err
-}
-
-// openFrameFlags is openFrame plus the frame's flags byte, for
-// decoders whose payload shape depends on a flag (flagTraced).
-func openFrameFlags(data []byte, wantKind byte) ([]byte, byte, error) {
+// when flagged, decompressed) payload plus the flags byte, for decoders
+// whose payload shape depends on a flag (flagTraced).
+func openFrame(data []byte, wantKind byte) ([]byte, byte, error) {
 	if len(data) < frameHeaderLen {
 		return nil, 0, fmt.Errorf("shard: binary frame truncated at %d bytes", len(data))
 	}
@@ -196,11 +184,11 @@ func (u ProblemUpload) AppendBinary(b []byte) []byte {
 }
 
 // DecodeProblemUploadBinary reads one binary problem-upload frame. The
-// result is as untrusted as a JSON-decoded one: DecodeProblem performs
-// the same structural validation either way.
+// result is untrusted: DecodeProblem performs the structural
+// validation.
 func DecodeProblemUploadBinary(data []byte) (ProblemUpload, error) {
 	var u ProblemUpload
-	payload, err := openFrame(data, frameProblem)
+	payload, _, err := openFrame(data, frameProblem)
 	if err != nil {
 		return u, err
 	}
@@ -288,8 +276,8 @@ func decodeSeedGroups(r *wirebin.Reader) ([][]diffusion.Seed, error) {
 }
 
 // appendOptInt32s encodes a possibly-nil id list: absence and an empty
-// non-nil list stay distinguishable, matching the JSON contract for
-// masks (nil = all users, empty = all-false).
+// non-nil list stay distinguishable, matching the EstimateRequest
+// contract for masks (nil = all users, empty = all-false).
 func appendOptInt32s(b []byte, vs []int32) []byte {
 	if vs == nil {
 		return wirebin.AppendBool(b, false)
@@ -350,7 +338,7 @@ func (req *EstimateRequest) AppendBinary(b []byte) ([]byte, error) {
 // DecodeEstimateRequestBinary reads one binary estimate-request frame.
 func DecodeEstimateRequestBinary(data []byte) (EstimateRequest, error) {
 	var req EstimateRequest
-	payload, flags, err := openFrameFlags(data, frameEstimateReq)
+	payload, flags, err := openFrame(data, frameEstimateReq)
 	if err != nil {
 		return req, err
 	}
@@ -454,11 +442,10 @@ func decodeSpanRecs(r *wirebin.Reader) []obs.SpanRec {
 }
 
 // DecodeEstimateResponseBinary reads one binary estimate-response
-// frame. The coordinator's validateSamples still runs on the result,
-// exactly as on the JSON path.
+// frame. The coordinator's validateSamples still runs on the result.
 func DecodeEstimateResponseBinary(data []byte) (EstimateResponse, error) {
 	var resp EstimateResponse
-	payload, flags, err := openFrameFlags(data, frameEstimateResp)
+	payload, flags, err := openFrame(data, frameEstimateResp)
 	if err != nil {
 		return resp, err
 	}

@@ -10,9 +10,10 @@ import (
 	"imdpp/internal/service"
 )
 
-// TestProblemUploadBinaryRoundTrip pins the tentpole compatibility
-// gate: the binary-decoded problem must land on the same content
-// address — and drive the engine bit-identically — as the JSON one.
+// TestProblemUploadBinaryRoundTrip pins the content-address gate: the
+// binary-decoded problem must land on the same content address — and
+// drive the engine bit-identically — as the original and as an
+// independent encoding/json round trip of the same upload.
 func TestProblemUploadBinaryRoundTrip(t *testing.T) {
 	p := sampleProblem(t, 120, 3)
 	u := EncodeProblem(p)
@@ -49,8 +50,8 @@ func TestProblemUploadBinaryRoundTrip(t *testing.T) {
 }
 
 // TestProblemUploadBinarySmaller quantifies the wire win on a real
-// problem: the binary frame must be well under half the JSON bytes
-// (the smoke asserts the full-RPC ≥3× bound end to end).
+// problem: the binary frame must be well under half the bytes of the
+// same upload as JSON.
 func TestProblemUploadBinarySmaller(t *testing.T) {
 	u := EncodeProblem(sampleProblem(t, 120, 3))
 	jsonBytes, err := json.Marshal(u)
@@ -86,8 +87,8 @@ func TestEstimateRequestBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
-		// the JSON round trip is the reference semantics: both codecs
-		// must preserve nil-vs-empty on every mask field
+		// encoding/json is the independent reference oracle: the binary
+		// round trip must preserve nil-vs-empty on every mask field
 		jb, _ := json.Marshal(req)
 		var viaJSON EstimateRequest
 		_ = json.Unmarshal(jb, &viaJSON)

@@ -242,12 +242,7 @@ func (e *Estimator) runBatch(groups [][]diffusion.Seed, market []bool, masks [][
 		e.pool.localFallbacks.Add(1)
 		return e.localBatch(groups, market, masks, withPi)
 	}
-	blob, err := e.pool.blobFor(e.p)
-	if err != nil {
-		// un-encodable problem: nothing remote can be done
-		e.pool.localFallbacks.Add(1)
-		return e.localBatch(groups, market, masks, withPi)
-	}
+	blob := e.pool.blobFor(e.p)
 
 	tmpl := EstimateRequest{
 		Problem: blob.Key.String(),

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,14 +71,15 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-// TestRegisterNegotiatesCaps pins the tentpole's negotiation claim: a
-// registered worker's codec and trace modes are settled by its
-// advertisement, so the first RPC already runs the final codec — no
-// per-request fallback probe, no demotion round-trip.
+// TestRegisterNegotiatesCaps pins the once-at-the-door compatibility
+// check: a worker advertising this build's frame version is in
+// rotation and served bit-identically from its first RPC, while one
+// advertising any other version is refused with a typed 409
+// incompatible_worker — and its URL leaves the registry — instead of
+// degrading request by request.
 func TestRegisterNegotiatesCaps(t *testing.T) {
 	leakCheck(t)
-	pool, _, servers := newFleet(t, 0) // empty static list
-	_ = servers
+	pool, _, _ := newFleet(t, 0) // empty static list
 
 	w := NewWorker(WorkerConfig{Workers: 2})
 	mux := http.NewServeMux()
@@ -82,22 +87,14 @@ func TestRegisterNegotiatesCaps(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	// a current-build advertisement settles binary + traced immediately
 	if err := pool.Register(srv.URL, DefaultWorkerCaps()); err != nil {
 		t.Fatal(err)
 	}
-	rs := pool.healthyRemotes()
-	if len(rs) != 1 {
+	if rs := pool.healthyRemotes(); len(rs) != 1 {
 		t.Fatalf("registered worker not in rotation: %d remotes", len(rs))
 	}
-	if got := rs[0].binMode.Load(); got != codecBinaryOK {
-		t.Fatalf("registered remote binMode %d, want codecBinaryOK", got)
-	}
-	if got := rs[0].traceMode.Load(); got != traceSupported {
-		t.Fatalf("registered remote traceMode %d, want traceSupported", got)
-	}
 
-	// the settled codec carries a real workload bit-identically
+	// the first RPC already carries a real workload bit-identically
 	p := sampleProblem(t, 120, 3)
 	groups := groupsFor(p)
 	const m, seed = 9, 33
@@ -105,51 +102,56 @@ func TestRegisterNegotiatesCaps(t *testing.T) {
 	est := NewEstimator(pool, p, m, seed, 2)
 	requireSameEstimates(t, "registered worker", want, est.RunBatch(groups, nil))
 
-	// a legacy advertisement pins JSON/untraced up front
-	if err := pool.Register(srv.URL, WorkerCaps{CodecVersion: 0, TracedFrames: false}); err != nil {
+	// a rejoin (same URL, fresh process) forgets the acknowledged uploads
+	if err := pool.Register(srv.URL, DefaultWorkerCaps()); err != nil {
 		t.Fatal(err)
 	}
-	r := pool.healthyRemotes()[0]
-	if got := r.binMode.Load(); got != codecJSONOnly {
-		t.Fatalf("legacy registration binMode %d, want codecJSONOnly", got)
-	}
-	if got := r.traceMode.Load(); got != traceUnsupported {
-		t.Fatalf("legacy registration traceMode %d, want traceUnsupported", got)
-	}
-	// re-registration forgot the acknowledged uploads (fresh process)
-	if r.knowsProblem(service.HashProblem(p)) {
+	if pool.healthyRemotes()[0].knowsProblem(service.HashProblem(p)) {
 		t.Fatal("re-registration kept the stale upload acknowledgement")
 	}
-	requireSameEstimates(t, "legacy re-registration", want, est.RunBatch(groups, nil))
-
-	st := pool.Snapshot()
-	if st.Fleet.Registered != 1 || st.LocalFallbacks != 0 {
+	requireSameEstimates(t, "re-registration", want, est.RunBatch(groups, nil))
+	if st := pool.Snapshot(); st.Fleet.Registered != 1 || st.LocalFallbacks != 0 {
 		t.Fatalf("fleet stats after registration: %+v", st.Fleet)
 	}
-	if st.Remotes[0].Codec != "json" || !st.Remotes[0].Registered {
-		t.Fatalf("remote stats %+v want registered json remote", st.Remotes[0])
+
+	// any other frame version is refused, typed — including the zero
+	// caps of a build that predates the version field
+	for _, caps := range []WorkerCaps{{CodecVersion: frameVersion + 1}, {}} {
+		err := pool.Register(srv.URL, caps)
+		var se *shardError
+		if !errors.As(err, &se) || se.status != http.StatusConflict || se.code != CodeIncompatibleWorker {
+			t.Fatalf("Register(%+v) = %v, want 409 %q", caps, err, CodeIncompatibleWorker)
+		}
+		// the process now at that URL cannot decode our frames, so the
+		// earlier registration leaves the fleet with the refusal
+		if n := pool.Size(); n != 0 {
+			t.Fatalf("refused worker still in the registry (%d remotes)", n)
+		}
 	}
+	// and the fleet degrades to local compute, still bit-identical
+	requireSameEstimates(t, "after refusal", want, est.RunBatch(groups, nil))
 }
 
 func TestRegisterValidatesAndBounds(t *testing.T) {
 	pool := NewPool(nil, nil)
 	defer pool.Close()
+	caps := DefaultWorkerCaps()
 	for _, bad := range []string{"", "not-a-url", "ftp://x", "http://"} {
-		if err := pool.Register(bad, WorkerCaps{}); err == nil {
+		if err := pool.Register(bad, caps); err == nil {
 			t.Fatalf("Register(%q) accepted a bad URL", bad)
 		}
 	}
 	// the registry is bounded: one past maxRemotes distinct URLs fails
 	for i := 0; i < maxRemotes; i++ {
-		if err := pool.Register(fmt.Sprintf("http://10.0.0.1:%d", 1000+i), WorkerCaps{}); err != nil {
+		if err := pool.Register(fmt.Sprintf("http://10.0.0.1:%d", 1000+i), caps); err != nil {
 			t.Fatalf("registration %d rejected below the bound: %v", i, err)
 		}
 	}
-	if err := pool.Register("http://10.0.0.1:9", WorkerCaps{}); err == nil {
+	if err := pool.Register("http://10.0.0.1:9", caps); err == nil {
 		t.Fatal("registration past the bound accepted")
 	}
 	// re-registering an existing URL still works at the bound
-	if err := pool.Register("http://10.0.0.1:1000", WorkerCaps{}); err != nil {
+	if err := pool.Register("http://10.0.0.1:1000", caps); err != nil {
 		t.Fatalf("re-registration at the bound rejected: %v", err)
 	}
 }
@@ -248,6 +250,15 @@ func TestRegistryHTTPRoundTrip(t *testing.T) {
 	if pool.Size() != 0 {
 		t.Fatalf("deregister left %d remotes", pool.Size())
 	}
+	// incompatible frame version: the typed 409 survives the handler
+	resp, body = post(PathRegister, RegisterRequest{URL: "http://10.9.9.9:1234", Caps: WorkerCaps{CodecVersion: 0}})
+	eb = ErrorBody{}
+	if json.Unmarshal(body, &eb); resp.StatusCode != http.StatusConflict || eb.Code != CodeIncompatibleWorker {
+		t.Fatalf("incompatible register: status %d code %q, want 409 %q", resp.StatusCode, eb.Code, CodeIncompatibleWorker)
+	}
+	if pool.Size() != 0 {
+		t.Fatalf("refused registration left %d remotes", pool.Size())
+	}
 	// malformed body: typed bad_request
 	r2, err := http.Post(coord.URL+PathRegister, "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
@@ -307,6 +318,56 @@ func TestRegistrarLoop(t *testing.T) {
 	}
 }
 
+// TestRegistrarStopsWhenRefused pins the worker side of the
+// compatibility check: a 409 incompatible_worker refusal is terminal —
+// one register attempt, an error-level log, Registered false, and a
+// loop that exits by itself instead of retrying on backoff.
+func TestRegistrarStopsWhenRefused(t *testing.T) {
+	leakCheck(t)
+	pool := NewPool(nil, nil)
+	t.Cleanup(pool.Close)
+	var registers atomic.Int32
+	mux := http.NewServeMux()
+	pool.MountRegistry(mux)
+	coord := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathRegister {
+			registers.Add(1)
+		}
+		mux.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(coord.Close)
+
+	var logs bytes.Buffer
+	reg, err := NewRegistrar(RegistrarConfig{
+		Coordinator: coord.URL,
+		SelfURL:     "http://127.0.0.1:19998",
+		Caps:        WorkerCaps{CodecVersion: frameVersion + 1},
+		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Start()
+	t.Cleanup(reg.Stop) // still safe once the loop has exited
+	select {
+	case <-reg.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("registrar kept retrying after a terminal refusal")
+	}
+	if reg.Registered() {
+		t.Fatal("refused registrar reports Registered")
+	}
+	if n := registers.Load(); n != 1 {
+		t.Fatalf("refused registrar sent %d register RPCs, want 1", n)
+	}
+	if pool.Size() != 0 {
+		t.Fatalf("refused worker joined the registry (%d remotes)", pool.Size())
+	}
+	if !strings.Contains(logs.String(), "level=ERROR") || !strings.Contains(logs.String(), "refused") {
+		t.Fatalf("refusal not logged at error level:\n%s", logs.String())
+	}
+}
+
 // TestWorkerDrain pins the drain contract: in-flight requests finish,
 // new ones get the typed draining rejection, and the drained channel
 // closes exactly when the last in-flight request ends.
@@ -333,16 +394,12 @@ func TestWorkerDrain(t *testing.T) {
 	}
 
 	// new dispatches are rejected with the typed code...
-	body, _ := json.Marshal(&EstimateRequest{Problem: service.HashProblem(p).String(), Lo: 0, Hi: 1, Groups: [][]diffusion.Seed{{}}})
-	resp, err := http.Post(servers[0].URL+PathEstimate, "application/json", bytes.NewReader(body))
+	frame, err := (&EstimateRequest{Problem: service.HashProblem(p).String(), Lo: 0, Hi: 1, Groups: [][]diffusion.Seed{{}}}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eb ErrorBody
-	json.NewDecoder(resp.Body).Decode(&eb)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || eb.Code != CodeDraining {
-		t.Fatalf("dispatch to draining worker: status %d code %q, want 503 %q", resp.StatusCode, eb.Code, CodeDraining)
+	if status, eb := postShard(t, servers[0].URL+PathEstimate, ContentTypeBinary, frame); status != http.StatusServiceUnavailable || eb.Code != CodeDraining {
+		t.Fatalf("dispatch to draining worker: status %d code %q, want 503 %q", status, eb.Code, CodeDraining)
 	}
 
 	// ...and the coordinator absorbs that as drain, not failure: the

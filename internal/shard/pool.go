@@ -22,9 +22,8 @@ import (
 
 // Pool is the coordinator-side worker registry: the set of remote
 // estimator workers, their health and measured throughput, which
-// problems each has been sent, the wire-codec negotiation state, and
-// the dispatch/retry/failover logic. All methods are safe for
-// concurrent use.
+// problems each has been sent, and the dispatch/retry/failover logic.
+// All methods are safe for concurrent use.
 //
 // Failure handling leans entirely on determinism: a shard is a pure
 // function of (problem hash, seed, range, groups), so re-dispatching
@@ -59,12 +58,9 @@ type Pool struct {
 	heartbeats atomic.Uint64
 	rejoins    atomic.Uint64
 
-	// binary selects the DESIGN.md §8 wire codec (default true; JSON
-	// when false). weighted enables throughput-proportional planning,
-	// speculate the straggler re-dispatch; both default true and are
-	// result-invariant (§7), so flipping them is an ops decision, not
-	// a correctness one.
-	binary    atomic.Bool
+	// weighted enables throughput-proportional planning, speculate the
+	// straggler re-dispatch; both default true and are result-invariant
+	// (§7), so flipping them is an ops decision, not a correctness one.
 	weighted  atomic.Bool
 	speculate atomic.Bool
 
@@ -88,31 +84,9 @@ type Pool struct {
 	logger  *slog.Logger
 }
 
-// Remote codec-negotiation states: a remote starts codecUnknown, is
-// confirmed binary-capable by its first successful binary RPC, and is
-// pinned to JSON (until re-registration) when a binary request comes
-// back undecodable — the mixed-version fleet fallback.
-const (
-	codecUnknown int32 = iota
-	codecBinaryOK
-	codecJSONOnly
-)
-
-// Remote trace-propagation states, the flagTraced analogue of the
-// codec negotiation: a remote starts traceUnknown, is confirmed by its
-// first successful traced binary RPC, and is pinned to untraced
-// dispatch when it rejects a traced frame as undecodable — an
-// old-binary worker build keeps serving samples, it just contributes
-// no spans (graceful mixed-version degradation, DESIGN.md §11).
-const (
-	traceUnknown int32 = iota
-	traceSupported
-	traceUnsupported
-)
-
 // Remote is one registered worker: its lifecycle state (lifecycle.go),
-// negotiated wire capabilities, acknowledged problem uploads and
-// dispatch accounting.
+// advertised capabilities, acknowledged problem uploads and dispatch
+// accounting.
 type Remote struct {
 	url string
 
@@ -131,12 +105,10 @@ type Remote struct {
 	strikes      int        // consecutive dispatch failures (breaker input)
 	breakerUntil time.Time  // circuit breaker open until (zero = closed)
 
-	shards    atomic.Uint64
-	failures  atomic.Uint64
-	binMode   atomic.Int32  // codecUnknown | codecBinaryOK | codecJSONOnly
-	traceMode atomic.Int32  // traceUnknown | traceSupported | traceUnsupported
-	inflight  atomic.Int32  // shard RPCs currently outstanding
-	ewmaBits  atomic.Uint64 // float64 bits of the samples/sec EWMA (0 = no data)
+	shards   atomic.Uint64
+	failures atomic.Uint64
+	inflight atomic.Int32  // shard RPCs currently outstanding
+	ewmaBits atomic.Uint64 // float64 bits of the samples/sec EWMA (0 = no data)
 }
 
 // URL returns the worker's base URL.
@@ -210,10 +182,10 @@ func (r *Remote) EWMASamplesPerSec() float64 {
 // once at startup to verify the fleet, and StartHealthLoop for
 // continuous probing.
 //
-// The pool defaults to the binary wire codec, throughput-weighted
-// planning and speculative straggler re-dispatch — all three are
-// result-invariant (DESIGN.md §7/§8); SetCodec, SetWeighted and
-// SetSpeculation opt out.
+// The pool speaks the binary frame wire (DESIGN.md §8) and defaults to
+// throughput-weighted planning and speculative straggler re-dispatch —
+// both result-invariant (§7/§8); SetWeighted and SetSpeculation opt
+// out.
 //
 // client nil selects a default with a 10-minute per-request ceiling —
 // a liveness guard so a worker that accepts a shard and then hangs
@@ -248,7 +220,6 @@ func NewPool(urls []string, client *http.Client) *Pool {
 		logger:  slog.New(slog.DiscardHandler),
 	}
 	p.loopCtx, p.loopStop = context.WithCancel(context.Background())
-	p.binary.Store(true)
 	p.weighted.Store(true)
 	p.speculate.Store(true)
 	for _, u := range urls {
@@ -275,29 +246,8 @@ func (p *Pool) SetHeartbeat(d time.Duration) {
 	p.hbTimeout = 3 * d
 }
 
-// SetCodec selects the shard wire codec: "binary" (default) or "json".
-func (p *Pool) SetCodec(name string) error {
-	switch name {
-	case "binary":
-		p.binary.Store(true)
-	case "json":
-		p.binary.Store(false)
-	default:
-		return fmt.Errorf("shard: unknown codec %q (want binary|json)", name)
-	}
-	return nil
-}
-
-// Codec reports the configured wire codec name.
-func (p *Pool) Codec() string {
-	if p.binary.Load() {
-		return "binary"
-	}
-	return "json"
-}
-
-// SetLogger routes the pool's structured dispatch logs (worker
-// failures, codec and trace demotions) to l; nil restores discard.
+// SetLogger routes the pool's structured dispatch and membership logs
+// (worker failures, drains, registrations) to l; nil restores discard.
 // Call during setup, before any dispatch.
 func (p *Pool) SetLogger(l *slog.Logger) {
 	if l == nil {
@@ -432,10 +382,6 @@ type RemoteStats struct {
 	// their advertised concurrency hint.
 	Registered bool `json:"registered,omitempty"`
 	Capacity   int  `json:"capacity,omitempty"`
-	// Codec is the per-remote negotiated wire codec: "binary" or
-	// "json" once settled (at registration, or by the first RPC for
-	// static-list workers), "unknown" before.
-	Codec string `json:"codec"`
 	// BreakerOpen reports an open circuit breaker: the worker is shed
 	// from dispatch for the cooldown even if probes pass.
 	BreakerOpen bool   `json:"breaker_open,omitempty"`
@@ -473,10 +419,9 @@ type FleetStats struct {
 type PoolStats struct {
 	Workers int `json:"workers"`
 	Healthy int `json:"healthy"`
-	// Codec/Weighted/Speculation echo the pool's configuration so a
-	// metrics scrape (and the bench trajectory built from it) records
-	// which wire and planning mode produced the numbers.
-	Codec           string        `json:"codec"`
+	// Weighted/Speculation echo the pool's configuration so a metrics
+	// scrape (and the bench trajectory built from it) records which
+	// planning mode produced the numbers.
 	Weighted        bool          `json:"weighted"`
 	Speculation     bool          `json:"speculation"`
 	Redispatches    uint64        `json:"redispatches"`
@@ -495,7 +440,6 @@ func (p *Pool) Snapshot() PoolStats {
 	p.mu.Unlock()
 	st := PoolStats{
 		Workers:         len(remotes),
-		Codec:           p.Codec(),
 		Weighted:        p.weighted.Load(),
 		Speculation:     p.speculate.Load(),
 		Redispatches:    p.redispatches.Load(),
@@ -531,14 +475,6 @@ func (p *Pool) Snapshot() PoolStats {
 			st.Fleet.Registered++
 		}
 		r.mu.Unlock()
-		switch r.binMode.Load() {
-		case codecBinaryOK:
-			rs.Codec = "binary"
-		case codecJSONOnly:
-			rs.Codec = "json"
-		default:
-			rs.Codec = "unknown"
-		}
 		if rs.BreakerOpen {
 			st.Fleet.BreakerOpen++
 		}
@@ -553,39 +489,17 @@ func (p *Pool) Snapshot() PoolStats {
 	return st
 }
 
-// ProblemBlob is a problem encoded once per codec, with its content
-// address. Uploading the same blob to every worker (and re-uploading
-// after worker restarts) reuses the bytes; the JSON and binary images
-// are built lazily so a single-codec fleet never pays for the other.
+// ProblemBlob is a problem's binary upload frame, encoded once, with
+// its content address. Uploading the same blob to every worker (and
+// re-uploading after worker restarts) reuses the bytes.
 type ProblemBlob struct {
-	Key    service.Key
-	upload ProblemUpload
-
-	jsonOnce sync.Once
-	jsonBody []byte
-	jsonErr  error
-
-	binOnce sync.Once
-	binBody []byte
+	Key  service.Key
+	body []byte
 }
 
-// NewProblemBlob captures a problem's wire image and content address.
-func NewProblemBlob(p *diffusion.Problem) (*ProblemBlob, error) {
-	return &ProblemBlob{Key: service.HashProblem(p), upload: EncodeProblem(p)}, nil
-}
-
-// body returns the upload bytes in the requested codec plus their
-// content type.
-func (b *ProblemBlob) body(binary bool) ([]byte, string, error) {
-	if binary {
-		b.binOnce.Do(func() { b.binBody = b.upload.AppendBinary(nil) })
-		return b.binBody, ContentTypeBinary, nil
-	}
-	b.jsonOnce.Do(func() { b.jsonBody, b.jsonErr = json.Marshal(b.upload) })
-	if b.jsonErr != nil {
-		return nil, "", fmt.Errorf("shard: encode problem: %w", b.jsonErr)
-	}
-	return b.jsonBody, "application/json", nil
+// NewProblemBlob encodes a problem's upload frame and content address.
+func NewProblemBlob(p *diffusion.Problem) *ProblemBlob {
+	return &ProblemBlob{Key: service.HashProblem(p), body: EncodeProblem(p).AppendBinary(nil)}
 }
 
 // blobFor memoizes NewProblemBlob per problem pointer. A solver run
@@ -593,17 +507,14 @@ func (b *ProblemBlob) body(binary bool) ([]byte, string, error) {
 // makes them share one encoding. The memo is bounded: problems are
 // immutable but short-lived (one per solve request), so a small
 // FIFO window suffices.
-func (p *Pool) blobFor(prob *diffusion.Problem) (*ProblemBlob, error) {
+func (p *Pool) blobFor(prob *diffusion.Problem) *ProblemBlob {
 	p.mu.Lock()
 	if b, ok := p.blobs[prob]; ok {
 		p.mu.Unlock()
-		return b, nil
+		return b
 	}
 	p.mu.Unlock()
-	b, err := NewProblemBlob(prob)
-	if err != nil {
-		return nil, err
-	}
+	b := NewProblemBlob(prob)
 	p.mu.Lock()
 	if _, ok := p.blobs[prob]; !ok {
 		p.blobs[prob] = b
@@ -614,7 +525,7 @@ func (p *Pool) blobFor(prob *diffusion.Problem) (*ProblemBlob, error) {
 		}
 	}
 	p.mu.Unlock()
-	return b, nil
+	return b
 }
 
 // shardError is a dispatch failure with the worker's typed code.
@@ -660,24 +571,21 @@ func putScratch(b *[]byte, used []byte) {
 	scratchPool.Put(b)
 }
 
-// post sends one RPC and returns the full response body (in a pooled
-// buffer the caller must release with putBuf) plus its content type.
-// The body is always drained to EOF — on error paths too — so the
-// transport can reuse the connection instead of tearing it down and
-// re-dialling under retry; tx/rx bytes feed the pool counters.
-func (p *Pool) post(ctx context.Context, url, contentType string, body []byte, acceptBinary bool) (*bytes.Buffer, string, error) {
+// post sends one binary frame and returns the full response body in a
+// pooled buffer the caller must release with putBuf. The body is
+// always drained to EOF — on error paths too — so the transport can
+// reuse the connection instead of tearing it down and re-dialling
+// under retry; tx/rx bytes feed the pool counters.
+func (p *Pool) post(ctx context.Context, url string, body []byte) (*bytes.Buffer, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
-	if acceptBinary {
-		req.Header.Set("Accept", ContentTypeBinary)
-	}
+	req.Header.Set("Content-Type", ContentTypeBinary)
 	p.bytesTx.Add(uint64(len(body)))
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	// the largest legal response is one max-payload frame plus its
 	// header; reading one byte past that distinguishes "right at the
@@ -695,11 +603,11 @@ func (p *Pool) post(ctx context.Context, url, contentType string, body []byte, a
 	p.bytesRx.Add(uint64(n))
 	if readErr != nil {
 		putBuf(buf)
-		return nil, "", readErr
+		return nil, readErr
 	}
 	if n > maxResp {
 		putBuf(buf)
-		return nil, "", fmt.Errorf("shard: response exceeds the %d-byte frame bound", maxResp)
+		return nil, fmt.Errorf("shard: response exceeds the %d-byte frame bound", maxResp)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var eb ErrorBody
@@ -712,97 +620,40 @@ func (p *Pool) post(ctx context.Context, url, contentType string, body []byte, a
 			eb.Error = strings.TrimSpace(string(data))
 		}
 		putBuf(buf)
-		return nil, "", &shardError{status: resp.StatusCode, code: eb.Code, msg: eb.Error}
+		return nil, &shardError{status: resp.StatusCode, code: eb.Code, msg: eb.Error}
 	}
-	return buf, resp.Header.Get("Content-Type"), nil
-}
-
-// isBinaryContentType matches the shard binary media type, ignoring
-// parameters.
-func isBinaryContentType(ct string) bool {
-	return strings.HasPrefix(strings.TrimSpace(ct), ContentTypeBinary)
-}
-
-// codecFallback reports whether err from a binary-encoded RPC to r
-// should demote the remote to JSON and retry: the remote never
-// confirmed binary support and rejected the request as undecodable —
-// the signature of a pre-§8 worker build.
-func codecFallback(r *Remote, err error) bool {
-	if r.binMode.Load() != codecUnknown {
-		return false
-	}
-	return undecodableErr(err)
-}
-
-// traceFallback reports whether err from a traced binary RPC to r
-// should strip trace propagation and retry: the remote never confirmed
-// flagTraced support and rejected the frame as undecodable — the
-// signature of an old-binary worker build that predates tracing. It is
-// checked before codecFallback, so a mixed-version fleet first loses
-// the spans, then (if still rejected) the binary codec.
-func traceFallback(r *Remote, err error) bool {
-	if r.traceMode.Load() != traceUnknown {
-		return false
-	}
-	return undecodableErr(err)
-}
-
-// undecodableErr matches the two statuses a worker returns for a
-// request body it cannot decode.
-func undecodableErr(err error) bool {
-	var se *shardError
-	if !errors.As(err, &se) {
-		return false
-	}
-	return se.status == http.StatusBadRequest || se.status == http.StatusUnsupportedMediaType
+	return buf, nil
 }
 
 // ensureProblem uploads blob to r unless r already acknowledged it,
 // verifying the worker-computed content address against the local one.
-// The upload codec follows the pool setting with the mixed-version
-// JSON fallback.
 func (p *Pool) ensureProblem(ctx context.Context, r *Remote, blob *ProblemBlob) error {
 	if r.knowsProblem(blob.Key) {
 		return nil
 	}
-	for {
-		useBin := p.binary.Load() && r.binMode.Load() != codecJSONOnly
-		body, ct, err := blob.body(useBin)
-		if err != nil {
-			return err
-		}
-		buf, _, err := p.post(ctx, r.url+PathProblems, ct, body, false)
-		if err != nil {
-			if useBin && codecFallback(r, err) {
-				r.binMode.Store(codecJSONOnly)
-				continue
-			}
-			return err
-		}
-		var ack UploadResponse
-		err = json.Unmarshal(buf.Bytes(), &ack)
-		putBuf(buf)
-		if err != nil {
-			return fmt.Errorf("shard: decode upload ack: %w", err)
-		}
-		if ack.Hash != blob.Key.String() {
-			// the worker decoded different content than we encoded — a
-			// build-skew bug, not a transient fault; surface it loudly
-			return &shardError{status: http.StatusConflict, code: CodeHashMismatch,
-				msg: fmt.Sprintf("worker hashed %s, coordinator %s", ack.Hash, blob.Key)}
-		}
-		if useBin {
-			r.binMode.Store(codecBinaryOK)
-		}
-		r.setProblem(blob.Key, true)
-		return nil
+	buf, err := p.post(ctx, r.url+PathProblems, blob.body)
+	if err != nil {
+		return err
 	}
+	var ack UploadResponse
+	err = json.Unmarshal(buf.Bytes(), &ack)
+	putBuf(buf)
+	if err != nil {
+		return fmt.Errorf("shard: decode upload ack: %w", err)
+	}
+	if ack.Hash != blob.Key.String() {
+		// the worker decoded different content than we encoded — a
+		// build-skew bug, not a transient fault; surface it loudly
+		return &shardError{status: http.StatusConflict, code: CodeHashMismatch,
+			msg: fmt.Sprintf("worker hashed %s, coordinator %s", ack.Hash, blob.Key)}
+	}
+	r.setProblem(blob.Key, true)
+	return nil
 }
 
 // estimateOn runs one shard request on one worker, handling the
-// lazy-upload, evicted/restarted-worker (unknown_problem) and
-// mixed-version codec-fallback paths, and folds the observed
-// throughput into the remote's EWMA.
+// lazy-upload and evicted/restarted-worker (unknown_problem) paths,
+// and folds the observed throughput into the remote's EWMA.
 func (p *Pool) estimateOn(ctx context.Context, r *Remote, blob *ProblemBlob, req *EstimateRequest) (*EstimateResponse, error) {
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
@@ -814,60 +665,28 @@ func (p *Pool) estimateOn(ctx context.Context, r *Remote, blob *ProblemBlob, req
 	sp.SetAttr("worker", r.url)
 	sp.SetAttrInt("lo", int64(req.Lo))
 	sp.SetAttrInt("hi", int64(req.Hi))
-	reuploaded, demoted, traceDemoted := false, false, false
-	for {
+	use := *req
+	if sp != nil {
+		use.TraceID = sp.TraceID()
+		use.SpanID = sp.SpanID()
+	}
+	scratch := getScratch()
+	body, err := use.AppendBinary((*scratch)[:0])
+	defer func() { putScratch(scratch, body) }()
+	if err != nil {
+		return nil, err
+	}
+	for attempt := 0; ; attempt++ {
 		if err := p.ensureProblem(ctx, r, blob); err != nil {
 			return nil, err
 		}
-		useBin := p.binary.Load() && r.binMode.Load() != codecJSONOnly
-		use := *req
-		if sp != nil && !(useBin && r.traceMode.Load() == traceUnsupported) {
-			// JSON carries the trace ids harmlessly — unknown fields to an
-			// old worker — so only the binary flagTraced path needs the
-			// negotiated opt-out
-			use.TraceID = sp.TraceID()
-			use.SpanID = sp.SpanID()
-		}
-		var body []byte
-		var ct string
-		var scratch *[]byte
-		if useBin {
-			scratch = getScratch()
-			var err error
-			body, err = use.AppendBinary((*scratch)[:0])
-			if err != nil {
-				putScratch(scratch, body)
-				return nil, err
-			}
-			ct = ContentTypeBinary
-		} else {
-			var err error
-			if body, err = json.Marshal(&use); err != nil {
-				return nil, err
-			}
-			ct = "application/json"
-		}
 		start := time.Now()
-		buf, respCT, err := p.post(ctx, r.url+PathEstimate, ct, body, useBin)
-		if scratch != nil {
-			putScratch(scratch, body)
-		}
+		buf, err := p.post(ctx, r.url+PathEstimate, body)
 		if err == nil {
-			var resp EstimateResponse
-			if isBinaryContentType(respCT) {
-				resp, err = DecodeEstimateResponseBinary(buf.Bytes())
-			} else {
-				err = json.Unmarshal(buf.Bytes(), &resp)
-			}
+			resp, err := DecodeEstimateResponseBinary(buf.Bytes())
 			putBuf(buf)
 			if err != nil {
 				return nil, fmt.Errorf("shard: decode estimate response: %w", err)
-			}
-			if useBin {
-				r.binMode.Store(codecBinaryOK)
-				if use.TraceID != 0 {
-					r.traceMode.Store(traceSupported)
-				}
 			}
 			r.shards.Add(1)
 			r.dispatchOK()
@@ -877,25 +696,10 @@ func (p *Pool) estimateOn(ctx context.Context, r *Remote, blob *ProblemBlob, req
 			return &resp, nil
 		}
 		var se *shardError
-		switch {
-		case !reuploaded && errors.As(err, &se) && se.code == CodeUnknownProblem:
+		if attempt == 0 && errors.As(err, &se) && se.code == CodeUnknownProblem {
 			// the worker evicted or lost the problem (e.g. restart):
 			// forget the acknowledgement and re-upload once
-			reuploaded = true
 			r.setProblem(blob.Key, false)
-			continue
-		case useBin && use.TraceID != 0 && !traceDemoted && traceFallback(r, err):
-			// old-binary worker build that predates flagTraced: keep the
-			// binary codec, stop propagating trace ids to this worker
-			traceDemoted = true
-			r.traceMode.Store(traceUnsupported)
-			p.logger.Info("shard trace propagation disabled for worker", "worker", r.url)
-			continue
-		case useBin && !demoted && codecFallback(r, err):
-			// pre-binary worker build: pin it to JSON and retry once
-			demoted = true
-			r.binMode.Store(codecJSONOnly)
-			p.logger.Info("shard codec demoted to json for worker", "worker", r.url)
 			continue
 		}
 		sp.SetAttr("error", err.Error())

@@ -22,7 +22,9 @@ import (
 // answered with unknown_worker — the signature of a restarted
 // coordinator — triggers immediate re-registration, so a bounced
 // coordinator re-learns its fleet within one beat without operator
-// action.
+// action. A 409 incompatible_worker refusal is terminal: the loop logs
+// it at error level and exits, leaving Registered false, because no
+// retry can change the frame version this build speaks.
 type Registrar struct {
 	coordinator string // coordinator base URL
 	self        string // this worker's advertised base URL
@@ -120,6 +122,12 @@ func (g *Registrar) loop() {
 	for {
 		if !g.registered.Load() {
 			d, err := g.register()
+			var se *shardError
+			if errors.As(err, &se) && se.code == CodeIncompatibleWorker {
+				g.logger.Error("shard registration refused; not retrying",
+					"coordinator", g.coordinator, "err", se.msg)
+				return
+			}
 			if err != nil {
 				delay := registerBackoffBase << min(fails, 10)
 				if delay > registerBackoffCap {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -23,16 +24,14 @@ import (
 const maxRemotes = 256
 
 // WorkerCaps is a worker's capability advertisement, sent once at
-// registration. It settles the codec and trace negotiation up front:
-// a registered worker never pays the per-request fallback probe that
-// static-list workers of unknown build vintage go through.
+// registration. Wire compatibility is checked here, once: a worker
+// whose frame version differs from the coordinator's is refused at the
+// door instead of failing request by request.
 type WorkerCaps struct {
-	// CodecVersion is the highest binary frame version the worker
-	// decodes (0 = JSON only); at least the coordinator's frameVersion
-	// pins the remote to the binary codec immediately.
+	// CodecVersion is the binary frame version the worker decodes
+	// (DESIGN.md §8); registration requires it to equal the
+	// coordinator's frameVersion.
 	CodecVersion int `json:"codec_version"`
-	// TracedFrames reports flagTraced support (DESIGN.md §11).
-	TracedFrames bool `json:"traced_frames"`
 	// Capacity is a concurrency hint (typically GOMAXPROCS), surfaced
 	// in /metrics for operators; the throughput-weighted planner still
 	// sizes ranges by measured EWMA, not by this claim.
@@ -43,7 +42,6 @@ type WorkerCaps struct {
 func DefaultWorkerCaps() WorkerCaps {
 	return WorkerCaps{
 		CodecVersion: frameVersion,
-		TracedFrames: true,
 		Capacity:     runtime.GOMAXPROCS(0),
 	}
 }
@@ -87,15 +85,26 @@ func normalizeWorkerURL(raw string) (string, error) {
 
 // Register adds (or re-animates) the worker at rawURL. Registration is
 // idempotent and doubles as crash recovery: a worker that restarts
-// re-registers under the same URL, which resets its lifecycle state,
-// forgets its acknowledged uploads (the new process holds none — the
-// unknown_problem path would also heal this, lazily), and re-seeds the
-// codec/trace negotiation from caps, so no RPC to a registered worker
-// ever needs the mixed-version fallback probe.
+// re-registers under the same URL, which resets its lifecycle state
+// and forgets its acknowledged uploads (the new process holds none —
+// the unknown_problem path would also heal this, lazily).
+//
+// A worker whose caps.CodecVersion is not this build's frame version
+// is refused with a typed 409 incompatible_worker, and any earlier
+// registration under its URL is dropped: the process now answering
+// there cannot decode this coordinator's frames.
 func (p *Pool) Register(rawURL string, caps WorkerCaps) error {
 	u, err := normalizeWorkerURL(rawURL)
 	if err != nil {
 		return err
+	}
+	if caps.CodecVersion != frameVersion {
+		p.Deregister(u)
+		p.logger.Warn("shard worker refused: incompatible frame version", "worker", u,
+			"codec_version", caps.CodecVersion, "want", frameVersion)
+		return &shardError{status: http.StatusConflict, code: CodeIncompatibleWorker,
+			msg: fmt.Sprintf("worker decodes frame version %d, coordinator speaks %d; upgrade coordinator and workers together",
+				caps.CodecVersion, frameVersion)}
 	}
 	p.mu.Lock()
 	var r *Remote
@@ -130,17 +139,6 @@ func (p *Pool) Register(rawURL string, caps WorkerCaps) error {
 	r.problems = make(map[service.Key]bool)
 	r.mu.Unlock()
 
-	// settle the wire negotiation from the advertisement
-	if caps.CodecVersion >= frameVersion {
-		r.binMode.Store(codecBinaryOK)
-	} else {
-		r.binMode.Store(codecJSONOnly)
-	}
-	if caps.TracedFrames {
-		r.traceMode.Store(traceSupported)
-	} else {
-		r.traceMode.Store(traceUnsupported)
-	}
 	if rejoined {
 		p.rejoins.Add(1)
 	}
@@ -204,17 +202,23 @@ func (p *Pool) Deregister(rawURL string) {
 		return
 	}
 	p.mu.Lock()
+	removed := false
 	for i, have := range p.remotes {
 		if have.url == u {
 			p.remotes = append(p.remotes[:i], p.remotes[i+1:]...)
+			removed = true
 			break
 		}
 	}
 	p.mu.Unlock()
-	p.logger.Info("shard worker deregistered", "worker", u)
+	if removed {
+		p.logger.Info("shard worker deregistered", "worker", u)
+	}
 }
 
-// HandleRegister is the POST /v1/shard/register handler.
+// HandleRegister is the POST /v1/shard/register handler. A typed
+// refusal (409 incompatible_worker) keeps its status and code; any
+// other registration error is a 400 bad_request.
 func (p *Pool) HandleRegister(rw http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<16)).Decode(&req); err != nil {
@@ -222,6 +226,11 @@ func (p *Pool) HandleRegister(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := p.Register(req.URL, req.Caps); err != nil {
+		var se *shardError
+		if errors.As(err, &se) {
+			writeShardJSON(rw, se.status, ErrorBody{Error: se.msg, Code: se.code})
+			return
+		}
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}

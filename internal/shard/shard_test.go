@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -150,8 +151,7 @@ func TestProblemCodecRoundTrip(t *testing.T) {
 
 // TestShardedBitIdenticalGolden is the acceptance pin: sharded σ/π
 // over 1, 2 and 7 workers is bit-for-bit the single-process result in
-// every codec (JSON, binary) × planning (static, weighted) mode. The
-// weighted passes run a warm-up batch first so the remotes hold real
+// both planning (static, weighted) modes. The weighted passes run a warm-up batch first so the remotes hold real
 // throughput EWMAs and the proportional planner actually engages.
 func TestShardedBitIdenticalGolden(t *testing.T) {
 	p := sampleProblem(t, 120, 3)
@@ -166,129 +166,37 @@ func TestShardedBitIdenticalGolden(t *testing.T) {
 	withPi := localEst.RunBatchPi(groups, mask)
 	masked := localEst.RunBatchMasked(groups, [][]bool{mask, nil, mask, nil}, true)
 
-	for _, codec := range []string{"json", "binary"} {
-		for _, weighted := range []bool{false, true} {
-			for _, shards := range []int{1, 2, 7} {
-				pool, _, _ := newFleet(t, shards)
-				if err := pool.SetCodec(codec); err != nil {
-					t.Fatal(err)
-				}
-				pool.SetWeighted(weighted)
-				est := NewEstimator(pool, p, m, seed, 2)
-				label := fmt.Sprintf("codec=%s weighted=%v shards=%d", codec, weighted, shards)
-				if weighted {
-					// warm the throughput EWMAs so the weighted plan departs
-					// from the static split
-					est.RunBatch(groups, nil)
-				}
-				requireSameEstimates(t, label+" RunBatch", plain, est.RunBatch(groups, nil))
-				requireSameEstimates(t, label+" RunBatchPi", withPi, est.RunBatchPi(groups, mask))
-				requireSameEstimates(t, label+" RunBatchMasked", masked, est.RunBatchMasked(groups, [][]bool{mask, nil, mask, nil}, true))
-				st := pool.Snapshot()
-				if st.Healthy != shards || st.LocalFallbacks != 0 {
-					t.Fatalf("%s: pool snapshot %+v expected all-healthy, no fallback", label, st)
-				}
-				if st.Codec != codec || st.Weighted != weighted {
-					t.Fatalf("%s: snapshot reports codec=%s weighted=%v", label, st.Codec, st.Weighted)
-				}
-				if st.BytesTx == 0 || st.BytesRx == 0 {
-					t.Fatalf("%s: wire byte counters empty: %+v", label, st)
-				}
-				for _, rs := range st.Remotes {
-					if rs.Shards > 0 && rs.EWMASamplesPerSec <= 0 {
-						t.Fatalf("%s: remote %s served %d shards but reports no throughput EWMA", label, rs.URL, rs.Shards)
-					}
+	for _, weighted := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 7} {
+			pool, _, _ := newFleet(t, shards)
+			pool.SetWeighted(weighted)
+			est := NewEstimator(pool, p, m, seed, 2)
+			label := fmt.Sprintf("weighted=%v shards=%d", weighted, shards)
+			if weighted {
+				// warm the throughput EWMAs so the weighted plan departs
+				// from the static split
+				est.RunBatch(groups, nil)
+			}
+			requireSameEstimates(t, label+" RunBatch", plain, est.RunBatch(groups, nil))
+			requireSameEstimates(t, label+" RunBatchPi", withPi, est.RunBatchPi(groups, mask))
+			requireSameEstimates(t, label+" RunBatchMasked", masked, est.RunBatchMasked(groups, [][]bool{mask, nil, mask, nil}, true))
+			st := pool.Snapshot()
+			if st.Healthy != shards || st.LocalFallbacks != 0 {
+				t.Fatalf("%s: pool snapshot %+v expected all-healthy, no fallback", label, st)
+			}
+			if st.Weighted != weighted {
+				t.Fatalf("%s: snapshot reports weighted=%v", label, st.Weighted)
+			}
+			if st.BytesTx == 0 || st.BytesRx == 0 {
+				t.Fatalf("%s: wire byte counters empty: %+v", label, st)
+			}
+			for _, rs := range st.Remotes {
+				if rs.Shards > 0 && rs.EWMASamplesPerSec <= 0 {
+					t.Fatalf("%s: remote %s served %d shards but reports no throughput EWMA", label, rs.URL, rs.Shards)
 				}
 			}
 		}
 	}
-}
-
-// TestBinaryCodecCutsBytes runs a solve-shaped workload — one problem
-// upload amortized over several many-group estimate batches, the CELF
-// traffic pattern — over a JSON pool and a binary pool against
-// identical fleets, and asserts the ≥3× wire-byte win the smoke then
-// re-checks end to end.
-func TestBinaryCodecCutsBytes(t *testing.T) {
-	p := sampleProblem(t, 120, 3)
-	var groups [][]diffusion.Seed
-	for i := 0; i < 16; i++ {
-		groups = append(groups, []diffusion.Seed{
-			{User: i % p.NumUsers(), Item: i % p.NumItems(), T: 1},
-			{User: (i * 3) % p.NumUsers(), Item: (i + 1) % p.NumItems(), T: 1 + i%p.T},
-		})
-	}
-	const m, seed, batches = 24, 7, 4
-
-	run := func(codec string) uint64 {
-		pool, _, _ := newFleet(t, 2)
-		if err := pool.SetCodec(codec); err != nil {
-			t.Fatal(err)
-		}
-		est := NewEstimator(pool, p, m, seed, 2)
-		for i := 0; i < batches; i++ {
-			est.RunBatchPi(groups, nil)
-		}
-		st := pool.Snapshot()
-		if st.LocalFallbacks != 0 {
-			t.Fatalf("%s run fell back locally: %+v", codec, st)
-		}
-		return st.BytesTx + st.BytesRx
-	}
-	jsonBytes, binBytes := run("json"), run("binary")
-	if binBytes == 0 || jsonBytes == 0 {
-		t.Fatalf("byte counters empty: json=%d binary=%d", jsonBytes, binBytes)
-	}
-	if float64(jsonBytes) < 3*float64(binBytes) {
-		t.Fatalf("binary codec saves too little: json=%d binary=%d (%.2fx < 3x)",
-			jsonBytes, binBytes, float64(jsonBytes)/float64(binBytes))
-	}
-	t.Logf("wire bytes: json=%d binary=%d (%.1fx)", jsonBytes, binBytes, float64(jsonBytes)/float64(binBytes))
-}
-
-// TestMixedVersionFallback fronts a worker with a proxy that mimics a
-// pre-binary build (it treats every body as JSON and never offers the
-// binary response type): a binary-default pool must demote that remote
-// to JSON after one rejected request and still produce bit-identical
-// estimates.
-func TestMixedVersionFallback(t *testing.T) {
-	p := sampleProblem(t, 120, 3)
-	groups := groupsFor(p)
-	const m, seed = 9, 21
-	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
-
-	w := NewWorker(WorkerConfig{Workers: 2})
-	mux := http.NewServeMux()
-	w.Mount(mux)
-	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
-	})
-	legacy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		// a legacy worker knows nothing of the binary media type: it
-		// parses every body as JSON and answers JSON
-		r.Header.Set("Content-Type", "application/json")
-		r.Header.Del("Accept")
-		mux.ServeHTTP(rw, r)
-	}))
-	t.Cleanup(legacy.Close)
-
-	pool := NewPool([]string{legacy.URL}, nil)
-	t.Cleanup(pool.Close)
-	if pool.Codec() != "binary" {
-		t.Fatalf("pool default codec %q, want binary", pool.Codec())
-	}
-	est := NewEstimator(pool, p, m, seed, 2)
-	requireSameEstimates(t, "legacy worker", want, est.RunBatch(groups, nil))
-
-	st := pool.Snapshot()
-	if st.Healthy != 1 || st.LocalFallbacks != 0 {
-		t.Fatalf("legacy fallback degraded the fleet: %+v", st)
-	}
-	if got := pool.healthyRemotes()[0].binMode.Load(); got != codecJSONOnly {
-		t.Fatalf("remote codec mode %d, want pinned to JSON (%d)", got, codecJSONOnly)
-	}
-	// and it stays on JSON: a second batch must not re-attempt binary
-	requireSameEstimates(t, "legacy worker again", want, est.RunBatch(groups, nil))
 }
 
 // TestSpeculativeRedispatch pairs a deliberately slow worker with a
@@ -407,8 +315,8 @@ func TestPlanWeighted(t *testing.T) {
 }
 
 // TestShardedSolveGolden runs the full Dysim pipeline over sharded
-// backends in every codec × planning combination and across 1/2/7
-// workers, pinning each Solution against the plain in-process solve.
+// backends in both planning modes and across 1/2/7 workers, pinning
+// each Solution against the plain in-process solve.
 func TestShardedSolveGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full solve; skipped under -short")
@@ -420,38 +328,33 @@ func TestShardedSolveGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, codec := range []string{"json", "binary"} {
-		for _, weighted := range []bool{false, true} {
-			for _, shards := range []int{1, 2, 7} {
-				label := fmt.Sprintf("codec=%s weighted=%v shards=%d", codec, weighted, shards)
-				pool, workers, _ := newFleet(t, shards)
-				if err := pool.SetCodec(codec); err != nil {
-					t.Fatal(err)
+	for _, weighted := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 7} {
+			label := fmt.Sprintf("weighted=%v shards=%d", weighted, shards)
+			pool, workers, _ := newFleet(t, shards)
+			pool.SetWeighted(weighted)
+			opt.Backend = Backend(pool)
+			got, err := core.Solve(p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
+				t.Fatalf("%s: sharded solve σ %v != local %v", label, got.Sigma, want.Sigma)
+			}
+			if len(want.Seeds) != len(got.Seeds) {
+				t.Fatalf("%s: seed counts differ: %d vs %d", label, len(got.Seeds), len(want.Seeds))
+			}
+			for i := range want.Seeds {
+				if want.Seeds[i] != got.Seeds[i] {
+					t.Fatalf("%s: seed %d differs: %+v vs %+v", label, i, got.Seeds[i], want.Seeds[i])
 				}
-				pool.SetWeighted(weighted)
-				opt.Backend = Backend(pool)
-				got, err := core.Solve(p, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
-					t.Fatalf("%s: sharded solve σ %v != local %v", label, got.Sigma, want.Sigma)
-				}
-				if len(want.Seeds) != len(got.Seeds) {
-					t.Fatalf("%s: seed counts differ: %d vs %d", label, len(got.Seeds), len(want.Seeds))
-				}
-				for i := range want.Seeds {
-					if want.Seeds[i] != got.Seeds[i] {
-						t.Fatalf("%s: seed %d differs: %+v vs %+v", label, i, got.Seeds[i], want.Seeds[i])
-					}
-				}
-				var served uint64
-				for _, w := range workers {
-					served += w.Stats().ShardsServed
-				}
-				if served == 0 {
-					t.Fatalf("%s: no shards reached the workers — the solve ran locally", label)
-				}
+			}
+			var served uint64
+			for _, w := range workers {
+				served += w.Stats().ShardsServed
+			}
+			if served == 0 {
+				t.Fatalf("%s: no shards reached the workers — the solve ran locally", label)
 			}
 		}
 	}
@@ -505,8 +408,9 @@ func TestWorkerRestartReupload(t *testing.T) {
 
 // TestWorkerRejectsHostileRequests pins the worker's input guards: a
 // zero-vertex graph payload smuggling arcs must fail decoding (not
-// panic in CSR rebuild), and an estimate whose groups × span work
-// bound is absurd must be rejected before allocation.
+// panic in CSR rebuild), an estimate frame whose groups × span work
+// bound is absurd must be rejected before allocation, and a body that
+// is not a binary frame is refused by media type.
 func TestWorkerRejectsHostileRequests(t *testing.T) {
 	// corrupt graph: n=0 with a dangling arc
 	_, err := DecodeProblem(ProblemUpload{
@@ -538,11 +442,7 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 	}
 
 	pool, workers, servers := newFleet(t, 1)
-	p := sampleProblem(t, 120, 3)
-	blob, err := NewProblemBlob(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := NewProblemBlob(sampleProblem(t, 120, 3))
 	r := pool.healthyRemotes()[0]
 	if err := pool.ensureProblem(context.Background(), r, blob); err != nil {
 		t.Fatal(err)
@@ -553,22 +453,47 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 		Hi:      1 << 40,
 		Groups:  [][]diffusion.Seed{{}},
 	}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(servers[0].URL+PathEstimate, "application/json", bytes.NewReader(body))
+	frame, err := req.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized estimate: status %d want 400", resp.StatusCode)
+	status, eb := postShard(t, servers[0].URL+PathEstimate, ContentTypeBinary, frame)
+	if status != http.StatusBadRequest || eb.Code != CodeBadRequest {
+		t.Fatalf("oversized estimate: status %d body %+v, want 400 %q", status, eb, CodeBadRequest)
 	}
-	var eb ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Code != CodeBadRequest {
-		t.Fatalf("oversized estimate: body %+v err %v", eb, err)
+	// the rejection must come from the work-unit guard, not from an
+	// earlier decode or media-type check
+	if !strings.Contains(eb.Error, "-unit bound") {
+		t.Fatalf("oversized estimate rejected for the wrong reason: %q", eb.Error)
+	}
+	// the same request as JSON is refused by media type: there is no
+	// JSON decoder left on the worker
+	body, _ := json.Marshal(req)
+	status, eb = postShard(t, servers[0].URL+PathEstimate, "application/json", body)
+	if status != http.StatusUnsupportedMediaType || eb.Code != CodeBadRequest {
+		t.Fatalf("JSON estimate: status %d body %+v, want 415 %q", status, eb, CodeBadRequest)
 	}
 	if got := workers[0].Stats().ShardsServed; got != 0 {
 		t.Fatalf("hostile request counted as served: %d", got)
 	}
+}
+
+// postShard sends one raw shard RPC body and decodes the typed error
+// body of a non-200 answer.
+func postShard(t *testing.T, url, contentType string, body []byte) (int, ErrorBody) {
+	t.Helper()
+	resp, err := http.Post(url, contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb ErrorBody
+	if resp.StatusCode != http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("status %d: undecodable error body: %v", resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode, eb
 }
 
 // TestCancellationPropagates cancels a sharded solve whose only worker

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -94,93 +92,6 @@ func TestTracePropagation(t *testing.T) {
 	if !joined {
 		t.Fatal("no worker tracer recorded the coordinator's trace id")
 	}
-}
-
-// rejectTracedFrames emulates an old-binary worker build: its decoder
-// predates flagTraced, so a traced frame decodes with trailing payload
-// bytes and is rejected 400 — here short-circuited by the flags bit.
-func rejectTracedFrames(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if isBinaryContentType(r.Header.Get("Content-Type")) {
-			body, err := readRequestBody(r)
-			if err != nil {
-				http.Error(rw, err.Error(), http.StatusBadRequest)
-				return
-			}
-			data := append([]byte(nil), body.Bytes()...)
-			putBuf(body)
-			if len(data) >= frameHeaderLen && data[5]&flagTraced != 0 {
-				writeShardError(rw, http.StatusBadRequest, CodeBadRequest,
-					errTrailing{})
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(data))
-			r.ContentLength = int64(len(data))
-		}
-		next.ServeHTTP(rw, r)
-	})
-}
-
-type errTrailing struct{}
-
-func (errTrailing) Error() string { return "wirebin: 16 trailing bytes" }
-
-// TestTraceMixedVersionFallback pins graceful degradation: an
-// old-binary worker that rejects flagTraced frames keeps serving the
-// fleet bit-identically — the pool strips trace propagation for that
-// worker and retries on the binary codec, rather than demoting the
-// codec or failing the shard. No trace from the worker, no error.
-func TestTraceMixedVersionFallback(t *testing.T) {
-	p := sampleProblem(t, 60, 2)
-	const m, seed = 8, uint64(7)
-
-	w := NewWorker(WorkerConfig{Workers: 2})
-	mux := http.NewServeMux()
-	w.Mount(mux)
-	srv := httptest.NewServer(rejectTracedFrames(mux))
-	t.Cleanup(srv.Close)
-	pool := NewPool([]string{srv.URL}, nil)
-	t.Cleanup(pool.Close)
-
-	groups := groupsFor(p)
-	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
-
-	tracer := obs.NewTracer()
-	root := tracer.Start("solve_test")
-	ctx := obs.ContextWithSpan(context.Background(), root)
-	est := NewEstimator(pool, p, m, seed, 2)
-	est.Bind(ctx)
-	got := est.RunBatch(groups, nil)
-	root.End()
-
-	requireSameEstimates(t, "mixed-version batch", want, got)
-
-	st := pool.Snapshot()
-	if len(st.Remotes) != 1 {
-		t.Fatalf("remotes = %d", len(st.Remotes))
-	}
-	if st.Remotes[0].Shards == 0 {
-		t.Fatalf("old-binary worker served no shards: %+v", st.Remotes[0])
-	}
-	if mode := pool.remotes[0].binMode.Load(); mode == codecJSONOnly {
-		t.Fatalf("trace rejection demoted the codec to JSON (binMode=%d)", mode)
-	}
-	if got := pool.remotes[0].traceMode.Load(); got != traceUnsupported {
-		t.Fatalf("traceMode = %d, want traceUnsupported", got)
-	}
-	// the coordinator trace still exists, just without worker spans
-	traces := tracer.Snapshot()
-	if len(traces) != 1 {
-		t.Fatalf("coordinator traces = %d, want 1", len(traces))
-	}
-	names := spanNames(traces[0])
-	if names["shard_rpc"] == 0 || names["shard_batch"] == 0 {
-		t.Fatalf("coordinator spans missing: %v", names)
-	}
-	if names["worker_estimate"] != 0 {
-		t.Fatalf("old worker cannot have produced spans: %v", names)
-	}
-	// RPC latency histogram observed the successful retries
 	if lat := pool.RPCLatency(); lat.Count == 0 {
 		t.Fatal("rpc latency histogram empty after successful shards")
 	}

@@ -10,8 +10,8 @@ import (
 	"imdpp/internal/pin"
 )
 
-// Wire contract of the estimator RPC. The problem upload is the JSON
-// image of everything the diffusion dynamics can observe — exactly the
+// Wire contract of the estimator RPC. The problem upload is the image
+// of everything the diffusion dynamics can observe — exactly the
 // inputs service.HashProblem walks — so the content address is
 // self-verifying: a worker recomputes the hash over its decoded copy
 // and a mismatch (codec drift, corruption) is detected before a single
@@ -49,6 +49,10 @@ const (
 	// coordinator has no registration for (e.g. the coordinator
 	// restarted); the worker re-registers.
 	CodeUnknownWorker = "unknown_worker"
+	// CodeIncompatibleWorker: a registration advertised a frame version
+	// other than the coordinator's (DESIGN.md §13). Terminal: the
+	// worker stops retrying until it is redeployed.
+	CodeIncompatibleWorker = "incompatible_worker"
 )
 
 // ErrorBody is the JSON error payload of every shard RPC failure.
@@ -173,10 +177,8 @@ type EstimateRequest struct {
 	PerGroupMasks [][]int32          `json:"masks"`
 	// TraceID/SpanID propagate the coordinator's trace context
 	// (DESIGN.md §11) so worker spans join the coordinator's trace.
-	// Zero means untraced, and omitempty keeps pre-tracing JSON bodies
-	// byte-identical; on the binary frame the pair rides behind the
-	// flagTraced bit. Tracing never affects sample content — an old
-	// worker may ignore these fields entirely.
+	// Zero means untraced; on the binary frame the pair rides behind
+	// the flagTraced bit. Tracing never affects sample content.
 	TraceID obs.ID `json:"trace_id,omitempty"`
 	SpanID  obs.ID `json:"span_id,omitempty"`
 }
@@ -187,7 +189,7 @@ type EstimateResponse struct {
 	Samples [][]diffusion.SampleResult `json:"samples"`
 	// Spans are the worker-side span records for a traced request,
 	// adopted into the coordinator's trace. Only populated when the
-	// request carried a trace id, so old coordinators never see them.
+	// request carried a trace id.
 	Spans []obs.SpanRec `json:"spans,omitempty"`
 }
 

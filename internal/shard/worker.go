@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -190,11 +190,18 @@ func (w *Worker) DropProblems() {
 	w.mu.Unlock()
 }
 
-// readRequestBody drains a request body into a pooled buffer,
-// rejecting bodies past the frame bound explicitly (rather than
-// truncating them into confusing decode errors). The caller owns the
-// returned buffer and must release it with putBuf.
-func readRequestBody(r *http.Request) (*bytes.Buffer, error) {
+// readFrame drains a binary-frame request body into a pooled buffer
+// the caller must release with putBuf. A body of any other media type
+// is refused 415, and one past the frame bound 400 (rather than being
+// truncated into a confusing decode error); both carry the typed
+// bad_request code, already written to rw when readFrame returns nil.
+func readFrame(rw http.ResponseWriter, r *http.Request, what string) *bytes.Buffer {
+	ct := r.Header.Get("Content-Type")
+	if mt, _, _ := mime.ParseMediaType(ct); mt != ContentTypeBinary {
+		writeShardError(rw, http.StatusUnsupportedMediaType, CodeBadRequest,
+			fmt.Errorf("bad %s: content type %q, want %s", what, ct, ContentTypeBinary))
+		return nil
+	}
 	const maxBody = maxFramePayload + frameHeaderLen
 	buf := getBuf()
 	n, err := io.Copy(buf, io.LimitReader(r.Body, maxBody+1))
@@ -203,43 +210,26 @@ func readRequestBody(r *http.Request) (*bytes.Buffer, error) {
 	}
 	if err != nil {
 		putBuf(buf)
-		return nil, err
+		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad %s: %w", what, err))
+		return nil
 	}
-	return buf, nil
+	return buf
 }
 
-// wantsBinary reports whether the request negotiated the binary codec
-// for its body (Content-Type) or its response (Accept).
-func wantsBinary(header string) bool {
-	for _, part := range strings.Split(header, ",") {
-		if isBinaryContentType(part) {
-			return true
-		}
-	}
-	return false
-}
-
-// handleUpload decodes a problem image (binary frame or JSON, by
-// Content-Type), verifies its content address by recomputation, and
-// stores it under that key. The ack is always JSON — it is a few
-// dozen bytes either way.
+// handleUpload decodes a problem upload frame, verifies its content
+// address by recomputation, and stores it under that key. The ack is
+// JSON — a few dozen bytes, part of the typed-error protocol.
 func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 	if !w.beginRequest() {
 		writeShardError(rw, http.StatusServiceUnavailable, CodeDraining, errDraining)
 		return
 	}
 	defer w.endRequest()
-	body, err := readRequestBody(r)
-	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad problem upload: %w", err))
+	body := readFrame(rw, r, "problem upload")
+	if body == nil {
 		return
 	}
-	var u ProblemUpload
-	if wantsBinary(r.Header.Get("Content-Type")) {
-		u, err = DecodeProblemUploadBinary(body.Bytes())
-	} else {
-		err = json.Unmarshal(body.Bytes(), &u)
-	}
+	u, err := DecodeProblemUploadBinary(body.Bytes())
 	putBuf(body)
 	if err != nil {
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad problem upload: %w", err))
@@ -269,27 +259,21 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleEstimate simulates samples [Lo,Hi) of every group and returns
-// their raw outcomes — binary-framed when the Accept header asks for
-// it, JSON otherwise. The estimator is bound to the request context,
-// so a coordinator abandoning the request (cancellation, failover
-// timeout) preempts the simulation within about one campaign.
+// their raw outcomes as a binary frame. The estimator is bound to the
+// request context, so a coordinator abandoning the request
+// (cancellation, failover timeout) preempts the simulation within
+// about one campaign.
 func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	if !w.beginRequest() {
 		writeShardError(rw, http.StatusServiceUnavailable, CodeDraining, errDraining)
 		return
 	}
 	defer w.endRequest()
-	body, err := readRequestBody(r)
-	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err))
+	body := readFrame(rw, r, "estimate request")
+	if body == nil {
 		return
 	}
-	var req EstimateRequest
-	if wantsBinary(r.Header.Get("Content-Type")) {
-		req, err = DecodeEstimateRequestBinary(body.Bytes())
-	} else {
-		err = json.Unmarshal(body.Bytes(), &req)
-	}
+	req, err := DecodeEstimateRequestBinary(body.Bytes())
 	putBuf(body)
 	if err != nil {
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err))
@@ -377,16 +361,12 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	w.shardsServed.Add(1)
 	w.samplesDone.Add(uint64(len(req.Groups) * (req.Hi - req.Lo)))
 	resp := EstimateResponse{Samples: samples, Spans: wspan.EndCollect()}
-	if wantsBinary(r.Header.Get("Accept")) {
-		scratch := getScratch()
-		out := resp.AppendBinary((*scratch)[:0])
-		rw.Header().Set("Content-Type", ContentTypeBinary)
-		rw.WriteHeader(http.StatusOK)
-		_, _ = rw.Write(out)
-		putScratch(scratch, out)
-		return
-	}
-	writeShardJSON(rw, http.StatusOK, resp)
+	scratch := getScratch()
+	out := resp.AppendBinary((*scratch)[:0])
+	rw.Header().Set("Content-Type", ContentTypeBinary)
+	rw.WriteHeader(http.StatusOK)
+	_, _ = rw.Write(out)
+	putScratch(scratch, out)
 }
 
 // errDraining is the body of every typed draining rejection.

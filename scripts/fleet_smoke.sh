@@ -4,10 +4,11 @@
 # failures the elastic-membership layer exists for — a kill -9
 # mid-solve, a SIGTERM graceful drain mid-solve, and a rejoin of the
 # killed worker — asserting every solve stays bit-identical to a plain
-# single-process daemon with zero failed jobs. Registration-time
-# capability negotiation is asserted directly: each registered remote
-# reports the binary codec BEFORE the coordinator has sent it a single
-# estimate RPC (no per-request fallback probe). A SIGHUP re-reads the
+# single-process daemon with zero failed jobs. The registration-time
+# compatibility check is asserted directly: every registered remote is
+# alive BEFORE the coordinator has sent it a single estimate RPC, and a
+# raw registration advertising another frame version is refused with a
+# typed 409 incompatible_worker. A SIGHUP re-reads the
 # -tenant-quotas @file and swaps the scheduler quota table without
 # dropping queued jobs. Appends a kind:"fleet" record to
 # BENCH_shard.json.
@@ -19,12 +20,14 @@ WORKDIR=$(mktemp -d)
 BIN="$WORKDIR/imdppd"
 go build -o "$BIN" ./cmd/imdppd
 
-PIDS=()
+# boot runs inside <(...) subshells, so daemon pids go to a file a
+# shell variable would not survive
 cleanup() {
-    for pid in "${PIDS[@]}"; do
-        kill -9 "$pid" 2>/dev/null || true
-        wait "$pid" 2>/dev/null || true
-    done
+    if [ -f "$WORKDIR/pids" ]; then
+        while read -r pid; do
+            kill -9 "$pid" 2>/dev/null || true
+        done <"$WORKDIR/pids"
+    fi
     rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
@@ -36,7 +39,7 @@ boot() {
     shift
     "$BIN" "$@" >"$log" 2>&1 &
     local pid=$!
-    PIDS+=($pid)
+    echo "$pid" >>"$WORKDIR/pids"
     local addr=""
     for _ in $(seq 1 100); do
         addr=$(sed -n 's#^imdppd listening on ##p' "$log")
@@ -78,15 +81,22 @@ echo "coordinator at $COORD; workers at $W1 $W2 $W3; local reference at $LOCAL"
 
 wait_jq "$COORD/metrics" '.shard.fleet.registered == 3' "3 workers registered"
 
-# --- negotiation happened at registration, not per request ----------
-# zero estimate RPCs have been sent, yet every remote's codec is
-# already settled to binary and its state alive: the capability
-# advertisement replaced the old first-RPC fallback probe
+# --- compatibility is checked once, at registration -----------------
+# zero estimate RPCs have been sent, yet every remote is alive: the
+# capability advertisement is the only compatibility check there is
 curl -sf "$COORD/metrics" | jq -e '
     (.shard.remotes | length) == 3
-    and all(.shard.remotes[]; .registered and .state == "alive" and .codec == "binary")' >/dev/null ||
-    { echo "registration did not pre-negotiate caps" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
-echo "negotiation OK: 3 remotes alive with binary codec before any estimate RPC"
+    and all(.shard.remotes[]; .registered and .state == "alive")' >/dev/null ||
+    { echo "registered workers not alive before any estimate RPC" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
+# a build advertising another frame version is refused at the door
+REFUSAL=$(curl -s -o "$WORKDIR/refusal.json" -w '%{http_code}' -X POST "$COORD/v1/shard/register" \
+    -H 'Content-Type: application/json' \
+    -d '{"url":"http://127.0.0.1:9","caps":{"codec_version":0,"capacity":1}}')
+[ "$REFUSAL" = 409 ] && jq -e '.code == "incompatible_worker"' "$WORKDIR/refusal.json" >/dev/null ||
+    { echo "incompatible registration not refused 409: $REFUSAL $(cat "$WORKDIR/refusal.json")" >&2; exit 1; }
+curl -sf "$COORD/metrics" | jq -e '.shard.fleet.registered == 3 and .shard.workers == 3' >/dev/null ||
+    { echo "refused registration changed the fleet" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
+echo "compatibility OK: 3 remotes alive before any estimate RPC; codec_version 0 refused 409 incompatible_worker"
 
 # solve_req <seed>: distinct seeds keep each solve out of the result
 # cache — every churn scenario must do real fleet work, not replay a
