@@ -107,12 +107,13 @@ docs-check:
 bench-diff:
 	./scripts/bench_diff.sh BENCH_solve.json BENCH_serve.json BENCH_shard.json BENCH_sketch.json BENCH_gridcache.json
 
-# Short fuzz pass over every wire-codec decoder (the seed corpora are
-# committed under */testdata/fuzz).
+# Short fuzz pass over every wire-codec decoder and the cache spill-image
+# reader (the seed corpora are committed under */testdata/fuzz).
 fuzz:
 	$(GO) test ./internal/wirebin -run '^FuzzReader$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 	$(GO) test ./internal/diffusion -run '^FuzzSampleGridCodec$$' -fuzz '^FuzzSampleGridCodec$$' -fuzztime 10s
 	$(GO) test ./internal/gridcache -run '^FuzzGroupKeyCodec$$' -fuzz '^FuzzGroupKeyCodec$$' -fuzztime 10s
+	$(GO) test ./internal/castore -run '^FuzzSpillImage$$' -fuzz '^FuzzSpillImage$$' -fuzztime 10s
 	$(GO) test ./internal/graph -run '^FuzzDecodeBinaryExport$$' -fuzz '^FuzzDecodeBinaryExport$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeProblemUploadBinary$$' -fuzz '^FuzzDecodeProblemUploadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeEstimateRequestBinary$$' -fuzz '^FuzzDecodeEstimateRequestBinary$$' -fuzztime 10s

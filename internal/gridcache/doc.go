@@ -22,8 +22,8 @@
 // never sorted away; aliasing bit-different grids is the one failure
 // a bit-identity cache must not have.
 //
-// The cache is a byte-accounted singleflight LRU: concurrent misses
-// on one key simulate once (Begin hands ownership to the first
+// The cache is the byte-costed lane of internal/castore: concurrent
+// misses on one key simulate once (Begin hands ownership to the first
 // caller; the rest Wait), committed entries are evicted oldest-first
 // past MaxBytes, and an optional spill directory persists grids in
 // the canonical AppendSampleGrid wire form so eviction or a restart

@@ -1,13 +1,11 @@
 package gridcache
 
 import (
-	"container/list"
-	"fmt"
-	"os"
-	"path/filepath"
+	"errors"
 	"sync"
 	"sync/atomic"
 
+	"imdpp/internal/castore"
 	"imdpp/internal/diffusion"
 	"imdpp/internal/wirebin"
 )
@@ -33,43 +31,20 @@ type Config struct {
 	KeyFn func(*diffusion.Problem) string
 }
 
-// Cache is a bounded, byte-accounted, singleflight LRU of raw
-// per-sample outcome grids, keyed by (problem content address, master
-// seed, sample range, canonical group key) — DESIGN.md §10. One Cache
-// is safe for concurrent use by any number of estimators across jobs;
-// per-problem views (View) implement diffusion.GridCache.
+// Cache is the sample-grid lane over a castore.Store: raw per-sample
+// outcome grids keyed by (problem content address, master seed,
+// sample range, canonical group key) and costed in bytes — DESIGN.md
+// §10. One Cache is safe for concurrent use by any number of
+// estimators across jobs; per-problem views (View) implement
+// diffusion.GridCache.
 type Cache struct {
-	maxBytes int64
-	dir      string
-	keyFn    func(*diffusion.Problem) string
-
-	mu      sync.Mutex
-	entries map[string]*entry
-	lru     *list.List // committed entries, oldest at Front
-	bytes   int64
+	keyFn func(*diffusion.Problem) string
+	store *castore.Store[[]diffusion.SampleResult]
 
 	pmu      sync.Mutex
 	problems map[*diffusion.Problem]string // memoized content addresses
 
-	lookups       atomic.Uint64
-	hits          atomic.Uint64
-	diskHits      atomic.Uint64
-	singleflights atomic.Uint64
-	evictions     atomic.Uint64
-	samplesSaved  atomic.Uint64
-}
-
-// entry is one cache slot. Until committed it represents an in-flight
-// singleflight reservation (rows nil, done open); Commit publishes the
-// rows and enrols the entry in the LRU, Abort removes it so the next
-// Begin retries. done is closed exactly once, by whichever settles it.
-type entry struct {
-	key       string
-	rows      []diffusion.SampleResult
-	bytes     int64
-	done      chan struct{}
-	committed bool
-	elem      *list.Element
+	samplesSaved atomic.Uint64
 }
 
 // New creates a cache. A nil KeyFn yields a cache whose views are nil
@@ -80,11 +55,18 @@ func New(cfg Config) *Cache {
 		cfg.MaxBytes = defaultMaxBytes
 	}
 	return &Cache{
-		maxBytes: cfg.MaxBytes,
-		dir:      cfg.Dir,
-		keyFn:    cfg.KeyFn,
-		entries:  make(map[string]*entry),
-		lru:      list.New(),
+		keyFn: cfg.KeyFn,
+		store: castore.New(castore.Config[[]diffusion.SampleResult]{
+			Budget: cfg.MaxBytes,
+			Cost: func(key string, rows []diffusion.SampleResult) int64 {
+				return int64(len(key)) + rowsBytes(rows)
+			},
+			Dir: cfg.Dir,
+			Encode: func(b []byte, rows []diffusion.SampleResult) []byte {
+				return diffusion.AppendSampleGrid(b, [][]diffusion.SampleResult{rows})
+			},
+			Decode: decodeRows,
+		}),
 		problems: make(map[*diffusion.Problem]string),
 	}
 }
@@ -116,17 +98,15 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	bytes, entries := c.bytes, len(c.entries)
-	c.mu.Unlock()
+	st := c.store.Stats()
 	return Stats{
-		Lookups:       c.lookups.Load(),
-		Hits:          c.hits.Load(),
-		DiskHits:      c.diskHits.Load(),
-		Singleflights: c.singleflights.Load(),
-		Evictions:     c.evictions.Load(),
-		Bytes:         bytes,
-		Entries:       entries,
+		Lookups:       st.Lookups,
+		Hits:          st.Hits,
+		DiskHits:      st.DiskHits,
+		Singleflights: st.Joins,
+		Evictions:     st.Evictions,
+		Bytes:         st.Cost,
+		Entries:       st.Entries,
 		SamplesSaved:  c.samplesSaved.Load(),
 	}
 }
@@ -169,126 +149,28 @@ type view struct {
 // (first miss — caller simulates and settles), or a joined ticket
 // (the same unit is in flight elsewhere — caller Waits).
 func (v *view) Begin(seed uint64, lo, hi int, seeds []diffusion.Seed, market []bool, withPi bool) ([]diffusion.SampleResult, diffusion.GridTicket) {
-	c := v.c
-	c.lookups.Add(1)
 	key := v.problemKey + string(AppendGroupKey(nil, seed, lo, hi, seeds, market, withPi))
-
-	c.mu.Lock()
-	if e := c.entries[key]; e != nil {
-		if e.committed {
-			c.lru.MoveToBack(e.elem)
-			rows := e.rows
-			c.mu.Unlock()
-			c.hits.Add(1)
-			c.samplesSaved.Add(uint64(hi - lo))
-			return rows, nil
-		}
-		c.mu.Unlock()
-		c.singleflights.Add(1)
-		return nil, &ticket{c: c, e: e}
-	}
-	e := &entry{key: key, done: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-
-	if rows := c.loadDisk(key, hi-lo); rows != nil {
-		c.commit(e, rows, false)
-		c.diskHits.Add(1)
-		c.samplesSaved.Add(uint64(hi - lo))
+	rows, t := v.c.store.Begin(key, func(rows []diffusion.SampleResult) bool { return len(rows) == hi-lo })
+	if t == nil {
+		v.c.samplesSaved.Add(uint64(hi - lo))
 		return rows, nil
 	}
-	return nil, &ticket{c: c, e: e, owned: true}
+	return nil, ticket{t, &v.c.samplesSaved}
 }
 
-// ticket is one reservation; see diffusion.GridTicket for the
-// protocol. settled guards the owner against double settlement.
+// ticket adapts a store ticket to diffusion.GridTicket, crediting the
+// samples a joined flight saved.
 type ticket struct {
-	c       *Cache
-	e       *entry
-	owned   bool
-	settled bool
+	*castore.Ticket[[]diffusion.SampleResult]
+	saved *atomic.Uint64
 }
 
-func (t *ticket) Owned() bool { return t.owned }
-
-func (t *ticket) Commit(rows []diffusion.SampleResult) {
-	if !t.owned || t.settled {
-		return
+func (t ticket) Wait(stop <-chan struct{}) ([]diffusion.SampleResult, bool) {
+	rows, ok := t.Ticket.Wait(stop)
+	if ok {
+		t.saved.Add(uint64(len(rows)))
 	}
-	t.settled = true
-	t.c.commit(t.e, rows, true)
-}
-
-func (t *ticket) Abort() {
-	if !t.owned || t.settled {
-		return
-	}
-	t.settled = true
-	c, e := t.c, t.e
-	c.mu.Lock()
-	if c.entries[e.key] == e {
-		delete(c.entries, e.key)
-	}
-	c.mu.Unlock()
-	close(e.done)
-}
-
-func (t *ticket) Wait(stop <-chan struct{}) ([]diffusion.SampleResult, bool) {
-	select {
-	case <-t.e.done:
-	case <-stop: // nil stop never fires, which is the intended "no preemption"
-		return nil, false
-	}
-	c, e := t.c, t.e
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !e.committed {
-		return nil, false // the owner aborted
-	}
-	if e.elem != nil && c.entries[e.key] == e {
-		c.lru.MoveToBack(e.elem)
-	}
-	c.samplesSaved.Add(uint64(e.span()))
-	return e.rows, true
-}
-
-// span recovers the sample count of a committed entry's rows.
-func (e *entry) span() int { return len(e.rows) }
-
-// commit publishes rows into an in-flight entry, accounts its bytes,
-// enrols it in the LRU and wakes waiters. persist controls the disk
-// spill (false when the rows just came FROM disk).
-func (c *Cache) commit(e *entry, rows []diffusion.SampleResult, persist bool) {
-	e.rows = rows
-	e.bytes = int64(len(e.key)) + rowsBytes(rows)
-	c.mu.Lock()
-	if c.entries[e.key] == e {
-		e.committed = true
-		c.bytes += e.bytes
-		e.elem = c.lru.PushBack(e)
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.done)
-	if persist {
-		c.saveDisk(e.key, rows)
-	}
-}
-
-// evictLocked drops committed entries oldest-first past MaxBytes.
-// In-flight reservations are not in the LRU, so they cannot be
-// evicted; waiters holding a settled entry keep it alive through the
-// ticket even after eviction drops it from the index.
-func (c *Cache) evictLocked() {
-	for c.bytes > c.maxBytes && c.lru.Len() > 0 {
-		ev := c.lru.Remove(c.lru.Front()).(*entry)
-		ev.elem = nil
-		if c.entries[ev.key] == ev {
-			delete(c.entries, ev.key)
-		}
-		c.bytes -= ev.bytes
-		c.evictions.Add(1)
-	}
+	return rows, ok
 }
 
 // sampleResultBytes approximates the fixed per-row footprint of one
@@ -305,71 +187,16 @@ func rowsBytes(rows []diffusion.SampleResult) int64 {
 	return b
 }
 
-// fileName renders a key's spill location: the key bytes are not
-// filename-safe, so the name is a 128-bit FNV-1a of them; the full key
-// is stored inside the image and verified on load, so a hash collision
-// (or a renamed file) degrades to a re-simulation, never an alias.
-func fileName(key string) string {
-	const offset, prime = 14695981039346656037, 1099511628211
-	a, b := uint64(offset), uint64(offset)^0x9e3779b97f4a7c15
-	for i := 0; i < len(key); i++ {
-		a = (a ^ uint64(key[i])) * prime
-		b = (b ^ uint64(key[i])) * prime
-	}
-	return fmt.Sprintf("%016x%016x.grid", a, b)
-}
-
-func (c *Cache) path(key string) string { return filepath.Join(c.dir, fileName(key)) }
-
-// loadDisk attempts a spill reload; any failure (missing, corrupt,
-// key mismatch, wrong span) degrades to a miss.
-func (c *Cache) loadDisk(key string, span int) []diffusion.SampleResult {
-	if c.dir == "" {
-		return nil
-	}
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil
-	}
-	r := wirebin.NewReader(b)
-	n := r.Count(1)
-	if r.Err() != nil || n != len(key) {
-		return nil
-	}
-	stored := make([]byte, n)
-	for i := range stored {
-		stored[i] = r.U8()
-	}
-	if r.Err() != nil || string(stored) != key {
-		return nil
-	}
+// decodeRows reads the spill payload: one row set as a single-group
+// AppendSampleGrid grid.
+func decodeRows(payload []byte) ([]diffusion.SampleResult, error) {
+	r := wirebin.NewReader(payload)
 	grid, err := diffusion.DecodeSampleGrid(r)
-	if err != nil || len(grid) != 1 || len(grid[0]) != span {
-		return nil
+	if err != nil {
+		return nil, err
 	}
-	if err := r.Done(); err != nil {
-		return nil
+	if len(grid) != 1 {
+		return nil, errors.New("gridcache: spill image is not one row set")
 	}
-	return grid[0]
-}
-
-// saveDisk persists a committed grid best-effort (write-then-rename so
-// a crashed write never leaves a truncated image). The image carries
-// the full key for self-verification; persistence failures are
-// ignored — the cache is an accelerator, not a store of record.
-func (c *Cache) saveDisk(key string, rows []diffusion.SampleResult) {
-	if c.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return
-	}
-	b := wirebin.AppendUvarint(nil, uint64(len(key)))
-	b = append(b, key...)
-	b = diffusion.AppendSampleGrid(b, [][]diffusion.SampleResult{rows})
-	tmp := c.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, c.path(key))
+	return grid[0], r.Done()
 }

@@ -3,10 +3,6 @@ package gridcache
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"imdpp/internal/diffusion"
@@ -175,250 +171,54 @@ func TestCacheHitMissCommit(t *testing.T) {
 		tk.Abort()
 	}
 
+	// a joined flight is a singleflight and credits the samples it saved
+	_, owner := v.Begin(9, 0, 4, seeds, nil, false)
+	_, joiner := v.Begin(9, 0, 4, seeds, nil, false)
+	owner.Abort()
+	if _, ok := joiner.Wait(nil); ok {
+		t.Fatal("joiner of an aborted flight got rows")
+	}
+
 	st := c.Stats()
-	if st.Lookups != 3 || st.Hits != 1 || st.Entries != 1 || st.SamplesSaved != 4 {
+	if st.Lookups != 5 || st.Hits != 1 || st.Singleflights != 1 || st.Entries != 1 || st.SamplesSaved != 4 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Bytes <= 0 {
-		t.Fatalf("committed entry accounts no bytes: %+v", st)
+	// cost is key bytes plus the rows' retained footprint
+	key := "problem-A" + string(AppendGroupKey(nil, 7, 0, 4, seeds, nil, false))
+	if want := int64(len(key)) + rowsBytes(want); st.Bytes != want {
+		t.Fatalf("committed entry accounts %d bytes, want %d", st.Bytes, want)
 	}
 }
 
-func TestCacheSingleflightJoinAndAbort(t *testing.T) {
-	c, v := testCache(1<<20, "")
-	seeds := []diffusion.Seed{{User: 2, Item: 1, T: 1}}
-
-	_, owner := v.Begin(1, 0, 2, seeds, nil, false)
-	_, joiner := v.Begin(1, 0, 2, seeds, nil, false)
-	if !owner.Owned() || joiner == nil || joiner.Owned() {
-		t.Fatalf("second concurrent Begin must join, not own (owner=%v joiner=%v)", owner, joiner)
-	}
-
-	want := rowsFor(2, 2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rows, ok := joiner.Wait(nil)
-		if !ok || !sameRows(rows, want) {
-			t.Errorf("joiner: ok=%v rows=%v", ok, rows)
-		}
-	}()
-	owner.Commit(want)
-	<-done
-	if st := c.Stats(); st.Singleflights != 1 {
-		t.Fatalf("stats %+v: want 1 singleflight", st)
-	}
-
-	// abort path: the waiter is released empty-handed and the key retries
-	_, owner2 := v.Begin(2, 0, 2, seeds, nil, false)
-	_, joiner2 := v.Begin(2, 0, 2, seeds, nil, false)
-	owner2.Abort()
-	if _, ok := joiner2.Wait(nil); ok {
-		t.Fatal("waiter on an aborted flight must get ok=false")
-	}
-	if _, retry := v.Begin(2, 0, 2, seeds, nil, false); retry == nil || !retry.Owned() {
-		t.Fatal("aborted key must be ownable again")
-	}
-
-	// stop channel preempts a Wait
-	_, owner3 := v.Begin(3, 0, 2, seeds, nil, false)
-	_, joiner3 := v.Begin(3, 0, 2, seeds, nil, false)
-	stop := make(chan struct{})
-	close(stop)
-	if _, ok := joiner3.Wait(stop); ok {
-		t.Fatal("fired stop channel must preempt Wait")
-	}
-	owner3.Abort()
-}
-
-// retainedBytes recomputes the byte ledger from first principles.
-func retainedBytes(c *Cache) (sum int64, n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if e.committed {
-			sum += e.bytes
-			n++
-		}
-	}
-	return sum, n
-}
-
-func TestCacheEvictionByteAccounting(t *testing.T) {
-	// each committed entry is ~keyBytes + 8 rows × (80 + 4 + 8) ≈ 780 B;
-	// a 4000-byte bound holds only a handful
-	c, v := testCache(4000, "")
-	const span = 8
-	for i := 0; i < 32; i++ {
-		seeds := []diffusion.Seed{{User: i, Item: 0, T: 1}}
-		rows, tk := v.Begin(1, 0, span, seeds, nil, false)
-		if rows != nil {
-			t.Fatalf("key %d: unexpected hit", i)
-		}
-		tk.Commit(rowsFor(i, span))
-
-		sum, n := retainedBytes(c)
-		st := c.Stats()
-		if st.Bytes != sum {
-			t.Fatalf("after insert %d: ledger %d != recomputed %d", i, st.Bytes, sum)
-		}
-		if st.Entries != n {
-			t.Fatalf("after insert %d: %d entries vs %d committed", i, st.Entries, n)
-		}
-		if st.Bytes > 4000 {
-			t.Fatalf("after insert %d: %d bytes exceeds the 4000-byte bound", i, st.Bytes)
-		}
-	}
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("32 inserts under a 4000-byte bound evicted nothing: %+v", st)
-	}
-	// oldest keys are gone: re-Begin owns a fresh flight
-	if rows, tk := v.Begin(1, 0, span, []diffusion.Seed{{User: 0, Item: 0, T: 1}}, nil, false); rows != nil || !tk.Owned() {
-		t.Fatal("evicted key still answers from memory")
-	} else {
-		tk.Abort()
-	}
-	// newest key survives (LRU evicts oldest-first)
-	if rows, _ := v.Begin(1, 0, span, []diffusion.Seed{{User: 31, Item: 0, T: 1}}, nil, false); rows == nil {
-		t.Fatal("newest key was evicted before older ones")
-	}
-}
-
+// TestCacheDiskSpill checks the lane's spill codec: a fresh cache
+// over the same directory reloads a committed grid as a disk hit that
+// saves its samples. Image verification is castore's
+// (TestSpillRoundTripAndCorruption).
 func TestCacheDiskSpill(t *testing.T) {
 	dir := t.TempDir()
 	seeds := []diffusion.Seed{{User: 5, Item: 1, T: 2}}
 	want := rowsFor(9, 6)
 
-	c1, v1 := testCache(1<<20, dir)
+	_, v1 := testCache(1<<20, dir)
 	_, tk := v1.Begin(4, 0, 6, seeds, nil, true)
 	tk.Commit(want)
-	if st := c1.Stats(); st.DiskHits != 0 {
-		t.Fatalf("writer claims disk hits: %+v", st)
-	}
 
-	// a fresh cache over the same directory reloads instead of missing
 	c2, v2 := testCache(1<<20, dir)
 	got, tk2 := v2.Begin(4, 0, 6, seeds, nil, true)
 	if tk2 != nil || !sameRows(got, want) {
 		t.Fatalf("spill reload failed: rows=%v ticket=%v", got, tk2)
 	}
-	st := c2.Stats()
-	if st.DiskHits != 1 || st.SamplesSaved != 6 {
+	if st := c2.Stats(); st.DiskHits != 1 || st.SamplesSaved != 6 {
 		t.Fatalf("stats %+v: want one 6-sample disk hit", st)
 	}
-	// and the reloaded entry now answers from memory
-	if rows, _ := v2.Begin(4, 0, 6, seeds, nil, true); rows == nil {
-		t.Fatal("reloaded entry not resident")
-	}
-	if st := c2.Stats(); st.Hits != 1 {
-		t.Fatalf("stats %+v: want a memory hit after reload", st)
-	}
 
-	// corrupting the image degrades to a miss, never a bad alias
-	files, err := filepath.Glob(filepath.Join(dir, "*.grid"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("spill files: %v, %v", files, err)
-	}
-	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, v3 := testCache(1<<20, dir)
-	if rows, tk := v3.Begin(4, 0, 6, seeds, nil, true); rows != nil {
-		t.Fatal("corrupt spill image served rows")
-	} else {
-		tk.Abort()
-	}
-}
-
-// TestCacheConcurrentStress hammers one cache from many goroutines
-// over a small key space, checking the two invariants the -race run is
-// for: every key is simulated by exactly one owner (singleflight), and
-// the byte ledger matches the retained entries when the dust settles.
-// A second phase repeats under an eviction-heavy bound.
-func TestCacheConcurrentStress(t *testing.T) {
-	const (
-		workers = 8
-		keys    = 24
-		rounds  = 30
-		span    = 4
-	)
-	c, v := testCache(1<<20, "") // no eviction: committed keys stay
-	var owners [keys]atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				kid := (w + r) % keys
-				seeds := []diffusion.Seed{{User: kid, Item: 0, T: 1}}
-				rows, tk := v.Begin(1, 0, span, seeds, nil, false)
-				switch {
-				case rows != nil:
-				case tk.Owned():
-					owners[kid].Add(1)
-					tk.Commit(rowsFor(kid, span))
-					rows = rowsFor(kid, span)
-				default:
-					var ok bool
-					if rows, ok = tk.Wait(nil); !ok {
-						t.Errorf("key %d: joined flight aborted without an aborter", kid)
-						return
-					}
-				}
-				if len(rows) != span || rows[0].Sigma != float64(kid*1000) {
-					t.Errorf("key %d: wrong rows %+v", kid, rows[0])
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for kid := range owners {
-		if n := owners[kid].Load(); n != 1 {
-			t.Fatalf("key %d simulated %d times, want exactly 1 (singleflight)", kid, n)
-		}
-	}
-	sum, _ := retainedBytes(c)
-	if st := c.Stats(); st.Bytes != sum {
-		t.Fatalf("ledger %d != recomputed %d", st.Bytes, sum)
-	}
-
-	// eviction-heavy phase: correctness of the ledger under churn
-	c2, v2 := testCache(3000, "")
-	var wg2 sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg2.Add(1)
-		go func(w int) {
-			defer wg2.Done()
-			for r := 0; r < rounds; r++ {
-				kid := (w*rounds + r) % (keys * 2)
-				seeds := []diffusion.Seed{{User: kid, Item: 1, T: 1}}
-				rows, tk := v2.Begin(2, 0, span, seeds, nil, false)
-				if rows != nil || tk == nil {
-					continue
-				}
-				if tk.Owned() {
-					if r%5 == 0 {
-						tk.Abort() // exercise abort under contention
-					} else {
-						tk.Commit(rowsFor(kid, span))
-					}
-				} else {
-					tk.Wait(nil)
-				}
-			}
-		}(w)
-	}
-	wg2.Wait()
-	sum2, n2 := retainedBytes(c2)
-	st := c2.Stats()
-	if st.Bytes != sum2 || st.Entries < n2 {
-		t.Fatalf("churn ledger: stats %+v vs recomputed (%d bytes, %d committed)", st, sum2, n2)
-	}
-	if st.Bytes > 3000 {
-		t.Fatalf("churn left %d bytes resident past the 3000-byte bound", st.Bytes)
+	// an image whose rows do not span the key's sample range is a miss
+	c3, _ := testCache(1<<20, dir)
+	other := []diffusion.Seed{{User: 6, Item: 1, T: 2}}
+	c3.store.Put("problem-A"+string(AppendGroupKey(nil, 4, 0, 6, other, nil, true)), rowsFor(9, 5))
+	_, v4 := testCache(1<<20, dir)
+	if rows, tk := v4.Begin(4, 0, 6, other, nil, true); tk == nil {
+		t.Fatalf("short spilled grid served: %d rows", len(rows))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"imdpp/internal/castore"
 	"imdpp/internal/core"
 	"imdpp/internal/diffusion"
 	"imdpp/internal/gridcache"
@@ -210,7 +211,9 @@ type Service struct {
 	jobs     map[string]*Job
 	retired  []string     // finished job ids, oldest first, for eviction
 	inflight map[Key]*Job // queued or running job per content address
-	cache    *lru
+	// cache is the result lane (DESIGN.md §6), used under mu so a hit
+	// check is atomic with the inflight lookup beside it.
+	cache *castore.Store[*core.Solution]
 
 	// sketchCache shares RR sketch indexes across epsilon requests,
 	// keyed by HashProblem + (ε, δ, seed).
@@ -226,7 +229,6 @@ type Service struct {
 	completed  atomic.Uint64
 	failed     atomic.Uint64
 	cancelled  atomic.Uint64
-	cacheHits  atomic.Uint64
 	cacheMiss  atomic.Uint64
 	coalesced  atomic.Uint64
 	running    atomic.Int64
@@ -253,7 +255,7 @@ func New(cfg Config) *Service {
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[Key]*Job),
-		cache:      newLRU(cfg.CacheSize),
+		cache:      castore.New(castore.Config[*core.Solution]{Budget: int64(cfg.CacheSize)}),
 		histQueue:  obs.NewHistogram(),
 		histSolve:  obs.NewHistogram(),
 		histSigma:  obs.NewHistogram(),
@@ -274,13 +276,13 @@ func New(cfg Config) *Service {
 		d := mean * time.Duration(queued/cfg.Workers+1)
 		return min(max(d, time.Second), time.Minute)
 	}
-	s.sketchCache = sketch.NewCache(cfg.SketchCacheSize, cfg.SketchDir,
-		func(p *diffusion.Problem) string { return HashProblem(p).String() })
+	keyFn := func(p *diffusion.Problem) string { return HashProblem(p).String() }
+	s.sketchCache = sketch.NewCache(cfg.SketchCacheSize, cfg.SketchDir, keyFn)
 	if cfg.GridCacheMB > 0 {
 		s.gridCache = gridcache.New(gridcache.Config{
 			MaxBytes: int64(cfg.GridCacheMB) << 20,
 			Dir:      cfg.GridCacheDir,
-			KeyFn:    func(p *diffusion.Problem) string { return HashProblem(p).String() },
+			KeyFn:    keyFn,
 		})
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -337,11 +339,10 @@ func (s *Service) Submit(req Request) (job *Job, coalescedFlag bool, err error) 
 		s.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	if sol, ok := s.cache.get(key); ok {
+	if sol, ok := s.cache.Get(key.String()); ok {
 		j := s.newJobLocked(key, req)
 		j.cacheHit = true
 		s.mu.Unlock()
-		s.cacheHits.Add(1)
 		s.submitted.Add(1)
 		s.completed.Add(1)
 		j.finish(StatusDone, sol, nil)
@@ -573,7 +574,7 @@ func (s *Service) runJob(j *Job) {
 		// Submit must never observe the key absent from both (it would
 		// enqueue a duplicate full solve)
 		s.mu.Lock()
-		s.cache.add(j.key, &sol)
+		s.cache.Put(j.key.String(), &sol)
 		if s.inflight[j.key] == j {
 			delete(s.inflight, j.key)
 		}
@@ -685,19 +686,17 @@ func (s *Service) Sigma(ctx context.Context, p *diffusion.Problem, seeds []diffu
 
 // Metrics snapshots the service counters.
 func (s *Service) Metrics() Metrics {
-	s.mu.Lock()
-	entries := s.cache.len()
-	s.mu.Unlock()
+	cache := s.cache.Stats()
 	depth := s.sched.depth()
 	m := Metrics{
 		JobsSubmitted:    s.submitted.Load(),
 		JobsCompleted:    s.completed.Load(),
 		JobsFailed:       s.failed.Load(),
 		JobsCancelled:    s.cancelled.Load(),
-		CacheHits:        s.cacheHits.Load(),
+		CacheHits:        cache.Hits,
 		CacheMisses:      s.cacheMiss.Load(),
 		Coalesced:        s.coalesced.Load(),
-		CacheEntries:     entries,
+		CacheEntries:     cache.Entries,
 		QueueDepth:       depth,
 		Running:          int(s.running.Load()),
 		SamplesSimulated: s.samples.Load(),

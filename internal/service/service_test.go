@@ -105,30 +105,6 @@ func TestHashRequestStableAndSensitive(t *testing.T) {
 	check("T", HashRequest(sampleProblem(t, 80, 4), opt, false))
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	s1, s2, s3 := &core.Solution{Sigma: 1}, &core.Solution{Sigma: 2}, &core.Solution{Sigma: 3}
-	k1, k2, k3 := Key{1, 1}, Key{2, 2}, Key{3, 3}
-	c.add(k1, s1)
-	c.add(k2, s2)
-	if _, ok := c.get(k1); !ok { // refresh k1 → k2 becomes LRU
-		t.Fatal("k1 missing")
-	}
-	c.add(k3, s3)
-	if _, ok := c.get(k2); ok {
-		t.Fatal("k2 should have been evicted")
-	}
-	if got, ok := c.get(k1); !ok || got.Sigma != 1 {
-		t.Fatal("k1 lost")
-	}
-	if got, ok := c.get(k3); !ok || got.Sigma != 3 {
-		t.Fatal("k3 lost")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d want 2", c.len())
-	}
-}
-
 // TestCacheDeterminism is the §3-contract payoff: two identical
 // requests run one solve; the second is a cache hit returning the
 // bit-identical σ.

@@ -3,17 +3,15 @@ package sketch
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 
+	"imdpp/internal/castore"
 	"imdpp/internal/diffusion"
 )
 
-// Cache shares built sketches across estimators and requests. Entries
-// are keyed by the problem's content address plus the sketch
-// parameters (ε, δ, seed, MaxTheta) — the same content-addressing discipline as
+// Cache shares built sketches across estimators and requests, one
+// castore entry each. Entries are keyed by the problem's content
+// address plus the sketch parameters (ε, δ, seed, MaxTheta) — the same content-addressing discipline as
 // the serving layer's result cache, but a separate lane: a sketch is
 // an approximation artefact and must never alias an exact MC result
 // (DESIGN.md §9). With a directory configured, built sketches are also
@@ -21,23 +19,9 @@ import (
 // daemon restart (or a worker receiving a shipped index) skips the
 // build.
 type Cache struct {
-	max   int
-	dir   string
-	keyFn func(*diffusion.Problem) string
-
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	order   []string // LRU order, oldest first
-
-	builds   atomic.Uint64
-	hits     atomic.Uint64
-	diskHits atomic.Uint64
-}
-
-type cacheEntry struct {
-	once sync.Once
-	sk   *Sketch
-	err  error
+	keyFn  func(*diffusion.Problem) string
+	store  *castore.Store[*Sketch]
+	builds atomic.Uint64
 }
 
 // NewCache creates a cache holding up to max sketches in memory
@@ -50,17 +34,24 @@ func NewCache(max int, dir string, keyFn func(*diffusion.Problem) string) *Cache
 	if max <= 0 {
 		max = 4
 	}
-	return &Cache{max: max, dir: dir, keyFn: keyFn, entries: make(map[string]*cacheEntry)}
+	return &Cache{keyFn: keyFn, store: castore.New(castore.Config[*Sketch]{
+		Budget: int64(max),
+		Dir:    dir,
+		Encode: func(b []byte, sk *Sketch) []byte { return sk.AppendBinary(b) },
+		Decode: Decode,
+	})}
 }
 
-// Stats reports cumulative builds, in-memory hits, and disk reloads.
-// A disk reload avoids a build but counts as neither a build nor an
-// in-memory hit — diskHits is the only trace it leaves.
+// Stats reports cumulative builds, in-memory hits (joined in-flight
+// builds included), and disk reloads. A disk reload avoids a build but
+// counts as neither a build nor an in-memory hit — diskHits is the
+// only trace it leaves.
 func (c *Cache) Stats() (builds, hits, diskHits uint64) {
 	if c == nil {
 		return 0, 0, 0
 	}
-	return c.builds.Load(), c.hits.Load(), c.diskHits.Load()
+	st := c.store.Stats()
+	return c.builds.Load(), st.Hits + st.Joins, st.DiskHits
 }
 
 // key renders the cache identity of one (problem, Params) pair. Float
@@ -74,10 +65,15 @@ func (c *Cache) key(problemKey string, par Params) string {
 		problemKey, math.Float64bits(par.Epsilon), math.Float64bits(par.Delta), par.Seed, par.MaxTheta)
 }
 
+// path returns the disk image location of one cache key.
+func (c *Cache) path(key string) string { return c.store.Path(key) }
+
 // GetOrBuild returns the sketch for (p, par), building it at most once
 // per key across concurrent callers. A nil cache (or nil keyFn) builds
 // directly. Build failures — including preemption via stop — are not
-// cached: the entry is removed so the next caller retries.
+// cached. A caller joined to another's build waits under its own stop:
+// if that build fails, the caller retries, building itself if no one
+// else has started, so one request's cancellation never fails another.
 func (c *Cache) GetOrBuild(p *diffusion.Problem, par Params, workers int, stop <-chan struct{}) (*Sketch, error) {
 	if c == nil || c.keyFn == nil {
 		return Build(p, par, workers, stop)
@@ -85,129 +81,38 @@ func (c *Cache) GetOrBuild(p *diffusion.Problem, par Params, workers int, stop <
 	par = par.withDefaults()
 	problemKey := c.keyFn(p)
 	key := c.key(problemKey, par)
-
-	c.mu.Lock()
-	e := c.entries[key]
-	if e == nil {
-		e = &cacheEntry{}
-		c.entries[key] = e
-		c.order = append(c.order, key)
-		c.evictLocked()
-	} else {
-		c.hits.Add(1)
-		c.touchLocked(key)
+	// self-verify a reloaded image: its decoded identity must match
+	// what was asked for. θ is checked against the capped bound because
+	// MaxTheta is not stored in the image.
+	identity := func(sk *Sketch) bool {
+		return sk.ProblemKey == problemKey && sk.Seed == par.Seed &&
+			sk.Epsilon == par.Epsilon && sk.Delta == par.Delta &&
+			sk.Theta == par.theta()
 	}
-	c.mu.Unlock()
-
-	e.once.Do(func() {
-		if sk := c.loadDisk(key, problemKey, par); sk != nil {
-			e.sk = sk
-			c.diskHits.Add(1)
-			return
+	for {
+		sk, t := c.store.Begin(key, identity)
+		if t == nil {
+			return sk, nil
 		}
-		e.sk, e.err = Build(p, par, workers, stop)
-		if e.err != nil {
-			return
+		if !t.Owned() {
+			if sk, ok := t.Wait(stop); ok {
+				return sk, nil
+			}
+			select {
+			case <-stop:
+				return nil, ErrPreempted
+			default:
+				continue // the owner's build failed; retry
+			}
+		}
+		sk, err := Build(p, par, workers, stop)
+		if err != nil {
+			t.Abort()
+			return nil, err
 		}
 		c.builds.Add(1)
-		e.sk.ProblemKey = problemKey
-		c.saveDisk(key, e.sk)
-	})
-	if e.err != nil {
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-			for i, k := range c.order {
-				if k == key {
-					c.order = append(c.order[:i], c.order[i+1:]...)
-					break
-				}
-			}
-		}
-		c.mu.Unlock()
+		sk.ProblemKey = problemKey
+		t.Commit(sk)
+		return sk, nil
 	}
-	return e.sk, e.err
-}
-
-// touchLocked moves key to the most-recently-used end.
-func (c *Cache) touchLocked(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i], c.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// evictLocked drops oldest entries past the size bound. In-flight
-// builds (once not yet completed) are skipped — evicting them would
-// strand waiters on a deleted entry.
-func (c *Cache) evictLocked() {
-	for len(c.entries) > c.max {
-		evicted := false
-		for i, k := range c.order {
-			e := c.entries[k]
-			if e == nil {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				evicted = true
-				break
-			}
-			if e.sk != nil || e.err != nil {
-				delete(c.entries, k)
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return
-		}
-	}
-}
-
-// path returns the disk image location of one cache key.
-func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".rrsk") }
-
-// loadDisk attempts a disk reload; any failure (missing, corrupt,
-// mismatched identity) degrades to a rebuild.
-func (c *Cache) loadDisk(key, problemKey string, par Params) *Sketch {
-	if c.dir == "" {
-		return nil
-	}
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil
-	}
-	sk, err := Decode(b)
-	if err != nil {
-		return nil
-	}
-	// self-verify: the decoded identity must match what was asked for,
-	// so a renamed or stale file cannot alias another sketch. θ is
-	// checked against the capped bound because MaxTheta is not stored
-	// in the image — a file built under a different cap must rebuild.
-	if sk.ProblemKey != problemKey || sk.Seed != par.Seed ||
-		sk.Epsilon != par.Epsilon || sk.Delta != par.Delta ||
-		sk.Theta != par.theta() {
-		return nil
-	}
-	return sk
-}
-
-// saveDisk persists a built sketch best-effort (write-then-rename so a
-// crashed write never leaves a truncated image behind). Persistence
-// failures are ignored: the cache is an accelerator, not a store of
-// record.
-func (c *Cache) saveDisk(key string, sk *Sketch) {
-	if c.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return
-	}
-	tmp := c.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, sk.AppendBinary(nil), 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, c.path(key))
 }

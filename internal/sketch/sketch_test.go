@@ -2,8 +2,11 @@ package sketch
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
+	"runtime"
+	"sync"
 	"testing"
 
 	"imdpp/internal/dataset"
@@ -331,6 +334,70 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 	}
 	if builds, _, diskHits := c4.Stats(); builds != 1 || diskHits != 0 {
 		t.Fatalf("mismatched-θ image stats = (%d builds, %d diskHits), want (1, 0)", builds, diskHits)
+	}
+}
+
+// TestCacheJoinerOwnStop pins that a caller joined to another's
+// sketch build is governed by its own stop channel alone: the owner's
+// preemption must not fail a live joiner (it rebuilds), and a joiner
+// that gives up must return promptly without stopping the owner.
+func TestCacheJoinerOwnStop(t *testing.T) {
+	p := sampleProblem(t, 100, 4)
+	// θ ≈ 74k RR samples: the owner's build is still running long after
+	// the joiner has joined
+	par := Params{Epsilon: 0.005, Delta: 0.05, Seed: 3}
+	type result struct {
+		sk  *Sketch
+		err error
+	}
+	// run starts the owner, then the joiner once the owner has taken
+	// its key (keyFn is the last step before GetOrBuild looks it up)
+	run := func(ownerStop, joinerStop <-chan struct{}) (c *Cache, owner, joiner chan result) {
+		first := make(chan struct{})
+		var once sync.Once
+		c = NewCache(4, "", func(*diffusion.Problem) string {
+			once.Do(func() { close(first) })
+			return "pk"
+		})
+		owner, joiner = make(chan result, 1), make(chan result, 1)
+		go func() {
+			sk, err := c.GetOrBuild(p, par, 1, ownerStop)
+			owner <- result{sk, err}
+		}()
+		<-first
+		go func() {
+			sk, err := c.GetOrBuild(p, par, 1, joinerStop)
+			joiner <- result{sk, err}
+		}()
+		return c, owner, joiner
+	}
+
+	// the owner is cancelled after the nil-stop joiner joined
+	stop := make(chan struct{})
+	c, owner, joiner := run(stop, nil)
+	for _, hits, _ := c.Stats(); hits == 0; _, hits, _ = c.Stats() {
+		runtime.Gosched()
+	}
+	close(stop)
+	<-owner
+	if r := <-joiner; r.err != nil || r.sk == nil || r.sk.Theta != par.withDefaults().theta() {
+		t.Fatalf("nil-stop joiner of a preempted build: sketch %t, err %v", r.sk != nil, r.err)
+	}
+
+	// the joiner's own stop fires; the owner keeps building
+	fired := make(chan struct{})
+	close(fired)
+	_, owner, joiner = run(nil, fired)
+	if r := <-joiner; !errors.Is(r.err, ErrPreempted) {
+		t.Fatalf("stopped joiner: sketch %t, err %v, want ErrPreempted", r.sk != nil, r.err)
+	}
+	select {
+	case <-owner:
+		t.Fatal("the stopped joiner waited for the owner's build")
+	default:
+	}
+	if r := <-owner; r.err != nil || r.sk == nil {
+		t.Fatalf("owner after its joiner stopped: sketch %t, err %v", r.sk != nil, r.err)
 	}
 }
 
