@@ -58,107 +58,123 @@ import (
 	"imdpp"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	workers := flag.Int("workers", 2, "concurrent solver jobs")
-	queue := flag.Int("queue", 16, "bounded job-queue depth")
-	cacheSize := flag.Int("cache", 128, "content-addressed result cache entries")
-	solveWorkers := flag.Int("solve-workers", 0, "estimator goroutines per solve (0 = GOMAXPROCS)")
-	workerMode := flag.Bool("worker", false, "run as a remote estimator worker (shard RPC only)")
-	register := flag.String("register", "", "coordinator base URL; the worker announces itself on /v1/shard/register and heartbeats until drained (requires -worker, DESIGN.md §13)")
-	advertise := flag.String("advertise", "", "base URL the worker advertises at registration (default: http://<resolved listen address>)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, how long a draining worker waits for in-flight shards before exiting anyway")
-	shardWorkers := flag.String("shard-workers", "", "comma-separated worker base URLs; fan σ/π estimation out over them")
-	shardDynamic := flag.Bool("shard-dynamic", false, "accept dynamic worker registration on /v1/shard/register; registered workers are heartbeat-monitored and drained gracefully (DESIGN.md §13)")
-	shardHeartbeat := flag.Duration("shard-heartbeat", 2*time.Second, "heartbeat cadence dictated to registered workers; a worker silent for 3 intervals is suspected")
-	shardProbe := flag.Duration("shard-probe", 5*time.Second, "worker health-probe interval")
-	shardWeighted := flag.Bool("shard-weighted", true, "size shard ranges proportionally to measured worker throughput")
-	shardSpec := flag.Bool("shard-speculate", true, "speculatively re-dispatch straggler shards to idle workers")
-	sketchDir := flag.String("sketch-dir", "", "directory persisting RR sketch indexes across restarts (empty = memory only)")
-	gridMB := flag.Int("grid-cache-mb", 64, "in-memory sample-grid memoization cache bound in MiB (0 disables); shared across jobs, and by each -worker across estimate requests")
-	gridDir := flag.String("grid-cache-dir", "", "directory spilling committed sample grids to disk (empty = memory only)")
-	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant scheduling quotas: name:weight[:max_queue[:max_inflight]] comma-separated; name 'default' sets the quota unlisted tenants get (DESIGN.md §12)")
-	sseHeartbeat := flag.Duration("sse-heartbeat", 15*time.Second, "SSE keep-alive comment interval on GET /v1/jobs/{id}/events")
-	debugAddr := flag.String("debug-addr", "", "optional debug listener (net/http/pprof + /debug/traces) kept off the serving mux; empty disables (DESIGN.md §11)")
-	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines instead of text")
-	flag.Parse()
+// config is the daemon's parsed command line, one field per flag.
+type config struct {
+	addr, register, advertise, sketchDir, gridDir, tenantQuotas, debugAddr string
+	workers, queue, cacheSize, solveWorkers, gridMB                        int
+	worker, shardDynamic, shardWeighted, shardSpeculate, logJSON           bool
+	drainTimeout, shardHeartbeat, sseHeartbeat                             time.Duration
+	shardWorkers                                                           []string
+	logLevel                                                               slog.Level
+}
 
-	logger, err := newLogger(*logLevel, *logJSON)
+// parseConfig parses the daemon's flags and enforces the rules on how
+// they combine, so every startup refusal is one testable error.
+func parseConfig(args []string) (config, error) {
+	var c config
+	var shardWorkers string
+	fs := flag.NewFlagSet("imdppd", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
+	fs.IntVar(&c.workers, "workers", 2, "concurrent solver jobs")
+	fs.IntVar(&c.queue, "queue", 16, "bounded job-queue depth")
+	fs.IntVar(&c.cacheSize, "cache", 128, "content-addressed result cache entries")
+	fs.IntVar(&c.solveWorkers, "solve-workers", 0, "estimator goroutines per solve (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.worker, "worker", false, "run as a remote estimator worker (shard RPC only)")
+	fs.StringVar(&c.register, "register", "", "coordinator base URL; the worker announces itself on /v1/shard/register and heartbeats until drained (requires -worker, DESIGN.md §13)")
+	fs.StringVar(&c.advertise, "advertise", "", "base URL the worker advertises at registration (default: http://<resolved listen address>)")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "on SIGTERM, how long a draining worker waits for in-flight shards before exiting anyway")
+	fs.StringVar(&shardWorkers, "shard-workers", "", "comma-separated worker base URLs seeding the shard registry; fan σ/π estimation out over them")
+	fs.BoolVar(&c.shardDynamic, "shard-dynamic", false, "accept dynamic worker registration on /v1/shard/register; registered workers heartbeat and drain gracefully (DESIGN.md §13)")
+	fs.DurationVar(&c.shardHeartbeat, "shard-heartbeat", 2*time.Second, "failure-detector timescale: the heartbeat cadence dictated to registered workers; any worker silent for 3 intervals is probed, and one out of rotation is re-probed at least that often")
+	fs.BoolVar(&c.shardWeighted, "shard-weighted", true, "size shard ranges proportionally to measured worker throughput")
+	fs.BoolVar(&c.shardSpeculate, "shard-speculate", true, "speculatively re-dispatch straggler shards to idle workers")
+	fs.StringVar(&c.sketchDir, "sketch-dir", "", "directory persisting RR sketch indexes across restarts (empty = memory only)")
+	fs.IntVar(&c.gridMB, "grid-cache-mb", 64, "in-memory sample-grid memoization cache bound in MiB (0 disables); shared across jobs, and by each -worker across estimate requests")
+	fs.StringVar(&c.gridDir, "grid-cache-dir", "", "directory spilling committed sample grids to disk (empty = memory only)")
+	fs.StringVar(&c.tenantQuotas, "tenant-quotas", "", "per-tenant scheduling quotas: name:weight[:max_queue[:max_inflight]] comma-separated; name 'default' sets the quota unlisted tenants get (DESIGN.md §12)")
+	fs.DurationVar(&c.sseHeartbeat, "sse-heartbeat", 15*time.Second, "SSE keep-alive comment interval on GET /v1/jobs/{id}/events")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "optional debug listener (net/http/pprof + /debug/traces) kept off the serving mux; empty disables (DESIGN.md §11)")
+	fs.TextVar(&c.logLevel, "log-level", slog.LevelInfo, "log verbosity: debug|info|warn|error")
+	fs.BoolVar(&c.logJSON, "log-json", false, "emit logs as JSON lines instead of text")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	switch {
+	case c.worker && shardWorkers != "":
+		return c, errors.New("-worker and -shard-workers are mutually exclusive")
+	case c.worker && c.shardDynamic:
+		return c, errors.New("-shard-dynamic is a coordinator flag; a -worker registers with -register instead")
+	case !c.worker && c.register != "":
+		return c, errors.New("-register requires -worker; a coordinator accepts registrations with -shard-dynamic")
+	}
+	var err error
+	if c.shardWorkers, err = imdpp.ParseShardWorkers(shardWorkers); err != nil {
+		return c, fmt.Errorf("-shard-workers: %w", err)
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "imdppd: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
+	logger := newLogger(c.logLevel, c.logJSON)
 	// one process-wide trace ring serves both modes: the coordinator
 	// records solve/shard spans into it, a worker its estimate spans
 	tracer := imdpp.NewTracer()
 
 	var handler http.Handler
-	var cleanup func()
+	cleanup := func() {}
 	var wd *workerDaemon // non-nil in worker mode; drives SIGTERM drain
 	var d *daemon        // non-nil in coordinator mode; drives SIGHUP reload
-	switch {
-	case *workerMode:
-		if *shardWorkers != "" {
-			fatal(logger, "-worker and -shard-workers are mutually exclusive")
-		}
-		if *shardDynamic {
-			fatal(logger, "-shard-dynamic is a coordinator flag; a -worker registers with -register instead")
-		}
-		wd = newWorkerDaemon(*solveWorkers, *gridMB, *gridDir, tracer)
+	if c.worker {
+		wd = newWorkerDaemon(c.solveWorkers, c.gridMB, c.gridDir, tracer)
 		handler = wd.handler()
-		cleanup = func() {}
-	default:
-		if *register != "" {
-			fatal(logger, "-register requires -worker; a coordinator accepts registrations with -shard-dynamic")
-		}
-		quotaSpec, err := resolveQuotaSpec(*tenantQuotas)
-		if err != nil {
-			fatal(logger, err.Error())
-		}
-		quotas, defQuota, err := imdpp.ParseTenantQuotas(quotaSpec)
+	} else {
+		quotas, defQuota, err := loadQuotas(c.tenantQuotas)
 		if err != nil {
 			fatal(logger, err.Error())
 		}
 		cfg := imdpp.ServiceConfig{
-			Workers:      *workers,
-			QueueDepth:   *queue,
-			CacheSize:    *cacheSize,
-			SolveWorkers: *solveWorkers,
-			SketchDir:    *sketchDir,
-			GridCacheMB:  *gridMB,
-			GridCacheDir: *gridDir,
+			Workers:      c.workers,
+			QueueDepth:   c.queue,
+			CacheSize:    c.cacheSize,
+			SolveWorkers: c.solveWorkers,
+			SketchDir:    c.sketchDir,
+			GridCacheMB:  c.gridMB,
+			GridCacheDir: c.gridDir,
 			Tenants:      quotas,
 			DefaultQuota: defQuota,
 			Tracer:       tracer,
 			Logger:       logger,
 		}
-		if *gridMB <= 0 {
+		if c.gridMB <= 0 {
 			cfg.GridCacheMB = -1 // flag 0 means off; Config 0 means default
 		}
 		var pool *imdpp.ShardPool
-		if *shardWorkers != "" || *shardDynamic {
-			var urls []string
-			if *shardWorkers != "" {
-				urls = strings.Split(*shardWorkers, ",")
-			}
-			pool = imdpp.NewShardPool(urls, nil)
-			pool.SetWeighted(*shardWeighted)
-			pool.SetSpeculation(*shardSpec)
+		if len(c.shardWorkers) > 0 || c.shardDynamic {
+			// -shard-workers entries seed the registry; registrations join
+			// it later — one lifecycle on one timescale (DESIGN.md §13)
+			pool = imdpp.NewShardPool(c.shardWorkers, nil)
+			pool.SetWeighted(c.shardWeighted)
+			pool.SetSpeculation(c.shardSpeculate)
 			pool.SetLogger(logger)
-			if *shardDynamic {
-				pool.SetHeartbeat(*shardHeartbeat)
-			}
+			pool.SetHeartbeat(c.shardHeartbeat)
 			healthy := pool.Check(context.Background())
 			logger.Info("shard pool ready",
 				"healthy", healthy, "workers", pool.Size(),
-				"weighted", *shardWeighted, "speculate", *shardSpec, "dynamic", *shardDynamic)
-			pool.StartHealthLoop(*shardProbe)
+				"weighted", c.shardWeighted, "speculate", c.shardSpeculate, "dynamic", c.shardDynamic)
+			pool.StartHealthLoop()
 			cfg.Backend = imdpp.ShardBackend(pool)
 		}
 		d = newDaemon(cfg, pool)
-		d.dynamic = *shardDynamic
-		d.heartbeat = *sseHeartbeat
+		d.dynamic = c.shardDynamic
+		d.heartbeat = c.sseHeartbeat
 		handler = d.handler()
 		cleanup = func() {
 			d.svc.Close()
@@ -169,10 +185,10 @@ func main() {
 	}
 	defer cleanup()
 
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
+	if c.debugAddr != "" {
+		dln, err := net.Listen("tcp", c.debugAddr)
 		if err != nil {
-			fatal(logger, "debug listen failed", "addr", *debugAddr, "err", err)
+			fatal(logger, "debug listen failed", "addr", c.debugAddr, "err", err)
 		}
 		go func() { _ = http.Serve(dln, debugMux(tracer)) }()
 		// same scrape contract as the serving line below, for harnesses
@@ -180,9 +196,9 @@ func main() {
 		fmt.Printf("imdppd debug listening on http://%s\n", dln.Addr())
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
-		fatal(logger, "listen failed", "addr", *addr, "err", err)
+		fatal(logger, "listen failed", "addr", c.addr, "err", err)
 	}
 	srv := &http.Server{Handler: handler}
 
@@ -194,13 +210,13 @@ func main() {
 	// listener is up so the advertised URL is live before the
 	// coordinator hears about it
 	var reg *imdpp.ShardRegistrar
-	if wd != nil && *register != "" {
-		self := *advertise
+	if wd != nil && c.register != "" {
+		self := c.advertise
 		if self == "" {
 			self = "http://" + ln.Addr().String()
 		}
 		reg, err = imdpp.NewShardRegistrar(imdpp.ShardRegistrarConfig{
-			Coordinator: *register,
+			Coordinator: c.register,
 			SelfURL:     self,
 			Logger:      logger,
 		})
@@ -208,7 +224,7 @@ func main() {
 			fatal(logger, "registrar failed", "err", err)
 		}
 		reg.Start()
-		logger.Info("registering with coordinator", "coordinator", *register, "self", self)
+		logger.Info("registering with coordinator", "coordinator", c.register, "self", self)
 	}
 
 	// SIGHUP reloads the tenant-quota table atomically — queued jobs
@@ -219,12 +235,7 @@ func main() {
 		signal.Notify(hup, syscall.SIGHUP)
 		go func() {
 			for range hup {
-				spec, err := resolveQuotaSpec(*tenantQuotas)
-				if err != nil {
-					logger.Error("quota reload failed", "err", err)
-					continue
-				}
-				quotas, defQuota, err := imdpp.ParseTenantQuotas(spec)
+				quotas, defQuota, err := loadQuotas(c.tenantQuotas)
 				if err != nil {
 					logger.Error("quota reload failed", "err", err)
 					continue
@@ -255,8 +266,8 @@ func main() {
 			select {
 			case <-drained:
 				logger.Info("worker drained: all in-flight shards finished")
-			case <-time.After(*drainTimeout):
-				logger.Warn("drain timeout expired with shards still in flight", "timeout", *drainTimeout)
+			case <-time.After(c.drainTimeout):
+				logger.Warn("drain timeout expired with shards still in flight", "timeout", c.drainTimeout)
 			}
 		}
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -270,25 +281,12 @@ func main() {
 
 // newLogger builds the process logger from the -log-level / -log-json
 // flags. Logs go to stderr so stdout keeps the readiness-line contract.
-func newLogger(level string, jsonOut bool) (*slog.Logger, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "", "info":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
+func newLogger(level slog.Level, jsonOut bool) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: level}
 	if jsonOut {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewJSONHandler(os.Stderr, opts))
 	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+	return slog.New(slog.NewTextHandler(os.Stderr, opts))
 }
 
 func fatal(logger *slog.Logger, msg string, args ...any) {
@@ -372,22 +370,14 @@ func (wd *workerDaemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	wd.w.Mount(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		// a draining worker is deliberately unhealthy: probes must stop
-		// routing to it while its in-flight shards finish (DESIGN.md §13)
+		status := http.StatusOK
+		body := map[string]any{"ok": true, "worker": true, "uptime_seconds": time.Since(wd.start).Seconds()}
 		if wd.w.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"ok":             false,
-				"worker":         true,
-				"draining":       true,
-				"uptime_seconds": time.Since(wd.start).Seconds(),
-			})
-			return
+			// a draining worker is deliberately unhealthy: probes must stop
+			// routing to it while its in-flight shards finish (DESIGN.md §13)
+			status, body["ok"], body["draining"] = http.StatusServiceUnavailable, false, true
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ok":             true,
-			"worker":         true,
-			"uptime_seconds": time.Since(wd.start).Seconds(),
-		})
+		writeJSON(w, status, body)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, struct {
@@ -418,6 +408,16 @@ func (d *daemon) handler() http.Handler {
 		mux.HandleFunc("POST /v1/shard/deregister", d.pool.HandleDeregister)
 	}
 	return mux
+}
+
+// loadQuotas resolves and parses the -tenant-quotas flag value; startup
+// and SIGHUP reload share it.
+func loadQuotas(spec string) (map[string]imdpp.TenantQuota, imdpp.TenantQuota, error) {
+	spec, err := resolveQuotaSpec(spec)
+	if err != nil {
+		return nil, imdpp.TenantQuota{}, err
+	}
+	return imdpp.ParseTenantQuotas(spec)
 }
 
 // resolveQuotaSpec resolves the -tenant-quotas flag value: a literal

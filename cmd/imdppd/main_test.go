@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -805,5 +807,61 @@ func TestResolveQuotaSpec(t *testing.T) {
 	}
 	if _, err := resolveQuotaSpec("@" + f + ".missing"); err == nil {
 		t.Fatalf("missing quota file silently accepted")
+	}
+}
+
+// TestParseConfig pins the flag-combination rules the daemon refuses
+// at startup, and that -shard-workers entries are normalized with the
+// registry's own rules.
+func TestParseConfig(t *testing.T) {
+	bad := []struct {
+		name string
+		args []string
+		want string // substring of the error
+	}{
+		{"worker with static list", []string{"-worker", "-shard-workers", "http://a:1"}, "mutually exclusive"},
+		{"dynamic on a worker", []string{"-worker", "-shard-dynamic"}, "coordinator flag"},
+		{"register without worker", []string{"-register", "http://coord:1"}, "requires -worker"},
+		{"malformed list entry", []string{"-shard-workers", "http://a:1,127.0.0.1:9"}, "-shard-workers"},
+		{"schemeless list entry", []string{"-shard-workers", "localhost:9"}, "bad worker url"},
+		{"unknown log level", []string{"-log-level", "loud"}, "log-level"},
+	}
+	for _, c := range bad {
+		if _, err := parseConfig(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: parseConfig(%q) = %v, want an error mentioning %q", c.name, c.args, err, c.want)
+		}
+	}
+
+	c, err := parseConfig([]string{"-shard-workers", " http://a:1/, ,http://b:2", "-shard-dynamic", "-log-level", "debug"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.shardWorkers) != 2 || c.shardWorkers[0] != "http://a:1" || c.shardWorkers[1] != "http://b:2" {
+		t.Fatalf("shard workers %q", c.shardWorkers)
+	}
+	if !c.shardDynamic || c.logLevel != slog.LevelDebug || c.shardHeartbeat != 2*time.Second || c.addr != "127.0.0.1:8080" {
+		t.Fatalf("parsed config %+v", c)
+	}
+	if c, err = parseConfig([]string{"-worker", "-register", "http://coord:1"}); err != nil || !c.worker || c.register != "http://coord:1" {
+		t.Fatalf("worker config %+v, %v", c, err)
+	}
+}
+
+// TestLoadQuotas: startup and SIGHUP reload share one resolve-and-parse
+// path, refusing a bad spec either way.
+func TestLoadQuotas(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "quotas")
+	if err := os.WriteFile(f, []byte("pro:4:8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"pro:4:8", "@" + f} {
+		if quotas, _, err := loadQuotas(spec); err != nil || len(quotas) != 1 {
+			t.Fatalf("loadQuotas(%q) = %v, %v", spec, quotas, err)
+		}
+	}
+	for _, spec := range []string{"pro:x", "@" + f + ".missing"} {
+		if _, _, err := loadQuotas(spec); err == nil {
+			t.Fatalf("loadQuotas(%q) accepted a bad spec", spec)
+		}
 	}
 }

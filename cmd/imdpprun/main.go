@@ -67,8 +67,12 @@ func main() {
 
 	p := d.Clone(*budget, *promos)
 	opt := imdpp.Options{MC: *mc, Seed: *seed}
-	if *workerURLs != "" {
-		pool := imdpp.NewShardPool(strings.Split(*workerURLs, ","), nil)
+	urls, err := imdpp.ParseShardWorkers(*workerURLs)
+	if err != nil {
+		fatal(fmt.Errorf("-workers: %w", err))
+	}
+	if len(urls) > 0 {
+		pool := imdpp.NewShardPool(urls, nil)
 		defer pool.Close()
 		healthy := pool.Check(context.Background())
 		fmt.Fprintf(os.Stderr, "imdpprun: shard pool: %d/%d workers healthy\n", healthy, pool.Size())

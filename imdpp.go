@@ -340,8 +340,13 @@ var (
 	// LocalEstimator is the default EstimatorFactory: the in-process
 	// batch engine.
 	LocalEstimator = core.LocalEstimator
-	// NewShardPool registers remote estimator workers by base URL.
+	// NewShardPool seeds the worker registry by base URL; seeded and
+	// registered workers share one lifecycle (DESIGN.md §13).
 	NewShardPool = shard.NewPool
+	// ParseShardWorkers splits and validates a comma-separated worker
+	// URL list with the normalizer registration uses, refusing a
+	// malformed entry.
+	ParseShardWorkers = shard.ParseWorkerList
 	// ShardBackend returns the EstimatorFactory dispatching over a
 	// pool — plug it into Options.Backend or ServiceConfig.Backend to
 	// run any solve over the worker fleet.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,18 +27,7 @@ func newChaosFleet(t *testing.T, n int, client *http.Client) (*Pool, []*Worker, 
 	workers := make([]*Worker, 0, n+1)
 	boot := func() (*Worker, *httptest.Server) {
 		w := NewWorker(WorkerConfig{Workers: 2})
-		mux := http.NewServeMux()
-		w.Mount(mux)
-		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-			if w.Draining() {
-				writeShardJSON(rw, http.StatusServiceUnavailable, map[string]any{"ok": false, "draining": true})
-				return
-			}
-			writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
-		})
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		return w, srv
+		return w, serveWorker(t, w, nil)
 	}
 	for i := 0; i < n; i++ {
 		w, srv := boot()
@@ -109,10 +99,33 @@ func TestChaosKillMidSolve(t *testing.T) {
 	}
 }
 
+// drainOnWrite begins drain on the worker the moment the wrapped
+// handler starts its response, while that request is still in flight.
+type drainOnWrite struct {
+	http.ResponseWriter
+	drain func()
+}
+
+func (d drainOnWrite) WriteHeader(code int) {
+	d.drain()
+	d.ResponseWriter.WriteHeader(code)
+}
+
+func (d drainOnWrite) Write(b []byte) (int, error) {
+	d.drain()
+	return d.ResponseWriter.Write(b)
+}
+
 // TestChaosDrainMidSolve SIGTERMs (BeginDrain) a worker while a solve
 // is running: in-flight shards finish, new dispatches get the typed
 // draining rejection, the coordinator re-plans without a strike, and σ
 // is bit-identical.
+//
+// The victim begins its drain while answering its first estimate, so
+// that shard is in flight when the drain starts, and the coordinator
+// reads the answer only after it has started. The victim holds a range
+// of every batch (static split), so the next batch meets the typed
+// rejection however fast the solve runs.
 func TestChaosDrainMidSolve(t *testing.T) {
 	leakCheck(t)
 	p := sampleProblem(t, 100, 2)
@@ -122,24 +135,40 @@ func TestChaosDrainMidSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, workers, _ := newFleet(t, 3)
+	var urls []string
+	var workers []*Worker
+	for i := 0; i < 3; i++ {
+		w := NewWorker(WorkerConfig{Workers: 2})
+		var wrap func(http.Handler) http.Handler
+		if i == 2 {
+			var once sync.Once
+			drain := func() { once.Do(func() { w.BeginDrain() }) }
+			wrap = func(next http.Handler) http.Handler {
+				return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+					if r.URL.Path != PathEstimate {
+						next.ServeHTTP(rw, r)
+						return
+					}
+					next.ServeHTTP(drainOnWrite{rw, drain}, r)
+					drain() // the handler returned without writing
+				})
+			}
+		}
+		workers = append(workers, w)
+		urls = append(urls, serveWorker(t, w, wrap).URL)
+	}
+	pool := NewPool(urls, nil)
+	t.Cleanup(pool.Close)
 	pool.SetWeighted(false)
 	victim := workers[2]
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		waitUntil(t, "victim traffic", func() bool { return victim.Stats().ShardsServed >= 1 })
-		drained := victim.BeginDrain()
-		select {
-		case <-drained:
-		case <-time.After(10 * time.Second):
-			t.Error("drain never completed")
-		}
-	}()
 	opt.Backend = Backend(pool)
 	got, err := core.Solve(p, opt)
-	<-done
+	select {
+	case <-victim.drained:
+	case <-time.After(10 * time.Second):
+		t.Error("drain never completed")
+	}
 	if err != nil {
 		t.Fatalf("solve surfaced the drain: %v", err)
 	}
@@ -172,7 +201,8 @@ func TestChaosRejoin(t *testing.T) {
 	pool.SetWeighted(false)
 	pool.probeBase = 5 * time.Millisecond
 	pool.deadAfter = 2
-	pool.StartHealthLoop(50 * time.Millisecond)
+	pool.probeCap = 50 * time.Millisecond
+	pool.StartHealthLoop()
 	est := NewEstimator(pool, p, m, seed, 2)
 
 	requireSameEstimates(t, "healthy fleet", want, est.RunBatch(groups, nil))
@@ -212,7 +242,8 @@ func TestChaosFlappingBreaker(t *testing.T) {
 	pool.probeBase = 5 * time.Millisecond
 	pool.breakerTrip = 2
 	pool.breakerCooldown = time.Minute // hold it open past the test
-	pool.StartHealthLoop(20 * time.Millisecond)
+	pool.probeCap = 20 * time.Millisecond
+	pool.StartHealthLoop()
 	est := NewEstimator(pool, p, m, seed, 2)
 
 	proxy.PassHealthz(true)

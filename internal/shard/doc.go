@@ -20,8 +20,9 @@
 //     content-addressed problem upload (a problem ships once and is
 //     referenced by its service.HashProblem key thereafter) and the
 //     estimate RPC computing one shard's raw per-sample outcomes.
-//   - Pool: the coordinator-side worker registry — health checks,
-//     per-shard retry, failover re-dispatch and local fallback.
+//   - Pool: the coordinator-side worker registry — one lifecycle for
+//     listed and self-registering workers (DESIGN.md §13), per-shard
+//     retry, failover re-dispatch and local fallback.
 //   - Estimator: a core.Estimator backend that fans batches out over
 //     the pool, so Solve/SolveAdaptiveCtx/TDSI and the serving layer
 //     run unchanged over local or sharded estimation.

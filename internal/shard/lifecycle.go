@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"context"
 	"math/rand/v2"
+	"sync"
 	"time"
 )
 
@@ -12,11 +14,16 @@ import (
 // only moves work between workers, and every shard is bit-identical
 // wherever it runs (§3/§7), so the state machine is pure ops surface.
 //
-//	alive ──dispatch failure / heartbeat timeout──▶ suspect
+//	alive ──dispatch failure──▶ suspect
+//	alive ──silent for hbTimeout, then the probe fails──▶ probing
 //	suspect ──failure-detector probe fails──▶ probing (backoff grows)
 //	probing ──deadAfter consecutive failures──▶ dead (probed at the cap)
 //	suspect|probing|dead ──probe ok / heartbeat / re-register──▶ alive
 //	any ──typed draining response / deregister──▶ draining
+//
+// One rule for every entry, seeded or registered: registration, a
+// heartbeat and a successful probe all count as hearing from a worker;
+// only silence gets an alive one probed.
 type remoteState int32
 
 const (
@@ -49,7 +56,7 @@ func (s remoteState) String() string {
 // coordinators (or one coordinator probing a rack that died together)
 // never hammers a recovering worker in lockstep.
 func (p *Pool) backoffFor(fails int) time.Duration {
-	d := p.probeBase
+	d := min(p.probeBase, p.probeCap)
 	for i := 0; i < fails && d < p.probeCap; i++ {
 		d *= 2
 	}
@@ -63,8 +70,8 @@ func (p *Pool) backoffFor(fails int) time.Duration {
 }
 
 // jitterHalf draws uniformly from [d/2, d] — the jitter shape shared
-// by the failure detector's backoff, its steady-state probe cadence,
-// and the worker-side registrar's register retries.
+// by the failure detector's backoff and the worker-side registrar's
+// register retries.
 func jitterHalf(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
@@ -126,15 +133,14 @@ func (r *Remote) dispatchable() bool {
 	return r.state == stateAlive && !time.Now().Before(r.breakerUntil)
 }
 
-// detectLoop is the failure detector: a cheap periodic scan that turns
-// missed heartbeats into suspicion, fires due probes (jittered
-// exponential backoff for suspects, routine jittered cadence for
-// static-list alive workers), and lets probe outcomes drive the state
-// machine. Registered workers are not probed while alive — their
-// heartbeats are the liveness signal, which is the point of
-// registration: no per-worker probe traffic at fleet scale.
+// detectLoop is the failure detector: a cheap periodic scan that fires
+// due probes — at an alive worker silent for one heartbeat timeout, at
+// a down one on jittered exponential backoff — and lets probe outcomes
+// drive the state machine. A worker that heartbeats is not probed while
+// alive: its beats are the liveness signal, which is the point of
+// registration — no per-worker probe traffic at fleet scale.
 func (p *Pool) detectLoop() {
-	tick := p.probeBase / 2
+	tick := min(p.probeBase, p.probeCap) / 2
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
@@ -153,46 +159,40 @@ func (p *Pool) detectLoop() {
 	}
 }
 
-// detectOnce runs one failure-detector scan. At most one probe per
-// remote is in flight (r.probing); probes run concurrently so one
-// unresponsive worker never delays verdicts on the rest.
+// detectOnce runs one failure-detector scan: an alive remote is due
+// once silent for hbTimeout, any other once its backoff elapses.
 func (p *Pool) detectOnce(now time.Time) {
+	p.probeWhere(p.loopCtx, func(r *Remote) bool {
+		if r.state == stateAlive {
+			return now.Sub(r.lastHeard) > p.hbTimeout
+		}
+		return !now.Before(r.nextProbe)
+	})
+}
+
+// probeWhere starts a probe at every remote due selects (called under
+// r.mu). At most one probe per remote is in flight (r.probing); probes
+// run concurrently so one unresponsive worker never delays verdicts on
+// the rest. It returns the remotes scanned and the probes started.
+func (p *Pool) probeWhere(ctx context.Context, due func(*Remote) bool) ([]*Remote, *sync.WaitGroup) {
 	p.mu.Lock()
 	remotes := append([]*Remote(nil), p.remotes...)
 	p.mu.Unlock()
+	wg := new(sync.WaitGroup)
 	for _, r := range remotes {
 		r.mu.Lock()
-		if r.probing {
-			r.mu.Unlock()
-			continue
-		}
-		due := false
-		switch r.state {
-		case stateAlive:
-			if r.registered {
-				if now.Sub(r.lastBeat) > p.hbTimeout {
-					r.state = stateSuspect
-					r.probeFails = 0
-					r.lastErr = "heartbeat timeout"
-					r.nextProbe = now
-					due = true
-				}
-			} else {
-				due = r.nextProbe.IsZero() || !now.Before(r.nextProbe)
-			}
-		default:
-			due = !now.Before(r.nextProbe)
-		}
-		if due {
-			r.probing = true
-		}
+		start := !r.probing && due(r)
+		r.probing = r.probing || start
 		r.mu.Unlock()
-		if due {
-			go func(r *Remote) {
-				p.onProbe(r, p.probe(p.loopCtx, r))
-			}(r)
+		if start {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.onProbe(r, p.probe(ctx, r))
+			}()
 		}
 	}
+	return remotes, wg
 }
 
 // onProbe folds one probe verdict into r's lifecycle state.
@@ -209,17 +209,13 @@ func (p *Pool) onProbe(r *Remote, err error) {
 			r.state = stateProbing
 		}
 		r.nextProbe = r.breakerUntil
+		r.lastHeard = now
 	case err == nil:
 		rejoined = r.state != stateAlive
 		r.state = stateAlive
 		r.probeFails = 0
 		r.lastErr = ""
-		r.nextProbe = now.Add(jitterHalf(p.probeInterval))
-		if r.registered {
-			// a reachable registered worker counts as heard from, so a
-			// recovered heartbeat path doesn't immediately re-suspect it
-			r.lastBeat = now
-		}
+		r.lastHeard = now
 	default:
 		r.probeFails++
 		if r.state != stateDraining && r.state != stateDead {

@@ -172,7 +172,7 @@ func TestHeartbeatTimeoutSuspectsWorker(t *testing.T) {
 	if err := pool.Register(u, DefaultWorkerCaps()); err != nil {
 		t.Fatal(err)
 	}
-	pool.StartHealthLoop(20 * time.Millisecond)
+	pool.StartHealthLoop()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -411,5 +411,185 @@ func TestWorkerDrain(t *testing.T) {
 	}
 	if st.Remotes[0].Failures != 0 {
 		t.Fatalf("drain counted as a failure: %+v", st.Remotes[0])
+	}
+}
+
+// TestSeedListUsesRegistryInsert pins NewPool's seed list to the insert
+// path Register uses: one worker spelled three ways is one entry that
+// one Deregister removes, malformed URLs never enter (ParseWorkerList
+// refuses them with Register's error), the list is bounded by
+// maxRemotes, and a seeded worker that registers stays one entry.
+func TestSeedListUsesRegistryInsert(t *testing.T) {
+	const u = "http://127.0.0.1:7001"
+	bad := []string{"127.0.0.1:9", "localhost:9"}
+	pool := NewPool(append([]string{u, u + "/", " " + u, ""}, bad...), nil)
+	defer pool.Close()
+	if n := pool.Size(); n != 1 {
+		t.Fatalf("one worker spelled three ways plus malformed URLs: %d remotes, want 1", n)
+	}
+	pool.Deregister(u)
+	if n := pool.Size(); n != 0 {
+		t.Fatalf("Deregister left %d remotes", n)
+	}
+
+	caps := DefaultWorkerCaps()
+	for _, b := range bad {
+		regErr := pool.Register(b, caps)
+		_, err := ParseWorkerList(u + "," + b)
+		if err == nil || regErr == nil || err.Error() != regErr.Error() {
+			t.Fatalf("%q: ParseWorkerList error %v, Register error %v; want the same refusal", b, err, regErr)
+		}
+	}
+	if urls, err := ParseWorkerList(" " + u + "/, ," + u); err != nil || len(urls) != 2 || urls[0] != u || urls[1] != u {
+		t.Fatalf("ParseWorkerList = %q, %v", urls, err)
+	}
+	if urls, err := ParseWorkerList(""); err != nil || len(urls) != 0 {
+		t.Fatalf("ParseWorkerList(\"\") = %q, %v", urls, err)
+	}
+
+	many := make([]string, maxRemotes+5)
+	for i := range many {
+		many[i] = fmt.Sprintf("http://10.0.0.2:%d", 1000+i)
+	}
+	if n := NewPool(many, nil).Size(); n != maxRemotes {
+		t.Fatalf("seed list of %d: %d remotes, want the %d bound", len(many), n, maxRemotes)
+	}
+
+	seeded := NewPool([]string{u}, nil)
+	defer seeded.Close()
+	if seeded.Heartbeat(u) {
+		t.Fatal("a seeded entry whose caps were never checked accepted a heartbeat")
+	}
+	if err := seeded.Register(u+"/", caps); err != nil {
+		t.Fatal(err)
+	}
+	st := seeded.Snapshot()
+	if st.Workers != 1 || st.Fleet.Registered != 1 || !st.Remotes[0].Registered || st.Fleet.RejoinCount != 0 {
+		t.Fatalf("seeded worker after registering: %+v", st)
+	}
+	if !seeded.Heartbeat(u) {
+		t.Fatal("heartbeat refused after registration")
+	}
+}
+
+// healthzCounter serves a worker /healthz that answers 200 and counts
+// its hits: the probes the failure detector sends.
+func healthzCounter(t *testing.T) (string, *atomic.Int32) {
+	t.Helper()
+	hits := new(atomic.Int32)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			hits.Add(1)
+		}
+		writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL, hits
+}
+
+// requireAliveUntil polls until enough probes arrived, failing the
+// moment the worker leaves rotation, and checks it never rejoined.
+func requireAliveUntil(t *testing.T, pool *Pool, hits *atomic.Int32, probes int32) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("%d probes", probes), func() bool {
+		if st := pool.Snapshot(); st.Healthy != 1 {
+			t.Fatalf("worker left rotation with %d probes answered: %+v", hits.Load(), st)
+		}
+		return hits.Load() >= probes
+	})
+	if st := pool.Snapshot(); st.Fleet.RejoinCount != 0 {
+		t.Fatalf("rejoin_count %d, want 0: the worker never left", st.Fleet.RejoinCount)
+	}
+}
+
+// TestLivenessBeatingWorkerIsNotProbed: a registered worker that keeps
+// beating is heard from, so over 10 heartbeat intervals the detector
+// sends it no probe at all.
+func TestLivenessBeatingWorkerIsNotProbed(t *testing.T) {
+	leakCheck(t)
+	url, hits := healthzCounter(t)
+	pool := NewPool(nil, nil)
+	t.Cleanup(pool.Close)
+	pool.SetHeartbeat(100 * time.Millisecond)
+	if err := pool.Register(url, DefaultWorkerCaps()); err != nil {
+		t.Fatal(err)
+	}
+	pool.StartHealthLoop()
+	// four beats per dictated interval: ~275ms of slack before a late
+	// beat could look like silence
+	for i := 0; i < 40; i++ {
+		time.Sleep(25 * time.Millisecond)
+		if !pool.Heartbeat(url) {
+			t.Fatal("heartbeat refused")
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("a beating worker was probed %d times", n)
+	}
+	if st := pool.Snapshot(); st.Healthy != 1 || st.Fleet.RejoinCount != 0 {
+		t.Fatalf("beating worker: %+v", st)
+	}
+}
+
+// TestLivenessSeededWorkerAnsweringProbesStaysAlive: a seeded worker
+// cannot beat, so it is probed once per heartbeat timeout — never
+// more often — and, answering, stays in rotation without a rejoin.
+func TestLivenessSeededWorkerAnsweringProbesStaysAlive(t *testing.T) {
+	leakCheck(t)
+	url, hits := healthzCounter(t)
+	pool := NewPool([]string{url}, nil)
+	t.Cleanup(pool.Close)
+	pool.SetHeartbeat(10 * time.Millisecond)
+	start := time.Now()
+	pool.StartHealthLoop()
+	requireAliveUntil(t, pool, hits, 10)
+	// each probe needs a full timeout of silence after the last one
+	if n, most := hits.Load(), int32(time.Since(start)/pool.hbTimeout)+1; n > most {
+		t.Fatalf("%d probes in %v: more than one per %v timeout", n, time.Since(start), pool.hbTimeout)
+	}
+}
+
+// TestLivenessSilentRegisteredWorkerAnsweringProbesStaysAlive: a
+// registered worker whose beats stop but whose /healthz answers is
+// probed like any silent entry and stays in rotation.
+func TestLivenessSilentRegisteredWorkerAnsweringProbesStaysAlive(t *testing.T) {
+	leakCheck(t)
+	url, hits := healthzCounter(t)
+	pool := NewPool(nil, nil)
+	t.Cleanup(pool.Close)
+	pool.SetHeartbeat(10 * time.Millisecond)
+	if err := pool.Register(url, DefaultWorkerCaps()); err != nil {
+		t.Fatal(err)
+	}
+	pool.StartHealthLoop()
+	requireAliveUntil(t, pool, hits, 5)
+}
+
+// TestLivenessUnreachableRegisteredWorkerLeavesRotation: a registered
+// worker that goes silent and refuses connections leaves rotation
+// after one heartbeat timeout plus one (failed) probe — not before the
+// timeout, and without waiting out further backoff.
+func TestLivenessUnreachableRegisteredWorkerLeavesRotation(t *testing.T) {
+	leakCheck(t)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	url := dead.URL
+	dead.Close() // connections to url are now refused
+	pool := NewPool(nil, nil)
+	t.Cleanup(pool.Close)
+	pool.SetHeartbeat(20 * time.Millisecond)
+	start := time.Now()
+	if err := pool.Register(url, DefaultWorkerCaps()); err != nil {
+		t.Fatal(err)
+	}
+	pool.StartHealthLoop()
+	waitUntil(t, "unreachable worker out of rotation", func() bool { return pool.Snapshot().Healthy == 0 })
+	elapsed := time.Since(start)
+	// a refused probe fails at once; the slack covers detector ticks and
+	// a loaded scheduler
+	if elapsed < pool.hbTimeout || elapsed > pool.hbTimeout+time.Second {
+		t.Fatalf("left rotation after %v, want within (%v, %v]", elapsed, pool.hbTimeout, pool.hbTimeout+time.Second)
+	}
+	if rs := pool.Snapshot().Remotes[0]; rs.LastErr == "" || rs.Failures != 0 {
+		t.Fatalf("out of rotation by a failed probe, not a dispatch: %+v", rs)
 	}
 }

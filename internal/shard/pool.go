@@ -45,13 +45,12 @@ type Pool struct {
 	loopStop context.CancelFunc
 
 	// Failure-detector and lifecycle knobs (DESIGN.md §13; fixed after
-	// NewPool/StartHealthLoop except in tests).
-	probeInterval   time.Duration // routine probe cadence for alive static-list workers
+	// NewPool/SetHeartbeat except in tests).
 	probeBase       time.Duration // first backoff step after a failure
-	probeCap        time.Duration // backoff ceiling (dead workers retry at most this often)
-	deadAfter       int           // consecutive probe failures before suspect → dead
+	probeCap        time.Duration // backoff ceiling (down workers are re-probed at least this often)
+	deadAfter       int           // consecutive probe failures before probing → dead
 	hbInterval      time.Duration // heartbeat cadence dictated to registering workers
-	hbTimeout       time.Duration // silence beyond this marks a registered worker suspect
+	hbTimeout       time.Duration // silence beyond this gets an alive entry probed
 	breakerTrip     int           // consecutive dispatch failures that open the breaker
 	breakerCooldown time.Duration // dispatch shed window once the breaker opens
 
@@ -84,9 +83,10 @@ type Pool struct {
 	logger  *slog.Logger
 }
 
-// Remote is one registered worker: its lifecycle state (lifecycle.go),
-// advertised capabilities, acknowledged problem uploads and dispatch
-// accounting.
+// Remote is one registry entry — a worker seeded by NewPool or
+// registered at runtime, one lifecycle either way (lifecycle.go) — with
+// its advertised capabilities, acknowledged problem uploads and
+// dispatch accounting.
 type Remote struct {
 	url string
 
@@ -96,9 +96,9 @@ type Remote struct {
 	problems map[service.Key]bool // uploads acknowledged by this worker
 
 	// Lifecycle bookkeeping (guarded by mu; see lifecycle.go).
-	registered   bool       // announced itself via the register RPC
+	registered   bool       // caps checked by the register RPC: gates heartbeats, shown in /metrics
 	caps         WorkerCaps // capability advertisement at registration
-	lastBeat     time.Time  // last heartbeat (or successful probe) seen
+	lastHeard    time.Time  // last registration, heartbeat or successful probe
 	probeFails   int        // consecutive failure-detector probe failures
 	nextProbe    time.Time  // when the failure detector probes next
 	probing      bool       // a probe is in flight
@@ -175,12 +175,14 @@ func (r *Remote) EWMASamplesPerSec() float64 {
 	return math.Float64frombits(r.ewmaBits.Load())
 }
 
-// NewPool registers the workers at the given base URLs (e.g.
-// "http://10.0.0.7:8081"). Workers start optimistically healthy; the
-// first failed dispatch or health probe takes a dead one out of
-// rotation, and later probes bring recovered workers back. Call Check
-// once at startup to verify the fleet, and StartHealthLoop for
-// continuous probing.
+// NewPool seeds the registry with the workers at the given base URLs
+// (e.g. "http://10.0.0.7:8081") through Register's insert path:
+// normalized, deduplicated, bounded by maxRemotes; malformed URLs are
+// dropped (ParseWorkerList refuses them). Seeded workers start alive
+// under the one lifecycle: the first failed dispatch or health probe
+// takes a dead one out of rotation, later probes bring it back. Call
+// Check once at startup to verify the fleet, and StartHealthLoop for
+// continuous failure detection.
 //
 // The pool speaks the binary frame wire (DESIGN.md §8) and defaults to
 // throughput-weighted planning and speculative straggler re-dispatch —
@@ -207,12 +209,8 @@ func NewPool(urls []string, client *http.Client) *Pool {
 		specMin:    25 * time.Millisecond,
 		specTick:   5 * time.Millisecond,
 
-		probeInterval:   5 * time.Second,
 		probeBase:       250 * time.Millisecond,
-		probeCap:        5 * time.Second,
 		deadAfter:       4,
-		hbInterval:      2 * time.Second,
-		hbTimeout:       6 * time.Second,
 		breakerTrip:     3,
 		breakerCooldown: 10 * time.Second,
 
@@ -222,28 +220,27 @@ func NewPool(urls []string, client *http.Client) *Pool {
 	p.loopCtx, p.loopStop = context.WithCancel(context.Background())
 	p.weighted.Store(true)
 	p.speculate.Store(true)
-	for _, u := range urls {
-		u = strings.TrimSuffix(strings.TrimSpace(u), "/")
-		if u == "" {
-			continue
+	p.SetHeartbeat(2 * time.Second)
+	for _, raw := range urls {
+		if u, err := normalizeWorkerURL(raw); err == nil {
+			_, _ = p.entry(u) // past maxRemotes the rest are dropped
 		}
-		p.remotes = append(p.remotes, &Remote{
-			url:      u, // static-list workers start alive (zero state)
-			problems: make(map[service.Key]bool),
-		})
 	}
 	return p
 }
 
-// SetHeartbeat sets the heartbeat cadence dictated to registering
-// workers; a registered worker silent for three beats is suspected.
-// Call during setup, before StartHealthLoop.
+// SetHeartbeat sets the failure detector's one timescale (DESIGN.md
+// §13): d is the beat cadence dictated to registering workers; any
+// alive entry silent for three beats is probed, and one out of
+// rotation is re-probed at least that often. Call before
+// StartHealthLoop.
 func (p *Pool) SetHeartbeat(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	p.hbInterval = d
 	p.hbTimeout = 3 * d
+	p.probeCap = p.hbTimeout
 }
 
 // SetLogger routes the pool's structured dispatch and membership logs
@@ -265,7 +262,7 @@ func (p *Pool) SetWeighted(on bool) { p.weighted.Store(on) }
 // SetSpeculation toggles speculative straggler re-dispatch.
 func (p *Pool) SetSpeculation(on bool) { p.speculate.Store(on) }
 
-// Size returns the number of registered workers.
+// Size returns the number of registry entries.
 func (p *Pool) Size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -292,24 +289,8 @@ func (p *Pool) healthyRemotes() []*Remote {
 // lifecycle state machine: dead workers leave rotation, recovered ones
 // rejoin. It returns the healthy count.
 func (p *Pool) Check(ctx context.Context) int {
-	p.mu.Lock()
-	remotes := append([]*Remote(nil), p.remotes...)
-	p.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, r := range remotes {
-		r.mu.Lock()
-		if r.probing {
-			r.mu.Unlock()
-			continue // the failure detector already has a verdict coming
-		}
-		r.probing = true
-		r.mu.Unlock()
-		wg.Add(1)
-		go func(r *Remote) {
-			defer wg.Done()
-			p.onProbe(r, p.probe(ctx, r))
-		}(r)
-	}
+	// a remote whose detector probe is in flight keeps that verdict
+	remotes, wg := p.probeWhere(ctx, func(*Remote) bool { return true })
 	wg.Wait()
 	healthy := 0
 	for _, r := range remotes {
@@ -340,23 +321,14 @@ func (p *Pool) probe(ctx context.Context, r *Remote) error {
 }
 
 // StartHealthLoop starts the failure detector (lifecycle.go) until
-// Close. interval is the routine probe cadence for alive static-list
-// workers and the backoff ceiling for down ones: a worker that died
-// mid-batch is already out of rotation (markFailed) and is re-probed
-// on a jittered exponential backoff — fast first retries, bounded by
-// interval — so restarted workers rejoin without operator action
-// (their problem store is re-filled lazily through the unknown_problem
-// path) and a recovering worker is never hammered in lockstep.
-// Registered workers are watched through their heartbeats instead.
-func (p *Pool) StartHealthLoop(interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	p.probeInterval = interval
-	p.probeCap = interval
-	if p.probeBase > p.probeCap {
-		p.probeBase = p.probeCap
-	}
+// Close, on the timescale SetHeartbeat set. An alive worker silent for
+// one heartbeat timeout is probed; a worker that died mid-batch is
+// already out of rotation (markFailed) and is re-probed on a jittered
+// exponential backoff — fast first retries, capped at the heartbeat
+// timeout — so restarted workers rejoin without operator action (their
+// problem store is re-filled lazily through the unknown_problem path)
+// and a recovering worker is never hammered in lockstep.
+func (p *Pool) StartHealthLoop() {
 	go p.detectLoop()
 }
 
@@ -377,9 +349,9 @@ type RemoteStats struct {
 	// projection, kept for pre-fleet scrapers.
 	State   string `json:"state"`
 	Healthy bool   `json:"healthy"`
-	// Registered marks workers that announced themselves via the
-	// register RPC (vs the static -shard-workers list); Capacity echoes
-	// their advertised concurrency hint.
+	// Registered marks workers whose caps the register RPC checked
+	// (seeded or not): provenance, not liveness. Capacity echoes their
+	// advertised concurrency hint.
 	Registered bool `json:"registered,omitempty"`
 	Capacity   int  `json:"capacity,omitempty"`
 	// BreakerOpen reports an open circuit breaker: the worker is shed
@@ -397,8 +369,8 @@ type RemoteStats struct {
 // FleetStats aggregates the lifecycle registry (DESIGN.md §13): the
 // /metrics shard.fleet block.
 type FleetStats struct {
-	// Registered counts workers that announced themselves via the
-	// register RPC (static-list workers are in Workers but not here).
+	// Registered counts entries whose caps the register RPC checked
+	// (a seeded worker that registers is one entry, counted here too).
 	Registered int `json:"registered"`
 	// Draining/Suspect/Dead count remotes per lifecycle state (suspect
 	// includes actively-probed suspects).
@@ -406,16 +378,16 @@ type FleetStats struct {
 	Suspect  int `json:"suspect"`
 	Dead     int `json:"dead"`
 	// Heartbeats counts beats accepted; RejoinCount counts transitions
-	// back into rotation (probe recovery, heartbeat recovery, or
-	// re-registration after a restart).
+	// back into rotation (probe recovery, heartbeat recovery, or a
+	// registration into an entry out of rotation, restarted or seeded).
 	Heartbeats  uint64 `json:"heartbeats"`
 	BreakerOpen int    `json:"breaker_open"`
 	RejoinCount uint64 `json:"rejoin_count"`
 }
 
 // PoolStats is the registry snapshot the coordinator daemon reports
-// under /metrics ("worker-pool depth": Workers registered, Healthy in
-// rotation).
+// under /metrics ("worker-pool depth": Workers in the registry,
+// Healthy in rotation).
 type PoolStats struct {
 	Workers int `json:"workers"`
 	Healthy int `json:"healthy"`

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,8 +20,8 @@ import (
 // protocol rides plain JSON — registration is a once-per-process
 // handshake, not a hot path, so the binary codec buys nothing here.
 
-// maxRemotes bounds the dynamic registry so a hostile or buggy client
-// cannot grow the coordinator's probe/planning state without bound.
+// maxRemotes bounds the registry so a hostile or buggy client cannot
+// grow the coordinator's probe/planning state without bound.
 const maxRemotes = 256
 
 // WorkerCaps is a worker's capability advertisement, sent once at
@@ -70,7 +71,8 @@ type DeregisterRequest struct {
 	URL string `json:"url"`
 }
 
-// normalizeWorkerURL validates and canonicalises a worker base URL.
+// normalizeWorkerURL validates and canonicalises a worker base URL for
+// every way into the registry: NewPool, ParseWorkerList and Register.
 func normalizeWorkerURL(raw string) (string, error) {
 	raw = strings.TrimSuffix(strings.TrimSpace(raw), "/")
 	u, err := url.Parse(raw)
@@ -83,11 +85,57 @@ func normalizeWorkerURL(raw string) (string, error) {
 	return raw, nil
 }
 
+// ParseWorkerList splits a comma-separated worker list (imdppd
+// -shard-workers, imdpprun -workers), skipping blanks, and refuses a
+// malformed entry with the error Register would give it.
+func ParseWorkerList(list string) ([]string, error) {
+	var urls []string
+	for _, raw := range strings.Split(list, ",") {
+		if strings.TrimSpace(raw) == "" {
+			continue
+		}
+		u, err := normalizeWorkerURL(raw)
+		if err != nil {
+			return nil, err
+		}
+		urls = append(urls, u)
+	}
+	return urls, nil
+}
+
+// find returns the entry for the normalized URL u, or nil; p.mu held.
+func (p *Pool) find(u string) *Remote {
+	for _, r := range p.remotes {
+		if r.url == u {
+			return r
+		}
+	}
+	return nil
+}
+
+// entry returns the entry for the normalized URL u, inserting a fresh
+// one — alive, just heard from — below maxRemotes. NewPool's seed list
+// and Register both insert here: one worker, one entry.
+func (p *Pool) entry(u string) (*Remote, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if r := p.find(u); r != nil {
+		return r, nil
+	}
+	if len(p.remotes) >= maxRemotes {
+		return nil, fmt.Errorf("shard: registry full (%d workers)", maxRemotes)
+	}
+	r := &Remote{url: u, lastHeard: time.Now(), problems: make(map[service.Key]bool)}
+	p.remotes = append(p.remotes, r)
+	return r, nil
+}
+
 // Register adds (or re-animates) the worker at rawURL. Registration is
 // idempotent and doubles as crash recovery: a worker that restarts
 // re-registers under the same URL, which resets its lifecycle state
 // and forgets its acknowledged uploads (the new process holds none —
-// the unknown_problem path would also heal this, lazily).
+// the unknown_problem path would also heal this, lazily). A worker
+// seeded by NewPool registers into its existing entry.
 //
 // A worker whose caps.CodecVersion is not this build's frame version
 // is refused with a typed 409 incompatible_worker, and any earlier
@@ -106,34 +154,18 @@ func (p *Pool) Register(rawURL string, caps WorkerCaps) error {
 			msg: fmt.Sprintf("worker decodes frame version %d, coordinator speaks %d; upgrade coordinator and workers together",
 				caps.CodecVersion, frameVersion)}
 	}
-	p.mu.Lock()
-	var r *Remote
-	for _, have := range p.remotes {
-		if have.url == u {
-			r = have
-			break
-		}
+	r, err := p.entry(u)
+	if err != nil {
+		return err
 	}
-	if r == nil {
-		if len(p.remotes) >= maxRemotes {
-			p.mu.Unlock()
-			return fmt.Errorf("shard: registry full (%d workers)", maxRemotes)
-		}
-		r = &Remote{url: u, problems: make(map[service.Key]bool)}
-		p.remotes = append(p.remotes, r)
-	}
-	p.mu.Unlock()
-
-	now := time.Now()
 	r.mu.Lock()
-	rejoined := r.registered && r.state != stateAlive
+	rejoined := r.state != stateAlive
 	r.registered = true
 	r.caps = caps
 	r.state = stateAlive
-	r.lastBeat = now
+	r.lastHeard = time.Now()
 	r.lastErr = ""
 	r.probeFails = 0
-	r.nextProbe = time.Time{}
 	r.strikes = 0
 	r.breakerUntil = time.Time{}
 	r.problems = make(map[service.Key]bool)
@@ -159,23 +191,17 @@ func (p *Pool) Heartbeat(rawURL string) bool {
 		return false
 	}
 	p.mu.Lock()
-	var r *Remote
-	for _, have := range p.remotes {
-		if have.url == u {
-			r = have
-			break
-		}
-	}
+	r := p.find(u)
 	p.mu.Unlock()
 	if r == nil {
 		return false
 	}
 	r.mu.Lock()
-	if !r.registered {
+	if !r.registered { // caps unchecked: the worker must register first
 		r.mu.Unlock()
 		return false
 	}
-	r.lastBeat = time.Now()
+	r.lastHeard = time.Now()
 	rejoined := false
 	switch r.state {
 	case stateSuspect, stateProbing, stateDead:
@@ -202,14 +228,9 @@ func (p *Pool) Deregister(rawURL string) {
 		return
 	}
 	p.mu.Lock()
-	removed := false
-	for i, have := range p.remotes {
-		if have.url == u {
-			p.remotes = append(p.remotes[:i], p.remotes[i+1:]...)
-			removed = true
-			break
-		}
-	}
+	n := len(p.remotes)
+	p.remotes = slices.DeleteFunc(p.remotes, func(r *Remote) bool { return r.url == u })
+	removed := len(p.remotes) < n
 	p.mu.Unlock()
 	if removed {
 		p.logger.Info("shard worker deregistered", "worker", u)

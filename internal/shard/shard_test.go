@@ -31,6 +31,28 @@ func sampleProblem(t testing.TB, budget float64, T int) *diffusion.Problem {
 	return d.Clone(budget, T)
 }
 
+// serveWorker serves w's shard RPC plus a drain-aware /healthz; wrap,
+// when non-nil, sits in front of the mux.
+func serveWorker(t testing.TB, w *Worker, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	w.Mount(mux)
+	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
+		if w.Draining() { // a draining worker must not look probe-healthy
+			writeShardJSON(rw, http.StatusServiceUnavailable, map[string]any{"ok": false, "draining": true})
+			return
+		}
+		writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
+	})
+	var h http.Handler = mux
+	if wrap != nil {
+		h = wrap(mux)
+	}
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 // newFleet boots n in-process shard workers and returns a pool over
 // them plus the workers for white-box inspection.
 func newFleet(t testing.TB, n int) (*Pool, []*Worker, []*httptest.Server) {
@@ -39,21 +61,9 @@ func newFleet(t testing.TB, n int) (*Pool, []*Worker, []*httptest.Server) {
 	workers := make([]*Worker, n)
 	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
-		w := NewWorker(WorkerConfig{Workers: 2})
-		mux := http.NewServeMux()
-		w.Mount(mux)
-		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-			if w.Draining() { // a draining worker must not look probe-healthy
-				writeShardJSON(rw, http.StatusServiceUnavailable, map[string]any{"ok": false, "draining": true})
-				return
-			}
-			writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
-		})
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
-		workers[i] = w
-		servers[i] = srv
+		workers[i] = NewWorker(WorkerConfig{Workers: 2})
+		servers[i] = serveWorker(t, workers[i], nil)
+		urls[i] = servers[i].URL
 	}
 	pool := NewPool(urls, nil)
 	t.Cleanup(pool.Close)

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Fleet smoke (DESIGN.md §13): boots a dynamic coordinator plus three
-# workers that register themselves, then subjects the fleet to the
+# workers that register themselves — one of them also listed in
+# -shard-workers, so its seeded entry and its registration must become
+# one registry entry — then subjects the fleet to the
 # failures the elastic-membership layer exists for — a kill -9
 # mid-solve, a SIGTERM graceful drain mid-solve, and a rejoin of the
 # killed worker — asserting every solve stays bit-identical to a plain
@@ -70,16 +72,23 @@ wait_jq() {
 
 echo "default:1:8:4" >"$WORKDIR/quotas"
 
+# W1 is listed in -shard-workers, so its address must be known before
+# the coordinator boots: a throwaway daemon picks a free port, then
+# W1 reuses it (as the rejoin below reuses W3's)
+read -r HOLDPID W1 < <(boot "$WORKDIR/hold.log" -addr 127.0.0.1:0 -worker)
+kill -9 "$HOLDPID"
 read -r CPID COORD < <(boot "$WORKDIR/coord.log" -addr 127.0.0.1:0 -workers 1 \
-    -shard-dynamic -shard-heartbeat 300ms -shard-probe 500ms \
+    -shard-dynamic -shard-heartbeat 300ms -shard-workers "$W1" \
     -tenant-quotas "@$WORKDIR/quotas")
 read -r _ LOCAL < <(boot "$WORKDIR/local.log" -addr 127.0.0.1:0 -workers 1)
-read -r _ W1 < <(boot "$WORKDIR/w1.log" -addr 127.0.0.1:0 -worker -register "$COORD")
+read -r _ W1 < <(boot "$WORKDIR/w1.log" -addr "${W1#http://}" -worker -register "$COORD")
 read -r W2PID W2 < <(boot "$WORKDIR/w2.log" -addr 127.0.0.1:0 -worker -register "$COORD")
 read -r W3PID W3 < <(boot "$WORKDIR/w3.log" -addr 127.0.0.1:0 -worker -register "$COORD")
 echo "coordinator at $COORD; workers at $W1 $W2 $W3; local reference at $LOCAL"
 
-wait_jq "$COORD/metrics" '.shard.fleet.registered == 3' "3 workers registered"
+# the listed W1 registered into its seeded entry: 3 entries, not 4
+wait_jq "$COORD/metrics" '.shard.fleet.registered == 3 and .shard.workers == 3' \
+    "3 workers registered as 3 entries"
 
 # --- compatibility is checked once, at registration -----------------
 # zero estimate RPCs have been sent, yet every remote is alive: the
@@ -163,10 +172,13 @@ curl -sf "$COORD/metrics" | jq -e '.jobs_failed == 0' >/dev/null ||
 # re-registering the same URL revives the existing (dead) registry
 # entry, so the fleet is back to 2 registered workers (the drained one
 # deregistered for good), none dead, with a rejoin on the books
+# (W1's registration may already count a rejoin: its seeded entry
+# failed the startup probe, so this one is measured from here)
 W3ADDR=${W3#http://}
+REJOINS=$(curl -sf "$COORD/metrics" | jq .shard.fleet.rejoin_count)
 read -r _ W3 < <(boot "$WORKDIR/w3b.log" -addr "$W3ADDR" -worker -register "$COORD")
 wait_jq "$COORD/metrics" \
-    '.shard.fleet.registered == 2 and .shard.fleet.rejoin_count >= 1 and .shard.fleet.dead == 0' \
+    ".shard.fleet.registered == 2 and .shard.fleet.rejoin_count > $REJOINS and .shard.fleet.dead == 0 and .shard.healthy == 2" \
     "killed worker rejoined"
 SIGMA_REJOIN=$(solve_wait "$COORD" "$(solve_async "$COORD" 3)")
 [ "$SIGMA_REJOIN" = "$LOCAL3" ] ||
