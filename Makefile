@@ -61,11 +61,10 @@ serve-smoke:
 load-smoke:
 	./scripts/load_smoke.sh
 
-# Sharded-estimation smoke: boots two estimator workers plus two
-# coordinators on random ports — one with weighted planning and
-# speculation (the defaults), one with static planning — asserts σ and
-# a full solve are bit-identical to a single-process daemon through
-# both, and appends shard throughput to BENCH_shard.json.
+# Sharded-estimation smoke: boots two estimator workers plus one
+# coordinator on random ports, asserts σ and a full solve are
+# bit-identical to a single-process daemon and that both workers served
+# shards, and appends shard throughput to BENCH_shard.json.
 shard-smoke:
 	./scripts/shard_smoke.sh
 
@@ -115,6 +114,8 @@ fuzz:
 	$(GO) test ./internal/gridcache -run '^FuzzGroupKeyCodec$$' -fuzz '^FuzzGroupKeyCodec$$' -fuzztime 10s
 	$(GO) test ./internal/castore -run '^FuzzSpillImage$$' -fuzz '^FuzzSpillImage$$' -fuzztime 10s
 	$(GO) test ./internal/graph -run '^FuzzDecodeBinaryExport$$' -fuzz '^FuzzDecodeBinaryExport$$' -fuzztime 10s
+	$(GO) test ./internal/kg -run '^FuzzDecodeRelTableBinary$$' -fuzz '^FuzzDecodeRelTableBinary$$' -fuzztime 10s
+	$(GO) test ./internal/pin -run '^FuzzDecodeRowsBinary$$' -fuzz '^FuzzDecodeRowsBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeProblemUploadBinary$$' -fuzz '^FuzzDecodeProblemUploadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeEstimateRequestBinary$$' -fuzz '^FuzzDecodeEstimateRequestBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeEstimateResponseBinary$$' -fuzz '^FuzzDecodeEstimateResponseBinary$$' -fuzztime 10s

@@ -24,8 +24,8 @@
 // machine-readable phase timings, estimator throughput (samples/sec)
 // and σ to -benchout; shard boots an in-process worker fleet and
 // drives a CELF-shaped batched-estimation workload through the shard
-// RPC, appending one record with the -weighted planning mode, wire
-// bytes and throughput to -shardout; sketch is the statistical harness
+// RPC, appending one record with the fleet size, wire bytes and
+// throughput to -shardout; sketch is the statistical harness
 // of the approximate backend (DESIGN.md §9) — per synthetic preset it
 // builds an RR index at (-epsilon, -delta), asserts every sketch σ
 // lands within the ε·n·W additive contract of the MC ground truth,
@@ -66,7 +66,6 @@ func main() {
 	promos := flag.Int("T", 10, "promotions for -fig solve")
 	benchout := flag.String("benchout", "BENCH_solve.json", "output path of the -fig solve JSON report")
 	shardout := flag.String("shardout", "BENCH_shard.json", "append path of the -fig shard JSON records")
-	weighted := flag.Bool("weighted", true, "-fig shard: throughput-proportional shard planning")
 	shardN := flag.Int("shards", 2, "-fig shard: in-process worker count")
 	epsilon := flag.Float64("epsilon", 0.05, "-fig sketch: additive accuracy ε of the (ε, δ) contract")
 	delta := flag.Float64("delta", 0.05, "-fig sketch: failure probability δ of the (ε, δ) contract")
@@ -172,7 +171,7 @@ func main() {
 	}
 	if want["shard"] {
 		start := time.Now()
-		if err := shardBench(*preset, *scale, *budget, *promos, *solverMC, *seed, *weighted, *shardN, *shardout); err != nil {
+		if err := shardBench(*preset, *scale, *budget, *promos, *solverMC, *seed, *shardN, *shardout); err != nil {
 			fmt.Fprintf(os.Stderr, "shard: %v\n", err)
 			os.Exit(1)
 		}
@@ -322,19 +321,18 @@ func gridcacheBench(preset string, scale, budget float64, T, mc int, seed uint64
 	return nil
 }
 
-// shardReport is one appended line of the shard wire/planning
-// trajectory (BENCH_shard.json): which planner produced the numbers,
-// the wire bytes they cost, and the estimation throughput.
+// shardReport is one appended line of the shard wire trajectory
+// (BENCH_shard.json): the fleet size, the wire bytes the workload
+// cost, and the estimation throughput.
 type shardReport struct {
-	TS       int64   `json:"ts"`
-	Bench    string  `json:"bench"`
-	Preset   string  `json:"preset"`
-	Scale    float64 `json:"scale"`
-	Weighted bool    `json:"weighted"`
-	Shards   int     `json:"shards"`
-	MC       int     `json:"mc"`
-	Groups   int     `json:"groups"`
-	Batches  int     `json:"batches"`
+	TS      int64   `json:"ts"`
+	Bench   string  `json:"bench"`
+	Preset  string  `json:"preset"`
+	Scale   float64 `json:"scale"`
+	Shards  int     `json:"shards"`
+	MC      int     `json:"mc"`
+	Groups  int     `json:"groups"`
+	Batches int     `json:"batches"`
 
 	Samples         uint64  `json:"samples_simulated"`
 	SamplesPerSec   float64 `json:"samples_per_sec"`
@@ -349,8 +347,8 @@ type shardReport struct {
 // batched-estimation workload (one problem upload amortized over
 // many-group σ batches) through the shard RPC, appending one record to
 // out. σ of group 0 is recorded so trajectory diffs can also confirm
-// the planning modes agree bit-for-bit.
-func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, weighted bool, shards int, out string) error {
+// fleet sizes agree bit-for-bit.
+func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, shards int, out string) error {
 	builders := map[string]func(dataset.Scale) (*dataset.Dataset, error){
 		"Amazon": dataset.Amazon, "Yelp": dataset.Yelp,
 		"Douban": dataset.Douban, "Gowalla": dataset.Gowalla,
@@ -395,7 +393,6 @@ func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, we
 		urls[i] = servers[i].URL
 	}
 	pool := shard.NewPool(urls, nil)
-	pool.SetWeighted(weighted)
 	est := shard.NewEstimator(pool, p, mc, seed, 0)
 
 	start := time.Now()
@@ -417,8 +414,7 @@ func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, we
 	samples := uint64(nGroups * mc * batches)
 	rep := shardReport{
 		TS: time.Now().Unix(), Bench: "shard", Preset: preset, Scale: scale,
-		Weighted: st.Weighted, Shards: shards,
-		MC: mc, Groups: nGroups, Batches: batches,
+		Shards: shards, MC: mc, Groups: nGroups, Batches: batches,
 		Samples:         samples,
 		BytesTx:         st.BytesTx,
 		BytesRx:         st.BytesRx,
@@ -432,8 +428,8 @@ func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, we
 	if err := enc.Encode(rep); err != nil {
 		return err
 	}
-	fmt.Printf("shard: weighted=%v shards=%d σ₀=%.3f throughput=%.0f samples/sec wire=%d tx + %d rx bytes\n",
-		weighted, shards, sigma0, rep.SamplesPerSec, st.BytesTx, st.BytesRx)
+	fmt.Printf("shard: shards=%d σ₀=%.3f throughput=%.0f samples/sec wire=%d tx + %d rx bytes\n",
+		shards, sigma0, rep.SamplesPerSec, st.BytesTx, st.BytesRx)
 	return nil
 }
 

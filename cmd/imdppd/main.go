@@ -62,7 +62,7 @@ import (
 type config struct {
 	addr, register, advertise, sketchDir, gridDir, tenantQuotas, debugAddr string
 	workers, queue, cacheSize, solveWorkers, gridMB                        int
-	worker, shardDynamic, shardWeighted, shardSpeculate, logJSON           bool
+	worker, shardDynamic, logJSON                                          bool
 	drainTimeout, shardHeartbeat, sseHeartbeat                             time.Duration
 	shardWorkers                                                           []string
 	logLevel                                                               slog.Level
@@ -86,8 +86,6 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&shardWorkers, "shard-workers", "", "comma-separated worker base URLs seeding the shard registry; fan σ/π estimation out over them")
 	fs.BoolVar(&c.shardDynamic, "shard-dynamic", false, "accept dynamic worker registration on /v1/shard/register; registered workers heartbeat and drain gracefully (DESIGN.md §13)")
 	fs.DurationVar(&c.shardHeartbeat, "shard-heartbeat", 2*time.Second, "failure-detector timescale: the heartbeat cadence dictated to registered workers; any worker silent for 3 intervals is probed, and one out of rotation is re-probed at least that often")
-	fs.BoolVar(&c.shardWeighted, "shard-weighted", true, "size shard ranges proportionally to measured worker throughput")
-	fs.BoolVar(&c.shardSpeculate, "shard-speculate", true, "speculatively re-dispatch straggler shards to idle workers")
 	fs.StringVar(&c.sketchDir, "sketch-dir", "", "directory persisting RR sketch indexes across restarts (empty = memory only)")
 	fs.IntVar(&c.gridMB, "grid-cache-mb", 64, "in-memory sample-grid memoization cache bound in MiB (0 disables); shared across jobs, and by each -worker across estimate requests")
 	fs.StringVar(&c.gridDir, "grid-cache-dir", "", "directory spilling committed sample grids to disk (empty = memory only)")
@@ -161,14 +159,12 @@ func main() {
 			// -shard-workers entries seed the registry; registrations join
 			// it later — one lifecycle on one timescale (DESIGN.md §13)
 			pool = imdpp.NewShardPool(c.shardWorkers, nil)
-			pool.SetWeighted(c.shardWeighted)
-			pool.SetSpeculation(c.shardSpeculate)
 			pool.SetLogger(logger)
 			pool.SetHeartbeat(c.shardHeartbeat)
 			healthy := pool.Check(context.Background())
 			logger.Info("shard pool ready",
 				"healthy", healthy, "workers", pool.Size(),
-				"weighted", c.shardWeighted, "speculate", c.shardSpeculate, "dynamic", c.shardDynamic)
+				"dynamic", c.shardDynamic)
 			pool.StartHealthLoop()
 			cfg.Backend = imdpp.ShardBackend(pool)
 		}
@@ -571,8 +567,7 @@ func parseOrder(s string) (imdpp.OrderMetric, error) {
 
 func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	adaptive := false
@@ -817,8 +812,7 @@ func (d *daemon) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 
 func (d *daemon) handleSigma(w http.ResponseWriter, r *http.Request) {
 	var req sigmaRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	eps, delta, err := sketchParams(req.Epsilon, req.Delta)
@@ -893,6 +887,30 @@ type errorBody struct {
 	Status            imdpp.JobStatus `json:"status,omitempty"`
 	Tenant            string          `json:"tenant,omitempty"`
 	RetryAfterSeconds int             `json:"retry_after_seconds,omitempty"`
+}
+
+// maxRequestBody bounds a solve or sigma request body. 1 MiB holds any
+// seed list a sampled dataset can name, with room to spare.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, capped at maxRequestBody.
+// On failure it writes the typed error — 413 body_too_large past the
+// cap, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
+			Code:  "body_too_large",
+		})
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

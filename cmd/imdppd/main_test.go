@@ -203,7 +203,6 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 		{"unknown dataset", `{"dataset":"nope","budget":80,"t":3}`},
 		{"unknown algo", `{"dataset":"sample","budget":80,"t":3,"algo":"magic"}`},
 		{"unknown order", `{"dataset":"sample","budget":80,"t":3,"order":"XX"}`},
-		{"garbage body", `{"dataset":`},
 	}
 	for _, tc := range cases {
 		var errBody map[string]string
@@ -227,6 +226,34 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("cancel unknown job: status %d want 404", resp.StatusCode)
+	}
+}
+
+// TestDaemonBoundsRequestBodies: solve and sigma bodies are capped at
+// maxRequestBody — past it a typed 413, a malformed body a 400 — the
+// same on both routes.
+func TestDaemonBoundsRequestBodies(t *testing.T) {
+	_, srv := newTestDaemon(t)
+	// valid JSON up to the cap, so only its size can be refused
+	oversized := `{"dataset":"sample","pad":"` + strings.Repeat("x", maxRequestBody) + `"}`
+	cases := []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"oversized", oversized, http.StatusRequestEntityTooLarge, "body_too_large"},
+		{"malformed", `{"dataset":`, http.StatusBadRequest, ""},
+	}
+	for _, route := range []string{"/v1/solve", "/v1/sigma"} {
+		for _, tc := range cases {
+			var eb errorBody
+			if code := postJSON(t, srv.URL+route, tc.body, &eb); code != tc.status {
+				t.Errorf("%s %s: status %d want %d (%+v)", route, tc.name, code, tc.status, eb)
+			}
+			if eb.Error == "" || eb.Code != tc.code {
+				t.Errorf("%s %s: error body %+v, want code %q", route, tc.name, eb, tc.code)
+			}
+		}
 	}
 }
 

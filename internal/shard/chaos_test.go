@@ -74,7 +74,6 @@ func TestChaosKillMidSolve(t *testing.T) {
 	}
 
 	pool, _, proxy := newChaosFleet(t, 2, nil)
-	pool.SetWeighted(false) // every remote gets a range every batch
 
 	// the worker serves the upload and its first dispatches, then dies
 	// — a deterministic kill -9 point mid-solve
@@ -159,7 +158,6 @@ func TestChaosDrainMidSolve(t *testing.T) {
 	}
 	pool := NewPool(urls, nil)
 	t.Cleanup(pool.Close)
-	pool.SetWeighted(false)
 	victim := workers[2]
 
 	opt.Backend = Backend(pool)
@@ -198,7 +196,6 @@ func TestChaosRejoin(t *testing.T) {
 	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
 
 	pool, _, proxy := newChaosFleet(t, 1, nil)
-	pool.SetWeighted(false)
 	pool.probeBase = 5 * time.Millisecond
 	pool.deadAfter = 2
 	pool.probeCap = 50 * time.Millisecond
@@ -238,7 +235,6 @@ func TestChaosFlappingBreaker(t *testing.T) {
 	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
 
 	pool, _, proxy := newChaosFleet(t, 2, nil)
-	pool.SetWeighted(false)
 	pool.probeBase = 5 * time.Millisecond
 	pool.breakerTrip = 2
 	pool.breakerCooldown = time.Minute // hold it open past the test
@@ -287,7 +283,6 @@ func TestChaosFaultTable(t *testing.T) {
 				client = &http.Client{Timeout: 500 * time.Millisecond}
 			}
 			pool, _, proxy := newChaosFleet(t, 1, client)
-			pool.SetWeighted(false)
 			est := NewEstimator(pool, p, m, seed, 2)
 			requireSameEstimates(t, "warm "+mode.String(), want, est.RunBatch(groups, nil))
 			proxy.SetMode(mode)
@@ -317,7 +312,6 @@ func TestChaosDelayTriggersSpeculation(t *testing.T) {
 	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
 
 	pool, _, proxy := newChaosFleet(t, 1, nil)
-	pool.SetWeighted(false)
 	pool.specMin = 5 * time.Millisecond
 	pool.specTick = 2 * time.Millisecond
 	est := NewEstimator(pool, p, m, seed, 2)

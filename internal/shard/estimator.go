@@ -164,64 +164,14 @@ func (e *Estimator) MeanWeights(seeds []diffusion.Seed, users []int) []float64 {
 	return e.local.MeanWeights(seeds, users)
 }
 
-// shardAssign pairs a planned sample range with the remote preferred
-// to compute it.
-type shardAssign struct {
-	rg        Range
-	preferred int
-}
-
-// assignments plans the batch's sample ranges over the healthy
-// remotes. With weighted planning enabled and at least one measured
-// throughput EWMA, ranges are sized proportionally to each remote's
-// samples/sec (remotes without data yet get the mean of the measured
-// ones); otherwise the plan is the even static split. Either way the
-// ranges are contiguous in index order, so the §7 merge is untouched —
-// the plan moves work, never results.
-func (e *Estimator) assignments(remotes []*Remote) []shardAssign {
-	if e.pool.weighted.Load() && len(remotes) > 1 {
-		weights := make([]float64, len(remotes))
-		measured, sum := 0, 0.0
-		for i, r := range remotes {
-			w := r.EWMASamplesPerSec()
-			if w > 0 {
-				measured++
-				sum += w
-			}
-			weights[i] = w
-		}
-		if measured > 0 {
-			mean := sum / float64(measured)
-			for i, w := range weights {
-				if w <= 0 {
-					weights[i] = mean
-				}
-			}
-			ranges := PlanWeighted(e.m, weights)
-			out := make([]shardAssign, 0, len(ranges))
-			for i, rg := range ranges {
-				if rg.Span() > 0 {
-					out = append(out, shardAssign{rg: rg, preferred: i})
-				}
-			}
-			return out
-		}
-	}
-	ranges := Plan(e.m, len(remotes))
-	out := make([]shardAssign, len(ranges))
-	for i, rg := range ranges {
-		out[i] = shardAssign{rg: rg, preferred: i % len(remotes)}
-	}
-	return out
-}
-
 // shardState tracks one in-flight range: the first finisher (primary
 // dispatch, speculative duplicate, or local fallback) wins the CAS and
 // writes the grid; everyone else discards. cancel aborts the losers'
 // outstanding RPCs so stragglers stop burning worker time once their
 // range is settled.
 type shardState struct {
-	shardAssign
+	rg         Range
+	preferred  int // index into the batch's healthy remotes
 	done       atomic.Bool
 	speculated atomic.Bool
 	ctx        context.Context
@@ -271,12 +221,16 @@ func (e *Estimator) runBatch(groups [][]diffusion.Seed, market []bool, masks [][
 	batchSpan.SetAttrInt("samples", int64(e.m))
 	bctx := obs.ContextWithSpan(e.ctx, batchSpan)
 
-	assigns := e.assignments(remotes)
-	batchSpan.SetAttrInt("shards", int64(len(assigns)))
-	states := make([]*shardState, len(assigns))
-	for i, a := range assigns {
+	// the even split, range i preferring remote i: a fleet of a given
+	// size cuts the same [lo,hi) ranges every batch, so worker grid
+	// caches (§10) hit across solves; contiguous ranges leave the §7
+	// merge untouched
+	ranges := Plan(e.m, len(remotes))
+	batchSpan.SetAttrInt("shards", int64(len(ranges)))
+	states := make([]*shardState, len(ranges))
+	for i, rg := range ranges {
 		sctx, cancel := context.WithCancel(bctx)
-		states[i] = &shardState{shardAssign: a, ctx: sctx, cancel: cancel}
+		states[i] = &shardState{rg: rg, preferred: i, ctx: sctx, cancel: cancel}
 	}
 	defer func() {
 		for _, st := range states {
@@ -357,7 +311,7 @@ func (e *Estimator) runBatch(groups [][]diffusion.Seed, market []bool, masks [][
 	// by range identity, and the loser's RPC is cancelled. The monitor
 	// parks on allDone, so fast batches pay one channel-select, not a
 	// ticker tick.
-	if e.pool.speculate.Load() && len(remotes) > 1 && len(states) > 1 {
+	if len(remotes) > 1 && len(states) > 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

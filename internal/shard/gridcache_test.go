@@ -45,11 +45,9 @@ func newCachedFleet(t testing.TB, n int) (*Pool, []*Worker) {
 // TestShardedCachedSolveGolden pins the §10 acceptance bar across the
 // fleet sizes the §7 goldens use: with worker-side grid caches AND a
 // coordinator-side cache on the solve, cold and warm solves stay
-// bit-identical to the plain local solve under both planners. The
-// warm solve's worker grid hits are asserted under the static split
-// only: weighted planning re-sizes the [lo,hi) ranges as throughput
-// EWMAs move, so cross-solve worker reuse is best-effort there (§10),
-// as in TestShardedCachedBatchGolden.
+// bit-identical to the plain local solve, and the warm solve is served
+// in part from worker grid caches at every fleet size: the even split
+// cuts the same [lo,hi) keys on every solve.
 func TestShardedCachedSolveGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full solves; skipped under -short")
@@ -62,44 +60,41 @@ func TestShardedCachedSolveGolden(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 7} {
-		for _, weighted := range []bool{true, false} {
-			label := fmt.Sprintf("shards=%d weighted=%v", shards, weighted)
-			pool, workers := newCachedFleet(t, shards)
-			pool.SetWeighted(weighted)
-			cachedOpt := opt
-			cachedOpt.Backend = Backend(pool)
-			cachedOpt.GridCache = gridcache.New(gridcache.Config{
-				KeyFn: func(p *diffusion.Problem) string { return service.HashProblem(p).String() },
-			})
+		label := fmt.Sprintf("shards=%d", shards)
+		pool, workers := newCachedFleet(t, shards)
+		cachedOpt := opt
+		cachedOpt.Backend = Backend(pool)
+		cachedOpt.GridCache = gridcache.New(gridcache.Config{
+			KeyFn: func(p *diffusion.Problem) string { return service.HashProblem(p).String() },
+		})
 
-			for pass, name := range []string{"cold", "warm"} {
-				got, err := core.Solve(p, cachedOpt)
-				if err != nil {
-					t.Fatalf("%s %s: %v", label, name, err)
-				}
-				if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
-					t.Fatalf("%s %s: σ %v != local %v", label, name, got.Sigma, want.Sigma)
-				}
-				if len(want.Seeds) != len(got.Seeds) {
-					t.Fatalf("%s %s: %d seeds vs %d", label, name, len(got.Seeds), len(want.Seeds))
-				}
-				for i := range want.Seeds {
-					if want.Seeds[i] != got.Seeds[i] {
-						t.Fatalf("%s %s: seed %d differs: %+v vs %+v", label, name, i, got.Seeds[i], want.Seeds[i])
-					}
-				}
-				if pass == 1 && !weighted {
-					var hits uint64
-					for _, w := range workers {
-						if g := w.Stats().Grid; g != nil {
-							hits += g.Hits
-						}
-					}
-					if hits == 0 {
-						t.Fatalf("%s warm: worker grid caches served nothing", label)
-					}
+		var coldHits uint64
+		for pass, name := range []string{"cold", "warm"} {
+			got, err := core.Solve(p, cachedOpt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", label, name, err)
+			}
+			if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
+				t.Fatalf("%s %s: σ %v != local %v", label, name, got.Sigma, want.Sigma)
+			}
+			if len(want.Seeds) != len(got.Seeds) {
+				t.Fatalf("%s %s: %d seeds vs %d", label, name, len(got.Seeds), len(want.Seeds))
+			}
+			for i := range want.Seeds {
+				if want.Seeds[i] != got.Seeds[i] {
+					t.Fatalf("%s %s: seed %d differs: %+v vs %+v", label, name, i, got.Seeds[i], want.Seeds[i])
 				}
 			}
+			var hits uint64
+			for _, w := range workers {
+				if g := w.Stats().Grid; g != nil {
+					hits += g.Hits
+				}
+			}
+			if pass == 1 && hits == coldHits {
+				t.Fatalf("%s warm: worker grid caches served nothing", label)
+			}
+			coldHits = hits
 		}
 	}
 }
@@ -115,11 +110,6 @@ func TestShardedCachedBatchGolden(t *testing.T) {
 	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
 
 	pool, workers := newCachedFleet(t, 2)
-	// static split: weighted planning re-sizes ranges as throughput
-	// EWMAs move, which changes the [lo,hi) key coordinates between
-	// batches — grids are still reused within a batch (CELF waves) but
-	// cross-batch reuse needs stable ranges (see WorkerConfig.Grid)
-	pool.SetWeighted(false)
 	est := NewEstimator(pool, p, m, seed, 2)
 	requireSameEstimates(t, "cold", want, est.RunBatch(groups, nil))
 	requireSameEstimates(t, "warm", want, est.RunBatch(groups, nil))

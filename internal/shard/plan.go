@@ -1,10 +1,5 @@
 package shard
 
-import (
-	"math"
-	"sort"
-)
-
 // Range is one shard's half-open global sample interval [Lo, Hi).
 type Range struct {
 	Lo, Hi int
@@ -39,68 +34,6 @@ func Plan(m, shards int) []Range {
 		if i < extra {
 			span++
 		}
-		out[i] = Range{Lo: lo, Hi: lo + span}
-		lo += span
-	}
-	return out
-}
-
-// PlanWeighted partitions the global sample indices 0..m-1 into
-// len(weights) contiguous ranges whose spans are proportional to the
-// weights — the throughput-proportional planner: weight i is worker
-// i's measured samples/sec, so every worker finishes its range at
-// about the same time instead of the fleet waiting on the slowest.
-//
-// Unlike Plan it preserves positional alignment: out[i] is worker i's
-// range and may be empty (Span 0) when its weight rounds to nothing —
-// callers skip empty ranges rather than dispatch them. Spans follow
-// the largest-remainder method with index order as the tie-break, so
-// the plan is a deterministic function of (m, weights). Non-finite or
-// negative weights count as zero; if every weight is zero the plan
-// degenerates to Plan's even split. Contiguity (and therefore the §7
-// merge order) is preserved by construction: concatenating the ranges
-// in index order covers [0, m) exactly.
-func PlanWeighted(m int, weights []float64) []Range {
-	n := len(weights)
-	if m <= 0 || n == 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	sum := 0.0
-	for i, v := range weights {
-		if v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v) {
-			w[i] = v
-			sum += v
-		}
-	}
-	if sum <= 0 {
-		for i := range w {
-			w[i] = 1
-		}
-		sum = float64(n)
-	}
-	spans := make([]int, n)
-	fracs := make([]float64, n)
-	assigned := 0
-	for i := range w {
-		exact := float64(m) * w[i] / sum
-		spans[i] = int(exact)
-		fracs[i] = exact - float64(spans[i])
-		assigned += spans[i]
-	}
-	// distribute the rounding remainder by largest fractional part,
-	// ties broken by lower index — deterministic for equal weights
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return fracs[order[a]] > fracs[order[b]] })
-	for r := 0; r < m-assigned; r++ {
-		spans[order[r%n]]++
-	}
-	out := make([]Range, n)
-	lo := 0
-	for i, span := range spans {
 		out[i] = Range{Lo: lo, Hi: lo + span}
 		lo += span
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -21,8 +20,8 @@ import (
 )
 
 // Pool is the coordinator-side worker registry: the set of remote
-// estimator workers, their health and measured throughput, which
-// problems each has been sent, and the dispatch/retry/failover logic.
+// estimator workers, their health, which problems each has been sent,
+// and the dispatch/retry/failover logic.
 // All methods are safe for concurrent use.
 //
 // Failure handling leans entirely on determinism: a shard is a pure
@@ -56,12 +55,6 @@ type Pool struct {
 
 	heartbeats atomic.Uint64
 	rejoins    atomic.Uint64
-
-	// weighted enables throughput-proportional planning, speculate the
-	// straggler re-dispatch; both default true and are result-invariant
-	// (§7), so flipping them is an ops decision, not a correctness one.
-	weighted  atomic.Bool
-	speculate atomic.Bool
 
 	// Straggler detection knobs (fixed after NewPool except in tests):
 	// a shard is a straggler once its elapsed time exceeds
@@ -107,8 +100,7 @@ type Remote struct {
 
 	shards   atomic.Uint64
 	failures atomic.Uint64
-	inflight atomic.Int32  // shard RPCs currently outstanding
-	ewmaBits atomic.Uint64 // float64 bits of the samples/sec EWMA (0 = no data)
+	inflight atomic.Int32 // shard RPCs currently outstanding
 }
 
 // URL returns the worker's base URL.
@@ -142,39 +134,6 @@ func (r *Remote) setProblem(key service.Key, known bool) {
 	r.mu.Unlock()
 }
 
-// ewmaAlpha weights the newest shard's observed rate; ~0.3 reacts to
-// real speed changes within a few shards without thrashing the plan on
-// one noisy measurement.
-const ewmaAlpha = 0.3
-
-// observeRate folds one completed shard's throughput into the remote's
-// samples/sec EWMA.
-func (r *Remote) observeRate(samples int, elapsed time.Duration) {
-	if samples <= 0 || elapsed <= 0 {
-		return
-	}
-	rate := float64(samples) / elapsed.Seconds()
-	if math.IsInf(rate, 0) || math.IsNaN(rate) {
-		return
-	}
-	for {
-		oldBits := r.ewmaBits.Load()
-		next := rate
-		if oldBits != 0 {
-			next = ewmaAlpha*rate + (1-ewmaAlpha)*math.Float64frombits(oldBits)
-		}
-		if r.ewmaBits.CompareAndSwap(oldBits, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// EWMASamplesPerSec returns the remote's measured throughput EWMA, or
-// 0 when no shard has completed on it yet.
-func (r *Remote) EWMASamplesPerSec() float64 {
-	return math.Float64frombits(r.ewmaBits.Load())
-}
-
 // NewPool seeds the registry with the workers at the given base URLs
 // (e.g. "http://10.0.0.7:8081") through Register's insert path:
 // normalized, deduplicated, bounded by maxRemotes; malformed URLs are
@@ -184,10 +143,9 @@ func (r *Remote) EWMASamplesPerSec() float64 {
 // Check once at startup to verify the fleet, and StartHealthLoop for
 // continuous failure detection.
 //
-// The pool speaks the binary frame wire (DESIGN.md §8) and defaults to
-// throughput-weighted planning and speculative straggler re-dispatch —
-// both result-invariant (§7/§8); SetWeighted and SetSpeculation opt
-// out.
+// The pool speaks the binary frame wire (DESIGN.md §8), splits each
+// batch evenly over the healthy workers (Plan) and speculatively
+// re-dispatches stragglers — both result-invariant (§7/§8).
 //
 // client nil selects a default with a 10-minute per-request ceiling —
 // a liveness guard so a worker that accepts a shard and then hangs
@@ -218,8 +176,6 @@ func NewPool(urls []string, client *http.Client) *Pool {
 		logger:  slog.New(slog.DiscardHandler),
 	}
 	p.loopCtx, p.loopStop = context.WithCancel(context.Background())
-	p.weighted.Store(true)
-	p.speculate.Store(true)
 	p.SetHeartbeat(2 * time.Second)
 	for _, raw := range urls {
 		if u, err := normalizeWorkerURL(raw); err == nil {
@@ -255,12 +211,6 @@ func (p *Pool) SetLogger(l *slog.Logger) {
 
 // RPCLatency snapshots the shard-RPC latency histogram.
 func (p *Pool) RPCLatency() obs.HistStats { return p.rpcHist.Stats() }
-
-// SetWeighted toggles throughput-proportional shard planning.
-func (p *Pool) SetWeighted(on bool) { p.weighted.Store(on) }
-
-// SetSpeculation toggles speculative straggler re-dispatch.
-func (p *Pool) SetSpeculation(on bool) { p.speculate.Store(on) }
 
 // Size returns the number of registry entries.
 func (p *Pool) Size() int {
@@ -359,11 +309,8 @@ type RemoteStats struct {
 	BreakerOpen bool   `json:"breaker_open,omitempty"`
 	LastErr     string `json:"last_err,omitempty"`
 	Shards      uint64 `json:"shards"`
-	// EWMASamplesPerSec is the measured per-worker throughput the
-	// weighted planner sizes ranges by; 0 until a shard completes.
-	EWMASamplesPerSec float64 `json:"ewma_samples_per_sec"`
-	Failures          uint64  `json:"failures"`
-	Problems          int     `json:"problems"`
+	Failures    uint64 `json:"failures"`
+	Problems    int    `json:"problems"`
 }
 
 // FleetStats aggregates the lifecycle registry (DESIGN.md §13): the
@@ -389,13 +336,8 @@ type FleetStats struct {
 // under /metrics ("worker-pool depth": Workers in the registry,
 // Healthy in rotation).
 type PoolStats struct {
-	Workers int `json:"workers"`
-	Healthy int `json:"healthy"`
-	// Weighted/Speculation echo the pool's configuration so a metrics
-	// scrape (and the bench trajectory built from it) records which
-	// planning mode produced the numbers.
-	Weighted        bool          `json:"weighted"`
-	Speculation     bool          `json:"speculation"`
+	Workers         int           `json:"workers"`
+	Healthy         int           `json:"healthy"`
 	Redispatches    uint64        `json:"redispatches"`
 	LocalFallbacks  uint64        `json:"local_fallbacks"`
 	SpeculativeHits uint64        `json:"speculative_hits"`
@@ -412,8 +354,6 @@ func (p *Pool) Snapshot() PoolStats {
 	p.mu.Unlock()
 	st := PoolStats{
 		Workers:         len(remotes),
-		Weighted:        p.weighted.Load(),
-		Speculation:     p.speculate.Load(),
 		Redispatches:    p.redispatches.Load(),
 		LocalFallbacks:  p.localFallbacks.Load(),
 		SpeculativeHits: p.speculativeHits.Load(),
@@ -452,7 +392,6 @@ func (p *Pool) Snapshot() PoolStats {
 		}
 		rs.Shards = r.shards.Load()
 		rs.Failures = r.failures.Load()
-		rs.EWMASamplesPerSec = r.EWMASamplesPerSec()
 		if rs.Healthy {
 			st.Healthy++
 		}
@@ -624,8 +563,7 @@ func (p *Pool) ensureProblem(ctx context.Context, r *Remote, blob *ProblemBlob) 
 }
 
 // estimateOn runs one shard request on one worker, handling the
-// lazy-upload and evicted/restarted-worker (unknown_problem) paths,
-// and folds the observed throughput into the remote's EWMA.
+// lazy-upload and evicted/restarted-worker (unknown_problem) paths.
 func (p *Pool) estimateOn(ctx context.Context, r *Remote, blob *ProblemBlob, req *EstimateRequest) (*EstimateResponse, error) {
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
@@ -664,7 +602,6 @@ func (p *Pool) estimateOn(ctx context.Context, r *Remote, blob *ProblemBlob, req
 			r.dispatchOK()
 			p.rpcHist.Observe(time.Since(start))
 			sp.Adopt(resp.Spans)
-			r.observeRate(len(req.Groups)*(req.Hi-req.Lo), time.Since(start))
 			return &resp, nil
 		}
 		var se *shardError

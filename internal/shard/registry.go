@@ -34,8 +34,8 @@ type WorkerCaps struct {
 	// coordinator's frameVersion.
 	CodecVersion int `json:"codec_version"`
 	// Capacity is a concurrency hint (typically GOMAXPROCS), surfaced
-	// in /metrics for operators; the throughput-weighted planner still
-	// sizes ranges by measured EWMA, not by this claim.
+	// in /metrics for operators; planning ignores it — every healthy
+	// worker gets an even share.
 	Capacity int `json:"capacity"`
 }
 

@@ -106,37 +106,36 @@ func requireSameEstimates(t *testing.T, label string, want, got []diffusion.Esti
 }
 
 func TestPlan(t *testing.T) {
-	cases := []struct{ m, shards, want int }{
-		{10, 1, 1}, {10, 2, 2}, {10, 7, 7}, {3, 7, 3}, {1, 4, 1}, {0, 3, 0},
+	// spans pins the split exactly: as even as possible, the first
+	// m%shards ranges one sample longer, never an empty range
+	cases := []struct {
+		m, shards int
+		spans     []int
+	}{
+		{10, 1, []int{10}},
+		{10, 2, []int{5, 5}},
+		{10, 3, []int{4, 3, 3}},             // remainder on the leading ranges
+		{13, 7, []int{2, 2, 2, 2, 2, 2, 1}}, // remainder spread one apiece
+		{10, 7, []int{2, 2, 2, 1, 1, 1, 1}},
+		{3, 7, []int{1, 1, 1}}, // m < shards: fewer, one-sample ranges
+		{1, 4, []int{1}},
+		{5, 0, []int{5}}, // shards < 1 means one range
+		{0, 3, nil},
 	}
 	for _, c := range cases {
 		ranges := Plan(c.m, c.shards)
-		if len(ranges) != c.want {
-			t.Fatalf("Plan(%d,%d) returned %d ranges, want %d", c.m, c.shards, len(ranges), c.want)
+		if len(ranges) != len(c.spans) {
+			t.Fatalf("Plan(%d,%d) returned %d ranges, want %d", c.m, c.shards, len(ranges), len(c.spans))
 		}
 		next := 0
-		for _, r := range ranges {
-			if r.Lo != next || r.Hi <= r.Lo {
-				t.Fatalf("Plan(%d,%d): range %+v breaks contiguity at %d", c.m, c.shards, r, next)
+		for i, r := range ranges {
+			if r.Lo != next || r.Span() != c.spans[i] {
+				t.Fatalf("Plan(%d,%d) = %+v, want contiguous spans %v", c.m, c.shards, ranges, c.spans)
 			}
 			next = r.Hi
 		}
-		if c.m > 0 && next != c.m {
+		if next != c.m {
 			t.Fatalf("Plan(%d,%d) covers [0,%d), want [0,%d)", c.m, c.shards, next, c.m)
-		}
-		// even split: spans differ by at most one
-		if len(ranges) > 0 {
-			minS, maxS := ranges[0].Span(), ranges[0].Span()
-			for _, r := range ranges {
-				if s := r.Span(); s < minS {
-					minS = s
-				} else if s > maxS {
-					maxS = s
-				}
-			}
-			if maxS-minS > 1 {
-				t.Fatalf("Plan(%d,%d) uneven spans %d..%d", c.m, c.shards, minS, maxS)
-			}
 		}
 	}
 }
@@ -160,9 +159,7 @@ func TestProblemCodecRoundTrip(t *testing.T) {
 }
 
 // TestShardedBitIdenticalGolden is the acceptance pin: sharded σ/π
-// over 1, 2 and 7 workers is bit-for-bit the single-process result in
-// both planning (static, weighted) modes. The weighted passes run a warm-up batch first so the remotes hold real
-// throughput EWMAs and the proportional planner actually engages.
+// over 1, 2 and 7 workers is bit-for-bit the single-process result.
 func TestShardedBitIdenticalGolden(t *testing.T) {
 	p := sampleProblem(t, 120, 3)
 	groups := groupsFor(p)
@@ -176,35 +173,19 @@ func TestShardedBitIdenticalGolden(t *testing.T) {
 	withPi := localEst.RunBatchPi(groups, mask)
 	masked := localEst.RunBatchMasked(groups, [][]bool{mask, nil, mask, nil}, true)
 
-	for _, weighted := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 7} {
-			pool, _, _ := newFleet(t, shards)
-			pool.SetWeighted(weighted)
-			est := NewEstimator(pool, p, m, seed, 2)
-			label := fmt.Sprintf("weighted=%v shards=%d", weighted, shards)
-			if weighted {
-				// warm the throughput EWMAs so the weighted plan departs
-				// from the static split
-				est.RunBatch(groups, nil)
-			}
-			requireSameEstimates(t, label+" RunBatch", plain, est.RunBatch(groups, nil))
-			requireSameEstimates(t, label+" RunBatchPi", withPi, est.RunBatchPi(groups, mask))
-			requireSameEstimates(t, label+" RunBatchMasked", masked, est.RunBatchMasked(groups, [][]bool{mask, nil, mask, nil}, true))
-			st := pool.Snapshot()
-			if st.Healthy != shards || st.LocalFallbacks != 0 {
-				t.Fatalf("%s: pool snapshot %+v expected all-healthy, no fallback", label, st)
-			}
-			if st.Weighted != weighted {
-				t.Fatalf("%s: snapshot reports weighted=%v", label, st.Weighted)
-			}
-			if st.BytesTx == 0 || st.BytesRx == 0 {
-				t.Fatalf("%s: wire byte counters empty: %+v", label, st)
-			}
-			for _, rs := range st.Remotes {
-				if rs.Shards > 0 && rs.EWMASamplesPerSec <= 0 {
-					t.Fatalf("%s: remote %s served %d shards but reports no throughput EWMA", label, rs.URL, rs.Shards)
-				}
-			}
+	for _, shards := range []int{1, 2, 7} {
+		pool, _, _ := newFleet(t, shards)
+		est := NewEstimator(pool, p, m, seed, 2)
+		label := fmt.Sprintf("shards=%d", shards)
+		requireSameEstimates(t, label+" RunBatch", plain, est.RunBatch(groups, nil))
+		requireSameEstimates(t, label+" RunBatchPi", withPi, est.RunBatchPi(groups, mask))
+		requireSameEstimates(t, label+" RunBatchMasked", masked, est.RunBatchMasked(groups, [][]bool{mask, nil, mask, nil}, true))
+		st := pool.Snapshot()
+		if st.Healthy != shards || st.LocalFallbacks != 0 {
+			t.Fatalf("%s: pool snapshot %+v expected all-healthy, no fallback", label, st)
+		}
+		if st.BytesTx == 0 || st.BytesRx == 0 {
+			t.Fatalf("%s: wire byte counters empty: %+v", label, st)
 		}
 	}
 }
@@ -249,7 +230,6 @@ func TestSpeculativeRedispatch(t *testing.T) {
 
 	pool := NewPool([]string{fast.URL, slow.URL}, nil)
 	t.Cleanup(pool.Close)
-	pool.SetWeighted(false) // keep both ranges non-empty regardless of EWMAs
 	pool.specMin = 5 * time.Millisecond
 	pool.specTick = 2 * time.Millisecond
 
@@ -273,60 +253,9 @@ func TestSpeculativeRedispatch(t *testing.T) {
 	}
 }
 
-func TestPlanWeighted(t *testing.T) {
-	cases := []struct {
-		m       int
-		weights []float64
-	}{
-		{10, []float64{1, 1}},
-		{10, []float64{3, 1}},
-		{7, []float64{1, 2, 4}},
-		{3, []float64{5, 1, 1, 1, 1}},
-		{1, []float64{0.5, 0.5}},
-		{100, []float64{1000, 1}},
-		{5, []float64{0, 0, 0}},                    // all-unknown → even
-		{5, []float64{math.NaN(), math.Inf(1), 2}}, // garbage weights ignored
-		{64, []float64{1.5, 2.5, 3.5, 0.5}},
-	}
-	for _, c := range cases {
-		ranges := PlanWeighted(c.m, c.weights)
-		if len(ranges) != len(c.weights) {
-			t.Fatalf("PlanWeighted(%d,%v): %d ranges, want %d", c.m, c.weights, len(ranges), len(c.weights))
-		}
-		next, total := 0, 0
-		for _, r := range ranges {
-			if r.Lo != next || r.Hi < r.Lo {
-				t.Fatalf("PlanWeighted(%d,%v): range %+v breaks contiguity at %d", c.m, c.weights, r, next)
-			}
-			next = r.Hi
-			total += r.Span()
-		}
-		if total != c.m || next != c.m {
-			t.Fatalf("PlanWeighted(%d,%v) covers %d samples, want %d", c.m, c.weights, total, c.m)
-		}
-		// determinism: the same inputs replan identically
-		again := PlanWeighted(c.m, c.weights)
-		for i := range ranges {
-			if ranges[i] != again[i] {
-				t.Fatalf("PlanWeighted(%d,%v) not deterministic: %+v vs %+v", c.m, c.weights, ranges[i], again[i])
-			}
-		}
-	}
-	// proportionality: a 3:1 split of 100 samples lands on 75/25
-	r := PlanWeighted(100, []float64{3, 1})
-	if r[0].Span() != 75 || r[1].Span() != 25 {
-		t.Fatalf("PlanWeighted(100,[3 1]) spans %d/%d, want 75/25", r[0].Span(), r[1].Span())
-	}
-	// a starved weight may get zero samples — and callers skip it
-	r = PlanWeighted(2, []float64{1000, 1000, 1})
-	if r[2].Span() != 0 {
-		t.Fatalf("PlanWeighted(2,[1000 1000 1]) gave the starved worker %d samples", r[2].Span())
-	}
-}
-
 // TestShardedSolveGolden runs the full Dysim pipeline over sharded
-// backends in both planning modes and across 1/2/7 workers, pinning
-// each Solution against the plain in-process solve.
+// backends across 1/2/7 workers, pinning each Solution against the
+// plain in-process solve.
 func TestShardedSolveGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full solve; skipped under -short")
@@ -338,34 +267,31 @@ func TestShardedSolveGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, weighted := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 7} {
-			label := fmt.Sprintf("weighted=%v shards=%d", weighted, shards)
-			pool, workers, _ := newFleet(t, shards)
-			pool.SetWeighted(weighted)
-			opt.Backend = Backend(pool)
-			got, err := core.Solve(p, opt)
-			if err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{1, 2, 7} {
+		label := fmt.Sprintf("shards=%d", shards)
+		pool, workers, _ := newFleet(t, shards)
+		opt.Backend = Backend(pool)
+		got, err := core.Solve(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
+			t.Fatalf("%s: sharded solve σ %v != local %v", label, got.Sigma, want.Sigma)
+		}
+		if len(want.Seeds) != len(got.Seeds) {
+			t.Fatalf("%s: seed counts differ: %d vs %d", label, len(got.Seeds), len(want.Seeds))
+		}
+		for i := range want.Seeds {
+			if want.Seeds[i] != got.Seeds[i] {
+				t.Fatalf("%s: seed %d differs: %+v vs %+v", label, i, got.Seeds[i], want.Seeds[i])
 			}
-			if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
-				t.Fatalf("%s: sharded solve σ %v != local %v", label, got.Sigma, want.Sigma)
-			}
-			if len(want.Seeds) != len(got.Seeds) {
-				t.Fatalf("%s: seed counts differ: %d vs %d", label, len(got.Seeds), len(want.Seeds))
-			}
-			for i := range want.Seeds {
-				if want.Seeds[i] != got.Seeds[i] {
-					t.Fatalf("%s: seed %d differs: %+v vs %+v", label, i, got.Seeds[i], want.Seeds[i])
-				}
-			}
-			var served uint64
-			for _, w := range workers {
-				served += w.Stats().ShardsServed
-			}
-			if served == 0 {
-				t.Fatalf("%s: no shards reached the workers — the solve ran locally", label)
-			}
+		}
+		var served uint64
+		for _, w := range workers {
+			served += w.Stats().ShardsServed
+		}
+		if served == 0 {
+			t.Fatalf("%s: no shards reached the workers — the solve ran locally", label)
 		}
 	}
 }

@@ -39,11 +39,9 @@ type WorkerConfig struct {
 	// range, group) coordinates are served from the cache instead of
 	// re-simulated, bit-identically. Workers host their own instance —
 	// grids are cached where they are computed, never shipped warm.
-	// Note the key includes the sample range [lo,hi): under the pool's
-	// default throughput-weighted planning, ranges drift with the EWMAs
-	// between batches, so cross-batch reuse is best with the static
-	// split (Pool.SetWeighted(false)); within-batch reuse (repeated
-	// CELF waves, coordinator re-dispatch) is unaffected.
+	// The key includes the sample range [lo,hi); the pool's even split
+	// cuts the same ranges for a fleet of a given size, so reuse also
+	// spans batches and solves.
 	Grid *gridcache.Cache
 	// Tracer, when non-nil, lets the worker join traced estimate
 	// requests (DESIGN.md §11): its spans are recorded locally and

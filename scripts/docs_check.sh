@@ -11,6 +11,8 @@
 #      matching `## §N ` heading in DESIGN.md
 #   3. every HTTP route registered in cmd/imdppd
 #      (`HandleFunc("METHOD /path")`) appears in README.md
+#   4. every fuzz target (`func Fuzz*` in a _test.go file) is run by
+#      the Makefile `fuzz` target
 #
 # Usage:
 #   scripts/docs_check.sh              # lint the working tree
@@ -22,7 +24,7 @@ set -u
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 
 check_tree() {
-	local root=$1 fail=0 dir pkg doc first n ref route
+	local root=$1 fail=0 dir pkg doc first n ref route fuzz target
 
 	# 1. package docs
 	for dir in "$root"/internal/*/; do
@@ -63,6 +65,19 @@ check_tree() {
 	done <<-ROUTES
 		$(grep -hoE 'HandleFunc\("[A-Z]+ [^"]+"' "$root"/cmd/imdppd/*.go 2>/dev/null | sed -E 's/HandleFunc\("([^"]+)"/\1/' | sort -u)
 	ROUTES
+
+	# 4. fuzz targets wired into `make fuzz` (its recipe is the tab-led
+	# block under the `fuzz:` rule)
+	target=$(awk '/^fuzz:/ { on = 1; next } on && /^\t/ { print; next } on { exit }' "$root/Makefile" 2>/dev/null)
+	while IFS= read -r fuzz; do
+		[ -z "$fuzz" ] && continue
+		if ! grep -qF "'^$fuzz\$\$'" <<<"$target"; then
+			echo "docs-check: Makefile: the fuzz target never runs $fuzz" >&2
+			fail=1
+		fi
+	done <<-FUZZ
+		$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' "$root" 2>/dev/null | sed 's/^func //' | sort -u)
+	FUZZ
 
 	return $fail
 }
@@ -107,7 +122,14 @@ self_test() {
 		return 1
 	fi
 
-	echo "docs-check self-test: ok (clean tree passes; 3 deliberate breaks detected)"
+	copy
+	sed -i '/FuzzDecodeRowsBinary/d' "$tmp/tree/Makefile"
+	if check_tree "$tmp/tree" >/dev/null 2>&1; then
+		echo "docs-check self-test: FAIL — dropping FuzzDecodeRowsBinary from 'make fuzz' went undetected" >&2
+		return 1
+	fi
+
+	echo "docs-check self-test: ok (clean tree passes; 4 deliberate breaks detected)"
 	return 0
 }
 
