@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench fmt fmt-check vet lint smoke serve-smoke load-smoke shard-smoke fleet-smoke sketch-smoke gridcache-smoke docs-check bench-diff fuzz
+.PHONY: all build test race bench fmt fmt-check vet lint smoke serve-smoke load-smoke shard-smoke fleet-smoke sketch-smoke gridcache-smoke docs-check inline-check bench-diff fuzz
 
 all: build test
 
@@ -99,6 +99,13 @@ gridcache-smoke:
 docs-check:
 	./scripts/docs_check.sh
 	./scripts/docs_check.sh --self-test
+
+# Inlining guard (DESIGN.md §3): rng.(*Rand).Uint64 and Bernoulli
+# inline, and so does every Bernoulli call in the diffusion engine and
+# the RR-sketch sampler. --self-test proves the gate can fail.
+inline-check:
+	./scripts/inline_check.sh
+	./scripts/inline_check.sh --self-test
 
 # Perf-trajectory diff: warn (fail-soft) when the freshest
 # samples_per_sec in a bench record dropped >10% against the previous

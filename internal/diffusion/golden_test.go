@@ -82,3 +82,41 @@ func TestRunBatchSigmaGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBatchSigmaGoldenStatic pins the same estimate under
+// Params.Static, whose association loop has its own branch for users
+// that already adopted (cached init relevance, adoption checks kept).
+// As in TestRunBatchSigmaGolden, a moved bit is a §3 contract break.
+func TestRunBatchSigmaGoldenStatic(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bit patterns captured on amd64; see TestRunBatchSigmaGolden")
+	}
+	p := goldenProblem(t)
+	p.Params.Static = true
+	e := NewEstimator(p, 48, 0xD1CE)
+	groups := [][]Seed{
+		{{User: 0, Item: 0, T: 1}},
+		{{User: 1, Item: 2, T: 1}, {User: 5, Item: 1, T: 2}, {User: 9, Item: 3, T: 3}},
+		{{User: 3, Item: 3, T: 2}, {User: 3, Item: 0, T: 1}},
+	}
+	wantSigma := []uint64{
+		0x40321aaaaaaaaaaa, // 18.104166666666664
+		0x4042915555555555, // 37.135416666666664
+		0x403e8d5555555555, // 30.552083333333332
+	}
+	wantAdopt := []uint64{
+		0x4035a00000000000, // 21.625
+		0x40408d5555555555, // 33.104166666666664
+		0x403e200000000000, // 30.125
+	}
+	for gi, est := range e.RunBatch(groups, nil) {
+		if math.Float64bits(est.Sigma) != wantSigma[gi] {
+			t.Errorf("group %d: σ = %v (bits %#016x), want bits %#016x",
+				gi, est.Sigma, math.Float64bits(est.Sigma), wantSigma[gi])
+		}
+		if math.Float64bits(est.Adoptions) != wantAdopt[gi] {
+			t.Errorf("group %d: adoptions = %v (bits %#016x), want bits %#016x",
+				gi, est.Adoptions, math.Float64bits(est.Adoptions), wantAdopt[gi])
+		}
+	}
+}

@@ -93,37 +93,57 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 		// Item associations (Sec. V-A(4)): being promoted x may trigger
 		// extra adoptions of relevant items regardless of the purchase
 		// decision on x itself (footnote 9).
-		if p.Params.Chi > 0 {
-			base := p.Params.Chi * pact * prefX
-			if base > 0 {
-				row := p.PIN.Row(x)
-				if p.Params.Static || !st.dirty[u] {
-					// u's weights are still InitWeights (Reset leaves
-					// clean rows initial; Static freezes them): the
-					// cached init relevance is bit-identical to the
-					// weighted evaluation, so the RNG stream advances
-					// exactly as it would on the slow path
-					init := p.PIN.InitRow(x)
-					for j := range row {
-						if st.Adopted(u, int(row[j].Y)) {
-							continue
-						}
-						if rc := init[j].RC; rc > 0 && st.rngv.Bernoulli(base*rc) {
-							st.adopt(u, int(row[j].Y), t, step, TriggerAssociation, market, res)
-						}
-					}
-				} else {
-					w := st.Weights(u)
-					for _, pr := range row {
-						if st.Adopted(u, int(pr.Y)) {
-							continue
-						}
-						rc, _ := p.PIN.EvalContribs(w, pr.Contribs)
-						if rc > 0 && st.rngv.Bernoulli(base*rc) {
-							st.adopt(u, int(pr.Y), t, step, TriggerAssociation, market, res)
-						}
-					}
+		base := p.Params.Chi * pact * prefX
+		if !(p.Params.Chi > 0 && base > 0) {
+			continue
+		}
+		// The three branches below draw the same coins in the same
+		// order (one per row entry not yet adopted by u); they differ
+		// only in how they skip adopted entries and find rC.
+		row := p.PIN.Row(x)
+		if !st.dirty[u] {
+			// Clean user: no adoption this sample, so u's adoption row
+			// is nil and u's weights are InitWeights (the cached init
+			// relevance is bit-identical to EvalContribs). PIN rows are
+			// strictly ascending in Y with no entry for x, so no entry
+			// can be adopted before its own coin is drawn: the Adopted
+			// checks would all be false and are dropped.
+			init := p.PIN.InitRow(x)
+			for j := range row {
+				if rc := init[j].RC; rc > 0 && st.rngv.Bernoulli(base*rc) {
+					st.adopt(u, int(row[j].Y), t, step, TriggerAssociation, market, res)
 				}
+			}
+			continue
+		}
+		// Dirty user: the adoption row is non-nil and is not
+		// reallocated within a sample, so it is read once and still
+		// sees adoptions made by this loop.
+		arow := st.adopted[u]
+		if p.Params.Static {
+			// Static freezes u's weights at InitWeights: the cached init
+			// relevance still holds.
+			init := p.PIN.InitRow(x)
+			for j := range row {
+				y := uint(row[j].Y)
+				if arow[y/64]&(1<<(y%64)) != 0 {
+					continue
+				}
+				if rc := init[j].RC; rc > 0 && st.rngv.Bernoulli(base*rc) {
+					st.adopt(u, int(y), t, step, TriggerAssociation, market, res)
+				}
+			}
+			continue
+		}
+		w := st.Weights(u)
+		for _, pr := range row {
+			y := uint(pr.Y)
+			if arow[y/64]&(1<<(y%64)) != 0 {
+				continue
+			}
+			rc, _ := p.PIN.EvalContribs(w, pr.Contribs)
+			if rc > 0 && st.rngv.Bernoulli(base*rc) {
+				st.adopt(u, int(y), t, step, TriggerAssociation, market, res)
 			}
 		}
 	}
@@ -167,16 +187,7 @@ func (st *State) endOfStep() {
 		return
 	}
 	for _, u := range st.stepUsers {
-		newItems := st.stepItems[u]
-		ints := st.intBuf[:0]
-		for _, it := range newItems {
-			ints = append(ints, int(it))
-		}
-		st.intBuf = ints
-		w := st.Weights(int(u))
-		st.p.PIN.UpdateWeights(w, ints, func(item int) bool {
-			return st.Adopted(int(u), item)
-		}, st.p.Params.Eta)
+		st.p.PIN.UpdateWeights(st.Weights(int(u)), st.stepItems[u], st.adopted[u], st.p.Params.Eta)
 		st.recomputePref(int(u))
 	}
 	clearStep(st)

@@ -52,7 +52,6 @@ type State struct {
 	stepItems [][]int32
 	stepUsers []int32
 	byPromo   [][]Seed // per-promotion seed partition, reused across samples
-	intBuf    []int    // reusable buffer for endOfStep's new-item lists
 
 	// trace hook for case studies; nil on the hot path.
 	OnAdopt func(user, item, promo, step int, trigger AdoptTrigger)
@@ -202,10 +201,7 @@ func (st *State) ForceAdopt(u, x int) {
 	if st.p.Params.Static {
 		return
 	}
-	w := st.Weights(u)
-	st.p.PIN.UpdateWeights(w, []int{x}, func(item int) bool {
-		return st.Adopted(u, item)
-	}, st.p.Params.Eta)
+	st.p.PIN.UpdateWeights(st.Weights(u), []int32{int32(x)}, st.adopted[u], st.p.Params.Eta)
 	st.recomputePref(u)
 }
 
@@ -360,6 +356,5 @@ func (st *State) MemoryFootprint() uint64 {
 		b += uint64(cap(l)) * 4
 	}
 	b += uint64(cap(st.stepUsers)) * 4
-	b += uint64(cap(st.intBuf)) * 8
 	return b
 }

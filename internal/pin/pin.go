@@ -278,13 +278,15 @@ func (m *Model) RelStatic(x, y int) (rc, rs float64) {
 
 // SupportOf returns Σ_{b ∈ adopted, b≠a} s(a,b|m) for meta-graph mi —
 // how well meta-graph mi explains co-adoption of a with the already
-// adopted items. adopted is a callback to avoid coupling to the
-// diffusion state's bitset layout.
-func (m *Model) SupportOf(mi int, a int, adopted func(item int) bool) float64 {
+// adopted items. adopted is the user's adoption bitset row, the
+// diffusion state's layout: item b is adopted iff bit b%64 of word b/64
+// is set, with one word per 64 items.
+func (m *Model) SupportOf(mi int, a int, adopted []uint64) float64 {
 	t := m.tables[mi]
 	sum := 0.0
 	for _, ir := range t.Row(a) {
-		if int(ir.Other) != a && adopted(int(ir.Other)) {
+		b := uint(ir.Other)
+		if int(b) != a && adopted[b/64]&(1<<(b%64)) != 0 {
 			sum += ir.S
 		}
 	}
@@ -292,18 +294,19 @@ func (m *Model) SupportOf(mi int, a int, adopted func(item int) bool) float64 {
 }
 
 // UpdateWeights applies the relevance-measurement update for user
-// weights w after the user newly adopted items newItems (the rest of
-// the adoption set is reported by adopted):
+// weights w after the user newly adopted items newItems (the whole
+// adoption set, new items included, is the bitset row adopted, laid
+// out as in SupportOf):
 //
 //	Wmeta(u,m) ← min(1, Wmeta(u,m) + η·Σ_{a∈new} SupportOf(m,a))
 //
 // It reports whether any weight changed.
-func (m *Model) UpdateWeights(w []float64, newItems []int, adopted func(item int) bool, eta float64) bool {
+func (m *Model) UpdateWeights(w []float64, newItems []int32, adopted []uint64, eta float64) bool {
 	changed := false
 	for mi := range m.Metas {
 		sup := 0.0
 		for _, a := range newItems {
-			sup += m.SupportOf(mi, a, adopted)
+			sup += m.SupportOf(mi, int(a), adopted)
 		}
 		if sup == 0 {
 			continue

@@ -194,16 +194,26 @@ func TestRowMatchesRel(t *testing.T) {
 	}
 }
 
+// adoptedRow builds an adoption bitset row over m's items with the
+// given items set, in the layout SupportOf and UpdateWeights read.
+func adoptedRow(m *Model, items ...int) []uint64 {
+	row := make([]uint64, (m.NumItems()+63)/64)
+	for _, x := range items {
+		row[x/64] |= 1 << (uint(x) % 64)
+	}
+	return row
+}
+
 func TestSupportOf(t *testing.T) {
 	m, ids := newTestModel(t, nil)
-	adopted := map[int]bool{ids["iPhone"]: true}
+	adopted := adoptedRow(m, ids["iPhone"])
 	// support of AirPods under m1 (feature): s(AirPods,iPhone|m1)=0.5
-	sup := m.SupportOf(0, ids["AirPods"], func(i int) bool { return adopted[i] })
+	sup := m.SupportOf(0, ids["AirPods"], adopted)
 	if math.Abs(sup-0.5) > 1e-12 {
 		t.Fatalf("support %v", sup)
 	}
 	// support under s1 (category): iPhone not in audio category → 0
-	sup = m.SupportOf(2, ids["AirPods"], func(i int) bool { return adopted[i] })
+	sup = m.SupportOf(2, ids["AirPods"], adopted)
 	if sup != 0 {
 		t.Fatalf("category support %v", sup)
 	}
@@ -212,8 +222,8 @@ func TestSupportOf(t *testing.T) {
 func TestUpdateWeightsGrowsExplainingMeta(t *testing.T) {
 	m, ids := newTestModel(t, []float64{0.2, 0.2, 0.6})
 	w := append([]float64(nil), m.InitWeights...)
-	adopted := map[int]bool{ids["iPhone"]: true, ids["AirPods"]: true}
-	changed := m.UpdateWeights(w, []int{ids["AirPods"]}, func(i int) bool { return adopted[i] }, 0.25)
+	adopted := adoptedRow(m, ids["iPhone"], ids["AirPods"])
+	changed := m.UpdateWeights(w, []int32{int32(ids["AirPods"])}, adopted, 0.25)
 	if !changed {
 		t.Fatal("no weight change")
 	}
@@ -230,8 +240,8 @@ func TestUpdateWeightsGrowsExplainingMeta(t *testing.T) {
 func TestUpdateWeightsCapAtOne(t *testing.T) {
 	m, ids := newTestModel(t, []float64{0.99, 0.99, 0.99})
 	w := append([]float64(nil), m.InitWeights...)
-	adopted := map[int]bool{ids["iPhone"]: true, ids["AirPods"]: true, ids["Charger"]: true}
-	m.UpdateWeights(w, []int{ids["AirPods"], ids["Charger"]}, func(i int) bool { return adopted[i] }, 10)
+	adopted := adoptedRow(m, ids["iPhone"], ids["AirPods"], ids["Charger"])
+	m.UpdateWeights(w, []int32{int32(ids["AirPods"]), int32(ids["Charger"])}, adopted, 10)
 	for i, v := range w {
 		if v > 1 {
 			t.Fatalf("weight %d over cap: %v", i, v)
@@ -243,7 +253,7 @@ func TestUpdateWeightsNoSupportNoChange(t *testing.T) {
 	m, ids := newTestModel(t, nil)
 	w := append([]float64(nil), m.InitWeights...)
 	// Buds alone: nothing else adopted → no support anywhere
-	changed := m.UpdateWeights(w, []int{ids["Buds"]}, func(int) bool { return false }, 0.25)
+	changed := m.UpdateWeights(w, []int32{int32(ids["Buds"])}, adoptedRow(m), 0.25)
 	if changed {
 		t.Fatalf("unexpected change: %v", w)
 	}

@@ -1,6 +1,9 @@
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a xoshiro256** generator. The zero value is invalid; use New.
 type Rand struct {
@@ -38,18 +41,19 @@ func (r *Rand) Split(i uint64) *Rand {
 	return New(x)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. The step works on local
+// copies of the state and writes it back whole, which keeps it under
+// the compiler's inline budget (scripts/inline_check.sh guards this).
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -66,13 +70,13 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Bernoulli reports true with probability p.
+// Bernoulli reports true with probability p. p <= 0 and p >= 1 decide
+// without consuming a draw; any other p, NaN included, consumes exactly
+// one (NaN then reports false). Callers rely on this draw accounting to
+// keep Monte-Carlo streams aligned (DESIGN.md §3).
 func (r *Rand) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
+	if p <= 0 || p >= 1 {
+		return p >= 1
 	}
 	return r.Float64() < p
 }
