@@ -19,9 +19,12 @@ race:
 	$(GO) test -race -short ./...
 
 # Single-shot benchmark pass: batched vs sequential nominee scoring,
-# raw σ estimation and the end-to-end Amazon solve.
+# raw σ estimation and the end-to-end Amazon solve; then the engine's
+# own campaign and scheduling-sample kernels, at a fixed count that
+# warms the state pools so allocs/op shows the steady state.
 bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'RunCampaign|RunBatchPiSchedule' -benchtime 2000x -benchmem ./internal/diffusion
 
 fmt:
 	gofmt -w .

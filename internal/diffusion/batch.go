@@ -9,11 +9,14 @@ import (
 )
 
 // This file is the batch evaluation engine. Every estimate — single or
-// batched — funnels through runBatch, which schedules (group × sample)
+// batched — funnels through runBatch, which schedules (family × sample)
 // work units onto one worker pool kept alive for the whole batch, so a
 // universe of K candidates pays the orchestration cost once instead of
-// K times. Sample i of every group draws from the stream Split(i) of
-// the same master generator — common random numbers — so marginal-gain
+// K times. A family is a root group plus the groups that share its
+// leading promotions and market mask; they resume from the root's
+// checkpoint instead of re-simulating the shared prefix (family.go).
+// Sample i of every group draws from the stream Split(i) of the same
+// master generator — common random numbers — so marginal-gain
 // comparisons across candidates in a greedy round are paired: the
 // noise realisation is shared and differences reflect the candidates,
 // not the draw. Per-group results are reduced in sample order 0..M-1,
@@ -31,12 +34,13 @@ type sampleSlot struct {
 	counts                   []float64 // parallel adoption counts
 }
 
-// groupRun is the in-flight accumulator of one group. Groups are
-// claimed group-major, so at most ~workers groups are in flight and
-// slot arrays can be pooled instead of allocated per group.
-type groupRun struct {
-	slots     []sampleSlot
-	remaining int32
+// familyRun is the in-flight accumulator of one family: a slot array
+// per member, root first. Units are claimed family-major, so at most
+// ~workers families are in flight and slot arrays can be pooled
+// instead of allocated per group.
+type familyRun struct {
+	slots     [][]sampleSlot
+	remaining int32 // samples not yet simulated
 }
 
 // getSlots borrows a pooled per-sample slot array (len M).
@@ -135,8 +139,9 @@ func (e *Estimator) runBatch(groups [][]Seed, maskOf func(int) []bool, withPi bo
 		grid := e.cachedSamples(groups, nil, masks, withPi, 0, e.M)
 		return ReduceSampleGrid(grid, e.P.NumItems())
 	}
+	fams := planFamilies(groups, maskOf, e.P.T)
 	m := e.M
-	units := k * m
+	units := len(fams) * m
 	master := rng.New(e.Seed)
 	// one backing array for every group's PerItem keeps a large batch
 	// from scattering k small allocations
@@ -151,13 +156,13 @@ func (e *Estimator) runBatch(groups [][]Seed, maskOf func(int) []bool, withPi bo
 		w = units
 	}
 	if w <= 1 {
-		// Single-worker fast path: units run in exact (group, sample)
-		// order, so samples accumulate straight into the output with no
-		// slots, atomics or locks. The addition order is identical to
-		// the pooled path's per-group reduction, so results stay
-		// bit-identical across worker counts.
+		// Single-worker body: samples accumulate straight into the
+		// output with no slots, atomics or locks. Each group still sums
+		// its samples in order 0..M-1, the pooled path's per-group
+		// reduction order, so results stay bit-identical across worker
+		// counts.
 		sp.SetAttr("engine", "serial")
-		e.runSerial(groups, maskOf, withPi, master, out)
+		e.runSerial(groups, fams, maskOf, withPi, master, out)
 		return out
 	}
 	sp.SetAttr("engine", "slots")
@@ -166,25 +171,45 @@ func (e *Estimator) runBatch(groups [][]Seed, maskOf func(int) []bool, withPi bo
 	var (
 		next int64
 		mu   sync.Mutex
-		runs = make([]*groupRun, k)
+		runs = make([]*familyRun, len(fams))
 	)
-	claim := func(g int) *groupRun {
+	claim := func(f int) *familyRun {
 		mu.Lock()
 		defer mu.Unlock()
-		if runs[g] == nil {
-			runs[g] = &groupRun{slots: e.getSlots(), remaining: int32(m)}
+		if runs[f] == nil {
+			fr := &familyRun{slots: make([][]sampleSlot, fams[f].size()), remaining: int32(m)}
+			for j := range fr.slots {
+				fr.slots[j] = e.getSlots()
+			}
+			runs[f] = fr
 		}
-		return runs[g]
+		return runs[f]
 	}
 	worker := func() {
 		st := e.getState()
 		defer e.putState(st)
 		var res Result
 		res.PerItem = make([]float64, e.P.NumItems())
-		// units are claimed group-major, so consecutive units usually
-		// belong to one group; caching the last claim keeps the mutex
+		// units are claimed family-major, so consecutive units usually
+		// belong to one family; caching the last claim keeps the mutex
 		// off the per-sample path
-		lastG, lastRun := -1, (*groupRun)(nil)
+		lastF, lastRun := -1, (*familyRun)(nil)
+		var i int
+		emit := func(j, _ int, res *Result, pi float64) {
+			slot := &lastRun.slots[j][i]
+			slot.sigma = res.Sigma
+			slot.msigma = res.MarketSigma
+			slot.adopt = float64(res.Adoptions)
+			slot.pi = pi
+			slot.items = slot.items[:0]
+			slot.counts = slot.counts[:0]
+			for x, v := range res.PerItem {
+				if v != 0 {
+					slot.items = append(slot.items, int32(x))
+					slot.counts = append(slot.counts, v)
+				}
+			}
+		}
 		for {
 			if e.preempted() {
 				return // cancelled: abandon the batch between units
@@ -193,37 +218,22 @@ func (e *Estimator) runBatch(groups [][]Seed, maskOf func(int) []bool, withPi bo
 			if u >= int64(units) {
 				return
 			}
-			g := int(u) / m
-			i := int(u) % m
-			if g != lastG {
-				lastG, lastRun = g, claim(g)
+			f := int(u) / m
+			i = int(u) % m
+			if f != lastF {
+				lastF, lastRun = f, claim(f)
 			}
-			gr := lastRun
-			slot := &gr.slots[i]
-			market := maskOf(g)
-			e.runSample(st, &res, groups[g], market, i, master)
-			slot.sigma = res.Sigma
-			slot.msigma = res.MarketSigma
-			slot.adopt = float64(res.Adoptions)
-			slot.items = slot.items[:0]
-			slot.counts = slot.counts[:0]
-			for j, v := range res.PerItem {
-				if v != 0 {
-					slot.items = append(slot.items, int32(j))
-					slot.counts = append(slot.counts, v)
+			if !e.runFamily(st, &res, &fams[f], groups, maskOf, withPi, i, master, emit) {
+				return
+			}
+			if atomic.AddInt32(&lastRun.remaining, -1) == 0 {
+				for j, slots := range lastRun.slots {
+					e.reduce(slots, &out[fams[f].member(j)])
+					e.putSlots(slots)
 				}
-			}
-			if withPi {
-				slot.pi = st.LikelihoodPi(market)
-			} else {
-				slot.pi = 0
-			}
-			if atomic.AddInt32(&gr.remaining, -1) == 0 {
-				e.reduce(gr.slots, &out[g])
 				mu.Lock()
-				runs[g] = nil
+				runs[f] = nil
 				mu.Unlock()
-				e.putSlots(gr.slots)
 			}
 		}
 	}
@@ -237,50 +247,39 @@ func (e *Estimator) runBatch(groups [][]Seed, maskOf func(int) []bool, withPi bo
 		}()
 	}
 	wg.Wait()
-	e.samples.Add(uint64(units))
+	e.samples.Add(uint64(k * m))
 	return out
-}
-
-// runSample simulates sample i of one group into res.
-func (e *Estimator) runSample(st *State, res *Result, seeds []Seed, market []bool, i int, master *rng.Rand) {
-	st.Reset(master.Split(uint64(i)))
-	res.Sigma, res.MarketSigma, res.Adoptions, res.Steps = 0, 0, 0, 0
-	for j := range res.PerItem {
-		res.PerItem[j] = 0
-	}
-	st.RunCampaign(seeds, market, res)
 }
 
 // runSerial is the lock-free one-worker engine body. out's PerItem
 // slices must be preallocated and zeroed.
-func (e *Estimator) runSerial(groups [][]Seed, maskOf func(int) []bool, withPi bool, master *rng.Rand, out []Estimate) {
+func (e *Estimator) runSerial(groups [][]Seed, fams []family, maskOf func(int) []bool, withPi bool, master *rng.Rand, out []Estimate) {
 	st := e.getState()
 	defer e.putState(st)
-	m := e.M
-	items := e.P.NumItems()
 	var res Result
-	res.PerItem = make([]float64, items)
-	inv := 1 / float64(m)
-	for g := range groups {
-		market := maskOf(g)
+	res.PerItem = make([]float64, e.P.NumItems())
+	emit := func(_, g int, res *Result, pi float64) {
 		acc := &out[g]
-		for i := 0; i < m; i++ {
-			if e.preempted() {
-				return // cancelled: abandon the batch between samples
-			}
-			e.runSample(st, &res, groups[g], market, i, master)
-			acc.Sigma += res.Sigma
-			acc.MarketSigma += res.MarketSigma
-			acc.Adoptions += float64(res.Adoptions)
-			for j, v := range res.PerItem {
-				if v != 0 {
-					acc.PerItem[j] += v
-				}
-			}
-			if withPi {
-				acc.Pi += st.LikelihoodPi(market)
+		acc.Sigma += res.Sigma
+		acc.MarketSigma += res.MarketSigma
+		acc.Adoptions += float64(res.Adoptions)
+		for j, v := range res.PerItem {
+			if v != 0 {
+				acc.PerItem[j] += v
 			}
 		}
+		acc.Pi += pi
+	}
+	for f := range fams {
+		for i := 0; i < e.M; i++ {
+			if e.preempted() || !e.runFamily(st, &res, &fams[f], groups, maskOf, withPi, i, master, emit) {
+				return // cancelled: abandon the batch between samples
+			}
+		}
+	}
+	inv := 1 / float64(e.M)
+	for g := range out {
+		acc := &out[g]
 		acc.Sigma *= inv
 		acc.MarketSigma *= inv
 		acc.Pi *= inv
@@ -289,7 +288,7 @@ func (e *Estimator) runSerial(groups [][]Seed, maskOf func(int) []bool, withPi b
 			acc.PerItem[j] *= inv
 		}
 	}
-	e.samples.Add(uint64(len(groups) * m))
+	e.samples.Add(uint64(len(groups) * e.M))
 }
 
 // reduce folds a group's per-sample slots into the mean Estimate, in

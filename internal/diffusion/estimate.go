@@ -217,9 +217,12 @@ func (e *Estimator) MeanWeights(seeds []Seed, users []int) []float64 {
 // (IC: 1−Π(1−Pact); LT: ΣPact clamped).
 func (st *State) LikelihoodPi(market []bool) float64 {
 	p := st.p
-	oneMinus := make([]float64, st.items)
-	sum := make([]float64, st.items)
-	touched := make([]int32, 0, 32)
+	if st.piOneMinus == nil {
+		st.piOneMinus = make([]float64, st.items)
+		st.piSum = make([]float64, st.items)
+	}
+	// both accumulators are all zero again when a user's loop ends
+	oneMinus, sum, touched := st.piOneMinus, st.piSum, st.piTouched
 	total := 0.0
 	for v := 0; v < p.NumUsers(); v++ {
 		if market != nil && !market[v] {
@@ -260,5 +263,6 @@ func (st *State) LikelihoodPi(market []bool) float64 {
 			sum[y] = 0
 		}
 	}
+	st.piTouched = touched[:0]
 	return total
 }

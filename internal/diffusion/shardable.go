@@ -88,9 +88,10 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 	if masks != nil {
 		maskOf = func(g int) []bool { return masks[g] }
 	}
+	fams := planFamilies(groups, maskOf, e.P.T)
 	span := hi - lo
 	master := rng.New(e.Seed)
-	units := k * span
+	units := len(fams) * span
 
 	w := e.workers()
 	if w > units {
@@ -105,23 +106,38 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 	// point, which is exactly the window a cancelled solve gets stuck
 	// in. A preempted batch leaves unclaimed groups nil — the result is
 	// declared garbage then anyway (callers must check their context).
-	claim := func(g int) []SampleResult {
+	claim := func(f *family) {
 		rowMu.Lock()
 		defer rowMu.Unlock()
-		if out[g] == nil {
-			out[g] = make([]SampleResult, span)
+		for j := 0; j < f.size(); j++ {
+			if g := f.member(j); out[g] == nil {
+				out[g] = make([]SampleResult, span)
+			}
 		}
-		return out[g]
 	}
 	body := func() {
 		st := e.getState()
 		defer e.putState(st)
 		var res Result
 		res.PerItem = make([]float64, e.P.NumItems())
-		// units are claimed group-major, so consecutive units usually
-		// belong to one group; caching the last claim keeps the mutex
-		// off the per-sample path
-		lastG, lastRows := -1, []SampleResult(nil)
+		// units are claimed family-major, so consecutive units usually
+		// belong to one family; remembering the last claim keeps the
+		// mutex off the per-sample path. A claimed family's rows are
+		// never reassigned, so reading them after claim needs no lock.
+		lastF, i := -1, 0
+		emit := func(_, g int, res *Result, pi float64) {
+			slot := &out[g][i-lo]
+			slot.Sigma = res.Sigma
+			slot.MarketSigma = res.MarketSigma
+			slot.Adoptions = float64(res.Adoptions)
+			slot.Pi = pi
+			for x, v := range res.PerItem {
+				if v != 0 {
+					slot.Items = append(slot.Items, int32(x))
+					slot.Counts = append(slot.Counts, v)
+				}
+			}
+		}
 		for {
 			if e.preempted() {
 				return // cancelled: abandon between units
@@ -130,25 +146,14 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 			if u >= int64(units) {
 				return
 			}
-			g := int(u) / span
-			i := lo + int(u)%span
-			if g != lastG {
-				lastG, lastRows = g, claim(g)
+			f := int(u) / span
+			i = lo + int(u)%span
+			if f != lastF {
+				lastF = f
+				claim(&fams[f])
 			}
-			market := maskOf(g)
-			e.runSample(st, &res, groups[g], market, i, master)
-			slot := &lastRows[i-lo]
-			slot.Sigma = res.Sigma
-			slot.MarketSigma = res.MarketSigma
-			slot.Adoptions = float64(res.Adoptions)
-			for j, v := range res.PerItem {
-				if v != 0 {
-					slot.Items = append(slot.Items, int32(j))
-					slot.Counts = append(slot.Counts, v)
-				}
-			}
-			if withPi {
-				slot.Pi = st.LikelihoodPi(market)
+			if !e.runFamily(st, &res, &fams[f], groups, maskOf, withPi, i, master, emit) {
+				return
 			}
 		}
 	}
@@ -165,7 +170,7 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 		}
 		wg.Wait()
 	}
-	e.samples.Add(uint64(units))
+	e.samples.Add(uint64(k * span))
 	return out
 }
 

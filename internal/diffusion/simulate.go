@@ -20,6 +20,14 @@ type Result struct {
 // whose adoptions count toward MarketSigma. The state must have been
 // Reset with a fresh RNG stream. Results are accumulated into res.
 func (st *State) RunCampaign(seeds []Seed, market []bool, res *Result) {
+	st.runFrom(seeds, 0, market, res, nil)
+}
+
+// runFrom runs promotions from+1..T of the seed group, leaving a
+// checkpoint after every promotion listed in cuts (ascending; the
+// checkpoint of cuts[c] is st.ckpts[c]). from > 0 resumes a state
+// restored to the boundary after promotion from.
+func (st *State) runFrom(seeds []Seed, from int, market []bool, res *Result, cuts []int) {
 	p := st.p
 	if res.PerItem == nil {
 		res.PerItem = make([]float64, st.items)
@@ -34,8 +42,13 @@ func (st *State) RunCampaign(seeds []Seed, market []bool, res *Result) {
 	for _, s := range seeds {
 		byPromo[s.T] = append(byPromo[s.T], s)
 	}
-	for t := 1; t <= p.T; t++ {
+	c := 0
+	for t := from + 1; t <= p.T; t++ {
 		st.runPromotion(t, byPromo[t], market, res)
+		if c < len(cuts) && cuts[c] == t {
+			st.capture(c, res)
+			c++
+		}
 	}
 }
 

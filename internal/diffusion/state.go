@@ -53,6 +53,16 @@ type State struct {
 	stepUsers []int32
 	byPromo   [][]Seed // per-promotion seed partition, reused across samples
 
+	// ckpts are the promotion-boundary checkpoints of the batch
+	// engine's prefix reuse, reused across samples (DESIGN.md §3)
+	ckpts []checkpoint
+
+	// LikelihoodPi scratch: per-item accumulators, all zero between
+	// calls, and the items touched for the current user
+	piOneMinus []float64
+	piSum      []float64
+	piTouched  []int32
+
 	// trace hook for case studies; nil on the hot path.
 	OnAdopt func(user, item, promo, step int, trigger AdoptTrigger)
 }
@@ -115,8 +125,34 @@ func NewState(p *Problem) *State {
 // generator is copied by value, so callers may hand in short-lived
 // streams (e.g. master.Split(i)) without them escaping to the heap.
 func (st *State) Reset(r *rng.Rand) {
+	st.rewindTo(0)
+	st.rngv = *r
+}
+
+// resetSplit is Reset(master.Split(i)) without materialising the
+// derived generator.
+func (st *State) resetSplit(master *rng.Rand, i int) {
+	st.rewindTo(0)
+	master.SplitInto(&st.rngv, uint64(i))
+}
+
+// rewindTo keeps the rows of the first n touched users, cleans the
+// rest and empties the frontiers and per-step tracking.
+func (st *State) rewindTo(n int) {
+	st.cleanRows(st.touched[n:])
+	st.touched = st.touched[:n]
+	st.frontier = st.frontier[:0]
+	st.nextFront = st.nextFront[:0]
+	st.stepUsers = st.stepUsers[:0]
+	st.bumpEpoch()
+}
+
+// cleanRows returns the given users to their initial rows: adoption
+// rows zeroed into the pool, empty adoption lists, InitWeights, no
+// Δpref row.
+func (st *State) cleanRows(users []int32) {
 	nm := st.p.PIN.NumMeta()
-	for _, u := range st.touched {
+	for _, u := range users {
 		if row := st.adopted[u]; row != nil {
 			for i := range row {
 				row[i] = 0
@@ -126,19 +162,109 @@ func (st *State) Reset(r *rng.Rand) {
 		}
 		st.adoptList[u] = st.adoptList[u][:0]
 		copy(st.wmeta[int(u)*nm:(int(u)+1)*nm], st.p.PIN.InitWeights)
-		if row := st.prefDelta[u]; row != nil {
-			// rows go back stale; recomputePref zeroes on reattach
-			st.rowPool = append(st.rowPool, row)
-			st.prefDelta[u] = nil
-		}
+		st.dropPref(int(u))
 		st.dirty[u] = false
 	}
-	st.touched = st.touched[:0]
-	st.frontier = st.frontier[:0]
-	st.nextFront = st.nextFront[:0]
-	st.stepUsers = st.stepUsers[:0]
-	st.bumpEpoch()
-	st.rngv = *r
+}
+
+// dropPref detaches user u's Δpref row, if any. Rows go back to the
+// pool stale.
+func (st *State) dropPref(u int) {
+	if row := st.prefDelta[u]; row != nil {
+		st.rowPool = append(st.rowPool, row)
+		st.prefDelta[u] = nil
+	}
+}
+
+// prefRow returns user u's Δpref row, attaching a pooled row when u
+// has none. A pooled row may be stale: callers overwrite every entry.
+func (st *State) prefRow(u int) []float64 {
+	pd := st.prefDelta[u]
+	if pd != nil {
+		return pd
+	}
+	if n := len(st.rowPool); n > 0 {
+		pd = st.rowPool[n-1]
+		st.rowPool = st.rowPool[:n-1]
+	} else {
+		pd = make([]float64, st.items)
+	}
+	st.prefDelta[u] = pd
+	return pd
+}
+
+// checkpoint is a sparse snapshot of a State at a promotion boundary,
+// taken by the batch engine so groups sharing leading promotions
+// resume instead of re-simulating them (DESIGN.md §3). It holds the
+// rows of the users touched so far, the sample stream and the Result
+// so far. Frontiers and per-step tracking need no copy: every
+// promotion starts them afresh. Its slices are reused across samples,
+// so steady-state capture allocates nothing.
+type checkpoint struct {
+	users []int32   // st.touched at capture
+	bits  []uint64  // adoption rows, words per user
+	alist []int32   // adoption lists, concatenated in users order
+	aend  []int32   // end offset of each user's list in alist
+	wmeta []float64 // weightings, numMeta per user
+	pref  []float64 // Δpref rows of the users that had one, items each
+	has   []bool    // per user: a Δpref row was captured
+
+	rngv             rng.Rand
+	sigma, msigma    float64
+	adoptions, steps int
+	perItem          []float64
+}
+
+// capture stores the current state and res into checkpoint c.
+func (st *State) capture(c int, res *Result) {
+	for len(st.ckpts) <= c {
+		st.ckpts = append(st.ckpts, checkpoint{})
+	}
+	cp := &st.ckpts[c]
+	cp.users = append(cp.users[:0], st.touched...)
+	cp.bits, cp.alist, cp.aend = cp.bits[:0], cp.alist[:0], cp.aend[:0]
+	cp.wmeta, cp.pref, cp.has = cp.wmeta[:0], cp.pref[:0], cp.has[:0]
+	for _, u := range st.touched {
+		cp.bits = append(cp.bits, st.adopted[u]...)
+		cp.alist = append(cp.alist, st.adoptList[u]...)
+		cp.aend = append(cp.aend, int32(len(cp.alist)))
+		cp.wmeta = append(cp.wmeta, st.Weights(int(u))...)
+		row := st.prefDelta[u]
+		cp.has = append(cp.has, row != nil)
+		cp.pref = append(cp.pref, row...)
+	}
+	cp.rngv = st.rngv
+	cp.sigma, cp.msigma = res.Sigma, res.MarketSigma
+	cp.adoptions, cp.steps = res.Adoptions, res.Steps
+	cp.perItem = append(cp.perItem[:0], res.PerItem...)
+}
+
+// restore rewinds the state and res to checkpoint c. The users
+// captured there must be a prefix of st.touched — true whenever the
+// state has only run forward from that checkpoint, or from a later
+// checkpoint of the same run — so the users touched since are exactly
+// st.touched past that prefix.
+func (st *State) restore(c int, res *Result) {
+	cp := &st.ckpts[c]
+	st.rewindTo(len(cp.users))
+	nm := st.p.PIN.NumMeta()
+	start, pref := int32(0), 0
+	for j, u := range cp.users {
+		copy(st.adopted[u], cp.bits[j*st.words:(j+1)*st.words])
+		st.adoptList[u] = append(st.adoptList[u][:0], cp.alist[start:cp.aend[j]]...)
+		start = cp.aend[j]
+		copy(st.Weights(int(u)), cp.wmeta[j*nm:(j+1)*nm])
+		if cp.has[j] {
+			copy(st.prefRow(int(u)), cp.pref[pref:pref+st.items])
+			pref += st.items
+		} else {
+			st.dropPref(int(u))
+		}
+	}
+	st.rngv = cp.rngv
+	res.Sigma, res.MarketSigma = cp.sigma, cp.msigma
+	res.Adoptions, res.Steps = cp.adoptions, cp.steps
+	copy(res.PerItem, cp.perItem)
 }
 
 // bumpEpoch advances the per-step stamp epoch, handling the (purely
@@ -298,16 +424,7 @@ func cosRange(a, b []float64) float64 {
 // adoption sets stay small, and the accumulation order matches the
 // dense layout bit for bit).
 func (st *State) recomputePref(u int) {
-	pd := st.prefDelta[u]
-	if pd == nil {
-		if n := len(st.rowPool); n > 0 {
-			pd = st.rowPool[n-1]
-			st.rowPool = st.rowPool[:n-1]
-		} else {
-			pd = make([]float64, st.items)
-		}
-		st.prefDelta[u] = pd
-	}
+	pd := st.prefRow(u)
 	for i := range pd {
 		pd[i] = 0
 	}
@@ -323,8 +440,9 @@ func (st *State) recomputePref(u int) {
 
 // MemoryFootprint returns the approximate number of heap bytes the
 // state currently retains, counting per-user slice headers, live and
-// pooled rows, and scratch buffers. Per-worker memory scales with the
-// largest cascade simulated so far, not with |V|·|I|; imdppbench
+// pooled rows, checkpoint rows and scratch buffers. Per-worker memory
+// scales with the largest cascade simulated so far (checkpoints add
+// O(checkpoints × dirty users) rows), not with |V|·|I|; imdppbench
 // records this as state_bytes_per_worker.
 func (st *State) MemoryFootprint() uint64 {
 	const (
@@ -356,5 +474,13 @@ func (st *State) MemoryFootprint() uint64 {
 		b += uint64(cap(l)) * 4
 	}
 	b += uint64(cap(st.stepUsers)) * 4
+	b += uint64(cap(st.piOneMinus)+cap(st.piSum)) * 8
+	b += uint64(cap(st.piTouched)) * 4
+	for i := range st.ckpts {
+		cp := &st.ckpts[i]
+		b += uint64(cap(cp.users)+cap(cp.alist)+cap(cp.aend)) * 4
+		b += uint64(cap(cp.bits)+cap(cp.wmeta)+cap(cp.pref)+cap(cp.perItem)) * 8
+		b += uint64(cap(cp.has))
+	}
 	return b
 }

@@ -91,9 +91,60 @@ func BenchmarkRunCampaign(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Reset(master.Split(uint64(i)))
+		st.resetSplit(master, i)
 		res.Sigma, res.MarketSigma, res.Adoptions, res.Steps = 0, 0, 0, 0
 		st.RunCampaign(seeds, nil, &res)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(st.MemoryFootprint()), "state-bytes")
+}
+
+// BenchmarkRunBatchPiSchedule measures what prefix reuse buys a TDSI
+// scheduling batch (DESIGN.md §3): group 0 is a schedule over
+// promotions 1..3 and each of 16 candidates adds one seed at promotion
+// 4, all under one market mask with π. One op is one sample of that
+// batch — the root's campaign from Reset plus 16 candidates resumed
+// from its checkpoint, with π for each — through the family kernel
+// every engine body calls. Allocations per op must be 0: checkpoints,
+// π scratch and rows all come from the state's pools.
+func BenchmarkRunBatchPiSchedule(b *testing.B) {
+	p := benchProblem(b, 2000, 256)
+	p.T = 5
+	var schedule []Seed
+	for t := 1; t <= 3; t++ {
+		for j := 0; j < 4; j++ {
+			u := 97*t + 31*j
+			schedule = append(schedule, Seed{User: u, Item: (u * 7) % 256, T: t})
+		}
+	}
+	groups := [][]Seed{schedule}
+	for c := 0; c < 16; c++ {
+		groups = append(groups, WithSeed(schedule, Seed{User: 1000 + 13*c, Item: (c * 11) % 256, T: 4}))
+	}
+	market := make([]bool, p.NumUsers())
+	for u := range market {
+		market[u] = u%4 != 0
+	}
+	maskOf := func(int) []bool { return market }
+	fams := planFamilies(groups, maskOf, p.T)
+	if len(fams) != 1 {
+		b.Fatalf("%d families, want one: the candidates must share the schedule", len(fams))
+	}
+	e := NewEstimator(p, 16, 7)
+	st := NewState(p)
+	master := rng.New(e.Seed)
+	var res Result
+	res.PerItem = make([]float64, p.NumItems())
+	var sink float64
+	emit := func(_, _ int, res *Result, pi float64) { sink += res.Sigma + pi }
+	// warm the pools on every sample the loop cycles through
+	for i := 0; i < e.M; i++ {
+		e.runFamily(st, &res, &fams[0], groups, maskOf, true, i, master, emit)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.runFamily(st, &res, &fams[0], groups, maskOf, true, i%e.M, master, emit)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(st.MemoryFootprint()), "state-bytes")

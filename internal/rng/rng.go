@@ -22,7 +22,11 @@ func splitmix64(x *uint64) uint64 {
 // New returns a generator seeded from the 64-bit seed.
 func New(seed uint64) *Rand {
 	r := &Rand{}
-	x := seed
+	r.seed(seed)
+	return r
+}
+
+func (r *Rand) seed(x uint64) {
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
 	}
@@ -30,15 +34,21 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Split derives an independent stream from r. The derived stream is a
 // function of r's current state and the stream index i, so workers can
 // be created deterministically: Split(0), Split(1), ...
 func (r *Rand) Split(i uint64) *Rand {
-	x := r.s[0] ^ (r.s[2] * 0x9e3779b97f4a7c15) ^ (i+1)*0xd1342543de82ef95
-	return New(x)
+	d := &Rand{}
+	r.SplitInto(d, i)
+	return d
+}
+
+// SplitInto sets dst to the stream Split(i) returns, without
+// allocating.
+func (r *Rand) SplitInto(dst *Rand, i uint64) {
+	dst.seed(r.s[0] ^ (r.s[2] * 0x9e3779b97f4a7c15) ^ (i+1)*0xd1342543de82ef95)
 }
 
 // Uint64 returns the next 64 random bits. The step works on local
