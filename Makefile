@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench fmt fmt-check vet lint smoke serve-smoke load-smoke shard-smoke fleet-smoke sketch-smoke gridcache-smoke docs-check inline-check bench-diff fuzz
+.PHONY: all build test dysimbench-test race bench fmt fmt-check vet lint smoke serve-smoke load-smoke shard-smoke fleet-smoke sketch-smoke gridcache-smoke docs-check inline-check bench-diff fuzz
 
 all: build test
 
@@ -13,6 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The committed benchmark is its own module (dysimbench/go.mod), so
+# `go test ./...` at the root does not reach it. Its tests compare
+# plain, grid-served, sharded and traced solves by Float64bits.
+dysimbench-test:
+	cd dysimbench && $(GO) test ./...
+
 # The estimator's worker pool and state pooling are the code a race
 # detector should watch; -short skips the full-scale solves.
 race:
@@ -20,11 +26,12 @@ race:
 
 # Single-shot benchmark pass: batched vs sequential nominee scoring,
 # raw σ estimation and the end-to-end Amazon solve; then the engine's
-# own campaign and scheduling-sample kernels, at a fixed count that
-# warms the state pools so allocs/op shows the steady state.
+# own kernels (a campaign, a selection-shaped campaign, a scheduling
+# sample), at a fixed count that warms the state pools so allocs/op
+# shows the steady state.
 bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'RunCampaign|RunBatchPiSchedule' -benchtime 2000x -benchmem ./internal/diffusion
+	$(GO) test -run '^$$' -bench '^Benchmark(RunCampaign|RunCampaignSelect|RunBatchPiSchedule)$$' -benchtime 2000x -benchmem ./internal/diffusion
 
 fmt:
 	gofmt -w .

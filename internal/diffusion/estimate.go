@@ -2,7 +2,9 @@ package diffusion
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -214,30 +216,74 @@ func (e *Estimator) MeanWeights(seeds []Seed, users []int) []float64 {
 //	π = Σ_{v∈τ} Σ_{y∉A(v)} AIS(v,y) · Ppref(v,y)
 //
 // AIS aggregates influence from in-neighbours who have adopted y
-// (IC: 1−Π(1−Pact); LT: ΣPact clamped).
+// (IC: 1−Π(1−Pact); LT: ΣPact clamped). Only market users with an
+// adopting in-neighbour can contribute, so π visits just those: the
+// adopters' out-arcs are bucketed per target by a counting sort, and
+// both adopters and targets are taken in ascending id order. That
+// reproduces, user by user, the adopter entries of the ascending
+// in-list and the ascending market walk, so every float operation
+// happens in the same order as a walk over all market users' in-arcs
+// (DESIGN.md §3).
 func (st *State) LikelihoodPi(market []bool) float64 {
 	p := st.p
 	if st.piOneMinus == nil {
+		n := p.NumUsers()
 		st.piOneMinus = make([]float64, st.items)
 		st.piSum = make([]float64, st.items)
+		st.piMark = make([]uint64, (n+63)/64)
+		st.piCount = make([]int32, n)
 	}
-	// both accumulators are all zero again when a user's loop ends
-	oneMinus, sum, touched := st.piOneMinus, st.piSum, st.piTouched
-	total := 0.0
-	for v := 0; v < p.NumUsers(); v++ {
-		if market != nil && !market[v] {
-			continue
-		}
-		touched = touched[:0]
-		arcs := p.G.In(v)
-		for ai, from := range arcs.To {
-			vp := int(from)
-			lst := st.adoptList[vp]
-			if len(lst) == 0 {
+	// the adopters (every touched user) in ascending id order
+	mark, adopters := st.piMark, st.piAdopters[:0]
+	for _, u := range st.touched {
+		mark[u/64] |= 1 << (uint(u) % 64)
+	}
+	adopters = drainBits(mark, adopters)
+	// count each live user's adopting in-neighbours, then turn the
+	// counts into start offsets in ascending live-user order
+	count := st.piCount
+	for _, a := range adopters {
+		for _, v := range p.G.Out(int(a)).To {
+			if market != nil && !market[v] {
 				continue
 			}
-			pact := st.Act(vp, v, arcs.W[ai])
-			for _, y := range lst {
+			if count[v] == 0 {
+				mark[v/64] |= 1 << (uint(v) % 64)
+			}
+			count[v]++
+		}
+	}
+	live := drainBits(mark, st.piLive[:0])
+	off := int32(0)
+	for _, v := range live {
+		off, count[v] = off+count[v], off
+	}
+	st.piFrom, st.piW = slices.Grow(st.piFrom, int(off)), slices.Grow(st.piW, int(off))
+	from, weight := st.piFrom[:off], st.piW[:off]
+	for _, a := range adopters {
+		arcs := p.G.Out(int(a))
+		for ai, v := range arcs.To {
+			if market != nil && !market[v] {
+				continue
+			}
+			from[count[v]], weight[count[v]] = a, arcs.W[ai]
+			count[v]++
+		}
+	}
+	// both accumulators are all zero again when a user's loop ends;
+	// count[v] is now the end of v's arcs and is zeroed on the way
+	oneMinus, sum, touched := st.piOneMinus, st.piSum, st.piTouched
+	total := 0.0
+	start := int32(0)
+	for _, v32 := range live {
+		v := int(v32)
+		end := count[v]
+		count[v] = 0
+		touched = touched[:0]
+		for ai := start; ai < end; ai++ {
+			vp := int(from[ai])
+			pact := st.Act(vp, v, weight[ai])
+			for _, y := range st.adoptList[vp] {
 				if oneMinus[y] == 0 && sum[y] == 0 {
 					oneMinus[y] = 1
 					touched = append(touched, y)
@@ -246,6 +292,7 @@ func (st *State) LikelihoodPi(market []bool) float64 {
 				sum[y] += pact
 			}
 		}
+		start = end
 		for _, y := range touched {
 			if !st.Adopted(v, int(y)) {
 				var ais float64
@@ -264,5 +311,22 @@ func (st *State) LikelihoodPi(market []bool) float64 {
 		}
 	}
 	st.piTouched = touched[:0]
+	st.piAdopters, st.piLive = adopters[:0], live[:0]
 	return total
+}
+
+// drainBits appends the indices of the set bits of mark to dst in
+// ascending order and clears mark.
+func drainBits(mark []uint64, dst []int32) []int32 {
+	for i, word := range mark {
+		if word == 0 {
+			continue
+		}
+		mark[i] = 0
+		for word != 0 {
+			dst = append(dst, int32(i*64+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return dst
 }

@@ -120,3 +120,61 @@ func TestRunBatchSigmaGoldenStatic(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBatchPiGolden pins π (Eq. 13) and the market-restricted σ of
+// a masked batch to exact bit patterns under both AIS forms. π walks
+// the post-campaign state of every sample, so a moved bit here means
+// either the campaign's draws or π's own summation order changed — a
+// §3 contract break, like a moved σ bit.
+func TestRunBatchPiGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bit patterns captured on amd64; see TestRunBatchSigmaGolden")
+	}
+	groups := [][]Seed{
+		{{User: 0, Item: 0, T: 1}},
+		{{User: 1, Item: 2, T: 1}, {User: 5, Item: 1, T: 2}, {User: 9, Item: 3, T: 3}},
+		{{User: 3, Item: 3, T: 2}, {User: 3, Item: 0, T: 1}},
+	}
+	// Captured before π walked only the adopters' arcs; the market σ
+	// does not depend on the AIS form.
+	wantMarket := []uint64{
+		0x402ad55555555555, // 13.416666666666666
+		0x403b86aaaaaaaaaa, // 27.526041666666664
+		0x4038a15555555555, // 24.630208333333332
+	}
+	for _, tc := range []struct {
+		ais    AISModel
+		wantPi []uint64
+	}{
+		{AISIndependentCascade, []uint64{
+			0x401e98d949e17276, // 7.649266390214157
+			0x4028f8e0a3c10c1a, // 12.48608886462721
+			0x402705028b594c50, // 11.509785036707541
+		}},
+		{AISLinearThreshold, []uint64{
+			0x4021a09b6ccfe880, // 8.813685799006862
+			0x402c58da26abba20, // 14.173539360487723
+			0x402a4fad876aa491, // 13.155620795982289
+		}},
+	} {
+		p := goldenProblem(t)
+		p.Params.AIS = tc.ais
+		market := make([]bool, p.NumUsers())
+		for u := range market {
+			market[u] = u%3 != 1
+		}
+		e := NewEstimator(p, 48, 0xD1CE)
+		for gi, est := range e.RunBatchPi(groups, market) {
+			t.Logf("ais %d group %d: pi=%v bits=%#016x market_sigma=%v bits=%#016x",
+				tc.ais, gi, est.Pi, math.Float64bits(est.Pi), est.MarketSigma, math.Float64bits(est.MarketSigma))
+			if got := math.Float64bits(est.Pi); got != tc.wantPi[gi] {
+				t.Errorf("ais %d group %d: π = %v (bits %#016x), want bits %#016x",
+					tc.ais, gi, est.Pi, got, tc.wantPi[gi])
+			}
+			if got := math.Float64bits(est.MarketSigma); got != wantMarket[gi] {
+				t.Errorf("ais %d group %d: market σ = %v (bits %#016x), want bits %#016x",
+					tc.ais, gi, est.MarketSigma, got, wantMarket[gi])
+			}
+		}
+	}
+}

@@ -133,9 +133,11 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 		// reallocated within a sample, so it is read once and still
 		// sees adoptions made by this loop.
 		arow := st.adopted[u]
-		if p.Params.Static {
-			// Static freezes u's weights at InitWeights: the cached init
-			// relevance still holds.
+		if p.Params.Static || len(st.adoptList[u]) == 1 {
+			// Static freezes u's weights at InitWeights, and a user with
+			// one adoption still has them (DESIGN.md §3); weights move
+			// only in endOfStep, so this loop's own adoptions cannot
+			// invalidate the cached init relevance.
 			init := p.PIN.InitRow(x)
 			for j := range row {
 				y := uint(row[j].Y)
@@ -193,14 +195,18 @@ func (st *State) adopt(u, x, t, step int, trig AdoptTrigger, market []bool, res 
 // every user with new adoptions this step, update the meta-graph
 // weightings (relevance measurement) and then recompute preferences
 // (preference estimation). Influence learning is evaluated lazily in
-// Act from the updated adoption sets and weightings.
+// Act from the updated adoption sets and weightings. A user's first
+// adoption has no other adopted item to support it, so the weighting
+// update is skipped for single-adoption users (DESIGN.md §3).
 func (st *State) endOfStep() {
 	if st.p.Params.Static {
 		clearStep(st)
 		return
 	}
 	for _, u := range st.stepUsers {
-		st.p.PIN.UpdateWeights(st.Weights(int(u)), st.stepItems[u], st.adopted[u], st.p.Params.Eta)
+		if len(st.adoptList[u]) > 1 {
+			st.p.PIN.UpdateWeights(st.Weights(int(u)), st.stepItems[u], st.adopted[u], st.p.Params.Eta)
+		}
 		st.recomputePref(int(u))
 	}
 	clearStep(st)

@@ -57,11 +57,20 @@ type State struct {
 	// engine's prefix reuse, reused across samples (DESIGN.md §3)
 	ckpts []checkpoint
 
-	// LikelihoodPi scratch: per-item accumulators, all zero between
-	// calls, and the items touched for the current user
+	// LikelihoodPi scratch, allocated on the first π call: per-item
+	// accumulators, all zero between calls, and the items touched for
+	// the current user; a user bitset and per-user arc counts, both
+	// all zero between calls; the adopters and live users in id order
+	// and the adopters' out-arcs bucketed per live user (DESIGN.md §5)
 	piOneMinus []float64
 	piSum      []float64
 	piTouched  []int32
+	piMark     []uint64
+	piCount    []int32
+	piAdopters []int32
+	piLive     []int32
+	piFrom     []int32
+	piW        []float64
 
 	// trace hook for case studies; nil on the hot path.
 	OnAdopt func(user, item, promo, step int, trigger AdoptTrigger)
@@ -327,7 +336,9 @@ func (st *State) ForceAdopt(u, x int) {
 	if st.p.Params.Static {
 		return
 	}
-	st.p.PIN.UpdateWeights(st.Weights(u), []int32{int32(x)}, st.adopted[u], st.p.Params.Eta)
+	if len(st.adoptList[u]) > 1 {
+		st.p.PIN.UpdateWeights(st.Weights(u), []int32{int32(x)}, st.adopted[u], st.p.Params.Eta)
+	}
 	st.recomputePref(u)
 }
 
@@ -422,14 +433,23 @@ func cosRange(a, b []float64) float64 {
 // The user's delta row is materialised on first recompute (pooled
 // rows may be stale, so the whole row is zeroed before accumulation —
 // adoption sets stay small, and the accumulation order matches the
-// dense layout bit for bit).
+// dense layout bit for bit). A single-adoption user still has
+// InitWeights (DESIGN.md §3), so its row comes from the cached init
+// relevance, which is bit-identical to EvalContribs under them.
 func (st *State) recomputePref(u int) {
 	pd := st.prefRow(u)
 	for i := range pd {
 		pd[i] = 0
 	}
-	w := st.Weights(u)
 	lam := st.p.Params.Lambda
+	if lst := st.adoptList[u]; len(lst) == 1 {
+		init := st.p.PIN.InitRow(int(lst[0]))
+		for j, pr := range st.p.PIN.Row(int(lst[0])) {
+			pd[pr.Y] += lam * (init[j].RC - init[j].RS)
+		}
+		return
+	}
+	w := st.Weights(u)
 	for _, a := range st.adoptList[u] {
 		for _, pr := range st.p.PIN.Row(int(a)) {
 			rc, rs := st.p.PIN.EvalContribs(w, pr.Contribs)
@@ -474,8 +494,8 @@ func (st *State) MemoryFootprint() uint64 {
 		b += uint64(cap(l)) * 4
 	}
 	b += uint64(cap(st.stepUsers)) * 4
-	b += uint64(cap(st.piOneMinus)+cap(st.piSum)) * 8
-	b += uint64(cap(st.piTouched)) * 4
+	b += uint64(cap(st.piOneMinus)+cap(st.piSum)+cap(st.piMark)+cap(st.piW)) * 8
+	b += uint64(cap(st.piTouched)+cap(st.piCount)+cap(st.piAdopters)+cap(st.piLive)+cap(st.piFrom)) * 4
 	for i := range st.ckpts {
 		cp := &st.ckpts[i]
 		b += uint64(cap(cp.users)+cap(cp.alist)+cap(cp.aend)) * 4

@@ -99,6 +99,42 @@ func BenchmarkRunCampaign(b *testing.B) {
 	b.ReportMetric(float64(st.MemoryFootprint()), "state-bytes")
 }
 
+// BenchmarkRunCampaignSelect measures the campaign a CELF refresh
+// wave simulates: about 40 seeds, all at promotion 1, under dynamic
+// parameters over T = 10 promotions. Most of its adopters take one
+// item, which is the case the single-adoption shortcuts serve
+// (DESIGN.md §3). One op is one sample; the loop cycles over 16
+// warmed sample streams, so allocations per op must be 0.
+func BenchmarkRunCampaignSelect(b *testing.B) {
+	p := benchProblem(b, 2000, 256)
+	p.T = 10
+	var seeds []Seed
+	for j := 0; j < 40; j++ {
+		u := 47 * j
+		seeds = append(seeds, Seed{User: u, Item: (u * 7) % 256, T: 1})
+	}
+	const samples = 16
+	st := NewState(p)
+	master := rng.New(7)
+	var res Result
+	res.PerItem = make([]float64, p.NumItems())
+	run := func(i int) {
+		st.resetSplit(master, i%samples)
+		res.Sigma, res.MarketSigma, res.Adoptions, res.Steps = 0, 0, 0, 0
+		st.RunCampaign(seeds, nil, &res)
+	}
+	for i := 0; i < samples; i++ {
+		run(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(st.MemoryFootprint()), "state-bytes")
+}
+
 // BenchmarkRunBatchPiSchedule measures what prefix reuse buys a TDSI
 // scheduling batch (DESIGN.md §3): group 0 is a schedule over
 // promotions 1..3 and each of 16 candidates adds one seed at promotion
