@@ -28,10 +28,12 @@ race:
 # raw σ estimation and the end-to-end Amazon solve; then the engine's
 # own kernels (a campaign, a selection-shaped campaign, a scheduling
 # sample), at a fixed count that warms the state pools so allocs/op
-# shows the steady state.
+# shows the steady state; then one coin (ns/coin) drawn through a Rand
+# and from a Stream held in locals.
 bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^Benchmark(RunCampaign|RunCampaignSelect|RunBatchPiSchedule)$$' -benchtime 2000x -benchmem ./internal/diffusion
+	$(GO) test -run '^$$' -bench '^BenchmarkCoinRow$$' -benchmem ./internal/rng
 
 fmt:
 	gofmt -w .
@@ -110,9 +112,10 @@ docs-check:
 	./scripts/docs_check.sh
 	./scripts/docs_check.sh --self-test
 
-# Inlining guard (DESIGN.md §3): rng.(*Rand).Uint64 and Bernoulli
-# inline, and so does every Bernoulli call in the diffusion engine and
-# the RR-sketch sampler. --self-test proves the gate can fail.
+# Inlining guard (DESIGN.md §3): rng.Stream.next, Stream.Bernoulli and
+# (*Rand).Uint64 inline, and every Bernoulli call in the diffusion
+# engine and the RR-sketch sampler inlines Stream.Bernoulli.
+# --self-test proves the gate can fail.
 inline-check:
 	./scripts/inline_check.sh
 	./scripts/inline_check.sh --self-test
@@ -123,8 +126,9 @@ inline-check:
 bench-diff:
 	./scripts/bench_diff.sh BENCH_solve.json BENCH_serve.json BENCH_shard.json BENCH_sketch.json BENCH_gridcache.json
 
-# Short fuzz pass over every wire-codec decoder and the cache spill-image
-# reader (the seed corpora are committed under */testdata/fuzz).
+# Short fuzz pass over every wire-codec decoder, the cache spill-image
+# reader and the daemon's solve and sigma request decoders (the seed
+# corpora are committed under */testdata/fuzz or added in the test).
 fuzz:
 	$(GO) test ./internal/wirebin -run '^FuzzReader$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 	$(GO) test ./internal/diffusion -run '^FuzzSampleGridCodec$$' -fuzz '^FuzzSampleGridCodec$$' -fuzztime 10s
@@ -136,3 +140,5 @@ fuzz:
 	$(GO) test ./internal/shard -run '^FuzzDecodeProblemUploadBinary$$' -fuzz '^FuzzDecodeProblemUploadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeEstimateRequestBinary$$' -fuzz '^FuzzDecodeEstimateRequestBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeEstimateResponseBinary$$' -fuzz '^FuzzDecodeEstimateResponseBinary$$' -fuzztime 10s
+	$(GO) test ./cmd/imdppd -run '^FuzzSolveRequest$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s
+	$(GO) test ./cmd/imdppd -run '^FuzzSigmaRequest$$' -fuzz '^FuzzSigmaRequest$$' -fuzztime 10s

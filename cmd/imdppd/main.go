@@ -565,35 +565,70 @@ func parseOrder(s string) (imdpp.OrderMetric, error) {
 	}
 }
 
-func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req solveRequest
-	if !decodeBody(w, r, &req) {
-		return
+// solveCall is a decoded, validated POST /v1/solve: the body, the
+// solver options and algorithm it selects, and the ?wait= deadline.
+type solveCall struct {
+	req      solveRequest
+	opt      imdpp.Options
+	adaptive bool
+	wait     time.Duration
+}
+
+// decodeSolve decodes a POST /v1/solve body and validates everything
+// that needs no problem: algorithm, order metric, sketch parameters,
+// ?wait= and the solver options. It loads no dataset and submits
+// nothing; on failure it has written the typed 4xx and returns false.
+func decodeSolve(w http.ResponseWriter, r *http.Request) (solveCall, bool) {
+	var c solveCall
+	if !decodeBody(w, r, &c.req) {
+		return c, false
 	}
-	adaptive := false
+	req := &c.req
 	switch strings.ToLower(req.Algo) {
 	case "", "dysim":
 	case "adaptive":
-		adaptive = true
+		c.adaptive = true
 	default:
 		writeError(w, http.StatusBadRequest, &imdpp.InputError{Field: "Algo", Reason: fmt.Sprintf("unknown algorithm %q (want dysim|adaptive)", req.Algo)})
-		return
+		return c, false
 	}
 	order, err := parseOrder(req.Order)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return c, false
 	}
 	eps, delta, err := sketchParams(req.Epsilon, req.Delta)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return c, false
 	}
-	wait, err := parseWait(r.URL.Query().Get("wait"))
-	if err != nil {
+	if c.wait, err = parseWait(r.URL.Query().Get("wait")); err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return c, false
+	}
+	c.opt = imdpp.Options{
+		MC:           req.MC,
+		MCSI:         req.MCSI,
+		Seed:         req.Seed,
+		Theta:        req.Theta,
+		CandidateCap: req.CandidateCap,
+		Order:        order,
+		Epsilon:      eps,
+		Delta:        delta,
+	}
+	if err := c.opt.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return c, false
+	}
+	return c, true
+}
+
+func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
+	c, ok := decodeSolve(w, r)
+	if !ok {
 		return
 	}
+	req := &c.req
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = r.Header.Get("X-IMDPP-Tenant")
@@ -604,18 +639,9 @@ func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, coalesced, err := d.svc.Submit(imdpp.ServiceRequest{
-		Problem: p,
-		Options: imdpp.Options{
-			MC:           req.MC,
-			MCSI:         req.MCSI,
-			Seed:         req.Seed,
-			Theta:        req.Theta,
-			CandidateCap: req.CandidateCap,
-			Order:        order,
-			Epsilon:      eps,
-			Delta:        delta,
-		},
-		Adaptive: adaptive,
+		Problem:  p,
+		Options:  c.opt,
+		Adaptive: c.adaptive,
 		Tenant:   tenant,
 		Priority: req.Priority,
 	})
@@ -623,11 +649,11 @@ func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, submitStatus(err), err)
 		return
 	}
-	if wait > 0 {
+	if c.wait > 0 {
 		// long-poll: block up to the deadline; a finished job returns its
 		// full snapshot (solution included), a still-working one falls
 		// through to the usual 202 ticket
-		waitCtx, cancel := context.WithTimeout(r.Context(), wait)
+		waitCtx, cancel := context.WithTimeout(r.Context(), c.wait)
 		_, _ = job.Wait(waitCtx)
 		cancel()
 		if snap := job.Snapshot(); snap.Status == imdpp.JobDone ||
@@ -810,14 +836,29 @@ func (d *daemon) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job.Snapshot())
 }
 
-func (d *daemon) handleSigma(w http.ResponseWriter, r *http.Request) {
+// decodeSigma decodes a POST /v1/sigma body and validates everything
+// that needs no problem: sketch parameters and the sample count. It
+// loads no dataset and estimates nothing; on failure it has written
+// the typed 4xx and returns false.
+func decodeSigma(w http.ResponseWriter, r *http.Request) (sigmaRequest, imdpp.SigmaOptions, bool) {
 	var req sigmaRequest
 	if !decodeBody(w, r, &req) {
-		return
+		return req, imdpp.SigmaOptions{}, false
 	}
 	eps, delta, err := sketchParams(req.Epsilon, req.Delta)
+	if err == nil {
+		err = imdpp.Options{MC: req.MC, Epsilon: eps, Delta: delta}.Validate()
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return req, imdpp.SigmaOptions{}, false
+	}
+	return req, imdpp.SigmaOptions{MC: req.MC, Seed: req.Seed, Epsilon: eps, Delta: delta}, true
+}
+
+func (d *daemon) handleSigma(w http.ResponseWriter, r *http.Request) {
+	req, opt, ok := decodeSigma(w, r)
+	if !ok {
 		return
 	}
 	p, err := d.loadProblem(req.problemSpec)
@@ -825,8 +866,7 @@ func (d *daemon) handleSigma(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	est, backend, err := d.svc.Sigma(r.Context(), p, req.Seeds,
-		imdpp.SigmaOptions{MC: req.MC, Seed: req.Seed, Epsilon: eps, Delta: delta})
+	est, backend, err := d.svc.Sigma(r.Context(), p, req.Seeds, opt)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, context.Canceled) {

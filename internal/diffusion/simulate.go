@@ -87,11 +87,19 @@ func (st *State) runPromotion(t int, seeds []Seed, market []bool, res *Result) {
 
 // propagateFrom lets u′ (who newly adopted x last step) promote x to
 // every friend who has not adopted it.
+//
+// Every coin is drawn from s, a copy of the sample stream held in
+// locals for the whole call and written back once at its end
+// (DESIGN.md §3). That is sound because nothing in between draws from
+// st.rngv: adopt and OnAdopt never draw. There is no defer: a
+// deferred SetStream would capture s when the defer runs, not at exit.
 func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *Result) {
 	p := st.p
 	uPrime := int(ev.user)
 	x := int(ev.item)
 	arcs := p.G.Out(uPrime)
+	s := st.rngv.Stream()
+	var hit bool
 	for ai, to := range arcs.To {
 		u := int(to)
 		if st.Adopted(u, x) {
@@ -100,7 +108,7 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 		pact := st.Act(uPrime, u, arcs.W[ai])
 		prefX := st.Pref(u, x)
 		// Purchase decision: influence strength × preference [51].
-		if st.rngv.Bernoulli(pact * prefX) {
+		if s, hit = s.Bernoulli(pact * prefX); hit {
 			st.adopt(u, x, t, step, TriggerPromotion, market, res)
 		}
 		// Item associations (Sec. V-A(4)): being promoted x may trigger
@@ -123,8 +131,10 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 			// checks would all be false and are dropped.
 			init := p.PIN.InitRow(x)
 			for j := range row {
-				if rc := init[j].RC; rc > 0 && st.rngv.Bernoulli(base*rc) {
-					st.adopt(u, int(row[j].Y), t, step, TriggerAssociation, market, res)
+				if rc := init[j].RC; rc > 0 {
+					if s, hit = s.Bernoulli(base * rc); hit {
+						st.adopt(u, int(row[j].Y), t, step, TriggerAssociation, market, res)
+					}
 				}
 			}
 			continue
@@ -144,8 +154,10 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 				if arow[y/64]&(1<<(y%64)) != 0 {
 					continue
 				}
-				if rc := init[j].RC; rc > 0 && st.rngv.Bernoulli(base*rc) {
-					st.adopt(u, int(y), t, step, TriggerAssociation, market, res)
+				if rc := init[j].RC; rc > 0 {
+					if s, hit = s.Bernoulli(base * rc); hit {
+						st.adopt(u, int(y), t, step, TriggerAssociation, market, res)
+					}
 				}
 			}
 			continue
@@ -157,11 +169,14 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 				continue
 			}
 			rc, _ := p.PIN.EvalContribs(w, pr.Contribs)
-			if rc > 0 && st.rngv.Bernoulli(base*rc) {
-				st.adopt(u, int(y), t, step, TriggerAssociation, market, res)
+			if rc > 0 {
+				if s, hit = s.Bernoulli(base * rc); hit {
+					st.adopt(u, int(y), t, step, TriggerAssociation, market, res)
+				}
 			}
 		}
 	}
+	st.rngv.SetStream(s)
 }
 
 // adopt finalises an adoption: bookkeeping, σ accounting, frontier and

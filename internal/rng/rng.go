@@ -5,9 +5,41 @@ import (
 	"math/bits"
 )
 
+// Stream is a xoshiro256** state held by value. Its four scalar words
+// (an array would not be) are SSA-able, so the compiler can keep a
+// local Stream in registers: a hot loop takes the Stream from its Rand
+// once, draws every coin with Bernoulli, and writes it back once with
+// SetStream, instead of a load/store round trip through the heap per
+// draw. Nothing may draw from the Rand between the two (DESIGN.md §3).
+type Stream struct {
+	s0, s1, s2, s3 uint64
+}
+
+// next is the generator's one state transition; Stream.Bernoulli and
+// Rand.Uint64 both step through it. The output of a step is
+// rotl(s1·5, 7)·9 on the state before it, written out at both callers
+// to keep them under the inline budget.
+func (s Stream) next() Stream {
+	s2 := s.s2 ^ s.s0
+	s3 := s.s3 ^ s.s1
+	return Stream{s.s0 ^ s3, s.s1 ^ s2, s2 ^ s.s1<<17, bits.RotateLeft64(s3, 45)}
+}
+
+// Bernoulli reports true with probability p and returns the advanced
+// stream. p <= 0 and p >= 1 decide without consuming a draw; any other
+// p, NaN included, consumes exactly one and reports Float64() < p on
+// it (NaN then reports false). Callers rely on this draw accounting to
+// keep Monte-Carlo streams aligned (DESIGN.md §3).
+func (s Stream) Bernoulli(p float64) (Stream, bool) {
+	if p <= 0 || p >= 1 {
+		return s, p >= 1
+	}
+	return s.next(), float64(bits.RotateLeft64(s.s1*5, 7)*9>>11)*(1.0/(1<<53)) < p
+}
+
 // Rand is a xoshiro256** generator. The zero value is invalid; use New.
 type Rand struct {
-	s [4]uint64
+	s Stream
 }
 
 // splitmix64 advances x and returns the next splitmix64 output.
@@ -27,13 +59,12 @@ func New(seed uint64) *Rand {
 }
 
 func (r *Rand) seed(x uint64) {
-	for i := range r.s {
-		r.s[i] = splitmix64(&x)
-	}
+	s := Stream{splitmix64(&x), splitmix64(&x), splitmix64(&x), splitmix64(&x)}
 	// xoshiro256** must not start from the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if s.s0|s.s1|s.s2|s.s3 == 0 {
+		s.s0 = 0x9e3779b97f4a7c15
 	}
+	r.s = s
 }
 
 // Split derives an independent stream from r. The derived stream is a
@@ -48,23 +79,23 @@ func (r *Rand) Split(i uint64) *Rand {
 // SplitInto sets dst to the stream Split(i) returns, without
 // allocating.
 func (r *Rand) SplitInto(dst *Rand, i uint64) {
-	dst.seed(r.s[0] ^ (r.s[2] * 0x9e3779b97f4a7c15) ^ (i+1)*0xd1342543de82ef95)
+	dst.seed(r.s.s0 ^ (r.s.s2 * 0x9e3779b97f4a7c15) ^ (i+1)*0xd1342543de82ef95)
 }
 
-// Uint64 returns the next 64 random bits. The step works on local
-// copies of the state and writes it back whole, which keeps it under
-// the compiler's inline budget (scripts/inline_check.sh guards this).
+// Stream returns r's current state by value. Drawing from the copy
+// does not advance r; SetStream writes the advanced copy back.
+func (r *Rand) Stream() Stream { return r.s }
+
+// SetStream replaces r's state with s, typically a copy taken with
+// Stream and advanced by Stream.Bernoulli.
+func (r *Rand) SetStream(s Stream) { r.s = s }
+
+// Uint64 returns the next 64 random bits (scripts/inline_check.sh
+// keeps it under the compiler's inline budget).
 func (r *Rand) Uint64() uint64 {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	result := bits.RotateLeft64(s1*5, 7) * 9
-	t := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
-	return result
+	x := bits.RotateLeft64(r.s.s1*5, 7) * 9
+	r.s = r.s.next()
+	return x
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -84,11 +115,13 @@ func (r *Rand) Intn(n int) int {
 // without consuming a draw; any other p, NaN included, consumes exactly
 // one (NaN then reports false). Callers rely on this draw accounting to
 // keep Monte-Carlo streams aligned (DESIGN.md §3).
+//
+// It is Stream.Bernoulli on r's state. A hot loop should instead hold
+// the Stream in a local across its draws (see Stream).
 func (r *Rand) Bernoulli(p float64) bool {
-	if p <= 0 || p >= 1 {
-		return p >= 1
-	}
-	return r.Float64() < p
+	var hit bool
+	r.s, hit = r.s.Bernoulli(p)
+	return hit
 }
 
 // NormFloat64 returns a standard normal variate (Box–Muller).

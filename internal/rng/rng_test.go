@@ -324,3 +324,61 @@ func TestKnownAnswer(t *testing.T) {
 		}
 	}
 }
+
+// bernoulliFloat64 is the coin as Rand drew it before Stream existed:
+// the same guards, then Float64() < p on one draw.
+func bernoulliFloat64(r *Rand, p float64) bool {
+	if p <= 0 || p >= 1 {
+		return p >= 1
+	}
+	return r.Float64() < p
+}
+
+// TestStreamMatchesRand runs Stream.Bernoulli and Rand.Bernoulli beside
+// a twin generator that flips bernoulliFloat64, and asserts identical
+// outcomes and draw counts (equal states after every coin) over the
+// edge cases, p equal to the very value drawn, and 10⁵ random p.
+func TestStreamMatchesRand(t *testing.T) {
+	ps := []float64{0, -0.5, math.Inf(-1), 1, 1.5, math.Inf(1), math.NaN(), 0.3, 1 - 0x1p-53, 5e-324}
+	src := New(4242)
+	for i := 0; i < 100000; i++ {
+		ps = append(ps, src.Float64())
+	}
+	r, rb, twin := New(9), New(9), New(9)
+	s := r.Stream()
+	var got bool
+	for i, p := range ps {
+		s, got = s.Bernoulli(p)
+		gotRand := rb.Bernoulli(p)
+		want := bernoulliFloat64(twin, p)
+		if got != want || gotRand != want {
+			t.Fatalf("coin %d, p=%v: Stream %v, Rand %v, want %v", i, p, got, gotRand, want)
+		}
+		if s != twin.Stream() || rb.Stream() != twin.Stream() {
+			t.Fatalf("coin %d, p=%v: draw count differs from the twin", i, p)
+		}
+	}
+	// p equal to the value the coin draws must miss: the comparison is
+	// strict.
+	for i := 0; i < 1000; i++ {
+		peek := *twin
+		p := peek.Float64()
+		s, got = s.Bernoulli(p)
+		if want := bernoulliFloat64(twin, p); got != want || (p > 0 && got) || s != twin.Stream() {
+			t.Fatalf("coin at its own draw %v: Stream %v, twin %v, want false", p, got, want)
+		}
+	}
+	// Stream and SetStream round-trip: copying the state out and back
+	// changes nothing, and a Rand resumes where its advanced Stream
+	// stopped.
+	r.SetStream(r.Stream())
+	if r.Stream() != New(9).Stream() {
+		t.Fatal("SetStream(Stream()) changed the state")
+	}
+	r.SetStream(s)
+	for i := 0; i < 8; i++ {
+		if a, b := r.Uint64(), twin.Uint64(); a != b {
+			t.Fatalf("output %d after SetStream: %#016x, twin %#016x", i, a, b)
+		}
+	}
+}

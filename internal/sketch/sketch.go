@@ -284,7 +284,7 @@ func newBuilder(p *diffusion.Problem) *builder {
 // u are visited in ascending source order (the CSR canonical order);
 // per in-arc the direct purchase coin Pact·P0pref(u,y) is flipped
 // first, then one association coin χ·Pact·P0pref(u,z)·rc0(z,y) per
-// PIN row entry z of y, in row order. rng.Bernoulli consumes no
+// PIN row entry z of y, in row order. Bernoulli consumes no
 // randomness for p ≤ 0 or p ≥ 1 — the same convention the forward
 // simulator relies on. The returned pair list is sorted ascending.
 func (b *builder) sample(r *rng.Rand, cum []float64, wsum float64) (target int64, pairs []int64) {
@@ -343,11 +343,15 @@ func (b *builder) sample(r *rng.Rand, cum []float64, wsum float64) (target int64
 			surv = append(surv, 1)
 		}
 		b.surv = surv
+		// The entry's coins come from a copy of r held in locals and
+		// written back after the entry (DESIGN.md §9); push never draws.
+		s := r.Stream()
+		var hit bool
 		for ai, src := range arcs.To {
 			up := int(src)
 			aw := arcs.W[ai]
 			// direct purchase: u′ adopted y and promoted it to u
-			if r.Bernoulli(aw * prefY) {
+			if s, hit = s.Bernoulli(aw * prefY); hit {
 				b.push(pairKey(up, y, items), cur.depth+1)
 			}
 			// association: u′ adopted a related item z, promoted z to u,
@@ -359,8 +363,10 @@ func (b *builder) sample(r *rng.Rand, cum []float64, wsum float64) (target int64
 				for j := range pinRow {
 					z := int(pinRow[j].Y)
 					prefZ := p.BasePrefOf(u, z)
-					if rc := pinInit[j].RC; rc > 0 && r.Bernoulli(base*prefZ*rc*surv[j]) {
-						b.push(pairKey(up, z, items), cur.depth+1)
+					if rc := pinInit[j].RC; rc > 0 {
+						if s, hit = s.Bernoulli(base * prefZ * rc * surv[j]); hit {
+							b.push(pairKey(up, z, items), cur.depth+1)
+						}
 					}
 					// same-event association is allowed forward (the
 					// adoption check precedes both coins), so the thinning
@@ -369,6 +375,7 @@ func (b *builder) sample(r *rng.Rand, cum []float64, wsum float64) (target int64
 				}
 			}
 		}
+		r.SetStream(s)
 	}
 
 	pairs = append([]int64(nil), b.out...)

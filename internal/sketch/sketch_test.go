@@ -2,7 +2,9 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"os"
 	"runtime"
@@ -67,6 +69,49 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if sk1.Theta != Theta(par.Epsilon, par.Delta) {
 		t.Fatalf("built θ = %d, want %d", sk1.Theta, Theta(par.Epsilon, par.Delta))
+	}
+}
+
+// TestBuildGolden pins the RR index bits of one fixed build: the set
+// count, the total pair count, an FNV-64 hash of the stored index
+// (targets, offsets, pairs) and the static σ estimate of two seed
+// groups. TestBuildDeterministicAcrossWorkers only compares builds with
+// each other, so it cannot see a change to the RR walk's draw order or
+// coin values that every build shares; this test can.
+func TestBuildGolden(t *testing.T) {
+	p := sampleProblem(t, 100, 4)
+	p.Params.Static = true
+	sk, err := Build(p, Params{Epsilon: 0.05, Delta: 0.1, Seed: 7}, 2, nil)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, vs := range [][]int64{sk.Targets, sk.Off, sk.Pairs} {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	}
+	groups := [][]diffusion.Seed{
+		{{User: 3, Item: 14, T: 1}, {User: 11, Item: 0, T: 1}, {User: 35, Item: 7, T: 2}},
+		{{User: 97, Item: 14, T: 1}, {User: 9, Item: 14, T: 2}, {User: 10, Item: 4, T: 1}, {User: 19, Item: 0, T: 3}},
+	}
+	var sc Scratch
+	var sigma [2]uint64
+	for i, g := range groups {
+		sigma[i] = math.Float64bits(sk.Estimate(g, nil, nil, &sc).Sigma)
+	}
+	const (
+		wantSets  = 600
+		wantPairs = 718
+		wantHash  = 0x80c53603797a6b54
+	)
+	wantSigma := [2]uint64{0x404ccccccccccccc, 0x404f333333333332}
+	if sk.Theta != wantSets || len(sk.Pairs) != wantPairs || h.Sum64() != wantHash || sigma != wantSigma {
+		t.Fatalf("RR index moved: sets %d pairs %d hash %#016x σ bits %#016x %#016x; want %d %d %#016x %#016x %#016x",
+			sk.Theta, len(sk.Pairs), h.Sum64(), sigma[0], sigma[1],
+			wantSets, wantPairs, uint64(wantHash), wantSigma[0], wantSigma[1])
 	}
 }
 

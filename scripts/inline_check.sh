@@ -4,21 +4,26 @@
 #
 # The diffusion engine flips one Bernoulli coin per arc and per PIN row
 # entry, so the cost of a coin is most of the cost of an estimate
-# (DESIGN.md §3). That cost depends on two compiler decisions that a
-# one-line edit can silently undo. This gate builds the engine packages
-# with -gcflags=-m and fails unless
+# (DESIGN.md §3). The engine and the RR walk draw every coin from an
+# rng.Stream held in locals, which stays in registers only while the
+# coin inlines; a one-line edit can silently undo that. This gate
+# builds the engine packages with -gcflags=-m and fails unless
 #
-#   1. rng.(*Rand).Uint64 and rng.(*Rand).Bernoulli report "can inline"
+#   1. rng.Stream.next, rng.Stream.Bernoulli and rng.(*Rand).Uint64
+#      report "can inline"
 #   2. every Bernoulli call site in internal/diffusion/simulate.go and
 #      internal/sketch/sketch.go reports "inlining call to
-#      rng.(*Rand).Bernoulli"
+#      rng.Stream.Bernoulli"
 #
 # Usage:
 #   scripts/inline_check.sh              # check the working tree
 #   scripts/inline_check.sh --self-test  # prove the gate can fail: copy
-#                                        # the tree, push Uint64 and then
-#                                        # Bernoulli over the inline
-#                                        # budget, assert detection
+#                                        # the tree, push next, then
+#                                        # Stream.Bernoulli, then Uint64
+#                                        # over the inline budget, then
+#                                        # draw the purchase coin through
+#                                        # the Rand; assert detection
+#                                        # each time
 set -u
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
@@ -33,9 +38,9 @@ check_tree() {
 	fi
 
 	# 1. the generator methods fit the inline budget
-	for fn in Uint64 Bernoulli; do
-		if ! grep -qE "^internal/rng/rng\.go:[0-9]+:[0-9]+: can inline \(\*Rand\)\.$fn\$" <<<"$out"; then
-			echo "inline-check: rng.(*Rand).$fn no longer inlines (over the compiler's inline budget?)" >&2
+	for fn in 'Stream.next' 'Stream.Bernoulli' '(*Rand).Uint64'; do
+		if ! grep -E '^internal/rng/rng\.go:' <<<"$out" | cut -d' ' -f2- | grep -qxF "can inline $fn"; then
+			echo "inline-check: rng.$fn no longer inlines (over the compiler's inline budget?)" >&2
 			fail=1
 		fi
 	done
@@ -51,7 +56,7 @@ check_tree() {
 		fi
 		for line in $sites; do
 			calls=$(sed -n "${line}p" "$root/$file" | grep -oE '\.Bernoulli\(' | wc -l)
-			inlined=$(grep -cE "^$file:$line:[0-9]+: inlining call to rng\.\(\*Rand\)\.Bernoulli\$" <<<"$out")
+			inlined=$(grep -cE "^$file:$line:[0-9]+: inlining call to rng\.Stream\.Bernoulli\$" <<<"$out")
 			if [ "$inlined" -lt "$calls" ]; then
 				echo "inline-check: $file:$line: Bernoulli call not inlined ($inlined of $calls)" >&2
 				fail=1
@@ -75,14 +80,15 @@ self_test() {
 	}
 
 	# pad inserts cost-only statements at the top of an rng.go method
-	# body: they compile, change nothing the check reads, and push the
-	# method's inline cost well past the budget
+	# body, given its signature prefix and its state expression: they
+	# compile, change nothing the check reads, and push the method's
+	# inline cost well past the budget
 	pad() {
-		sed -i "/^func (r \*Rand) $1(/a\\
-	r.s[0] += r.s[1] * r.s[2] * r.s[3]\\
-	r.s[1] += r.s[2] * r.s[3] * r.s[0]\\
-	r.s[2] += r.s[3] * r.s[0] * r.s[1]\\
-	r.s[3] += r.s[0] * r.s[1] * r.s[2]" "$tmp/tree/internal/rng/rng.go"
+		sed -i "/^func $1(/a\\
+	$2.s0 += $2.s1 * $2.s2 * $2.s3\\
+	$2.s1 += $2.s2 * $2.s3 * $2.s0\\
+	$2.s2 += $2.s3 * $2.s0 * $2.s1\\
+	$2.s3 += $2.s0 * $2.s1 * $2.s2" "$tmp/tree/internal/rng/rng.go"
 	}
 
 	copy
@@ -92,17 +98,31 @@ self_test() {
 		return 1
 	fi
 
-	for fn in Uint64 Bernoulli; do
+	for fn in 'Stream.next' 'Stream.Bernoulli' '(*Rand).Uint64'; do
 		copy
-		pad "$fn"
-		if check_tree "$tmp/tree" 2>&1 | grep -qF "rng.(*Rand).$fn no longer inlines"; then
+		case $fn in
+		Stream.next) pad '(s Stream) next' s ;;
+		Stream.Bernoulli) pad '(s Stream) Bernoulli' s ;;
+		'(*Rand).Uint64') pad '(r \*Rand) Uint64' r.s ;;
+		esac
+		if check_tree "$tmp/tree" 2>&1 | grep -qF "rng.$fn no longer inlines"; then
 			continue
 		fi
 		echo "inline-check self-test: FAIL — pushing $fn over the inline budget went undetected" >&2
 		return 1
 	done
 
-	echo "inline-check self-test: ok (clean tree passes; Uint64 and Bernoulli over budget detected)"
+	# a coin drawn through the Rand again (a call: (*Rand).Bernoulli is
+	# over the budget) must fail the call-site check
+	copy
+	sed -i 's/if s, hit = s\.Bernoulli(pact \* prefX); hit {/if hit = st.rngv.Bernoulli(pact * prefX); hit {/' \
+		"$tmp/tree/internal/diffusion/simulate.go"
+	if ! check_tree "$tmp/tree" 2>&1 | grep -qF "internal/diffusion/simulate.go:"; then
+		echo "inline-check self-test: FAIL — a purchase coin drawn through the Rand went undetected" >&2
+		return 1
+	fi
+
+	echo "inline-check self-test: ok (clean tree passes; next, Stream.Bernoulli and Uint64 over budget and a Rand-drawn coin detected)"
 	return 0
 }
 
