@@ -1,113 +1,56 @@
 // Command imdppbench regenerates the paper's tables and figures, and
-// benchmarks the solver itself.
+// runs the statistical harness of the RR-sketch backend.
 //
 // Usage:
 //
-//	imdppbench -fig all                # everything (slow)
+//	imdppbench -fig all                # every table and figure (slow)
 //	imdppbench -fig 8a,8b              # Fig. 8 only
 //	imdppbench -fig 9 -scale 0.5       # Fig. 9 at half dataset scale
 //	imdppbench -fig tables,case        # Table II/III + case studies
-//	imdppbench -fig solve              # solver bench → BENCH_solve.json
-//	imdppbench -fig shard              # shard wire/plan bench → BENCH_shard.json
-//	imdppbench -fig sketch             # RR-sketch (ε, δ) harness → BENCH_sketch.json
-//	imdppbench -fig gridcache          # grid-cache cold/warm bench → BENCH_gridcache.json
+//	imdppbench -fig sketch             # RR-sketch (ε, δ) harness
 //
-// Figure ids: tables, 8a, 8b, 9, 9h, 10, 11, 12, 13, 14, case, solve,
-// shard, sketch, gridcache.
+// Figure ids: tables, 8a, 8b, 9, 9h, 10, 11, 12, 13, 14, case, sketch.
+// An unknown id, or a negative or non-finite -scale, exits 2.
 //
-// The solve, shard, sketch and gridcache ids are not part of 'all':
-// gridcache runs one CELF-heavy solve cold (empty sample-grid cache)
-// and once warm (same cache), asserts the two are bit-identical and
-// the warm one ≥1.5× faster, and appends the speedup/hit-rate record
-// to -gridout (DESIGN.md §10); solve runs one Dysim Solve on a preset
-// (-preset/-budget/-T) and writes
-// machine-readable phase timings, estimator throughput (samples/sec)
-// and σ to -benchout; shard boots an in-process worker fleet and
-// drives a CELF-shaped batched-estimation workload through the shard
-// RPC, appending one record with the fleet size, wire bytes and
-// throughput to -shardout; sketch is the statistical harness
-// of the approximate backend (DESIGN.md §9) — per synthetic preset it
-// builds an RR index at (-epsilon, -delta), asserts every sketch σ
-// lands within the ε·n·W additive contract of the MC ground truth,
-// asserts ≥5× σ-query throughput on the largest preset, and appends the
-// error/throughput records to -sketchout — so CI tracks the perf
-// trajectory of the solver, the wire and the approximation together.
+// sketch is not part of 'all': it is the statistical harness of the
+// approximate backend (DESIGN.md §9). Per synthetic preset it builds an
+// RR index at (-epsilon, -delta), asserts every sketch σ lands within
+// the ε·n·W additive contract of the MC ground truth, asserts ≥5×
+// σ-query throughput on the largest preset, and prints one line per
+// preset. The repo's perf record is dysimbench (BENCHMARK.json).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"imdpp/internal/core"
 	"imdpp/internal/dataset"
 	"imdpp/internal/diffusion"
 	"imdpp/internal/exp"
-	"imdpp/internal/gridcache"
-	"imdpp/internal/service"
-	"imdpp/internal/shard"
 	"imdpp/internal/sketch"
 )
 
-func main() {
-	figs := flag.String("fig", "all", "comma-separated figure ids (tables,8a,8b,9,9h,10,11,12,13,14,case,solve,shard,sketch) or 'all'")
-	scale := flag.Float64("scale", 1.0, "dataset scale multiplier")
-	evalMC := flag.Int("evalmc", 64, "Monte-Carlo samples for final evaluation")
-	solverMC := flag.Int("mc", 24, "Monte-Carlo samples inside solvers")
-	seed := flag.Uint64("seed", 1, "master RNG seed")
-	preset := flag.String("preset", "Amazon", "dataset preset for -fig solve (Amazon, Yelp, Douban, Gowalla)")
-	budget := flag.Float64("budget", 500, "budget for -fig solve")
-	promos := flag.Int("T", 10, "promotions for -fig solve")
-	benchout := flag.String("benchout", "BENCH_solve.json", "output path of the -fig solve JSON report")
-	shardout := flag.String("shardout", "BENCH_shard.json", "append path of the -fig shard JSON records")
-	shardN := flag.Int("shards", 2, "-fig shard: in-process worker count")
-	epsilon := flag.Float64("epsilon", 0.05, "-fig sketch: additive accuracy ε of the (ε, δ) contract")
-	delta := flag.Float64("delta", 0.05, "-fig sketch: failure probability δ of the (ε, δ) contract")
-	sketchout := flag.String("sketchout", "BENCH_sketch.json", "append path of the -fig sketch JSON records")
-	gridout := flag.String("gridout", "BENCH_gridcache.json", "append path of the -fig gridcache JSON records")
-	flag.Parse()
-
-	cfg := exp.Config{
-		Scale:    dataset.Scale(*scale),
-		EvalMC:   *evalMC,
-		SolverMC: *solverMC,
-		Seed:     *seed,
-		Out:      os.Stdout,
-	}
-
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	all := want["all"]
-	run := func(id string, f func() error) {
-		if !all && !want[id] {
-			return
-		}
-		start := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
-	}
-
-	run("tables", func() error {
+// figures are the paper's table and figure drivers, in the order
+// -fig all runs them.
+var figures = []struct {
+	id  string
+	run func(exp.Config) error
+}{
+	{"tables", func(cfg exp.Config) error {
 		if _, err := exp.TableII(cfg); err != nil {
 			return err
 		}
 		_, err := exp.TableIII(cfg)
 		return err
-	})
-	run("8a", func() error { _, err := exp.Fig8a(cfg); return err })
-	run("8b", func() error { _, err := exp.Fig8b(cfg); return err })
-	run("9", func() error {
+	}},
+	{"8a", func(cfg exp.Config) error { _, err := exp.Fig8a(cfg); return err }},
+	{"8b", func(cfg exp.Config) error { _, err := exp.Fig8b(cfg); return err }},
+	{"9", func(cfg exp.Config) error {
 		for _, ds := range []string{"Yelp", "Amazon", "Douban"} {
 			if _, _, err := exp.Fig9Influence(cfg, ds); err != nil {
 				return err
@@ -119,9 +62,9 @@ func main() {
 			}
 		}
 		return nil
-	})
-	run("9h", func() error { _, err := exp.Fig9h(cfg); return err })
-	run("10", func() error {
+	}},
+	{"9h", func(cfg exp.Config) error { _, err := exp.Fig9h(cfg); return err }},
+	{"10", func(cfg exp.Config) error {
 		for _, ds := range []string{"Yelp", "Amazon"} {
 			if _, err := exp.Fig10VsBudget(cfg, ds); err != nil {
 				return err
@@ -131,8 +74,8 @@ func main() {
 			}
 		}
 		return nil
-	})
-	run("11", func() error {
+	}},
+	{"11", func(cfg exp.Config) error {
 		for _, ds := range []string{"Yelp", "Amazon"} {
 			if _, err := exp.Fig11VsBudget(cfg, ds); err != nil {
 				return err
@@ -142,334 +85,113 @@ func main() {
 			}
 		}
 		return nil
-	})
-	run("12", func() error { _, err := exp.Fig12(cfg); return err })
-	run("13", func() error {
+	}},
+	{"12", func(cfg exp.Config) error { _, err := exp.Fig12(cfg); return err }},
+	{"13", func(cfg exp.Config) error {
 		for _, ds := range []string{"Yelp", "Gowalla", "Amazon", "Douban"} {
 			if _, err := exp.Fig13(cfg, ds); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	run("14", func() error {
+	}},
+	{"14", func(cfg exp.Config) error {
 		for _, ds := range []string{"Yelp", "Gowalla", "Amazon", "Douban"} {
 			if _, err := exp.Fig14(cfg, ds, nil); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	run("case", func() error { _, err := exp.CaseStudies(cfg); return err })
-	if want["solve"] {
-		start := time.Now()
-		if err := solveBench(*preset, *scale, *budget, *promos, *solverMC, *seed, *benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "solve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[solve done in %v]\n", time.Since(start).Round(time.Millisecond))
+	}},
+	{"case", func(cfg exp.Config) error { _, err := exp.CaseStudies(cfg); return err }},
+}
+
+// figIDs lists every id -fig accepts besides 'all': the paper
+// figures, then the sketch harness.
+func figIDs() []string {
+	ids := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		ids = append(ids, f.id)
 	}
-	if want["shard"] {
+	return append(ids, "sketch")
+}
+
+// parseArgs checks the -fig list and -scale and returns the selected
+// ids; 'all' selects every paper figure (not sketch).
+func parseArgs(list string, scale float64) (map[string]bool, error) {
+	if !(scale >= 0 && scale <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-scale %g: want a finite value ≥ 0", scale)
+	}
+	ids := figIDs()
+	want := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.TrimSpace(id)
+		if id != "all" && !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown -fig id %q (want 'all' or a comma-separated list of %s)", id, strings.Join(ids, ","))
+		}
+		want[id] = true
+	}
+	if want["all"] {
+		for _, f := range figures {
+			want[f.id] = true
+		}
+	}
+	return want, nil
+}
+
+func main() {
+	figs := flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(figIDs(), ",")+") or 'all'")
+	scale := flag.Float64("scale", 1.0, "dataset scale multiplier")
+	evalMC := flag.Int("evalmc", 64, "Monte-Carlo samples for final evaluation")
+	solverMC := flag.Int("mc", 24, "Monte-Carlo samples inside solvers")
+	seed := flag.Uint64("seed", 1, "master RNG seed")
+	budget := flag.Float64("budget", 500, "-fig sketch: campaign budget")
+	promos := flag.Int("T", 10, "-fig sketch: promotions")
+	epsilon := flag.Float64("epsilon", 0.05, "-fig sketch: additive accuracy ε of the (ε, δ) contract")
+	delta := flag.Float64("delta", 0.05, "-fig sketch: failure probability δ of the (ε, δ) contract")
+	flag.Parse()
+
+	want, err := parseArgs(*figs, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "imdppbench:", err)
+		os.Exit(2)
+	}
+	cfg := exp.Config{
+		Scale:    dataset.Scale(*scale),
+		EvalMC:   *evalMC,
+		SolverMC: *solverMC,
+		Seed:     *seed,
+		Out:      os.Stdout,
+	}
+	run := func(id string, f func() error) {
 		start := time.Now()
-		if err := shardBench(*preset, *scale, *budget, *promos, *solverMC, *seed, *shardN, *shardout); err != nil {
-			fmt.Fprintf(os.Stderr, "shard: %v\n", err)
+		if err := f(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[shard done in %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
+	}
+	for _, f := range figures {
+		if want[f.id] {
+			run(f.id, func() error { return f.run(cfg) })
+		}
 	}
 	if want["sketch"] {
-		start := time.Now()
-		if err := sketchBench(*scale, *budget, *promos, *evalMC, *seed, *epsilon, *delta, *sketchout); err != nil {
-			fmt.Fprintf(os.Stderr, "sketch: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[sketch done in %v]\n", time.Since(start).Round(time.Millisecond))
-	}
-	if want["gridcache"] {
-		start := time.Now()
-		if err := gridcacheBench(*preset, *scale, *budget, *promos, *solverMC, *seed, *gridout); err != nil {
-			fmt.Fprintf(os.Stderr, "gridcache: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[gridcache done in %v]\n", time.Since(start).Round(time.Millisecond))
-	}
-}
-
-// gridReport is one appended line of the sample-grid memoization
-// trajectory (BENCH_gridcache.json): the cold and warm wall times of
-// one identical CELF-heavy solve, the cache's hit rate over the warm
-// pass and the simulations it saved. samples_per_sec carries the warm
-// pass's effective throughput — (simulated + cache-served) samples per
-// second — so scripts/bench_diff.sh can diff it like the other
-// trajectories; the speedup must clear 1.5× or the bench fails.
-type gridReport struct {
-	TS     int64   `json:"ts"`
-	Bench  string  `json:"bench"`
-	Preset string  `json:"preset"`
-	Scale  float64 `json:"scale"`
-	Budget float64 `json:"budget"`
-	T      int     `json:"t"`
-	MC     int     `json:"mc"`
-	Seed   uint64  `json:"seed"`
-
-	ColdMS        float64 `json:"cold_ms"`
-	WarmMS        float64 `json:"warm_ms"`
-	Speedup       float64 `json:"speedup"`
-	HitRate       float64 `json:"hit_rate"`
-	Hits          uint64  `json:"hits"`
-	Lookups       uint64  `json:"lookups"`
-	SamplesSaved  uint64  `json:"samples_saved"`
-	CacheBytes    int64   `json:"cache_bytes"`
-	CacheEntries  int     `json:"cache_entries"`
-	SamplesPerSec float64 `json:"samples_per_sec"`
-	Sigma         float64 `json:"sigma"`
-}
-
-// gridcacheBench measures the DESIGN.md §10 win end to end: the same
-// CELF-heavy solve once against an empty shared grid cache (cold —
-// simulating and committing every grid) and once against the warm
-// cache (served from memory). The §3 determinism contract makes the
-// two bit-comparable, so the bench asserts bit-identical σ and seed
-// schedules before trusting the timings, then asserts the warm pass
-// ≥1.5× faster and appends the record to out.
-func gridcacheBench(preset string, scale, budget float64, T, mc int, seed uint64, out string) error {
-	builders := map[string]func(dataset.Scale) (*dataset.Dataset, error){
-		"Amazon": dataset.Amazon, "Yelp": dataset.Yelp,
-		"Douban": dataset.Douban, "Gowalla": dataset.Gowalla,
-	}
-	build, ok := builders[preset]
-	if !ok {
-		return fmt.Errorf("unknown preset %q", preset)
-	}
-	d, err := build(dataset.Scale(scale))
-	if err != nil {
-		return err
-	}
-	p := d.Clone(budget, T)
-
-	cache := gridcache.New(gridcache.Config{
-		KeyFn: func(p *diffusion.Problem) string { return service.HashProblem(p).String() },
-	})
-	opt := core.Options{MC: mc, Seed: seed, GridCache: cache}
-
-	coldStart := time.Now()
-	cold, err := core.Solve(p, opt)
-	if err != nil {
-		return err
-	}
-	coldElapsed := time.Since(coldStart)
-	preWarm := cache.Stats()
-
-	warmStart := time.Now()
-	warm, err := core.Solve(p, opt)
-	if err != nil {
-		return err
-	}
-	warmElapsed := time.Since(warmStart)
-	st := cache.Stats()
-
-	if math.Float64bits(cold.Sigma) != math.Float64bits(warm.Sigma) {
-		return fmt.Errorf("warm solve σ %v != cold %v — the cache changed bits", warm.Sigma, cold.Sigma)
-	}
-	if len(cold.Seeds) != len(warm.Seeds) {
-		return fmt.Errorf("warm solve picked %d seeds, cold %d", len(warm.Seeds), len(cold.Seeds))
-	}
-	for i := range cold.Seeds {
-		if cold.Seeds[i] != warm.Seeds[i] {
-			return fmt.Errorf("warm seed %d %+v != cold %+v", i, warm.Seeds[i], cold.Seeds[i])
-		}
-	}
-
-	warmLookups := st.Lookups - preWarm.Lookups
-	warmHits := st.Hits - preWarm.Hits
-	rep := gridReport{
-		TS: time.Now().Unix(), Bench: "gridcache", Preset: preset, Scale: scale,
-		Budget: budget, T: T, MC: mc, Seed: seed,
-		ColdMS:       float64(coldElapsed.Microseconds()) / 1e3,
-		WarmMS:       float64(warmElapsed.Microseconds()) / 1e3,
-		Hits:         warmHits,
-		Lookups:      warmLookups,
-		SamplesSaved: st.SamplesSaved - preWarm.SamplesSaved,
-		CacheBytes:   st.Bytes,
-		CacheEntries: st.Entries,
-		Sigma:        warm.Sigma,
-	}
-	if warmLookups > 0 {
-		rep.HitRate = float64(warmHits) / float64(warmLookups)
-	}
-	if secs := warmElapsed.Seconds(); secs > 0 {
-		rep.SamplesPerSec = float64(warm.Stats.SamplesSimulated+rep.SamplesSaved) / secs
-	}
-	if rep.WarmMS > 0 {
-		rep.Speedup = rep.ColdMS / rep.WarmMS
-	}
-	if rep.Speedup < 1.5 {
-		return fmt.Errorf("warm solve only %.2f× faster than cold (want ≥1.5×): cold %.0fms warm %.0fms hit rate %.0f%%",
-			rep.Speedup, rep.ColdMS, rep.WarmMS, 100*rep.HitRate)
-	}
-
-	f, err := os.OpenFile(out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(rep); err != nil {
-		return err
-	}
-	fmt.Printf("gridcache: preset=%s scale=%g cold=%.0fms warm=%.0fms speedup=%.1f× hit-rate=%.0f%% saved=%d samples → %s\n",
-		preset, scale, rep.ColdMS, rep.WarmMS, rep.Speedup, 100*rep.HitRate, rep.SamplesSaved, out)
-	return nil
-}
-
-// shardReport is one appended line of the shard wire trajectory
-// (BENCH_shard.json): the fleet size, the wire bytes the workload
-// cost, and the estimation throughput.
-type shardReport struct {
-	TS      int64   `json:"ts"`
-	Bench   string  `json:"bench"`
-	Preset  string  `json:"preset"`
-	Scale   float64 `json:"scale"`
-	Shards  int     `json:"shards"`
-	MC      int     `json:"mc"`
-	Groups  int     `json:"groups"`
-	Batches int     `json:"batches"`
-
-	Samples         uint64  `json:"samples_simulated"`
-	SamplesPerSec   float64 `json:"samples_per_sec"`
-	BytesTx         uint64  `json:"bytes_tx"`
-	BytesRx         uint64  `json:"bytes_rx"`
-	Redispatches    uint64  `json:"redispatches"`
-	SpeculativeHits uint64  `json:"speculative_hits"`
-	Sigma           float64 `json:"sigma"`
-}
-
-// shardBench boots an in-process worker fleet and drives a CELF-shaped
-// batched-estimation workload (one problem upload amortized over
-// many-group σ batches) through the shard RPC, appending one record to
-// out. σ of group 0 is recorded so trajectory diffs can also confirm
-// fleet sizes agree bit-for-bit.
-func shardBench(preset string, scale, budget float64, T, mc int, seed uint64, shards int, out string) error {
-	builders := map[string]func(dataset.Scale) (*dataset.Dataset, error){
-		"Amazon": dataset.Amazon, "Yelp": dataset.Yelp,
-		"Douban": dataset.Douban, "Gowalla": dataset.Gowalla,
-	}
-	build, ok := builders[preset]
-	if !ok {
-		return fmt.Errorf("unknown preset %q", preset)
-	}
-	d, err := build(dataset.Scale(scale))
-	if err != nil {
-		return err
-	}
-	p := d.Clone(budget, T)
-
-	const nGroups, batches = 24, 6
-	groups := make([][]diffusion.Seed, nGroups)
-	for i := range groups {
-		groups[i] = []diffusion.Seed{
-			{User: i % p.NumUsers(), Item: i % p.NumItems(), T: 1},
-			{User: (i * 7) % p.NumUsers(), Item: (i + 1) % p.NumItems(), T: 1 + i%p.T},
-		}
-	}
-
-	f, err := os.OpenFile(out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-
-	urls := make([]string, shards)
-	servers := make([]*httptest.Server, shards)
-	for i := range urls {
-		w := shard.NewWorker(shard.WorkerConfig{})
-		mux := http.NewServeMux()
-		w.Mount(mux)
-		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.WriteHeader(http.StatusOK)
-			_, _ = rw.Write([]byte(`{"ok":true}`))
+		run("sketch", func() error {
+			return sketchBench(*scale, *budget, *promos, *evalMC, *seed, *epsilon, *delta)
 		})
-		servers[i] = httptest.NewServer(mux)
-		urls[i] = servers[i].URL
 	}
-	pool := shard.NewPool(urls, nil)
-	est := shard.NewEstimator(pool, p, mc, seed, 0)
-
-	start := time.Now()
-	var sigma0 float64
-	for b := 0; b < batches; b++ {
-		ests := est.RunBatchPi(groups, nil)
-		sigma0 = ests[0].Sigma
-	}
-	elapsed := time.Since(start)
-	st := pool.Snapshot()
-	pool.Close()
-	for _, srv := range servers {
-		srv.Close()
-	}
-	if st.LocalFallbacks > 0 {
-		return fmt.Errorf("%d local fallbacks — the fleet was not exercised", st.LocalFallbacks)
-	}
-
-	samples := uint64(nGroups * mc * batches)
-	rep := shardReport{
-		TS: time.Now().Unix(), Bench: "shard", Preset: preset, Scale: scale,
-		Shards: shards, MC: mc, Groups: nGroups, Batches: batches,
-		Samples:         samples,
-		BytesTx:         st.BytesTx,
-		BytesRx:         st.BytesRx,
-		Redispatches:    st.Redispatches,
-		SpeculativeHits: st.SpeculativeHits,
-		Sigma:           sigma0,
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.SamplesPerSec = float64(samples) / secs
-	}
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	fmt.Printf("shard: shards=%d σ₀=%.3f throughput=%.0f samples/sec wire=%d tx + %d rx bytes\n",
-		shards, sigma0, rep.SamplesPerSec, st.BytesTx, st.BytesRx)
-	return nil
-}
-
-// sketchReport is one appended line of the approximate-backend
-// trajectory (BENCH_sketch.json): the (ε, δ) point and the θ it
-// implied, the worst σ deviation observed against the MC ground truth
-// next to the ε·n·W bound it must stay under, and the sketch-vs-MC
-// σ-query throughput. samples_per_sec carries the sketch query rate
-// so scripts/bench_diff.sh can diff it like the other trajectories.
-type sketchReport struct {
-	TS      int64   `json:"ts"`
-	Bench   string  `json:"bench"`
-	Preset  string  `json:"preset"`
-	Scale   float64 `json:"scale"`
-	Epsilon float64 `json:"epsilon"`
-	Delta   float64 `json:"delta"`
-	Theta   int     `json:"theta"`
-	Users   int     `json:"users"`
-	Items   int     `json:"items"`
-	Groups  int     `json:"groups"`
-
-	Bound         float64 `json:"bound"`
-	MaxAbsErr     float64 `json:"max_abs_err"`
-	BuildMS       float64 `json:"build_ms"`
-	SamplesPerSec float64 `json:"samples_per_sec"`
-	MCPerSec      float64 `json:"mc_queries_per_sec"`
-	Speedup       float64 `json:"speedup"`
-	Sigma0        float64 `json:"sigma"`
 }
 
 // sketchBench is the statistical harness behind the DESIGN.md §9
 // accuracy contract. For each synthetic preset (smallest first,
-// Douban — the largest — last, so trajectory diffs read the hardest
-// record) it runs the same σ-query workload through the exact MC
-// estimator and through an RR sketch built at (ε, δ), then asserts
-// the two promises the contract makes: every sketch σ within the
-// additive ε·n·W bound of the MC ground truth, and ≥5× σ-query
-// throughput over MC on the largest preset. One record per preset is
-// appended to out.
-func sketchBench(scale, budget float64, T, evalMC int, seed uint64, eps, delta float64, out string) error {
+// Douban — the largest — last) it runs the same σ-query workload
+// through the exact MC estimator and through an RR sketch built at
+// (ε, δ), then asserts the two promises the contract makes: every
+// sketch σ within the additive ε·n·W bound of the MC ground truth, and
+// ≥5× σ-query throughput over MC on the largest preset. It prints one
+// line per preset.
+func sketchBench(scale, budget float64, T, evalMC int, seed uint64, eps, delta float64) error {
 	theta := sketch.Theta(eps, delta)
 	if theta <= 0 {
 		return fmt.Errorf("invalid (ε, δ) = (%g, %g)", eps, delta)
@@ -479,13 +201,6 @@ func sketchBench(scale, budget float64, T, evalMC int, seed uint64, eps, delta f
 		"Douban": dataset.Douban, "Gowalla": dataset.Gowalla,
 	}
 	presets := []string{"Yelp", "Gowalla", "Amazon", "Douban"}
-
-	f, err := os.OpenFile(out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
 
 	for _, preset := range presets {
 		d, err := builders[preset](dataset.Scale(scale))
@@ -555,112 +270,21 @@ func sketchBench(scale, budget float64, T, evalMC int, seed uint64, eps, delta f
 			reps *= 2
 		}
 
-		rep := sketchReport{
-			TS: time.Now().Unix(), Bench: "sketch", Preset: preset, Scale: scale,
-			Epsilon: eps, Delta: delta, Theta: sk.Theta,
-			Users: sk.Users, Items: sk.Items, Groups: nGroups,
-			Bound: bound, MaxAbsErr: maxAbs,
-			BuildMS: float64(buildElapsed.Microseconds()) / 1e3,
-			Sigma0:  truth[0],
-		}
+		var sketchRate, mcRate, speedup float64
 		if secs := qElapsed.Seconds(); secs > 0 {
-			rep.SamplesPerSec = float64(reps*nGroups) / secs
+			sketchRate = float64(reps*nGroups) / secs
 		}
 		if secs := mcElapsed.Seconds(); secs > 0 {
-			rep.MCPerSec = float64(nGroups) / secs
+			mcRate = float64(nGroups) / secs
 		}
-		if rep.MCPerSec > 0 {
-			rep.Speedup = rep.SamplesPerSec / rep.MCPerSec
+		if mcRate > 0 {
+			speedup = sketchRate / mcRate
 		}
-		if preset == "Douban" && rep.Speedup < 5 {
-			return fmt.Errorf("%s: sketch σ-query throughput only %.1f× MC (want ≥5×)", preset, rep.Speedup)
-		}
-		if err := enc.Encode(rep); err != nil {
-			return err
+		if preset == "Douban" && speedup < 5 {
+			return fmt.Errorf("%s: sketch σ-query throughput only %.1f× MC (want ≥5×)", preset, speedup)
 		}
 		fmt.Printf("sketch: preset=%s θ=%d max|Δσ|=%.4f of bound %.1f build=%.1fms speedup=%.0f×\n",
-			preset, sk.Theta, maxAbs, bound, rep.BuildMS, rep.Speedup)
+			preset, sk.Theta, maxAbs, bound, float64(buildElapsed.Microseconds())/1e3, speedup)
 	}
-	return nil
-}
-
-// benchReport is the machine-readable solver benchmark record; one per
-// run, appended to the repo's perf trajectory by CI artifacts.
-type benchReport struct {
-	Preset string  `json:"preset"`
-	Scale  float64 `json:"scale"`
-	Budget float64 `json:"budget"`
-	T      int     `json:"t"`
-	Seed   uint64  `json:"seed"`
-	MC     int     `json:"mc"`
-	Users  int     `json:"users"`
-	Items  int     `json:"items"`
-
-	SelectMS   float64 `json:"select_ms"`
-	MarketMS   float64 `json:"market_ms"`
-	ScheduleMS float64 `json:"schedule_ms"`
-	TotalMS    float64 `json:"total_ms"`
-
-	Sigma         float64 `json:"sigma"`
-	Seeds         int     `json:"seeds"`
-	Cost          float64 `json:"cost"`
-	Markets       int     `json:"markets"`
-	Groups        int     `json:"groups"`
-	SigmaEvals    int     `json:"sigma_evals"`
-	SIEvals       int     `json:"si_evals"`
-	Samples       uint64  `json:"samples"`
-	SamplesPerSec float64 `json:"samples_per_sec"`
-	// StateBytes is the peak per-worker simulation-state footprint; the
-	// sparse State layout keeps it proportional to cascade size.
-	StateBytes uint64 `json:"state_bytes_per_worker"`
-}
-
-// solveBench runs one Dysim Solve on the preset and writes the phase
-// timings and estimator throughput as JSON to out.
-func solveBench(preset string, scale, budget float64, T, mc int, seed uint64, out string) error {
-	builders := map[string]func(dataset.Scale) (*dataset.Dataset, error){
-		"Amazon": dataset.Amazon, "Yelp": dataset.Yelp,
-		"Douban": dataset.Douban, "Gowalla": dataset.Gowalla,
-	}
-	build, ok := builders[preset]
-	if !ok {
-		return fmt.Errorf("unknown preset %q", preset)
-	}
-	d, err := build(dataset.Scale(scale))
-	if err != nil {
-		return err
-	}
-	p := d.Clone(budget, T)
-	sol, err := core.Solve(p, core.Options{MC: mc, Seed: seed})
-	if err != nil {
-		return err
-	}
-	st := sol.Stats
-	rep := benchReport{
-		Preset: preset, Scale: scale, Budget: budget, T: T, Seed: seed, MC: mc,
-		Users: p.NumUsers(), Items: p.NumItems(),
-		SelectMS:   float64(st.SelectTime.Microseconds()) / 1e3,
-		MarketMS:   float64(st.MarketTime.Microseconds()) / 1e3,
-		ScheduleMS: float64(st.ScheduleTime.Microseconds()) / 1e3,
-		TotalMS:    float64(st.TotalTime.Microseconds()) / 1e3,
-		Sigma:      sol.Sigma, Seeds: len(sol.Seeds), Cost: sol.Cost,
-		Markets: st.MarketCount, Groups: st.GroupCount,
-		SigmaEvals: st.SigmaEvals, SIEvals: st.SIEvals,
-		Samples:    st.SamplesSimulated,
-		StateBytes: st.StateBytesPerWorker,
-	}
-	if secs := st.TotalTime.Seconds(); secs > 0 {
-		rep.SamplesPerSec = float64(st.SamplesSimulated) / secs
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("solve: preset=%s scale=%g σ=%.1f seeds=%d total=%.0fms throughput=%.0f samples/sec → %s\n",
-		preset, scale, sol.Sigma, len(sol.Seeds), rep.TotalMS, rep.SamplesPerSec, out)
 	return nil
 }

@@ -203,6 +203,7 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 		{"unknown dataset", `{"dataset":"nope","budget":80,"t":3}`},
 		{"unknown algo", `{"dataset":"sample","budget":80,"t":3,"algo":"magic"}`},
 		{"unknown order", `{"dataset":"sample","budget":80,"t":3,"order":"XX"}`},
+		{"negative scale", `{"dataset":"amazon","scale":-1,"budget":80,"t":3}`},
 	}
 	for _, tc := range cases {
 		var errBody map[string]string

@@ -30,6 +30,7 @@ package imdpp
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"imdpp/internal/baselines"
@@ -205,8 +206,12 @@ var (
 // "douban", "gowalla" or "sample" (the 100-user Amazon sample; its
 // scale is fixed) — at the given scale multiplier. It is the single
 // name→dataset mapping shared by the imdpprun CLI and the imdppd
-// daemon.
+// daemon. Scale 0 selects full scale; a negative or non-finite scale
+// is an InputError.
 func LoadDataset(name string, scale float64) (*Dataset, error) {
+	if !(scale >= 0 && scale <= math.MaxFloat64) {
+		return nil, &InputError{Field: "Scale", Reason: fmt.Sprintf("%g: want a finite value ≥ 0", scale)}
+	}
 	s := Scale(scale)
 	switch strings.ToLower(name) {
 	case "amazon":

@@ -1,6 +1,10 @@
 package imdpp
 
-import "testing"
+import (
+	"errors"
+	"math"
+	"testing"
+)
 
 // TestPublicAPIRoundTrip exercises the facade the way a downstream
 // user would: build a dataset, solve, evaluate, compare to a baseline.
@@ -41,6 +45,18 @@ func TestPublicAPIDatasets(t *testing.T) {
 		st := d.Stats()
 		if st.Users == 0 || st.Items == 0 {
 			t.Fatalf("degenerate dataset %s", st.Name)
+		}
+	}
+
+	// LoadDataset: 0 is full scale; a negative or non-finite scale is a
+	// typed input error, never a silent full-scale build.
+	if _, err := LoadDataset("amazon", 0.15); err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d, err := LoadDataset("amazon", scale)
+		if !errors.Is(err, &InputError{Field: "Scale"}) || d != nil {
+			t.Errorf("LoadDataset(amazon, %g) = %v, %v; want an InputError on Scale", scale, d, err)
 		}
 	}
 }

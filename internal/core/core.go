@@ -193,7 +193,7 @@ type Stats struct {
 	TotalTime    time.Duration `json:"total_time_ns"`
 	// SamplesSimulated is the total number of Monte-Carlo campaign
 	// simulations run across both estimators; with TotalTime it yields
-	// the estimator throughput (samples/sec) reported by imdppbench.
+	// the estimator throughput (samples/sec).
 	SamplesSimulated uint64 `json:"samples_simulated"`
 	// StateBytesPerWorker is the largest per-worker simulation-state
 	// footprint observed across the solver's estimators (sparse State

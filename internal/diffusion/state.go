@@ -462,8 +462,8 @@ func (st *State) recomputePref(u int) {
 // state currently retains, counting per-user slice headers, live and
 // pooled rows, checkpoint rows and scratch buffers. Per-worker memory
 // scales with the largest cascade simulated so far (checkpoints add
-// O(checkpoints × dirty users) rows), not with |V|·|I|; imdppbench
-// records this as state_bytes_per_worker.
+// O(checkpoints × dirty users) rows), not with |V|·|I|; the solver
+// reports it as Stats.StateBytesPerWorker (state_bytes_per_worker).
 func (st *State) MemoryFootprint() uint64 {
 	const (
 		headerBytes = 24 // slice header

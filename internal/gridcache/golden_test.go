@@ -3,6 +3,7 @@ package gridcache_test
 import (
 	"math"
 	"testing"
+	"time"
 
 	"imdpp/internal/core"
 	"imdpp/internal/dataset"
@@ -52,6 +53,21 @@ func requireSameEstimates(t *testing.T, label string, want, got []diffusion.Esti
 		}
 		for j := range w.PerItem {
 			same("per_item", w.PerItem[j], gg.PerItem[j])
+		}
+	}
+}
+
+func requireSameSolution(t *testing.T, label string, want, got core.Solution) {
+	t.Helper()
+	if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
+		t.Fatalf("%s: σ %v != %v", label, got.Sigma, want.Sigma)
+	}
+	if len(want.Seeds) != len(got.Seeds) {
+		t.Fatalf("%s: %d seeds vs %d", label, len(got.Seeds), len(want.Seeds))
+	}
+	for i := range want.Seeds {
+		if want.Seeds[i] != got.Seeds[i] {
+			t.Fatalf("%s: seed %d differs: %+v vs %+v", label, i, got.Seeds[i], want.Seeds[i])
 		}
 	}
 }
@@ -132,21 +148,6 @@ func TestCachedSolveGolden(t *testing.T) {
 	p := sampleProblem(t)
 	opt := core.Options{MC: 8, MCSI: 4, CandidateCap: 32, Seed: 7}
 
-	requireSameSolution := func(label string, want, got core.Solution) {
-		t.Helper()
-		if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
-			t.Fatalf("%s: σ %v != %v", label, got.Sigma, want.Sigma)
-		}
-		if len(want.Seeds) != len(got.Seeds) {
-			t.Fatalf("%s: %d seeds vs %d", label, len(got.Seeds), len(want.Seeds))
-		}
-		for i := range want.Seeds {
-			if want.Seeds[i] != got.Seeds[i] {
-				t.Fatalf("%s: seed %d differs: %+v vs %+v", label, i, got.Seeds[i], want.Seeds[i])
-			}
-		}
-	}
-
 	for _, tc := range []struct {
 		name  string
 		solve func(*diffusion.Problem, core.Options) (core.Solution, error)
@@ -168,13 +169,13 @@ func TestCachedSolveGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameSolution(tc.name+" cold", want, cold)
+		requireSameSolution(t, tc.name+" cold", want, cold)
 
 		warm, err := tc.solve(p, cachedOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameSolution(tc.name+" warm", want, warm)
+		requireSameSolution(t, tc.name+" warm", want, warm)
 		if warm.Stats.GridHits == 0 || warm.Stats.SamplesSaved == 0 {
 			t.Fatalf("%s warm: no cache-served work in Stats: %+v", tc.name, warm.Stats)
 		}
@@ -182,6 +183,51 @@ func TestCachedSolveGolden(t *testing.T) {
 		if st.Hits == 0 || st.SamplesSaved == 0 {
 			t.Fatalf("%s: cache counters flat after a warm solve: %+v", tc.name, st)
 		}
+	}
+}
+
+// TestWarmSolveSpeedup is the §10 win end to end: one CELF-heavy
+// solve cold against an empty shared cache (simulating and committing
+// every grid), then again warm against the same cache (served from
+// memory). Every solve must be bit-identical to the first, and the
+// warm solve at least 1.5× faster. The fastest of several rounds on
+// each side is compared, so one preempted solve (the suite shares the
+// machine) cannot decide the ratio.
+func TestWarmSolveSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test; skipped under -short")
+	}
+	d, err := dataset.Amazon(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Clone(500, 10)
+
+	var want *core.Solution
+	solve := func(label string, opt core.Options) time.Duration {
+		start := time.Now()
+		sol, err := core.Solve(p, opt)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = &sol
+		}
+		requireSameSolution(t, label, *want, sol)
+		return elapsed
+	}
+	const rounds = 5
+	cold, warm := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		opt := core.Options{MC: 8, Seed: 1, GridCache: newCache(t)}
+		cold = min(cold, solve("cold", opt))
+		warm = min(warm, solve("warm", opt))
+	}
+	speedup := cold.Seconds() / warm.Seconds()
+	t.Logf("best of %d: cold %v warm %v speedup %.1f×", rounds, cold, warm, speedup)
+	if speedup < 1.5 {
+		t.Fatalf("warm solve only %.2f× faster than cold (want ≥1.5×): cold %v warm %v", speedup, cold, warm)
 	}
 }
 

@@ -13,6 +13,8 @@
 #      (`HandleFunc("METHOD /path")`) appears in README.md
 #   4. every fuzz target (`func Fuzz*` in a _test.go file) is run by
 #      the Makefile `fuzz` target
+#   5. every `make <target>` named in README.md or DESIGN.md (inline
+#      code, or a `make` line in a fenced block) is a Makefile target
 #
 # Usage:
 #   scripts/docs_check.sh              # lint the working tree
@@ -24,7 +26,7 @@ set -u
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 
 check_tree() {
-	local root=$1 fail=0 dir pkg doc first n ref route fuzz target
+	local root=$1 fail=0 dir pkg doc first n ref route fuzz target targets
 
 	# 1. package docs
 	for dir in "$root"/internal/*/; do
@@ -79,6 +81,28 @@ check_tree() {
 		$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' "$root" 2>/dev/null | sed 's/^func //' | sort -u)
 	FUZZ
 
+	# 5. make targets the docs name exist in the Makefile
+	targets=$(grep -oE '^[a-z][a-z0-9-]*:([^=]|$)' "$root/Makefile" 2>/dev/null | cut -d: -f1)
+	while IFS= read -r target; do
+		[ -z "$target" ] && continue
+		if ! grep -qxF "$target" <<<"$targets"; then
+			echo "docs-check: README.md/DESIGN.md name 'make $target' but the Makefile has no such target" >&2
+			fail=1
+		fi
+	done <<-MAKE
+		$(awk 'FNR == 1 { fence = 0 }
+			/^```/ { fence = !fence; next }
+			fence && /^make / { sub(/#.*/, ""); for (i = 2; i <= NF; i++) print $i; next }
+			{
+				line = $0
+				while (match(line, /`make [^`]*`/)) {
+					n = split(substr(line, RSTART + 6, RLENGTH - 7), w, " ")
+					for (i = 1; i <= n; i++) print w[i]
+					line = substr(line, RSTART + RLENGTH)
+				}
+			}' "$root/README.md" "$root/DESIGN.md" 2>/dev/null | grep -E '^[a-z][a-z0-9-]*$' | sort -u)
+	MAKE
+
 	return $fail
 }
 
@@ -129,7 +153,14 @@ self_test() {
 		return 1
 	fi
 
-	echo "docs-check self-test: ok (clean tree passes; 4 deliberate breaks detected)"
+	copy
+	sed -i '/^load-smoke:/,/^$/d' "$tmp/tree/Makefile"
+	if check_tree "$tmp/tree" >/dev/null 2>&1; then
+		echo "docs-check self-test: FAIL — deleting the load-smoke Makefile target went undetected" >&2
+		return 1
+	fi
+
+	echo "docs-check self-test: ok (clean tree passes; 5 deliberate breaks detected)"
 	return 0
 }
 

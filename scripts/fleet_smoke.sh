@@ -12,8 +12,7 @@
 # raw registration advertising another frame version is refused with a
 # typed 409 incompatible_worker. A SIGHUP re-reads the
 # -tenant-quotas @file and swaps the scheduler quota table without
-# dropping queued jobs. Appends a kind:"fleet" record to
-# BENCH_shard.json.
+# dropping queued jobs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -190,14 +189,4 @@ echo "default:1:3:4" >"$WORKDIR/quotas"
 kill -HUP "$CPID"
 wait_jq "$COORD/metrics" '.tenants.default.max_queue == 3' "quota reload applied"
 echo "reload OK: default tenant max_queue 8 -> 3 via SIGHUP"
-
-# --- trajectory record ----------------------------------------------
-METRICS=$(curl -sf "$COORD/metrics")
-echo "$METRICS" | jq -c --arg sigma "$SIGMA_REJOIN" '{ts: (now | floor), kind: "fleet",
-    sigma: ($sigma | tonumber), registered: .shard.fleet.registered,
-    heartbeats: .shard.fleet.heartbeats, rejoin_count: .shard.fleet.rejoin_count,
-    breaker_open: .shard.fleet.breaker_open, redispatches: .shard.redispatches,
-    local_fallbacks: .shard.local_fallbacks, jobs_failed,
-    samples_per_sec, samples_simulated, solve_seconds}' >>BENCH_shard.json
-echo "fleet smoke OK; appended to BENCH_shard.json:"
-tail -1 BENCH_shard.json
+echo "fleet smoke OK"

@@ -3,17 +3,14 @@
 # each submitting a distinct-seeded solve so nothing coalesces or hits
 # the result cache — every client pays a real solve and the job queue
 # actually backs up. Asserts the latency histograms observed at least
-# one queue-wait and one solve-wall sample per client, then appends the
-# p50/p99 latency record (kind: "load") to BENCH_serve.json so the
-# perf trajectory tracks tail latency alongside throughput.
+# one queue-wait and one solve-wall sample per client.
 #
 # A second multi-tenant phase (DESIGN.md §12) restarts the daemon with
 # -tenant-quotas: one greedy tenant (weight 1, tiny queue, one job in
 # flight) floods submissions while two light tenants (weight 4) trickle
 # theirs. Asserts the greedy flood is shed with typed quota_exceeded
-# 429s bearing Retry-After, the light tenants' p99 queue wait stays
-# bounded despite the flood, and appends the kind: "load_mt" record so
-# the fairness trajectory is tracked alongside the single-tenant one.
+# 429s bearing Retry-After and that the light tenants' p99 queue wait
+# stays bounded despite the flood.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -83,13 +80,7 @@ echo "$METRICS" | jq -e --argjson n "$CLIENTS" '
     and .latency.solve_wall.p99_ms >= .latency.solve_wall.p50_ms' >/dev/null ||
     { echo "latency counters below client count: $(echo "$METRICS" | jq .latency)" >&2; exit 1; }
 
-echo "$METRICS" | jq -c --argjson n "$CLIENTS" '{
-    ts: (now | floor), kind: "load", clients: $n,
-    p50_queue_ms: .latency.queue_wait.p50_ms, p99_queue_ms: .latency.queue_wait.p99_ms,
-    p50_solve_ms: .latency.solve_wall.p50_ms, p99_solve_ms: .latency.solve_wall.p99_ms,
-    samples_per_sec, samples_simulated, jobs_completed}' >>BENCH_serve.json
-echo "load smoke OK; appended to BENCH_serve.json:"
-tail -1 BENCH_serve.json
+echo "load smoke OK: $(echo "$METRICS" | jq -c '{p50_queue_ms: .latency.queue_wait.p50_ms, p99_queue_ms: .latency.queue_wait.p99_ms, p50_solve_ms: .latency.solve_wall.p50_ms, p99_solve_ms: .latency.solve_wall.p99_ms}')"
 
 # ---- multi-tenant phase: greedy flood vs light tenants ---------------
 kill "$PID" 2>/dev/null || true
@@ -173,10 +164,4 @@ echo "$MT" | jq -e --argjson shed "$SHED" --argjson light "$LIGHT" '
         ([.tenants.greedy.queue_wait.p99_ms, 1000] | max)' >/dev/null ||
     { echo "tenant fairness assertions failed: $(echo "$MT" | jq .tenants)" >&2; exit 1; }
 
-echo "$MT" | jq -c --argjson greedy "$GREEDY" --argjson shed "$SHED" --argjson light "$((2 * LIGHT))" '{
-    ts: (now | floor), kind: "load_mt", greedy: $greedy, greedy_shed: $shed, light_jobs: $light,
-    greedy_p99_queue_ms: .tenants.greedy.queue_wait.p99_ms,
-    light_p99_queue_ms: ([.tenants.light1.queue_wait.p99_ms, .tenants.light2.queue_wait.p99_ms] | max),
-    samples_per_sec, samples_simulated, jobs_completed}' >>BENCH_serve.json
-echo "multi-tenant load smoke OK; appended to BENCH_serve.json:"
-tail -1 BENCH_serve.json
+echo "multi-tenant load smoke OK: $SHED of $GREEDY greedy submissions shed"

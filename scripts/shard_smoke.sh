@@ -5,9 +5,7 @@
 # daemon (the DESIGN.md §7 contract made observable end to end), both
 # workers must serve shards (the even split gives each a range), and
 # the wire metrics (bytes_tx/bytes_rx, speculative_hits) must be
-# present and sane. The shard throughput records — one from the
-# coordinator's metrics, plus imdppbench's wire bench — are appended to
-# BENCH_shard.json (one JSON object per line).
+# present and sane.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -123,19 +121,4 @@ echo "$METRICS" | jq -e '[.shard.remotes[] | select(.shards > 0)] | length == 2'
     { echo "a worker served no shard under the even split" >&2; echo "$METRICS" >&2; exit 1; }
 
 echo "wire OK: $(echo "$METRICS" | jq -r '.shard.bytes_tx + .shard.bytes_rx') bytes"
-
-# --- trajectory records ----------------------------------------------
-record() {
-    local metrics=$1 sigma=$2
-    echo "$metrics" | jq -c "{ts: (now | floor), sigma: $sigma,
-        workers: .shard.workers, healthy: .shard.healthy,
-        shards_served: $TOTAL_SERVED, redispatches: .shard.redispatches,
-        speculative_hits: .shard.speculative_hits,
-        bytes_tx: .shard.bytes_tx, bytes_rx: .shard.bytes_rx,
-        samples_per_sec, samples_simulated, solve_seconds}" >>BENCH_shard.json
-}
-record "$METRICS" "$SOLVE_SHARD"
-# and the imdppbench wire bench
-go run ./cmd/imdppbench -fig shard -preset Amazon -scale 0.05 -mc 8 -shardout BENCH_shard.json
-echo "shard smoke OK; appended to BENCH_shard.json:"
-tail -2 BENCH_shard.json
+echo "shard smoke OK"
