@@ -25,13 +25,14 @@ race:
 	$(GO) test -race -short ./...
 
 # Single-shot benchmark pass: batched vs sequential nominee scoring,
-# raw σ estimation and the end-to-end Amazon solve; then the engine's
-# own kernels (a campaign, a selection-shaped campaign, a scheduling
-# sample), at a fixed count that warms the state pools so allocs/op
-# shows the steady state; then one coin (ns/coin) drawn through a Rand
-# and from a Stream held in locals.
+# raw σ estimation and the end-to-end Amazon solve, each at one and two
+# CPUs (at one CPU the solve runs the engine's one-goroutine branch);
+# then the engine's own kernels (a campaign, a selection-shaped
+# campaign, a scheduling sample), at a fixed count that warms the state
+# pools so allocs/op shows the steady state; then one coin (ns/coin)
+# drawn through a Rand and from a Stream held in locals.
 bench:
-	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^Benchmark(RunCampaign|RunCampaignSelect|RunBatchPiSchedule)$$' -benchtime 2000x -benchmem ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkCoinRow$$' -benchmem ./internal/rng
 

@@ -144,18 +144,45 @@ func TestRunBatchMatchesRun(t *testing.T) {
 
 // TestRunBatchMatchesReference checks the engine against the naive
 // single-threaded re-implementation, so a bug shared by Run and
-// RunBatch (they use the same engine) cannot hide.
+// RunBatch (they use the same engine) cannot hide. It covers the
+// producer's one-goroutine and pooled branches under no mask, a shared
+// market mask and per-group masks.
 func TestRunBatchMatchesReference(t *testing.T) {
 	p := batchProblem(t)
 	groups := batchGroups(p)
+	market := make([]bool, p.NumUsers())
+	for u := range market {
+		market[u] = u%3 != 1
+	}
+	masks := make([][]bool, len(groups))
+	for g := range masks {
+		if g%3 == 0 {
+			continue // nil mask
+		}
+		masks[g] = make([]bool, p.NumUsers())
+		for u := range masks[g] {
+			masks[g][u] = (u+g)%4 != 0
+		}
+	}
 	const m, seed = 17, 7
-	e := NewEstimator(p, m, seed)
-	e.Workers = 3
-	got := e.RunBatchPi(groups, nil)
-	for g, seeds := range groups {
-		want := referenceEstimate(p, m, seed, seeds, nil, true)
-		if !estimatesEqual(got[g], want) {
-			t.Fatalf("group %d: engine %+v != reference %+v", g, got[g], want)
+	for _, w := range []int{1, 3} {
+		e := NewEstimator(p, m, seed)
+		e.Workers = w
+		for _, tc := range []struct {
+			name   string
+			got    []Estimate
+			maskOf func(int) []bool
+		}{
+			{"nil mask", e.RunBatchPi(groups, nil), func(int) []bool { return nil }},
+			{"market mask", e.RunBatchPi(groups, market), func(int) []bool { return market }},
+			{"per-group masks", e.RunBatchMasked(groups, masks, true), func(g int) []bool { return masks[g] }},
+		} {
+			for g, seeds := range groups {
+				want := referenceEstimate(p, m, seed, seeds, tc.maskOf(g), true)
+				if !estimatesEqual(tc.got[g], want) {
+					t.Fatalf("workers=%d %s group %d: engine %+v != reference %+v", w, tc.name, g, tc.got[g], want)
+				}
+			}
 		}
 	}
 }

@@ -41,9 +41,9 @@ func AppendSampleGrid(b []byte, grid [][]SampleResult) []byte {
 
 // DecodeSampleGrid reads a grid written by AppendSampleGrid. Counts
 // reuse the Items length (the two slices are parallel by the
-// SampleResult contract), so a decoded sample can never carry the
-// items/counts length mismatch the coordinator's validateSamples
-// guards against on the JSON path.
+// SampleResult contract), so a decoded sample can never carry an
+// items/counts length mismatch; item ids are not checked here, that is
+// ValidateSampleRow's job.
 func DecodeSampleGrid(r *wirebin.Reader) ([][]SampleResult, error) {
 	k := r.Count(1)
 	if r.Err() != nil {

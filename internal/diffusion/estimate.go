@@ -25,13 +25,14 @@ type Estimate struct {
 // estimated by simulating the diffusion M times). It is safe for
 // sequential reuse; Concurrent evaluation happens internally across
 // workers with deterministic per-sample RNG streams. All evaluation —
-// single (Run) and batched (RunBatch and friends) — goes through the
-// batch engine in batch.go, which shares common random numbers across
-// the groups of a batch and reduces samples in a fixed order, so every
-// Estimate is a pure function of (Seed, M) regardless of Workers. It
-// is the reference implementation of the solver's estimation-backend
-// interface (core.Estimator); internal/shard provides the distributed
-// one, built on RunBatchSamples/ReduceSampleGrid (shardable.go).
+// single (Run) and batched (RunBatch and friends) — builds the
+// (group × sample) grid with the one producer in shardable.go, which
+// shares common random numbers across the groups of a batch, and folds
+// it with ReduceSampleGrid in sample order, so every Estimate is a pure
+// function of (Seed, M) regardless of Workers. It is the reference
+// implementation of the solver's estimation-backend interface
+// (core.Estimator); internal/shard provides the distributed one, built
+// on the same RunBatchSamples/ReduceSampleGrid pair.
 type Estimator struct {
 	P       *Problem
 	M       int // samples per estimate
@@ -46,9 +47,8 @@ type Estimator struct {
 	// gridcache.Cache.View; must not change mid-evaluation.
 	Grid GridCache
 
-	mu       sync.Mutex
-	states   []*State
-	slotFree [][]sampleSlot
+	mu     sync.Mutex
+	states []*State
 
 	samples   atomic.Uint64 // campaigns simulated, for throughput stats
 	gridHits  atomic.Uint64 // groups served by Grid instead of simulated
@@ -165,7 +165,7 @@ func (e *Estimator) Sigma(seeds []Seed) float64 {
 // reduced in index order). Run is the single-group case of the batch
 // engine, so it is bit-identical to RunBatch on a one-element batch.
 func (e *Estimator) Run(seeds []Seed, market []bool, withPi bool) Estimate {
-	return e.runBatch([][]Seed{seeds}, func(int) []bool { return market }, withPi)[0]
+	return e.runBatch([][]Seed{seeds}, market, nil, withPi)[0]
 }
 
 // MeanWeights runs the campaign M times and returns the expected

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -23,9 +24,7 @@ import (
 // SampleResult is one Monte-Carlo sample's raw campaign outcome — the
 // unit shipped between shard workers and the coordinator. Per-item
 // adoptions are sparse (Items/Counts parallel, zero entries omitted),
-// mirroring the engine's internal sampleSlot so the merged reduction
-// is float-exact (x + 0 == x). The JSON field names are a stable wire
-// contract of the shard estimator RPC.
+// so the reduction is float-exact (x + 0 == x).
 type SampleResult struct {
 	Sigma       float64   `json:"sigma"`
 	MarketSigma float64   `json:"market_sigma"`
@@ -63,15 +62,23 @@ func (e *Estimator) RunBatchSamples(groups [][]Seed, market []bool, masks [][]bo
 	sp.SetAttrInt("groups", int64(len(groups)))
 	sp.SetAttrInt("lo", int64(lo))
 	sp.SetAttrInt("hi", int64(hi))
-	if e.Grid != nil {
-		hits0 := e.gridHits.Load()
-		grid := e.cachedSamples(groups, market, masks, withPi, lo, hi)
-		sp.SetAttr("engine", "grid")
-		sp.SetAttrInt("grid_hits", int64(e.gridHits.Load()-hits0))
-		return grid
+	return e.sampleGrid(sp, groups, market, masks, withPi, lo, hi)
+}
+
+// sampleGrid produces samples lo..hi-1 of every group: through the
+// grid cache when one is attached, else by simulation. It is the one
+// place RunBatchSamples and runBatch choose, and records the choice on
+// sp.
+func (e *Estimator) sampleGrid(sp *obs.Span, groups [][]Seed, market []bool, masks [][]bool, withPi bool, lo, hi int) [][]SampleResult {
+	if e.Grid == nil {
+		sp.SetAttr("engine", "raw")
+		return e.runBatchSamplesRaw(groups, market, masks, withPi, lo, hi)
 	}
-	sp.SetAttr("engine", "raw")
-	return e.runBatchSamplesRaw(groups, market, masks, withPi, lo, hi)
+	hits0 := e.gridHits.Load()
+	grid := e.cachedSamples(groups, market, masks, withPi, lo, hi)
+	sp.SetAttr("engine", "grid")
+	sp.SetAttrInt("grid_hits", int64(e.gridHits.Load()-hits0))
+	return grid
 }
 
 // runBatchSamplesRaw is the uncached simulation body of
@@ -131,12 +138,26 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 			slot.MarketSigma = res.MarketSigma
 			slot.Adoptions = float64(res.Adoptions)
 			slot.Pi = pi
-			for x, v := range res.PerItem {
+			// count first, so the sparse row costs two exact-size
+			// allocations instead of append's growth steps
+			n := 0
+			for _, v := range res.PerItem {
 				if v != 0 {
-					slot.Items = append(slot.Items, int32(x))
-					slot.Counts = append(slot.Counts, v)
+					n++
 				}
 			}
+			if n == 0 {
+				return
+			}
+			items, counts := make([]int32, n), make([]float64, n)
+			n = 0
+			for x, v := range res.PerItem {
+				if v != 0 {
+					items[n], counts[n] = int32(x), v
+					n++
+				}
+			}
+			slot.Items, slot.Counts = items, counts
 		}
 		for {
 			if e.preempted() {
@@ -174,14 +195,37 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 	return out
 }
 
+// ValidateSampleRow checks that row can be folded by ReduceSampleGrid
+// as one group's samples over a range of span samples, for a problem
+// with the given number of items: span samples, each with parallel
+// Items and Counts and every item in [0, items). The fold indexes
+// PerItem by item unchecked, so rows from outside the process — a shard
+// worker's response, a grid spill reloaded from disk — must pass it.
+func ValidateSampleRow(row []SampleResult, span, items int) error {
+	if len(row) != span {
+		return fmt.Errorf("%d samples for range span %d", len(row), span)
+	}
+	for i := range row {
+		if len(row[i].Items) != len(row[i].Counts) {
+			return fmt.Errorf("sample %d: items/counts length mismatch", i)
+		}
+		for _, it := range row[i].Items {
+			if it < 0 || int(it) >= items {
+				return fmt.Errorf("sample %d: item %d out of range", i, it)
+			}
+		}
+	}
+	return nil
+}
+
 // ReduceSampleGrid folds a fully assembled per-sample grid (grid[g][i]
 // is global sample i of group g; every row must hold all M samples in
 // index order) into mean Estimates. The fold is the same left-to-right
 // sample-order accumulation — Sigma, MarketSigma, Pi, Adoptions, then
-// the sparse per-item entries, scaled by 1/M at the end — that the
-// batch engine's internal reduction performs, so an Estimate merged
-// from any partition of [0,M) into worker-computed ranges is
-// bit-identical to the single-process RunBatch result.
+// the sparse per-item entries, scaled by 1/M at the end — that
+// RunBatch applies to its own grid, so an Estimate merged from any
+// partition of [0,M) into worker-computed ranges is bit-identical to
+// the single-process RunBatch result.
 func ReduceSampleGrid(grid [][]SampleResult, items int) []Estimate {
 	k := len(grid)
 	out := make([]Estimate, k)

@@ -141,7 +141,7 @@ func BenchmarkRunCampaignSelect(b *testing.B) {
 // 4, all under one market mask with π. One op is one sample of that
 // batch — the root's campaign from Reset plus 16 candidates resumed
 // from its checkpoint, with π for each — through the family kernel
-// every engine body calls. Allocations per op must be 0: checkpoints,
+// the engine's one producer calls. Allocations per op must be 0: checkpoints,
 // π scratch and rows all come from the state's pools.
 func BenchmarkRunBatchPiSchedule(b *testing.B) {
 	p := benchProblem(b, 2000, 256)

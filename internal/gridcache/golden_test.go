@@ -73,7 +73,7 @@ func requireSameSolution(t *testing.T, label string, want, got core.Solution) {
 }
 
 // TestCachedEstimatesBitIdentical runs every batch entry point against
-// the slot-based engine: a cold cached estimator (simulate + commit), a
+// the uncached engine: a cold cached estimator (simulate + commit), a
 // warm one sharing the cache (pure hits), and a third after within-T
 // canonical reordering of the groups across promotions.
 func TestCachedEstimatesBitIdentical(t *testing.T) {

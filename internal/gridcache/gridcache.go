@@ -135,13 +135,14 @@ func (c *Cache) View(p *diffusion.Problem) diffusion.GridCache {
 		c.problems[p] = pk
 		c.pmu.Unlock()
 	}
-	return &view{c: c, problemKey: pk}
+	return &view{c: c, problemKey: pk, items: p.NumItems()}
 }
 
 // view is the per-problem face of the cache.
 type view struct {
 	c          *Cache
 	problemKey string
+	items      int // the problem's item count, for checking reloaded rows
 }
 
 // Begin implements diffusion.GridCache: resolve one (seed, [lo,hi),
@@ -150,7 +151,11 @@ type view struct {
 // (the same unit is in flight elsewhere — caller Waits).
 func (v *view) Begin(seed uint64, lo, hi int, seeds []diffusion.Seed, market []bool, withPi bool) ([]diffusion.SampleResult, diffusion.GridTicket) {
 	key := v.problemKey + string(AppendGroupKey(nil, seed, lo, hi, seeds, market, withPi))
-	rows, t := v.c.store.Begin(key, func(rows []diffusion.SampleResult) bool { return len(rows) == hi-lo })
+	// a spill image that decodes but does not fit the problem (a
+	// corrupt or foreign file) is a miss, not rows for the fold
+	rows, t := v.c.store.Begin(key, func(rows []diffusion.SampleResult) bool {
+		return diffusion.ValidateSampleRow(rows, hi-lo, v.items) == nil
+	})
 	if t == nil {
 		v.c.samplesSaved.Add(uint64(hi - lo))
 		return rows, nil

@@ -3,9 +3,12 @@ package gridcache
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
+	"imdpp/internal/dataset"
 	"imdpp/internal/diffusion"
+	"imdpp/internal/kg"
 )
 
 // testCache builds a cache whose problem key is a constant — key-space
@@ -16,7 +19,18 @@ func testCache(maxBytes int64, dir string) (*Cache, diffusion.GridCache) {
 		Dir:      dir,
 		KeyFn:    func(*diffusion.Problem) string { return "problem-A" },
 	})
-	return c, c.View(&diffusion.Problem{})
+	return c, c.View(itemsProblem(3))
+}
+
+// itemsProblem is a stand-in problem with n items. A view reads only
+// its item count, which bounds the item ids a reloaded spill may hold.
+func itemsProblem(n int) *diffusion.Problem {
+	b := kg.NewBuilder()
+	item := b.NodeTypeID("ITEM")
+	for i := 0; i < n; i++ {
+		b.AddNode(item)
+	}
+	return &diffusion.Problem{KG: b.Build()}
 }
 
 func rowsFor(tag int, span int) []diffusion.SampleResult {
@@ -222,6 +236,54 @@ func TestCacheDiskSpill(t *testing.T) {
 	}
 }
 
+// TestCorruptSpillIsMiss: a spill image that decodes but names an item
+// the problem does not have is a miss, never rows for the fold, so the
+// estimate matches an uncached one bit for bit. Images that do fit the
+// problem are still served from disk.
+func TestCorruptSpillIsMiss(t *testing.T) {
+	d, err := dataset.AmazonSample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Clone(120, 3)
+	const m, seed = 6, 11
+	groups := [][]diffusion.Seed{
+		{{User: 0, Item: 0, T: 1}},
+		{{User: 1, Item: 2, T: 1}, {User: 4, Item: 3, T: 2}},
+		{{User: 7, Item: 5, T: 3}},
+	}
+	uncached := diffusion.NewEstimator(p, m, seed)
+	want := uncached.RunBatchPi(groups, nil)
+	grid := uncached.RunBatchSamples(groups, nil, nil, true, 0, m)
+
+	dir := t.TempDir()
+	c1, _ := testCache(1<<20, dir)
+	for g, rows := range grid {
+		if g == 0 {
+			// item ids run 0..|I|-1: |I| is one past the end
+			bad := append([]diffusion.SampleResult(nil), rows...)
+			bad[0].Items = append(append([]int32(nil), rows[0].Items...), int32(p.NumItems()))
+			bad[0].Counts = append(append([]float64(nil), rows[0].Counts...), 1)
+			rows = bad
+		}
+		c1.store.Put("problem-A"+string(AppendGroupKey(nil, seed, 0, m, groups[g], nil, true)), rows)
+	}
+
+	c2, _ := testCache(1<<20, dir)
+	e := diffusion.NewEstimator(p, m, seed)
+	e.Grid = c2.View(p)
+	got := e.RunBatchPi(groups, nil)
+	for g := range want {
+		if math.Float64bits(got[g].Sigma) != math.Float64bits(want[g].Sigma) ||
+			math.Float64bits(got[g].Pi) != math.Float64bits(want[g].Pi) {
+			t.Fatalf("group %d: cached %+v != uncached %+v", g, got[g], want[g])
+		}
+	}
+	if st := c2.Stats(); st.DiskHits != uint64(len(groups)-1) {
+		t.Fatalf("stats %+v: want the %d valid images served from disk", st, len(groups)-1)
+	}
+}
+
 func TestViewNilSafety(t *testing.T) {
 	var nilCache *Cache
 	if v := nilCache.View(&diffusion.Problem{}); v != nil {
@@ -248,7 +310,7 @@ func TestProblemKeySeparation(t *testing.T) {
 		n++
 		return fmt.Sprintf("problem-%d", n)
 	}})
-	pA, pB := &diffusion.Problem{}, &diffusion.Problem{}
+	pA, pB := itemsProblem(1), itemsProblem(1)
 	vA := c.View(pA)
 	vB := c.View(pB)
 	seeds := []diffusion.Seed{{User: 0, Item: 0, T: 1}}

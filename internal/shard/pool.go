@@ -681,20 +681,9 @@ func validateSamples(samples [][]diffusion.SampleResult, req *EstimateRequest, i
 	if len(samples) != len(req.Groups) {
 		return fmt.Errorf("shard: %d sample rows for %d groups", len(samples), len(req.Groups))
 	}
-	span := req.Hi - req.Lo
 	for g, row := range samples {
-		if len(row) != span {
-			return fmt.Errorf("shard: group %d: %d samples for range span %d", g, len(row), span)
-		}
-		for i := range row {
-			if len(row[i].Items) != len(row[i].Counts) {
-				return fmt.Errorf("shard: group %d sample %d: items/counts length mismatch", g, i)
-			}
-			for _, it := range row[i].Items {
-				if int(it) < 0 || int(it) >= items {
-					return fmt.Errorf("shard: group %d sample %d: item %d out of range", g, i, it)
-				}
-			}
+		if err := diffusion.ValidateSampleRow(row, req.Hi-req.Lo, items); err != nil {
+			return fmt.Errorf("shard: group %d: %w", g, err)
 		}
 	}
 	return nil
