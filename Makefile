@@ -43,8 +43,11 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# dysimbench is its own module, so the root `go vet ./...` skips it
+# (and `go test` runs only a subset of vet's checks).
 vet:
 	$(GO) vet ./...
+	cd dysimbench && $(GO) vet ./...
 
 # staticcheck, pinned for reproducible CI; falls back to an installed
 # binary when the toolchain has no module download access.

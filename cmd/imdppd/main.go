@@ -304,10 +304,10 @@ func debugMux(tracer *imdpp.Tracer) http.Handler {
 	return mux
 }
 
-// daemon wires the HTTP surface to the serving layer, memoizing the
-// synthetic datasets so repeated requests against one workload don't
-// pay regeneration. pool is non-nil when the daemon coordinates a
-// shard worker fleet.
+// daemon wires the HTTP surface to the serving layer, memoizing up to
+// maxDatasets synthetic datasets so repeated requests against one
+// workload don't pay regeneration. pool is non-nil when the daemon
+// coordinates a shard worker fleet.
 type daemon struct {
 	svc     *imdpp.Service
 	pool    *imdpp.ShardPool
@@ -320,12 +320,22 @@ type daemon struct {
 
 	mu       sync.Mutex
 	datasets map[dsKey]*imdpp.Dataset
+	dsOrder  []dsKey // memoized keys, oldest first
 }
 
 type dsKey struct {
 	name  string
 	scale float64
 }
+
+const (
+	// maxScale bounds a request's dataset scale. Generation cost grows
+	// as scale²: Douban at scale 8 allocates about 227 MB.
+	maxScale = 8
+	// maxDatasets bounds the dataset memo; past it the oldest entry is
+	// evicted.
+	maxDatasets = 8
+)
 
 func newDaemon(cfg imdpp.ServiceConfig, pool *imdpp.ShardPool) *daemon {
 	workers := cfg.Workers
@@ -527,6 +537,9 @@ func (d *daemon) loadProblem(spec problemSpec) (*imdpp.Problem, error) {
 	if spec.Scale == 0 {
 		spec.Scale = 1.0
 	}
+	if spec.Scale > maxScale {
+		return nil, &imdpp.InputError{Field: "Scale", Reason: fmt.Sprintf("%g: want ≤ %d", spec.Scale, maxScale)}
+	}
 	key := dsKey{name: strings.ToLower(spec.Dataset), scale: spec.Scale}
 	d.mu.Lock()
 	ds, ok := d.datasets[key]
@@ -542,6 +555,13 @@ func (d *daemon) loadProblem(spec problemSpec) (*imdpp.Problem, error) {
 			return nil, err
 		}
 		d.mu.Lock()
+		if _, dup := d.datasets[key]; !dup {
+			d.dsOrder = append(d.dsOrder, key)
+			if len(d.dsOrder) > maxDatasets {
+				delete(d.datasets, d.dsOrder[0])
+				d.dsOrder = d.dsOrder[1:]
+			}
+		}
 		d.datasets[key] = ds
 		d.mu.Unlock()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -204,6 +205,8 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 		{"unknown algo", `{"dataset":"sample","budget":80,"t":3,"algo":"magic"}`},
 		{"unknown order", `{"dataset":"sample","budget":80,"t":3,"order":"XX"}`},
 		{"negative scale", `{"dataset":"amazon","scale":-1,"budget":80,"t":3}`},
+		{"scale past the bound", `{"dataset":"douban","scale":64,"budget":80,"t":3}`},
+		{"scale just past the bound", `{"dataset":"sample","scale":8.5,"budget":80,"t":3}`},
 	}
 	for _, tc := range cases {
 		var errBody map[string]string
@@ -227,6 +230,43 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("cancel unknown job: status %d want 404", resp.StatusCode)
+	}
+}
+
+// TestDaemonDatasetMemoBounded: a scale past maxScale is a typed
+// Scale error that generates nothing, and the dataset memo never holds
+// more than maxDatasets entries; past the bound the oldest is evicted
+// and the newest kept.
+func TestDaemonDatasetMemoBounded(t *testing.T) {
+	d, _ := newTestDaemon(t)
+	_, err := d.loadProblem(problemSpec{Dataset: "douban", Scale: 64, Budget: 80, T: 3})
+	var ie *imdpp.InputError
+	if !errors.As(err, &ie) || ie.Field != "Scale" {
+		t.Fatalf("loadProblem(scale 64) = %v, want InputError{Field: Scale}", err)
+	}
+	if n := len(d.datasets); n != 0 {
+		t.Fatalf("a rejected scale memoized %d datasets", n)
+	}
+	// the sample dataset ignores scale, so each scale is a cheap
+	// distinct memo key
+	key := func(i int) dsKey { return dsKey{name: "sample", scale: float64(i) / 8} }
+	for i := 1; i <= maxDatasets+3; i++ {
+		if _, err := d.loadProblem(problemSpec{Dataset: "sample", Scale: key(i).scale, Budget: 80, T: 3}); err != nil {
+			t.Fatal(err)
+		}
+		// a repeat is a memo hit and must not take a second slot
+		if _, err := d.loadProblem(problemSpec{Dataset: "sample", Scale: key(i).scale, Budget: 80, T: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(d.datasets); n > maxDatasets || n != len(d.dsOrder) || n != min(i, maxDatasets) {
+			t.Fatalf("after %d datasets: memo holds %d (order %d), want %d", i, n, len(d.dsOrder), min(i, maxDatasets))
+		}
+	}
+	if _, ok := d.datasets[key(3)]; ok {
+		t.Fatal("oldest datasets were not evicted")
+	}
+	if _, ok := d.datasets[key(maxDatasets+3)]; !ok {
+		t.Fatal("newest dataset was evicted")
 	}
 }
 

@@ -359,7 +359,8 @@ var (
 	// NewShardWorker creates the worker-side RPC state (imdppd -worker
 	// mounts it).
 	NewShardWorker = shard.NewWorker
-	// NewShardEstimator creates one sharded estimator directly.
+	// NewShardEstimator creates one sharded estimator directly: an
+	// ordinary *Estimator whose sample grids come from the pool.
 	NewShardEstimator = shard.NewEstimator
 	// NewShardRegistrar builds the worker-side fleet-membership loop
 	// (imdppd -worker -register wires it).

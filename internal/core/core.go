@@ -253,10 +253,11 @@ type gridStatser interface {
 }
 
 // AttachGridCache wires a sample-grid memoization view for p into an
-// estimator: directly for the in-process engine, via the optional
-// AttachGrid face for wrapping backends (sharded, sketch) that host
-// an embedded engine. A nil cache, a cache without a key function, or
-// a backend with no attachment surface all leave est untouched.
+// estimator: directly for the Monte-Carlo engine (local or sharded;
+// a sharded engine's remote rows bypass it, DESIGN.md §10), via the
+// optional AttachGrid face for the sketch backend's embedded engine.
+// A nil cache, a cache without a key function, or a backend with no
+// attachment surface all leave est untouched.
 func AttachGridCache(est Estimator, p *diffusion.Problem, c *gridcache.Cache) {
 	v := c.View(p)
 	if v == nil {

@@ -20,8 +20,8 @@
 //
 // All σ/π evaluation flows through the Estimator backend interface
 // (estimator.go). Two result classes exist behind it. The exact class
-// — the in-process batch engine by default, or the sharded
-// remote-worker estimator of internal/shard via Options.Backend — is
+// — the Monte-Carlo engine, in process by default or fed by the
+// remote-worker fleet of internal/shard via Options.Backend — is
 // bit-identical whichever member serves it (DESIGN.md §3, §7), which
 // is why Backend-as-constructor stays out of the request hash. The
 // approximate class is the reverse-reachable sketch estimator of

@@ -9,10 +9,12 @@ import (
 
 // Estimator is the σ/π estimation surface the Dysim solver consumes —
 // everything Solve, SolveAdaptiveCtx and TDSI ask of a Monte-Carlo
-// backend, and nothing more. *diffusion.Estimator (in-process batch
-// engine) is the canonical implementation; internal/shard provides a
-// remote-fanout implementation that partitions the (group × sample)
-// grid across worker processes. Any implementation MUST honour the
+// backend, and nothing more. *diffusion.Estimator is the Monte-Carlo
+// implementation, local or sharded: internal/shard plugs its worker
+// fleet in as the engine's sample producer (diffusion.Sampler), which
+// partitions the (group × sample) grid across worker processes; the
+// RR-sketch hybrid (internal/sketch) is the approximate second
+// implementation. Any implementation MUST honour the
 // DESIGN.md §3 determinism contract: results are a pure function of
 // (the problem, the current master seed, the sample count), and Bind's
 // context may abort an evaluation but never reorder it — that is what
@@ -52,8 +54,8 @@ type Estimator interface {
 	StateBytes() uint64
 }
 
-// The in-process batch engine is the reference Estimator; the
-// RR-sketch hybrid is the approximate second implementation.
+// The Monte-Carlo engine is the reference Estimator; the RR-sketch
+// hybrid is the approximate second implementation.
 var (
 	_ Estimator = (*diffusion.Estimator)(nil)
 	_ Estimator = (*sketch.Estimator)(nil)

@@ -5,11 +5,11 @@ import "imdpp/internal/obs"
 // This file is the batch evaluation face of the engine. Every estimate
 // — single or batched — funnels through runBatch, which builds the
 // full (group × sample) grid with the one producer of shardable.go
-// (runBatchSamplesRaw, or the grid cache in front of it) and folds it
-// with ReduceSampleGrid. The producer schedules (family × sample) work
-// units onto one worker pool kept alive for the whole batch, so a
-// universe of K candidates pays the orchestration cost once instead of
-// K times. A family is a root group plus the groups that share its
+// (runBatchSamplesRaw, or the grid cache in front of it) or takes it
+// from a remote Sampler, and folds it with ReduceSampleGrid. The
+// producer schedules (family × sample) work units onto one worker pool
+// kept alive for the whole batch, so a universe of K candidates pays
+// the orchestration cost once instead of K times. A family is a root group plus the groups that share its
 // leading promotions and market mask; they resume from the root's
 // checkpoint instead of re-simulating the shared prefix (family.go).
 // Sample i of every group draws from the stream Split(i) of the same
@@ -57,9 +57,15 @@ func (e *Estimator) SigmaBatch(groups [][]Seed) []float64 {
 // estimator has run, for throughput (samples/sec) accounting.
 func (e *Estimator) SamplesDone() uint64 { return e.samples.Load() }
 
-// runBatch is the engine: the full grid of samples 0..M-1, folded in
-// sample order. market and masks are as for RunBatchSamples.
+// runBatch is the engine: the full grid of samples 0..M-1, from Remote
+// when one is set and else from the local producer, folded in sample
+// order. market and masks are as for RunBatchSamples.
 func (e *Estimator) runBatch(groups [][]Seed, market []bool, masks [][]bool, withPi bool) []Estimate {
+	if e.Remote != nil && len(groups) > 0 {
+		grid, remote := e.Remote.Samples(e.ctx, e, groups, market, masks, withPi)
+		e.samples.Add(remote)
+		return ReduceSampleGrid(grid, e.P.NumItems())
+	}
 	sp := obs.StartSpan(e.ctx, "sigma_batch")
 	defer sp.End()
 	sp.SetAttrInt("groups", int64(len(groups)))

@@ -29,10 +29,11 @@ type Estimate struct {
 // (group × sample) grid with the one producer in shardable.go, which
 // shares common random numbers across the groups of a batch, and folds
 // it with ReduceSampleGrid in sample order, so every Estimate is a pure
-// function of (Seed, M) regardless of Workers. It is the reference
+// function of (Seed, M) regardless of Workers. It is the Monte-Carlo
 // implementation of the solver's estimation-backend interface
-// (core.Estimator); internal/shard provides the distributed one, built
-// on the same RunBatchSamples/ReduceSampleGrid pair.
+// (core.Estimator), local or sharded: with Remote set the grid comes
+// from a remote producer (internal/shard's worker fleet) instead, and
+// is folded the same way.
 type Estimator struct {
 	P       *Problem
 	M       int // samples per estimate
@@ -46,6 +47,13 @@ type Estimator struct {
 	// cached grid is the same canonical sample-order fold. Attach via
 	// gridcache.Cache.View; must not change mid-evaluation.
 	Grid GridCache
+
+	// Remote, when non-nil, produces the full sample grid of every
+	// non-empty batch in place of the local producer (DESIGN.md §7).
+	// RunBatchSamples never consults it, so a remote producer may fall
+	// back on it without recursing. Remote rows bypass Grid; must not
+	// change mid-evaluation.
+	Remote Sampler
 
 	mu     sync.Mutex
 	states []*State

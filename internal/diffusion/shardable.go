@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,19 @@ type SampleResult struct {
 	Counts      []float64 `json:"counts,omitempty"`
 }
 
+// Sampler is a remote producer of the full (group × sample) grid
+// (Estimator.Remote): Samples returns samples 0..e.M-1 of every group,
+// as RunBatchSamples(groups, market, masks, withPi, 0, e.M) would,
+// plus how many of those campaigns it simulated outside e (added to
+// e.SamplesDone; samples e simulates itself count there already). It
+// must bit-match the local producer — the §3 contract — and may
+// compute any range locally through e.RunBatchSamples. ctx is the
+// estimator's bound context (nil when unbound); a cancelled batch may
+// return garbage, as the local producer does.
+type Sampler interface {
+	Samples(ctx context.Context, e *Estimator, groups [][]Seed, market []bool, masks [][]bool, withPi bool) (grid [][]SampleResult, remote uint64)
+}
+
 // RunBatchSamples simulates the global samples lo..hi-1 of every seed
 // group and returns their raw outcomes, outer-indexed by group and
 // inner-indexed by sample offset (result[g][i-lo] is sample i of group
@@ -55,7 +69,8 @@ type SampleResult struct {
 // With a Grid cache attached, repeated (seed, [lo,hi), group) units
 // are served from the cache and only the misses are simulated — the
 // returned rows are then shared with the cache and must be treated as
-// immutable.
+// immutable. Remote is never consulted: this is always the local
+// producer.
 func (e *Estimator) RunBatchSamples(groups [][]Seed, market []bool, masks [][]bool, withPi bool, lo, hi int) [][]SampleResult {
 	sp := obs.StartSpan(e.ctx, "sample_batch")
 	defer sp.End()

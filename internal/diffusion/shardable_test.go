@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -103,5 +104,64 @@ func TestRunBatchSamplesPreemptedLazyAlloc(t *testing.T) {
 	// should have materialized (tolerate a race-window claim or two)
 	if allocated > 4 {
 		t.Fatalf("preempted batch allocated %d/256 group rows, want ~0 (eager allocation regressed)", allocated)
+	}
+}
+
+// fakeSampler is a remote producer returning a fixed grid; it records
+// each call so the test can see what the engine asked of it.
+type fakeSampler struct {
+	grid   [][]SampleResult
+	remote uint64
+	calls  int
+	ctx    context.Context
+	e      *Estimator
+	withPi bool
+}
+
+func (f *fakeSampler) Samples(ctx context.Context, e *Estimator, groups [][]Seed, market []bool, masks [][]bool, withPi bool) ([][]SampleResult, uint64) {
+	f.calls++
+	f.ctx, f.e, f.withPi = ctx, e, withPi
+	return f.grid, f.remote
+}
+
+// TestRemoteSampler pins the Estimator.Remote seam: the engine folds
+// exactly the grid the producer returns, adds the producer's remote
+// campaigns to SamplesDone, never asks it for a zero-group batch, and
+// RunBatchSamples stays the local producer — which is what lets a
+// remote producer fall back on it without recursing.
+func TestRemoteSampler(t *testing.T) {
+	p := batchProblem(t)
+	groups := batchGroups(p)
+	const m = 6
+	fake := &fakeSampler{grid: randomGrid(rand.New(rand.NewSource(3)), len(groups), m, p.NumItems()), remote: 1234}
+	e := NewEstimator(p, m, 9)
+	e.Remote = fake
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.Bind(ctx)
+
+	requireEstimates(t, "remote batch", e.RunBatchPi(groups, nil), ReduceSampleGrid(fake.grid, p.NumItems()))
+	if fake.calls != 1 || fake.e != e || fake.ctx != ctx || !fake.withPi {
+		t.Fatalf("producer saw calls=%d e=%p ctx=%v withPi=%v", fake.calls, fake.e, fake.ctx, fake.withPi)
+	}
+	if got := e.SamplesDone(); got != fake.remote {
+		t.Fatalf("SamplesDone %d after one remote batch, want %d", got, fake.remote)
+	}
+	fake.grid = fake.grid[:1]
+	if got, want := e.Run(groups[0], nil, false), ReduceSampleGrid(fake.grid, p.NumItems())[0]; !estimatesEqual(got, want) {
+		t.Fatalf("remote Run %+v != fold %+v", got, want)
+	}
+
+	calls := fake.calls
+	if got := e.RunBatch(nil, nil); len(got) != 0 || fake.calls != calls {
+		t.Fatalf("zero-group batch: %d estimates, producer calls %d → %d", len(got), calls, fake.calls)
+	}
+	rows := e.RunBatchSamples(groups, nil, nil, true, 0, m)
+	if fake.calls != calls {
+		t.Fatal("RunBatchSamples consulted the remote producer")
+	}
+	gridsEqual(t, NewEstimator(p, m, 9).RunBatchSamples(groups, nil, nil, true, 0, m), rows)
+	if got, want := e.SamplesDone(), 2*fake.remote+uint64(len(groups)*m); got != want {
+		t.Fatalf("SamplesDone %d, want %d (two remote batches plus the local grid)", got, want)
 	}
 }

@@ -481,6 +481,10 @@ func TestRetireDeliversTerminalToSubscribers(t *testing.T) {
 	if _, err := j2.Wait(context.Background()); err != nil {
 		t.Fatalf("job 2: %v", err)
 	}
+	// Wait returns once finish has run, and the worker calls
+	// retireJob(j2) after that; Close joins the worker pool, so by the
+	// time it returns job 2 has been retired and job 1 evicted
+	s.Close()
 	if _, ok := s.Job(j1.ID()); ok {
 		t.Fatal("job 1 should have been evicted from the retention window")
 	}

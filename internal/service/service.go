@@ -531,18 +531,7 @@ func (s *Service) runJob(j *Job) {
 		opt.GridCache = s.gridCache
 	}
 	if opt.Backend == nil {
-		if opt.Epsilon > 0 {
-			// an epsilon request explicitly asked for the approximate
-			// backend, so it wins over a configured fleet backend —
-			// coverage counting runs where the sketch index lives
-			// (DESIGN.md §9)
-			s.sketchReqs.Add(1)
-			opt.Backend = core.SketchBackend(sketch.Config{
-				Epsilon: opt.Epsilon, Delta: opt.Delta, Cache: s.sketchCache,
-			})
-		} else {
-			opt.Backend = s.cfg.Backend
-		}
+		opt.Backend, _ = s.backend(opt.Epsilon, opt.Delta)
 	}
 	start := time.Now()
 	var (
@@ -647,20 +636,7 @@ func (s *Service) Sigma(ctx context.Context, p *diffusion.Problem, seeds []diffu
 	if err := p.ValidateSeeds(seeds); err != nil {
 		return diffusion.Estimate{}, "", err
 	}
-	name := BackendMC
-	backend := core.LocalEstimator
-	switch {
-	case opt.Epsilon > 0:
-		// epsilon selects the sketch lane, sharing the service's index
-		// cache with epsilon solves over the same problem
-		s.sketchReqs.Add(1)
-		name = BackendSketch
-		backend = core.SketchBackend(sketch.Config{
-			Epsilon: opt.Epsilon, Delta: opt.Delta, Cache: s.sketchCache,
-		})
-	case s.cfg.Backend != nil:
-		backend = s.cfg.Backend
-	}
+	backend, name := s.backend(opt.Epsilon, opt.Delta)
 	root := s.cfg.Tracer.Start("sigma")
 	defer root.End()
 	root.SetAttr("backend", name)
@@ -682,6 +658,24 @@ func (s *Service) Sigma(ctx context.Context, p *diffusion.Problem, seeds []diffu
 	}
 	s.solveNanos.Add(int64(time.Since(start)))
 	return run, name, nil
+}
+
+// backend picks the estimation backend for a solve or σ query and its
+// label. An epsilon request explicitly asked for the approximate
+// backend, so it wins over a configured fleet backend: coverage
+// counting runs where the sketch index lives (DESIGN.md §9), and the
+// service's index cache is shared between epsilon solves and queries
+// over the same problem. Otherwise Config.Backend, else the local
+// engine.
+func (s *Service) backend(eps, delta float64) (core.EstimatorFactory, string) {
+	if eps > 0 {
+		s.sketchReqs.Add(1)
+		return core.SketchBackend(sketch.Config{Epsilon: eps, Delta: delta, Cache: s.sketchCache}), BackendSketch
+	}
+	if s.cfg.Backend != nil {
+		return s.cfg.Backend, BackendMC
+	}
+	return core.LocalEstimator, BackendMC
 }
 
 // Metrics snapshots the service counters.

@@ -21,10 +21,11 @@
 //     referenced by its service.HashProblem key thereafter) and the
 //     estimate RPC computing one shard's raw per-sample outcomes.
 //   - Pool: the coordinator-side worker registry — one lifecycle for
-//     listed and self-registering workers (DESIGN.md §13), per-shard
-//     retry, failover re-dispatch, speculative straggler re-dispatch
-//     and local fallback.
-//   - Estimator: a core.Estimator backend that fans batches out over
-//     the pool, so Solve/SolveAdaptiveCtx/TDSI and the serving layer
-//     run unchanged over local or sharded estimation.
+//     listed and self-registering workers (DESIGN.md §13) — and the
+//     sample producer Pool.Samples: per-shard retry, failover
+//     re-dispatch, speculative straggler re-dispatch and local
+//     fallback.
+//   - NewEstimator/Backend: the one diffusion.Estimator with the pool
+//     as its Remote producer, so Solve/SolveAdaptiveCtx/TDSI and the
+//     serving layer run unchanged over local or sharded estimation.
 package shard

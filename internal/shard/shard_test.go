@@ -323,6 +323,63 @@ func TestFailoverWorkerDeath(t *testing.T) {
 	requireSameEstimates(t, "fleet dead", want, est.RunBatch(groups, nil))
 }
 
+// TestShardedSamplesDone: SamplesDone grows by k·M per batch whoever
+// simulates the ranges — the workers of a healthy fleet, the local
+// engine for a range no worker answers, or the local engine alone for
+// a dead fleet — and the estimates stay bit-identical throughout.
+func TestShardedSamplesDone(t *testing.T) {
+	p := sampleProblem(t, 120, 3)
+	groups := groupsFor(p)
+	const m, seed = 12, 5
+	want := diffusion.NewEstimator(p, m, seed).RunBatchPi(groups, nil)
+	perBatch := uint64(len(groups) * m)
+
+	// failUpper refuses every range but the first, so the second range
+	// of a two-worker plan fails on both workers and runs locally
+	failUpper := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == PathEstimate {
+				body, _ := io.ReadAll(r.Body)
+				if req, err := DecodeEstimateRequestBinary(body); err == nil && req.Lo > 0 {
+					http.Error(rw, "refused", http.StatusInternalServerError)
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(rw, r)
+		})
+	}
+	newPool := func(n int, wrap func(http.Handler) http.Handler) *Pool {
+		urls := make([]string, n)
+		for i := range urls {
+			urls[i] = serveWorker(t, NewWorker(WorkerConfig{Workers: 2}), wrap).URL
+		}
+		pool := NewPool(urls, nil)
+		t.Cleanup(pool.Close)
+		return pool
+	}
+	for _, tc := range []struct {
+		name     string
+		pool     *Pool
+		fallback bool // a range must have run locally
+	}{
+		{"healthy fleet", newPool(2, nil), false},
+		{"fallback range", newPool(2, failUpper), true},
+		{"dead fleet", newPool(0, nil), true},
+	} {
+		est := NewEstimator(tc.pool, p, m, seed, 2)
+		for batch := uint64(1); batch <= 2; batch++ {
+			requireSameEstimates(t, tc.name, want, est.RunBatchPi(groups, nil))
+			if got := est.SamplesDone(); got != batch*perBatch {
+				t.Fatalf("%s: SamplesDone %d after batch %d, want %d", tc.name, got, batch, batch*perBatch)
+			}
+		}
+		if st := tc.pool.Snapshot(); (st.LocalFallbacks > 0) != tc.fallback {
+			t.Fatalf("%s: local fallbacks %d, want fallback=%v", tc.name, st.LocalFallbacks, tc.fallback)
+		}
+	}
+}
+
 // TestWorkerRestartReupload drops a worker's problem store (the
 // observable effect of a restart) and checks the unknown_problem
 // re-upload path recovers transparently.
