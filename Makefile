@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test dysimbench-test race bench fmt fmt-check vet lint smoke serve-smoke load-smoke shard-smoke fleet-smoke sketch-smoke docs-check inline-check fuzz
+.PHONY: all build test dysimbench-test race bench fmt fmt-check vet lint smoke serve-smoke load-smoke shard-smoke fleet-smoke sketch-smoke docs-check inline-check reach-check fuzz
 
 all: build test
 
@@ -115,6 +115,14 @@ inline-check:
 	./scripts/inline_check.sh
 	./scripts/inline_check.sh --self-test
 
+# Reachability guard: every func under internal/ is linked into some
+# program (cmd/*, examples/*, dysimbench) unless the script's
+# allowlist names the test of live code that needs it. --self-test
+# proves the gate can fail.
+reach-check:
+	./scripts/reach_check.sh
+	./scripts/reach_check.sh --self-test
+
 # Short fuzz pass over every wire-codec decoder, the cache spill-image
 # reader and the daemon's solve and sigma request decoders (the seed
 # corpora are committed under */testdata/fuzz or added in the test).
@@ -124,7 +132,6 @@ fuzz:
 	$(GO) test ./internal/gridcache -run '^FuzzGroupKeyCodec$$' -fuzz '^FuzzGroupKeyCodec$$' -fuzztime 10s
 	$(GO) test ./internal/castore -run '^FuzzSpillImage$$' -fuzz '^FuzzSpillImage$$' -fuzztime 10s
 	$(GO) test ./internal/graph -run '^FuzzDecodeBinaryExport$$' -fuzz '^FuzzDecodeBinaryExport$$' -fuzztime 10s
-	$(GO) test ./internal/kg -run '^FuzzDecodeRelTableBinary$$' -fuzz '^FuzzDecodeRelTableBinary$$' -fuzztime 10s
 	$(GO) test ./internal/pin -run '^FuzzDecodeRowsBinary$$' -fuzz '^FuzzDecodeRowsBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeProblemUploadBinary$$' -fuzz '^FuzzDecodeProblemUploadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeEstimateRequestBinary$$' -fuzz '^FuzzDecodeEstimateRequestBinary$$' -fuzztime 10s

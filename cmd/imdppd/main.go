@@ -409,9 +409,7 @@ func (d *daemon) handler() http.Handler {
 	if d.pool != nil && d.dynamic {
 		// elastic fleet membership (DESIGN.md §13): workers announce,
 		// heartbeat, and take their leave here
-		mux.HandleFunc("POST /v1/shard/register", d.pool.HandleRegister)
-		mux.HandleFunc("POST /v1/shard/heartbeat", d.pool.HandleHeartbeat)
-		mux.HandleFunc("POST /v1/shard/deregister", d.pool.HandleDeregister)
+		d.pool.MountRegistry(mux)
 	}
 	return mux
 }

@@ -22,16 +22,21 @@ const (
 	CoCluster                 // FGCC-like
 )
 
-// Options tune clustering.
+// Options tune clustering. The solver replaces a zero-valued Options
+// with DefaultOptions; in any other value it fills in only a
+// non-positive MaxHops, keeping the Strategy and MinRelGap the caller
+// set.
 type Options struct {
 	Strategy Strategy
 	// MaxHops is the social distance within which two nominees' users
-	// count as socially close (default 2).
+	// count as socially close (default 1; a non-positive value selects
+	// it).
 	MaxHops int
 	// MinRelGap is the minimum r̄C−r̄S between two nominees' items for
-	// them to be clustered together (default 0: complementary must at
-	// least balance substitutable). Nominees promoting the same item
-	// are always compatible.
+	// them to be clustered together (default 0.02, a strictly
+	// complementary-leaning pair; 0 lets complementary merely balance
+	// substitutable). Nominees promoting the same item are always
+	// compatible.
 	MinRelGap float64
 }
 
@@ -49,7 +54,7 @@ func Cluster(g *graph.Graph, model *pin.Model, nominees []Nominee, opt Options) 
 		return nil
 	}
 	if opt.MaxHops <= 0 {
-		opt.MaxHops = 2
+		opt.MaxHops = DefaultOptions().MaxHops
 	}
 	switch opt.Strategy {
 	case CoCluster:

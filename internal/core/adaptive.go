@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"imdpp/internal/cluster"
 	"imdpp/internal/diffusion"
@@ -71,11 +70,6 @@ func SolveAdaptiveCtx(ctx context.Context, p *diffusion.Problem, opt Options) (S
 		}
 		// schedule accepted nominees into {t, t+1} by SI over the full
 		// user set (the adaptive variant does not precompute markets)
-		mask := make([]bool, p.NumUsers())
-		for i := range mask {
-			mask[i] = true
-		}
-		fullMarket := &Market{Users: allUsers(p.NumUsers()), Mask: mask, Diameter: 3}
 		pool := accepted
 		stop := false
 		for len(pool) > 0 && !stop {
@@ -123,7 +117,6 @@ func SolveAdaptiveCtx(ctx context.Context, p *diffusion.Problem, opt Options) (S
 			used[nm] = true
 			pool = append(pool[:bestIdx], pool[bestIdx+1:]...)
 		}
-		_ = fullMarket
 	}
 
 	sigma := s.sigma(all)
@@ -276,13 +269,4 @@ func (s *solver) greedyUnderBudget(universe []cluster.Nominee, used map[cluster.
 		base = bestSigma
 	}
 	return picked, nil
-}
-
-func allUsers(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	sort.Ints(out)
-	return out
 }

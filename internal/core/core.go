@@ -154,8 +154,10 @@ func (o Options) withDefaults() Options {
 	if o.CandidateCap == 0 {
 		o.CandidateCap = 512
 	}
-	if o.Cluster.MaxHops == 0 {
+	if o.Cluster == (cluster.Options{}) {
 		o.Cluster = cluster.DefaultOptions()
+	} else if o.Cluster.MaxHops <= 0 {
+		o.Cluster.MaxHops = cluster.DefaultOptions().MaxHops
 	}
 	if o.Epsilon > 0 && o.Delta == 0 {
 		o.Delta = sketch.DefaultDelta

@@ -31,6 +31,25 @@ func TestSolveRejectsInvalidProblem(t *testing.T) {
 	}
 }
 
+// TestWithDefaultsKeepsClusterChoice: a zero Cluster takes
+// cluster.DefaultOptions, but a partially set one keeps its Strategy
+// and MinRelGap and only gains the default MaxHops.
+func TestWithDefaultsKeepsClusterChoice(t *testing.T) {
+	if got := (Options{}).WithDefaults().Cluster; got != cluster.DefaultOptions() {
+		t.Fatalf("zero Cluster: got %+v, want %+v", got, cluster.DefaultOptions())
+	}
+	set := cluster.Options{Strategy: cluster.CoCluster, MinRelGap: 0.3}
+	want := set
+	want.MaxHops = cluster.DefaultOptions().MaxHops
+	if got := (Options{Cluster: set}).WithDefaults().Cluster; got != want {
+		t.Fatalf("partial Cluster: got %+v, want %+v", got, want)
+	}
+	full := cluster.Options{Strategy: cluster.CoCluster, MaxHops: 3}
+	if got := (Options{Cluster: full}).WithDefaults().Cluster; got != full {
+		t.Fatalf("full Cluster: got %+v, want %+v", got, full)
+	}
+}
+
 // TestSolveWorkerInvariance: the whole solver output — not just the
 // estimates — must be independent of the worker count, since the batch
 // engine reduces in sample order and the CELF wave size is a constant.

@@ -47,9 +47,6 @@ func (m Matrix) Cols() int { return m.cols }
 // At returns the cell (r, c).
 func (m Matrix) At(r, c int) float64 { return m.data[r*m.cols+c] }
 
-// Set stores v into the cell (r, c).
-func (m Matrix) Set(r, c int, v float64) { m.data[r*m.cols+c] = v }
-
 // Row returns a mutable view of row r. Dataset generators fill
 // matrices through row views; the diffusion engine only reads.
 func (m Matrix) Row(r int) []float64 { return m.data[r*m.cols : (r+1)*m.cols] }

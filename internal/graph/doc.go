@@ -1,7 +1,8 @@
 // Package graph implements the social-network substrate for IMDPP:
 // a compact directed weighted graph in true CSR (compressed sparse
-// row) form, plus the traversals (BFS, Dijkstra on influence
-// probabilities) and statistics the Dysim pipeline needs.
+// row) form, plus the traversals (BFS, hop distances) and statistics
+// the Dysim pipeline needs. The maximum-influence-path search (Dijkstra
+// on influence probabilities) lives in internal/mioa.
 //
 // Adjacency is stored as flat offset + packed parallel arrays — one
 // `offsets []int32` and parallel `to []int32` / `w []float64` per

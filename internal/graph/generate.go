@@ -75,37 +75,6 @@ func BarabasiAlbert(n, m int, directed bool, wm WeightModel, r *rng.Rand) *Graph
 	return g
 }
 
-// WattsStrogatz generates a small-world ring lattice with n vertices,
-// k nearest neighbours (k even) and rewiring probability beta.
-func WattsStrogatz(n, k int, beta float64, directed bool, wm WeightModel, r *rng.Rand) *Graph {
-	if k < 2 {
-		k = 2
-	}
-	if k%2 == 1 {
-		k++
-	}
-	if n <= k {
-		n = k + 1
-	}
-	b := NewBuilder(n, directed)
-	for u := 0; u < n; u++ {
-		for j := 1; j <= k/2; j++ {
-			v := (u + j) % n
-			if r.Float64() < beta {
-				// rewire to a uniform non-self target
-				for {
-					v = r.Intn(n)
-					if v != u {
-						break
-					}
-				}
-			}
-			b.AddEdge(u, v, wm.draw(r))
-		}
-	}
-	return b.Build()
-}
-
 // ErdosRenyi generates G(n, p) with the given weight model. Intended
 // for small test instances; it is O(n^2).
 func ErdosRenyi(n int, p float64, directed bool, wm WeightModel, r *rng.Rand) *Graph {
@@ -125,40 +94,6 @@ func ErdosRenyi(n int, p float64, directed bool, wm WeightModel, r *rng.Rand) *G
 		}
 	}
 	return b.Build()
-}
-
-// PlantedCommunities generates c communities of size n/c with intra-
-// community edge probability pIn and inter-community probability pOut.
-// Target-market identification is exercised on this shape: socially
-// close users end up in the same community.
-func PlantedCommunities(n, c int, pIn, pOut float64, directed bool, wm WeightModel, r *rng.Rand) (*Graph, []int) {
-	if c < 1 {
-		c = 1
-	}
-	member := make([]int, n)
-	for i := range member {
-		member[i] = i * c / n
-	}
-	b := NewBuilder(n, directed)
-	for u := 0; u < n; u++ {
-		lo := u + 1
-		if directed {
-			lo = 0
-		}
-		for v := lo; v < n; v++ {
-			if v == u {
-				continue
-			}
-			p := pOut
-			if member[u] == member[v] {
-				p = pIn
-			}
-			if r.Float64() < p {
-				b.AddEdge(u, v, wm.draw(r))
-			}
-		}
-	}
-	return b.Build(), member
 }
 
 // rescaleWeightedCascade sets each arc u->v to 1/inDegree(v), then

@@ -321,101 +321,6 @@ func (g *Graph) Components() (comp []int, count int) {
 	return comp, count
 }
 
-// MaxInfluencePaths runs Dijkstra from source on lengths -log(w) and
-// returns, per vertex, the probability of the maximum-influence path
-// (product of arc strengths along the best path; 0 when unreachable,
-// 1 for the source itself). This is the MIP machinery of Chen et al.
-// used by MIOA and by the PS baseline.
-func (g *Graph) MaxInfluencePaths(source int) []float64 {
-	prob := make([]float64, g.n)
-	g.MaxInfluencePathsInto(source, prob, nil)
-	return prob
-}
-
-// MaxInfluencePathsInto is the allocation-free form of
-// MaxInfluencePaths. prob must have length N; parent, when non-nil,
-// receives the Dijkstra tree (parent[source] = source, -1 when
-// unreachable).
-func (g *Graph) MaxInfluencePathsInto(source int, prob []float64, parent []int32) {
-	for i := range prob {
-		prob[i] = 0
-	}
-	if parent != nil {
-		for i := range parent {
-			parent[i] = -1
-		}
-		parent[source] = int32(source)
-	}
-	prob[source] = 1
-	h := &probHeap{items: []probItem{{v: int32(source), p: 1}}}
-	for h.Len() > 0 {
-		it := h.pop()
-		if it.p < prob[it.v] {
-			continue // stale entry
-		}
-		s, e := g.outOff[it.v], g.outOff[it.v+1]
-		for i := s; i < e; i++ {
-			v := g.outTo[i]
-			np := it.p * g.outW[i]
-			if np > prob[v] {
-				prob[v] = np
-				if parent != nil {
-					parent[v] = it.v
-				}
-				h.push(probItem{v: v, p: np})
-			}
-		}
-	}
-}
-
-// probHeap is a max-heap on path probability (equivalently a min-heap
-// on -log p, but products avoid the log calls on the hot path).
-type probItem struct {
-	v int32
-	p float64
-}
-
-type probHeap struct{ items []probItem }
-
-func (h *probHeap) Len() int { return len(h.items) }
-
-func (h *probHeap) push(it probItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.items[p].p >= h.items[i].p {
-			break
-		}
-		h.items[p], h.items[i] = h.items[i], h.items[p]
-		i = p
-	}
-}
-
-func (h *probHeap) pop() probItem {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < last && h.items[l].p > h.items[big].p {
-			big = l
-		}
-		if r < last && h.items[r].p > h.items[big].p {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h.items[i], h.items[big] = h.items[big], h.items[i]
-		i = big
-	}
-	return top
-}
-
 // DegreeStats summarises the degree distribution.
 type DegreeStats struct {
 	MinOut, MaxOut int

@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"imdpp/internal/rng"
 )
@@ -141,67 +140,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestMaxInfluencePathsLine(t *testing.T) {
-	g := line(4, 0.5)
-	p := g.MaxInfluencePaths(0)
-	want := []float64{1, 0.5, 0.25, 0.125}
-	for i := range want {
-		if math.Abs(p[i]-want[i]) > 1e-12 {
-			t.Fatalf("p[%d]=%v want %v", i, p[i], want[i])
-		}
-	}
-}
-
-func TestMaxInfluencePathsPicksBestRoute(t *testing.T) {
-	// 0→1→3 (0.9·0.9 = 0.81) beats 0→2→3 (0.99·0.5)
-	b := NewBuilder(4, true)
-	b.AddEdge(0, 1, 0.9)
-	b.AddEdge(1, 3, 0.9)
-	b.AddEdge(0, 2, 0.99)
-	b.AddEdge(2, 3, 0.5)
-	g := b.Build()
-	prob := make([]float64, 4)
-	parent := make([]int32, 4)
-	g.MaxInfluencePathsInto(0, prob, parent)
-	if math.Abs(prob[3]-0.81) > 1e-12 {
-		t.Fatalf("prob[3]=%v", prob[3])
-	}
-	if parent[3] != 1 {
-		t.Fatalf("parent[3]=%d want 1", parent[3])
-	}
-	if parent[0] != 0 {
-		t.Fatalf("parent[source]=%d", parent[0])
-	}
-}
-
-func TestMaxInfluencePathsUnreachable(t *testing.T) {
-	b := NewBuilder(3, true)
-	b.AddEdge(0, 1, 0.5)
-	g := b.Build()
-	p := g.MaxInfluencePaths(0)
-	if p[2] != 0 {
-		t.Fatalf("unreachable prob %v", p[2])
-	}
-}
-
-func TestMIPProbabilitiesBounded(t *testing.T) {
-	r := rng.New(5)
-	f := func(seed uint64) bool {
-		rr := r.Split(seed)
-		g := ErdosRenyi(20, 0.2, true, WeightModel{Mean: 0.5, Jitter: 0.5}, rr)
-		p := g.MaxInfluencePaths(0)
-		for _, v := range p {
-			if v < 0 || v > 1 {
-				return false
-			}
-		}
-		return p[0] == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDegreesStats(t *testing.T) {
 	g := line(4, 0.5)
 	st := g.Degrees()
@@ -245,44 +183,12 @@ func TestBarabasiAlbertDirected(t *testing.T) {
 	}
 }
 
-func TestWattsStrogatz(t *testing.T) {
-	r := rng.New(3)
-	g := WattsStrogatz(100, 4, 0.1, false, WeightModel{Mean: 0.3, Jitter: 0.2}, r)
-	if g.N() != 100 {
-		t.Fatalf("n=%d", g.N())
-	}
-	st := g.Degrees()
-	if st.MeanOut < 3.5 || st.MeanOut > 4.5 {
-		t.Fatalf("mean degree %v, want ~4", st.MeanOut)
-	}
-}
-
 func TestErdosRenyiDensity(t *testing.T) {
 	r := rng.New(4)
 	g := ErdosRenyi(100, 0.1, true, WeightModel{Mean: 0.5, Jitter: 0}, r)
 	expected := 0.1 * 100 * 99
 	if float64(g.M()) < expected*0.7 || float64(g.M()) > expected*1.3 {
 		t.Fatalf("M=%d, expected ~%v", g.M(), expected)
-	}
-}
-
-func TestPlantedCommunities(t *testing.T) {
-	r := rng.New(6)
-	g, member := PlantedCommunities(60, 3, 0.5, 0.01, false, WeightModel{Mean: 0.2, Jitter: 0}, r)
-	if g.N() != 60 || len(member) != 60 {
-		t.Fatal("sizes wrong")
-	}
-	counts := map[int]int{}
-	for _, m := range member {
-		counts[m]++
-	}
-	if len(counts) != 3 {
-		t.Fatalf("got %d communities", len(counts))
-	}
-	for c, n := range counts {
-		if n != 20 {
-			t.Fatalf("community %d has %d members", c, n)
-		}
 	}
 }
 

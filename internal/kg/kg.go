@@ -1,9 +1,6 @@
 package kg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeType identifies a node type (Φ image), e.g. ITEM, FEATURE, BRAND.
 type NodeType uint8
@@ -191,14 +188,4 @@ func (g *KG) LookupEdgeType(name string) (EdgeType, bool) {
 		}
 	}
 	return 0, false
-}
-
-// ItemsSorted returns the item node ids in ascending order (test aid).
-func (g *KG) ItemsSorted() []int {
-	out := make([]int, len(g.items))
-	for i, v := range g.items {
-		out[i] = int(v)
-	}
-	sort.Ints(out)
-	return out
 }

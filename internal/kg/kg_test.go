@@ -250,16 +250,3 @@ func TestMetaGraphKindString(t *testing.T) {
 		t.Fatal("RelKind strings wrong")
 	}
 }
-
-func TestItemsSorted(t *testing.T) {
-	g, _, _, _, _ := fig1KG(t)
-	items := g.ItemsSorted()
-	if len(items) != 4 {
-		t.Fatalf("items %v", items)
-	}
-	for i := 1; i < len(items); i++ {
-		if items[i] <= items[i-1] {
-			t.Fatalf("not sorted: %v", items)
-		}
-	}
-}

@@ -56,45 +56,6 @@ func Probabilities(g *graph.Graph, sources []int) []float64 {
 	return prob
 }
 
-// Arborescence computes the MIOA tree of a single source: parent
-// pointers along maximum-influence paths for every vertex with path
-// probability ≥ threshold. parent[source] = source; unreached
-// vertices have parent -1.
-func Arborescence(g *graph.Graph, source int, threshold float64) (parent []int32, prob []float64) {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
-	prob = make([]float64, g.N())
-	parent = make([]int32, g.N())
-	g.MaxInfluencePathsInto(source, prob, parent)
-	for v := range prob {
-		if prob[v] < threshold {
-			prob[v] = 0
-			parent[v] = -1
-		}
-	}
-	parent[source] = int32(source)
-	return parent, prob
-}
-
-// SpreadEstimate is the MIA-style closed-form influence estimate of a
-// single seed: the sum of maximum-influence path probabilities over
-// the region. The PS baseline uses this as its per-seed influence
-// score.
-func SpreadEstimate(g *graph.Graph, source int, threshold float64) float64 {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
-	prob := Probabilities(g, []int{source})
-	total := 0.0
-	for _, p := range prob {
-		if p >= threshold {
-			total += p
-		}
-	}
-	return total
-}
-
 // --- tiny max-heap ----------------------------------------------------
 
 type heapItem struct {

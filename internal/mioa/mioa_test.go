@@ -3,8 +3,10 @@ package mioa
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"imdpp/internal/graph"
+	"imdpp/internal/rng"
 )
 
 func diamond() *graph.Graph {
@@ -64,34 +66,75 @@ func TestRegionInvalidSource(t *testing.T) {
 	}
 }
 
-func TestArborescence(t *testing.T) {
-	g := diamond()
-	parent, prob := Arborescence(g, 0, 0.4)
-	if parent[0] != 0 {
-		t.Fatalf("root parent %d", parent[0])
+// naiveArc is one arc of the explicit arc list the reference search
+// scans; an undirected edge is listed in both directions.
+type naiveArc struct {
+	u, v int
+	w    float64
+}
+
+// naiveProbabilities is a quadratic Dijkstra over an arc list — no
+// heap and no CSR, so it shares no code with Probabilities.
+func naiveProbabilities(n int, arcs []naiveArc, sources []int) []float64 {
+	prob := make([]float64, n)
+	done := make([]bool, n)
+	for _, s := range sources {
+		prob[s] = 1
 	}
-	if parent[3] != 2 {
-		t.Fatalf("parent[3]=%d, want 2 (via the 0.45 path)", parent[3])
-	}
-	if math.Abs(prob[3]-0.45) > 1e-12 {
-		t.Fatalf("prob[3]=%v", prob[3])
-	}
-	// tighter threshold prunes node 3
-	parent, prob = Arborescence(g, 0, 0.5)
-	if parent[3] != -1 || prob[3] != 0 {
-		t.Fatalf("threshold did not prune: parent=%d prob=%v", parent[3], prob[3])
+	for {
+		best, bu := 0.0, -1
+		for v := 0; v < n; v++ {
+			if !done[v] && prob[v] > best {
+				best, bu = prob[v], v
+			}
+		}
+		if bu < 0 {
+			return prob
+		}
+		done[bu] = true
+		for _, a := range arcs {
+			if a.u == bu {
+				if np := best * a.w; np > prob[a.v] {
+					prob[a.v] = np
+				}
+			}
+		}
 	}
 }
 
-func TestSpreadEstimate(t *testing.T) {
-	g := diamond()
-	s := SpreadEstimate(g, 0, 0.4)
-	want := 1 + 0.8 + 0.5 + 0.45
-	if math.Abs(s-want) > 1e-12 {
-		t.Fatalf("spread %v want %v", s, want)
+// TestProbabilitiesMatchNaive pins Probabilities to the naive
+// reference on random directed and undirected multigraphs, from one
+// and from two sources. Both maximise the same left-to-right product
+// per path, so they agree bit for bit.
+func TestProbabilitiesMatchNaive(t *testing.T) {
+	master := rng.New(0x3104)
+	f := func(seed uint64, directed, twoSources bool) bool {
+		r := master.Split(seed)
+		n := 2 + r.Intn(24)
+		b := graph.NewBuilder(n, directed)
+		var arcs []naiveArc
+		for i, m := 0, r.Intn(4*n); i < m; i++ {
+			u, v, w := r.Intn(n), r.Intn(n), 0.05+0.9*r.Float64()
+			b.AddEdge(u, v, w)
+			arcs = append(arcs, naiveArc{u, v, w})
+			if !directed {
+				arcs = append(arcs, naiveArc{v, u, w})
+			}
+		}
+		sources := []int{r.Intn(n)}
+		if twoSources {
+			sources = append(sources, r.Intn(n))
+		}
+		got, want := Probabilities(b.Build(), sources), naiveProbabilities(n, arcs, sources)
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Logf("n=%d sources=%v: p[%d] = %v, want %v", n, sources, v, got[v], want[v])
+				return false
+			}
+		}
+		return true
 	}
-	// isolated node spreads only to itself
-	if s := SpreadEstimate(g, 3, 0.4); s != 1 {
-		t.Fatalf("sink spread %v", s)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

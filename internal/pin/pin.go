@@ -2,7 +2,6 @@ package pin
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"imdpp/internal/kg"
@@ -214,9 +213,6 @@ func (m *Model) NumC() int { return m.numC }
 // NumItems returns |I|.
 func (m *Model) NumItems() int { return m.KG.NumItems() }
 
-// Table returns the relevance table of meta-graph index mi (test aid).
-func (m *Model) Table(mi int) *kg.RelTable { return m.tables[mi] }
-
 // Neighbors returns the items related to x under any meta-graph,
 // sorted ascending. The slice must not be modified.
 func (m *Model) Neighbors(x int) []int32 { return m.itemAdj[x] }
@@ -321,37 +317,6 @@ func (m *Model) UpdateWeights(w []float64, newItems []int32, adopted []uint64, e
 		}
 	}
 	return changed
-}
-
-// CosSim returns the cosine similarity of two weighting vectors, the
-// personal-item-network half of the influence-learning similarity.
-func CosSim(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
-// AvgRel returns the average (r̄C, r̄S) between items x and y over the
-// given users' weighting vectors (weights[u] is user u's vector). This
-// is the r̄C_{x,y} / r̄S_{x,y} of Sec. IV used by TMI, DRE and AE.
-func (m *Model) AvgRel(weights [][]float64, users []int, x, y int) (rc, rs float64) {
-	if len(users) == 0 {
-		return m.RelStatic(x, y)
-	}
-	for _, u := range users {
-		c, s := m.Rel(weights[u], x, y)
-		rc += c
-		rs += s
-	}
-	n := float64(len(users))
-	return rc / n, rs / n
 }
 
 func clamp01(v float64) float64 {

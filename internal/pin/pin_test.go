@@ -258,34 +258,3 @@ func TestUpdateWeightsNoSupportNoChange(t *testing.T) {
 		t.Fatalf("unexpected change: %v", w)
 	}
 }
-
-func TestCosSim(t *testing.T) {
-	if v := CosSim([]float64{1, 0}, []float64{1, 0}); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("identical cos %v", v)
-	}
-	if v := CosSim([]float64{1, 0}, []float64{0, 1}); v != 0 {
-		t.Fatalf("orthogonal cos %v", v)
-	}
-	if v := CosSim([]float64{0, 0}, []float64{1, 1}); v != 0 {
-		t.Fatalf("zero-vector cos %v", v)
-	}
-}
-
-func TestAvgRel(t *testing.T) {
-	m, ids := newTestModel(t, []float64{0.2, 0.2, 0.6})
-	weights := [][]float64{
-		{0.2, 0.2, 0.6},
-		{0.6, 0.2, 0.6},
-	}
-	rc, _ := m.AvgRel(weights, []int{0, 1}, ids["iPhone"], ids["AirPods"])
-	// user0: 0.2*.5+0.2*.5 = 0.2; user1: 0.6*.5+0.2*.5 = 0.4 → avg 0.3
-	if math.Abs(rc-0.3) > 1e-12 {
-		t.Fatalf("avg rc %v", rc)
-	}
-	// empty user set falls back to the static view
-	rcStatic, _ := m.AvgRel(weights, nil, ids["iPhone"], ids["AirPods"])
-	wantC, _ := m.RelStatic(ids["iPhone"], ids["AirPods"])
-	if rcStatic != wantC {
-		t.Fatalf("static fallback %v vs %v", rcStatic, wantC)
-	}
-}

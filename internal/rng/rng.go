@@ -166,31 +166,6 @@ func (r *Rand) Beta24() float64 {
 	return m
 }
 
-// Zipf returns an integer in [0, n) drawn from a Zipf-like distribution
-// with exponent s (s > 0), using inverse-CDF on precomputed weights is
-// avoided; this uses rejection-free discrete power-law via the
-// cumulative trick on the fly for small n, so it is O(n) worst case but
-// callers only use it during dataset generation.
-func (r *Rand) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	// Draw u in (0, H(n)] and invert by linear scan. Dataset-time only.
-	h := 0.0
-	for i := 1; i <= n; i++ {
-		h += math.Pow(float64(i), -s)
-	}
-	u := r.Float64() * h
-	acc := 0.0
-	for i := 1; i <= n; i++ {
-		acc += math.Pow(float64(i), -s)
-		if u <= acc {
-			return i - 1
-		}
-	}
-	return n - 1
-}
-
 // Perm fills dst with a uniform random permutation of [0, len(dst)).
 func (r *Rand) Perm(dst []int) {
 	for i := range dst {

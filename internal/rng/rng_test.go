@@ -226,31 +226,6 @@ func TestBeta24Range(t *testing.T) {
 	}
 }
 
-func TestZipfRangeAndSkew(t *testing.T) {
-	r := New(31)
-	counts := make([]int, 10)
-	for i := 0; i < 20000; i++ {
-		v := r.Zipf(10, 1.2)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[9] {
-		t.Fatalf("Zipf not skewed: first=%d last=%d", counts[0], counts[9])
-	}
-}
-
-func TestZipfDegenerate(t *testing.T) {
-	r := New(1)
-	if r.Zipf(1, 1) != 0 {
-		t.Fatal("Zipf(1) != 0")
-	}
-	if r.Zipf(0, 1) != 0 {
-		t.Fatal("Zipf(0) != 0")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(37)
 	f := func(nRaw uint8) bool {

@@ -69,13 +69,12 @@ type Config struct {
 	// where the coverage queries run rather than shipped per-sample
 	// like MC grids (DESIGN.md §9).
 	Backend core.EstimatorFactory
-	// SketchCacheSize bounds the in-memory sketch index cache in
-	// entries (default 4). Sketches are keyed by problem content
-	// address plus (ε, δ, seed) — a separate lane from the result
-	// cache, so approximate artefacts never alias exact results.
-	SketchCacheSize int
 	// SketchDir, when non-empty, persists built sketch indexes to disk
-	// in the canonical wire form and reloads them across restarts.
+	// in the canonical wire form and reloads them across restarts. In
+	// memory the service keeps the sketch.NewCache default of four
+	// indexes, keyed by problem content address plus (ε, δ, seed) — a
+	// separate lane from the result cache, so approximate artefacts
+	// never alias exact results.
 	SketchDir string
 	// GridCacheMB bounds the in-memory sample-grid memoization cache
 	// (internal/gridcache, DESIGN.md §10) in MiB (default 64; 0 uses
@@ -277,7 +276,7 @@ func New(cfg Config) *Service {
 		return min(max(d, time.Second), time.Minute)
 	}
 	keyFn := func(p *diffusion.Problem) string { return HashProblem(p).String() }
-	s.sketchCache = sketch.NewCache(cfg.SketchCacheSize, cfg.SketchDir, keyFn)
+	s.sketchCache = sketch.NewCache(0, cfg.SketchDir, keyFn)
 	if cfg.GridCacheMB > 0 {
 		s.gridCache = gridcache.New(gridcache.Config{
 			MaxBytes: int64(cfg.GridCacheMB) << 20,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"imdpp/internal/cluster"
 	"imdpp/internal/core"
 	"imdpp/internal/dataset"
 	"imdpp/internal/diffusion"
@@ -103,6 +104,10 @@ func TestHashRequestStableAndSensitive(t *testing.T) {
 	check("adaptive", HashRequest(p1, opt, true))
 	check("budget", HashRequest(sampleProblem(t, 81, 3), opt, false))
 	check("T", HashRequest(sampleProblem(t, 80, 4), opt, false))
+	// a partially set Cluster runs a different solve than the default
+	optCo := opt
+	optCo.Cluster = cluster.Options{Strategy: cluster.CoCluster}
+	check("co-cluster", HashRequest(p1, optCo, false))
 }
 
 // TestCacheDeterminism is the §3-contract payoff: two identical

@@ -103,9 +103,6 @@ type Remote struct {
 	inflight atomic.Int32 // shard RPCs currently outstanding
 }
 
-// URL returns the worker's base URL.
-func (r *Remote) URL() string { return r.url }
-
 // Healthy reports whether the worker is in rotation (lifecycle state
 // alive). Suspect, probing, dead and draining workers all report
 // unhealthy; dispatch additionally requires a closed circuit breaker

@@ -17,22 +17,24 @@ import (
 	"imdpp/internal/service"
 )
 
+// The worker's two bounds. maxProblems caps the content-addressed
+// problem store: the oldest problem is evicted beyond it, and
+// coordinators transparently re-upload an evicted problem on the next
+// unknown_problem response. maxUnits caps one estimate request's total
+// work — groups × sample-range span, each unit one campaign simulation
+// — so a buggy or hostile coordinator cannot OOM or pin the worker
+// with one request; requests beyond it are rejected with a typed
+// bad_request.
+const (
+	maxProblems = 8
+	maxUnits    = 1 << 24
+)
+
 // WorkerConfig sizes a shard worker. The zero value selects defaults.
 type WorkerConfig struct {
-	// MaxProblems bounds the content-addressed problem store (default
-	// 8; the oldest problem is evicted beyond it). Evicted problems
-	// are transparently re-uploaded by coordinators on the next
-	// unknown_problem response.
-	MaxProblems int
 	// Workers bounds estimator goroutines per shard request
 	// (0 → GOMAXPROCS).
 	Workers int
-	// MaxUnits bounds one estimate request's total work — groups ×
-	// sample-range span, each unit one campaign simulation — so a
-	// buggy or hostile coordinator cannot OOM or pin the worker with
-	// one request (default 1<<24; requests beyond it are rejected
-	// with a typed bad_request).
-	MaxUnits int
 	// Grid, when non-nil, memoizes raw sample grids across estimate
 	// requests (DESIGN.md §10): coordinator re-dispatch, speculative
 	// duplicates and repeated CELF waves over the same (problem, seed,
@@ -84,12 +86,6 @@ type workerProblem struct {
 
 // NewWorker creates a shard worker.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.MaxProblems <= 0 {
-		cfg.MaxProblems = 8
-	}
-	if cfg.MaxUnits <= 0 {
-		cfg.MaxUnits = 1 << 24
-	}
 	return &Worker{
 		cfg:      cfg,
 		problems: make(map[service.Key]*workerProblem),
@@ -247,7 +243,7 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 	if _, ok := w.problems[key]; !ok {
 		w.problems[key] = wp
 		w.order = append(w.order, key)
-		for len(w.order) > w.cfg.MaxProblems {
+		for len(w.order) > maxProblems {
 			delete(w.problems, w.order[0])
 			w.order = w.order[1:]
 		}
@@ -301,9 +297,9 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	if groups == 0 {
 		groups = 1
 	}
-	if span > w.cfg.MaxUnits/groups {
+	if span > maxUnits/groups {
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("request of %d groups × %d samples exceeds the worker's %d-unit bound", len(req.Groups), span, w.cfg.MaxUnits))
+			fmt.Errorf("request of %d groups × %d samples exceeds the worker's %d-unit bound", len(req.Groups), span, maxUnits))
 		return
 	}
 	for g, seeds := range req.Groups {

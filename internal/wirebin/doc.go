@@ -1,7 +1,7 @@
 // Package wirebin holds the little-endian binary primitives shared by
 // every wire codec in the repo: the shard RPC frames (internal/shard)
 // and the per-layer payload codecs (graph CSR images, PIN relevance
-// rows, KG relevance tables, diffusion sample grids). It is a byte
+// rows, diffusion sample grids). It is a byte
 // appender/reader pair, not a serialisation framework: no reflection,
 // no interfaces, no allocation beyond the destination slice — encoders
 // are Append* functions growing a caller-owned []byte (pool it), and
