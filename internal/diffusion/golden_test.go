@@ -40,18 +40,19 @@ func TestRunBatchSigmaGolden(t *testing.T) {
 	}
 	ests := e.RunBatch(groups, nil)
 
-	// Captured at the CSR graph layout with the dense (pre-sparse)
-	// State; the State sparsification and every later PR must keep
-	// them bit-identical.
+	// Re-captured once when association rows under initial relevance
+	// became subset-sampled (DESIGN.md §3), with
+	// TestEngineMatchesReference passing on this problem; every later
+	// change must keep them bit-identical.
 	wantSigma := []uint64{
-		0x4033e00000000000, // 19.875
-		0x4044f20000000000, // 41.890625
-		0x4041fa0000000000, // 35.953125
+		0x403322aaaaaaaaaa, // 19.135416666666664
+		0x4041b00000000000, // 35.375
+		0x4042b60000000000, // 37.421875
 	}
 	wantAdopt := []uint64{
-		0x4039100000000000, // 25.0625
-		0x40428aaaaaaaaaaa, // 37.08333333333333
-		0x4041c80000000000, // 35.5625
+		0x4038200000000000, // 24.125
+		0x403ea55555555555, // 30.645833333333332
+		0x4043400000000000, // 38.5
 	}
 	// The bit patterns were captured on amd64. On architectures where
 	// the compiler may fuse x*y+z into FMA (arm64, ppc64, ...) the
@@ -99,15 +100,17 @@ func TestRunBatchSigmaGoldenStatic(t *testing.T) {
 		{{User: 1, Item: 2, T: 1}, {User: 5, Item: 1, T: 2}, {User: 9, Item: 3, T: 3}},
 		{{User: 3, Item: 3, T: 2}, {User: 3, Item: 0, T: 1}},
 	}
+	// Re-captured with TestRunBatchSigmaGolden (subset-sampled rows;
+	// the gate passes on this problem under Static).
 	wantSigma := []uint64{
-		0x40321aaaaaaaaaaa, // 18.104166666666664
-		0x4042915555555555, // 37.135416666666664
-		0x403e8d5555555555, // 30.552083333333332
+		0x4030280000000000, // 16.15625
+		0x404198aaaaaaaaaa, // 35.19270833333333
+		0x403ed95555555555, // 30.848958333333332
 	}
 	wantAdopt := []uint64{
-		0x4035a00000000000, // 21.625
-		0x40408d5555555555, // 33.104166666666664
-		0x403e200000000000, // 30.125
+		0x4033600000000000, // 19.375
+		0x403efaaaaaaaaaaa, // 30.979166666666664
+		0x403eb55555555555, // 30.708333333333332
 	}
 	for gi, est := range e.RunBatch(groups, nil) {
 		if math.Float64bits(est.Sigma) != wantSigma[gi] {
@@ -135,26 +138,27 @@ func TestRunBatchPiGolden(t *testing.T) {
 		{{User: 1, Item: 2, T: 1}, {User: 5, Item: 1, T: 2}, {User: 9, Item: 3, T: 3}},
 		{{User: 3, Item: 3, T: 2}, {User: 3, Item: 0, T: 1}},
 	}
-	// Captured before π walked only the adopters' arcs; the market σ
-	// does not depend on the AIS form.
+	// Re-captured with TestRunBatchSigmaGolden (subset-sampled rows;
+	// the gate passes on this problem and mask under both AIS forms);
+	// the market σ does not depend on the AIS form.
 	wantMarket := []uint64{
-		0x402ad55555555555, // 13.416666666666666
-		0x403b86aaaaaaaaaa, // 27.526041666666664
-		0x4038a15555555555, // 24.630208333333332
+		0x402a600000000000, // 13.1875
+		0x403776aaaaaaaaaa, // 23.463541666666664
+		0x40394aaaaaaaaaaa, // 25.291666666666664
 	}
 	for _, tc := range []struct {
 		ais    AISModel
 		wantPi []uint64
 	}{
 		{AISIndependentCascade, []uint64{
-			0x401e98d949e17276, // 7.649266390214157
-			0x4028f8e0a3c10c1a, // 12.48608886462721
-			0x402705028b594c50, // 11.509785036707541
+			0x401cca337e5f6a0e, // 7.197462057660699
+			0x402651c102abc214, // 11.159675677744453
+			0x40282f594396f160, // 12.092477905440944
 		}},
 		{AISLinearThreshold, []uint64{
-			0x4021a09b6ccfe880, // 8.813685799006862
-			0x402c58da26abba20, // 14.173539360487723
-			0x402a4fad876aa491, // 13.155620795982289
+			0x40208d445d99f64e, // 8.275912213367658
+			0x40290b6595ef1795, // 12.522259412227678
+			0x402bae8a1c771600, // 13.840897454773767
 		}},
 	} {
 		p := goldenProblem(t)

@@ -1,5 +1,12 @@
 package diffusion
 
+import (
+	"math"
+
+	"imdpp/internal/pin"
+	"imdpp/internal/rng"
+)
+
 // Result accumulates the outcome of one simulated campaign.
 type Result struct {
 	// Sigma is the importance-weighted adoption count Σ w_x·n_x.
@@ -88,7 +95,7 @@ func (st *State) runPromotion(t int, seeds []Seed, market []bool, res *Result) {
 // propagateFrom lets u′ (who newly adopted x last step) promote x to
 // every friend who has not adopted it.
 //
-// Every coin is drawn from s, a copy of the sample stream held in
+// Every draw is taken from s, a copy of the sample stream held in
 // locals for the whole call and written back once at its end
 // (DESIGN.md §3). That is sound because nothing in between draws from
 // st.rngv: adopt and OnAdopt never draw. There is no defer: a
@@ -118,65 +125,102 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 		if !(p.Params.Chi > 0 && base > 0) {
 			continue
 		}
-		// The three branches below draw the same coins in the same
-		// order (one per row entry not yet adopted by u); they differ
-		// only in how they skip adopted entries and find rC.
+		// Both branches below adopt each row entry y not yet adopted
+		// by u independently with probability base·rC(u,x,y). u's
+		// adoption row is nil for a clean user (no adoption this
+		// sample); a non-nil one is not reallocated within a sample, so
+		// it is read once and still sees adoptions made by this loop.
 		row := p.PIN.Row(x)
-		if !st.dirty[u] {
-			// Clean user: no adoption this sample, so u's adoption row
-			// is nil and u's weights are InitWeights (the cached init
-			// relevance is bit-identical to EvalContribs). PIN rows are
-			// strictly ascending in Y with no entry for x, so no entry
-			// can be adopted before its own coin is drawn: the Adopted
-			// checks would all be false and are dropped.
-			init := p.PIN.InitRow(x)
-			for j := range row {
-				if rc := init[j].RC; rc > 0 {
-					if s, hit = s.Bernoulli(base * rc); hit {
-						st.adopt(u, int(row[j].Y), t, step, TriggerAssociation, market, res)
-					}
-				}
-			}
-			continue
-		}
-		// Dirty user: the adoption row is non-nil and is not
-		// reallocated within a sample, so it is read once and still
-		// sees adoptions made by this loop.
 		arow := st.adopted[u]
-		if p.Params.Static || len(st.adoptList[u]) == 1 {
-			// Static freezes u's weights at InitWeights, and a user with
-			// one adoption still has them (DESIGN.md §3); weights move
-			// only in endOfStep, so this loop's own adoptions cannot
-			// invalidate the cached init relevance.
+		if !st.dirty[u] || p.Params.Static || len(st.adoptList[u]) == 1 {
+			// u's weights are InitWeights: a clean user has none of its
+			// own, Static freezes them, and one adoption cannot move
+			// them (DESIGN.md §3). Weights move only in endOfStep, so
+			// this loop's own adoptions cannot invalidate the cached
+			// init relevance, and assocNext samples the row against it.
 			init := p.PIN.InitRow(x)
-			for j := range row {
-				y := uint(row[j].Y)
-				if arow[y/64]&(1<<(y%64)) != 0 {
-					continue
+			maxRC := p.PIN.InitMaxRC(x)
+			for j := 0; ; j++ {
+				if s, j = assocNext(s, row, init, arow, j, base, maxRC); j == len(row) {
+					break
 				}
-				if rc := init[j].RC; rc > 0 {
-					if s, hit = s.Bernoulli(base * rc); hit {
-						st.adopt(u, int(y), t, step, TriggerAssociation, market, res)
-					}
-				}
+				st.adopt(u, int(row[j].Y), t, step, TriggerAssociation, market, res)
 			}
 			continue
 		}
 		w := st.Weights(u)
 		for _, pr := range row {
-			y := uint(pr.Y)
-			if arow[y/64]&(1<<(y%64)) != 0 {
+			if adoptedIn(arow, pr.Y) {
 				continue
 			}
 			rc, _ := p.PIN.EvalContribs(w, pr.Contribs)
 			if rc > 0 {
 				if s, hit = s.Bernoulli(base * rc); hit {
-					st.adopt(u, int(y), t, step, TriggerAssociation, market, res)
+					st.adopt(u, int(pr.Y), t, step, TriggerAssociation, market, res)
 				}
 			}
 		}
 	}
 	st.rngv.SetStream(s)
+}
+
+// assocNext returns the first entry at or after j of an association
+// row that the sample picks, or len(row) when none is left, and the
+// advanced stream. init is the row's cached init relevance, maxRC its
+// largest RC and arow the user's adoption bitset row (nil when the
+// user has adopted nothing). Over a whole row each entry k the user has
+// not adopted is picked independently with probability
+// base·init[k].RC; base must be positive. Rows are strictly ascending
+// in Y, so an entry the walk has not reached is adopted only if it was
+// before the walk began.
+//
+// The row is subset-sampled with q = min(base·maxRC, 1): a geometric
+// skip lands on each entry with probability q, the next landing being
+// ⌊log1p(−v)/log1p(−q)⌋ entries on for a uniform v, and a landing is
+// accepted with probability base·RC/q, or rejected outright on an
+// adopted entry. v ≥ n·q means no landing among the n entries left,
+// since 1−(1−q)ⁿ ≤ n·q, so most rows end on one draw and no logarithm.
+// At q = 1, which base·maxRC ≥ 1 (a Chi of 1 or more) clamps to,
+// log1p(−1) = −Inf makes every skip 0, so each entry is landed on and
+// accepted with probability base·RC. Each skip draws one uniform; each
+// landing draws one coin unless its entry is adopted or its acceptance
+// probability is 0 or at least 1 (DESIGN.md §3).
+func assocNext(s rng.Stream, row []pin.PairRel, init []pin.RelInit, arow []uint64, j int, base, maxRC float64) (rng.Stream, int) {
+	n := len(row)
+	// A landing is accepted with probability RC/div = base·RC/q.
+	q, div := base*maxRC, maxRC
+	if q >= 1 {
+		q, div = 1, 1/base
+	}
+	var (
+		v   float64
+		hit bool
+	)
+	for q > 0 && j < n {
+		s, v = s.Float64()
+		left := float64(n - j)
+		if v >= left*q {
+			break
+		}
+		k := math.Log1p(-v) / math.Log1p(-q)
+		if k >= left {
+			break
+		}
+		j += int(k)
+		if !adoptedIn(arow, row[j].Y) {
+			if s, hit = s.Bernoulli(init[j].RC / div); hit {
+				return s, j
+			}
+		}
+		j++
+	}
+	return s, n
+}
+
+// adoptedIn reports whether the adoption bitset row arow (nil: nothing
+// adopted) holds item y.
+func adoptedIn(arow []uint64, y int32) bool {
+	return arow != nil && arow[uint(y)/64]&(1<<(uint(y)%64)) != 0
 }
 
 // adopt finalises an adoption: bookkeeping, σ accounting, frontier and

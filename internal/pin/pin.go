@@ -46,6 +46,10 @@ type Model struct {
 	// sample never adopt, so their weights stay at InitWeights and the
 	// diffusion hot loop can skip re-evaluating the weighted sum.
 	initRel [][]RelInit
+	// initMax[x] is the largest RC in initRel[x] (0 for an empty row):
+	// the bound the diffusion engine's subset sampler scales a clean
+	// user's association row by.
+	initMax []float64
 
 	// InitWeights is the initial Wmeta(u,·) every user starts with.
 	InitWeights []float64
@@ -106,6 +110,7 @@ func NewModel(g *kg.KG, metasC, metasS []*kg.MetaGraph, initWeights []float64) (
 	}
 	m.itemAdj = make([][]int32, g.NumItems())
 	m.initRel = make([][]RelInit, g.NumItems())
+	m.initMax = make([]float64, g.NumItems())
 	for x := range m.rows {
 		row := m.rows[x]
 		sort.Slice(row, func(a, b int) bool { return row[a].Y < row[b].Y })
@@ -117,6 +122,7 @@ func NewModel(g *kg.KG, metasC, metasS []*kg.MetaGraph, initWeights []float64) (
 		}
 		m.itemAdj[x] = adj
 		m.initRel[x] = init
+		m.initMax[x] = maxRC(init)
 	}
 	return m, nil
 }
@@ -128,10 +134,10 @@ func NewModel(g *kg.KG, metasC, metasS []*kg.MetaGraph, initWeights []float64) (
 // initWeights-indexed meta-graph list into complementary then
 // substitutable, matching NewModel's layout. The per-meta relevance
 // tables, the item adjacency and the initial-weights relevance cache
-// are all re-derived from the rows, and the derivations reuse the same
-// arithmetic as NewModel, so a round-tripped model drives the
-// diffusion — and hashes (service.HashProblem) — identically to the
-// original. Meta-graph schemas are not part of the wire image;
+// with its per-row maximum are all re-derived from the rows, and the
+// derivations reuse the same arithmetic as NewModel, so a round-tripped
+// model drives the diffusion — and hashes (service.HashProblem) —
+// identically to the original. Meta-graph schemas are not part of the wire image;
 // Metas holds placeholders and only its length is meaningful.
 func ModelFromRows(g *kg.KG, numC int, initWeights []float64, rows [][]PairRel) (*Model, error) {
 	numMeta := len(initWeights)
@@ -158,6 +164,7 @@ func ModelFromRows(g *kg.KG, numC int, initWeights []float64, rows [][]PairRel) 
 	}
 	m.itemAdj = make([][]int32, items)
 	m.initRel = make([][]RelInit, items)
+	m.initMax = make([]float64, items)
 	for x := range rows {
 		row := rows[x]
 		adj := make([]int32, len(row))
@@ -184,6 +191,7 @@ func ModelFromRows(g *kg.KG, numC int, initWeights []float64, rows [][]PairRel) 
 		}
 		m.itemAdj[x] = adj
 		m.initRel[x] = init
+		m.initMax[x] = maxRC(init)
 	}
 	for mi := range metaAdj {
 		// rows are sorted by Y, so each filtered per-meta row is sorted
@@ -227,6 +235,18 @@ func (m *Model) Row(x int) []PairRel { return m.rows[x] }
 // them whenever a user's weights are known to still be initial without
 // perturbing any downstream RNG decision. Do not modify.
 func (m *Model) InitRow(x int) []RelInit { return m.initRel[x] }
+
+// InitMaxRC returns the largest RC in InitRow(x), or 0 when the row is
+// empty.
+func (m *Model) InitMaxRC(x int) float64 { return m.initMax[x] }
+
+func maxRC(init []RelInit) float64 {
+	mx := 0.0
+	for _, ri := range init {
+		mx = max(mx, ri.RC)
+	}
+	return mx
+}
 
 // EvalContribs turns one row entry's contributions into (rC, rS) under
 // weighting vector w, clamped to [0,1].

@@ -1,16 +1,18 @@
 package pin_test
 
 import (
+	"math"
 	"testing"
 
 	"imdpp/internal/dataset"
+	"imdpp/internal/pin"
 )
 
 // TestPresetRowsAscendingNoSelf checks the row invariant the diffusion
-// engine's clean-user association loop relies on (DESIGN.md §3): every
-// merged row of a preset's NewModel is strictly ascending in Y and has
-// no entry for its own item, so a row walk never meets an item twice
-// and never meets the promoted item. ModelFromRows refuses rows that
+// engine's association loop relies on (DESIGN.md §3): every merged row
+// of a preset's NewModel is strictly ascending in Y and has no entry
+// for its own item, so a row walk never meets an item twice and never
+// meets the promoted item. ModelFromRows refuses rows that
 // break the first half on the wire side.
 func TestPresetRowsAscendingNoSelf(t *testing.T) {
 	for _, preset := range []struct {
@@ -41,5 +43,43 @@ func TestPresetRowsAscendingNoSelf(t *testing.T) {
 		if entries == 0 {
 			t.Fatalf("%s: no PIN row entries; the check is vacuous", preset.name)
 		}
+	}
+}
+
+// TestInitMaxRCMatchesRows checks the per-row bound the engine's
+// subset sampler scales clean association rows by: InitMaxRC(x) is the
+// largest RC of InitRow(x) (0 for an empty row), and ModelFromRows
+// re-derives the same bits from the wire rows, so shard workers sample
+// with the coordinator's bound.
+func TestInitMaxRCMatchesRows(t *testing.T) {
+	d, err := dataset.Amazon(0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := d.Problem.PIN
+	wire, err := pin.ModelFromRows(m.KG, m.NumC(), m.InitWeights, m.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	positive := 0
+	for x := 0; x < m.NumItems(); x++ {
+		want := 0.0
+		for _, ri := range m.InitRow(x) {
+			if ri.RC > want {
+				want = ri.RC
+			}
+		}
+		if got := m.InitMaxRC(x); got != want {
+			t.Fatalf("item %d: InitMaxRC %v, want %v", x, got, want)
+		}
+		if got := wire.InitMaxRC(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("item %d: ModelFromRows InitMaxRC %v, want %v", x, got, want)
+		}
+		if want > 0 {
+			positive++
+		}
+	}
+	if positive == 0 {
+		t.Fatal("no row with a positive RC; the check is vacuous")
 	}
 }

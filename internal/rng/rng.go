@@ -15,14 +15,21 @@ type Stream struct {
 	s0, s1, s2, s3 uint64
 }
 
-// next is the generator's one state transition; Stream.Bernoulli and
-// Rand.Uint64 both step through it. The output of a step is
-// rotl(s1·5, 7)·9 on the state before it, written out at both callers
-// to keep them under the inline budget.
+// next is the generator's one state transition; Stream.Float64,
+// Stream.Bernoulli and Rand.Uint64 all step through it. The output of a
+// step is rotl(s1·5, 7)·9 on the state before it, written out at each
+// caller to keep it under the inline budget.
 func (s Stream) next() Stream {
 	s2 := s.s2 ^ s.s0
 	s3 := s.s3 ^ s.s1
 	return Stream{s.s0 ^ s3, s.s1 ^ s2, s2 ^ s.s1<<17, bits.RotateLeft64(s3, 45)}
+}
+
+// Float64 returns a uniform float64 in [0, 1), the top 53 bits of one
+// draw scaled by 2⁻⁵³, and the advanced stream. It always consumes
+// exactly one draw.
+func (s Stream) Float64() (Stream, float64) {
+	return s.next(), float64(bits.RotateLeft64(s.s1*5, 7)*9>>11) * (1.0 / (1 << 53))
 }
 
 // Bernoulli reports true with probability p and returns the advanced
@@ -98,9 +105,11 @@ func (r *Rand) Uint64() uint64 {
 	return x
 }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+// Float64 returns a uniform float64 in [0, 1). It is Stream.Float64 on
+// r's state.
+func (r *Rand) Float64() (v float64) {
+	r.s, v = r.s.Float64()
+	return v
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

@@ -312,8 +312,26 @@ func bernoulliFloat64(r *Rand, p float64) bool {
 // TestStreamMatchesRand runs Stream.Bernoulli and Rand.Bernoulli beside
 // a twin generator that flips bernoulliFloat64, and asserts identical
 // outcomes and draw counts (equal states after every coin) over the
-// edge cases, p equal to the very value drawn, and 10⁵ random p.
+// edge cases, p equal to the very value drawn, and 10⁵ random p. It
+// pins Stream.Float64 the same way: the bits of (*Rand).Float64 and of
+// the top 53 bits of Uint64 scaled by 2⁻⁵³, one draw each.
 func TestStreamMatchesRand(t *testing.T) {
+	{
+		s, twin, bits := New(5).Stream(), New(5), New(5)
+		var v float64
+		for i := 0; i < 100000; i++ {
+			s, v = s.Float64()
+			want := twin.Float64()
+			spec := float64(bits.Uint64()>>11) * 0x1p-53
+			if math.Float64bits(v) != math.Float64bits(want) || v != spec {
+				t.Fatalf("uniform %d: Stream %v, Rand %v, Uint64 spec %v", i, v, want, spec)
+			}
+			if s != twin.Stream() || s != bits.Stream() {
+				t.Fatalf("uniform %d: draw count differs from the twins", i)
+			}
+		}
+	}
+
 	ps := []float64{0, -0.5, math.Inf(-1), 1, 1.5, math.Inf(1), math.NaN(), 0.3, 1 - 0x1p-53, 5e-324}
 	src := New(4242)
 	for i := 0; i < 100000; i++ {

@@ -38,6 +38,9 @@ trap cleanup EXIT
 boot() {
     local log=$1
     shift
+    # create the log before the daemon does: the readiness loop's first
+    # sed may otherwise run before the background shell opens it
+    : >"$log"
     "$BIN" "$@" >"$log" 2>&1 &
     local pid=$!
     echo "$pid" >>"$WORKDIR/pids"

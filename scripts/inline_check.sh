@@ -2,28 +2,34 @@
 # inline_check.sh — the inlining guard behind `make inline-check` (CI:
 # test job).
 #
-# The diffusion engine flips one Bernoulli coin per arc and per PIN row
-# entry, so the cost of a coin is most of the cost of an estimate
-# (DESIGN.md §3). The engine and the RR walk draw every coin from an
-# rng.Stream held in locals, which stays in registers only while the
-# coin inlines; a one-line edit can silently undo that. This gate
-# builds the engine packages with -gcflags=-m and fails unless
+# The diffusion engine flips one Bernoulli coin per arc, draws one
+# uniform (Stream.Float64) per clean PIN row and a few more per hit
+# (subset sampling), and flips one coin per entry of the remaining rows,
+# so the cost of a draw is most of the cost of an estimate (DESIGN.md
+# §3). The engine and the RR walk take every draw from an rng.Stream
+# held in locals, which stays in registers only while the draw
+# inlines; a one-line edit can silently undo that. This gate builds the
+# engine packages with -gcflags=-m and fails unless
 #
-#   1. rng.Stream.next, rng.Stream.Bernoulli and rng.(*Rand).Uint64
-#      report "can inline"
-#   2. every Bernoulli call site in internal/diffusion/simulate.go and
+#   1. rng.Stream.next, rng.Stream.Float64, rng.Stream.Bernoulli and
+#      rng.(*Rand).Uint64 report "can inline"
+#   2. every Bernoulli use in internal/diffusion/simulate.go and
 #      internal/sketch/sketch.go reports "inlining call to
-#      rng.Stream.Bernoulli"
+#      rng.Stream.Bernoulli", and every Float64 use in
+#      internal/diffusion/simulate.go "inlining call to
+#      rng.Stream.Float64"
 #
 # Usage:
 #   scripts/inline_check.sh              # check the working tree
 #   scripts/inline_check.sh --self-test  # prove the gate can fail: copy
 #                                        # the tree, push next, then
+#                                        # Stream.Float64, then
 #                                        # Stream.Bernoulli, then Uint64
 #                                        # over the inline budget, then
 #                                        # draw the purchase coin through
-#                                        # the Rand; assert detection
-#                                        # each time
+#                                        # the Rand, then a skip uniform
+#                                        # through a method value; assert
+#                                        # detection each time
 set -u
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
@@ -38,27 +44,31 @@ check_tree() {
 	fi
 
 	# 1. the generator methods fit the inline budget
-	for fn in 'Stream.next' 'Stream.Bernoulli' '(*Rand).Uint64'; do
+	for fn in 'Stream.next' 'Stream.Float64' 'Stream.Bernoulli' '(*Rand).Uint64'; do
 		if ! grep -E '^internal/rng/rng\.go:' <<<"$out" | cut -d' ' -f2- | grep -qxF "can inline $fn"; then
 			echo "inline-check: rng.$fn no longer inlines (over the compiler's inline budget?)" >&2
 			fail=1
 		fi
 	done
 
-	# 2. every call site inlines Bernoulli; comment lines are skipped,
-	# and a line with k calls needs k inlining reports
-	for file in internal/diffusion/simulate.go internal/sketch/sketch.go; do
-		sites=$(grep -nE '\.Bernoulli\(' "$root/$file" | grep -vE '^[0-9]+:[[:space:]]*//' | cut -d: -f1)
+	# 2. every call site inlines its draw. A site is any use of the
+	# method, a method value included (its call never inlines); comment
+	# lines are skipped, and a line with k uses needs k inlining reports
+	for site in Bernoulli:internal/diffusion/simulate.go Bernoulli:internal/sketch/sketch.go \
+		Float64:internal/diffusion/simulate.go; do
+		fn=${site%%:*}
+		file=${site#*:}
+		sites=$(grep -nE "\\.$fn\\b" "$root/$file" | grep -vE '^[0-9]+:[[:space:]]*//' | cut -d: -f1)
 		if [ -z "$sites" ]; then
-			echo "inline-check: $file: no Bernoulli call sites found; the check would be vacuous" >&2
+			echo "inline-check: $file: no $fn call sites found; the check would be vacuous" >&2
 			fail=1
 			continue
 		fi
 		for line in $sites; do
-			calls=$(sed -n "${line}p" "$root/$file" | grep -oE '\.Bernoulli\(' | wc -l)
-			inlined=$(grep -cE "^$file:$line:[0-9]+: inlining call to rng\.Stream\.Bernoulli\$" <<<"$out")
+			calls=$(sed -n "${line}p" "$root/$file" | grep -oE "\\.$fn\\b" | wc -l)
+			inlined=$(grep -cE "^$file:$line:[0-9]+: inlining call to rng\\.Stream\\.$fn\$" <<<"$out")
 			if [ "$inlined" -lt "$calls" ]; then
-				echo "inline-check: $file:$line: Bernoulli call not inlined ($inlined of $calls)" >&2
+				echo "inline-check: $file:$line: $fn call not inlined ($inlined of $calls)" >&2
 				fail=1
 			fi
 		done
@@ -98,10 +108,11 @@ self_test() {
 		return 1
 	fi
 
-	for fn in 'Stream.next' 'Stream.Bernoulli' '(*Rand).Uint64'; do
+	for fn in 'Stream.next' 'Stream.Float64' 'Stream.Bernoulli' '(*Rand).Uint64'; do
 		copy
 		case $fn in
 		Stream.next) pad '(s Stream) next' s ;;
+		Stream.Float64) pad '(s Stream) Float64' s ;;
 		Stream.Bernoulli) pad '(s Stream) Bernoulli' s ;;
 		'(*Rand).Uint64') pad '(r \*Rand) Uint64' r.s ;;
 		esac
@@ -122,7 +133,17 @@ self_test() {
 		return 1
 	fi
 
-	echo "inline-check self-test: ok (clean tree passes; next, Stream.Bernoulli and Uint64 over budget and a Rand-drawn coin detected)"
+	# a skip uniform drawn through a method value (a call the compiler
+	# does not inline) must fail the Float64 call-site check
+	copy
+	sed -i 's/s, v = s\.Float64()/draw := s.Float64; s, v = draw()/' \
+		"$tmp/tree/internal/diffusion/simulate.go"
+	if ! check_tree "$tmp/tree" 2>&1 | grep -qF "Float64 call not inlined"; then
+		echo "inline-check self-test: FAIL — a skip uniform drawn through a method value went undetected" >&2
+		return 1
+	fi
+
+	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli and Uint64 over budget, a Rand-drawn coin and a method-value uniform detected)"
 	return 0
 }
 

@@ -14,6 +14,9 @@ BIN="$WORKDIR/imdppd"
 LOG="$WORKDIR/imdppd.log"
 go build -o "$BIN" ./cmd/imdppd
 
+# create the log before the daemon does: the readiness loop's first sed
+# may otherwise run before the background shell opens it
+: >"$LOG"
 "$BIN" -addr 127.0.0.1:0 -workers 2 >"$LOG" 2>&1 &
 PID=$!
 cleanup() {

@@ -31,6 +31,9 @@ trap cleanup EXIT
 boot() {
     local log=$1
     shift
+    # create the log before the daemon does: the readiness loop's first
+    # sed may otherwise run before the background shell opens it
+    : >"$log"
     "$BIN" -addr 127.0.0.1:0 "$@" >"$log" 2>&1 &
     echo $! >>"$WORKDIR/pids"
     local addr=""
