@@ -30,13 +30,16 @@ race:
 # then the engine's own kernels (a campaign, a selection-shaped
 # campaign, a scheduling sample), at a fixed count that warms the state
 # pools so allocs/op shows the steady state; then one coin (ns/coin)
-# drawn through a Rand and from a Stream held in locals, and one clean
-# association row (ns/row, draws/row) subset-sampled and coin by coin.
+# drawn through a Rand and from a Stream held in locals, one clean
+# association row (ns/row, draws/row) subset-sampled and coin by coin,
+# and one Ppref read for a clean, a one-adoption and a moved-weights
+# user (Δpref summed on demand).
 bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^Benchmark(RunCampaign|RunCampaignSelect|RunBatchPiSchedule)$$' -benchtime 2000x -benchmem ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkCoinRow$$' -benchmem ./internal/rng
 	$(GO) test -run '^$$' -bench '^BenchmarkAssocRow$$' ./internal/diffusion
+	$(GO) test -run '^$$' -bench '^BenchmarkPref$$' ./internal/diffusion
 
 fmt:
 	gofmt -w .
@@ -110,10 +113,11 @@ docs-check:
 	./scripts/docs_check.sh --self-test
 
 # Inlining guard (DESIGN.md §3): rng.Stream.next, Stream.Float64,
-# Stream.Bernoulli and (*Rand).Uint64 inline, every Bernoulli call in
-# the diffusion engine and the RR-sketch sampler inlines
-# Stream.Bernoulli, and every Float64 call in the engine inlines
-# Stream.Float64.
+# Stream.Bernoulli, (*Rand).Uint64 and pin.(*Model).Find inline, every
+# Bernoulli call in the diffusion engine and the RR-sketch sampler
+# inlines Stream.Bernoulli, every Float64 call in the engine inlines
+# Stream.Float64, and every Find call in the engine's state.go inlines
+# Model.Find.
 # --self-test proves the gate can fail.
 inline-check:
 	./scripts/inline_check.sh

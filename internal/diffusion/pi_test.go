@@ -79,14 +79,19 @@ type adoptRec struct{ user, item, promo, step int }
 // fresh stream, after each restore to one of its promotion-boundary
 // checkpoints (deepest first), and after the restored state has run a
 // campaign extended by one seed to the end. log holds the adoptions
-// that made the checked state, in adoption order.
-func campaignStates(t *testing.T, p *Problem, campaigns int, check func(what string, st *State, log []adoptRec)) {
+// that made the checked state, in adoption order. onAdopt, when
+// non-nil, is called from the OnAdopt hook after each adoption, mid
+// step, with the log that ends in it.
+func campaignStates(t *testing.T, p *Problem, campaigns int, check func(what string, st *State, log []adoptRec), onAdopt func(st *State, log []adoptRec)) {
 	t.Helper()
 	r := rng.New(0xC0FFEE)
 	st := NewState(p)
 	var log []adoptRec
 	st.OnAdopt = func(u, x, promo, step int, _ AdoptTrigger) {
 		log = append(log, adoptRec{u, x, promo, step})
+		if onAdopt != nil {
+			onAdopt(st, log)
+		}
 	}
 	randSeed := func(promo int) Seed {
 		return Seed{User: r.Intn(p.NumUsers()), Item: r.Intn(p.NumItems()), T: promo}
@@ -157,7 +162,7 @@ func TestLikelihoodPiMatchesMarketWalk(t *testing.T) {
 					}
 				}
 			}
-		})
+		}, nil)
 		if checked == 0 {
 			t.Fatalf("%s: every π was zero; the comparison saw no adopters", tc.name)
 		}

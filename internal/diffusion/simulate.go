@@ -252,9 +252,10 @@ func (st *State) adopt(u, x, t, step int, trig AdoptTrigger, market []bool, res 
 
 // endOfStep applies the end-of-step factor updates (Sec. III): for
 // every user with new adoptions this step, update the meta-graph
-// weightings (relevance measurement) and then recompute preferences
-// (preference estimation). Influence learning is evaluated lazily in
-// Act from the updated adoption sets and weightings. A user's first
+// weightings (relevance measurement) and then extend the preference
+// delta over every adoption so far (preference estimation, summed on
+// demand by Pref). Influence learning is evaluated lazily in Act from
+// the updated adoption sets and weightings. A user's first
 // adoption has no other adopted item to support it, so the weighting
 // update is skipped for single-adoption users (DESIGN.md §3).
 func (st *State) endOfStep() {
@@ -266,7 +267,7 @@ func (st *State) endOfStep() {
 		if len(st.adoptList[u]) > 1 {
 			st.p.PIN.UpdateWeights(st.Weights(int(u)), st.stepItems[u], st.adopted[u], st.p.Params.Eta)
 		}
-		st.recomputePref(int(u))
+		st.prefN[u] = int32(len(st.adoptList[u]))
 	}
 	clearStep(st)
 }

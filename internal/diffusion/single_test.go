@@ -7,38 +7,60 @@ import (
 	"imdpp/internal/rng"
 )
 
+// replayWeights replays one user's end-of-step weighting updates from
+// InitWeights: one UpdateWeights per (promotion, step) with the items
+// the user adopted in it, against the adoption set so far. recs are the
+// user's adoptions in adoption order.
+func replayWeights(p *Problem, recs []adoptRec) []float64 {
+	pm := p.PIN
+	w := append([]float64(nil), pm.InitWeights...)
+	bitsRow := make([]uint64, (p.NumItems()+63)/64)
+	var stepItems []int32
+	for i, rec := range recs {
+		bitsRow[rec.item/64] |= 1 << (uint(rec.item) % 64)
+		stepItems = append(stepItems, int32(rec.item))
+		if i+1 == len(recs) || recs[i+1].promo != rec.promo || recs[i+1].step != rec.step {
+			pm.UpdateWeights(w, stepItems, bitsRow, p.Params.Eta)
+			stepItems = stepItems[:0]
+		}
+	}
+	return w
+}
+
+// densePref is the items-wide Δpref row of a user with adoptions recs
+// under weightings w, built as the dense layout did: zeroed, then
+// λ·(rC − rS) added entry by entry in adoption order.
+func densePref(p *Problem, recs []adoptRec, w []float64) []float64 {
+	want := make([]float64, p.NumItems())
+	for _, rec := range recs {
+		for _, pr := range p.PIN.Row(rec.item) {
+			rc, rs := p.PIN.EvalContribs(w, pr.Contribs)
+			want[pr.Y] += p.Params.Lambda * (rc - rs)
+		}
+	}
+	return want
+}
+
 // TestSingleAdoptionKeepsInitRelevance checks the facts the engine's
 // single-adoption shortcuts rest on (DESIGN.md §3), on every state a
 // campaign or a restore reaches: each user's weightings equal a
 // replay of every end-of-step update from InitWeights, so a user with
 // one adoption still holds InitWeights bit for bit; and each adopter's
-// Δpref row equals the EvalContribs recompute under its weightings.
+// Δpref covers all its adoptions and equals, for every item, the
+// EvalContribs recompute under its weightings.
 func TestSingleAdoptionKeepsInitRelevance(t *testing.T) {
 	p := goldenProblem(t)
 	pm := p.PIN
-	lam := p.Params.Lambda
 	singles, moved := 0, 0
 	campaignStates(t, p, 24, func(what string, st *State, log []adoptRec) {
 		for u := 0; u < p.NumUsers(); u++ {
-			// replay: one UpdateWeights per (promotion, step) with the
-			// items the user adopted in it, against the adoption set so far
 			var mine []adoptRec
 			for _, rec := range log {
 				if rec.user == u {
 					mine = append(mine, rec)
 				}
 			}
-			w := append([]float64(nil), pm.InitWeights...)
-			bitsRow := make([]uint64, st.words)
-			var stepItems []int32
-			for i, rec := range mine {
-				bitsRow[rec.item/64] |= 1 << (uint(rec.item) % 64)
-				stepItems = append(stepItems, int32(rec.item))
-				if i+1 == len(mine) || mine[i+1].promo != rec.promo || mine[i+1].step != rec.step {
-					pm.UpdateWeights(w, stepItems, bitsRow, p.Params.Eta)
-					stepItems = stepItems[:0]
-				}
-			}
+			w := replayWeights(p, mine)
 			got := st.Weights(u)
 			lst := st.AdoptedList(u)
 			for j := range w {
@@ -58,26 +80,85 @@ func TestSingleAdoptionKeepsInitRelevance(t *testing.T) {
 			if len(lst) == 1 {
 				singles++
 			}
-			want := make([]float64, st.items)
-			for _, a := range lst {
-				for _, pr := range pm.Row(int(a)) {
-					rc, rs := pm.EvalContribs(got, pr.Contribs)
-					want[pr.Y] += lam * (rc - rs)
-				}
+			n := int(st.prefN[u])
+			if n != len(lst) {
+				t.Fatalf("%s: adopter %d has Δpref over %d of its %d adoptions", what, u, n, len(lst))
 			}
-			row := st.prefDelta[u]
-			if row == nil {
-				t.Fatalf("%s: adopter %d has no Δpref row", what, u)
-			}
+			want := densePref(p, mine, got)
 			for y := range want {
-				if math.Float64bits(row[y]) != math.Float64bits(want[y]) {
-					t.Fatalf("%s: user %d (%d adoptions) Δpref[%d] = %v, recompute %v", what, u, len(lst), y, row[y], want[y])
+				if d := st.deltaPref(u, y, n); math.Float64bits(d) != math.Float64bits(want[y]) {
+					t.Fatalf("%s: user %d (%d adoptions) Δpref[%d] = %v, recompute %v", what, u, len(lst), y, d, want[y])
 				}
 			}
 		}
-	})
+	}, nil)
 	if singles == 0 || moved == 0 {
 		t.Fatalf("%d single-adoption users, %d moved weightings: the campaigns do not exercise both cases", singles, moved)
+	}
+}
+
+// TestPrefCoversAdoptionsAtLastStepEnd pins what Pref reads between two
+// ends of step (DESIGN.md §3): the Δpref of the adoptions the user held
+// at the last end of step, under the weightings that end of step left,
+// and none of the adoptions made since. An OnAdopt hook reads Pref for
+// every item of the user who has just adopted, whose list has therefore
+// grown past what the last end of step covered, and compares it bit for
+// bit with a dense recompute over only the covered adoptions under
+// replayed weightings. It runs over campaigns, restores to
+// promotion-boundary checkpoints and the runs resumed from them; in the
+// dynamic regime it must meet both a one-adoption Δpref and one under
+// moved weightings, and under Params.Static, where no end of step
+// updates anything, Pref must stay the base preference.
+func TestPrefCoversAdoptionsAtLastStepEnd(t *testing.T) {
+	for _, static := range []bool{false, true} {
+		p := goldenProblem(t)
+		p.Params.Static = static
+		one, moved, grown := 0, 0, 0
+		campaignStates(t, p, 24, func(string, *State, []adoptRec) {}, func(st *State, log []adoptRec) {
+			cur := log[len(log)-1]
+			u := cur.user
+			var covered []adoptRec
+			for _, rec := range log[:len(log)-1] {
+				if rec.user == u && (rec.promo < cur.promo || rec.promo == cur.promo && rec.step < cur.step) {
+					covered = append(covered, rec)
+				}
+			}
+			if len(st.AdoptedList(u)) > len(covered)+1 {
+				grown++ // earlier adoptions this step are not covered either
+			}
+			if static {
+				covered = nil
+			}
+			w := replayWeights(p, covered)
+			want := densePref(p, covered, w)
+			for y := range want {
+				v := p.BasePref.At(u, y) + want[y]
+				v = math.Max(0, math.Min(1, v))
+				if got := st.Pref(u, y); math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("static=%v: user %d adopting item %d at promotion %d step %d (%d adoptions, %d at the last end of step): Pref(%d) = %v, recompute %v",
+						static, u, cur.item, cur.promo, cur.step, len(st.AdoptedList(u)), len(covered), y, got, v)
+				}
+			}
+			switch {
+			case len(covered) == 1:
+				one++
+			case len(covered) > 1:
+				for j := range w {
+					if w[j] != p.PIN.InitWeights[j] {
+						moved++
+						break
+					}
+				}
+			}
+		})
+		t.Logf("static=%v: %d hook reads after one covered adoption, %d under moved weightings, %d with an earlier adoption in the same step",
+			static, one, moved, grown)
+		if !static && (one == 0 || moved == 0) {
+			t.Fatalf("%d one-adoption and %d moved-weighting reads: the campaigns do not exercise both Δpref cases", one, moved)
+		}
+		if grown == 0 {
+			t.Fatalf("static=%v: no user adopted twice within one step", static)
+		}
 	}
 }
 

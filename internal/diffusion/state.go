@@ -8,18 +8,19 @@ import (
 )
 
 // State is the mutable per-sample simulation state: adoption sets,
-// per-user meta-graph weightings, preference deltas. One State is
-// reused across Monte-Carlo samples by each worker; Reset restores
-// initial conditions touching only the rows dirtied by the previous
-// sample, which keeps per-sample overhead proportional to cascade size
-// rather than |V|·|I|.
+// per-user meta-graph weightings and how many adoptions each user's
+// preference delta covers. One State is reused across Monte-Carlo
+// samples by each worker; Reset restores initial conditions touching
+// only the rows dirtied by the previous sample, which keeps per-sample
+// overhead proportional to cascade size rather than |V|·|I|.
 //
-// Memory layout (DESIGN.md §5): the adoption bitset and the
-// preference-delta table are stored as lazily allocated per-user rows
-// — a row exists only once the cascade dirties that user, and Reset
-// recycles rows through free pools. A worker therefore retains
-// O(|V|) slice headers plus O(max cascade) row payload, never the
-// dense |V|×|I| tables of the seed layout. Per-step new-adoption
+// Memory layout (DESIGN.md §5): the adoption bitset is stored as
+// lazily allocated per-user rows — a row exists only once the cascade
+// dirties that user, and Reset recycles rows through a free pool. The
+// preference delta is not stored at all: Pref sums it on demand over
+// the first prefN[u] adoptions. A worker therefore retains O(|V|)
+// slice headers and counters plus O(max cascade) row payload, never
+// the dense |V|×|I| tables of the seed layout. Per-step new-adoption
 // tracking uses an epoch-stamped array instead of a map, so the
 // adopt/endOfStep hot path performs no map operations and no
 // per-step clearing proportional to |V|.
@@ -28,18 +29,17 @@ type State struct {
 	items int
 	words int // bitset words per user
 
-	adopted   [][]uint64  // per user, lazily allocated adoption bitset row
-	adoptList [][]int32   // per user, adopted items in adoption order
-	wmeta     []float64   // [u*numMeta .. ) meta-graph weightings
-	prefDelta [][]float64 // per user, lazily allocated Σ λ(rC−rS) row
-	dirty     []bool      // user rows needing reset
-	touched   []int32     // dirty user list
-	rngv      rng.Rand    // sample stream, copied in by Reset
+	adopted   [][]uint64 // per user, lazily allocated adoption bitset row
+	adoptList [][]int32  // per user, adopted items in adoption order
+	wmeta     []float64  // [u*numMeta .. ) meta-graph weightings
+	prefN     []int32    // per user, adoptions the Δpref covers (deltaPref)
+	dirty     []bool     // user rows needing reset
+	touched   []int32    // dirty user list
+	rngv      rng.Rand   // sample stream, copied in by Reset
 
-	// row free pools, recycled across samples so steady-state sampling
-	// allocates nothing
-	wordPool [][]uint64  // zeroed bitset rows (len words)
-	rowPool  [][]float64 // pref-delta rows (len items), possibly stale
+	// zeroed bitset rows (len words), recycled across samples so
+	// steady-state sampling allocates nothing
+	wordPool [][]uint64
 
 	// scratch
 	frontier  []adoptEvent
@@ -103,9 +103,10 @@ type adoptEvent struct {
 }
 
 // NewState allocates a state for problem p. Allocation is O(|V|) —
-// per-user slice headers and flags — plus O(|V|·numMeta) weighting
-// floats; the O(|V|·|I|) adoption and preference tables of the seed
-// layout are replaced by rows allocated lazily per dirtied user.
+// per-user slice headers, counters and flags — plus O(|V|·numMeta)
+// weighting floats; the O(|V|·|I|) adoption table of the seed layout
+// is replaced by rows allocated lazily per dirtied user, and its
+// preference table by deltaPref.
 func NewState(p *Problem) *State {
 	n := p.NumUsers()
 	items := p.NumItems()
@@ -117,7 +118,7 @@ func NewState(p *Problem) *State {
 		adopted:   make([][]uint64, n),
 		adoptList: make([][]int32, n),
 		wmeta:     make([]float64, n*p.PIN.NumMeta()),
-		prefDelta: make([][]float64, n),
+		prefN:     make([]int32, n),
 		dirty:     make([]bool, n),
 		stepStamp: make([]uint32, n),
 		stepEpoch: 1,
@@ -158,7 +159,7 @@ func (st *State) rewindTo(n int) {
 
 // cleanRows returns the given users to their initial rows: adoption
 // rows zeroed into the pool, empty adoption lists, InitWeights, no
-// Δpref row.
+// Δpref.
 func (st *State) cleanRows(users []int32) {
 	nm := st.p.PIN.NumMeta()
 	for _, u := range users {
@@ -171,35 +172,9 @@ func (st *State) cleanRows(users []int32) {
 		}
 		st.adoptList[u] = st.adoptList[u][:0]
 		copy(st.wmeta[int(u)*nm:(int(u)+1)*nm], st.p.PIN.InitWeights)
-		st.dropPref(int(u))
+		st.prefN[u] = 0
 		st.dirty[u] = false
 	}
-}
-
-// dropPref detaches user u's Δpref row, if any. Rows go back to the
-// pool stale.
-func (st *State) dropPref(u int) {
-	if row := st.prefDelta[u]; row != nil {
-		st.rowPool = append(st.rowPool, row)
-		st.prefDelta[u] = nil
-	}
-}
-
-// prefRow returns user u's Δpref row, attaching a pooled row when u
-// has none. A pooled row may be stale: callers overwrite every entry.
-func (st *State) prefRow(u int) []float64 {
-	pd := st.prefDelta[u]
-	if pd != nil {
-		return pd
-	}
-	if n := len(st.rowPool); n > 0 {
-		pd = st.rowPool[n-1]
-		st.rowPool = st.rowPool[:n-1]
-	} else {
-		pd = make([]float64, st.items)
-	}
-	st.prefDelta[u] = pd
-	return pd
 }
 
 // checkpoint is a sparse snapshot of a State at a promotion boundary,
@@ -215,8 +190,7 @@ type checkpoint struct {
 	alist []int32   // adoption lists, concatenated in users order
 	aend  []int32   // end offset of each user's list in alist
 	wmeta []float64 // weightings, numMeta per user
-	pref  []float64 // Δpref rows of the users that had one, items each
-	has   []bool    // per user: a Δpref row was captured
+	prefN []int32   // adoptions each user's Δpref covers
 
 	rngv             rng.Rand
 	sigma, msigma    float64
@@ -232,15 +206,13 @@ func (st *State) capture(c int, res *Result) {
 	cp := &st.ckpts[c]
 	cp.users = append(cp.users[:0], st.touched...)
 	cp.bits, cp.alist, cp.aend = cp.bits[:0], cp.alist[:0], cp.aend[:0]
-	cp.wmeta, cp.pref, cp.has = cp.wmeta[:0], cp.pref[:0], cp.has[:0]
+	cp.wmeta, cp.prefN = cp.wmeta[:0], cp.prefN[:0]
 	for _, u := range st.touched {
 		cp.bits = append(cp.bits, st.adopted[u]...)
 		cp.alist = append(cp.alist, st.adoptList[u]...)
 		cp.aend = append(cp.aend, int32(len(cp.alist)))
 		cp.wmeta = append(cp.wmeta, st.Weights(int(u))...)
-		row := st.prefDelta[u]
-		cp.has = append(cp.has, row != nil)
-		cp.pref = append(cp.pref, row...)
+		cp.prefN = append(cp.prefN, st.prefN[u])
 	}
 	cp.rngv = st.rngv
 	cp.sigma, cp.msigma = res.Sigma, res.MarketSigma
@@ -257,18 +229,13 @@ func (st *State) restore(c int, res *Result) {
 	cp := &st.ckpts[c]
 	st.rewindTo(len(cp.users))
 	nm := st.p.PIN.NumMeta()
-	start, pref := int32(0), 0
+	start := int32(0)
 	for j, u := range cp.users {
 		copy(st.adopted[u], cp.bits[j*st.words:(j+1)*st.words])
 		st.adoptList[u] = append(st.adoptList[u][:0], cp.alist[start:cp.aend[j]]...)
 		start = cp.aend[j]
 		copy(st.Weights(int(u)), cp.wmeta[j*nm:(j+1)*nm])
-		if cp.has[j] {
-			copy(st.prefRow(int(u)), cp.pref[pref:pref+st.items])
-			pref += st.items
-		} else {
-			st.dropPref(int(u))
-		}
+		st.prefN[u] = cp.prefN[j]
 	}
 	st.rngv = cp.rngv
 	res.Sigma, res.MarketSigma = cp.sigma, cp.msigma
@@ -327,7 +294,8 @@ func (st *State) markAdopted(u, x int) {
 
 // ForceAdopt makes user u adopt item x outside a campaign (scripted
 // scenarios, case studies, examples), applying the end-of-step factor
-// updates immediately: weighting update then preference recompute.
+// updates immediately: weighting update, then the preference delta
+// covers every adoption.
 func (st *State) ForceAdopt(u, x int) {
 	if st.Adopted(u, x) {
 		return
@@ -339,7 +307,7 @@ func (st *State) ForceAdopt(u, x int) {
 	if len(st.adoptList[u]) > 1 {
 		st.p.PIN.UpdateWeights(st.Weights(u), []int32{int32(x)}, st.adopted[u], st.p.Params.Eta)
 	}
-	st.recomputePref(u)
+	st.prefN[u] = int32(len(st.adoptList[u]))
 }
 
 // Weights returns user u's meta-graph weighting vector (mutable view).
@@ -349,13 +317,13 @@ func (st *State) Weights(u int) []float64 {
 }
 
 // Pref returns Ppref(u, y) under the current state: the base
-// preference plus the cross-elasticity delta, clamped to [0,1]. Under
-// Params.Static the delta is always zero. Users without a materialised
-// delta row have delta 0 by construction.
+// preference plus the cross-elasticity delta over the adoptions the
+// last end-of-step update covered (deltaPref), clamped to [0,1]. Under
+// Params.Static, and for a user with no update yet, the delta is 0.
 func (st *State) Pref(u, y int) float64 {
 	v := st.p.BasePref.At(u, y)
-	if row := st.prefDelta[u]; row != nil {
-		v += row[y]
+	if n := st.prefN[u]; n > 0 {
+		v += st.deltaPref(u, y, int(n))
 	}
 	if v < 0 {
 		return 0
@@ -425,37 +393,39 @@ func cosRange(a, b []float64) float64 {
 	return dot / math.Sqrt(na*nb)
 }
 
-// recomputePref rebuilds user u's preference delta from the adoption
-// set and current weights:
+// deltaPref returns user u's preference delta for item y over its
+// first n adoptions, in adoption order, under its current weights:
 //
-//	Δpref(u,y) = λ · Σ_{a∈A(u)} (rC(u,a,y) − rS(u,a,y))
+//	Δpref(u,y) = λ · Σ_{a∈A(u)[:n]} (rC(u,a,y) − rS(u,a,y))
 //
-// The user's delta row is materialised on first recompute (pooled
-// rows may be stale, so the whole row is zeroed before accumulation —
-// adoption sets stay small, and the accumulation order matches the
-// dense layout bit for bit). A single-adoption user still has
-// InitWeights (DESIGN.md §3), so its row comes from the cached init
-// relevance, which is bit-identical to EvalContribs under them.
-func (st *State) recomputePref(u int) {
-	pd := st.prefRow(u)
-	for i := range pd {
-		pd[i] = 0
-	}
+// The sum starts from 0 and adds the terms in adoption order, the
+// order the bit-identity goldens pin (DESIGN.md §3). It is exact
+// because weights move only in UpdateWeights, which always runs just
+// before prefN is set: the weights now are the weights of that update.
+// A user with one adoption still has InitWeights (DESIGN.md §3), so
+// its term comes from the cached init relevance, bit-identical to
+// EvalContribs under them.
+func (st *State) deltaPref(u, y, n int) float64 {
+	pm := st.p.PIN
 	lam := st.p.Params.Lambda
-	if lst := st.adoptList[u]; len(lst) == 1 {
-		init := st.p.PIN.InitRow(int(lst[0]))
-		for j, pr := range st.p.PIN.Row(int(lst[0])) {
-			pd[pr.Y] += lam * (init[j].RC - init[j].RS)
+	lst := st.adoptList[u]
+	d := 0.0
+	if n == 1 {
+		a := int(lst[0])
+		if j := pm.Find(a, y); j >= 0 {
+			init := pm.InitRow(a)[j]
+			d += lam * (init.RC - init.RS)
 		}
-		return
+		return d
 	}
 	w := st.Weights(u)
-	for _, a := range st.adoptList[u] {
-		for _, pr := range st.p.PIN.Row(int(a)) {
-			rc, rs := st.p.PIN.EvalContribs(w, pr.Contribs)
-			pd[pr.Y] += lam * (rc - rs)
+	for _, a := range lst[:n] {
+		if j := pm.Find(int(a), y); j >= 0 {
+			rc, rs := pm.EvalContribs(w, pm.Row(int(a))[j].Contribs)
+			d += lam * (rc - rs)
 		}
 	}
+	return d
 }
 
 // MemoryFootprint returns the approximate number of heap bytes the
@@ -480,11 +450,7 @@ func (st *State) MemoryFootprint() uint64 {
 		b += uint64(cap(l)) * 4
 	}
 	b += uint64(cap(st.wmeta)) * 8
-	b += uint64(cap(st.prefDelta)) * headerBytes
-	for _, row := range st.prefDelta {
-		b += uint64(cap(row)) * 8
-	}
-	b += uint64(len(st.rowPool)*st.items) * 8
+	b += uint64(cap(st.prefN)) * 4
 	b += uint64(cap(st.dirty))
 	b += uint64(cap(st.touched)) * 4
 	b += uint64(cap(st.frontier)+cap(st.nextFront)) * eventBytes
@@ -498,9 +464,8 @@ func (st *State) MemoryFootprint() uint64 {
 	b += uint64(cap(st.piTouched)+cap(st.piCount)+cap(st.piAdopters)+cap(st.piLive)+cap(st.piFrom)) * 4
 	for i := range st.ckpts {
 		cp := &st.ckpts[i]
-		b += uint64(cap(cp.users)+cap(cp.alist)+cap(cp.aend)) * 4
-		b += uint64(cap(cp.bits)+cap(cp.wmeta)+cap(cp.pref)+cap(cp.perItem)) * 8
-		b += uint64(cap(cp.has))
+		b += uint64(cap(cp.users)+cap(cp.alist)+cap(cp.aend)+cap(cp.prefN)) * 4
+		b += uint64(cap(cp.bits)+cap(cp.wmeta)+cap(cp.perItem)) * 8
 	}
 	return b
 }

@@ -204,8 +204,10 @@ func BenchmarkNewStateSparse(b *testing.B) {
 // BenchmarkNewStateDenseBaseline allocates the seed layout's dense
 // per-worker arrays — a |V|×|I| float64 preference-delta table and a
 // |V|×⌈|I|/64⌉ adoption bitset — as the contrast baseline for
-// BenchmarkNewStateSparse. Kept as a reference so the alloc gap the
-// sparsification bought stays visible in bench output.
+// BenchmarkNewStateSparse, whose State keeps neither: adoption rows
+// are allocated per dirtied user, and the preference delta is summed
+// on demand from one int32 per user (DESIGN.md §5). Kept as a
+// reference so the alloc gap stays visible in bench output.
 func BenchmarkNewStateDenseBaseline(b *testing.B) {
 	p := benchProblem(b, 2000, 256)
 	n, items := p.NumUsers(), p.NumItems()
@@ -220,4 +222,47 @@ func BenchmarkNewStateDenseBaseline(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(prefDelta)*8+len(adopted)*8), "state-bytes")
+}
+
+// BenchmarkPref measures one Ppref(u, y) read, y cycling over every
+// item, for the three kinds of user the engine meets: a clean user
+// (base preference only), a user with one adoption (its Δpref from the
+// cached init relevance) and a user with three adoptions whose
+// weightings have moved (Δpref re-evaluated under them).
+func BenchmarkPref(b *testing.B) {
+	p := benchProblem(b, 2000, 256)
+	items := p.NumItems()
+	for _, bc := range []struct {
+		name  string
+		items []int
+	}{
+		{"clean", nil},
+		{"one-adoption", []int{0}},
+		{"three-adoptions-moved", []int{0, 1, 2}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := NewState(p)
+			st.Reset(rng.New(1))
+			const u = 3
+			for _, x := range bc.items {
+				st.ForceAdopt(u, x)
+			}
+			moved := false
+			for m, w := range st.Weights(u) {
+				moved = moved || w != p.PIN.InitWeights[m]
+			}
+			if moved != (len(bc.items) > 1) {
+				b.Fatalf("%d adoptions: weightings moved = %v", len(bc.items), moved)
+			}
+			var sink float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += st.Pref(u, i%items)
+			}
+			b.StopTimer()
+			if sink < 0 {
+				b.Fatal(sink)
+			}
+		})
+	}
 }

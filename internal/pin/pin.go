@@ -269,6 +269,18 @@ func (m *Model) Rel(w []float64, x, y int) (rc, rs float64) {
 	if x == y {
 		return 0, 0
 	}
+	j := m.Find(x, y)
+	if j < 0 {
+		return 0, 0
+	}
+	return m.EvalContribs(w, m.rows[x][j].Contribs)
+}
+
+// Find returns the index of item y in Row(x), or -1 when y is not
+// related to x: a binary search, since rows are sorted by Y. It fits
+// the inline budget (scripts/inline_check.sh), so the diffusion
+// engine's on-demand Δpref pays no call per lookup.
+func (m *Model) Find(x, y int) int {
 	row := m.rows[x]
 	lo, hi := 0, len(row)
 	for lo < hi {
@@ -279,10 +291,10 @@ func (m *Model) Rel(w []float64, x, y int) (rc, rs float64) {
 			hi = mid
 		}
 	}
-	if lo >= len(row) || int(row[lo].Y) != y {
-		return 0, 0
+	if lo < len(row) && int(row[lo].Y) == y {
+		return lo
 	}
-	return m.EvalContribs(w, row[lo].Contribs)
+	return -1
 }
 
 // RelStatic evaluates (rC, rS) under the initial weights — the

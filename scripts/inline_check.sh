@@ -8,36 +8,41 @@
 # so the cost of a draw is most of the cost of an estimate (DESIGN.md
 # §3). The engine and the RR walk take every draw from an rng.Stream
 # held in locals, which stays in registers only while the draw
-# inlines; a one-line edit can silently undo that. This gate builds the
-# engine packages with -gcflags=-m and fails unless
+# inlines; a one-line edit can silently undo that. Likewise every Pref
+# read of a user with adoptions sums its Δpref on demand, one
+# pin.(*Model).Find binary search per adoption, which must not cost a
+# call either. This gate builds the engine packages with -gcflags=-m
+# and fails unless
 #
-#   1. rng.Stream.next, rng.Stream.Float64, rng.Stream.Bernoulli and
-#      rng.(*Rand).Uint64 report "can inline"
+#   1. rng.Stream.next, rng.Stream.Float64, rng.Stream.Bernoulli,
+#      rng.(*Rand).Uint64 and pin.(*Model).Find report "can inline"
 #   2. every Bernoulli use in internal/diffusion/simulate.go and
 #      internal/sketch/sketch.go reports "inlining call to
-#      rng.Stream.Bernoulli", and every Float64 use in
+#      rng.Stream.Bernoulli", every Float64 use in
 #      internal/diffusion/simulate.go "inlining call to
-#      rng.Stream.Float64"
+#      rng.Stream.Float64", and every Find use in
+#      internal/diffusion/state.go "inlining call to pin.(*Model).Find"
 #
 # Usage:
 #   scripts/inline_check.sh              # check the working tree
 #   scripts/inline_check.sh --self-test  # prove the gate can fail: copy
 #                                        # the tree, push next, then
 #                                        # Stream.Float64, then
-#                                        # Stream.Bernoulli, then Uint64
-#                                        # over the inline budget, then
-#                                        # draw the purchase coin through
-#                                        # the Rand, then a skip uniform
-#                                        # through a method value; assert
-#                                        # detection each time
+#                                        # Stream.Bernoulli, then Uint64,
+#                                        # then Model.Find over the inline
+#                                        # budget, then draw the purchase
+#                                        # coin through the Rand, then a
+#                                        # skip uniform through a method
+#                                        # value; assert detection each
+#                                        # time
 set -u
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 
 check_tree() {
-	local root=$1 fail=0 out fn file sites line calls inlined
+	local root=$1 fail=0 out fn file qual sites line calls inlined
 
-	if ! out=$(cd "$root" && go build -gcflags=-m ./internal/rng ./internal/diffusion ./internal/sketch 2>&1); then
+	if ! out=$(cd "$root" && go build -gcflags=-m ./internal/rng ./internal/pin ./internal/diffusion ./internal/sketch 2>&1); then
 		echo "inline-check: build failed:" >&2
 		echo "$out" >&2
 		return 1
@@ -50,14 +55,22 @@ check_tree() {
 			fail=1
 		fi
 	done
+	if ! grep -E '^internal/pin/pin\.go:' <<<"$out" | cut -d' ' -f2- | grep -qxF "can inline (*Model).Find"; then
+		echo "inline-check: pin.(*Model).Find no longer inlines (over the compiler's inline budget?)" >&2
+		fail=1
+	fi
 
-	# 2. every call site inlines its draw. A site is any use of the
+	# 2. every call site inlines its draw or lookup. A site is any use of the
 	# method, a method value included (its call never inlines); comment
 	# lines are skipped, and a line with k uses needs k inlining reports
-	for site in Bernoulli:internal/diffusion/simulate.go Bernoulli:internal/sketch/sketch.go \
-		Float64:internal/diffusion/simulate.go; do
+	for site in Bernoulli:internal/diffusion/simulate.go:rng.Stream.Bernoulli \
+		Bernoulli:internal/sketch/sketch.go:rng.Stream.Bernoulli \
+		Float64:internal/diffusion/simulate.go:rng.Stream.Float64 \
+		'Find:internal/diffusion/state.go:pin.(*Model).Find'; do
 		fn=${site%%:*}
 		file=${site#*:}
+		qual=${file#*:}
+		file=${file%%:*}
 		sites=$(grep -nE "\\.$fn\\b" "$root/$file" | grep -vE '^[0-9]+:[[:space:]]*//' | cut -d: -f1)
 		if [ -z "$sites" ]; then
 			echo "inline-check: $file: no $fn call sites found; the check would be vacuous" >&2
@@ -66,7 +79,7 @@ check_tree() {
 		fi
 		for line in $sites; do
 			calls=$(sed -n "${line}p" "$root/$file" | grep -oE "\\.$fn\\b" | wc -l)
-			inlined=$(grep -cE "^$file:$line:[0-9]+: inlining call to rng\\.Stream\\.$fn\$" <<<"$out")
+			inlined=$(grep -E "^$file:$line:[0-9]+: " <<<"$out" | cut -d' ' -f2- | grep -cxF "inlining call to $qual")
 			if [ "$inlined" -lt "$calls" ]; then
 				echo "inline-check: $file:$line: $fn call not inlined ($inlined of $calls)" >&2
 				fail=1
@@ -78,7 +91,7 @@ check_tree() {
 }
 
 self_test() {
-	local tmp fn
+	local tmp fn out
 	tmp=$(mktemp -d)
 	# expand now: $tmp is a function local, gone by script-exit time
 	trap "rm -rf '$tmp'" EXIT
@@ -123,6 +136,23 @@ self_test() {
 		return 1
 	done
 
+	# Model.Find over the budget: cost-only statements that leave x
+	# unchanged must fail both the definition and the state.go call sites
+	copy
+	sed -i '/^func (m \*Model) Find(/a\
+	x += y * y * y * y\
+	x -= y * y * y * y\
+	x += y * y * y * y\
+	x -= y * y * y * y\
+	x += y * y * y * y\
+	x -= y * y * y * y' "$tmp/tree/internal/pin/pin.go"
+	out=$(check_tree "$tmp/tree" 2>&1)
+	if ! grep -qF "pin.(*Model).Find no longer inlines" <<<"$out" ||
+		! grep -qF "internal/diffusion/state.go:" <<<"$out"; then
+		echo "inline-check self-test: FAIL — pushing Model.Find over the inline budget went undetected" >&2
+		return 1
+	fi
+
 	# a coin drawn through the Rand again (a call: (*Rand).Bernoulli is
 	# over the budget) must fail the call-site check
 	copy
@@ -143,7 +173,7 @@ self_test() {
 		return 1
 	fi
 
-	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli and Uint64 over budget, a Rand-drawn coin and a method-value uniform detected)"
+	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli, Uint64 and Model.Find over budget, a Rand-drawn coin and a method-value uniform detected)"
 	return 0
 }
 

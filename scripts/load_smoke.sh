@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Load smoke (DESIGN.md §11): N concurrent clients against one imdppd,
 # each submitting a distinct-seeded solve so nothing coalesces or hits
-# the result cache — every client pays a real solve and the job queue
-# actually backs up. Asserts the latency histograms observed at least
-# one queue-wait and one solve-wall sample per client.
+# the result cache — every client pays a real solve. Asserts the
+# latency histograms counted it: at least one queue-wait and one
+# solve-wall sample per client. Its solves are short enough that the
+# queue barely forms, so this phase does not show that jobs wait; a
+# queue-depth assertion needs the injected scheduler clock of ROADMAP
+# item 7.
 #
 # A second multi-tenant phase (DESIGN.md §12) restarts the daemon with
 # -tenant-quotas: one greedy tenant (weight 1, tiny queue, one job in
