@@ -19,8 +19,10 @@ test:
 dysimbench-test:
 	cd dysimbench && $(GO) test ./...
 
-# The estimator's worker pool and state pooling are the code a race
-# detector should watch; -short skips the full-scale solves.
+# The estimator's worker pool and the per-problem state pool are the
+# code a race detector should watch: estimators on one problem borrow
+# states from one shared free list (TestStateReuseConcurrent runs
+# several at once). -short skips the full-scale solves.
 race:
 	$(GO) test -race -short ./...
 
@@ -29,14 +31,17 @@ race:
 # CPUs (at one CPU the solve runs the engine's one-goroutine branch);
 # then the engine's own kernels (a campaign, a selection-shaped
 # campaign, a scheduling sample), at a fixed count that warms the state
-# pools so allocs/op shows the steady state; then one coin (ns/coin)
-# drawn through a Rand and from a Stream held in locals, one clean
+# pools so allocs/op shows the steady state; then a σ query through a
+# new Estimator per op on a warm problem (B/op and allocs/op show that
+# it borrows pooled states instead of building one); then one coin
+# (ns/coin) drawn through a Rand and from a Stream held in locals, one clean
 # association row (ns/row, draws/row) subset-sampled and coin by coin,
 # and one Ppref read for a clean, a one-adoption and a moved-weights
 # user (Δpref summed on demand).
 bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^Benchmark(RunCampaign|RunCampaignSelect|RunBatchPiSchedule)$$' -benchtime 2000x -benchmem ./internal/diffusion
+	$(GO) test -run '^$$' -bench '^BenchmarkSigmaFreshEstimator$$' -benchmem ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkCoinRow$$' -benchmem ./internal/rng
 	$(GO) test -run '^$$' -bench '^BenchmarkAssocRow$$' ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkPref$$' ./internal/diffusion

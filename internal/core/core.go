@@ -199,7 +199,9 @@ type Stats struct {
 	SamplesSimulated uint64 `json:"samples_simulated"`
 	// StateBytesPerWorker is the largest per-worker simulation-state
 	// footprint observed across the solver's estimators (sparse State
-	// layout: scales with cascade size, not |V|·|I|).
+	// layout: scales with cascade size, not |V|·|I|). States are pooled
+	// per problem, so a state borrowed warm from an earlier query or
+	// solve on the same problem counts with the rows it brought.
 	StateBytesPerWorker uint64 `json:"state_bytes_per_worker"`
 	// GridHits counts group evaluations served from the sample-grid
 	// memoization cache (Options.GridCache) instead of simulated;

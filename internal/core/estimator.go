@@ -49,8 +49,10 @@ type Estimator interface {
 	// SamplesDone reports cumulative Monte-Carlo campaigns simulated,
 	// for throughput accounting.
 	SamplesDone() uint64
-	// StateBytes reports the largest retained per-worker simulation
-	// state footprint (0 is fine for backends that cannot observe it).
+	// StateBytes reports the largest per-worker simulation state
+	// footprint the backend used, measured when a state goes back to
+	// its problem's pool (0 is fine for backends that cannot observe
+	// it).
 	StateBytes() uint64
 }
 

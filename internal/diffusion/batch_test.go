@@ -76,16 +76,19 @@ func referenceEstimate(p *Problem, m int, seed uint64, seeds []Seed, market []bo
 	return out
 }
 
+// estimatesEqual compares every field bit for bit (Float64bits), so a
+// signed zero or a NaN cannot pass for equal.
 func estimatesEqual(a, b Estimate) bool {
-	if a.Sigma != b.Sigma || a.MarketSigma != b.MarketSigma ||
-		a.Pi != b.Pi || a.Adoptions != b.Adoptions {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.Sigma, b.Sigma) || !same(a.MarketSigma, b.MarketSigma) ||
+		!same(a.Pi, b.Pi) || !same(a.Adoptions, b.Adoptions) {
 		return false
 	}
 	if len(a.PerItem) != len(b.PerItem) {
 		return false
 	}
 	for i := range a.PerItem {
-		if a.PerItem[i] != b.PerItem[i] {
+		if !same(a.PerItem[i], b.PerItem[i]) {
 			return false
 		}
 	}

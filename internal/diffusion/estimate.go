@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"imdpp/internal/rng"
@@ -24,7 +23,12 @@ type Estimate struct {
 // Estimator evaluates σ by Monte-Carlo simulation (footnote 12: σ is
 // estimated by simulating the diffusion M times). It is safe for
 // sequential reuse; Concurrent evaluation happens internally across
-// workers with deterministic per-sample RNG streams. All evaluation —
+// workers with deterministic per-sample RNG streams. An Estimator is
+// cheap to build: its workers borrow simulation states from P's state
+// pool (statepool.go, DESIGN.md §5), shared by every estimator of that
+// problem, so a fresh Estimator per query on a warm problem builds no
+// State. Which pooled state a worker gets never changes a result: every
+// sample starts from Reset. All evaluation —
 // single (Run) and batched (RunBatch and friends) — builds the
 // (group × sample) grid with the one producer in shardable.go, which
 // shares common random numbers across the groups of a batch, and folds
@@ -55,12 +59,10 @@ type Estimator struct {
 	// change mid-evaluation.
 	Remote Sampler
 
-	mu     sync.Mutex
-	states []*State
-
-	samples   atomic.Uint64 // campaigns simulated, for throughput stats
-	gridHits  atomic.Uint64 // groups served by Grid instead of simulated
-	gridSaved atomic.Uint64 // campaign simulations those hits avoided
+	samples    atomic.Uint64 // campaigns simulated, for throughput stats
+	stateBytes atomic.Uint64 // largest footprint of a state put back (StateBytes)
+	gridHits   atomic.Uint64 // groups served by Grid instead of simulated
+	gridSaved  atomic.Uint64 // campaign simulations those hits avoided
 
 	// done, when non-nil, preempts the batch engine: workers stop
 	// claiming (group × sample) units once the channel is closed. Set
@@ -124,40 +126,6 @@ func (e *Estimator) workers() int {
 		w = 1
 	}
 	return w
-}
-
-// getState borrows a pooled state (allocating on demand).
-func (e *Estimator) getState() *State {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.states); n > 0 {
-		st := e.states[n-1]
-		e.states = e.states[:n-1]
-		return st
-	}
-	return NewState(e.P)
-}
-
-func (e *Estimator) putState(st *State) {
-	e.mu.Lock()
-	e.states = append(e.states, st)
-	e.mu.Unlock()
-}
-
-// StateBytes returns the largest retained memory footprint across the
-// estimator's pooled worker states — the per-worker cost of the
-// sampling hot path. With the sparse State layout this scales with
-// the largest cascade simulated, not with |V|·|I|.
-func (e *Estimator) StateBytes() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var max uint64
-	for _, st := range e.states {
-		if b := st.MemoryFootprint(); b > max {
-			max = b
-		}
-	}
-	return max
 }
 
 // Sigma returns the Monte-Carlo estimate of σ(S).

@@ -10,9 +10,11 @@ import (
 // State is the mutable per-sample simulation state: adoption sets,
 // per-user meta-graph weightings and how many adoptions each user's
 // preference delta covers. One State is reused across Monte-Carlo
-// samples by each worker; Reset restores initial conditions touching
-// only the rows dirtied by the previous sample, which keeps per-sample
-// overhead proportional to cascade size rather than |V|·|I|.
+// samples by each worker, and across the estimators of one problem
+// through that problem's state pool (statepool.go); Reset restores
+// initial conditions touching only the rows dirtied by the previous
+// sample, which keeps per-sample overhead proportional to cascade
+// size rather than |V|·|I|.
 //
 // Memory layout (DESIGN.md §5): the adoption bitset is stored as
 // lazily allocated per-user rows — a row exists only once the cascade
@@ -85,17 +87,6 @@ const (
 	TriggerPromotion                       // friend promotion succeeded
 	TriggerAssociation                     // item-association extra adoption
 )
-
-func (t AdoptTrigger) String() string {
-	switch t {
-	case TriggerSeed:
-		return "seed"
-	case TriggerPromotion:
-		return "promotion"
-	default:
-		return "association"
-	}
-}
 
 type adoptEvent struct {
 	user int32
@@ -434,6 +425,8 @@ func (st *State) deltaPref(u, y, n int) float64 {
 // scales with the largest cascade simulated so far (checkpoints add
 // O(checkpoints × dirty users) rows), not with |V|·|I|; the solver
 // reports it as Stats.StateBytesPerWorker (state_bytes_per_worker).
+// The walk is O(|V|); an estimator pays it once per state it puts back
+// to the pool, not per sample.
 func (st *State) MemoryFootprint() uint64 {
 	const (
 		headerBytes = 24 // slice header

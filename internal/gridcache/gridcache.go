@@ -2,8 +2,10 @@ package gridcache
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"imdpp/internal/castore"
 	"imdpp/internal/diffusion"
@@ -42,7 +44,7 @@ type Cache struct {
 	store *castore.Store[[]diffusion.SampleResult]
 
 	pmu      sync.Mutex
-	problems map[*diffusion.Problem]string // memoized content addresses
+	problems map[weak.Pointer[diffusion.Problem]]string // memoized content addresses of live problems
 
 	samplesSaved atomic.Uint64
 }
@@ -67,7 +69,7 @@ func New(cfg Config) *Cache {
 			},
 			Decode: decodeRows,
 		}),
-		problems: make(map[*diffusion.Problem]string),
+		problems: make(map[weak.Pointer[diffusion.Problem]]string),
 	}
 }
 
@@ -116,26 +118,34 @@ func (c *Cache) Stats() Stats {
 // Grid field holds. It returns nil (caching disabled) on a nil cache
 // or nil KeyFn. The content address is memoized per problem pointer,
 // so attaching views to the per-solve estimator pair hashes the
-// problem once, not once per estimator.
+// problem once, not once per estimator. The memo holds its problems
+// weakly and drops an entry once its problem is collected, so it never
+// keeps a problem (or the problem's state pool) alive.
 func (c *Cache) View(p *diffusion.Problem) diffusion.GridCache {
 	if c == nil || c.keyFn == nil || p == nil {
 		return nil
 	}
+	k := weak.Make(p)
 	c.pmu.Lock()
-	pk, ok := c.problems[p]
+	pk, ok := c.problems[k]
 	c.pmu.Unlock()
 	if !ok {
 		pk = c.keyFn(p)
 		c.pmu.Lock()
-		if len(c.problems) >= 128 {
-			// bounded memo: problem pointers are not weakly referenced,
-			// so reset rather than grow without bound
-			c.problems = make(map[*diffusion.Problem]string)
+		if _, ok := c.problems[k]; !ok {
+			c.problems[k] = pk
+			runtime.AddCleanup(p, c.forget, k)
 		}
-		c.problems[p] = pk
 		c.pmu.Unlock()
 	}
 	return &view{c: c, problemKey: pk, items: p.NumItems()}
+}
+
+// forget drops a collected problem's memoized content address.
+func (c *Cache) forget(k weak.Pointer[diffusion.Problem]) {
+	c.pmu.Lock()
+	delete(c.problems, k)
+	c.pmu.Unlock()
 }
 
 // view is the per-problem face of the cache.

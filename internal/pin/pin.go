@@ -138,11 +138,20 @@ func NewModel(g *kg.KG, metasC, metasS []*kg.MetaGraph, initWeights []float64) (
 // derivations reuse the same arithmetic as NewModel, so a round-tripped
 // model drives the diffusion — and hashes (service.HashProblem) —
 // identically to the original. Meta-graph schemas are not part of the wire image;
-// Metas holds placeholders and only its length is meaningful.
+// Metas holds placeholders and only its length is meaningful. The
+// floats are outside input too: every initial weighting must lie in
+// [0,1] (the relevance cosine assumes non-negative weightings) and
+// every contribution S in [0,1), the range kg.RelTable documents; a
+// NaN fails both checks.
 func ModelFromRows(g *kg.KG, numC int, initWeights []float64, rows [][]PairRel) (*Model, error) {
 	numMeta := len(initWeights)
 	if numMeta == 0 {
 		return nil, fmt.Errorf("pin: no meta-graphs")
+	}
+	for mi, w := range initWeights {
+		if !(w >= 0 && w <= 1) {
+			return nil, fmt.Errorf("pin: initial weighting %d = %v outside [0,1]", mi, w)
+		}
 	}
 	if numC < 0 || numC > numMeta {
 		return nil, fmt.Errorf("pin: numC %d outside [0,%d]", numC, numMeta)
@@ -182,6 +191,9 @@ func ModelFromRows(g *kg.KG, numC int, initWeights []float64, rows [][]PairRel) 
 			for _, c := range pr.Contribs {
 				if int(c.Meta) >= numMeta {
 					return nil, fmt.Errorf("pin: row %d: meta index %d out of range", x, c.Meta)
+				}
+				if !(c.S >= 0 && c.S < 1) {
+					return nil, fmt.Errorf("pin: row %d: relevance %v outside [0,1)", x, c.S)
 				}
 			}
 			init[i].RC, init[i].RS = m.EvalContribs(m.InitWeights, pr.Contribs)

@@ -401,9 +401,11 @@ func TestWorkerRestartReupload(t *testing.T) {
 
 // TestWorkerRejectsHostileRequests pins the worker's input guards: a
 // zero-vertex graph payload smuggling arcs must fail decoding (not
-// panic in CSR rebuild), an estimate frame whose groups × span work
-// bound is absurd must be rejected before allocation, and a body that
-// is not a binary frame is refused by media type.
+// panic in CSR rebuild), an upload carrying a non-finite or
+// out-of-range float is refused bad_request, an estimate frame whose
+// groups × span work bound is absurd must be rejected before
+// allocation, and a body that is not a binary frame is refused by
+// media type.
 func TestWorkerRejectsHostileRequests(t *testing.T) {
 	// corrupt graph: n=0 with a dangling arc
 	_, err := DecodeProblem(ProblemUpload{
@@ -440,6 +442,37 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 	if err := pool.ensureProblem(context.Background(), r, blob); err != nil {
 		t.Fatal(err)
 	}
+	// one float field at a time; the upload's slices are views of the
+	// problem, so each case edits a copy
+	floats := []struct {
+		name, want string // want: a fragment of the decode error
+		edit       func(u *ProblemUpload)
+	}{
+		{"NaN initial weighting", "weighting", func(u *ProblemUpload) { u.InitWeights = withAt(u.InitWeights, 0, math.NaN()) }},
+		{"initial weighting above 1", "weighting", func(u *ProblemUpload) { u.InitWeights = withAt(u.InitWeights, 0, 1.5) }},
+		{"negative initial weighting", "weighting", func(u *ProblemUpload) { u.InitWeights = withAt(u.InitWeights, 0, -0.1) }},
+		{"NaN relevance", "relevance", func(u *ProblemUpload) { u.Rows = withRelevance(u.Rows, math.NaN()) }},
+		{"relevance of 1", "relevance", func(u *ProblemUpload) { u.Rows = withRelevance(u.Rows, 1) }},
+		{"negative relevance", "relevance", func(u *ProblemUpload) { u.Rows = withRelevance(u.Rows, -0.5) }},
+		{"NaN base preference", "base_pref", func(u *ProblemUpload) { u.BasePref = withAt(u.BasePref, 7, math.NaN()) }},
+		{"infinite cost", "cost", func(u *ProblemUpload) { u.Cost = withAt(u.Cost, 3, math.Inf(1)) }},
+		{"NaN importance", "importance", func(u *ProblemUpload) { u.Importance = withAt(u.Importance, 1, math.NaN()) }},
+	}
+	for _, c := range floats {
+		bad := good
+		c.edit(&bad)
+		if _, err := DecodeProblem(bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: decode error %v, want one naming %q", c.name, err, c.want)
+		}
+		status, eb := postShard(t, servers[0].URL+PathProblems, ContentTypeBinary, bad.AppendBinary(nil))
+		if status != http.StatusBadRequest || eb.Code != CodeBadRequest {
+			t.Fatalf("%s: upload status %d body %+v, want 400 %q", c.name, status, eb, CodeBadRequest)
+		}
+	}
+	if got := workers[0].Stats().ProblemsCached; got != 1 {
+		t.Fatalf("worker stores %d problems after the hostile uploads, want only the good one", got)
+	}
+
 	req := &EstimateRequest{
 		Problem: blob.Key.String(),
 		Lo:      0,
@@ -469,6 +502,28 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 	if got := workers[0].Stats().ShardsServed; got != 0 {
 		t.Fatalf("hostile request counted as served: %d", got)
 	}
+}
+
+// withAt returns a copy of xs with xs[i] = v.
+func withAt(xs []float64, i int, v float64) []float64 {
+	out := append([]float64(nil), xs...)
+	out[i] = v
+	return out
+}
+
+// withRelevance returns a copy of rows whose first contribution has
+// relevance s.
+func withRelevance(rows [][]pin.PairRel, s float64) [][]pin.PairRel {
+	out := append([][]pin.PairRel(nil), rows...)
+	for x, row := range out {
+		if len(row) > 0 && len(row[0].Contribs) > 0 {
+			out[x] = append([]pin.PairRel(nil), row...)
+			out[x][0].Contribs = append([]pin.Contrib(nil), row[0].Contribs...)
+			out[x][0].Contribs[0].S = s
+			return out
+		}
+	}
+	panic("no relevance row to corrupt")
 }
 
 // postShard sends one raw shard RPC body and decodes the typed error

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 
 	"imdpp/internal/diffusion"
 	"imdpp/internal/graph"
@@ -104,7 +105,11 @@ func EncodeProblem(p *diffusion.Problem) ProblemUpload {
 // diffusion engine reads the KG only through |I|); the matrices wrap
 // the decoded row-major data without copying. The result estimates —
 // and content-hashes — bit-identically to the original problem; the
-// caller should verify that with service.HashProblem.
+// caller should verify that with service.HashProblem. The upload's
+// floats are checked here, once per upload rather than in
+// Problem.Validate on every request: the initial weightings and
+// relevances in pin.ModelFromRows, and every importance, preference
+// and cost must be finite.
 func DecodeProblem(u ProblemUpload) (*diffusion.Problem, error) {
 	if u.Users < 0 || u.Items < 0 {
 		return nil, fmt.Errorf("shard: negative users/items %d/%d", u.Users, u.Items)
@@ -129,6 +134,16 @@ func DecodeProblem(u ProblemUpload) (*diffusion.Problem, error) {
 	if len(u.BasePref) != u.Users*u.Items || len(u.Cost) != u.Users*u.Items {
 		return nil, fmt.Errorf("shard: matrix data %d/%d != %d users × %d items",
 			len(u.BasePref), len(u.Cost), u.Users, u.Items)
+	}
+	for _, m := range []struct {
+		name string
+		v    []float64
+	}{{"importance", u.Importance}, {"base_pref", u.BasePref}, {"cost", u.Cost}} {
+		for i, v := range m.v {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("shard: %s[%d] = %v is not finite", m.name, i, v)
+			}
+		}
 	}
 	cols := u.Items
 	if cols == 0 {

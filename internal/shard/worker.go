@@ -54,10 +54,11 @@ type WorkerConfig struct {
 
 // Worker is the server side of the estimator RPC: a content-addressed
 // store of decoded problems plus the estimate handler that simulates
-// one shard's sample range. It holds one pooled batch-engine estimator
-// per problem; requests against the same problem serialise on that
-// estimator (one coordinator dispatches at most one shard per worker
-// per batch, so the lock is uncontended in the intended topology).
+// one shard's sample range. Each request runs its own batch-engine
+// estimator, so requests against the same problem run concurrently;
+// their simulation states come warm from the problem's state pool
+// (DESIGN.md §5), which dies with the problem once it is evicted or
+// dropped.
 type Worker struct {
 	cfg WorkerConfig
 
@@ -79,9 +80,8 @@ type Worker struct {
 }
 
 type workerProblem struct {
-	mu  sync.Mutex
-	p   *diffusion.Problem
-	est *diffusion.Estimator
+	p    *diffusion.Problem
+	grid diffusion.GridCache // the worker's grid-cache view of p, nil without a cache
 }
 
 // NewWorker creates a shard worker.
@@ -235,9 +235,7 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := service.HashProblem(p)
-	wp := &workerProblem{p: p, est: diffusion.NewEstimator(p, 1, 0)}
-	wp.est.Workers = w.cfg.Workers
-	wp.est.Grid = w.cfg.Grid.View(p)
+	wp := &workerProblem{p: p, grid: w.cfg.Grid.View(p)}
 
 	w.mu.Lock()
 	if _, ok := w.problems[key]; !ok {
@@ -341,11 +339,11 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	wspan.SetAttrInt("hi", int64(req.Hi))
 	ctx := obs.ContextWithSpan(r.Context(), wspan)
 
-	wp.mu.Lock()
-	wp.est.Seed = req.Seed
-	wp.est.Bind(ctx)
-	samples := wp.est.RunBatchSamples(req.Groups, market, masks, req.WithPi, req.Lo, req.Hi)
-	wp.mu.Unlock()
+	est := diffusion.NewEstimator(p, 1, req.Seed)
+	est.Workers = w.cfg.Workers
+	est.Grid = wp.grid
+	est.Bind(ctx)
+	samples := est.RunBatchSamples(req.Groups, market, masks, req.WithPi, req.Lo, req.Hi)
 
 	if r.Context().Err() != nil {
 		// the coordinator is gone; the partial result is garbage

@@ -214,7 +214,7 @@ func (e *Estimator) SamplesDone() uint64 {
 }
 
 // StateBytes reports the larger of the sketch index footprint and the
-// MC engine's pooled state.
+// largest state the MC engine put back to the problem's state pool.
 func (e *Estimator) StateBytes() uint64 {
 	e.mu.Lock()
 	var b uint64
