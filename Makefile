@@ -37,7 +37,8 @@ race:
 # (ns/coin) drawn through a Rand and from a Stream held in locals, one clean
 # association row (ns/row, draws/row) subset-sampled and coin by coin,
 # and one Ppref read for a clean, a one-adoption and a moved-weights
-# user (Δpref summed on demand).
+# user (Δpref summed on demand); last, one shard estimate-response
+# frame encoded and decoded (B/frame is its size on the wire).
 bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^Benchmark(RunCampaign|RunCampaignSelect|RunBatchPiSchedule)$$' -benchtime 2000x -benchmem ./internal/diffusion
@@ -45,6 +46,7 @@ bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkCoinRow$$' -benchmem ./internal/rng
 	$(GO) test -run '^$$' -bench '^BenchmarkAssocRow$$' ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkPref$$' ./internal/diffusion
+	$(GO) test -run '^$$' -bench '^BenchmarkEstimateFrame$$' -benchmem ./internal/shard
 
 fmt:
 	gofmt -w .

@@ -396,7 +396,7 @@ func NewGridCache(maxMB int, dir string) *GridCache {
 	return gridcache.New(gridcache.Config{
 		MaxBytes: int64(maxMB) << 20,
 		Dir:      dir,
-		KeyFn:    func(p *diffusion.Problem) string { return service.HashProblem(p).String() },
+		KeyFn:    service.ProblemKey,
 	})
 }
 

@@ -7,15 +7,17 @@ import (
 )
 
 // Binary codec of the per-sample outcome grid — the hot path of the
-// shard estimator RPC (DESIGN.md §8). A SampleResult is mostly small
-// integers in float64 clothing (per-item adoption counts of a single
-// campaign, the adoption total) plus a handful of genuine floats (σ,
-// market σ, π); the wirebin compact float makes the integers 2 bytes
-// and keeps the floats bit-exact, and the sparse item ids — appended
-// in ascending item order by RunBatchSamples — encode as ascending
-// deltas. Shipping the grid binary instead of JSON changes no decoded
-// bit, so the §7 merge contract (per-sample shipping + canonical
-// fold) is untouched; the golden tests in internal/shard pin that.
+// shard estimator RPC (DESIGN.md §8). A sample is four floats: σ,
+// market σ and π are genuine floats, the adoption total is a small
+// integer in float64 clothing; the wirebin compact float makes such
+// integers 2 bytes and keeps the floats bit-exact. Per-item counts are
+// row totals carried by a row's first sample only (SampleResult), so a
+// row's item entries are written once, not once per sample; their
+// sparse ids, ascending as RunBatchSamples appends them, encode as
+// ascending deltas. Shipping the grid binary instead of JSON changes
+// no decoded bit, so the §7 merge contract (per-sample shipping +
+// canonical fold) is untouched; the golden tests in internal/shard pin
+// that.
 
 // AppendSampleGrid appends the binary image of a (group × sample)
 // outcome grid to b. Rows may have differing lengths (each carries its

@@ -23,9 +23,23 @@ import (
 // with π over market when withPi; out[g][i] is sample i of group g.
 type engine func(p *diffusion.Problem, groups [][]diffusion.Seed, market []bool, withPi bool, seed uint64, m int) [][]diffusion.SampleResult
 
-// productionEngine is the estimator's own sample producer.
+// productionEngine is the estimator's own sample producer, drawn one
+// sample at a time. A row carries its per-item counts as totals on its
+// first sample, so only a one-sample range [i, i+1) shows sample i's
+// own counts — the per-item statistics need them, and the samples are
+// the same bits as those of one [0, m) range.
 func productionEngine(p *diffusion.Problem, groups [][]diffusion.Seed, market []bool, withPi bool, seed uint64, m int) [][]diffusion.SampleResult {
-	return diffusion.NewEstimator(p, m, seed).RunBatchSamples(groups, market, nil, withPi, 0, m)
+	e := diffusion.NewEstimator(p, m, seed)
+	out := make([][]diffusion.SampleResult, len(groups))
+	for g := range out {
+		out[g] = make([]diffusion.SampleResult, m)
+	}
+	for i := 0; i < m; i++ {
+		for g, row := range e.RunBatchSamples(groups, market, nil, withPi, i, i+1) {
+			out[g][i] = row[0]
+		}
+	}
+	return out
 }
 
 // gateAlpha is the family-wise false-alarm rate of one gate run: the

@@ -3,6 +3,8 @@ package diffusion
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +26,13 @@ import (
 
 // SampleResult is one Monte-Carlo sample's raw campaign outcome — the
 // unit shipped between shard workers and the coordinator. Per-item
-// adoptions are sparse (Items/Counts parallel, zero entries omitted),
-// so the reduction is float-exact (x + 0 == x).
+// adoptions are row totals, not per-sample values: the producer puts
+// the item counts summed over a row's whole range on the row's first
+// sample (Items/Counts parallel, ascending items, zero entries
+// omitted), and every other sample carries none. Only their mean is
+// ever read, and counts are integers far below 2^53, so the fold sums
+// them exactly however they are spread over a row or over shard
+// ranges (DESIGN.md §7).
 type SampleResult struct {
 	Sigma       float64   `json:"sigma"`
 	MarketSigma float64   `json:"market_sigma"`
@@ -123,56 +130,63 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 		next  int64
 		rowMu sync.Mutex
 	)
-	// Rows materialize on first claim, not up front: at large k × span
-	// the eager grid is gigabytes of allocation with no preemption
-	// point, which is exactly the window a cancelled solve gets stuck
-	// in. A preempted batch leaves unclaimed groups nil — the result is
-	// declared garbage then anyway (callers must check their context).
-	claim := func(f *family) {
-		rowMu.Lock()
-		defer rowMu.Unlock()
-		for j := 0; j < f.size(); j++ {
-			if g := f.member(j); out[g] == nil {
-				out[g] = make([]SampleResult, span)
-			}
-		}
-	}
+	items := e.P.NumItems()
 	body := func() {
 		st := e.getState()
 		defer e.putState(st)
 		var res Result
-		res.PerItem = make([]float64, e.P.NumItems())
-		// units are claimed family-major, so consecutive units usually
-		// belong to one family; remembering the last claim keeps the
-		// mutex off the per-sample path. A claimed family's rows are
-		// never reassigned, so reading them after claim needs no lock.
+		res.PerItem = make([]float64, items)
+		// totals[j*items:(j+1)*items] sums member j's per-item counts
+		// over this worker's samples of its current family.
+		var totals []float64
 		lastF, i := -1, 0
-		emit := func(_, g int, res *Result, pi float64) {
+		// settle moves the worker from family lastF to family next (-1:
+		// none). It adds the worker's totals for lastF into the first
+		// sample of each member's row, and claims next's rows. Units are
+		// claimed family-major, so a worker settles each family at most
+		// once and the mutex stays off the per-sample path; a claimed
+		// family's rows are never reassigned, so writing samples after
+		// the claim needs no lock.
+		//
+		// Rows materialize on first claim, not up front: at large
+		// k × span the eager grid is gigabytes of allocation with no
+		// preemption point, which is exactly the window a cancelled
+		// solve gets stuck in. A preempted batch leaves unclaimed groups
+		// nil — the result is declared garbage then anyway (callers must
+		// check their context).
+		settle := func(next int) {
+			rowMu.Lock()
+			defer rowMu.Unlock()
+			if lastF >= 0 {
+				f := &fams[lastF]
+				for j := 0; j < f.size(); j++ {
+					addItemTotals(&out[f.member(j)][0], totals[j*items:(j+1)*items])
+				}
+			}
+			if lastF = next; next < 0 {
+				return
+			}
+			f := &fams[next]
+			for j := 0; j < f.size(); j++ {
+				if g := f.member(j); out[g] == nil {
+					out[g] = make([]SampleResult, span)
+				}
+			}
+			n := f.size() * items
+			totals = slices.Grow(totals[:0], n)[:n]
+			clear(totals)
+		}
+		defer settle(-1)
+		emit := func(j, g int, res *Result, pi float64) {
 			slot := &out[g][i-lo]
 			slot.Sigma = res.Sigma
 			slot.MarketSigma = res.MarketSigma
 			slot.Adoptions = float64(res.Adoptions)
 			slot.Pi = pi
-			// count first, so the sparse row costs two exact-size
-			// allocations instead of append's growth steps
-			n := 0
-			for _, v := range res.PerItem {
-				if v != 0 {
-					n++
-				}
-			}
-			if n == 0 {
-				return
-			}
-			items, counts := make([]int32, n), make([]float64, n)
-			n = 0
+			acc := totals[j*items : (j+1)*items]
 			for x, v := range res.PerItem {
-				if v != 0 {
-					items[n], counts[n] = int32(x), v
-					n++
-				}
+				acc[x] += v
 			}
-			slot.Items, slot.Counts = items, counts
 		}
 		for {
 			if e.preempted() {
@@ -185,8 +199,7 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 			f := int(u) / span
 			i = lo + int(u)%span
 			if f != lastF {
-				lastF = f
-				claim(&fams[f])
+				settle(f)
 			}
 			if !e.runFamily(st, &res, &fams[f], groups, maskOf, withPi, i, master, emit) {
 				return
@@ -210,12 +223,43 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 	return out
 }
 
+// addItemTotals adds the dense per-item counts acc into s's sparse
+// entries, reusing them when the support is unchanged; acc is left
+// holding the sum. Counts are integers far below 2^53, so the sum is
+// exact whatever order the workers settle in.
+func addItemTotals(s *SampleResult, acc []float64) {
+	for jj, it := range s.Items {
+		acc[it] += s.Counts[jj]
+	}
+	n := 0
+	for _, v := range acc {
+		if v != 0 {
+			n++
+		}
+	}
+	switch {
+	case n == 0:
+		return
+	case n != len(s.Items): // the support grew; else rewrite in place
+		s.Items, s.Counts = make([]int32, n), make([]float64, n)
+	}
+	n = 0
+	for x, v := range acc {
+		if v != 0 {
+			s.Items[n], s.Counts[n] = int32(x), v
+			n++
+		}
+	}
+}
+
 // ValidateSampleRow checks that row can be folded by ReduceSampleGrid
 // as one group's samples over a range of span samples, for a problem
 // with the given number of items: span samples, each with parallel
-// Items and Counts and every item in [0, items). The fold indexes
-// PerItem by item unchecked, so rows from outside the process — a shard
-// worker's response, a grid spill reloaded from disk — must pass it.
+// Items and Counts, every item in [0, items) and every count an
+// integer in [0, 2^53] — the range in which row totals add exactly. The
+// fold indexes PerItem by item unchecked, so rows from outside the
+// process — a shard worker's response, a grid spill reloaded from disk
+// — must pass it.
 func ValidateSampleRow(row []SampleResult, span, items int) error {
 	if len(row) != span {
 		return fmt.Errorf("%d samples for range span %d", len(row), span)
@@ -229,6 +273,12 @@ func ValidateSampleRow(row []SampleResult, span, items int) error {
 				return fmt.Errorf("sample %d: item %d out of range", i, it)
 			}
 		}
+		for _, c := range row[i].Counts {
+			// !(c >= 0) also catches NaN; c > 2^53 also +Inf
+			if !(c >= 0) || c > 1<<53 || c != math.Trunc(c) {
+				return fmt.Errorf("sample %d: count %v is not an integer in [0, 2^53]", i, c)
+			}
+		}
 	}
 	return nil
 }
@@ -240,7 +290,9 @@ func ValidateSampleRow(row []SampleResult, span, items int) error {
 // the sparse per-item entries, scaled by 1/M at the end — that
 // RunBatch applies to its own grid, so an Estimate merged from any
 // partition of [0,M) into worker-computed ranges is bit-identical to
-// the single-process RunBatch result.
+// the single-process RunBatch result: the float fields are per-sample
+// and added in sample order, and the per-item entries are integer row
+// totals whose sum is exact in any order.
 func ReduceSampleGrid(grid [][]SampleResult, items int) []Estimate {
 	k := len(grid)
 	out := make([]Estimate, k)

@@ -21,7 +21,7 @@ import (
 // problem dropped by DropProblems, must leave no registry entry once
 // collected.
 func TestWorkerReleasesPooledProblems(t *testing.T) {
-	grid := gridcache.New(gridcache.Config{KeyFn: func(p *diffusion.Problem) string { return service.HashProblem(p).String() }})
+	grid := gridcache.New(gridcache.Config{KeyFn: service.ProblemKey})
 	for _, c := range []struct {
 		name string
 		cfg  shard.WorkerConfig

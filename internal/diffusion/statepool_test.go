@@ -247,24 +247,28 @@ func TestStatePoolIsBounded(t *testing.T) {
 // TestFreshEstimatorAllocatesNoState pins the point of the per-problem
 // pool: a σ query through a new Estimator on a warm problem borrows a
 // parked State instead of building one. The bound sits below what the
-// query plus a single NewState would allocate.
+// query plus a single NewState would allocate, and holds at MC 1 and
+// MC 100 alike: the query's sample row carries its item totals once,
+// so its allocations do not grow with the sample count.
 func TestFreshEstimatorAllocatesNoState(t *testing.T) {
 	p := benchProblem(t, 2000, 256)
 	seeds := []Seed{{User: 3, Item: 5, T: 1}, {User: 7, Item: 9, T: 2}}
-	query := func() {
-		e := NewEstimator(p, 1, 1)
-		e.Workers = 1
-		e.Sigma(seeds)
-	}
-	query() // warm the problem's pool
 	const bound = 20
-	got := testing.AllocsPerRun(50, query)
 	newState := testing.AllocsPerRun(10, func() { NewState(p) })
-	if got+newState <= bound {
-		t.Fatalf("bound %d cannot catch a State per query: query %v + NewState %v allocations", bound, got, newState)
-	}
-	if got > bound {
-		t.Fatalf("a warm σ query allocates %v objects, want ≤ %d: it no longer reuses a parked State", got, bound)
+	for _, m := range []int{1, 100} {
+		query := func() {
+			e := NewEstimator(p, m, 1)
+			e.Workers = 1
+			e.Sigma(seeds)
+		}
+		query() // warm the problem's pool
+		got := testing.AllocsPerRun(50, query)
+		if got+newState <= bound {
+			t.Fatalf("bound %d cannot catch a State per query: query %v + NewState %v allocations", bound, got, newState)
+		}
+		if got > bound {
+			t.Fatalf("a warm MC-%d σ query allocates %v objects, want ≤ %d: it builds a State or allocates per sample", m, got, bound)
+		}
 	}
 }
 

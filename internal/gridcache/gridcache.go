@@ -2,10 +2,7 @@ package gridcache
 
 import (
 	"errors"
-	"runtime"
-	"sync"
 	"sync/atomic"
-	"weak"
 
 	"imdpp/internal/castore"
 	"imdpp/internal/diffusion"
@@ -29,7 +26,8 @@ type Config struct {
 	// a memory hit to a disk hit instead of a re-simulation.
 	Dir string
 	// KeyFn maps a problem to its content address (the serving layer
-	// passes HashProblem). nil disables the cache.
+	// passes service.ProblemKey, which hashes each problem once). nil
+	// disables the cache.
 	KeyFn func(*diffusion.Problem) string
 }
 
@@ -42,9 +40,6 @@ type Config struct {
 type Cache struct {
 	keyFn func(*diffusion.Problem) string
 	store *castore.Store[[]diffusion.SampleResult]
-
-	pmu      sync.Mutex
-	problems map[weak.Pointer[diffusion.Problem]]string // memoized content addresses of live problems
 
 	samplesSaved atomic.Uint64
 }
@@ -69,7 +64,6 @@ func New(cfg Config) *Cache {
 			},
 			Decode: decodeRows,
 		}),
-		problems: make(map[weak.Pointer[diffusion.Problem]]string),
 	}
 }
 
@@ -116,36 +110,13 @@ func (c *Cache) Stats() Stats {
 // View returns the diffusion.GridCache for one problem — the cache
 // scoped to that problem's content address, the thing an estimator's
 // Grid field holds. It returns nil (caching disabled) on a nil cache
-// or nil KeyFn. The content address is memoized per problem pointer,
-// so attaching views to the per-solve estimator pair hashes the
-// problem once, not once per estimator. The memo holds its problems
-// weakly and drops an entry once its problem is collected, so it never
-// keeps a problem (or the problem's state pool) alive.
+// or nil KeyFn. It calls KeyFn on every view; a KeyFn that hashes
+// the problem should memoize, as service.ProblemKey does.
 func (c *Cache) View(p *diffusion.Problem) diffusion.GridCache {
 	if c == nil || c.keyFn == nil || p == nil {
 		return nil
 	}
-	k := weak.Make(p)
-	c.pmu.Lock()
-	pk, ok := c.problems[k]
-	c.pmu.Unlock()
-	if !ok {
-		pk = c.keyFn(p)
-		c.pmu.Lock()
-		if _, ok := c.problems[k]; !ok {
-			c.problems[k] = pk
-			runtime.AddCleanup(p, c.forget, k)
-		}
-		c.pmu.Unlock()
-	}
-	return &view{c: c, problemKey: pk, items: p.NumItems()}
-}
-
-// forget drops a collected problem's memoized content address.
-func (c *Cache) forget(k weak.Pointer[diffusion.Problem]) {
-	c.pmu.Lock()
-	delete(c.problems, k)
-	c.pmu.Unlock()
+	return &view{c: c, problemKey: c.keyFn(p), items: p.NumItems()}
 }
 
 // view is the per-problem face of the cache.
@@ -193,7 +164,9 @@ func (t ticket) Wait(stop <-chan struct{}) ([]diffusion.SampleResult, bool) {
 const sampleResultBytes = 80
 
 // rowsBytes accounts the retained footprint of one committed row set:
-// struct overhead plus the sparse per-item backing arrays.
+// struct overhead plus the sparse per-item backing arrays. Only a row's
+// first sample carries item entries (its row totals), so a row of M
+// samples costs about 80·M bytes plus 12 per item it adopted.
 func rowsBytes(rows []diffusion.SampleResult) int64 {
 	b := int64(len(rows)) * sampleResultBytes
 	for i := range rows {

@@ -27,6 +27,7 @@
 // answers never alias MC results. Requests carrying epsilon are
 // echoed with backend "sketch" in job snapshots, and the service
 // keeps a second content-addressed cache (sketch.Cache, keyed by
-// HashProblem + ε + δ + seed, optionally disk-backed) for the built
-// indices themselves.
+// ProblemKey + ε + δ + seed, optionally disk-backed) for the built
+// indices themselves. ProblemKey is HashProblem memoized per live
+// problem, the key the sketch and grid lanes share.
 package service

@@ -3,7 +3,10 @@ package service
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
+	"weak"
 
 	"imdpp/internal/core"
 	"imdpp/internal/diffusion"
@@ -119,6 +122,44 @@ func HashProblem(p *diffusion.Problem) Key {
 	d := newDigest()
 	hashProblem(d, p)
 	return Key{Hi: d.a, Lo: d.b}
+}
+
+// problemKeys memoizes ProblemKey per live problem. It holds its
+// problems weakly and drops an entry once its problem is collected, so
+// it never keeps a problem (or the problem's state pool) alive.
+var problemKeys = struct {
+	sync.Mutex
+	m map[weak.Pointer[diffusion.Problem]]string
+}{m: make(map[weak.Pointer[diffusion.Problem]]string)}
+
+// ProblemKey returns HashProblem(p).String(), hashing each live problem
+// once. It is the content address of the grid and sketch cache lanes,
+// which look it up on every σ query and every solve's estimator — and
+// one hash costs more than a small σ query. Like those caches, it
+// assumes a problem is not mutated once it has been keyed.
+func ProblemKey(p *diffusion.Problem) string {
+	k := weak.Make(p)
+	problemKeys.Lock()
+	key, ok := problemKeys.m[k]
+	problemKeys.Unlock()
+	if ok {
+		return key
+	}
+	key = HashProblem(p).String()
+	problemKeys.Lock()
+	if _, ok := problemKeys.m[k]; !ok {
+		problemKeys.m[k] = key
+		runtime.AddCleanup(p, forgetProblemKey, k)
+	}
+	problemKeys.Unlock()
+	return key
+}
+
+// forgetProblemKey drops a collected problem's memoized key.
+func forgetProblemKey(k weak.Pointer[diffusion.Problem]) {
+	problemKeys.Lock()
+	delete(problemKeys.m, k)
+	problemKeys.Unlock()
 }
 
 func hashOptions(d *digest, o core.Options) {

@@ -275,13 +275,12 @@ func New(cfg Config) *Service {
 		d := mean * time.Duration(queued/cfg.Workers+1)
 		return min(max(d, time.Second), time.Minute)
 	}
-	keyFn := func(p *diffusion.Problem) string { return HashProblem(p).String() }
-	s.sketchCache = sketch.NewCache(0, cfg.SketchDir, keyFn)
+	s.sketchCache = sketch.NewCache(0, cfg.SketchDir, ProblemKey)
 	if cfg.GridCacheMB > 0 {
 		s.gridCache = gridcache.New(gridcache.Config{
 			MaxBytes: int64(cfg.GridCacheMB) << 20,
 			Dir:      cfg.GridCacheDir,
-			KeyFn:    keyFn,
+			KeyFn:    ProblemKey,
 		})
 	}
 	for i := 0; i < cfg.Workers; i++ {

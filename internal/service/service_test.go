@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"imdpp/internal/cluster"
 	"imdpp/internal/core"
@@ -350,7 +352,14 @@ func TestJobRetention(t *testing.T) {
 		}
 		ids = append(ids, j.ID())
 	}
-	if _, ok := s.Job(ids[0]); ok {
+	// a worker retires a job just after finishing it (DESIGN.md §12),
+	// so Wait can return before the last job's retirement evicts the
+	// oldest: give it a moment instead of racing it
+	evicted := func() bool { _, ok := s.Job(ids[0]); return !ok }
+	for deadline := time.Now().Add(5 * time.Second); !evicted() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if !evicted() {
 		t.Fatal("oldest finished job should have been evicted")
 	}
 	for _, id := range ids[1:] {
@@ -530,5 +539,67 @@ func TestSketchBackendSelection(t *testing.T) {
 	}
 	if m.Sketch.CacheHits < 1 {
 		t.Fatalf("sketch_cache_hits = %d, want ≥ 1", m.Sketch.CacheHits)
+	}
+}
+
+// TestProblemKeyMemo pins the shared content-address memo of the grid
+// and sketch lanes: ProblemKey is HashProblem's string, taken once per
+// live problem (a second call returns the memo without re-hashing, so
+// it does not see a later mutation), and the memo holds its problems
+// weakly — every dropped problem's entry goes once it is collected.
+func TestProblemKeyMemo(t *testing.T) {
+	p := sampleProblem(t, 100, 4)
+	want := HashProblem(p).String()
+	if got := ProblemKey(p); got != want {
+		t.Fatalf("ProblemKey %s, HashProblem %s", got, want)
+	}
+	p.Budget++
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := ProblemKey(p); got != want {
+				t.Errorf("later ProblemKey re-hashed: %s, want the memoized %s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if HashProblem(p).String() == want {
+		t.Fatal("the budget change does not move HashProblem: the memo check above shows nothing")
+	}
+	runtime.KeepAlive(p)
+
+	const dropped = 20
+	live := make([]*diffusion.Problem, dropped)
+	keys := make([]weak.Pointer[diffusion.Problem], dropped)
+	for i := range live {
+		live[i] = sampleProblem(t, float64(10+i), 2)
+		keys[i] = weak.Make(live[i])
+		ProblemKey(live[i])
+	}
+	memoized := func() int {
+		problemKeys.Lock()
+		defer problemKeys.Unlock()
+		n := 0
+		for _, k := range keys {
+			if _, ok := problemKeys.m[k]; ok {
+				n++
+			}
+		}
+		return n
+	}
+	if n := memoized(); n != dropped {
+		t.Fatalf("%d of %d live problems memoized", n, dropped)
+	}
+	runtime.KeepAlive(live) // the last use: from here on they are garbage
+	n := memoized()
+	for try := 0; try < 100 && n > 0; try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // cleanups run on their own goroutine
+		n = memoized()
+	}
+	if n > 0 {
+		t.Fatalf("%d of %d dropped problems still memoized after GC", n, dropped)
 	}
 }

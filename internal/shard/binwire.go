@@ -1,13 +1,9 @@
 package shard
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"sync"
 
 	"imdpp/internal/diffusion"
 	"imdpp/internal/graph"
@@ -22,10 +18,10 @@ import (
 // body is one frame:
 //
 //	magic   [3]byte  "IMB"
-//	version byte     1
+//	version byte     2
 //	kind    byte     frameProblem | frameEstimateReq | frameEstimateResp
-//	flags   byte     bit 0: payload is DEFLATE-compressed; bit 1: traced
-//	length  u32 LE   payload byte count (after compression)
+//	flags   byte     bit 1: traced; every other bit must be clear
+//	length  u32 LE   payload byte count
 //	payload [length]byte
 //
 // The payload is a wirebin stream (little-endian, length-prefixed
@@ -41,6 +37,12 @@ import (
 // other body type with 415, and frame-version compatibility is checked
 // once, when a worker registers (DESIGN.md §13). Errors, upload acks
 // and the registry RPCs stay JSON.
+//
+// Payloads are never compressed: deflating and inflating an estimate
+// response costs more CPU time than sending the bytes it saves takes on
+// any link faster than about 65 Mb/s (DESIGN.md §8). Version 1 frames,
+// which could be DEFLATE-compressed, and any frame with that flag (bit
+// 0) set are refused.
 
 // ContentTypeBinary is the media type of every shard frame body.
 const ContentTypeBinary = "application/x-imdpp-shard"
@@ -53,64 +55,35 @@ const (
 )
 
 const (
-	frameVersion = 1
-	flagDeflate  = 1 << 0
+	frameVersion = 2
 	// flagTraced marks a frame whose payload ends with trace-context
 	// fields (request: trace + parent span id; response: worker span
 	// records, DESIGN.md §11). Untraced frames carry neither the bit
-	// nor the fields.
+	// nor the fields. It is the only flag; a frame with any other bit
+	// set is refused.
 	flagTraced = 1 << 1
-	// compressMin is the payload size below which DEFLATE is skipped:
-	// tiny frames (estimate requests, acks) gain nothing and would pay
-	// the flate setup latency on every RPC. Mid-size sample grids —
-	// a few hundred bytes per shard on small problems — still carry
-	// enough float-run redundancy to be worth it, so the bar is low.
-	compressMin = 256
-	// maxFramePayload bounds a declared payload (and its decompressed
-	// form) so a hostile length field cannot provoke an absurd
-	// allocation. 1 GiB is orders of magnitude above any real grid.
+	// maxFramePayload bounds a declared payload so a hostile length
+	// field cannot provoke an absurd allocation. 1 GiB is orders of
+	// magnitude above any real grid.
 	maxFramePayload = 1 << 30
 )
 
 var frameMagic = [3]byte{'I', 'M', 'B'}
 
-var flateWriters = sync.Pool{New: func() any {
-	// BestSpeed: the wire win is already structural; flate exists to
-	// strip the residual entropy of float runs, and the hot path cannot
-	// afford higher levels
-	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return w
-}}
-
-// appendFrame wraps payload (b[start:]) in place: the caller appends
-// the frame header via beginFrame, then the payload, then calls
-// finishFrame to patch the length and optionally compress.
-func beginFrame(b []byte, kind byte) []byte {
-	b = append(b, frameMagic[0], frameMagic[1], frameMagic[2], frameVersion, kind, 0)
+// beginFrame starts a frame in place: the caller appends the header
+// with it, then the payload, then calls finishFrame to patch the
+// length.
+func beginFrame(b []byte, kind, flags byte) []byte {
+	b = append(b, frameMagic[0], frameMagic[1], frameMagic[2], frameVersion, kind, flags)
 	b = wirebin.AppendU32(b, 0) // length, patched by finishFrame
 	return b
 }
 
 const frameHeaderLen = 10
 
-// finishFrame completes the frame begun at offset start in b: when the
-// payload crosses compressMin it is DEFLATE-compressed in place (the
-// flags bit records it), and the length word is patched either way.
+// finishFrame completes the frame begun at offset start in b by
+// patching its length word.
 func finishFrame(b []byte, start int) []byte {
-	payload := b[start+frameHeaderLen:]
-	if len(payload) >= compressMin {
-		var buf bytes.Buffer
-		buf.Grow(len(payload) / 2)
-		fw := flateWriters.Get().(*flate.Writer)
-		fw.Reset(&buf)
-		_, werr := fw.Write(payload)
-		cerr := fw.Close()
-		flateWriters.Put(fw)
-		if werr == nil && cerr == nil && buf.Len() < len(payload) {
-			b = append(b[:start+frameHeaderLen], buf.Bytes()...)
-			b[start+5] |= flagDeflate
-		}
-	}
 	n := len(b) - start - frameHeaderLen
 	b[start+6] = byte(n)
 	b[start+7] = byte(n >> 8)
@@ -119,9 +92,9 @@ func finishFrame(b []byte, start int) []byte {
 	return b
 }
 
-// openFrame validates a frame's header and returns its decoded (and,
-// when flagged, decompressed) payload plus the flags byte, for decoders
-// whose payload shape depends on a flag (flagTraced).
+// openFrame validates a frame's header and returns its payload plus
+// the flags byte, for decoders whose payload shape depends on a flag
+// (flagTraced).
 func openFrame(data []byte, wantKind byte) ([]byte, byte, error) {
 	if len(data) < frameHeaderLen {
 		return nil, 0, fmt.Errorf("shard: binary frame truncated at %d bytes", len(data))
@@ -136,6 +109,9 @@ func openFrame(data []byte, wantKind byte) ([]byte, byte, error) {
 		return nil, 0, fmt.Errorf("shard: frame kind %d, want %d", data[4], wantKind)
 	}
 	flags := data[5]
+	if flags&^flagTraced != 0 {
+		return nil, 0, &frameFlagsError{Flags: flags}
+	}
 	n := int(uint32(data[6]) | uint32(data[7])<<8 | uint32(data[8])<<16 | uint32(data[9])<<24)
 	if n > maxFramePayload {
 		return nil, 0, fmt.Errorf("shard: frame payload %d exceeds %d-byte bound", n, maxFramePayload)
@@ -143,25 +119,23 @@ func openFrame(data []byte, wantKind byte) ([]byte, byte, error) {
 	if len(data) != frameHeaderLen+n {
 		return nil, 0, fmt.Errorf("shard: frame length %d != header-declared %d", len(data)-frameHeaderLen, n)
 	}
-	payload := data[frameHeaderLen:]
-	if flags&flagDeflate != 0 {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		out, err := io.ReadAll(io.LimitReader(fr, maxFramePayload+1))
-		if err != nil {
-			return nil, 0, fmt.Errorf("shard: inflate frame: %w", err)
-		}
-		if len(out) > maxFramePayload {
-			return nil, 0, fmt.Errorf("shard: inflated payload exceeds %d-byte bound", maxFramePayload)
-		}
-		payload = out
-	}
-	return payload, flags, nil
+	return data[frameHeaderLen:], flags, nil
+}
+
+// frameFlagsError reports a frame whose flags byte sets a bit this
+// version does not define — bit 0 among them, version 1's DEFLATE flag.
+type frameFlagsError struct {
+	Flags byte
+}
+
+func (e *frameFlagsError) Error() string {
+	return fmt.Sprintf("shard: frame flags %#02x set undefined bits (only %#02x is defined)", e.Flags, flagTraced)
 }
 
 // AppendBinary appends the problem upload's binary frame to b.
 func (u ProblemUpload) AppendBinary(b []byte) []byte {
 	start := len(b)
-	b = beginFrame(b, frameProblem)
+	b = beginFrame(b, frameProblem, 0)
 	b = wirebin.AppendUvarint(b, uint64(u.Users))
 	b = wirebin.AppendUvarint(b, uint64(u.Items))
 	b = u.Graph.AppendBinary(b)
@@ -303,8 +277,12 @@ func (req *EstimateRequest) AppendBinary(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: encode estimate request: %w", err)
 	}
+	var flags byte
+	if req.TraceID != 0 {
+		flags = flagTraced
+	}
 	start := len(b)
-	b = beginFrame(b, frameEstimateReq)
+	b = beginFrame(b, frameEstimateReq, flags)
 	b = wirebin.AppendU64(b, key.Hi)
 	b = wirebin.AppendU64(b, key.Lo)
 	b = wirebin.AppendU64(b, req.Seed)
@@ -326,13 +304,7 @@ func (req *EstimateRequest) AppendBinary(b []byte) ([]byte, error) {
 		b = wirebin.AppendU64(b, uint64(req.TraceID))
 		b = wirebin.AppendU64(b, uint64(req.SpanID))
 	}
-	b = finishFrame(b, start)
-	if req.TraceID != 0 {
-		// flagged after finishFrame so the bit is never clobbered by the
-		// flagDeflate patch (compression covers the trace fields too)
-		b[start+5] |= flagTraced
-	}
-	return b, nil
+	return finishFrame(b, start), nil
 }
 
 // DecodeEstimateRequestBinary reads one binary estimate-request frame.
@@ -376,17 +348,17 @@ func DecodeEstimateRequestBinary(data []byte) (EstimateRequest, error) {
 // AppendBinary appends the estimate response's binary frame — the hot
 // path, one frame per computed shard — to b.
 func (resp *EstimateResponse) AppendBinary(b []byte) []byte {
-	start := len(b)
-	b = beginFrame(b, frameEstimateResp)
-	b = diffusion.AppendSampleGrid(b, resp.Samples)
+	var flags byte
 	if len(resp.Spans) > 0 {
+		flags = flagTraced
+	}
+	start := len(b)
+	b = beginFrame(b, frameEstimateResp, flags)
+	b = diffusion.AppendSampleGrid(b, resp.Samples)
+	if flags != 0 {
 		b = appendSpanRecs(b, resp.Spans)
 	}
-	b = finishFrame(b, start)
-	if len(resp.Spans) > 0 {
-		b[start+5] |= flagTraced
-	}
-	return b
+	return finishFrame(b, start)
 }
 
 // appendSpanRecs encodes worker span records. Attr keys are sorted so

@@ -3,10 +3,16 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"imdpp/internal/diffusion"
+	"imdpp/internal/obs"
 	"imdpp/internal/service"
 )
 
@@ -124,35 +130,119 @@ func TestEstimateResponseBinaryRoundTrip(t *testing.T) {
 	requireSameEstimates(t, "binary response", want, have)
 }
 
-// TestFrameCompression forces a payload over the DEFLATE threshold and
-// checks the round trip plus the size win.
-func TestFrameCompression(t *testing.T) {
+// TestFrameFlags pins the uncompressed framing: no frame kind sets
+// flags bit 0 (version 1's DEFLATE flag), a large grid round-trips
+// bit-exactly with its payload stored as is, and a frame with bit 0
+// set is refused with a typed error before any payload decoding.
+func TestFrameFlags(t *testing.T) {
 	grid := make([][]diffusion.SampleResult, 4)
 	for g := range grid {
 		grid[g] = make([]diffusion.SampleResult, 512)
 		for i := range grid[g] {
-			grid[g][i] = diffusion.SampleResult{
-				Sigma: float64(i) * 1.000000001, Adoptions: float64(i % 7),
-				Items: []int32{1, 5, 9}, Counts: []float64{1, 2, 1},
-			}
+			grid[g][i] = diffusion.SampleResult{Sigma: float64(i) * 1.000000001, Adoptions: float64(i % 7)}
 		}
+		grid[g][0].Items, grid[g][0].Counts = []int32{1, 5, 9}, []float64{512, 1024, 512}
 	}
-	resp := EstimateResponse{Samples: grid}
-	frame := resp.AppendBinary(nil)
-	if frame[5]&flagDeflate == 0 {
-		t.Fatalf("large frame (%d bytes) was not compressed", len(frame))
-	}
-	got, err := DecodeEstimateResponseBinary(frame)
+	key := service.Key{Hi: 1, Lo: 2}.String()
+	req := EstimateRequest{Problem: key, Hi: 1, Groups: [][]diffusion.Seed{{{User: 1, Item: 2, T: 1}}}}
+	traced := req
+	traced.TraceID, traced.SpanID = 7, 9
+	reqFrame, err := req.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Samples) != 4 || len(got.Samples[0]) != 512 {
-		t.Fatalf("compressed round trip lost shape: %dx%d", len(got.Samples), len(got.Samples[0]))
+	tracedFrame, err := traced.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := EstimateResponse{Samples: grid}
+	frames := map[string][]byte{
+		"problem":         EncodeProblem(sampleProblem(t, 120, 3)).AppendBinary(nil),
+		"request":         reqFrame,
+		"traced request":  tracedFrame,
+		"response":        resp.AppendBinary(nil),
+		"traced response": (&EstimateResponse{Samples: grid, Spans: []obs.SpanRec{{TraceID: 7, SpanID: 8, Name: "s"}}}).AppendBinary(nil),
+	}
+	for name, frame := range frames {
+		if frame[3] != frameVersion || frame[5]&1 != 0 {
+			t.Fatalf("%s frame: version %d flags %#02x, want version %d with bit 0 clear", name, frame[3], frame[5], frameVersion)
+		}
+	}
+	got, err := DecodeEstimateResponseBinary(frames["response"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := diffusion.AppendSampleGrid(nil, grid); !bytes.Equal(frames["response"][frameHeaderLen:], want) {
+		t.Fatal("response payload is not the plain sample-grid encoding")
 	}
 	for g := range grid {
 		for i := range grid[g] {
 			if math.Float64bits(grid[g][i].Sigma) != math.Float64bits(got.Samples[g][i].Sigma) {
-				t.Fatalf("sample (%d,%d) sigma drifted through compression", g, i)
+				t.Fatalf("sample (%d,%d) sigma drifted through the frame", g, i)
+			}
+		}
+	}
+	for name, frame := range frames {
+		bad := append([]byte(nil), frame...)
+		bad[5] |= 1
+		var fe *frameFlagsError
+		if err := decodeFrame(bad); !errors.As(err, &fe) || fe.Flags != bad[5] {
+			t.Fatalf("%s frame with bit 0 set: %v, want a *frameFlagsError", name, err)
+		}
+	}
+}
+
+// decodeFrame decodes frame with the decoder of its kind byte.
+func decodeFrame(frame []byte) error {
+	var err error
+	switch frame[4] {
+	case frameProblem:
+		_, err = DecodeProblemUploadBinary(frame)
+	case frameEstimateReq:
+		_, err = DecodeEstimateRequestBinary(frame)
+	case frameEstimateResp:
+		_, err = DecodeEstimateResponseBinary(frame)
+	default:
+		err = errors.New("unknown frame kind")
+	}
+	return err
+}
+
+// TestFuzzSeedsOpen keeps the committed fuzz seeds on the current
+// framing: each must pass openFrame's header check and decode, so the
+// fuzzers start inside the payload decoders rather than at the version
+// byte.
+func TestFuzzSeedsOpen(t *testing.T) {
+	kinds := map[string]byte{
+		"FuzzDecodeProblemUploadBinary":    frameProblem,
+		"FuzzDecodeEstimateRequestBinary":  frameEstimateReq,
+		"FuzzDecodeEstimateResponseBinary": frameEstimateResp,
+	}
+	for target, kind := range kinds {
+		files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no committed seeds (%v)", target, err)
+		}
+		for _, f := range files {
+			raw, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			header, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+			lit, ok2 := strings.CutPrefix(lit, "[]byte(")
+			lit, ok3 := strings.CutSuffix(lit, ")")
+			if header != "go test fuzz v1" || !ok || !ok2 || !ok3 {
+				t.Fatalf("%s: not a one-[]byte corpus file", f)
+			}
+			frame, err := strconv.Unquote(lit)
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			if _, _, err := openFrame([]byte(frame), kind); err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			if err := decodeFrame([]byte(frame)); err != nil {
+				t.Fatalf("%s: header opens but payload does not decode: %v", f, err)
 			}
 		}
 	}
@@ -181,14 +271,14 @@ func TestFrameRejectsDrift(t *testing.T) {
 
 func FuzzDecodeProblemUploadBinary(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("IMB\x01\x01\x00\x00\x00\x00\x00"))
+	f.Add([]byte("IMB\x02\x01\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := DecodeProblemUploadBinary(data)
 		if err != nil {
 			return
 		}
 		// a decodable frame must re-encode decodably (not necessarily
-		// byte-identically: DEFLATE and varint widths may differ)
+		// byte-identically: varint widths may differ)
 		if _, err := DecodeProblemUploadBinary(u.AppendBinary(nil)); err != nil {
 			t.Fatalf("re-encode of decoded upload failed: %v", err)
 		}
@@ -227,4 +317,40 @@ func FuzzDecodeEstimateResponseBinary(f *testing.F) {
 			t.Fatalf("re-encode of decoded response failed: %v", err)
 		}
 	})
+}
+
+// BenchmarkEstimateFrame encodes and decodes one realistic estimate
+// response frame per op: the grid of a scheduling-shaped batch (a
+// three-promotion schedule plus 16 candidates in promotion 4, under
+// one market mask with π) over a 16-sample range, on the Amazon
+// sample problem. B/frame is the frame's size on the wire.
+func BenchmarkEstimateFrame(b *testing.B) {
+	p := sampleProblem(b, 500, 4)
+	n, items := p.NumUsers(), p.NumItems()
+	var schedule []diffusion.Seed
+	for t := 1; t <= 3; t++ {
+		for j := 0; j < 3; j++ {
+			u := (37*t + 11*j) % n
+			schedule = append(schedule, diffusion.Seed{User: u, Item: (u * 7) % items, T: t})
+		}
+	}
+	groups := [][]diffusion.Seed{schedule}
+	for c := 0; c < 16; c++ {
+		groups = append(groups, diffusion.WithSeed(schedule, diffusion.Seed{User: (5 + 13*c) % n, Item: (c * 3) % items, T: 4}))
+	}
+	market := make([]bool, n)
+	for u := range market {
+		market[u] = u%4 != 0
+	}
+	const span = 16
+	resp := EstimateResponse{Samples: diffusion.NewEstimator(p, 64, 7).RunBatchSamples(groups, market, nil, true, 32, 32+span)}
+	var frame []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		frame = resp.AppendBinary(frame[:0])
+		if _, err := DecodeEstimateResponseBinary(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(frame)), "B/frame")
 }

@@ -114,9 +114,10 @@ func TestRegisterNegotiatesCaps(t *testing.T) {
 		t.Fatalf("fleet stats after registration: %+v", st.Fleet)
 	}
 
-	// any other frame version is refused, typed — including the zero
-	// caps of a build that predates the version field
-	for _, caps := range []WorkerCaps{{CodecVersion: frameVersion + 1}, {}} {
+	// any other frame version is refused, typed — including version 1
+	// (DEFLATE-compressed frames) and the zero caps of a build that
+	// predates the version field
+	for _, caps := range []WorkerCaps{{CodecVersion: 1}, {CodecVersion: frameVersion + 1}, {}} {
 		err := pool.Register(srv.URL, caps)
 		var se *shardError
 		if !errors.As(err, &se) || se.status != http.StatusConflict || se.code != CodeIncompatibleWorker {

@@ -27,9 +27,10 @@ type Cache struct {
 // NewCache creates a cache holding up to max sketches in memory
 // (max ≤ 0 → 4). dir, when non-empty, enables disk persistence (it is
 // created on first write). keyFn maps a problem to its content
-// address; a nil keyFn disables caching entirely (GetOrBuild just
-// builds), because without a content key two distinct problems could
-// alias.
+// address and runs on every GetOrBuild, so it should memoize (the
+// service passes service.ProblemKey); a nil keyFn disables caching
+// entirely (GetOrBuild just builds), because without a content key two
+// distinct problems could alias.
 func NewCache(max int, dir string, keyFn func(*diffusion.Problem) string) *Cache {
 	if max <= 0 {
 		max = 4
