@@ -120,11 +120,12 @@ docs-check:
 	./scripts/docs_check.sh --self-test
 
 # Inlining guard (DESIGN.md §3): rng.Stream.next, Stream.Float64,
-# Stream.Bernoulli, (*Rand).Uint64 and pin.(*Model).Find inline, every
-# Bernoulli call in the diffusion engine and the RR-sketch sampler
-# inlines Stream.Bernoulli, every Float64 call in the engine inlines
-# Stream.Float64, and every Find call in the engine's state.go inlines
-# Model.Find.
+# Stream.Bernoulli, (*Rand).Uint64, pin.(*Model).Find and the engine's
+# clampPref inline, every Bernoulli call in the diffusion engine and the
+# RR-sketch sampler inlines Stream.Bernoulli, every Float64 call in the
+# engine inlines Stream.Float64, every Find call in the engine's
+# state.go inlines Model.Find, and every clampPref call in the engine
+# inlines clampPref.
 # --self-test proves the gate can fail.
 inline-check:
 	./scripts/inline_check.sh

@@ -205,11 +205,14 @@ func static(p *diffusion.Problem) *diffusion.Problem {
 // engine and the reference simulator, on the instances of every
 // absolute golden (diffusion's σ and π goldens and
 // core.TestSolveGoldenBits) and on the exact-σ check's tiny instance,
-// in the dynamic and the Static regime.
+// in the dynamic and the Static regime, and on the golden instance with
+// base preferences outside [0,1], which clean and dirty users must
+// clamp alike.
 func TestEngineMatchesReference(t *testing.T) {
 	golden := diffusion.GoldenProblem(t)
 	lt := *golden
 	lt.Params.AIS = diffusion.AISLinearThreshold
+	clamped := diffusion.ClampedProblem(t)
 	solve := solveGoldenProblem(t)
 	tiny := tinyProblem(t)
 	cases := []struct {
@@ -219,6 +222,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		{"golden", gateCase{p: golden, groups: goldenGroups, market: goldenMarket(golden.NumUsers()), withPi: true, m: 8000}},
 		{"golden-static", gateCase{p: static(golden), groups: goldenGroups, withPi: true, m: 8000}},
 		{"golden-lt", gateCase{p: &lt, groups: goldenGroups, market: goldenMarket(lt.NumUsers()), withPi: true, m: 4000}},
+		{"clamped", gateCase{p: clamped, groups: goldenGroups, market: goldenMarket(clamped.NumUsers()), withPi: true, m: 4000}},
 		{"solve", gateCase{p: solve, groups: solveGoldenPlans, withPi: true, m: 4000}},
 		{"solve-static", gateCase{p: static(solve), groups: solveGoldenPlans, withPi: true, m: 4000}},
 		{"tiny", gateCase{p: tiny, groups: tinyGroups, withPi: true, m: 20000}},

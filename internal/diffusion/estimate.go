@@ -247,18 +247,26 @@ func (st *State) LikelihoodPi(market []bool) float64 {
 		}
 	}
 	// both accumulators are all zero again when a user's loop ends;
-	// count[v] is now the end of v's arcs and is zeroed on the way
+	// count[v] is now the end of v's arcs and is zeroed on the way. A
+	// clean live user holds its initial state (DESIGN.md §3): it has
+	// adopted nothing, Act would return the arc weight and Pref its
+	// clamped base preference, so its terms take those values directly.
 	oneMinus, sum, touched := st.piOneMinus, st.piSum, st.piTouched
+	lt := p.Params.AIS == AISLinearThreshold
 	total := 0.0
 	start := int32(0)
 	for _, v32 := range live {
 		v := int(v32)
 		end := count[v]
 		count[v] = 0
+		clean := !st.dirty[v]
 		touched = touched[:0]
 		for ai := start; ai < end; ai++ {
 			vp := int(from[ai])
-			pact := st.Act(vp, v, weight[ai])
+			pact := weight[ai]
+			if !clean {
+				pact = st.Act(vp, v, pact)
+			}
 			for _, y := range st.adoptList[vp] {
 				if oneMinus[y] == 0 && sum[y] == 0 {
 					oneMinus[y] = 1
@@ -269,18 +277,18 @@ func (st *State) LikelihoodPi(market []bool) float64 {
 			}
 		}
 		start = end
+		if clean {
+			base := p.BasePref.Row(v)
+			for _, y := range touched {
+				total += ais(lt, oneMinus[y], sum[y]) * clampPref(base[y])
+				oneMinus[y] = 0
+				sum[y] = 0
+			}
+			continue
+		}
 		for _, y := range touched {
 			if !st.Adopted(v, int(y)) {
-				var ais float64
-				if p.Params.AIS == AISLinearThreshold {
-					ais = sum[y]
-					if ais > 1 {
-						ais = 1
-					}
-				} else {
-					ais = 1 - oneMinus[y]
-				}
-				total += ais * st.Pref(v, int(y))
+				total += ais(lt, oneMinus[y], sum[y]) * st.Pref(v, int(y))
 			}
 			oneMinus[y] = 0
 			sum[y] = 0
@@ -289,6 +297,19 @@ func (st *State) LikelihoodPi(market []bool) float64 {
 	st.piTouched = touched[:0]
 	st.piAdopters, st.piLive = adopters[:0], live[:0]
 	return total
+}
+
+// ais is AIS(v,y) of Eq. 13 from a user's per-item accumulators:
+// ΣPact clamped to 1 under the linear-threshold model (lt), else
+// 1 − Π(1−Pact).
+func ais(lt bool, oneMinus, sum float64) float64 {
+	if lt {
+		if sum > 1 {
+			return 1
+		}
+		return sum
+	}
+	return 1 - oneMinus
 }
 
 // drainBits appends the indices of the set bits of mark to dst in

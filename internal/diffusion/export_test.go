@@ -6,6 +6,10 @@ import "testing"
 // test package, where the distribution gate checks the engine on it.
 func GoldenProblem(t testing.TB) *Problem { return goldenProblem(t) }
 
+// ClampedProblem hands clampedProblem, whose base preferences need
+// clamping, to the distribution gate.
+func ClampedProblem(t testing.TB) *Problem { return clampedProblem(t) }
+
 // PooledProblems counts the problems holding an entry in the state-pool
 // registry, for the shard worker's lifetime test.
 func PooledProblems() int {

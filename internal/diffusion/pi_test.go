@@ -71,6 +71,27 @@ func directedProblem(t testing.TB) *Problem {
 	}, []float64{1, 0.5, 2, 1.25}, 4, DefaultParams())
 }
 
+// clampedProblem is goldenProblem's graph and setting with base
+// preferences outside [0,1]: −0, negative values and values above 1,
+// mixed with ordinary ones, so every clamp branch of a preference read
+// is taken on clean and dirty users alike.
+func clampedProblem(t testing.TB) *Problem {
+	t.Helper()
+	g := graph.BarabasiAlbert(60, 3, false, graph.WeightModel{Mean: 0.35, Jitter: 0.4}, rng.New(0x60D))
+	return testProblem(t, g, func(u, x int) float64 {
+		switch k := (u*7 + x*13) % 10; k {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1, 2:
+			return -0.1 * float64(k)
+		case 3, 4:
+			return 1 + 0.2*float64(k)
+		default:
+			return 0.15 + 0.07*float64(k)
+		}
+	}, []float64{1, 0.5, 2, 1.25}, 3, DefaultParams())
+}
+
 // adoptRec is one adoption as the OnAdopt hook reports it.
 type adoptRec struct{ user, item, promo, step int }
 
@@ -128,16 +149,24 @@ func campaignStates(t *testing.T, p *Problem, campaigns int, check func(what str
 
 // TestLikelihoodPiMatchesMarketWalk compares LikelihoodPi with the
 // reference walk over all market users, bit for bit, on states reached
-// by campaigns and by checkpoint restores.
+// by campaigns and by checkpoint restores. The walk reads every term
+// through Act and Pref, so it also checks the values LikelihoodPi takes
+// for clean users without calling them, in the dynamic and the Static
+// regime and on base preferences that need clamping.
 func TestLikelihoodPiMatchesMarketWalk(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		p    *Problem
+		name   string
+		p      *Problem
+		static bool
 	}{
-		{"golden", goldenProblem(t)},
-		{"directed", directedProblem(t)},
+		{"golden", goldenProblem(t), false},
+		{"golden static", goldenProblem(t), true},
+		{"directed", directedProblem(t), false},
+		{"clamped", clampedProblem(t), false},
+		{"clamped static", clampedProblem(t), true},
 	} {
 		p := tc.p
+		p.Params.Static = tc.static
 		r := rng.New(0xAB)
 		masks := [][]bool{nil}
 		for k := 0; k < 2; k++ {

@@ -95,6 +95,11 @@ func (st *State) runPromotion(t int, seeds []Seed, market []bool, res *Result) {
 // propagateFrom lets u′ (who newly adopted x last step) promote x to
 // every friend who has not adopted it.
 //
+// A clean friend (no adoption this sample) holds its initial state
+// (DESIGN.md §3), so it has not adopted x, Act would return the arc
+// weight and Pref its clamped base preference: the loop takes those
+// values directly and calls neither.
+//
 // Every draw is taken from s, a copy of the sample stream held in
 // locals for the whole call and written back once at its end
 // (DESIGN.md §3). That is sound because nothing in between draws from
@@ -109,11 +114,14 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 	var hit bool
 	for ai, to := range arcs.To {
 		u := int(to)
-		if st.Adopted(u, x) {
+		var pact, prefX float64
+		if !st.dirty[u] {
+			pact, prefX = arcs.W[ai], clampPref(p.BasePref.At(u, x))
+		} else if st.Adopted(u, x) {
 			continue
+		} else {
+			pact, prefX = st.Act(uPrime, u, arcs.W[ai]), st.Pref(u, x)
 		}
-		pact := st.Act(uPrime, u, arcs.W[ai])
-		prefX := st.Pref(u, x)
 		// Purchase decision: influence strength × preference [51].
 		if s, hit = s.Bernoulli(pact * prefX); hit {
 			st.adopt(u, x, t, step, TriggerPromotion, market, res)

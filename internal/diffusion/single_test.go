@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -158,6 +159,72 @@ func TestPrefCoversAdoptionsAtLastStepEnd(t *testing.T) {
 		}
 		if grown == 0 {
 			t.Fatalf("static=%v: no user adopted twice within one step", static)
+		}
+	}
+}
+
+// TestCleanUsersHoldInitialState checks the invariant behind the
+// clean-user fast path of propagateFrom and LikelihoodPi (DESIGN.md
+// §3): on every state a campaign, a checkpoint restore or a resumed run
+// reaches, and mid-step after every adoption, in the dynamic and the
+// Static regime, a user that is not dirty has no adoption row and an
+// empty adoption list, no Δpref and InitWeights; so Act returns the arc
+// weight for each of its in-arcs and Pref returns clampPref of its base
+// preference, bit for bit.
+func TestCleanUsersHoldInitialState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+	}{
+		{"golden", goldenProblem(t)},
+		{"clamped", clampedProblem(t)},
+	} {
+		for _, static := range []bool{false, true} {
+			p := tc.p
+			p.Params.Static = static
+			clean, dirty := 0, 0
+			check := func(what string, st *State) {
+				for u := 0; u < p.NumUsers(); u++ {
+					if st.dirty[u] {
+						dirty++
+						continue
+					}
+					clean++
+					fail := func(format string, args ...any) {
+						t.Fatalf("%s static=%v, %s: clean user %d: %s", tc.name, static, what, u, fmt.Sprintf(format, args...))
+					}
+					if st.adopted[u] != nil || len(st.adoptList[u]) != 0 {
+						fail("adoption row %v, list %v", st.adopted[u], st.adoptList[u])
+					}
+					if n := st.prefN[u]; n != 0 {
+						fail("Δpref covers %d adoptions", n)
+					}
+					for j, w := range st.Weights(u) {
+						if math.Float64bits(w) != math.Float64bits(p.PIN.InitWeights[j]) {
+							fail("weighting %d = %v, InitWeights %v", j, w, p.PIN.InitWeights[j])
+						}
+					}
+					arcs := p.G.In(u)
+					for ai, from := range arcs.To {
+						if got := st.Act(int(from), u, arcs.W[ai]); math.Float64bits(got) != math.Float64bits(arcs.W[ai]) {
+							fail("Act from %d = %v, arc weight %v", from, got, arcs.W[ai])
+						}
+					}
+					for y := 0; y < p.NumItems(); y++ {
+						if got, want := st.Pref(u, y), clampPref(p.BasePref.At(u, y)); math.Float64bits(got) != math.Float64bits(want) {
+							fail("Pref(%d) = %v (bits %#016x), clamped base %v (bits %#016x)", y, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+			campaignStates(t, p, 24, func(what string, st *State, _ []adoptRec) {
+				check(what, st)
+			}, func(st *State, log []adoptRec) {
+				check(fmt.Sprintf("after adoption %d", len(log)), st)
+			})
+			if clean == 0 || dirty == 0 {
+				t.Fatalf("%s static=%v: %d clean and %d dirty user checks: the campaigns do not reach both", tc.name, static, clean, dirty)
+			}
 		}
 	}
 }

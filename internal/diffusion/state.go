@@ -316,6 +316,15 @@ func (st *State) Pref(u, y int) float64 {
 	if n := st.prefN[u]; n > 0 {
 		v += st.deltaPref(u, y, int(n))
 	}
+	return clampPref(v)
+}
+
+// clampPref clamps a preference to [0,1]. It is the whole of Pref for a
+// clean user, whose Δpref is 0, so the engine's hot loops read a clean
+// user's preference as clampPref of its base preference (DESIGN.md §3).
+// It keeps two compares rather than max and min, which would turn −0
+// into +0 (max(−0, 0) is +0): −0 and NaN come back with their own bits.
+func clampPref(v float64) float64 {
 	if v < 0 {
 		return 0
 	}
@@ -332,9 +341,6 @@ func (st *State) Pref(u, y int) float64 {
 func (st *State) Act(u, v int, baseW float64) float64 {
 	if st.p.Params.Static || st.p.Params.Gamma == 0 {
 		return baseW
-	}
-	if !st.dirty[u] && !st.dirty[v] {
-		return baseW // nothing adopted on either side: sim would be 0
 	}
 	sim := st.similarity(u, v)
 	if sim == 0 {

@@ -228,7 +228,10 @@ func BenchmarkNewStateDenseBaseline(b *testing.B) {
 // item, for the three kinds of user the engine meets: a clean user
 // (base preference only), a user with one adoption (its Δpref from the
 // cached init relevance) and a user with three adoptions whose
-// weightings have moved (Δpref re-evaluated under them).
+// weightings have moved (Δpref re-evaluated under them). The engine's
+// hot loops (propagateFrom, LikelihoodPi) read a clean user's
+// preference as clampPref of its base preference and do not call Pref,
+// so the clean case here is the cost of Pref to other callers.
 func BenchmarkPref(b *testing.B) {
 	p := benchProblem(b, 2000, 256)
 	items := p.NumItems()

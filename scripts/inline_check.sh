@@ -11,17 +11,22 @@
 # inlines; a one-line edit can silently undo that. Likewise every Pref
 # read of a user with adoptions sums its Δpref on demand, one
 # pin.(*Model).Find binary search per adoption, which must not cost a
-# call either. This gate builds the engine packages with -gcflags=-m
-# and fails unless
+# call either; and the hot loops read a clean user's preference as
+# clampPref of its base preference, which must not cost a call where
+# Pref did. This gate builds the engine packages with -gcflags=-m and
+# fails unless
 #
 #   1. rng.Stream.next, rng.Stream.Float64, rng.Stream.Bernoulli,
-#      rng.(*Rand).Uint64 and pin.(*Model).Find report "can inline"
+#      rng.(*Rand).Uint64, pin.(*Model).Find and diffusion's clampPref
+#      report "can inline"
 #   2. every Bernoulli use in internal/diffusion/simulate.go and
 #      internal/sketch/sketch.go reports "inlining call to
 #      rng.Stream.Bernoulli", every Float64 use in
 #      internal/diffusion/simulate.go "inlining call to
-#      rng.Stream.Float64", and every Find use in
-#      internal/diffusion/state.go "inlining call to pin.(*Model).Find"
+#      rng.Stream.Float64", every Find use in
+#      internal/diffusion/state.go "inlining call to pin.(*Model).Find",
+#      and every clampPref use in internal/diffusion/simulate.go,
+#      estimate.go and state.go "inlining call to clampPref"
 #
 # Usage:
 #   scripts/inline_check.sh              # check the working tree
@@ -29,8 +34,9 @@
 #                                        # the tree, push next, then
 #                                        # Stream.Float64, then
 #                                        # Stream.Bernoulli, then Uint64,
-#                                        # then Model.Find over the inline
-#                                        # budget, then draw the purchase
+#                                        # then Model.Find, then clampPref
+#                                        # over the inline budget, then
+#                                        # draw the purchase
 #                                        # coin through the Rand, then a
 #                                        # skip uniform through a method
 #                                        # value; assert detection each
@@ -59,26 +65,40 @@ check_tree() {
 		echo "inline-check: pin.(*Model).Find no longer inlines (over the compiler's inline budget?)" >&2
 		fail=1
 	fi
+	if ! grep -E '^internal/diffusion/state\.go:' <<<"$out" | cut -d' ' -f2- | grep -qxF "can inline clampPref"; then
+		echo "inline-check: diffusion.clampPref no longer inlines (over the compiler's inline budget?)" >&2
+		fail=1
+	fi
 
 	# 2. every call site inlines its draw or lookup. A site is any use of the
-	# method, a method value included (its call never inlines); comment
-	# lines are skipped, and a line with k uses needs k inlining reports
+	# method after a dot, a method value included (its call never
+	# inlines), or, for a function of the file's own package (its report
+	# name is its bare name), any bare call; comment lines and definitions
+	# are skipped, and a line with k uses needs k inlining reports
 	for site in Bernoulli:internal/diffusion/simulate.go:rng.Stream.Bernoulli \
 		Bernoulli:internal/sketch/sketch.go:rng.Stream.Bernoulli \
 		Float64:internal/diffusion/simulate.go:rng.Stream.Float64 \
-		'Find:internal/diffusion/state.go:pin.(*Model).Find'; do
+		'Find:internal/diffusion/state.go:pin.(*Model).Find' \
+		clampPref:internal/diffusion/simulate.go:clampPref \
+		clampPref:internal/diffusion/estimate.go:clampPref \
+		clampPref:internal/diffusion/state.go:clampPref; do
 		fn=${site%%:*}
 		file=${site#*:}
 		qual=${file#*:}
 		file=${file%%:*}
-		sites=$(grep -nE "\\.$fn\\b" "$root/$file" | grep -vE '^[0-9]+:[[:space:]]*//' | cut -d: -f1)
+		if [ "$fn" = "$qual" ]; then
+			use="(^|[^[:alnum:]_.])$fn\\("
+		else
+			use="\\.$fn\\b"
+		fi
+		sites=$(grep -nE "$use" "$root/$file" | grep -vE '^[0-9]+:([[:space:]]*//|func )' | cut -d: -f1)
 		if [ -z "$sites" ]; then
 			echo "inline-check: $file: no $fn call sites found; the check would be vacuous" >&2
 			fail=1
 			continue
 		fi
 		for line in $sites; do
-			calls=$(sed -n "${line}p" "$root/$file" | grep -oE "\\.$fn\\b" | wc -l)
+			calls=$(sed -n "${line}p" "$root/$file" | grep -oE "$use" | wc -l)
 			inlined=$(grep -E "^$file:$line:[0-9]+: " <<<"$out" | cut -d' ' -f2- | grep -cxF "inlining call to $qual")
 			if [ "$inlined" -lt "$calls" ]; then
 				echo "inline-check: $file:$line: $fn call not inlined ($inlined of $calls)" >&2
@@ -153,6 +173,27 @@ self_test() {
 		return 1
 	fi
 
+	# clampPref over the budget: cost-only statements must fail both the
+	# definition and a call site in each file that reads through it
+	copy
+	sed -i '/^func clampPref(/a\
+	v += v * v * v * v\
+	v -= v * v * v * v\
+	v += v * v * v * v\
+	v -= v * v * v * v\
+	v += v * v * v * v\
+	v -= v * v * v * v\
+	v += v * v * v * v\
+	v -= v * v * v * v' "$tmp/tree/internal/diffusion/state.go"
+	out=$(check_tree "$tmp/tree" 2>&1)
+	for fn in simulate estimate state; do
+		if ! grep -qF "diffusion.clampPref no longer inlines" <<<"$out" ||
+			! grep -qE "internal/diffusion/$fn\.go:[0-9]+: clampPref call not inlined" <<<"$out"; then
+			echo "inline-check self-test: FAIL — pushing clampPref over the inline budget went undetected ($fn.go)" >&2
+			return 1
+		fi
+	done
+
 	# a coin drawn through the Rand again (a call: (*Rand).Bernoulli is
 	# over the budget) must fail the call-site check
 	copy
@@ -173,7 +214,7 @@ self_test() {
 		return 1
 	fi
 
-	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli, Uint64 and Model.Find over budget, a Rand-drawn coin and a method-value uniform detected)"
+	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli, Uint64, Model.Find and clampPref over budget, a Rand-drawn coin and a method-value uniform detected)"
 	return 0
 }
 
