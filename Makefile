@@ -36,8 +36,10 @@ race:
 # it borrows pooled states instead of building one); then one coin
 # (ns/coin) drawn through a Rand and from a Stream held in locals, one clean
 # association row (ns/row, draws/row) subset-sampled and coin by coin,
-# and one Ppref read for a clean, a one-adoption and a moved-weights
-# user (Δpref summed on demand); last, one shard estimate-response
+# one promotion event over an 8-friend clean out-list (ns/event,
+# draws/event) subset-sampled and coin by coin, and one Ppref read for
+# a clean, a one-adoption and a moved-weights user (Δpref summed on
+# demand); last, one shard estimate-response
 # frame encoded and decoded (B/frame is its size on the wire).
 bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x -cpu 1,2 .
@@ -45,6 +47,7 @@ bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkSigmaFreshEstimator$$' -benchmem ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkCoinRow$$' -benchmem ./internal/rng
 	$(GO) test -run '^$$' -bench '^BenchmarkAssocRow$$' ./internal/diffusion
+	$(GO) test -run '^$$' -bench '^BenchmarkCleanArcs$$' ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkPref$$' ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkEstimateFrame$$' -benchmem ./internal/shard
 

@@ -3,8 +3,11 @@ package diffusion
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"imdpp/internal/graph"
+	"imdpp/internal/kg"
 	"imdpp/internal/pin"
 	"imdpp/internal/rng"
 )
@@ -186,6 +189,289 @@ func TestAssocNextDrawAccounting(t *testing.T) {
 	}
 }
 
+// starProblem is a star over one promotion: user 0 promotes item 0 to
+// users 1..len(w), over arc weights w and base preferences pref for
+// item 0. Item 0's association row holds items 1..len(rcs) with init
+// rC = rcs[j] (one complementary meta-graph at initial weight 1, so rC
+// is its S); item len(rcs)+1, the last, is related to nothing, so a
+// friend dirtied by adopting it keeps Pact = W and Ppref = clampPref(P0)
+// for item 0, the probabilities of a clean friend.
+func starProblem(t testing.TB, w, pref, rcs []float64, chi float64) *Problem {
+	t.Helper()
+	items := len(rcs) + 2
+	kb := kg.NewBuilder()
+	tItem := kb.NodeTypeID("ITEM")
+	for range items {
+		kb.AddNode(tItem)
+	}
+	rows := make([][]pin.PairRel, items)
+	for j, rc := range rcs {
+		rows[0] = append(rows[0], pin.PairRel{Y: int32(j + 1), Contribs: []pin.Contrib{{Meta: 0, S: rc}}})
+	}
+	kgraph := kb.Build()
+	model, err := pin.ModelFromRows(kgraph, 1, []float64{1}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(w) + 1
+	gb := graph.NewBuilder(n, true)
+	for i, wi := range w {
+		gb.AddEdge(0, i+1, wi)
+	}
+	basePref, cost := NewMatrix(n, items), NewMatrix(n, items)
+	for i, v := range pref {
+		basePref.Row(i + 1)[0] = v
+	}
+	imp := make([]float64, items)
+	for x := range imp {
+		imp[x] = 1
+		for u := 0; u < n; u++ {
+			cost.Row(u)[x] = 1
+		}
+	}
+	params := DefaultParams()
+	params.Chi = chi
+	p := &Problem{
+		G: gb.Build(), KG: kgraph, PIN: model,
+		Importance: imp, BasePref: basePref, Cost: cost,
+		Budget: 1e9, T: 1, Params: params,
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// starEvent runs one promotion event of the star: user 0 has adopted
+// item 0, each user in dirty has adopted the unrelated last item, and
+// user 0 promotes item 0 to every friend from sample stream i.
+func starEvent(st *State, master *rng.Rand, i int, dirty []int, res *Result) {
+	st.resetSplit(master, i)
+	st.ForceAdopt(0, 0)
+	for _, u := range dirty {
+		st.ForceAdopt(u, st.items-1)
+	}
+	st.propagateFrom(adoptEvent{user: 0, item: 0}, 1, 1, nil, res)
+}
+
+// Star weights and preferences: W·clampPref(P0) spans 0 (preferences
+// 0, −0 and negative), NaN, products from 0.02 to 0.72 and preferences
+// above 1, and the largest product, p̄, is 0.75 (W = 0.75, P0 = 1.4).
+var (
+	starW    = []float64{0.9, 0.3, 1, 0.6, 0.75, 0.5, 0.2, 1, 0.45, 0.8, 0.35, 0.95, 0.6, 0.4, 1, 0.7, 0.25, 0.85, 0.55, 0.65}
+	starPref = []float64{0.8, 0.5, 0, math.Copysign(0, -1), -0.3, 1.4, 0.6, 0.25, math.NaN(), 0.9, 0.7, 0.1, 1, 0.05, 0.3, 0.65, 0.95, 0.4, 2, 0.5}
+	starRCs  = []float64{0.6, 0, 0.3, 0.9}
+)
+
+// TestCleanTargetsDistribution checks propagateFrom's two subset
+// samplers over a 20-friend star, 200 000 events a case, with five
+// friends dirtied in between (users 2, 7, 12, 16 and 19, which take
+// Act and Pref and their own coins). Friend u must buy item 0 with
+// frequency p_u = W·clampPref(P0) (0 for a NaN or non-positive
+// product) and take row entry j by association with frequency
+// χ·p_u·rC_j, capped at 1; and every pair of those events must occur
+// jointly with the product of their frequencies, all within 5 binomial
+// standard errors (pairs expected fewer than 25 times are skipped).
+// The cases are q = p̄ = 0.75 with qa = χ·p̄·max rC = 0.3375, and q = qa
+// = 1 (a friend with W = 1 and P0 = 1.2, and χ = 1.5), where every
+// clean friend and pair is landed on and one association is certain.
+func TestCleanTargetsDistribution(t *testing.T) {
+	const events = 200000
+	dirty := []int{2, 7, 12, 16, 19}
+	certain := slices.Clone(starPref)
+	certain[2] = 1.2
+	cases := []struct {
+		name string
+		pref []float64
+		chi  float64
+	}{
+		{"q-below-one", starPref, 0.5},
+		{"q-one", certain, 1.5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := starProblem(t, starW, c.pref, starRCs, c.chi)
+			friends, r := len(starW), len(starRCs)
+			// event e of friend u: e = (u−1)·(1+r) for the purchase,
+			// plus 1+j for row entry j
+			ne := friends * (1 + r)
+			want := make([]float64, ne)
+			for i := range friends {
+				pa := starW[i] * clampPref(c.pref[i])
+				if !(pa > 0) {
+					pa = 0
+				}
+				want[i*(1+r)] = min(pa, 1)
+				for j, rc := range starRCs {
+					want[i*(1+r)+1+j] = min(c.chi*pa*rc, 1)
+				}
+			}
+			single := make([]float64, ne)
+			pair := make([]float64, ne*ne)
+			st := NewState(p)
+			master := rng.New(0x57A2)
+			var res Result
+			res.PerItem = make([]float64, p.NumItems())
+			var hits []int
+			for i := 0; i < events; i++ {
+				starEvent(st, master, i, dirty, &res)
+				hits = hits[:0]
+				for u := 1; u <= friends; u++ {
+					for k := 0; k <= r; k++ {
+						if st.Adopted(u, k) {
+							hits = append(hits, (u-1)*(1+r)+k)
+						}
+					}
+				}
+				for a, e := range hits {
+					single[e]++
+					for _, f := range hits[a+1:] {
+						pair[e*ne+f]++
+					}
+				}
+			}
+			check := func(what string, got, want float64) {
+				t.Helper()
+				if want == 0 || want == 1 {
+					if got != want {
+						t.Errorf("%s: frequency %v, want exactly %v", what, got, want)
+					}
+					return
+				}
+				if want*events < 25 {
+					return
+				}
+				if se := math.Sqrt(want * (1 - want) / events); math.Abs(got-want) > 5*se {
+					t.Errorf("%s: frequency %.6f, want %.6f (%.1f standard errors)", what, got, want, math.Abs(got-want)/se)
+				}
+			}
+			name := func(e int) string {
+				if k := e % (1 + r); k > 0 {
+					return fmt.Sprintf("friend %d entry %d", e/(1+r)+1, k-1)
+				}
+				return fmt.Sprintf("friend %d purchase", e/(1+r)+1)
+			}
+			for e := range ne {
+				check(name(e), single[e]/events, want[e])
+				for f := e + 1; f < ne; f++ {
+					check(name(e)+" with "+name(f), pair[e*ne+f]/events, want[e]*want[f])
+				}
+			}
+		})
+	}
+}
+
+// TestCleanTargetsDrawAccounting pins the draws of an event over clean
+// friends: none when p̄ = 0 (every preference 0, −0, negative or NaN),
+// and exactly two uniforms, with no adoption, when the first is at or
+// above n·q and the second at or above n·r·qa for the n friends and r
+// row entries, the exits that take no logarithm.
+func TestCleanTargetsDrawAccounting(t *testing.T) {
+	none := []float64{0, math.Copysign(0, -1), -0.5, math.NaN(), 0}
+	p := starProblem(t, []float64{0.9, 0.3, 1, 0.6, 0.75}, none, starRCs, 0.5)
+	st := NewState(p)
+	if b := st.bound[0]; b != 0 || math.Signbit(b) {
+		t.Fatalf("p̄ = %v, want +0", b)
+	}
+	master := rng.New(5)
+	var res Result
+	res.PerItem = make([]float64, p.NumItems())
+	for i := 0; i < 64; i++ {
+		st.resetSplit(master, i)
+		s0 := st.rngv.Stream()
+		starEvent(st, master, i, nil, &res)
+		if d := draws(s0, st.rngv.Stream()); d != 0 {
+			t.Fatalf("stream %d: an event with p̄ = 0 took %d draws, want 0", i, d)
+		}
+	}
+	pref := make([]float64, len(starPref))
+	for i, v := range starPref {
+		pref[i] = v / 500
+	}
+	p = starProblem(t, starW, pref, starRCs, 0.5)
+	st = NewState(p)
+	n, r := len(starW), len(starRCs)
+	q := min(st.bound[0], 1)
+	qa := min(p.Params.Chi*st.bound[0]*p.PIN.InitMaxRC(0), 1)
+	exits := 0
+	for i := 0; i < 64; i++ {
+		st.resetSplit(master, i)
+		s0 := st.rngv.Stream()
+		s, v1 := s0.Float64()
+		_, v2 := s.Float64()
+		if v1 < float64(n)*q || v2 < float64(n*r)*qa {
+			continue
+		}
+		exits++
+		starEvent(st, master, i, nil, &res)
+		if d := draws(s0, st.rngv.Stream()); d != 2 {
+			t.Fatalf("stream %d: v = %v ≥ n·q and %v ≥ n·r·qa, but the event took %d draws, want 2", i, v1, v2, d)
+		}
+		for u := 1; u <= n; u++ {
+			if len(st.AdoptedList(u)) != 0 {
+				t.Fatalf("stream %d: both samplers exited, but friend %d adopted %v", i, u, st.AdoptedList(u))
+			}
+		}
+	}
+	if exits < 32 {
+		t.Fatalf("only %d of 64 streams exit both samplers at once: the check is nearly vacuous", exits)
+	}
+}
+
+// TestBoundSkipsNaN pins the clean-target bound on a problem whose base
+// preferences include NaN, −0, negative values and values above 1:
+// each cell must be the largest W·clampPref(P0) over the user's
+// out-arcs among the products that are not NaN, and +0 when none is
+// positive. Go's max would return NaN on a NaN product and so make
+// every landing of that source a rejected NaN coin. The table must
+// also be built once per problem: two states share it.
+func TestBoundSkipsNaN(t *testing.T) {
+	g := graph.BarabasiAlbert(60, 3, false, graph.WeightModel{Mean: 0.35, Jitter: 0.4}, rng.New(0x60D))
+	p := testProblem(t, g, func(u, x int) float64 {
+		switch k := (u*7 + x*13) % 11; k {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Copysign(0, -1)
+		case 2, 3:
+			return -0.1 * float64(k)
+		case 4, 5:
+			return 1 + 0.2*float64(k)
+		default:
+			return 0.1 + 0.08*float64(k)
+		}
+	}, nil, 2, DefaultParams())
+	st := NewState(p)
+	if other := NewState(p); &other.bound[0] != &st.bound[0] {
+		t.Fatal("two states of one problem hold separate bound tables")
+	}
+	items := p.NumItems()
+	poisoned := 0
+	for u := 0; u < p.NumUsers(); u++ {
+		arcs := p.G.Out(u)
+		for x := 0; x < items; x++ {
+			want, nan := 0.0, false
+			for ai, to := range arcs.To {
+				pa := arcs.W[ai] * clampPref(p.BasePref.At(int(to), x))
+				if math.IsNaN(pa) {
+					nan = true
+					continue
+				}
+				want = max(want, pa)
+			}
+			if nan && want > 0 {
+				poisoned++
+			}
+			if got := st.bound[u*items+x]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("p̄(%d, %d) = %v, want %v", u, x, got, want)
+			}
+		}
+	}
+	if poisoned == 0 {
+		t.Fatal("no cell has a NaN product beside a positive one: the check is vacuous")
+	}
+}
+
 // assocBenchRow is a clean association row shaped like the dysimbench
 // problem's (Amazon-shaped, scale 0.5): 20 entries with rC > 0 at a
 // total pick probability of about 0.018, one hit in about 1 100
@@ -256,6 +542,87 @@ func BenchmarkAssocRow(b *testing.B) {
 				s0 = s
 			}
 			b.ReportMetric(float64(total)/sample, "draws/row")
+		})
+	}
+}
+
+// cleanArcsBench is an 8-friend clean out-list at the dysimbench
+// problem's rates (Amazon-shaped, scale 0.5): W·Ppref averages about
+// 0.010 and peaks at p̄ = 0.028, and item 0's association row has 20
+// entries of nearly equal rC (0.30 to 0.36) at χ = 0.5. Per friend
+// that is 0.010 expected purchases and 0.034 expected association
+// picks, against 0.028 purchase and 0.10 association landings.
+func cleanArcsBench(b *testing.B) *Problem {
+	src := rng.New(2024)
+	rcs := make([]float64, 20)
+	for j := range rcs {
+		rcs[j] = 0.30 + 0.06*src.Float64()
+	}
+	w := []float64{0.05, 0.12, 0.08, 0.2, 0.03, 0.1, 0.15, 0.07}
+	pref := []float64{0.2, 0.05, 0.1, 0.14, 0.3, 0.06, 0.04, 0.12}
+	return starProblem(b, w, pref, rcs, 0.5)
+}
+
+// BenchmarkCleanArcs times one promotion event over an 8-friend clean
+// out-list (ns/event) and counts its draws (draws/event): through
+// propagateFrom's two subset samplers, and with a purchase coin and an
+// association row per friend, as the loop drew them before the
+// samplers. Both include their adoptions and the rewind that cleans
+// them before the next event.
+func BenchmarkCleanArcs(b *testing.B) {
+	p := cleanArcsBench(b)
+	st := NewState(p)
+	st.Reset(rng.New(1))
+	var res Result
+	res.PerItem = make([]float64, p.NumItems())
+	subset := func(s rng.Stream) rng.Stream {
+		st.rngv.SetStream(s)
+		st.rewindTo(0)
+		st.propagateFrom(adoptEvent{user: 0, item: 0}, 1, 1, nil, &res)
+		return st.rngv.Stream()
+	}
+	arcs := p.G.Out(0)
+	row, init, maxRC := p.PIN.Row(0), p.PIN.InitRow(0), p.PIN.InitMaxRC(0)
+	coins := func(s rng.Stream) rng.Stream {
+		st.rewindTo(0)
+		var hit bool
+		for ai, to := range arcs.To {
+			u := int(to)
+			pa := arcs.W[ai] * clampPref(p.BasePref.At(u, 0))
+			if s, hit = s.Bernoulli(pa); hit {
+				st.adopt(u, 0, 1, 1, TriggerPromotion, nil, &res)
+			}
+			arow := st.adopted[u]
+			for j := 0; ; j++ {
+				if s, j = assocNext(s, row, init, arow, j, p.Params.Chi*pa, maxRC); j == len(row) {
+					break
+				}
+				st.adopt(u, int(row[j].Y), 1, 1, TriggerAssociation, nil, &res)
+			}
+		}
+		return s
+	}
+	for _, bc := range []struct {
+		name  string
+		event func(rng.Stream) rng.Stream
+	}{{"Coins", coins}, {"Subset", subset}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := rng.New(1).Stream()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s = bc.event(s)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+			const sample = 100000
+			total := 0
+			for i := 0; i < sample; i++ {
+				next := bc.event(s)
+				total += draws(s, next)
+				s = next
+			}
+			b.ReportMetric(float64(total)/sample, "draws/event")
 		})
 	}
 }

@@ -166,8 +166,9 @@ func goldenMarket(n int) []bool {
 }
 
 // solveGoldenPlans are seed groups on core.TestSolveGoldenBits'
-// instance: the plans the solve picks before and after the subset
-// sampler, and one group seeding two items over three promotions.
+// instance: the plans the solve picks before the association rows'
+// subset sampler, with it, and with the clean friends' samplers too,
+// and one group seeding two items over three promotions.
 var solveGoldenPlans = [][]diffusion.Seed{
 	{
 		{User: 40, Item: 14, T: 1}, {User: 41, Item: 14, T: 1}, {User: 35, Item: 14, T: 1},
@@ -182,6 +183,13 @@ var solveGoldenPlans = [][]diffusion.Seed{
 		{User: 6, Item: 14, T: 2}, {User: 74, Item: 0, T: 2}, {User: 35, Item: 14, T: 3},
 		{User: 39, Item: 14, T: 3}, {User: 23, Item: 14, T: 3}, {User: 55, Item: 14, T: 3},
 		{User: 79, Item: 14, T: 3}, {User: 34, Item: 4, T: 4},
+	},
+	{
+		{User: 23, Item: 14, T: 1}, {User: 5, Item: 0, T: 1}, {User: 32, Item: 14, T: 1},
+		{User: 40, Item: 14, T: 1}, {User: 41, Item: 14, T: 1}, {User: 75, Item: 14, T: 2},
+		{User: 57, Item: 14, T: 2}, {User: 85, Item: 0, T: 3}, {User: 39, Item: 14, T: 3},
+		{User: 35, Item: 14, T: 3}, {User: 80, Item: 14, T: 3}, {User: 87, Item: 14, T: 3},
+		{User: 71, Item: 14, T: 4}, {User: 70, Item: 14, T: 5},
 	},
 	{{User: 1, Item: 3, T: 1}, {User: 2, Item: 7, T: 1}, {User: 5, Item: 3, T: 2}, {User: 9, Item: 11, T: 3}},
 }

@@ -40,19 +40,19 @@ func TestRunBatchSigmaGolden(t *testing.T) {
 	}
 	ests := e.RunBatch(groups, nil)
 
-	// Re-captured once when association rows under initial relevance
-	// became subset-sampled (DESIGN.md §3), with
-	// TestEngineMatchesReference passing on this problem; every later
-	// change must keep them bit-identical.
+	// Re-captured when association rows under initial relevance became
+	// subset-sampled, and again when clean friends did (DESIGN.md §3),
+	// each time with TestEngineMatchesReference passing on this
+	// problem; every later change must keep them bit-identical.
 	wantSigma := []uint64{
-		0x403322aaaaaaaaaa, // 19.135416666666664
-		0x4041b00000000000, // 35.375
-		0x4042b60000000000, // 37.421875
+		0x4032755555555555, // 18.458333333333332
+		0x4044380000000000, // 40.4375
+		0x4041baaaaaaaaaaa, // 35.45833333333333
 	}
 	wantAdopt := []uint64{
-		0x4038200000000000, // 24.125
-		0x403ea55555555555, // 30.645833333333332
-		0x4043400000000000, // 38.5
+		0x4036a55555555555, // 22.645833333333332
+		0x4040fd5555555555, // 33.979166666666664
+		0x40425d5555555555, // 36.729166666666664
 	}
 	// The bit patterns were captured on amd64. On architectures where
 	// the compiler may fuse x*y+z into FMA (arm64, ppc64, ...) the
@@ -100,17 +100,18 @@ func TestRunBatchSigmaGoldenStatic(t *testing.T) {
 		{{User: 1, Item: 2, T: 1}, {User: 5, Item: 1, T: 2}, {User: 9, Item: 3, T: 3}},
 		{{User: 3, Item: 3, T: 2}, {User: 3, Item: 0, T: 1}},
 	}
-	// Re-captured with TestRunBatchSigmaGolden (subset-sampled rows;
-	// the gate passes on this problem under Static).
+	// Re-captured with TestRunBatchSigmaGolden (subset-sampled rows,
+	// then clean friends; the gate passes on this problem under
+	// Static).
 	wantSigma := []uint64{
-		0x4030280000000000, // 16.15625
-		0x404198aaaaaaaaaa, // 35.19270833333333
-		0x403ed95555555555, // 30.848958333333332
+		0x4030155555555555, // 16.083333333333332
+		0x404316aaaaaaaaaa, // 38.17708333333333
+		0x403f415555555555, // 31.255208333333332
 	}
 	wantAdopt := []uint64{
-		0x4033600000000000, // 19.375
-		0x403efaaaaaaaaaaa, // 30.979166666666664
-		0x403eb55555555555, // 30.708333333333332
+		0x4033700000000000, // 19.4375
+		0x40404d5555555555, // 32.604166666666664
+		0x403f6aaaaaaaaaaa, // 31.416666666666664
 	}
 	for gi, est := range e.RunBatch(groups, nil) {
 		if math.Float64bits(est.Sigma) != wantSigma[gi] {
@@ -138,27 +139,28 @@ func TestRunBatchPiGolden(t *testing.T) {
 		{{User: 1, Item: 2, T: 1}, {User: 5, Item: 1, T: 2}, {User: 9, Item: 3, T: 3}},
 		{{User: 3, Item: 3, T: 2}, {User: 3, Item: 0, T: 1}},
 	}
-	// Re-captured with TestRunBatchSigmaGolden (subset-sampled rows;
-	// the gate passes on this problem and mask under both AIS forms);
-	// the market σ does not depend on the AIS form.
+	// Re-captured with TestRunBatchSigmaGolden (subset-sampled rows,
+	// then clean friends; the gate passes on this problem and mask
+	// under both AIS forms); the market σ does not depend on the AIS
+	// form.
 	wantMarket := []uint64{
-		0x402a600000000000, // 13.1875
-		0x403776aaaaaaaaaa, // 23.463541666666664
-		0x40394aaaaaaaaaaa, // 25.291666666666664
+		0x4029655555555555, // 12.697916666666666
+		0x403b26aaaaaaaaaa, // 27.151041666666664
+		0x4038caaaaaaaaaaa, // 24.791666666666664
 	}
 	for _, tc := range []struct {
 		ais    AISModel
 		wantPi []uint64
 	}{
 		{AISIndependentCascade, []uint64{
-			0x401cca337e5f6a0e, // 7.197462057660699
-			0x402651c102abc214, // 11.159675677744453
-			0x40282f594396f160, // 12.092477905440944
+			0x401af96a4418fe49, // 6.743569435143919
+			0x40265fc7ccfe18c0, // 11.187071233766233
+			0x4027ef33a7313dc2, // 11.967190956841367
 		}},
 		{AISLinearThreshold, []uint64{
-			0x40208d445d99f64e, // 8.275912213367658
-			0x40290b6595ef1795, // 12.522259412227678
-			0x402bae8a1c771600, // 13.840897454773767
+			0x401ec6a52b6eb410, // 7.693989447242544
+			0x402933974d73e161, // 12.600763721843295
+			0x402b3ae8e1b2dc10, // 13.615057995875787
 		}},
 	} {
 		p := goldenProblem(t)

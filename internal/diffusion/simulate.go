@@ -96,9 +96,18 @@ func (st *State) runPromotion(t int, seeds []Seed, market []bool, res *Result) {
 // every friend who has not adopted it.
 //
 // A clean friend (no adoption this sample) holds its initial state
-// (DESIGN.md §3), so it has not adopted x, Act would return the arc
-// weight and Pref its clamped base preference: the loop takes those
-// values directly and calls neither.
+// (DESIGN.md §3): it has not adopted x, its Pact is the arc weight and
+// its preference is the clamped base preference, so its purchase and
+// association probabilities are p_a = W_a·clampPref(P0(u_a, x)) and
+// χ·p_a·rC_j under the cached init relevance. Clean friends are not
+// visited coin by coin: two subset samplers run over the out-list in
+// arc order, one landing on each clean friend with q = min(p̄, 1) for
+// the purchase and one on each (clean friend, row entry) pair with
+// qa = min(χ·p̄·maxRC, 1) for the associations, where p̄ = st.bound's
+// largest p_a over u′'s out-arcs. A landing is accepted with p_a/q or
+// χ·p_a·rC_j/qa, and a clean friend no sampler lands on costs two
+// counter decrements (DESIGN.md §3, "Subset-sampled clean targets").
+// A dirty friend takes Act and Pref and its own coins, as before.
 //
 // Every draw is taken from s, a copy of the sample stream held in
 // locals for the whole call and written back once at its end
@@ -110,18 +119,73 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 	uPrime := int(ev.user)
 	x := int(ev.item)
 	arcs := p.G.Out(uPrime)
+	chi := p.Params.Chi
+	row := p.PIN.Row(x)
+	init := p.PIN.InitRow(x)
+	n, r := len(arcs.To), len(row)
 	s := st.rngv.Stream()
 	var hit bool
+	// pk counts the clean friends before the next purchase landing, ak
+	// the clean (friend, entry) pairs before the next association
+	// landing, from the friend being visited; n and n·r mean none
+	pk, ak := n, n*r
+	pbar := st.bound[uPrime*st.items+x]
+	q := min(pbar, 1)
+	var v float64
+	if q > 0 {
+		s, v = s.Float64()
+		pk = skip(v, q, n)
+	}
+	qa := min(chi*pbar*p.PIN.InitMaxRC(x), 1)
+	if qa > 0 {
+		s, v = s.Float64()
+		ak = skip(v, qa, n*r)
+	}
 	for ai, to := range arcs.To {
 		u := int(to)
-		var pact, prefX float64
 		if !st.dirty[u] {
-			pact, prefX = arcs.W[ai], clampPref(p.BasePref.At(u, x))
-		} else if st.Adopted(u, x) {
+			if pk > 0 && ak >= r {
+				pk--
+				ak -= r
+				continue
+			}
+			pa := arcs.W[ai] * clampPref(p.BasePref.At(u, x))
+			left := n - ai - 1
+			if pk == 0 {
+				// Purchase decision: influence strength × preference [51].
+				if s, hit = s.Bernoulli(pa / q); hit {
+					st.adopt(u, x, t, step, TriggerPromotion, market, res)
+				}
+				if left > 0 {
+					s, v = s.Float64()
+					pk = skip(v, q, left)
+				}
+			} else {
+				pk--
+			}
+			// Item associations (Sec. V-A(4)), regardless of the
+			// purchase decision on x itself (footnote 9). u's adoption
+			// row is nil unless this visit adopted.
+			for ak < r {
+				j := ak
+				if !adoptedIn(st.adopted[u], row[j].Y) {
+					if s, hit = s.Bernoulli(chi * pa * init[j].RC / qa); hit {
+						st.adopt(u, int(row[j].Y), t, step, TriggerAssociation, market, res)
+					}
+				}
+				// the pairs from this friend's first to the out-list's end
+				if ak = r + left*r; ak > j+1 {
+					s, v = s.Float64()
+					ak = j + 1 + skip(v, qa, ak-j-1)
+				}
+			}
+			ak -= r
 			continue
-		} else {
-			pact, prefX = st.Act(uPrime, u, arcs.W[ai]), st.Pref(u, x)
 		}
+		if st.Adopted(u, x) {
+			continue
+		}
+		pact, prefX := st.Act(uPrime, u, arcs.W[ai]), st.Pref(u, x)
 		// Purchase decision: influence strength × preference [51].
 		if s, hit = s.Bernoulli(pact * prefX); hit {
 			st.adopt(u, x, t, step, TriggerPromotion, market, res)
@@ -129,24 +193,21 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 		// Item associations (Sec. V-A(4)): being promoted x may trigger
 		// extra adoptions of relevant items regardless of the purchase
 		// decision on x itself (footnote 9).
-		base := p.Params.Chi * pact * prefX
-		if !(p.Params.Chi > 0 && base > 0) {
+		base := chi * pact * prefX
+		if !(chi > 0 && base > 0) {
 			continue
 		}
 		// Both branches below adopt each row entry y not yet adopted
 		// by u independently with probability base·rC(u,x,y). u's
-		// adoption row is nil for a clean user (no adoption this
-		// sample); a non-nil one is not reallocated within a sample, so
-		// it is read once and still sees adoptions made by this loop.
-		row := p.PIN.Row(x)
+		// adoption row is not reallocated within a sample, so it is
+		// read once and still sees adoptions made by this loop.
 		arow := st.adopted[u]
-		if !st.dirty[u] || p.Params.Static || len(st.adoptList[u]) == 1 {
-			// u's weights are InitWeights: a clean user has none of its
-			// own, Static freezes them, and one adoption cannot move
-			// them (DESIGN.md §3). Weights move only in endOfStep, so
-			// this loop's own adoptions cannot invalidate the cached
-			// init relevance, and assocNext samples the row against it.
-			init := p.PIN.InitRow(x)
+		if p.Params.Static || len(st.adoptList[u]) == 1 {
+			// u's weights are InitWeights: Static freezes them, and one
+			// adoption cannot move them (DESIGN.md §3). Weights move
+			// only in endOfStep, so this loop's own adoptions cannot
+			// invalidate the cached init relevance, and assocNext
+			// samples the row against it.
 			maxRC := p.PIN.InitMaxRC(x)
 			for j := 0; ; j++ {
 				if s, j = assocNext(s, row, init, arow, j, base, maxRC); j == len(row) {
@@ -170,6 +231,32 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 		}
 	}
 	st.rngv.SetStream(s)
+}
+
+// skip returns where a subset sampler lands next: of the next left
+// trials, each landed on independently with probability q (0 < q ≤
+// 1), how many come before the first landing, or left when none lands,
+// given a fresh uniform v. v ≥ left·q means no landing, since
+// 1−(1−q)^left ≤ left·q, and takes no logarithm; otherwise skipLog
+// finds the landing. assocNext and propagateFrom's clean-target
+// samplers all skip through it (DESIGN.md §3); it inlines where
+// skipLog does not.
+func skip(v, q float64, left int) int {
+	if v >= float64(left)*q {
+		return left
+	}
+	return skipLog(v, q, left)
+}
+
+// skipLog returns ⌊log1p(−v)/log1p(−q)⌋, the geometric skip of uniform
+// v at landing probability q, or left when it reaches left. At q = 1
+// log1p(−1) = −Inf makes it 0.
+func skipLog(v, q float64, left int) int {
+	k := math.Log1p(-v) / math.Log1p(-q)
+	if k >= float64(left) {
+		return left
+	}
+	return int(k)
 }
 
 // assocNext returns the first entry at or after j of an association
@@ -206,15 +293,9 @@ func assocNext(s rng.Stream, row []pin.PairRel, init []pin.RelInit, arow []uint6
 	)
 	for q > 0 && j < n {
 		s, v = s.Float64()
-		left := float64(n - j)
-		if v >= left*q {
+		if j += skip(v, q, n-j); j == n {
 			break
 		}
-		k := math.Log1p(-v) / math.Log1p(-q)
-		if k >= left {
-			break
-		}
-		j += int(k)
 		if !adoptedIn(arow, row[j].Y) {
 			if s, hit = s.Bernoulli(init[j].RC / div); hit {
 				return s, j

@@ -38,6 +38,10 @@ type State struct {
 	dirty     []bool     // user rows needing reset
 	touched   []int32    // dirty user list
 	rngv      rng.Rand   // sample stream, copied in by Reset
+	// bound is the problem's p̄ table, shared read-only by its states
+	// (statepool.go): bound[u·items+x] is the largest purchase
+	// probability of a clean friend u′ promotes x to
+	bound []float64
 
 	// zeroed bitset rows (len words), recycled across samples so
 	// steady-state sampling allocates nothing
@@ -97,7 +101,9 @@ type adoptEvent struct {
 // per-user slice headers, counters and flags — plus O(|V|·numMeta)
 // weighting floats; the O(|V|·|I|) adoption table of the seed layout
 // is replaced by rows allocated lazily per dirtied user, and its
-// preference table by deltaPref.
+// preference table by deltaPref. The one |V|·|I| table a state reads,
+// the clean-target bound, is built once per problem and shared by all
+// its states.
 func NewState(p *Problem) *State {
 	n := p.NumUsers()
 	items := p.NumItems()
@@ -114,6 +120,7 @@ func NewState(p *Problem) *State {
 		stepStamp: make([]uint32, n),
 		stepEpoch: 1,
 		stepItems: make([][]int32, n),
+		bound:     poolOf(p).boundOf(p),
 	}
 	// weightings start at the shared init vector; rows are lazily reset
 	for u := 0; u < n; u++ {

@@ -84,7 +84,7 @@ func BenchmarkRunCampaign(b *testing.B) {
 		{User: 5, Item: 1, T: 2},
 		{User: 9, Item: 3, T: 3},
 	}
-	st := NewState(p)
+	st := NewState(p) // builds p's clean-target bound before the timer
 	master := rng.New(7)
 	var res Result
 	res.PerItem = make([]float64, p.NumItems())
@@ -114,7 +114,7 @@ func BenchmarkRunCampaignSelect(b *testing.B) {
 		seeds = append(seeds, Seed{User: u, Item: (u * 7) % 256, T: 1})
 	}
 	const samples = 16
-	st := NewState(p)
+	st := NewState(p) // builds p's clean-target bound before the timer
 	master := rng.New(7)
 	var res Result
 	res.PerItem = make([]float64, p.NumItems())
@@ -167,7 +167,7 @@ func BenchmarkRunBatchPiSchedule(b *testing.B) {
 		b.Fatalf("%d families, want one: the candidates must share the schedule", len(fams))
 	}
 	e := NewEstimator(p, 16, 7)
-	st := NewState(p)
+	st := NewState(p) // builds p's clean-target bound before the timer
 	master := rng.New(e.Seed)
 	var res Result
 	res.PerItem = make([]float64, p.NumItems())

@@ -19,9 +19,16 @@ const maxParked = 16
 // builds no State. A parked state holds no *Problem (State.p is nil
 // until getState hands it out again), so nothing in a pool keeps its
 // problem alive.
+//
+// Beside the free list it holds the problem's clean-target bound
+// (buildBound), built on the first NewState and shared read-only by
+// every state of the problem, so no query or state pays for it again.
 type statePool struct {
 	mu   sync.Mutex
 	free []*State
+
+	boundOnce sync.Once
+	bound     []float64
 }
 
 // statePools maps each live problem to its free list. It lives beside
@@ -51,6 +58,37 @@ func poolOf(p *Problem) *statePool {
 		runtime.AddCleanup(p, dropPool, k)
 	}
 	return sp
+}
+
+// boundOf returns p's clean-target bound, building it on first use.
+func (sp *statePool) boundOf(p *Problem) []float64 {
+	sp.boundOnce.Do(func() { sp.bound = buildBound(p) })
+	return sp.bound
+}
+
+// buildBound derives p̄ from p: b[u′·|I|+x] is the largest
+// W_a·clampPref(P0(v_a, x)) over u′'s out-arcs a → v_a, the purchase
+// probability propagateFrom gives a clean friend, and 0 for a user
+// with no out-arcs (DESIGN.md §3). The maximum is taken with v > m
+// from 0, so a NaN product (NaN base preferences pass
+// Problem.Validate) is skipped rather than poisoning the whole bound,
+// as Go's max would, and −0 and negative products leave it at 0.
+func buildBound(p *Problem) []float64 {
+	items := p.NumItems()
+	b := make([]float64, p.NumUsers()*items)
+	for u := range p.NumUsers() {
+		m := b[u*items : (u+1)*items]
+		arcs := p.G.Out(u)
+		for ai, to := range arcs.To {
+			w := arcs.W[ai]
+			for x, v := range p.BasePref.Row(int(to)) {
+				if pa := w * clampPref(v); pa > m[x] {
+					m[x] = pa
+				}
+			}
+		}
+	}
+	return b
 }
 
 // dropPool deletes a collected problem's free list.

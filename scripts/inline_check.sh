@@ -13,20 +13,24 @@
 # pin.(*Model).Find binary search per adoption, which must not cost a
 # call either; and the hot loops read a clean user's preference as
 # clampPref of its base preference, which must not cost a call where
-# Pref did. This gate builds the engine packages with -gcflags=-m and
-# fails unless
+# Pref did. propagateFrom's subset samplers over clean friends take
+# their no-landing exit in skip, which must inline too; only a landing
+# pays skipLog's logarithm, out of line. This gate builds the engine
+# packages with -gcflags=-m and fails unless
 #
 #   1. rng.Stream.next, rng.Stream.Float64, rng.Stream.Bernoulli,
 #      rng.(*Rand).Uint64, pin.(*Model).Find and diffusion's clampPref
-#      report "can inline"
+#      and skip report "can inline"
 #   2. every Bernoulli use in internal/diffusion/simulate.go and
 #      internal/sketch/sketch.go reports "inlining call to
 #      rng.Stream.Bernoulli", every Float64 use in
 #      internal/diffusion/simulate.go "inlining call to
 #      rng.Stream.Float64", every Find use in
 #      internal/diffusion/state.go "inlining call to pin.(*Model).Find",
-#      and every clampPref use in internal/diffusion/simulate.go,
-#      estimate.go and state.go "inlining call to clampPref"
+#      every clampPref use in internal/diffusion/simulate.go,
+#      estimate.go and state.go "inlining call to clampPref", and every
+#      skip use in internal/diffusion/simulate.go "inlining call to
+#      skip"
 #
 # Usage:
 #   scripts/inline_check.sh              # check the working tree
@@ -34,7 +38,8 @@
 #                                        # the tree, push next, then
 #                                        # Stream.Float64, then
 #                                        # Stream.Bernoulli, then Uint64,
-#                                        # then Model.Find, then clampPref
+#                                        # then Model.Find, then clampPref,
+#                                        # then skip
 #                                        # over the inline budget, then
 #                                        # draw the purchase
 #                                        # coin through the Rand, then a
@@ -65,10 +70,12 @@ check_tree() {
 		echo "inline-check: pin.(*Model).Find no longer inlines (over the compiler's inline budget?)" >&2
 		fail=1
 	fi
-	if ! grep -E '^internal/diffusion/state\.go:' <<<"$out" | cut -d' ' -f2- | grep -qxF "can inline clampPref"; then
-		echo "inline-check: diffusion.clampPref no longer inlines (over the compiler's inline budget?)" >&2
-		fail=1
-	fi
+	for fn in state:clampPref simulate:skip; do
+		if ! grep -E "^internal/diffusion/${fn%%:*}\.go:" <<<"$out" | cut -d' ' -f2- | grep -qxF "can inline ${fn#*:}"; then
+			echo "inline-check: diffusion.${fn#*:} no longer inlines (over the compiler's inline budget?)" >&2
+			fail=1
+		fi
+	done
 
 	# 2. every call site inlines its draw or lookup. A site is any use of the
 	# method after a dot, a method value included (its call never
@@ -81,7 +88,8 @@ check_tree() {
 		'Find:internal/diffusion/state.go:pin.(*Model).Find' \
 		clampPref:internal/diffusion/simulate.go:clampPref \
 		clampPref:internal/diffusion/estimate.go:clampPref \
-		clampPref:internal/diffusion/state.go:clampPref; do
+		clampPref:internal/diffusion/state.go:clampPref \
+		skip:internal/diffusion/simulate.go:skip; do
 		fn=${site%%:*}
 		file=${site#*:}
 		qual=${file#*:}
@@ -194,6 +202,21 @@ self_test() {
 		fi
 	done
 
+	# skip over the budget: cost-only statements must fail the
+	# definition and its call sites in simulate.go
+	copy
+	sed -i '/^func skip(/a\
+	v += v * v * v * v\
+	v -= v * v * v * v\
+	v += v * v * v * v\
+	v -= v * v * v * v' "$tmp/tree/internal/diffusion/simulate.go"
+	out=$(check_tree "$tmp/tree" 2>&1)
+	if ! grep -qF "diffusion.skip no longer inlines" <<<"$out" ||
+		! grep -qE "internal/diffusion/simulate\.go:[0-9]+: skip call not inlined" <<<"$out"; then
+		echo "inline-check self-test: FAIL — pushing skip over the inline budget went undetected" >&2
+		return 1
+	fi
+
 	# a coin drawn through the Rand again (a call: (*Rand).Bernoulli is
 	# over the budget) must fail the call-site check
 	copy
@@ -214,7 +237,7 @@ self_test() {
 		return 1
 	fi
 
-	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli, Uint64, Model.Find and clampPref over budget, a Rand-drawn coin and a method-value uniform detected)"
+	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli, Uint64, Model.Find, clampPref and skip over budget, a Rand-drawn coin and a method-value uniform detected)"
 	return 0
 }
 
