@@ -34,7 +34,8 @@ race:
 # pools so allocs/op shows the steady state; then a σ query through a
 # new Estimator per op on a warm problem (B/op and allocs/op show that
 # it borrows pooled states instead of building one); then one coin
-# (ns/coin) drawn through a Rand and from a Stream held in locals, one clean
+# (ns/coin) drawn through a Rand and from a Stream held in locals, one
+# Exp(1) variate (ns/draw) by the ziggurat and by a logarithm, one clean
 # association row (ns/row, draws/row) subset-sampled and coin by coin,
 # one promotion event over an 8-friend clean out-list (ns/event,
 # draws/event) subset-sampled and coin by coin, and one Ppref read for
@@ -45,7 +46,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^Benchmark(RunCampaign|RunCampaignSelect|RunBatchPiSchedule)$$' -benchtime 2000x -benchmem ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkSigmaFreshEstimator$$' -benchmem ./internal/diffusion
-	$(GO) test -run '^$$' -bench '^BenchmarkCoinRow$$' -benchmem ./internal/rng
+	$(GO) test -run '^$$' -bench '^Benchmark(CoinRow|Exp)$$' -benchmem ./internal/rng
 	$(GO) test -run '^$$' -bench '^BenchmarkAssocRow$$' ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkCleanArcs$$' ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkPref$$' ./internal/diffusion
@@ -123,12 +124,13 @@ docs-check:
 	./scripts/docs_check.sh --self-test
 
 # Inlining guard (DESIGN.md §3): rng.Stream.next, Stream.Float64,
-# Stream.Bernoulli, (*Rand).Uint64, pin.(*Model).Find and the engine's
-# clampPref inline, every Bernoulli call in the diffusion engine and the
-# RR-sketch sampler inlines Stream.Bernoulli, every Float64 call in the
-# engine inlines Stream.Float64, every Find call in the engine's
-# state.go inlines Model.Find, and every clampPref call in the engine
-# inlines clampPref.
+# Stream.Bernoulli, Stream.ExpFast, (*Rand).Uint64, pin.(*Model).Find
+# and the engine's clampPref and skip inline, every Bernoulli call in
+# the diffusion engine and the RR-sketch sampler inlines
+# Stream.Bernoulli, every ExpFast call in the engine inlines
+# Stream.ExpFast, every Find call in the engine's state.go inlines
+# Model.Find, every clampPref call in the engine inlines clampPref, and
+# every skip call in simulate.go inlines skip.
 # --self-test proves the gate can fail.
 inline-check:
 	./scripts/inline_check.sh

@@ -143,10 +143,21 @@ func TestAssocNextDistribution(t *testing.T) {
 	}
 }
 
-// TestAssocNextDrawAccounting pins how many draws a row consumes: none
-// when maxRC is 0, one uniform for a row with no landing, and with
-// base·maxRC ≥ 1 (q clamped to 1) one uniform per entry up to the pick
-// plus one coin per landing not adopted with 0 < base·rC < 1.
+// expDraws advances s by k Exp draws.
+func expDraws(s rng.Stream, k int) rng.Stream {
+	for range k {
+		s, _ = s.Exp()
+	}
+	return s
+}
+
+// TestAssocNextDrawAccounting pins which draws a row consumes: none
+// when maxRC is 0; one Exp draw for a row the bound E·(1−q) ≥ n·q
+// ends; and with base·maxRC ≥ 1 (q clamped to 1) one Exp draw per
+// entry up to the pick, each followed by one coin when the entry is
+// not adopted and 0 < base·rC < 1. The expected stream is replayed draw
+// by draw, so the order is pinned too, and an Exp draw that ExpFast
+// decides is one generator step.
 func TestAssocNextDrawAccounting(t *testing.T) {
 	s0 := rng.New(3).Stream()
 	r := newRelRow([]float64{0, 0, 0})
@@ -164,28 +175,36 @@ func TestAssocNextDrawAccounting(t *testing.T) {
 		if j > 2 {
 			t.Fatalf("seed %d: q = 1 row picked %d past the certain entry 2", seed, j)
 		}
-		want := 0
+		want := s0
 		for k := 0; k <= j; k++ {
-			want++
+			want = expDraws(want, 1)
 			if p := base * r.init[k].RC; p > 0 && p < 1 && !adoptedIn(arow, r.row[k].Y) {
-				want++
+				want, _ = want.Float64()
 			}
 		}
-		if d := draws(s0, s); d != want {
-			t.Fatalf("seed %d: q = 1 row picked %d after %d draws, want %d", seed, j, d, want)
+		if s != want {
+			t.Fatalf("seed %d: q = 1 row picked %d after %d draws, want the %d of one Exp and one coin per landing", seed, j, draws(s0, s), draws(s0, want))
 		}
 	}
-	// a uniform at or above n·q ends the row on one draw
+	// an Exp variate E with E·(1−q) ≥ 4q ends a 4-entry row on one draw
+	fast := 0
 	for seed := uint64(0); seed < 64; seed++ {
 		s0 := rng.New(seed).Stream()
-		_, v := s0.Float64()
-		q := v/4 - 1e-12 // 4 entries left, so v ≥ 4q
+		s1, e := s0.Exp()
+		q := e/(4+e) - 1e-12
 		if q <= 0 {
 			continue
 		}
-		if s, j := assocNext(s0, r.row[:4], r.init[:4], nil, 0, q/r.maxRC, r.maxRC); j != 4 || draws(s0, s) != 1 {
-			t.Fatalf("seed %d: v=%v ≥ n·q: picked %d after %d draws, want none after 1", seed, v, j, draws(s0, s))
+		s, j := assocNext(s0, r.row[:4], r.init[:4], nil, 0, q/r.maxRC, r.maxRC)
+		if j != 4 || s != s1 {
+			t.Fatalf("seed %d: E=%v ≥ n·q/(1−q): picked %d after %d draws, want none after one Exp", seed, e, j, draws(s0, s))
 		}
+		if draws(s0, s) == 1 {
+			fast++
+		}
+	}
+	if fast < 48 {
+		t.Fatalf("only %d of 64 one-Exp rows took one generator step", fast)
 	}
 }
 
@@ -363,15 +382,15 @@ func TestCleanTargetsDistribution(t *testing.T) {
 
 // TestCleanTargetsDrawAccounting pins the draws of an event over clean
 // friends: none when p̄ = 0 (every preference 0, −0, negative or NaN),
-// and exactly two uniforms, with no adoption, when the first is at or
-// above n·q and the second at or above n·r·qa for the n friends and r
-// row entries, the exits that take no logarithm.
+// and exactly two Exp draws, with no adoption, when the first has
+// E·scale ≥ n and the second E·scaleA ≥ n·r for the n friends and r
+// row entries: the exact no-landing tests of both samplers.
 func TestCleanTargetsDrawAccounting(t *testing.T) {
 	none := []float64{0, math.Copysign(0, -1), -0.5, math.NaN(), 0}
 	p := starProblem(t, []float64{0.9, 0.3, 1, 0.6, 0.75}, none, starRCs, 0.5)
 	st := NewState(p)
-	if b := st.bound[0]; b != 0 || math.Signbit(b) {
-		t.Fatalf("p̄ = %v, want +0", b)
+	if b := st.bound[0]; b != (cleanBound{}) || math.Signbit(b.pbar) {
+		t.Fatalf("bound cell %+v, want p̄ = +0 and no scales", b)
 	}
 	master := rng.New(5)
 	var res Result
@@ -391,22 +410,22 @@ func TestCleanTargetsDrawAccounting(t *testing.T) {
 	p = starProblem(t, starW, pref, starRCs, 0.5)
 	st = NewState(p)
 	n, r := len(starW), len(starRCs)
-	q := min(st.bound[0], 1)
-	qa := min(p.Params.Chi*st.bound[0]*p.PIN.InitMaxRC(0), 1)
-	exits := 0
+	b := st.bound[0]
+	exits, steps := 0, 0
 	for i := 0; i < 64; i++ {
 		st.resetSplit(master, i)
 		s0 := st.rngv.Stream()
-		s, v1 := s0.Float64()
-		_, v2 := s.Float64()
-		if v1 < float64(n)*q || v2 < float64(n*r)*qa {
+		s, e1 := s0.Exp()
+		s, e2 := s.Exp()
+		if e1*b.scale < float64(n) || e2*b.scaleA < float64(n*r) {
 			continue
 		}
 		exits++
 		starEvent(st, master, i, nil, &res)
-		if d := draws(s0, st.rngv.Stream()); d != 2 {
-			t.Fatalf("stream %d: v = %v ≥ n·q and %v ≥ n·r·qa, but the event took %d draws, want 2", i, v1, v2, d)
+		if got := st.rngv.Stream(); got != s {
+			t.Fatalf("stream %d: E = %v, %v exit both samplers, but the event took %d draws, want the %d of two Exp draws", i, e1, e2, draws(s0, got), draws(s0, s))
 		}
+		steps += draws(s0, s)
 		for u := 1; u <= n; u++ {
 			if len(st.AdoptedList(u)) != 0 {
 				t.Fatalf("stream %d: both samplers exited, but friend %d adopted %v", i, u, st.AdoptedList(u))
@@ -416,15 +435,17 @@ func TestCleanTargetsDrawAccounting(t *testing.T) {
 	if exits < 32 {
 		t.Fatalf("only %d of 64 streams exit both samplers at once: the check is nearly vacuous", exits)
 	}
+	t.Logf("%d exits took %d generator steps", exits, steps)
 }
 
 // TestBoundSkipsNaN pins the clean-target bound on a problem whose base
 // preferences include NaN, −0, negative values and values above 1:
-// each cell must be the largest W·clampPref(P0) over the user's
+// each cell's p̄ must be the largest W·clampPref(P0) over the user's
 // out-arcs among the products that are not NaN, and +0 when none is
 // positive. Go's max would return NaN on a NaN product and so make
-// every landing of that source a rejected NaN coin. The table must
-// also be built once per problem: two states share it.
+// every landing of that source a rejected NaN coin. Both skip scales
+// must be finite and match p̄ (checkBound). The table must also be
+// built once per problem: two states share it.
 func TestBoundSkipsNaN(t *testing.T) {
 	g := graph.BarabasiAlbert(60, 3, false, graph.WeightModel{Mean: 0.35, Jitter: 0.4}, rng.New(0x60D))
 	p := testProblem(t, g, func(u, x int) float64 {
@@ -445,6 +466,7 @@ func TestBoundSkipsNaN(t *testing.T) {
 	if other := NewState(p); &other.bound[0] != &st.bound[0] {
 		t.Fatal("two states of one problem hold separate bound tables")
 	}
+	checkBound(t, p, st.bound)
 	items := p.NumItems()
 	poisoned := 0
 	for u := 0; u < p.NumUsers(); u++ {
@@ -462,13 +484,39 @@ func TestBoundSkipsNaN(t *testing.T) {
 			if nan && want > 0 {
 				poisoned++
 			}
-			if got := st.bound[u*items+x]; math.Float64bits(got) != math.Float64bits(want) {
+			if got := st.bound[u*items+x].pbar; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("p̄(%d, %d) = %v, want %v", u, x, got, want)
 			}
 		}
 	}
 	if poisoned == 0 {
 		t.Fatal("no cell has a NaN product beside a positive one: the check is vacuous")
+	}
+}
+
+// checkBound checks every cell's skip scales against its p̄ and p's Chi
+// and InitMaxRC: skipScale of q = min(p̄, 1) and qa = min(χ·p̄·maxRC, 1),
+// finite and not negative, and 0 exactly where q or qa is 0 or 1.
+func checkBound(t *testing.T, p *Problem, bound []cleanBound) {
+	t.Helper()
+	items := p.NumItems()
+	for c, b := range bound {
+		x := c % items
+		for _, sc := range []struct {
+			name     string
+			q, scale float64
+		}{
+			{"scale", min(b.pbar, 1), b.scale},
+			{"scaleA", min(p.Params.Chi*b.pbar*p.PIN.InitMaxRC(x), 1), b.scaleA},
+		} {
+			want := 0.0
+			if sc.q > 0 && sc.q < 1 {
+				want = -1 / math.Log1p(-sc.q)
+			}
+			if math.Float64bits(sc.scale) != math.Float64bits(want) || math.IsInf(sc.scale, 0) || sc.scale < 0 {
+				t.Fatalf("cell (%d, %d): %s %v for q = %v, want %v", c/items, x, sc.name, sc.scale, sc.q, want)
+			}
+		}
 	}
 }
 

@@ -379,8 +379,67 @@ var tinyGroups = [][]diffusion.Seed{
 	{{User: 0, Item: 0, T: 1}, {User: 1, Item: 1, T: 2}, {User: 0, Item: 0, T: 2}},
 }
 
+// tinyStarProblem is a four-user, two-item instance small enough for
+// exactSigma, built so a dirty friend precedes two clean ones on one
+// out-list: user 0's arcs 0→1, 0→2 and 0→3, in that order, and no
+// other arc. Items 0 and 1 share a feature, so each is the other's
+// one association entry. Seeding user 1 with item 1 and user 0 with
+// item 0 in the same promotion (tinyStarGroup) dirties friend 1
+// before user 0 promotes item 0, so that promotion visits a dirty
+// friend, then two clean ones. p̄ = 0.56 (friend 2's W·P0) makes
+// landings frequent, so a clean-target sampler that counts a dirty
+// friend as a trial, shifting a landing due on friend 1 to friend 2,
+// moves σ far outside the sweep's bounds.
+func tinyStarProblem(t testing.TB) *diffusion.Problem {
+	t.Helper()
+	b := kg.NewBuilder()
+	tItem := b.NodeTypeID("ITEM")
+	tFeature := b.NodeTypeID("FEATURE")
+	eSup := b.EdgeTypeID("SUPPORTS")
+	i0, i1, f := b.AddNode(tItem), b.AddNode(tItem), b.AddNode(tFeature)
+	b.AddEdge(i0, f, eSup)
+	b.AddEdge(i1, f, eSup)
+	kgraph := b.Build()
+	model, err := pin.NewModel(kgraph,
+		[]*kg.MetaGraph{kg.PathMetaGraph("c", kg.Complementary, tItem, tFeature, eSup, eSup)},
+		nil, []float64{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := graph.NewBuilder(4, true)
+	gb.AddEdge(0, 1, 0.9)
+	gb.AddEdge(0, 2, 0.8)
+	gb.AddEdge(0, 3, 0.6)
+	pref := []float64{
+		0.5, 0.5,
+		0.6, 0.4,
+		0.7, 0.3,
+		0.5, 0.6,
+	}
+	cost := make([]float64, len(pref))
+	for i := range cost {
+		cost[i] = 1
+	}
+	par := diffusion.DefaultParams()
+	par.Chi = 1
+	p := &diffusion.Problem{
+		G: gb.Build(), KG: kgraph, PIN: model,
+		Importance: []float64{1, 2},
+		BasePref:   diffusion.MatrixFrom(pref, 2), Cost: diffusion.MatrixFrom(cost, 2),
+		Budget: 10, T: 1, Params: par,
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// tinyStarGroup dirties friend 1 with item 1 at ζ = 0, beside user 0's
+// item 0 seed, so step 1's promotion of item 0 meets it first.
+var tinyStarGroup = []diffusion.Seed{{User: 1, Item: 1, T: 1}, {User: 0, Item: 0, T: 1}}
+
 // TestExactSigmaTiny enumerates every coin outcome of the reference
-// campaign on the tiny instance and checks the engine's Monte-Carlo σ
+// campaign on the tiny instances and checks the engine's Monte-Carlo σ
 // against the exact value over a seed sweep, in both regimes: each
 // estimate within 4.5 standard errors (Bonferroni over the sweep at
 // about 1e-4), and the pooled mean of the sweep within 4.
@@ -389,9 +448,20 @@ func TestExactSigmaTiny(t *testing.T) {
 		seeds = 20
 		m     = 2000
 	)
-	for _, p := range []*diffusion.Problem{tinyProblem(t), static(tinyProblem(t))} {
-		for gi, group := range tinyGroups {
-			name := fmt.Sprintf("static=%v/group%d", p.Params.Static, gi)
+	cases := []struct {
+		name   string
+		p      *diffusion.Problem
+		groups [][]diffusion.Seed
+	}{
+		{"tiny", tinyProblem(t), tinyGroups},
+		{"tiny", static(tinyProblem(t)), tinyGroups},
+		{"star", tinyStarProblem(t), [][]diffusion.Seed{tinyStarGroup}},
+		{"star", static(tinyStarProblem(t)), [][]diffusion.Seed{tinyStarGroup}},
+	}
+	for _, c := range cases {
+		p := c.p
+		for gi, group := range c.groups {
+			name := fmt.Sprintf("%s/static=%v/group%d", c.name, p.Params.Static, gi)
 			mean, second, leaves, mass := exactSigma(p, group)
 			if math.Abs(mass-1) > 1e-9 {
 				t.Fatalf("%s: enumerated probability mass %v, want 1", name, mass)

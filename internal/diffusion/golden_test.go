@@ -41,18 +41,19 @@ func TestRunBatchSigmaGolden(t *testing.T) {
 	ests := e.RunBatch(groups, nil)
 
 	// Re-captured when association rows under initial relevance became
-	// subset-sampled, and again when clean friends did (DESIGN.md §3),
-	// each time with TestEngineMatchesReference passing on this
-	// problem; every later change must keep them bit-identical.
+	// subset-sampled, again when clean friends did, and again when the
+	// samplers' skips became Exp draws (DESIGN.md §3), each time with
+	// TestEngineMatchesReference passing on this problem; every later
+	// change must keep them bit-identical.
 	wantSigma := []uint64{
-		0x4032755555555555, // 18.458333333333332
-		0x4044380000000000, // 40.4375
-		0x4041baaaaaaaaaaa, // 35.45833333333333
+		0x4032f55555555555, // 18.958333333333332
+		0x4044060000000000, // 40.046875
+		0x4045e80000000000, // 43.8125
 	}
 	wantAdopt := []uint64{
-		0x4036a55555555555, // 22.645833333333332
-		0x4040fd5555555555, // 33.979166666666664
-		0x40425d5555555555, // 36.729166666666664
+		0x4038b00000000000, // 24.6875
+		0x403fc55555555555, // 31.770833333333332
+		0x4046e80000000000, // 45.8125
 	}
 	// The bit patterns were captured on amd64. On architectures where
 	// the compiler may fuse x*y+z into FMA (arm64, ppc64, ...) the
@@ -101,17 +102,17 @@ func TestRunBatchSigmaGoldenStatic(t *testing.T) {
 		{{User: 3, Item: 3, T: 2}, {User: 3, Item: 0, T: 1}},
 	}
 	// Re-captured with TestRunBatchSigmaGolden (subset-sampled rows,
-	// then clean friends; the gate passes on this problem under
-	// Static).
+	// then clean friends, then Exp skips; the gate passes on this
+	// problem under Static).
 	wantSigma := []uint64{
-		0x4030155555555555, // 16.083333333333332
-		0x404316aaaaaaaaaa, // 38.17708333333333
-		0x403f415555555555, // 31.255208333333332
+		0x402f600000000000, // 15.6875
+		0x4043195555555555, // 38.197916666666664
+		0x403fec0000000000, // 31.921875
 	}
 	wantAdopt := []uint64{
-		0x4033700000000000, // 19.4375
-		0x40404d5555555555, // 32.604166666666664
-		0x403f6aaaaaaaaaaa, // 31.416666666666664
+		0x40339aaaaaaaaaaa, // 19.604166666666664
+		0x403ed55555555555, // 30.833333333333332
+		0x4040a2aaaaaaaaaa, // 33.27083333333333
 	}
 	for gi, est := range e.RunBatch(groups, nil) {
 		if math.Float64bits(est.Sigma) != wantSigma[gi] {
@@ -140,27 +141,27 @@ func TestRunBatchPiGolden(t *testing.T) {
 		{{User: 3, Item: 3, T: 2}, {User: 3, Item: 0, T: 1}},
 	}
 	// Re-captured with TestRunBatchSigmaGolden (subset-sampled rows,
-	// then clean friends; the gate passes on this problem and mask
+	// then clean friends, then Exp skips; the gate passes on this problem and mask
 	// under both AIS forms); the market σ does not depend on the AIS
 	// form.
 	wantMarket := []uint64{
-		0x4029655555555555, // 12.697916666666666
-		0x403b26aaaaaaaaaa, // 27.151041666666664
-		0x4038caaaaaaaaaaa, // 24.791666666666664
+		0x40296aaaaaaaaaaa, // 12.708333333333332
+		0x403a8c0000000000, // 26.546875
+		0x403dc55555555555, // 29.770833333333332
 	}
 	for _, tc := range []struct {
 		ais    AISModel
 		wantPi []uint64
 	}{
 		{AISIndependentCascade, []uint64{
-			0x401af96a4418fe49, // 6.743569435143919
-			0x40265fc7ccfe18c0, // 11.187071233766233
-			0x4027ef33a7313dc2, // 11.967190956841367
+			0x401ede059d794006, // 7.71681829502632
+			0x40262b316b19f394, // 11.084361407201676
+			0x402a2e613817ee32, // 13.090585472985456
 		}},
 		{AISLinearThreshold, []uint64{
-			0x401ec6a52b6eb410, // 7.693989447242544
-			0x402933974d73e161, // 12.600763721843295
-			0x402b3ae8e1b2dc10, // 13.615057995875787
+			0x4021a9089953c8ea, // 8.830143729665412
+			0x4028e7466d82b0a9, // 12.451709196284655
+			0x402e3ba3e4b4403a, // 15.116484782222063
 		}},
 	} {
 		p := goldenProblem(t)

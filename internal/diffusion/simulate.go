@@ -103,11 +103,13 @@ func (st *State) runPromotion(t int, seeds []Seed, market []bool, res *Result) {
 // visited coin by coin: two subset samplers run over the out-list in
 // arc order, one landing on each clean friend with q = min(p̄, 1) for
 // the purchase and one on each (clean friend, row entry) pair with
-// qa = min(χ·p̄·maxRC, 1) for the associations, where p̄ = st.bound's
-// largest p_a over u′'s out-arcs. A landing is accepted with p_a/q or
-// χ·p_a·rC_j/qa, and a clean friend no sampler lands on costs two
-// counter decrements (DESIGN.md §3, "Subset-sampled clean targets").
-// A dirty friend takes Act and Pref and its own coins, as before.
+// qa = min(χ·p̄·maxRC, 1) for the associations, where p̄ is u′'s
+// largest p_a over its out-arcs, read with both samplers' skip scales
+// from st.bound. A landing is accepted with p_a/q or χ·p_a·rC_j/qa,
+// and a clean friend no sampler lands on costs two counter decrements
+// (DESIGN.md §3, "Subset-sampled clean targets"). Each skip takes one
+// Exp draw and no logarithm. A dirty friend takes Act and Pref and its
+// own coins, as before.
 //
 // Every draw is taken from s, a copy of the sample stream held in
 // locals for the whole call and written back once at its end
@@ -124,22 +126,29 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 	init := p.PIN.InitRow(x)
 	n, r := len(arcs.To), len(row)
 	s := st.rngv.Stream()
-	var hit bool
+	var (
+		hit, ok bool
+		ns      rng.Stream // the stream after an Exp draw
+		e       float64
+	)
 	// pk counts the clean friends before the next purchase landing, ak
 	// the clean (friend, entry) pairs before the next association
 	// landing, from the friend being visited; n and n·r mean none
 	pk, ak := n, n*r
-	pbar := st.bound[uPrime*st.items+x]
-	q := min(pbar, 1)
-	var v float64
+	b := st.bound[uPrime*st.items+x]
+	q := min(b.pbar, 1)
 	if q > 0 {
-		s, v = s.Float64()
-		pk = skip(v, q, n)
+		if ns, e, ok = s.ExpFast(); !ok {
+			ns, e = s.Exp()
+		}
+		s, pk = ns, skip(e, b.scale, n)
 	}
-	qa := min(chi*pbar*p.PIN.InitMaxRC(x), 1)
+	qa := min(chi*b.pbar*p.PIN.InitMaxRC(x), 1)
 	if qa > 0 {
-		s, v = s.Float64()
-		ak = skip(v, qa, n*r)
+		if ns, e, ok = s.ExpFast(); !ok {
+			ns, e = s.Exp()
+		}
+		s, ak = ns, skip(e, b.scaleA, n*r)
 	}
 	for ai, to := range arcs.To {
 		u := int(to)
@@ -157,8 +166,10 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 					st.adopt(u, x, t, step, TriggerPromotion, market, res)
 				}
 				if left > 0 {
-					s, v = s.Float64()
-					pk = skip(v, q, left)
+					if ns, e, ok = s.ExpFast(); !ok {
+						ns, e = s.Exp()
+					}
+					s, pk = ns, skip(e, b.scale, left)
 				}
 			} else {
 				pk--
@@ -175,8 +186,10 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 				}
 				// the pairs from this friend's first to the out-list's end
 				if ak = r + left*r; ak > j+1 {
-					s, v = s.Float64()
-					ak = j + 1 + skip(v, qa, ak-j-1)
+					if ns, e, ok = s.ExpFast(); !ok {
+						ns, e = s.Exp()
+					}
+					s, ak = ns, j+1+skip(e, b.scaleA, ak-j-1)
 				}
 			}
 			ak -= r
@@ -236,27 +249,28 @@ func (st *State) propagateFrom(ev adoptEvent, t, step int, market []bool, res *R
 // skip returns where a subset sampler lands next: of the next left
 // trials, each landed on independently with probability q (0 < q ≤
 // 1), how many come before the first landing, or left when none lands,
-// given a fresh uniform v. v ≥ left·q means no landing, since
-// 1−(1−q)^left ≤ left·q, and takes no logarithm; otherwise skipLog
-// finds the landing. assocNext and propagateFrom's clean-target
-// samplers all skip through it (DESIGN.md §3); it inlines where
-// skipLog does not.
-func skip(v, q float64, left int) int {
-	if v >= float64(left)*q {
-		return left
+// given an Exp(1) variate e and the skip scale 1/λ of q (skipScale).
+// ⌊e/λ⌋ is geometric, P(⌊e/λ⌋ ≥ k) = e^(−kλ) = (1−q)^k, so e·scale ≥
+// left is the exact no-landing test, and no branch of skip takes a
+// logarithm. assocNext and propagateFrom's clean-target samplers all
+// skip through it (DESIGN.md §3); it inlines. A NaN product (e = 0 at
+// an infinite scale) lands nowhere.
+func skip(e, scale float64, left int) int {
+	if k := e * scale; k < float64(left) {
+		return int(k)
 	}
-	return skipLog(v, q, left)
+	return left
 }
 
-// skipLog returns ⌊log1p(−v)/log1p(−q)⌋, the geometric skip of uniform
-// v at landing probability q, or left when it reaches left. At q = 1
-// log1p(−1) = −Inf makes it 0.
-func skipLog(v, q float64, left int) int {
-	k := math.Log1p(-v) / math.Log1p(-q)
-	if k >= float64(left) {
-		return left
+// skipScale returns 1/λ = −1/log1p(−q), the scale that turns an Exp(1)
+// variate into the geometric skip of landing probability q, or 0 when
+// q is not in (0, 1): at q = 1 every skip is 0 (every trial lands), and
+// at q ≤ 0 no sampler draws.
+func skipScale(q float64) float64 {
+	if !(q > 0 && q < 1) {
+		return 0
 	}
-	return int(k)
+	return -1 / math.Log1p(-q)
 }
 
 // assocNext returns the first entry at or after j of an association
@@ -271,14 +285,16 @@ func skipLog(v, q float64, left int) int {
 //
 // The row is subset-sampled with q = min(base·maxRC, 1): a geometric
 // skip lands on each entry with probability q, the next landing being
-// ⌊log1p(−v)/log1p(−q)⌋ entries on for a uniform v, and a landing is
-// accepted with probability base·RC/q, or rejected outright on an
-// adopted entry. v ≥ n·q means no landing among the n entries left,
-// since 1−(1−q)ⁿ ≤ n·q, so most rows end on one draw and no logarithm.
-// At q = 1, which base·maxRC ≥ 1 (a Chi of 1 or more) clamps to,
-// log1p(−1) = −Inf makes every skip 0, so each entry is landed on and
-// accepted with probability base·RC. Each skip draws one uniform; each
-// landing draws one coin unless its entry is adopted or its acceptance
+// ⌊E/λ⌋ entries on for an Exp(1) variate E and λ = −log1p(−q), and a
+// landing is accepted with probability base·RC/q, or rejected outright
+// on an adopted entry. q varies by user, so λ is not tabulated: since
+// λ ≤ q/(1−q), E·(1−q) ≥ n·q means no landing among the n entries left
+// without λ, and most rows end there on one draw; otherwise the call
+// takes λ's logarithm once and skips through skip. At q = 1, which
+// base·maxRC ≥ 1 (a Chi of 1 or more) clamps to, the scale is 0 and
+// every skip 0, so each entry is landed on and accepted with
+// probability base·RC. Each skip takes one Exp draw; each landing
+// draws one coin unless its entry is adopted or its acceptance
 // probability is 0 or at least 1 (DESIGN.md §3).
 func assocNext(s rng.Stream, row []pin.PairRel, init []pin.RelInit, arow []uint64, j int, base, maxRC float64) (rng.Stream, int) {
 	n := len(row)
@@ -288,12 +304,23 @@ func assocNext(s rng.Stream, row []pin.PairRel, init []pin.RelInit, arow []uint6
 		q, div = 1, 1/base
 	}
 	var (
-		v   float64
-		hit bool
+		ns      rng.Stream
+		e       float64
+		hit, ok bool
 	)
+	scale := -1.0 // not taken yet
 	for q > 0 && j < n {
-		s, v = s.Float64()
-		if j += skip(v, q, n-j); j == n {
+		if ns, e, ok = s.ExpFast(); !ok {
+			ns, e = s.Exp()
+		}
+		s = ns
+		if scale < 0 {
+			if e*(1-q) >= float64(n-j)*q {
+				break
+			}
+			scale = skipScale(q)
+		}
+		if j += skip(e, scale, n-j); j == n {
 			break
 		}
 		if !adoptedIn(arow, row[j].Y) {

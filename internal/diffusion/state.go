@@ -38,10 +38,11 @@ type State struct {
 	dirty     []bool     // user rows needing reset
 	touched   []int32    // dirty user list
 	rngv      rng.Rand   // sample stream, copied in by Reset
-	// bound is the problem's p̄ table, shared read-only by its states
-	// (statepool.go): bound[u·items+x] is the largest purchase
-	// probability of a clean friend u′ promotes x to
-	bound []float64
+	// bound is the problem's clean-target table, shared read-only by
+	// its states (statepool.go): bound[u·items+x] holds p̄, the largest
+	// purchase probability u gives a clean friend for item x, and the
+	// skip scales of propagateFrom's two subset samplers.
+	bound []cleanBound
 
 	// zeroed bitset rows (len words), recycled across samples so
 	// steady-state sampling allocates nothing

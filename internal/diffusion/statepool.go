@@ -20,15 +20,18 @@ const maxParked = 16
 // until getState hands it out again), so nothing in a pool keeps its
 // problem alive.
 //
-// Beside the free list it holds the problem's clean-target bound
+// Beside the free list it holds the problem's clean-target table
 // (buildBound), built on the first NewState and shared read-only by
 // every state of the problem, so no query or state pays for it again.
+// The table derives from the problem's G, BasePref, PIN and Chi; the
+// pool is keyed by the *Problem, so a copy with another Chi builds its
+// own.
 type statePool struct {
 	mu   sync.Mutex
 	free []*State
 
 	boundOnce sync.Once
-	bound     []float64
+	bound     []cleanBound
 }
 
 // statePools maps each live problem to its free list. It lives beside
@@ -60,32 +63,49 @@ func poolOf(p *Problem) *statePool {
 	return sp
 }
 
-// boundOf returns p's clean-target bound, building it on first use.
-func (sp *statePool) boundOf(p *Problem) []float64 {
+// boundOf returns p's clean-target table, building it on first use.
+func (sp *statePool) boundOf(p *Problem) []cleanBound {
 	sp.boundOnce.Do(func() { sp.bound = buildBound(p) })
 	return sp.bound
 }
 
-// buildBound derives p̄ from p: b[u′·|I|+x] is the largest
-// W_a·clampPref(P0(v_a, x)) over u′'s out-arcs a → v_a, the purchase
-// probability propagateFrom gives a clean friend, and 0 for a user
-// with no out-arcs (DESIGN.md §3). The maximum is taken with v > m
-// from 0, so a NaN product (NaN base preferences pass
-// Problem.Validate) is skipped rather than poisoning the whole bound,
-// as Go's max would, and −0 and negative products leave it at 0.
-func buildBound(p *Problem) []float64 {
+// cleanBound is one (u′, x) cell of a problem's clean-target table,
+// everything propagateFrom's two subset samplers need of the event
+// (u′, x) before a landing (DESIGN.md §3): p̄ and the skip scales of
+// the purchase sampler, landing with q = min(p̄, 1), and of the
+// association sampler, landing with qa = min(χ·p̄·InitMaxRC(x), 1).
+// One cell is one read.
+type cleanBound struct {
+	pbar, scale, scaleA float64
+}
+
+// buildBound derives the clean-target table from p. Cell u′·|I|+x
+// holds p̄, the largest W_a·clampPref(P0(v_a, x)) over u′'s out-arcs
+// a → v_a, the purchase probability propagateFrom gives a clean
+// friend, or 0 for a user with no out-arcs; and skipScale of q and qa.
+// The maximum is taken with v > m from 0, so a NaN product (NaN base
+// preferences pass Problem.Validate) is skipped rather than poisoning
+// the whole bound, as Go's max would, and −0 and negative products
+// leave it at 0; every cell is then finite.
+func buildBound(p *Problem) []cleanBound {
 	items := p.NumItems()
-	b := make([]float64, p.NumUsers()*items)
+	chi := p.Params.Chi
+	b := make([]cleanBound, p.NumUsers()*items)
 	for u := range p.NumUsers() {
 		m := b[u*items : (u+1)*items]
 		arcs := p.G.Out(u)
 		for ai, to := range arcs.To {
 			w := arcs.W[ai]
 			for x, v := range p.BasePref.Row(int(to)) {
-				if pa := w * clampPref(v); pa > m[x] {
-					m[x] = pa
+				if pa := w * clampPref(v); pa > m[x].pbar {
+					m[x].pbar = pa
 				}
 			}
+		}
+		for x := range m {
+			pbar := m[x].pbar
+			m[x].scale = skipScale(min(pbar, 1))
+			m[x].scaleA = skipScale(min(chi*pbar*p.PIN.InitMaxRC(x), 1))
 		}
 	}
 	return b

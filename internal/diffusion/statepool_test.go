@@ -227,6 +227,35 @@ func TestStatePoolReleasesProblems(t *testing.T) {
 	runtime.KeepAlive(&live)
 }
 
+// TestBoundKeyedByProblem copies a problem by value with another Chi,
+// as dysimbench's static run copies one with another Static: the copy
+// is a new pool key, so it builds its own clean-target table, whose
+// association scales follow its own Chi, while the purchase columns
+// (p̄ and its scale do not depend on Chi) come out bit-identical.
+func TestBoundKeyedByProblem(t *testing.T) {
+	p := goldenProblem(t)
+	q := *p
+	q.Params.Chi = 2 * p.Params.Chi
+	a, b := NewState(p).bound, NewState(&q).bound
+	if &a[0] == &b[0] {
+		t.Fatal("a copy with another Chi shares its original's clean-target table")
+	}
+	checkBound(t, p, a)
+	checkBound(t, &q, b)
+	moved := 0
+	for c := range a {
+		if a[c].pbar != b[c].pbar || a[c].scale != b[c].scale {
+			t.Fatalf("cell %d: purchase columns %+v vs %+v differ across a Chi change", c, a[c], b[c])
+		}
+		if a[c].scaleA != b[c].scaleA {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no association scale moved with Chi: the check is vacuous")
+	}
+}
+
 // TestStatePoolIsBounded returns more states than a problem's free
 // list keeps: the list stops at maxParked and the rest are dropped.
 func TestStatePoolIsBounded(t *testing.T) {

@@ -50,6 +50,10 @@ type Model struct {
 	// the bound the diffusion engine's subset sampler scales a clean
 	// user's association row by.
 	initMax []float64
+	// pos[x·|I|+y] is y's index in rows[x], or −1: the table Find
+	// reads, built when |I| ≤ maxPosItems (nil above, where Find
+	// searches the row instead).
+	pos []int32
 
 	// InitWeights is the initial Wmeta(u,·) every user starts with.
 	InitWeights []float64
@@ -124,6 +128,7 @@ func NewModel(g *kg.KG, metasC, metasS []*kg.MetaGraph, initWeights []float64) (
 		m.initRel[x] = init
 		m.initMax[x] = maxRC(init)
 	}
+	m.buildPos()
 	return m, nil
 }
 
@@ -210,6 +215,7 @@ func ModelFromRows(g *kg.KG, numC int, initWeights []float64, rows [][]PairRel) 
 		// by Other — the same ordering BuildRelTable materialises
 		m.tables = append(m.tables, kg.RelTableFromRows(metaAdj[mi]))
 	}
+	m.buildPos()
 	return m, nil
 }
 
@@ -288,11 +294,47 @@ func (m *Model) Rel(w []float64, x, y int) (rc, rs float64) {
 	return m.EvalContribs(w, m.rows[x][j].Contribs)
 }
 
+// maxPosItems bounds the item count up to which a Model keeps Find's
+// dense position table: |I|² int32s, 16 MiB at the bound (57.6 KB at
+// Douban scale 1.0's 120 items). ModelFromRows also builds models
+// from shard uploads, whose item count the sender chooses, so the
+// table must not grow without bound.
+const maxPosItems = 2048
+
+// buildPos fills Find's position table from the sorted rows.
+func (m *Model) buildPos() {
+	n := len(m.rows)
+	if n > maxPosItems {
+		return
+	}
+	m.pos = make([]int32, n*n)
+	for i := range m.pos {
+		m.pos[i] = -1
+	}
+	for x, row := range m.rows {
+		for j, pr := range row {
+			m.pos[x*n+int(pr.Y)] = int32(j)
+		}
+	}
+}
+
 // Find returns the index of item y in Row(x), or -1 when y is not
-// related to x: a binary search, since rows are sorted by Y. It fits
-// the inline budget (scripts/inline_check.sh), so the diffusion
-// engine's on-demand Δpref pays no call per lookup.
+// related to x: one load from the position table, or a binary search
+// of the row on a model too large for the table. It fits the inline
+// budget (scripts/inline_check.sh), so the diffusion engine's
+// on-demand Δpref pays no call per lookup; search is kept out of line
+// for that.
 func (m *Model) Find(x, y int) int {
+	if m.pos != nil {
+		return int(m.pos[x*len(m.rows)+y])
+	}
+	return m.search(x, y)
+}
+
+// search is Find's binary search over Row(x), which is sorted by Y.
+//
+//go:noinline
+func (m *Model) search(x, y int) int {
 	row := m.rows[x]
 	lo, hi := 0, len(row)
 	for lo < hi {

@@ -83,3 +83,48 @@ func TestInitMaxRCMatchesRows(t *testing.T) {
 		t.Fatal("no row with a positive RC; the check is vacuous")
 	}
 }
+
+// TestFindMatchesRows checks Find against a scan of the rows: for
+// every (x, y) of a preset's NewModel and of its ModelFromRows copy,
+// Find returns y's index in Row(x), or −1 when y is not there (x itself
+// included). A model of more than maxPosItems items keeps no position
+// table and searches its rows, with the same answers.
+func TestFindMatchesRows(t *testing.T) {
+	d, err := dataset.Douban(0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := d.Problem.PIN
+	wire, err := pin.ModelFromRows(m.KG, m.NumC(), m.InitWeights, m.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := pin.LargeModelForTest(t)
+	for _, c := range []struct {
+		name string
+		m    *pin.Model
+	}{{"NewModel", m}, {"ModelFromRows", wire}, {"large", large}} {
+		found := 0
+		for x := range c.m.NumItems() {
+			want := make(map[int]int)
+			for j, pr := range c.m.Row(x) {
+				want[int(pr.Y)] = j
+			}
+			for y := range c.m.NumItems() {
+				j, ok := want[y]
+				if !ok {
+					j = -1
+				}
+				if got := c.m.Find(x, y); got != j {
+					t.Fatalf("%s: Find(%d, %d) = %d, want %d", c.name, x, y, got, j)
+				}
+				if j >= 0 {
+					found++
+				}
+			}
+		}
+		if found == 0 {
+			t.Fatalf("%s: no related pair; the check is vacuous", c.name)
+		}
+	}
+}

@@ -227,13 +227,15 @@ func (j *Job) markRunning() bool {
 
 // finish records the terminal state and releases waiters. Repeated
 // calls are ignored, so a cancel racing a normal completion settles
-// on whichever finish lands first.
-func (j *Job) finish(st Status, sol *core.Solution, err error) bool {
+// on whichever finish lands first. settled, run only by the call that
+// settles the job, runs before the terminal event is published and
+// before Wait returns, so a waiter sees the job counted and retired.
+func (j *Job) finish(st Status, sol *core.Solution, err error, settled func()) {
 	j.mu.Lock()
 	switch j.status {
 	case StatusDone, StatusFailed, StatusCancelled:
 		j.mu.Unlock()
-		return false
+		return
 	}
 	j.status = st
 	j.sol = sol
@@ -242,17 +244,18 @@ func (j *Job) finish(st Status, sol *core.Solution, err error) bool {
 	if j.started.IsZero() {
 		j.started = j.finished
 	}
+	settled()
 	j.publishTerminalLocked()
 	j.mu.Unlock()
 	j.cancelCtx() // release the context's resources in every terminal path
 	close(j.done)
-	return true
 }
 
 // finishIfQueued settles a job that was cancelled before any worker
-// picked it up. It is a no-op once the job is running or finished —
-// the worker owns the terminal transition from then on.
-func (j *Job) finishIfQueued() bool {
+// picked it up, running settled as finish does. It is a no-op once the
+// job is running or finished — the worker owns the terminal transition
+// from then on.
+func (j *Job) finishIfQueued(settled func()) bool {
 	j.mu.Lock()
 	if j.status != StatusQueued {
 		j.mu.Unlock()
@@ -262,6 +265,7 @@ func (j *Job) finishIfQueued() bool {
 	j.err = context.Canceled
 	j.finished = time.Now()
 	j.started = j.finished
+	settled()
 	j.publishTerminalLocked()
 	j.mu.Unlock()
 	j.cancelCtx()

@@ -342,9 +342,7 @@ func (s *Service) Submit(req Request) (job *Job, coalescedFlag bool, err error) 
 		j.cacheHit = true
 		s.mu.Unlock()
 		s.submitted.Add(1)
-		s.completed.Add(1)
-		j.finish(StatusDone, sol, nil)
-		s.retireJob(j)
+		j.finish(StatusDone, sol, nil, s.settled(j, &s.completed))
 		return j, false, nil
 	}
 	if j := s.inflight[key]; j != nil {
@@ -424,10 +422,8 @@ func (s *Service) Cancel(id string) bool {
 // cancelled job can never hold a tenant at its MaxQueue bound.
 func (s *Service) cancelJob(j *Job) {
 	j.cancelCtx()
-	if j.finishIfQueued() {
+	if j.finishIfQueued(s.settled(j, &s.cancelled)) {
 		s.sched.remove(j)
-		s.cancelled.Add(1)
-		s.retireJob(j)
 		s.clearInflight(j)
 	}
 }
@@ -447,14 +443,13 @@ func (s *Service) clearInflight(j *Job) {
 // long-running daemon's job index cannot grow without bound. Only
 // finished jobs enter the window, so queued/running jobs are safe.
 //
-// Ordering guarantee (DESIGN.md §12): every caller invokes retireJob
-// strictly after Job.finish / finishIfQueued, which publish the
-// terminal event to the job's event log inside the status-settling
-// critical section. An SSE subscriber or long-poller attached to a
-// retiring job therefore always observes the terminal event — eviction
-// only removes the id from the index; attached streams keep draining
-// the Job they already hold. TestRetireDeliversTerminalToSubscribers
-// pins this.
+// Ordering guarantee (DESIGN.md §12): retireJob runs in the settled
+// hook of Job.finish / finishIfQueued, inside the status-settling
+// critical section that then publishes the terminal event. An SSE
+// subscriber or long-poller attached to a retiring job therefore
+// always observes the terminal event — eviction only removes the id
+// from the index; attached streams keep draining the Job they already
+// hold. TestRetireDeliversTerminalToSubscribers pins this.
 func (s *Service) retireJob(j *Job) {
 	s.mu.Lock()
 	s.retired = append(s.retired, j.id)
@@ -463,6 +458,15 @@ func (s *Service) retireJob(j *Job) {
 		s.retired = s.retired[1:]
 	}
 	s.mu.Unlock()
+}
+
+// settled returns the hook a job's finish runs when it settles the
+// job: it counts the job on c and retires it, before any waiter wakes.
+func (s *Service) settled(j *Job, c *atomic.Uint64) func() {
+	return func() {
+		c.Add(1)
+		s.retireJob(j)
+	}
 }
 
 // worker is the solver loop: one goroutine per Config.Workers. Every
@@ -484,10 +488,7 @@ func (s *Service) worker() {
 func (s *Service) runJob(j *Job) {
 	if j.ctx.Err() != nil {
 		// cancelled (or service-closed) while queued
-		if j.finish(StatusCancelled, nil, context.Canceled) {
-			s.cancelled.Add(1)
-			s.retireJob(j)
-		}
+		j.finish(StatusCancelled, nil, context.Canceled, s.settled(j, &s.cancelled))
 		s.clearInflight(j)
 		return
 	}
@@ -569,22 +570,13 @@ func (s *Service) runJob(j *Job) {
 		s.samples.Add(sol.Stats.SamplesSimulated)
 		s.saved.Add(sol.Stats.SamplesSaved)
 		s.solveNanos.Add(int64(elapsed))
-		if j.finish(StatusDone, &sol, nil) {
-			s.completed.Add(1)
-			s.retireJob(j)
-		}
+		j.finish(StatusDone, &sol, nil, s.settled(j, &s.completed))
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.clearInflight(j)
-		if j.finish(StatusCancelled, nil, err) {
-			s.cancelled.Add(1)
-			s.retireJob(j)
-		}
+		j.finish(StatusCancelled, nil, err, s.settled(j, &s.cancelled))
 	default:
 		s.clearInflight(j)
-		if j.finish(StatusFailed, nil, err) {
-			s.failed.Add(1)
-			s.retireJob(j)
-		}
+		j.finish(StatusFailed, nil, err, s.settled(j, &s.failed))
 	}
 }
 

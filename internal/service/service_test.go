@@ -352,14 +352,9 @@ func TestJobRetention(t *testing.T) {
 		}
 		ids = append(ids, j.ID())
 	}
-	// a worker retires a job just after finishing it (DESIGN.md §12),
-	// so Wait can return before the last job's retirement evicts the
-	// oldest: give it a moment instead of racing it
-	evicted := func() bool { _, ok := s.Job(ids[0]); return !ok }
-	for deadline := time.Now().Add(5 * time.Second); !evicted() && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if !evicted() {
+	// a job is retired before its waiters wake (DESIGN.md §12), so the
+	// last Wait has returned after the oldest job's eviction
+	if _, ok := s.Job(ids[0]); ok {
 		t.Fatal("oldest finished job should have been evicted")
 	}
 	for _, id := range ids[1:] {

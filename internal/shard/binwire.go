@@ -18,7 +18,7 @@ import (
 // body is one frame:
 //
 //	magic   [3]byte  "IMB"
-//	version byte     2
+//	version byte     3
 //	kind    byte     frameProblem | frameEstimateReq | frameEstimateResp
 //	flags   byte     bit 1: traced; every other bit must be clear
 //	length  u32 LE   payload byte count
@@ -55,7 +55,7 @@ const (
 )
 
 const (
-	frameVersion = 2
+	frameVersion = 3
 	// flagTraced marks a frame whose payload ends with trace-context
 	// fields (request: trace + parent span id; response: worker span
 	// records, DESIGN.md §11). Untraced frames carry neither the bit

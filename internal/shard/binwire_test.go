@@ -271,7 +271,7 @@ func TestFrameRejectsDrift(t *testing.T) {
 
 func FuzzDecodeProblemUploadBinary(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("IMB\x02\x01\x00\x00\x00\x00\x00"))
+	f.Add([]byte("IMB\x03\x01\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := DecodeProblemUploadBinary(data)
 		if err != nil {
@@ -353,4 +353,30 @@ func BenchmarkEstimateFrame(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(frame)), "B/frame")
+}
+
+// sampleBits pins, per frame version, the σ bits a local estimator
+// draws for groupsFor's groups on sampleProblem(t, 120, 3) at M = 13,
+// seed 99 (TestShardedBitIdenticalGolden's batch). A frame carries
+// sample values, so a worker folds its bits into the coordinator's
+// grid: a change that moves the engine's bits must bump frameVersion,
+// so registration refuses workers built before it (DESIGN.md §8).
+var sampleBits = map[int][]uint64{
+	2: {0x400c13132cba26ec, 0x401a33f69ebf6845, 0x3fefa20e7e29aed9, 0}, // uniform-draw skips
+	3: {0x400c13132cba26ec, 0x401884a70f538fa0, 0x3fe44fd121ef2f5e, 0}, // Exp-draw skips
+}
+
+// TestFrameVersionPinsSampleBits fails when the engine's sample bits
+// move without a frameVersion bump (or a bump without their record).
+func TestFrameVersionPinsSampleBits(t *testing.T) {
+	p := sampleProblem(t, 120, 3)
+	want, ok := sampleBits[frameVersion]
+	if !ok {
+		t.Fatalf("no sample bits recorded for frame version %d", frameVersion)
+	}
+	for g, est := range diffusion.NewEstimator(p, 13, 99).RunBatch(groupsFor(p), nil) {
+		if got := math.Float64bits(est.Sigma); got != want[g] {
+			t.Errorf("group %d: σ = %v (bits %#016x), frame version %d records %#016x: sample bits moved; bump frameVersion and record them", g, est.Sigma, got, frameVersion, want[g])
+		}
+	}
 }

@@ -2,30 +2,30 @@
 # inline_check.sh — the inlining guard behind `make inline-check` (CI:
 # test job).
 #
-# The diffusion engine flips one Bernoulli coin per arc, draws one
-# uniform (Stream.Float64) per clean PIN row and a few more per hit
-# (subset sampling), and flips one coin per entry of the remaining rows,
-# so the cost of a draw is most of the cost of an estimate (DESIGN.md
-# §3). The engine and the RR walk take every draw from an rng.Stream
-# held in locals, which stays in registers only while the draw
-# inlines; a one-line edit can silently undo that. Likewise every Pref
-# read of a user with adoptions sums its Δpref on demand, one
-# pin.(*Model).Find binary search per adoption, which must not cost a
-# call either; and the hot loops read a clean user's preference as
-# clampPref of its base preference, which must not cost a call where
-# Pref did. propagateFrom's subset samplers over clean friends take
-# their no-landing exit in skip, which must inline too; only a landing
-# pays skipLog's logarithm, out of line. This gate builds the engine
+# The diffusion engine flips one Bernoulli coin per dirty arc, draws
+# one Exp variate per subset-sampler skip and a coin per landing, and
+# flips one coin per entry of the remaining rows, so the cost of a draw
+# is most of the cost of an estimate (DESIGN.md §3). The engine and the
+# RR walk take every draw from an rng.Stream held in locals, which
+# stays in registers only while the draw inlines; a one-line edit can
+# silently undo that. An Exp draw inlines as Stream.ExpFast, the
+# ziggurat's one-draw fast path, and calls Stream.Exp only on its
+# misses. Likewise every Pref read of a user with adoptions sums its
+# Δpref on demand, one pin.(*Model).Find table load per adoption, which
+# must not cost a call either; and the hot loops read a clean user's
+# preference as clampPref of its base preference, which must not cost
+# a call where Pref did. The subset samplers turn each Exp variate into
+# a skip in skip, which must inline too. This gate builds the engine
 # packages with -gcflags=-m and fails unless
 #
 #   1. rng.Stream.next, rng.Stream.Float64, rng.Stream.Bernoulli,
-#      rng.(*Rand).Uint64, pin.(*Model).Find and diffusion's clampPref
-#      and skip report "can inline"
+#      rng.Stream.ExpFast, rng.(*Rand).Uint64, pin.(*Model).Find and
+#      diffusion's clampPref and skip report "can inline"
 #   2. every Bernoulli use in internal/diffusion/simulate.go and
 #      internal/sketch/sketch.go reports "inlining call to
-#      rng.Stream.Bernoulli", every Float64 use in
+#      rng.Stream.Bernoulli", every ExpFast use in
 #      internal/diffusion/simulate.go "inlining call to
-#      rng.Stream.Float64", every Find use in
+#      rng.Stream.ExpFast", every Find use in
 #      internal/diffusion/state.go "inlining call to pin.(*Model).Find",
 #      every clampPref use in internal/diffusion/simulate.go,
 #      estimate.go and state.go "inlining call to clampPref", and every
@@ -37,13 +37,14 @@
 #   scripts/inline_check.sh --self-test  # prove the gate can fail: copy
 #                                        # the tree, push next, then
 #                                        # Stream.Float64, then
-#                                        # Stream.Bernoulli, then Uint64,
+#                                        # Stream.Bernoulli, then
+#                                        # Stream.ExpFast, then Uint64,
 #                                        # then Model.Find, then clampPref,
 #                                        # then skip
 #                                        # over the inline budget, then
 #                                        # draw the purchase
 #                                        # coin through the Rand, then a
-#                                        # skip uniform through a method
+#                                        # skip variate through a method
 #                                        # value; assert detection each
 #                                        # time
 set -u
@@ -60,8 +61,8 @@ check_tree() {
 	fi
 
 	# 1. the generator methods fit the inline budget
-	for fn in 'Stream.next' 'Stream.Float64' 'Stream.Bernoulli' '(*Rand).Uint64'; do
-		if ! grep -E '^internal/rng/rng\.go:' <<<"$out" | cut -d' ' -f2- | grep -qxF "can inline $fn"; then
+	for fn in 'Stream.next' 'Stream.Float64' 'Stream.Bernoulli' 'Stream.ExpFast' '(*Rand).Uint64'; do
+		if ! grep -E '^internal/rng/[a-z]+\.go:' <<<"$out" | cut -d' ' -f2- | grep -qxF "can inline $fn"; then
 			echo "inline-check: rng.$fn no longer inlines (over the compiler's inline budget?)" >&2
 			fail=1
 		fi
@@ -84,7 +85,7 @@ check_tree() {
 	# are skipped, and a line with k uses needs k inlining reports
 	for site in Bernoulli:internal/diffusion/simulate.go:rng.Stream.Bernoulli \
 		Bernoulli:internal/sketch/sketch.go:rng.Stream.Bernoulli \
-		Float64:internal/diffusion/simulate.go:rng.Stream.Float64 \
+		ExpFast:internal/diffusion/simulate.go:rng.Stream.ExpFast \
 		'Find:internal/diffusion/state.go:pin.(*Model).Find' \
 		clampPref:internal/diffusion/simulate.go:clampPref \
 		clampPref:internal/diffusion/estimate.go:clampPref \
@@ -130,16 +131,16 @@ self_test() {
 		(cd "$repo_root" && tar -cf - --exclude .git --exclude .bench_build .) | tar -xf - -C "$tmp/tree"
 	}
 
-	# pad inserts cost-only statements at the top of an rng.go method
-	# body, given its signature prefix and its state expression: they
-	# compile, change nothing the check reads, and push the method's
-	# inline cost well past the budget
+	# pad inserts cost-only statements at the top of an rng method body,
+	# given its signature prefix, its state expression and its file:
+	# they compile, change nothing the check reads, and push the
+	# method's inline cost well past the budget
 	pad() {
 		sed -i "/^func $1(/a\\
 	$2.s0 += $2.s1 * $2.s2 * $2.s3\\
 	$2.s1 += $2.s2 * $2.s3 * $2.s0\\
 	$2.s2 += $2.s3 * $2.s0 * $2.s1\\
-	$2.s3 += $2.s0 * $2.s1 * $2.s2" "$tmp/tree/internal/rng/rng.go"
+	$2.s3 += $2.s0 * $2.s1 * $2.s2" "$tmp/tree/internal/rng/${3:-rng}.go"
 	}
 
 	copy
@@ -149,12 +150,13 @@ self_test() {
 		return 1
 	fi
 
-	for fn in 'Stream.next' 'Stream.Float64' 'Stream.Bernoulli' '(*Rand).Uint64'; do
+	for fn in 'Stream.next' 'Stream.Float64' 'Stream.Bernoulli' 'Stream.ExpFast' '(*Rand).Uint64'; do
 		copy
 		case $fn in
 		Stream.next) pad '(s Stream) next' s ;;
 		Stream.Float64) pad '(s Stream) Float64' s ;;
 		Stream.Bernoulli) pad '(s Stream) Bernoulli' s ;;
+		Stream.ExpFast) pad '(s Stream) ExpFast' s exp ;;
 		'(*Rand).Uint64') pad '(r \*Rand) Uint64' r.s ;;
 		esac
 		if check_tree "$tmp/tree" 2>&1 | grep -qF "rng.$fn no longer inlines"; then
@@ -206,10 +208,14 @@ self_test() {
 	# definition and its call sites in simulate.go
 	copy
 	sed -i '/^func skip(/a\
-	v += v * v * v * v\
-	v -= v * v * v * v\
-	v += v * v * v * v\
-	v -= v * v * v * v' "$tmp/tree/internal/diffusion/simulate.go"
+	e += e * e * e * e\
+	e -= e * e * e * e\
+	e += e * e * e * e\
+	e -= e * e * e * e\
+	e += e * e * e * e\
+	e -= e * e * e * e\
+	e += e * e * e * e\
+	e -= e * e * e * e' "$tmp/tree/internal/diffusion/simulate.go"
 	out=$(check_tree "$tmp/tree" 2>&1)
 	if ! grep -qF "diffusion.skip no longer inlines" <<<"$out" ||
 		! grep -qE "internal/diffusion/simulate\.go:[0-9]+: skip call not inlined" <<<"$out"; then
@@ -227,17 +233,17 @@ self_test() {
 		return 1
 	fi
 
-	# a skip uniform drawn through a method value (a call the compiler
-	# does not inline) must fail the Float64 call-site check
+	# a skip variate drawn through a method value (a call the compiler
+	# does not inline) must fail the ExpFast call-site check
 	copy
-	sed -i 's/s, v = s\.Float64()/draw := s.Float64; s, v = draw()/' \
+	sed -i 's/if ns, e, ok = s\.ExpFast(); !ok {/draw := s.ExpFast; if ns, e, ok = draw(); !ok {/' \
 		"$tmp/tree/internal/diffusion/simulate.go"
-	if ! check_tree "$tmp/tree" 2>&1 | grep -qF "Float64 call not inlined"; then
-		echo "inline-check self-test: FAIL — a skip uniform drawn through a method value went undetected" >&2
+	if ! check_tree "$tmp/tree" 2>&1 | grep -qF "ExpFast call not inlined"; then
+		echo "inline-check self-test: FAIL — a skip variate drawn through a method value went undetected" >&2
 		return 1
 	fi
 
-	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli, Uint64, Model.Find, clampPref and skip over budget, a Rand-drawn coin and a method-value uniform detected)"
+	echo "inline-check self-test: ok (clean tree passes; next, Stream.Float64, Stream.Bernoulli, Stream.ExpFast, Uint64, Model.Find, clampPref and skip over budget, a Rand-drawn coin and a method-value Exp draw detected)"
 	return 0
 }
 
