@@ -19,7 +19,7 @@ import (
 	"imdpp"
 )
 
-func newTestDaemon(t *testing.T) (*daemon, *httptest.Server) {
+func newTestDaemon(t testing.TB) (*daemon, *httptest.Server) {
 	t.Helper()
 	d := newDaemon(imdpp.ServiceConfig{Workers: 1, QueueDepth: 8, CacheSize: 32}, nil)
 	srv := httptest.NewServer(d.handler())

@@ -172,6 +172,12 @@ func (s *solver) selectNominees(universe []cluster.Nominee, budget float64) (sel
 	heap.Init(&h)
 	base := 0.0
 	var seeds []diffusion.Seed
+	// rebase is set after a pick until σ(seeds) is evaluated: it rides
+	// the next wave as group 0, under the same estimator seed and so
+	// with the same bits as a call of its own, or is evaluated alone
+	// once the loop ends. A pick leaves every entry stale, so a wave
+	// always follows one unless the heap empties first.
+	rebase := false
 	wave := make([]*celfEntry, 0, celfWaveSize)
 	for h.Len() > 0 {
 		if err = s.err(); err != nil {
@@ -201,8 +207,7 @@ func (s *solver) selectNominees(universe []cluster.Nominee, budget float64) (sel
 			// noisy evaluations and would otherwise deflate the next
 			// round's marginals (winner's curse).
 			s.est.Reseed(s.opt.Seed + uint64(len(selected))*0x9E3779B9)
-			base = s.sigma(seeds)
-			s.progress("select", len(selected), spent, base)
+			rebase = true
 			continue
 		}
 		// stale: pop a wave of stale affordable entries off the top and
@@ -222,17 +227,29 @@ func (s *solver) selectNominees(universe []cluster.Nominee, budget float64) (sel
 			heap.Pop(&h)
 			wave = append(wave, e)
 		}
-		groups := make([][]diffusion.Seed, len(wave))
-		for j, e := range wave {
-			groups[j] = diffusion.WithSeed(seeds, diffusion.Seed{User: e.nm.User, Item: e.nm.Item, T: 1})
+		groups := make([][]diffusion.Seed, 0, 1+len(wave))
+		if rebase {
+			groups = append(groups, seeds)
 		}
-		for j, sig := range s.sigmaBatch(groups) {
+		for _, e := range wave {
+			groups = append(groups, diffusion.WithSeed(seeds, diffusion.Seed{User: e.nm.User, Item: e.nm.Item, T: 1}))
+		}
+		sigmas := s.sigmaBatch(groups)
+		if rebase {
+			base, sigmas = sigmas[0], sigmas[1:]
+			s.progress("select", len(selected), spent, base)
+			rebase = false
+		}
+		for j, sig := range sigmas {
 			e := wave[j]
 			e.gain = sig - base
 			e.ratio = e.gain / (p.CostOf(e.nm.User, e.nm.Item) + 1e-12)
 			e.lastEval = len(selected)
 			heap.Push(&h, e)
 		}
+	}
+	if rebase {
+		s.progress("select", len(selected), spent, s.sigma(seeds))
 	}
 	return selected, emax, emaxSigma, spent, nil
 }

@@ -199,7 +199,8 @@ func (e *Estimator) MeanWeights(seeds []Seed, users []int) []float64 {
 // reproduces, user by user, the adopter entries of the ascending
 // in-list and the ascending market walk, so every float operation
 // happens in the same order as a walk over all market users' in-arcs
-// (DESIGN.md §3).
+// (DESIGN.md §3). The live users, their arcs and their terms stay in
+// st.piFull for resumedPi.
 func (st *State) LikelihoodPi(market []bool) float64 {
 	p := st.p
 	if st.piOneMinus == nil {
@@ -207,12 +208,13 @@ func (st *State) LikelihoodPi(market []bool) float64 {
 		st.piOneMinus = make([]float64, st.items)
 		st.piSum = make([]float64, st.items)
 		st.piMark = make([]uint64, (n+63)/64)
+		st.piDMark = make([]uint64, (n+63)/64)
 		st.piCount = make([]int32, n)
 	}
 	// the adopters (every touched user) in ascending id order
 	mark, adopters := st.piMark, st.piAdopters[:0]
 	for _, u := range st.touched {
-		mark[u/64] |= 1 << (uint(u) % 64)
+		setBit(mark, u)
 	}
 	adopters = drainBits(mark, adopters)
 	// count each live user's adopting in-neighbours, then turn the
@@ -224,80 +226,279 @@ func (st *State) LikelihoodPi(market []bool) float64 {
 				continue
 			}
 			if count[v] == 0 {
-				mark[v/64] |= 1 << (uint(v) % 64)
+				setBit(mark, v)
 			}
 			count[v]++
 		}
 	}
-	live := drainBits(mark, st.piLive[:0])
-	off := int32(0)
-	for _, v := range live {
-		off, count[v] = off+count[v], off
+	w := &st.piFull
+	w.users = drainBits(mark, w.users[:0])
+	arcs := st.bucketArcs(&w.arcs, adopters, w.users, market)
+	// count[v] is now the end of v's arcs and is zeroed on the way
+	w.arcEnd, w.termEnd, w.terms = w.arcEnd[:0], w.termEnd[:0], w.terms[:0]
+	start := int32(0)
+	for _, v := range w.users {
+		end := count[v]
+		count[v] = 0
+		w.terms = st.userPi(int(v), arcs.from[start:end], arcs.w[start:end], w.terms)
+		w.arcEnd = append(w.arcEnd, end)
+		w.termEnd = append(w.termEnd, int32(len(w.terms)))
+		start = end
 	}
-	st.piFrom, st.piW = slices.Grow(st.piFrom, int(off)), slices.Grow(st.piW, int(off))
-	from, weight := st.piFrom[:off], st.piW[:off]
-	for _, a := range adopters {
-		arcs := p.G.Out(int(a))
-		for ai, v := range arcs.To {
+	st.piAdopters = adopters[:0]
+	total := 0.0
+	for _, t := range w.terms {
+		total += t
+	}
+	return total
+}
+
+// resumedPi is LikelihoodPi on the final state of a family member
+// resumed from checkpoint c, when the last LikelihoodPi call on st was
+// the root's, on the root's final state of the same sample under the
+// same market, and the change log holds the root's run followed by
+// the member's (DESIGN.md §3, "Resumed π"). A user's terms read only
+// its own row and its adopting in-neighbours' rows, so a user is
+// recomputed only when it is in the change set: a changed adopter
+// (changedAdopters) in the market, or a market out-neighbour of one.
+// Every other live user takes the root's terms. A changed user's arcs
+// are the root's bucket without changed sources, merged with the
+// changed adopters' own arcs in ascending source order, so its terms
+// are the ones LikelihoodPi would compute, and all terms are summed in
+// LikelihoodPi's order.
+func (st *State) resumedPi(market []bool, c int) float64 {
+	p := st.p
+	mark, dmark, count := st.piMark, st.piDMark, st.piCount
+	changed := st.changedAdopters(c)
+	// the change set, and the member's changed adopters' arcs counted
+	// per target
+	for _, a := range changed {
+		setBit(dmark, a)
+		if market == nil || market[a] {
+			setBit(mark, a)
+		}
+		adopter := st.dirty[a]
+		for _, v := range p.G.Out(int(a)).To {
 			if market != nil && !market[v] {
 				continue
 			}
-			from[count[v]], weight[count[v]] = a, arcs.W[ai]
-			count[v]++
+			setBit(mark, v)
+			if adopter {
+				count[v]++
+			}
 		}
 	}
-	// both accumulators are all zero again when a user's loop ends;
-	// count[v] is now the end of v's arcs and is zeroed on the way. A
-	// clean live user holds its initial state (DESIGN.md §3): it has
-	// adopted nothing, Act would return the arc weight and Pref its
-	// clamped base preference, so its terms take those values directly.
-	oneMinus, sum, touched := st.piOneMinus, st.piSum, st.piTouched
-	lt := p.Params.AIS == AISLinearThreshold
+	cset := drainBits(mark, st.piChanged[:0])
+	darcs := st.bucketArcs(&st.piDArcs, changed, cset, market)
+
+	// merge the root's live users with the change set, both ascending
+	root := &st.piFull
 	total := 0.0
-	start := int32(0)
-	for _, v32 := range live {
-		v := int(v32)
+	i, arc0, term0 := 0, int32(0), int32(0) // root user, its arcs' and terms' start
+	start := int32(0)                       // the changed user's arcs in darcs
+	for _, v := range cset {
+		for ; i < len(root.users) && root.users[i] < v; i++ {
+			for _, t := range root.terms[term0:root.termEnd[i]] {
+				total += t
+			}
+			arc0, term0 = root.arcEnd[i], root.termEnd[i]
+		}
 		end := count[v]
 		count[v] = 0
-		clean := !st.dirty[v]
-		touched = touched[:0]
-		for ai := start; ai < end; ai++ {
-			vp := int(from[ai])
-			pact := weight[ai]
-			if !clean {
-				pact = st.Act(vp, v, pact)
-			}
-			for _, y := range st.adoptList[vp] {
-				if oneMinus[y] == 0 && sum[y] == 0 {
-					oneMinus[y] = 1
-					touched = append(touched, y)
-				}
-				oneMinus[y] *= 1 - pact
-				sum[y] += pact
-			}
-		}
+		dfrom, dw := darcs.from[start:end], darcs.w[start:end]
 		start = end
-		if clean {
-			base := p.BasePref.Row(v)
-			for _, y := range touched {
-				total += ais(lt, oneMinus[y], sum[y]) * clampPref(base[y])
-				oneMinus[y] = 0
-				sum[y] = 0
+		m := st.piMerged.reset()
+		if i < len(root.users) && root.users[i] == v {
+			for k := arc0; k < root.arcEnd[i]; k++ {
+				a := root.arcs.from[k]
+				if hasBit(dmark, a) {
+					continue
+				}
+				for len(dfrom) > 0 && dfrom[0] < a {
+					m.add(dfrom[0], dw[0])
+					dfrom, dw = dfrom[1:], dw[1:]
+				}
+				m.add(a, root.arcs.w[k])
 			}
+			arc0, term0 = root.arcEnd[i], root.termEnd[i]
+			i++
+		}
+		for k, a := range dfrom {
+			m.add(a, dw[k])
+		}
+		if len(m.from) > 0 {
+			terms := st.userPi(int(v), m.from, m.w, st.piTerms[:0])
+			for _, t := range terms {
+				total += t
+			}
+			st.piTerms = terms[:0]
+		}
+	}
+	for _, t := range root.terms[term0:] {
+		total += t
+	}
+	for _, a := range changed {
+		clearBit(dmark, a)
+	}
+	st.piAdopters, st.piChanged = changed[:0], cset[:0]
+	return total
+}
+
+// changedAdopters returns, in ascending id order, the users that
+// adopted after checkpoint c, in the root's run or in the member's,
+// and whose rows now differ from the root's final rows.
+func (st *State) changedAdopters(c int) []int32 {
+	mark := st.piMark
+	for _, u := range st.adoptLog[st.ckpts[c].logN:] {
+		setBit(mark, u)
+	}
+	changed := drainBits(mark, st.piAdopters[:0])
+	rows := &st.piRootRows
+	n, j := 0, 0
+	for _, u := range changed {
+		for j < len(rows.users) && rows.users[j] < u {
+			j++
+		}
+		if j < len(rows.users) && rows.users[j] == u && st.sameRow(rows, j, u) {
 			continue
 		}
+		changed[n] = u
+		n++
+	}
+	return changed[:n]
+}
+
+// keepRootRows keeps, in st.piRootRows, the current rows of the users
+// that adopted after the first checkpoint, in ascending id order. The
+// batch engine calls it on a family root's final state, so resumedPi
+// can tell which of a member's changed adopters ended where the root
+// ended.
+func (st *State) keepRootRows() {
+	mark := st.piMark
+	for _, u := range st.adoptLog[st.ckpts[0].logN:] {
+		setBit(mark, u)
+	}
+	users := drainBits(mark, st.piAdopters[:0])
+	st.piRootRows.keepRows(st, users)
+	st.piAdopters = users[:0]
+}
+
+// userPi appends the terms of live user v to terms, each
+// AIS(v,y)·Ppref(v,y) for an item y an adopting in-neighbour holds and
+// v does not, in the order v's arcs first touch them, and returns
+// terms. from and weight are v's adopting in-neighbours' arcs in
+// ascending source order. Both π paths take every term from here. Both
+// accumulators are all zero again on return. A clean live user holds
+// its initial state (DESIGN.md §3): it has adopted nothing, Act would
+// return the arc weight and Pref its clamped base preference, so its
+// terms take those values directly.
+func (st *State) userPi(v int, from []int32, weight []float64, terms []float64) []float64 {
+	oneMinus, sum, touched := st.piOneMinus, st.piSum, st.piTouched[:0]
+	clean := !st.dirty[v]
+	for ai, vp := range from {
+		pact := weight[ai]
+		if !clean {
+			pact = st.Act(int(vp), v, pact)
+		}
+		for _, y := range st.adoptList[vp] {
+			if oneMinus[y] == 0 && sum[y] == 0 {
+				oneMinus[y] = 1
+				touched = append(touched, y)
+			}
+			oneMinus[y] *= 1 - pact
+			sum[y] += pact
+		}
+	}
+	lt := st.p.Params.AIS == AISLinearThreshold
+	if clean {
+		base := st.p.BasePref.Row(v)
+		for _, y := range touched {
+			terms = append(terms, ais(lt, oneMinus[y], sum[y])*clampPref(base[y]))
+			oneMinus[y] = 0
+			sum[y] = 0
+		}
+	} else {
 		for _, y := range touched {
 			if !st.Adopted(v, int(y)) {
-				total += ais(lt, oneMinus[y], sum[y]) * st.Pref(v, int(y))
+				terms = append(terms, ais(lt, oneMinus[y], sum[y])*st.Pref(v, int(y)))
 			}
 			oneMinus[y] = 0
 			sum[y] = 0
 		}
 	}
 	st.piTouched = touched[:0]
-	st.piAdopters, st.piLive = adopters[:0], live[:0]
-	return total
+	return terms
 }
+
+// piArcs are adopters' out-arcs, bucketed per target user in
+// ascending target order and, within a target, in ascending source
+// order.
+type piArcs struct {
+	from []int32
+	w    []float64
+}
+
+// bucketArcs fills dst with the market out-arcs of the users of srcs
+// (ascending) that have adopted, by a counting sort into the targets
+// (ascending): st.piCount[v] holds the number of target v's arcs on
+// entry and the end of its bucket on return.
+func (st *State) bucketArcs(dst *piArcs, srcs, targets []int32, market []bool) *piArcs {
+	count := st.piCount
+	off := int32(0)
+	for _, v := range targets {
+		off, count[v] = off+count[v], off
+	}
+	dst.from, dst.w = slices.Grow(dst.from[:0], int(off))[:off], slices.Grow(dst.w[:0], int(off))[:off]
+	for _, u := range srcs {
+		if !st.dirty[u] {
+			continue
+		}
+		arcs := st.p.G.Out(int(u))
+		for ai, v := range arcs.To {
+			if market != nil && !market[v] {
+				continue
+			}
+			dst.from[count[v]], dst.w[count[v]] = u, arcs.W[ai]
+			count[v]++
+		}
+	}
+	return dst
+}
+
+// reset empties a for reuse and returns it.
+func (a *piArcs) reset() *piArcs {
+	a.from, a.w = a.from[:0], a.w[:0]
+	return a
+}
+
+func (a *piArcs) add(from int32, w float64) {
+	a.from = append(a.from, from)
+	a.w = append(a.w, w)
+}
+
+func (a *piArcs) bytes() uint64 { return uint64(cap(a.from))*4 + uint64(cap(a.w))*8 }
+
+// piWork is a full π call's per-user work: the live users in
+// ascending order, each one's bucketed arcs and the terms it added,
+// in the order they were added; user users[k]'s arcs end at
+// arcEnd[k] and its terms at termEnd[k].
+type piWork struct {
+	users   []int32
+	arcEnd  []int32
+	termEnd []int32
+	arcs    piArcs
+	terms   []float64
+}
+
+func (w *piWork) bytes() uint64 {
+	return uint64(cap(w.users)+cap(w.arcEnd)+cap(w.termEnd))*4 + w.arcs.bytes() + uint64(cap(w.terms))*8
+}
+
+func setBit(mark []uint64, u int32) { mark[u/64] |= 1 << (uint(u) % 64) }
+
+func clearBit(mark []uint64, u int32) { mark[u/64] &^= 1 << (uint(u) % 64) }
+
+func hasBit(mark []uint64, u int32) bool { return mark[u/64]&(1<<(uint(u)%64)) != 0 }
 
 // ais is AIS(v,y) of Eq. 13 from a user's per-item accumulators:
 // ΣPact clamped to 1 under the linear-threshold model (lt), else

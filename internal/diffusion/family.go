@@ -121,12 +121,15 @@ func sameMask(a, b []bool) bool {
 // each outcome to emit(j, g, res, π), root first (j = 0): the root's
 // campaign from Reset, checkpointed at each cut, then each sharer from
 // the checkpoint at its depth. π is evaluated on each member's own
-// final state; a sharer of depth T has the root's final state. It
-// reports false when a bound context cancelled the batch between
+// final state; a sharer of depth T has the root's final state, and a
+// resumed sharer recomputes only the users changed since its
+// checkpoint (resumedPi), so a family with cuts keeps the change log.
+// It reports false when a bound context cancelled the batch between
 // members.
 func (e *Estimator) runFamily(st *State, res *Result, f *family, groups [][]Seed, maskOf func(int) []bool, withPi bool, i int, master *rng.Rand, emit func(j, g int, res *Result, pi float64)) bool {
 	market := maskOf(f.root)
 	st.resetSplit(master, i)
+	st.logSteps = withPi && len(f.cuts) > 0
 	res.Sigma, res.MarketSigma, res.Adoptions, res.Steps = 0, 0, 0, 0
 	clear(res.PerItem)
 	st.runFrom(groups[f.root], 0, market, res, f.cuts)
@@ -134,16 +137,21 @@ func (e *Estimator) runFamily(st *State, res *Result, f *family, groups [][]Seed
 	if withPi {
 		pi = st.LikelihoodPi(market)
 	}
+	if st.logSteps {
+		st.keepRootRows()
+	}
 	emit(0, f.root, res, pi)
+	rootLog := len(st.adoptLog)
 	for j, s := range f.shared {
 		if s.cut >= 0 {
 			if e.preempted() {
 				return false
 			}
 			st.restore(s.cut, res)
+			st.adoptLog = st.adoptLog[:rootLog]
 			st.runFrom(groups[s.g], s.depth, market, res, nil)
 			if withPi {
-				pi = st.LikelihoodPi(market)
+				pi = st.resumedPi(market, s.cut)
 			}
 		}
 		emit(j+1, s.g, res, pi)

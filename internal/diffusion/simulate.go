@@ -373,8 +373,12 @@ func (st *State) adopt(u, x, t, step int, trig AdoptTrigger, market []bool, res 
 // demand by Pref). Influence learning is evaluated lazily in Act from
 // the updated adoption sets and weightings. A user's first
 // adoption has no other adopted item to support it, so the weighting
-// update is skipped for single-adoption users (DESIGN.md §3).
+// update is skipped for single-adoption users (DESIGN.md §3). With
+// logSteps set, the step's adopters go to the change log first.
 func (st *State) endOfStep() {
+	if st.logSteps {
+		st.adoptLog = append(st.adoptLog, st.stepUsers...)
+	}
 	if st.p.Params.Static {
 		clearStep(st)
 		return

@@ -3,6 +3,7 @@ package diffusion
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"imdpp/internal/rng"
 )
@@ -64,20 +65,37 @@ type State struct {
 	// engine's prefix reuse, reused across samples (DESIGN.md §3)
 	ckpts []checkpoint
 
+	// adoptLog lists, while logSteps is set, the users of every step's
+	// new adoptions in step order; a checkpoint keeps its length, so
+	// the users that adopted after it are the log past that length.
+	// The batch engine sets logSteps for the samples of a family whose
+	// resumed members want π (DESIGN.md §3, "Resumed π").
+	adoptLog []int32
+	logSteps bool
+
 	// LikelihoodPi scratch, allocated on the first π call: per-item
 	// accumulators, all zero between calls, and the items touched for
-	// the current user; a user bitset and per-user arc counts, both
-	// all zero between calls; the adopters and live users in id order
-	// and the adopters' out-arcs bucketed per live user (DESIGN.md §5)
+	// the current user; two user bitsets and per-user arc counts, all
+	// zero between calls; the adopters (for resumedPi, the changed
+	// adopters) in id order. piFull is the last full call's per-user
+	// work and piRootRows the rows it read of the users that adopted
+	// after a family's first cut, both kept for resumedPi; piChanged,
+	// piDArcs, piMerged and piTerms are resumedPi's change set, the
+	// changed adopters' arcs bucketed per changed user, and one changed
+	// user's merged arcs and terms (DESIGN.md §5).
 	piOneMinus []float64
 	piSum      []float64
 	piTouched  []int32
 	piMark     []uint64
+	piDMark    []uint64
 	piCount    []int32
 	piAdopters []int32
-	piLive     []int32
-	piFrom     []int32
-	piW        []float64
+	piFull     piWork
+	piRootRows checkpoint
+	piChanged  []int32
+	piDArcs    piArcs
+	piMerged   piArcs
+	piTerms    []float64
 
 	// trace hook for case studies; nil on the hot path.
 	OnAdopt func(user, item, promo, step int, trigger AdoptTrigger)
@@ -135,6 +153,7 @@ func NewState(p *Problem) *State {
 // streams (e.g. master.Split(i)) without them escaping to the heap.
 func (st *State) Reset(r *rng.Rand) {
 	st.rewindTo(0)
+	st.adoptLog, st.logSteps = st.adoptLog[:0], false
 	st.rngv = *r
 }
 
@@ -142,6 +161,7 @@ func (st *State) Reset(r *rng.Rand) {
 // derived generator.
 func (st *State) resetSplit(master *rng.Rand, i int) {
 	st.rewindTo(0)
+	st.adoptLog, st.logSteps = st.adoptLog[:0], false
 	master.SplitInto(&st.rngv, uint64(i))
 }
 
@@ -190,6 +210,7 @@ type checkpoint struct {
 	aend  []int32   // end offset of each user's list in alist
 	wmeta []float64 // weightings, numMeta per user
 	prefN []int32   // adoptions each user's Δpref covers
+	logN  int       // len(st.adoptLog) at capture
 
 	rngv             rng.Rand
 	sigma, msigma    float64
@@ -203,20 +224,47 @@ func (st *State) capture(c int, res *Result) {
 		st.ckpts = append(st.ckpts, checkpoint{})
 	}
 	cp := &st.ckpts[c]
-	cp.users = append(cp.users[:0], st.touched...)
+	cp.keepRows(st, st.touched)
+	cp.logN = len(st.adoptLog)
+	cp.rngv = st.rngv
+	cp.sigma, cp.msigma = res.Sigma, res.MarketSigma
+	cp.adoptions, cp.steps = res.Adoptions, res.Steps
+	cp.perItem = append(cp.perItem[:0], res.PerItem...)
+}
+
+// keepRows stores the rows of the given dirty users into cp.
+func (cp *checkpoint) keepRows(st *State, users []int32) {
+	cp.users = append(cp.users[:0], users...)
 	cp.bits, cp.alist, cp.aend = cp.bits[:0], cp.alist[:0], cp.aend[:0]
 	cp.wmeta, cp.prefN = cp.wmeta[:0], cp.prefN[:0]
-	for _, u := range st.touched {
+	for _, u := range users {
 		cp.bits = append(cp.bits, st.adopted[u]...)
 		cp.alist = append(cp.alist, st.adoptList[u]...)
 		cp.aend = append(cp.aend, int32(len(cp.alist)))
 		cp.wmeta = append(cp.wmeta, st.Weights(int(u))...)
 		cp.prefN = append(cp.prefN, st.prefN[u])
 	}
-	cp.rngv = st.rngv
-	cp.sigma, cp.msigma = res.Sigma, res.MarketSigma
-	cp.adoptions, cp.steps = res.Adoptions, res.Steps
-	cp.perItem = append(cp.perItem[:0], res.PerItem...)
+}
+
+// sameRow reports whether user u's row is the j-th row kept in cp, bit
+// for bit: the same adoption list, in order (so the same adoption bits
+// and dirty flag), Δpref coverage and weightings. Those are all a
+// user's row holds.
+func (st *State) sameRow(cp *checkpoint, j int, u int32) bool {
+	start := int32(0)
+	if j > 0 {
+		start = cp.aend[j-1]
+	}
+	if st.prefN[u] != cp.prefN[j] || !slices.Equal(st.adoptList[u], cp.alist[start:cp.aend[j]]) {
+		return false
+	}
+	nm := st.p.PIN.NumMeta()
+	for k, w := range st.Weights(int(u)) {
+		if math.Float64bits(w) != math.Float64bits(cp.wmeta[j*nm+k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // restore rewinds the state and res to checkpoint c. The users
@@ -240,6 +288,11 @@ func (st *State) restore(c int, res *Result) {
 	res.Sigma, res.MarketSigma = cp.sigma, cp.msigma
 	res.Adoptions, res.Steps = cp.adoptions, cp.steps
 	copy(res.PerItem, cp.perItem)
+}
+
+func (cp *checkpoint) bytes() uint64 {
+	return uint64(cap(cp.users)+cap(cp.alist)+cap(cp.aend)+cap(cp.prefN))*4 +
+		uint64(cap(cp.bits)+cap(cp.wmeta)+cap(cp.perItem))*8
 }
 
 // bumpEpoch advances the per-step stamp epoch, handling the (purely
@@ -467,12 +520,12 @@ func (st *State) MemoryFootprint() uint64 {
 		b += uint64(cap(l)) * 4
 	}
 	b += uint64(cap(st.stepUsers)) * 4
-	b += uint64(cap(st.piOneMinus)+cap(st.piSum)+cap(st.piMark)+cap(st.piW)) * 8
-	b += uint64(cap(st.piTouched)+cap(st.piCount)+cap(st.piAdopters)+cap(st.piLive)+cap(st.piFrom)) * 4
+	b += uint64(cap(st.adoptLog)) * 4
+	b += uint64(cap(st.piOneMinus)+cap(st.piSum)+cap(st.piMark)+cap(st.piDMark)+cap(st.piTerms)) * 8
+	b += uint64(cap(st.piTouched)+cap(st.piCount)+cap(st.piAdopters)+cap(st.piChanged)) * 4
+	b += st.piFull.bytes() + st.piDArcs.bytes() + st.piMerged.bytes() + st.piRootRows.bytes()
 	for i := range st.ckpts {
-		cp := &st.ckpts[i]
-		b += uint64(cap(cp.users)+cap(cp.alist)+cap(cp.aend)+cap(cp.prefN)) * 4
-		b += uint64(cap(cp.bits)+cap(cp.wmeta)+cap(cp.perItem)) * 8
+		b += st.ckpts[i].bytes()
 	}
 	return b
 }
