@@ -19,7 +19,7 @@ test:
 dysimbench-test:
 	cd dysimbench && $(GO) test ./...
 
-# The estimator's worker pool and the per-problem state pool are the
+# The estimator's worker pool and the per-substrate state pool are the
 # code a race detector should watch: estimators on one problem borrow
 # states from one shared free list (TestStateReuseConcurrent runs
 # several at once). -short skips the full-scale solves.
@@ -40,8 +40,11 @@ race:
 # one promotion event over an 8-friend clean out-list (ns/event,
 # draws/event) subset-sampled and coin by coin, and one Ppref read for
 # a clean, a one-adoption and a moved-weights user (Δpref summed on
-# demand); last, one shard estimate-response
-# frame encoded and decoded (B/frame is its size on the wire).
+# demand); then one shard estimate-response
+# frame encoded and decoded (B/frame is its size on the wire); last, a
+# warm-dataset /v1/sigma through the daemon's handler next to
+# service.Sigma on one reused problem (B/op shows whether a request's
+# clone rebuilds what its substrate holds).
 bench:
 	$(GO) test -run '^$$' -bench 'Estimate|Solve' -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^Benchmark(RunCampaign|RunCampaignSelect|RunBatchPiSchedule)$$' -benchtime 2000x -benchmem ./internal/diffusion
@@ -51,6 +54,7 @@ bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkCleanArcs$$' ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkPref$$' ./internal/diffusion
 	$(GO) test -run '^$$' -bench '^BenchmarkEstimateFrame$$' -benchmem ./internal/shard
+	$(GO) test -run '^$$' -bench '^BenchmarkDaemonSigma$$' -benchmem ./cmd/imdppd
 
 fmt:
 	gofmt -w .

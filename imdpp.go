@@ -47,9 +47,12 @@ import (
 
 // Core problem and diffusion types.
 type (
-	// Problem is one IMDPP instance: social network, knowledge graph,
-	// meta-graph model, importances, preferences, costs, budget and T.
+	// Problem is one IMDPP instance: a campaign (budget, T, Params)
+	// over a shared Substrate, whose fields it promotes.
 	Problem = diffusion.Problem
+	// Substrate is a Problem's network side: graphs, meta-graph model,
+	// importances, preferences and costs (README: custom Problems).
+	Substrate = diffusion.Substrate
 	// Seed is one (user, item, promotion) element of a seed group.
 	Seed = diffusion.Seed
 	// Params are the diffusion-model hyper-parameters.

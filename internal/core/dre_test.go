@@ -45,9 +45,11 @@ func drProblem(t *testing.T, wA, wB float64) *diffusion.Problem {
 		basePref[i] = 0.5
 	}
 	p := &diffusion.Problem{
-		G: g, KG: kgraph, PIN: model,
-		Importance: []float64{wA, wB},
-		BasePref:   diffusion.MatrixFrom(basePref, ni), Cost: diffusion.MatrixFrom(cost, ni),
+		Substrate: &diffusion.Substrate{
+			G: g, KG: kgraph, PIN: model,
+			Importance: []float64{wA, wB},
+			BasePref:   diffusion.MatrixFrom(basePref, ni), Cost: diffusion.MatrixFrom(cost, ni),
+		},
 		Budget: 100, T: 2, Params: diffusion.DefaultParams(),
 	}
 	if err := p.Validate(); err != nil {

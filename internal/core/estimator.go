@@ -51,7 +51,7 @@ type Estimator interface {
 	SamplesDone() uint64
 	// StateBytes reports the largest per-worker simulation state
 	// footprint the backend used, measured when a state goes back to
-	// its problem's pool (0 is fine for backends that cannot observe
+	// its substrate's pool (0 is fine for backends that cannot observe
 	// it).
 	StateBytes() uint64
 }

@@ -153,10 +153,8 @@ func BuildClass(spec ClassSpec, seed uint64) (*Dataset, error) {
 	}
 
 	prob := &diffusion.Problem{
-		G: g, KG: kgraph, PIN: model,
-		Importance: imp, BasePref: basePref, Cost: cost,
-		Budget: 0, T: 1,
-		Params: diffusion.DefaultParams(),
+		Substrate: &diffusion.Substrate{G: g, KG: kgraph, PIN: model, Importance: imp, BasePref: basePref, Cost: cost},
+		T:         1, Params: diffusion.DefaultParams(),
 	}
 	spec2 := Spec{Name: "Class-" + spec.ID, Users: n, Items: nCourses, Directed: true}
 	return &Dataset{Spec: spec2, Problem: prob, MetaC: metaC, MetaS: metaS}, nil

@@ -154,12 +154,8 @@ func Generate(spec Spec) (*Dataset, error) {
 	}
 
 	p := &diffusion.Problem{
-		G: g, KG: kgraph, PIN: model,
-		Importance: imp,
-		BasePref:   basePref,
-		Cost:       cost,
-		Budget:     0, T: 1,
-		Params: spec.Params,
+		Substrate: &diffusion.Substrate{G: g, KG: kgraph, PIN: model, Importance: imp, BasePref: basePref, Cost: cost},
+		T:         1, Params: spec.Params,
 	}
 	return &Dataset{Spec: spec, Problem: p, MetaC: metaC, MetaS: metaS}, nil
 }
@@ -317,8 +313,9 @@ func max(a, b int) int {
 	return b
 }
 
-// Clone returns a shallow copy of the problem with fresh Budget/T so
-// experiments can vary them without mutating shared state.
+// Clone returns a campaign (b, T) over the dataset's substrate: a
+// shallow copy of the problem, so every clone shares the substrate's
+// warm states, clean-target table and content digest (DESIGN.md §5).
 func (d *Dataset) Clone(budget float64, T int) *diffusion.Problem {
 	p := *d.Problem
 	p.Budget = budget

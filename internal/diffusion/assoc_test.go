@@ -251,8 +251,10 @@ func starProblem(t testing.TB, w, pref, rcs []float64, chi float64) *Problem {
 	params := DefaultParams()
 	params.Chi = chi
 	p := &Problem{
-		G: gb.Build(), KG: kgraph, PIN: model,
-		Importance: imp, BasePref: basePref, Cost: cost,
+		Substrate: &Substrate{
+			G: gb.Build(), KG: kgraph, PIN: model,
+			Importance: imp, BasePref: basePref, Cost: cost,
+		},
 		Budget: 1e9, T: 1, Params: params,
 	}
 	if err := p.Validate(); err != nil {

@@ -54,8 +54,10 @@ func testProblem(t testing.TB, g *graph.Graph, pref func(u, x int) float64, imp 
 		}
 	}
 	p := &Problem{
-		G: g, KG: kgraph, PIN: model,
-		Importance: imp, BasePref: MatrixFrom(basePref, ni), Cost: MatrixFrom(cost, ni),
+		Substrate: &Substrate{
+			G: g, KG: kgraph, PIN: model,
+			Importance: imp, BasePref: MatrixFrom(basePref, ni), Cost: MatrixFrom(cost, ni),
+		},
 		Budget: 1e9, T: T, Params: params,
 	}
 	if err := p.Validate(); err != nil {
@@ -598,7 +600,8 @@ func TestProblemValidate(t *testing.T) {
 		t.Fatal("T=0 accepted")
 	}
 	bad = *p
-	bad.Importance = bad.Importance[:1]
+	bad.Substrate = fork(p.Substrate)
+	bad.Importance = p.Importance[:1]
 	if bad.Validate() == nil {
 		t.Fatal("short importance accepted")
 	}

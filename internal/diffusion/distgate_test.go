@@ -361,9 +361,11 @@ func tinyProblem(t testing.TB) *diffusion.Problem {
 	par := diffusion.DefaultParams()
 	par.Chi = 1
 	p := &diffusion.Problem{
-		G: g, KG: kgraph, PIN: model,
-		Importance: []float64{1, 2.5, 4},
-		BasePref:   diffusion.MatrixFrom(pref, 3), Cost: diffusion.MatrixFrom(cost, 3),
+		Substrate: &diffusion.Substrate{
+			G: g, KG: kgraph, PIN: model,
+			Importance: []float64{1, 2.5, 4},
+			BasePref:   diffusion.MatrixFrom(pref, 3), Cost: diffusion.MatrixFrom(cost, 3),
+		},
 		Budget: 10, T: 2, Params: par,
 	}
 	if err := p.Validate(); err != nil {
@@ -423,9 +425,11 @@ func tinyStarProblem(t testing.TB) *diffusion.Problem {
 	par := diffusion.DefaultParams()
 	par.Chi = 1
 	p := &diffusion.Problem{
-		G: gb.Build(), KG: kgraph, PIN: model,
-		Importance: []float64{1, 2},
-		BasePref:   diffusion.MatrixFrom(pref, 2), Cost: diffusion.MatrixFrom(cost, 2),
+		Substrate: &diffusion.Substrate{
+			G: gb.Build(), KG: kgraph, PIN: model,
+			Importance: []float64{1, 2},
+			BasePref:   diffusion.MatrixFrom(pref, 2), Cost: diffusion.MatrixFrom(cost, 2),
+		},
 		Budget: 10, T: 1, Params: par,
 	}
 	if err := p.Validate(); err != nil {

@@ -24,10 +24,10 @@ type Estimate struct {
 // estimated by simulating the diffusion M times). It is safe for
 // sequential reuse; Concurrent evaluation happens internally across
 // workers with deterministic per-sample RNG streams. An Estimator is
-// cheap to build: its workers borrow simulation states from P's state
-// pool (statepool.go, DESIGN.md §5), shared by every estimator of that
-// problem, so a fresh Estimator per query on a warm problem builds no
-// State. Which pooled state a worker gets never changes a result: every
+// cheap to build: its workers borrow simulation states from P's
+// substrate (statepool.go, DESIGN.md §5), shared by every estimator of
+// every problem over it, so a fresh Estimator per query on a warm
+// substrate builds no State. Which pooled state a worker gets never changes a result: every
 // sample starts from Reset. All evaluation —
 // single (Run) and batched (RunBatch and friends) — builds the
 // (group × sample) grid with the one producer in shardable.go, which

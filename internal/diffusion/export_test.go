@@ -9,11 +9,3 @@ func GoldenProblem(t testing.TB) *Problem { return goldenProblem(t) }
 // ClampedProblem hands clampedProblem, whose base preferences need
 // clamping, to the distribution gate.
 func ClampedProblem(t testing.TB) *Problem { return clampedProblem(t) }
-
-// PooledProblems counts the problems holding an entry in the state-pool
-// registry, for the shard worker's lifetime test.
-func PooledProblems() int {
-	statePools.mu.Lock()
-	defer statePools.mu.Unlock()
-	return len(statePools.m)
-}

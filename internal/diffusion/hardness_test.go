@@ -75,9 +75,11 @@ func TestHardnessGadgetCascade(t *testing.T) {
 		basePref[e*ni+i1] = 1
 	}
 	p := &Problem{
-		G: g, KG: kgraph, PIN: model,
-		Importance: []float64{0, 1}, // only x2 adoptions count (w_{x1}=0)
-		BasePref:   MatrixFrom(basePref, ni), Cost: MatrixFrom(cost, ni),
+		Substrate: &Substrate{
+			G: g, KG: kgraph, PIN: model,
+			Importance: []float64{0, 1}, // only x2 adoptions count (w_{x1}=0)
+			BasePref:   MatrixFrom(basePref, ni), Cost: MatrixFrom(cost, ni),
+		},
 		Budget: 100, T: 2, Params: params,
 	}
 	if err := p.Validate(); err != nil {

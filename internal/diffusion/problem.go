@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"fmt"
+	"sync"
 
 	"imdpp/internal/graph"
 	"imdpp/internal/kg"
@@ -76,8 +77,13 @@ func DefaultParams() Params {
 	return Params{Eta: 0.25, Lambda: 0.5, Gamma: 0.5, Chi: 0.5, MaxSteps: 64, AIS: AISIndependentCascade}
 }
 
-// Problem is one immutable IMDPP instance.
-type Problem struct {
+// Substrate is the campaign-independent half of an IMDPP instance.
+// Many campaigns (b, T) run over one substrate (Dataset.Clone), so what
+// derives from its inputs alone is built once here and shared by every
+// Problem over it (DESIGN.md §5): warm states, the clean-target table
+// per χ and the content digest. Never modify a substrate once used;
+// build a new one. The mutex makes `go vet` reject a by-value copy.
+type Substrate struct {
 	G   *graph.Graph // social network G_SN; arc weights are P0act
 	KG  *kg.KG       // knowledge graph G_KG
 	PIN *pin.Model   // meta-graphs + relevance tables
@@ -91,6 +97,20 @@ type Problem struct {
 	// addressed (user, item).
 	Cost Matrix
 
+	mu     sync.Mutex             // guards free and bounds
+	free   []*State               // warm states, see getState
+	bounds map[uint64]*boundTable // clean-target tables by the bits of χ
+
+	digestOnce sync.Once
+	digest     Digest // the walk of the fields above, see ContentDigest
+}
+
+// Problem is one immutable IMDPP instance: a campaign over a shared
+// Substrate, whose fields it promotes (p.G, p.PIN, …). A by-value copy
+// shares the substrate, so give it a new Substrate, never new fields.
+type Problem struct {
+	*Substrate
+
 	// Budget is b; T is the total number of promotions.
 	Budget float64
 	T      int
@@ -100,6 +120,9 @@ type Problem struct {
 
 // Validate checks structural consistency.
 func (p *Problem) Validate() error {
+	if p.Substrate == nil {
+		return fmt.Errorf("diffusion: problem has no substrate")
+	}
 	n := p.G.N()
 	items := p.KG.NumItems()
 	if p.PIN.NumItems() != items {
@@ -129,22 +152,22 @@ func (p *Problem) Validate() error {
 }
 
 // NumUsers returns |V|.
-func (p *Problem) NumUsers() int { return p.G.N() }
+func (s *Substrate) NumUsers() int { return s.G.N() }
 
 // NumItems returns |I|.
-func (p *Problem) NumItems() int { return p.KG.NumItems() }
+func (s *Substrate) NumItems() int { return s.KG.NumItems() }
 
 // BasePrefOf returns P0(u, y).
-func (p *Problem) BasePrefOf(u, y int) float64 { return p.BasePref.At(u, y) }
+func (s *Substrate) BasePrefOf(u, y int) float64 { return s.BasePref.At(u, y) }
 
 // CostOf returns c_{u,x}.
-func (p *Problem) CostOf(u, x int) float64 { return p.Cost.At(u, x) }
+func (s *Substrate) CostOf(u, x int) float64 { return s.Cost.At(u, x) }
 
 // SeedCost returns the total cost of a seed group.
-func (p *Problem) SeedCost(seeds []Seed) float64 {
+func (s *Substrate) SeedCost(seeds []Seed) float64 {
 	total := 0.0
-	for _, s := range seeds {
-		total += p.CostOf(s.User, s.Item)
+	for _, sd := range seeds {
+		total += s.CostOf(sd.User, sd.Item)
 	}
 	return total
 }

@@ -239,6 +239,7 @@ func TestCleanUsersHoldInitialState(t *testing.T) {
 // frequency of 3 must match χ·Pact·Ppref·rC under the moved weights.
 func TestAssociationUsesMovedWeights(t *testing.T) {
 	p := benchProblem(t, 8, 16)
+	p.Substrate = fork(p.Substrate)
 	p.G = lineGraph(8, 1)
 	p.T = 1
 	p.Params.Eta, p.Params.Chi, p.Params.Lambda = 1, 1, 0.1

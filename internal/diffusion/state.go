@@ -11,8 +11,8 @@ import (
 // State is the mutable per-sample simulation state: adoption sets,
 // per-user meta-graph weightings and how many adoptions each user's
 // preference delta covers. One State is reused across Monte-Carlo
-// samples by each worker, and across the estimators of one problem
-// through that problem's state pool (statepool.go); Reset restores
+// samples by each worker, and across the estimators of every problem
+// over one substrate through its free list (statepool.go); Reset restores
 // initial conditions touching only the rows dirtied by the previous
 // sample, which keeps per-sample overhead proportional to cascade
 // size rather than |V|·|I|.
@@ -39,10 +39,10 @@ type State struct {
 	dirty     []bool     // user rows needing reset
 	touched   []int32    // dirty user list
 	rngv      rng.Rand   // sample stream, copied in by Reset
-	// bound is the problem's clean-target table, shared read-only by
-	// its states (statepool.go): bound[u·items+x] holds p̄, the largest
-	// purchase probability u gives a clean friend for item x, and the
-	// skip scales of propagateFrom's two subset samplers.
+	// bound is the substrate's clean-target table for the problem's χ,
+	// shared read-only (statepool.go): bound[u·items+x] holds p̄, the
+	// largest purchase probability u gives a clean friend for item x,
+	// and the skip scales of propagateFrom's two subset samplers.
 	bound []cleanBound
 
 	// zeroed bitset rows (len words), recycled across samples so
@@ -121,8 +121,8 @@ type adoptEvent struct {
 // weighting floats; the O(|V|·|I|) adoption table of the seed layout
 // is replaced by rows allocated lazily per dirtied user, and its
 // preference table by deltaPref. The one |V|·|I| table a state reads,
-// the clean-target bound, is built once per problem and shared by all
-// its states.
+// the clean-target bound, is built once per substrate and χ and shared
+// by all their states.
 func NewState(p *Problem) *State {
 	n := p.NumUsers()
 	items := p.NumItems()
@@ -139,7 +139,7 @@ func NewState(p *Problem) *State {
 		stepStamp: make([]uint32, n),
 		stepEpoch: 1,
 		stepItems: make([][]int32, n),
-		bound:     poolOf(p).boundOf(p),
+		bound:     p.bound(p.Params.Chi),
 	}
 	// weightings start at the shared init vector; rows are lazily reset
 	for u := 0; u < n; u++ {

@@ -62,8 +62,10 @@ func benchProblem(tb testing.TB, users, items int) *Problem {
 		}
 	}
 	p := &Problem{
-		G: g, KG: kgraph, PIN: model,
-		Importance: imp, BasePref: basePref, Cost: cost,
+		Substrate: &Substrate{
+			G: g, KG: kgraph, PIN: model,
+			Importance: imp, BasePref: basePref, Cost: cost,
+		},
 		Budget: 1e9, T: 3, Params: DefaultParams(),
 	}
 	if err := p.Validate(); err != nil {

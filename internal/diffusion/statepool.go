@@ -1,75 +1,44 @@
 package diffusion
 
 import (
-	"runtime"
+	"math"
 	"sync"
-	"weak"
 )
 
-// maxParked bounds the warm states one problem's free list keeps. It
-// only needs to cover the states a problem's estimators hold at once
-// (a batch borrows one per worker goroutine); a state put back to a
-// full list is left to the garbage collector.
+// maxParked bounds the warm states one substrate's free list keeps. It
+// only needs to cover the states its estimators hold at once (a batch
+// borrows one per worker goroutine); a state put back to a full list
+// is left to the garbage collector.
 const maxParked = 16
 
-// statePool is one problem's free list of warm simulation states,
-// shared by every Estimator of that problem (DESIGN.md §5): service σ
-// queries, a solve's selection and scheduling estimators and shard
-// worker requests all borrow from it, so a query on a warm problem
-// builds no State. A parked state holds no *Problem (State.p is nil
-// until getState hands it out again), so nothing in a pool keeps its
-// problem alive.
-//
-// Beside the free list it holds the problem's clean-target table
-// (buildBound), built on the first NewState and shared read-only by
-// every state of the problem, so no query or state pays for it again.
-// The table derives from the problem's G, BasePref, PIN and Chi; the
-// pool is keyed by the *Problem, so a copy with another Chi builds its
-// own.
-type statePool struct {
-	mu   sync.Mutex
-	free []*State
-
-	boundOnce sync.Once
-	bound     []cleanBound
+// boundTable is a substrate's clean-target table for one χ, built on
+// first use and shared read-only by every state that simulates with
+// that χ (DESIGN.md §5).
+type boundTable struct {
+	once sync.Once
+	b    []cleanBound
 }
 
-// statePools maps each live problem to its free list. It lives beside
-// the Problem rather than in it because a Problem is a plain value that
-// callers copy (dysimbench's static run copies one), which a lock
-// inside it would forbid. The keys are weak, and a cleanup attached to
-// the problem deletes its entry once the problem is collected, so the
-// registry neither extends a problem's lifetime nor outlives it. A
-// by-value copy of a Problem is a new key with its own list.
-var statePools struct {
-	mu sync.Mutex
-	m  map[weak.Pointer[Problem]]*statePool
-}
-
-// poolOf returns p's free list, registering it on first use.
-func poolOf(p *Problem) *statePool {
-	k := weak.Make(p)
-	statePools.mu.Lock()
-	defer statePools.mu.Unlock()
-	sp := statePools.m[k]
-	if sp == nil {
-		if statePools.m == nil {
-			statePools.m = make(map[weak.Pointer[Problem]]*statePool)
+// bound returns s's clean-target table for χ, building it on first
+// use. The table derives from G, BasePref and PIN, which s holds, and
+// from χ, so campaigns over s that share χ share one table.
+func (s *Substrate) bound(chi float64) []cleanBound {
+	k := math.Float64bits(chi)
+	s.mu.Lock()
+	t := s.bounds[k]
+	if t == nil {
+		if s.bounds == nil {
+			s.bounds = make(map[uint64]*boundTable)
 		}
-		sp = &statePool{}
-		statePools.m[k] = sp
-		runtime.AddCleanup(p, dropPool, k)
+		t = &boundTable{}
+		s.bounds[k] = t
 	}
-	return sp
+	s.mu.Unlock()
+	t.once.Do(func() { t.b = buildBound(s, chi) })
+	return t.b
 }
 
-// boundOf returns p's clean-target table, building it on first use.
-func (sp *statePool) boundOf(p *Problem) []cleanBound {
-	sp.boundOnce.Do(func() { sp.bound = buildBound(p) })
-	return sp.bound
-}
-
-// cleanBound is one (u′, x) cell of a problem's clean-target table,
+// cleanBound is one (u′, x) cell of a substrate's clean-target table,
 // everything propagateFrom's two subset samplers need of the event
 // (u′, x) before a landing (DESIGN.md §3): p̄ and the skip scales of
 // the purchase sampler, landing with q = min(p̄, 1), and of the
@@ -79,7 +48,7 @@ type cleanBound struct {
 	pbar, scale, scaleA float64
 }
 
-// buildBound derives the clean-target table from p. Cell u′·|I|+x
+// buildBound derives the clean-target table of s for χ. Cell u′·|I|+x
 // holds p̄, the largest W_a·clampPref(P0(v_a, x)) over u′'s out-arcs
 // a → v_a, the purchase probability propagateFrom gives a clean
 // friend, or 0 for a user with no out-arcs; and skipScale of q and qa.
@@ -87,16 +56,15 @@ type cleanBound struct {
 // preferences pass Problem.Validate) is skipped rather than poisoning
 // the whole bound, as Go's max would, and −0 and negative products
 // leave it at 0; every cell is then finite.
-func buildBound(p *Problem) []cleanBound {
-	items := p.NumItems()
-	chi := p.Params.Chi
-	b := make([]cleanBound, p.NumUsers()*items)
-	for u := range p.NumUsers() {
+func buildBound(s *Substrate, chi float64) []cleanBound {
+	items := s.NumItems()
+	b := make([]cleanBound, s.NumUsers()*items)
+	for u := range s.NumUsers() {
 		m := b[u*items : (u+1)*items]
-		arcs := p.G.Out(u)
+		arcs := s.G.Out(u)
 		for ai, to := range arcs.To {
 			w := arcs.W[ai]
-			for x, v := range p.BasePref.Row(int(to)) {
+			for x, v := range s.BasePref.Row(int(to)) {
 				if pa := w * clampPref(v); pa > m[x].pbar {
 					m[x].pbar = pa
 				}
@@ -105,39 +73,36 @@ func buildBound(p *Problem) []cleanBound {
 		for x := range m {
 			pbar := m[x].pbar
 			m[x].scale = skipScale(min(pbar, 1))
-			m[x].scaleA = skipScale(min(chi*pbar*p.PIN.InitMaxRC(x), 1))
+			m[x].scaleA = skipScale(min(chi*pbar*s.PIN.InitMaxRC(x), 1))
 		}
 	}
 	return b
 }
 
-// dropPool deletes a collected problem's free list.
-func dropPool(k weak.Pointer[Problem]) {
-	statePools.mu.Lock()
-	delete(statePools.m, k)
-	statePools.mu.Unlock()
-}
-
-// getState borrows a warm state of e.P from the problem's free list,
-// allocating one when the list is empty.
+// getState borrows a warm state from e.P's substrate, shared by every
+// Estimator of every Problem over it (DESIGN.md §5): service σ
+// queries, a solve's selection and scheduling estimators and shard
+// worker requests, across campaigns. It allocates one when the free
+// list is empty. A state depends only on the substrate; the campaign
+// and the table of its χ are set per borrow.
 func (e *Estimator) getState() *State {
-	sp := poolOf(e.P)
-	sp.mu.Lock()
-	n := len(sp.free)
+	s := e.P.Substrate
+	s.mu.Lock()
+	n := len(s.free)
 	if n == 0 {
-		sp.mu.Unlock()
+		s.mu.Unlock()
 		return NewState(e.P)
 	}
-	st := sp.free[n-1]
-	sp.free[n-1] = nil
-	sp.free = sp.free[:n-1]
-	sp.mu.Unlock()
-	st.p = e.P
+	st := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	s.mu.Unlock()
+	st.p, st.bound = e.P, s.bound(e.P.Params.Chi)
 	return st
 }
 
 // putState records st's footprint for StateBytes and parks it on its
-// problem's free list without the problem pointer.
+// substrate's free list.
 func (e *Estimator) putState(st *State) {
 	b := st.MemoryFootprint()
 	for {
@@ -146,19 +111,19 @@ func (e *Estimator) putState(st *State) {
 			break
 		}
 	}
-	sp := poolOf(st.p)
-	st.p = nil
-	sp.mu.Lock()
-	if len(sp.free) < maxParked {
-		sp.free = append(sp.free, st)
+	s := st.p.Substrate
+	s.mu.Lock()
+	if len(s.free) < maxParked {
+		s.free = append(s.free, st)
 	}
-	sp.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // StateBytes returns the largest memory footprint of the states this
-// estimator returned to its problem's free list — the per-worker cost
-// of the sampling hot path. With the sparse State layout this scales
-// with the largest cascade simulated, not with |V|·|I|. A state
+// estimator returned to its substrate's free list — the per-worker
+// cost of the sampling hot path. With the sparse State layout this
+// scales with the largest cascade simulated, not with |V|·|I|. A state
 // borrowed warm may carry rows grown by another estimator of the same
-// problem; its footprint counts here too, since this estimator held it.
+// substrate; its footprint counts here too, since this estimator held
+// it.
 func (e *Estimator) StateBytes() uint64 { return e.stateBytes.Load() }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 	"weak"
 
 	"imdpp/internal/rng"
@@ -22,11 +23,25 @@ func poolMask(n int, salt uint64) []bool {
 	return m
 }
 
-// freshBatch answers a batch on a by-value copy of the problem — a new
-// pool key whose states are all built for this call, the never-pooled
-// reference.
+// fork returns a new substrate over s's inputs, with no warm states,
+// tables or digest of its own yet.
+func fork(s *Substrate) *Substrate {
+	return &Substrate{G: s.G, KG: s.KG, PIN: s.PIN, Importance: s.Importance, BasePref: s.BasePref, Cost: s.Cost}
+}
+
+// freshBatch answers a batch on a copy of the problem over a forked
+// substrate, whose states are all built for this call: the
+// never-pooled reference.
 func freshBatch(q Problem, m int, seed uint64, groups [][]Seed, masks [][]bool, withPi bool) []Estimate {
+	q.Substrate = fork(q.Substrate)
 	return NewEstimator(&q, m, seed).RunBatchMasked(groups, masks, withPi)
+}
+
+// parked counts the states parked on s.
+func parked(s *Substrate) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.free)
 }
 
 // parkMidFamily runs one sample of groups' first family on a borrowed
@@ -55,13 +70,14 @@ func parkMidFamily(t *testing.T, p *Problem, groups [][]Seed) {
 	e.putState(st)
 }
 
-// TestStateReuseMatchesFreshStates passes one problem's pooled states
+// TestStateReuseMatchesFreshStates passes one substrate's pooled states
 // through a sequence of estimators — different M, seeds, worker counts,
 // market masks, π on and off, a checkpointed family, a state parked
-// mid-family by a cancelled estimator, DRE's MeanWeights, and a
-// by-value copy with Params.Static flipped as dysimbench's static run
-// makes — and checks every answer bit for bit against the same query
-// on a never-pooled copy of the problem.
+// mid-family by a cancelled estimator, DRE's MeanWeights, a by-value
+// copy with Params.Static flipped as dysimbench's static run makes and
+// a campaign clone with another budget and T, both over the same
+// substrate — and checks every answer bit for bit against the same
+// query on a never-pooled copy of the problem.
 func TestStateReuseMatchesFreshStates(t *testing.T) {
 	p := prefixProblem(t, false)
 	n := p.NumUsers()
@@ -93,8 +109,8 @@ func TestStateReuseMatchesFreshStates(t *testing.T) {
 		e := NewEstimator(p, s.m, s.seed)
 		e.Workers = s.workers
 		requireEstimates(t, s.name, e.RunBatchMasked(fam, s.masks, s.withPi), freshBatch(*p, s.m, s.seed, fam, s.masks, s.withPi))
-		if len(poolOf(p).free) == 0 {
-			t.Fatalf("%s: no state parked on the problem", s.name)
+		if parked(p.Substrate) == 0 {
+			t.Fatalf("%s: no state parked on the substrate", s.name)
 		}
 		if i == 1 {
 			parkMidFamily(t, p, fam)
@@ -108,6 +124,7 @@ func TestStateReuseMatchesFreshStates(t *testing.T) {
 	users := []int{0, 3, 7, 11}
 	got := e.MeanWeights(fam[1], users)
 	q := *p
+	q.Substrate = fork(p.Substrate)
 	ref := NewEstimator(&q, 12, 9).MeanWeights(fam[1], users)
 	for j := range ref {
 		if math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
@@ -115,15 +132,20 @@ func TestStateReuseMatchesFreshStates(t *testing.T) {
 		}
 	}
 
-	// the static copy is a new pool key; reuse within it and back on p
+	// the static copy and a longer campaign share p's substrate and so
+	// its warm states; reuse across them and back on p
 	static := *p
 	static.Params.Static = !p.Params.Static
-	for _, seed := range []uint64{5, 6} {
-		e := NewEstimator(&static, 10, seed)
-		requireEstimates(t, "static", e.RunBatchMasked(fam, masks, true), freshBatch(static, 10, seed, fam, masks, true))
+	long := *p
+	long.Budget, long.T = p.Budget/2, p.T+2
+	for _, q := range []*Problem{&static, &long} {
+		for _, seed := range []uint64{5, 6} {
+			e := NewEstimator(q, 10, seed)
+			requireEstimates(t, "clone", e.RunBatchMasked(fam, masks, true), freshBatch(*q, 10, seed, fam, masks, true))
+		}
 	}
 	e = NewEstimator(p, 10, 5)
-	requireEstimates(t, "after static", e.RunBatchMasked(fam, masks, true), freshBatch(*p, 10, 5, fam, masks, true))
+	requireEstimates(t, "after clones", e.RunBatchMasked(fam, masks, true), freshBatch(*p, 10, 5, fam, masks, true))
 }
 
 // TestStateReuseConcurrent runs estimators on one problem from several
@@ -177,68 +199,77 @@ func TestStateReuseConcurrent(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
-	if k := len(poolOf(p).free); k == 0 || k > maxParked {
+	if k := parked(p.Substrate); k == 0 || k > maxParked {
 		t.Fatalf("%d states parked, want 1..%d", k, maxParked)
 	}
 }
 
-// pooled reports whether the registry holds an entry for k.
-func pooled(k weak.Pointer[Problem]) bool {
-	statePools.mu.Lock()
-	defer statePools.mu.Unlock()
-	_, ok := statePools.m[k]
-	return ok
-}
-
-// TestStatePoolReleasesProblems creates, uses and drops many problems:
-// once they are collected the registry holds none of them, while a
-// problem still in use keeps its warm states across collections.
+// TestStatePoolReleasesProblems creates, uses and drops many
+// substrates: once unreferenced each is collected with its warm states
+// and table, while a substrate still in use keeps its warm states
+// across collections, reachable through a campaign clone alone.
 func TestStatePoolReleasesProblems(t *testing.T) {
 	base := goldenProblem(t)
 	seeds := []Seed{{User: 1, Item: 2, T: 1}}
 	live := *base
+	live.Substrate = fork(base.Substrate)
 	NewEstimator(&live, 4, 1).Sigma(seeds)
 
 	const dropped = 50
-	keys := make([]weak.Pointer[Problem], dropped)
+	keys := make([]weak.Pointer[Substrate], dropped)
 	for i := range keys {
-		q := new(Problem)
-		*q = *base
-		NewEstimator(q, 4, uint64(i)).Sigma(seeds)
-		keys[i] = weak.Make(q)
+		q := *base
+		q.Substrate = fork(base.Substrate)
+		NewEstimator(&q, 4, uint64(i)).Sigma(seeds)
+		keys[i] = weak.Make(q.Substrate)
 	}
+	clone := live
+	clone.Budget++
+	live = Problem{}
 	left := dropped
 	for try := 0; try < 100 && left > 0; try++ {
 		runtime.GC()
-		time.Sleep(time.Millisecond) // cleanups run on their own goroutine
 		left = 0
 		for _, k := range keys {
-			if pooled(k) || k.Value() != nil {
+			if k.Value() != nil {
 				left++
 			}
 		}
 	}
 	if left > 0 {
-		t.Fatalf("%d of %d dropped problems still alive or registered after GC", left, dropped)
+		t.Fatalf("%d of %d dropped substrates still alive after GC", left, dropped)
 	}
-	if !pooled(weak.Make(&live)) || len(poolOf(&live).free) == 0 {
-		t.Fatal("a problem in use lost its warm states to GC")
+	if parked(clone.Substrate) == 0 {
+		t.Fatal("a substrate in use lost its warm states to GC")
 	}
-	runtime.KeepAlive(&live)
 }
 
-// TestBoundKeyedByProblem copies a problem by value with another Chi,
-// as dysimbench's static run copies one with another Static: the copy
-// is a new pool key, so it builds its own clean-target table, whose
-// association scales follow its own Chi, while the purchase columns
-// (p̄ and its scale do not depend on Chi) come out bit-identical.
+// TestBoundKeyedByProblem checks the keying of a substrate's derived
+// data across campaign clones: a copy with another budget and T (same
+// χ) shares the original's clean-target table, and a copy with 2·χ
+// shares its pool of warm states but builds its own table, whose
+// association scales follow its own χ, while the purchase columns (p̄
+// and its scale do not depend on χ) come out bit-identical. A state
+// borrowed across the two takes the borrower's table.
 func TestBoundKeyedByProblem(t *testing.T) {
 	p := goldenProblem(t)
+	same := *p
+	same.Budget, same.T = p.Budget+1, p.T+1
 	q := *p
 	q.Params.Chi = 2 * p.Params.Chi
-	a, b := NewState(p).bound, NewState(&q).bound
+	a, s, b := NewState(p).bound, NewState(&same).bound, NewState(&q).bound
+	if &a[0] != &s[0] {
+		t.Fatal("a same-χ clone builds its own clean-target table")
+	}
 	if &a[0] == &b[0] {
-		t.Fatal("a copy with another Chi shares its original's clean-target table")
+		t.Fatal("a copy with another χ shares its original's clean-target table")
+	}
+	eq := NewEstimator(&q, 1, 1)
+	st := eq.getState()
+	eq.putState(st)
+	ep := NewEstimator(p, 1, 1)
+	if got := ep.getState(); got != st || &got.bound[0] != &a[0] || got.p != p {
+		t.Fatal("a 2·χ copy's parked state is not handed to the original with the original's table")
 	}
 	checkBound(t, p, a)
 	checkBound(t, &q, b)
@@ -268,35 +299,60 @@ func TestStatePoolIsBounded(t *testing.T) {
 	for _, st := range borrowed {
 		e.putState(st)
 	}
-	if k := len(poolOf(p).free); k != maxParked {
+	if k := parked(p.Substrate); k != maxParked {
 		t.Fatalf("%d states parked after returning %d, want %d", k, len(borrowed), maxParked)
 	}
 }
 
-// TestFreshEstimatorAllocatesNoState pins the point of the per-problem
+// TestFreshEstimatorAllocatesNoState pins the point of the substrate's
 // pool: a σ query through a new Estimator on a warm problem borrows a
-// parked State instead of building one. The bound sits below what the
-// query plus a single NewState would allocate, and holds at MC 1 and
-// MC 100 alike: the query's sample row carries its item totals once,
-// so its allocations do not grow with the sample count.
+// parked State instead of building one, and so does the first query on
+// a new campaign clone of it (another budget and T), which builds no
+// clean-target table either. The bound sits below what the query plus
+// a single NewState would allocate, and holds at MC 1 and MC 100
+// alike: the query's sample row carries its item totals once, so its
+// allocations do not grow with the sample count.
 func TestFreshEstimatorAllocatesNoState(t *testing.T) {
 	p := benchProblem(t, 2000, 256)
 	seeds := []Seed{{User: 3, Item: 5, T: 1}, {User: 7, Item: 9, T: 2}}
 	const bound = 20
 	newState := testing.AllocsPerRun(10, func() { NewState(p) })
+	table := uint64(len(p.bound(p.Params.Chi))) * uint64(unsafe.Sizeof(cleanBound{}))
 	for _, m := range []int{1, 100} {
-		query := func() {
-			e := NewEstimator(p, m, 1)
+		query := func(q *Problem) {
+			e := NewEstimator(q, m, 1)
 			e.Workers = 1
 			e.Sigma(seeds)
 		}
-		query() // warm the problem's pool
-		got := testing.AllocsPerRun(50, query)
-		if got+newState <= bound {
-			t.Fatalf("bound %d cannot catch a State per query: query %v + NewState %v allocations", bound, got, newState)
-		}
-		if got > bound {
-			t.Fatalf("a warm MC-%d σ query allocates %v objects, want ≤ %d: it builds a State or allocates per sample", m, got, bound)
+		query(p) // warm the substrate's pool
+		for _, in := range []struct {
+			name string
+			run  func()
+		}{
+			{"warm problem", func() { query(p) }},
+			{"fresh clone", func() {
+				c := *p
+				c.Budget, c.T = p.Budget/2, p.T+1
+				query(&c)
+			}},
+		} {
+			got := testing.AllocsPerRun(50, in.run)
+			if got+newState <= bound {
+				t.Fatalf("bound %d cannot catch a State per query: query %v + NewState %v allocations", bound, got, newState)
+			}
+			if got > bound {
+				t.Fatalf("%s: an MC-%d σ query allocates %v objects, want ≤ %d: it builds a State or allocates per sample", in.name, m, got, bound)
+			}
+			const runs = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				in.run()
+			}
+			runtime.ReadMemStats(&after)
+			if b := (after.TotalAlloc - before.TotalAlloc) / runs; b >= table/4 {
+				t.Fatalf("%s: an MC-%d σ query allocates %d bytes, the clean-target table is %d: it builds one", in.name, m, b, table)
+			}
 		}
 	}
 }

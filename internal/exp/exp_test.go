@@ -3,6 +3,9 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"imdpp/internal/diffusion"
+	"imdpp/internal/service"
 )
 
 // quickCfg is a minimal configuration for harness tests.
@@ -161,6 +164,36 @@ func TestFig13SubsetBuilder(t *testing.T) {
 		want := map[int]int{1: 1, 2: 2, 3: 3}[k]
 		if got := p.PIN.NumMeta(); got != want {
 			t.Fatalf("k=%d → %d meta-graphs", k, got)
+		}
+	}
+}
+
+// TestFig13VariantKeepsDataset builds every Fig13 variant after the
+// dataset's problem has been keyed: the dataset keeps its PIN and its
+// content key, by the memo and by a full walk alike, and no variant
+// takes the key of the dataset's own campaign.
+func TestFig13VariantKeepsDataset(t *testing.T) {
+	d, err := datasetByName("Yelp", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := d.Problem.PIN
+	key := service.HashProblem(d.Problem)
+	for k := 1; k <= 3; k++ {
+		p, err := problemWithMetaSubset(d, k, 100, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Problem.PIN != model {
+			t.Fatalf("k=%d: building the variant replaced the dataset's PIN", k)
+		}
+		full := diffusion.NewDigest()
+		d.Problem.HashTo(&full)
+		if service.HashProblem(d.Problem) != key || service.Key(full) != key {
+			t.Fatalf("k=%d: building the variant moved the dataset's content key", k)
+		}
+		if service.HashProblem(p) == service.HashProblem(d.Clone(100, 3)) {
+			t.Fatalf("k=%d: the variant shares the dataset's content key", k)
 		}
 	}
 }

@@ -47,7 +47,8 @@ func Fig13(cfg Config, dsName string) (*Figure, error) {
 
 // problemWithMetaSubset rebuilds the dataset's problem with the first
 // k meta-graphs active: k=1 → {mC1}; k=2 → {mC1, mS1}; k≥3 → {mC1,
-// mC2, mS1}.
+// mC2, mS1}. The variant gets a substrate of its own, so the dataset's
+// problem, and every clone sharing its substrate, keep their PIN.
 func problemWithMetaSubset(d *dataset.Dataset, k int, budget float64, T int) (*diffusion.Problem, error) {
 	var metaC, metaS []*kg.MetaGraph
 	switch {
@@ -68,8 +69,9 @@ func problemWithMetaSubset(d *dataset.Dataset, k int, budget float64, T int) (*d
 	if err != nil {
 		return nil, err
 	}
+	s := d.Problem.Substrate
 	p := *d.Problem
-	p.PIN = model
+	p.Substrate = &diffusion.Substrate{G: s.G, KG: s.KG, PIN: model, Importance: s.Importance, BasePref: s.BasePref, Cost: s.Cost}
 	p.Budget = budget
 	p.T = T
 	return &p, nil

@@ -26,7 +26,7 @@ type Config struct {
 	// a memory hit to a disk hit instead of a re-simulation.
 	Dir string
 	// KeyFn maps a problem to its content address (the serving layer
-	// passes service.ProblemKey, which hashes each problem once). nil
+	// passes service.ProblemKey, which walks each substrate once). nil
 	// disables the cache.
 	KeyFn func(*diffusion.Problem) string
 }

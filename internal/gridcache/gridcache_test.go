@@ -30,7 +30,7 @@ func itemsProblem(n int) *diffusion.Problem {
 	for i := 0; i < n; i++ {
 		b.AddNode(item)
 	}
-	return &diffusion.Problem{KG: b.Build()}
+	return &diffusion.Problem{Substrate: &diffusion.Substrate{KG: b.Build()}}
 }
 
 func rowsFor(tag int, span int) []diffusion.SampleResult {

@@ -28,6 +28,7 @@
 // echoed with backend "sketch" in job snapshots, and the service
 // keeps a second content-addressed cache (sketch.Cache, keyed by
 // ProblemKey + ε + δ + seed, optionally disk-backed) for the built
-// indices themselves. ProblemKey is HashProblem memoized per live
-// problem, the key the sketch and grid lanes share.
+// indices themselves. ProblemKey is HashProblem's string, the key the
+// sketch and grid lanes share; it resumes the substrate's memoized
+// digest, so it costs a dozen words per call.
 package service

@@ -1,12 +1,10 @@
 package service
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"math"
-	"runtime"
 	"strconv"
-	"sync"
-	"weak"
 
 	"imdpp/internal/core"
 	"imdpp/internal/diffusion"
@@ -35,7 +33,10 @@ type Key struct {
 }
 
 // String renders the key as 32 hex digits.
-func (k Key) String() string { return fmt.Sprintf("%016x%016x", k.Hi, k.Lo) }
+func (k Key) String() string {
+	b := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(make([]byte, 0, 16), k.Hi), k.Lo)
+	return string(hex.AppendEncode(make([]byte, 0, 32), b))
+}
 
 // ParseKey parses the 32-hex-digit form produced by Key.String — the
 // content-address format the shard RPC passes problem references in.
@@ -56,58 +57,17 @@ func ParseKey(s string) (Key, error) {
 	return Key{Hi: hi, Lo: lo}, nil
 }
 
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// digest is a two-lane FNV-1a over 64-bit words (one multiply per
-// word instead of per byte: the matrices dominate and hashing must
-// stay cheap next to a solve). The second lane starts from a
-// different offset and rotates between words so the lanes stay
-// decorrelated, giving a 128-bit address.
-type digest struct {
-	a, b uint64
-}
-
-func newDigest() *digest {
-	return &digest{a: fnvOffset, b: fnvOffset ^ 0x9e3779b97f4a7c15}
-}
-
-func (d *digest) u64(x uint64) {
-	d.a = (d.a ^ x) * fnvPrime
-	d.b = (d.b ^ x) * fnvPrime
-	d.b = d.b<<13 | d.b>>51
-}
-
-func (d *digest) i64(x int)     { d.u64(uint64(int64(x))) }
-func (d *digest) f64(x float64) { d.u64(math.Float64bits(x)) }
-
-func (d *digest) f64s(xs []float64) {
-	d.i64(len(xs))
-	for _, x := range xs {
-		d.f64(x)
-	}
-}
-
-func (d *digest) bool(v bool) {
-	if v {
-		d.u64(1)
-	} else {
-		d.u64(0)
-	}
-}
-
 // HashRequest returns the content address of one solve request.
 // Options are canonicalised first (WithDefaults), so a request
 // relying on a default and one spelling it out — Seed 0 vs 1, MC 0
-// vs 32 — share one key, as they run the bit-identical solve.
+// vs 32 — share one key, as they run the bit-identical solve. The
+// options come first, so it walks the whole problem each call.
 func HashRequest(p *diffusion.Problem, opt core.Options, adaptive bool) Key {
-	d := newDigest()
-	d.bool(adaptive)
-	hashOptions(d, opt.WithDefaults())
-	hashProblem(d, p)
-	return Key{Hi: d.a, Lo: d.b}
+	d := diffusion.NewDigest()
+	d.Bool(adaptive)
+	hashOptions(&d, opt.WithDefaults())
+	p.HashTo(&d)
+	return Key(d)
 }
 
 // HashProblem returns the content address of a Problem alone — the
@@ -117,64 +77,28 @@ func HashRequest(p *diffusion.Problem, opt core.Options, adaptive bool) Key {
 // PIN rows and initial weights, the economic tables, budget, T,
 // params), so two problems with equal keys estimate bit-identically;
 // a worker recomputes the hash over the decoded upload, making the
-// address self-verifying against codec drift.
-func HashProblem(p *diffusion.Problem) Key {
-	d := newDigest()
-	hashProblem(d, p)
-	return Key{Hi: d.a, Lo: d.b}
-}
+// address self-verifying against codec drift. The substrate is walked
+// once per substrate (Problem.ContentDigest), so a key over a warm
+// substrate costs a dozen words.
+func HashProblem(p *diffusion.Problem) Key { return Key(p.ContentDigest()) }
 
-// problemKeys memoizes ProblemKey per live problem. It holds its
-// problems weakly and drops an entry once its problem is collected, so
-// it never keeps a problem (or the problem's state pool) alive.
-var problemKeys = struct {
-	sync.Mutex
-	m map[weak.Pointer[diffusion.Problem]]string
-}{m: make(map[weak.Pointer[diffusion.Problem]]string)}
+// ProblemKey returns HashProblem(p).String(), the content address of
+// the grid and sketch cache lanes.
+func ProblemKey(p *diffusion.Problem) string { return HashProblem(p).String() }
 
-// ProblemKey returns HashProblem(p).String(), hashing each live problem
-// once. It is the content address of the grid and sketch cache lanes,
-// which look it up on every σ query and every solve's estimator — and
-// one hash costs more than a small σ query. Like those caches, it
-// assumes a problem is not mutated once it has been keyed.
-func ProblemKey(p *diffusion.Problem) string {
-	k := weak.Make(p)
-	problemKeys.Lock()
-	key, ok := problemKeys.m[k]
-	problemKeys.Unlock()
-	if ok {
-		return key
-	}
-	key = HashProblem(p).String()
-	problemKeys.Lock()
-	if _, ok := problemKeys.m[k]; !ok {
-		problemKeys.m[k] = key
-		runtime.AddCleanup(p, forgetProblemKey, k)
-	}
-	problemKeys.Unlock()
-	return key
-}
-
-// forgetProblemKey drops a collected problem's memoized key.
-func forgetProblemKey(k weak.Pointer[diffusion.Problem]) {
-	problemKeys.Lock()
-	delete(problemKeys.m, k)
-	problemKeys.Unlock()
-}
-
-func hashOptions(d *digest, o core.Options) {
-	d.i64(o.MC)
-	d.i64(o.MCSI)
-	d.u64(o.Seed)
-	d.i64(o.Theta)
-	d.f64(o.MIOAThreshold)
-	d.i64(o.CandidateCap)
-	d.i64(int(o.Cluster.Strategy))
-	d.i64(o.Cluster.MaxHops)
-	d.f64(o.Cluster.MinRelGap)
-	d.i64(int(o.Order))
-	d.bool(o.DisableTargetMarkets)
-	d.bool(o.DisableItemPriority)
+func hashOptions(d *diffusion.Digest, o core.Options) {
+	d.Int(o.MC)
+	d.Int(o.MCSI)
+	d.U64(o.Seed)
+	d.Int(o.Theta)
+	d.Float(o.MIOAThreshold)
+	d.Int(o.CandidateCap)
+	d.Int(int(o.Cluster.Strategy))
+	d.Int(o.Cluster.MaxHops)
+	d.Float(o.Cluster.MinRelGap)
+	d.Int(int(o.Order))
+	d.Bool(o.DisableTargetMarkets)
+	d.Bool(o.DisableItemPriority)
 	// Workers, Progress, Backend-as-constructor and GridCache
 	// intentionally omitted: none can affect the result under the
 	// §3/§7/§10 determinism contracts, so requests that differ only
@@ -185,67 +109,8 @@ func hashOptions(d *digest, o core.Options) {
 	// pre-epsilon request keeps its exact historical key (DESIGN.md
 	// §9).
 	if o.Epsilon > 0 {
-		d.u64(0x5253) // "RS" lane tag: sketch answers never alias MC
-		d.f64(o.Epsilon)
-		d.f64(o.Delta)
+		d.U64(0x5253) // "RS" lane tag: sketch answers never alias MC
+		d.Float(o.Epsilon)
+		d.Float(o.Delta)
 	}
-}
-
-func hashProblem(d *digest, p *diffusion.Problem) {
-	n := p.NumUsers()
-	items := p.NumItems()
-	d.i64(n)
-	d.i64(items)
-	d.bool(p.G.Directed())
-
-	// social graph: CSR out-adjacency (arcs are sorted by target at
-	// Build(), so equal edge multisets hash equally regardless of
-	// insertion order — the same canonicalisation the determinism
-	// contract relies on)
-	for u := 0; u < n; u++ {
-		arcs := p.G.Out(u)
-		d.i64(arcs.Len())
-		for i, v := range arcs.To {
-			d.i64(int(v))
-			d.f64(arcs.W[i])
-		}
-	}
-
-	// PIN model: initial meta-graph weights plus the merged relevance
-	// rows — everything the diffusion dynamics read from the
-	// knowledge-graph side
-	d.f64s(p.PIN.InitWeights)
-	d.i64(p.PIN.NumC())
-	for x := 0; x < items; x++ {
-		row := p.PIN.Row(x)
-		d.i64(len(row))
-		for _, pr := range row {
-			d.i64(int(pr.Y))
-			d.i64(len(pr.Contribs))
-			for _, c := range pr.Contribs {
-				d.i64(int(c.Meta))
-				d.f64(c.S)
-			}
-		}
-	}
-
-	d.f64s(p.Importance)
-	for u := 0; u < n; u++ {
-		d.f64s(p.BasePref.Row(u))
-	}
-	for u := 0; u < n; u++ {
-		d.f64s(p.Cost.Row(u))
-	}
-
-	d.f64(p.Budget)
-	d.i64(p.T)
-
-	pr := p.Params
-	d.f64(pr.Eta)
-	d.f64(pr.Lambda)
-	d.f64(pr.Gamma)
-	d.f64(pr.Chi)
-	d.i64(pr.MaxSteps)
-	d.i64(int(pr.AIS))
-	d.bool(pr.Static)
 }

@@ -3,16 +3,18 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
-	"weak"
 
 	"imdpp/internal/cluster"
 	"imdpp/internal/core"
 	"imdpp/internal/dataset"
 	"imdpp/internal/diffusion"
+	"imdpp/internal/rng"
 	"imdpp/internal/sketch"
 )
 
@@ -537,64 +539,63 @@ func TestSketchBackendSelection(t *testing.T) {
 	}
 }
 
-// TestProblemKeyMemo pins the shared content-address memo of the grid
-// and sketch lanes: ProblemKey is HashProblem's string, taken once per
-// live problem (a second call returns the memo without re-hashing, so
-// it does not see a later mutation), and the memo holds its problems
-// weakly — every dropped problem's entry goes once it is collected.
+// TestProblemKeyMemo pins the substrate's memoized content digest
+// under ProblemKey, the grid and sketch lanes' content address: over
+// one cold substrate, campaign clones that differ in budget, T, χ or
+// Static, keyed concurrently, each get the key of a full walk of their
+// inputs, and no two share one.
 func TestProblemKeyMemo(t *testing.T) {
-	p := sampleProblem(t, 100, 4)
-	want := HashProblem(p).String()
-	if got := ProblemKey(p); got != want {
-		t.Fatalf("ProblemKey %s, HashProblem %s", got, want)
+	d, err := dataset.AmazonSample()
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.Budget++
+	chi, static := d.Clone(100, 4), d.Clone(100, 4)
+	chi.Params.Chi *= 2
+	static.Params.Static = true
+	clones := []*diffusion.Problem{d.Clone(100, 4), d.Clone(50, 4), d.Clone(100, 3), chi, static}
+	keys := make([]string, len(clones))
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for i, p := range clones {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := ProblemKey(p); got != want {
-				t.Errorf("later ProblemKey re-hashed: %s, want the memoized %s", got, want)
-			}
+			keys[i] = ProblemKey(p)
 		}()
 	}
 	wg.Wait()
-	if HashProblem(p).String() == want {
-		t.Fatal("the budget change does not move HashProblem: the memo check above shows nothing")
-	}
-	runtime.KeepAlive(p)
-
-	const dropped = 20
-	live := make([]*diffusion.Problem, dropped)
-	keys := make([]weak.Pointer[diffusion.Problem], dropped)
-	for i := range live {
-		live[i] = sampleProblem(t, float64(10+i), 2)
-		keys[i] = weak.Make(live[i])
-		ProblemKey(live[i])
-	}
-	memoized := func() int {
-		problemKeys.Lock()
-		defer problemKeys.Unlock()
-		n := 0
-		for _, k := range keys {
-			if _, ok := problemKeys.m[k]; ok {
-				n++
-			}
+	seen := make(map[string]int)
+	for i, p := range clones {
+		full := diffusion.NewDigest()
+		p.HashTo(&full)
+		if want := Key(full).String(); keys[i] != want {
+			t.Fatalf("clone %d: ProblemKey %s, full walk %s", i, keys[i], want)
 		}
-		return n
+		if j, dup := seen[keys[i]]; dup {
+			t.Fatalf("clones %d and %d share key %s", j, i, keys[i])
+		}
+		seen[keys[i]] = i
 	}
-	if n := memoized(); n != dropped {
-		t.Fatalf("%d of %d live problems memoized", n, dropped)
+}
+
+// TestKeyString pins Key.String's format, the 32 lower-case hex digits
+// of Hi then Lo that fmt's %016x%016x gives, its round trip through
+// ParseKey, and its single allocation, the returned string.
+func TestKeyString(t *testing.T) {
+	r := rng.New(0x4B)
+	keys := []Key{{}, {Hi: math.MaxUint64, Lo: math.MaxUint64}, {Hi: 1, Lo: 0xabcdef}}
+	for range 64 {
+		keys = append(keys, Key{Hi: r.Uint64(), Lo: r.Uint64()})
 	}
-	runtime.KeepAlive(live) // the last use: from here on they are garbage
-	n := memoized()
-	for try := 0; try < 100 && n > 0; try++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond) // cleanups run on their own goroutine
-		n = memoized()
+	for _, k := range keys {
+		s := k.String()
+		if want := fmt.Sprintf("%016x%016x", k.Hi, k.Lo); s != want {
+			t.Fatalf("Key%+v.String() = %s, want %s", k, s, want)
+		}
+		if back, err := ParseKey(s); err != nil || back != k {
+			t.Fatalf("ParseKey(%s) = %+v, %v, want %+v", s, back, err, k)
+		}
 	}
-	if n > 0 {
-		t.Fatalf("%d of %d dropped problems still memoized after GC", n, dropped)
+	if n := testing.AllocsPerRun(100, func() { _ = keys[3].String() }); n > 1 {
+		t.Fatalf("Key.String allocates %v objects, want 1", n)
 	}
 }

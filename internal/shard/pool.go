@@ -35,8 +35,8 @@ type Pool struct {
 
 	mu      sync.Mutex
 	remotes []*Remote
-	blobs   map[*diffusion.Problem]*ProblemBlob // bounded memo, see blobFor
-	blobLRU []*diffusion.Problem
+	blobs   map[service.Key]*ProblemBlob // bounded memo, see blobFor
+	blobLRU []service.Key
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -158,7 +158,7 @@ func NewPool(urls []string, client *http.Client) *Pool {
 	}
 	p := &Pool{
 		client:     client,
-		blobs:      make(map[*diffusion.Problem]*ProblemBlob),
+		blobs:      make(map[service.Key]*ProblemBlob),
 		stop:       make(chan struct{}),
 		specFactor: 2.0,
 		specMin:    25 * time.Millisecond,
@@ -410,23 +410,25 @@ func NewProblemBlob(p *diffusion.Problem) *ProblemBlob {
 	return &ProblemBlob{Key: service.HashProblem(p), body: EncodeProblem(p).AppendBinary(nil)}
 }
 
-// blobFor memoizes NewProblemBlob per problem pointer. A solver run
-// creates two estimators (MC and MCSI) over one problem; the memo
-// makes them share one encoding. The memo is bounded: problems are
-// immutable but short-lived (one per solve request), so a small
-// FIFO window suffices.
+// blobFor memoizes NewProblemBlob per content key, which costs a
+// dozen words over a warm substrate (service.HashProblem). A solver
+// run creates two estimators (MC and MCSI) over one problem, and a
+// daemon clones a problem per request; the memo makes them all share
+// one encoding. It holds no problem, and it is bounded: a small FIFO
+// window suffices.
 func (p *Pool) blobFor(prob *diffusion.Problem) *ProblemBlob {
+	key := service.HashProblem(prob)
 	p.mu.Lock()
-	if b, ok := p.blobs[prob]; ok {
+	if b, ok := p.blobs[key]; ok {
 		p.mu.Unlock()
 		return b
 	}
 	p.mu.Unlock()
 	b := NewProblemBlob(prob)
 	p.mu.Lock()
-	if _, ok := p.blobs[prob]; !ok {
-		p.blobs[prob] = b
-		p.blobLRU = append(p.blobLRU, prob)
+	if _, ok := p.blobs[key]; !ok {
+		p.blobs[key] = b
+		p.blobLRU = append(p.blobLRU, key)
 		for len(p.blobLRU) > 4 {
 			delete(p.blobs, p.blobLRU[0])
 			p.blobLRU = p.blobLRU[1:]

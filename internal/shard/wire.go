@@ -150,15 +150,9 @@ func DecodeProblem(u ProblemUpload) (*diffusion.Problem, error) {
 		cols = 1 // MatrixFrom needs cols > 0; the matrices are empty anyway
 	}
 	p := &diffusion.Problem{
-		G:          g,
-		KG:         stub,
-		PIN:        model,
-		Importance: u.Importance,
-		BasePref:   diffusion.MatrixFrom(u.BasePref, cols),
-		Cost:       diffusion.MatrixFrom(u.Cost, cols),
-		Budget:     u.Budget,
-		T:          u.T,
-		Params:     u.Params,
+		Substrate: &diffusion.Substrate{G: g, KG: stub, PIN: model, Importance: u.Importance,
+			BasePref: diffusion.MatrixFrom(u.BasePref, cols), Cost: diffusion.MatrixFrom(u.Cost, cols)},
+		Budget: u.Budget, T: u.T, Params: u.Params,
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: decoded problem invalid: %w", err)

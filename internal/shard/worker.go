@@ -56,9 +56,9 @@ type WorkerConfig struct {
 // store of decoded problems plus the estimate handler that simulates
 // one shard's sample range. Each request runs its own batch-engine
 // estimator, so requests against the same problem run concurrently;
-// their simulation states come warm from the problem's state pool
-// (DESIGN.md §5), which dies with the problem once it is evicted or
-// dropped.
+// their simulation states come warm from the decoded problem's
+// substrate (DESIGN.md §5), which dies with the problem once it is
+// evicted or dropped.
 type Worker struct {
 	cfg WorkerConfig
 

@@ -1,0 +1,116 @@
+package shard
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+	"weak"
+
+	"imdpp/internal/diffusion"
+	"imdpp/internal/gridcache"
+	"imdpp/internal/service"
+)
+
+// TestWorkerReleasesPooledProblems drives a shard worker over HTTP,
+// with and without a sample-grid cache: every uploaded problem answers
+// an estimate, so the worker's decoded copy, a substrate of its own,
+// holds warm states and a clean-target table. A substrate evicted past
+// the worker's store bound, and then every substrate dropped by
+// DropProblems, must be collected; the stored ones stay alive.
+func TestWorkerReleasesPooledProblems(t *testing.T) {
+	grid := gridcache.New(gridcache.Config{KeyFn: service.ProblemKey})
+	for _, c := range []struct {
+		name string
+		cfg  WorkerConfig
+	}{
+		{"plain", WorkerConfig{Workers: 1}},
+		{"grid-cache", WorkerConfig{Workers: 1, Grid: grid}},
+	} {
+		t.Run(c.name, func(t *testing.T) { workerReleasesPooledProblems(t, c.cfg) })
+	}
+}
+
+func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
+	w := NewWorker(cfg)
+	mux := http.NewServeMux()
+	w.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	post := func(path string, body []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, ContentTypeBinary, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+		}
+	}
+	// alive counts the substrates in subs not yet collected.
+	alive := func(subs []weak.Pointer[diffusion.Substrate]) int {
+		n := len(subs)
+		for try := 0; try < 100 && n > 0; try++ {
+			runtime.GC()
+			n = 0
+			for _, s := range subs {
+				if s.Value() != nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+
+	base := sampleProblem(t, 100, 3)
+	const uploads = 12
+	keys := make([]service.Key, uploads)
+	subs := make([]weak.Pointer[diffusion.Substrate], uploads)
+	for i := range keys {
+		p := *base
+		p.Budget = float64(100 + i) // a distinct content address
+		post(PathProblems, EncodeProblem(&p).AppendBinary(nil))
+		keys[i] = service.HashProblem(&p)
+		req := &EstimateRequest{
+			Problem: keys[i].String(),
+			Seed:    uint64(i),
+			Hi:      4,
+			Groups:  [][]diffusion.Seed{{{User: 1, Item: 2, T: 1}}},
+		}
+		frame, err := req.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		post(PathEstimate, frame)
+		w.mu.Lock()
+		subs[i] = weak.Make(w.problems[keys[i]].p.Substrate)
+		w.mu.Unlock()
+	}
+	var evicted, stored []weak.Pointer[diffusion.Substrate]
+	w.mu.Lock()
+	for i, k := range keys {
+		if w.problems[k] == nil {
+			evicted = append(evicted, subs[i])
+		} else {
+			stored = append(stored, subs[i])
+		}
+	}
+	w.mu.Unlock()
+	if len(evicted) == 0 {
+		t.Fatalf("worker kept all %d problems; the test needs evictions", uploads)
+	}
+	if n := alive(evicted); n > 0 {
+		t.Fatalf("%d of %d evicted substrates still alive after GC", n, len(evicted))
+	}
+	for _, s := range stored {
+		if s.Value() == nil {
+			t.Fatal("a stored problem's substrate was collected")
+		}
+	}
+	w.DropProblems()
+	if n := alive(stored); n > 0 {
+		t.Fatalf("%d of %d dropped substrates still alive after GC", n, len(stored))
+	}
+}

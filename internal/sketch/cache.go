@@ -27,7 +27,7 @@ type Cache struct {
 // NewCache creates a cache holding up to max sketches in memory
 // (max ≤ 0 → 4). dir, when non-empty, enables disk persistence (it is
 // created on first write). keyFn maps a problem to its content
-// address and runs on every GetOrBuild, so it should memoize (the
+// address and runs on every GetOrBuild, so it should be cheap (the
 // service passes service.ProblemKey); a nil keyFn disables caching
 // entirely (GetOrBuild just builds), because without a content key two
 // distinct problems could alias.
