@@ -252,7 +252,7 @@ type (
 	// JobStatus is the lifecycle state of a Job.
 	JobStatus = service.Status
 	// SolveKey is the 128-bit content address of a solve request.
-	SolveKey = service.Key
+	SolveKey = diffusion.Digest
 	// TenantQuota bounds one tenant's share of the service: DRR weight,
 	// queue depth and in-flight concurrency (DESIGN.md §12).
 	TenantQuota = service.TenantQuota
@@ -304,7 +304,7 @@ var (
 	HashSolveRequest = service.HashRequest
 	// HashProblem returns the content address of a Problem alone — the
 	// key the shard subsystem uploads problems to workers under.
-	HashProblem = service.HashProblem
+	HashProblem = (*diffusion.Problem).ContentDigest
 )
 
 // Sharded estimation (package shard, DESIGN.md §7): fan σ/π batches
@@ -399,7 +399,6 @@ func NewGridCache(maxMB int, dir string) *GridCache {
 	return gridcache.New(gridcache.Config{
 		MaxBytes: int64(maxMB) << 20,
 		Dir:      dir,
-		KeyFn:    service.ProblemKey,
 	})
 }
 

@@ -1,6 +1,12 @@
 package diffusion
 
-import "math"
+import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"strconv"
+)
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -11,14 +17,38 @@ const (
 // word instead of per byte: the matrices dominate and hashing must
 // stay cheap next to a solve). The second lane starts from a
 // different offset and rotates between words so the lanes stay
-// decorrelated, giving a 128-bit content address (service.Key). The
-// serving layer mixes its solve options into the same digest.
+// decorrelated, giving a 128-bit content address. ContentDigest is a
+// problem's: the key of the grid and sketch cache lanes and of shard
+// uploads. The serving layer mixes its solve options into a copy of
+// it to key a request.
 type Digest struct {
 	Hi, Lo uint64
 }
 
-// NewDigest returns the empty digest.
-func NewDigest() Digest { return Digest{Hi: fnvOffset, Lo: fnvOffset ^ 0x9e3779b97f4a7c15} }
+// String renders the digest as 32 lower-case hex digits, Hi then Lo.
+func (d Digest) String() string {
+	b := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(make([]byte, 0, 16), d.Hi), d.Lo)
+	return string(hex.AppendEncode(make([]byte, 0, 32), b))
+}
+
+// ParseDigest parses the 32-hex-digit form produced by String — the
+// form the shard RPC passes problem references in. Parsing is strict
+// (exactly 32 hex digits, no whitespace or signs), so distinct wire
+// strings cannot alias to one key.
+func ParseDigest(s string) (Digest, error) {
+	if len(s) != 32 {
+		return Digest{}, fmt.Errorf("diffusion: key %q is not 32 hex digits", s)
+	}
+	hi, err := strconv.ParseUint(s[:16], 16, 64)
+	if err != nil {
+		return Digest{}, fmt.Errorf("diffusion: bad key %q: %w", s, err)
+	}
+	lo, err := strconv.ParseUint(s[16:], 16, 64)
+	if err != nil {
+		return Digest{}, fmt.Errorf("diffusion: bad key %q: %w", s, err)
+	}
+	return Digest{Hi: hi, Lo: lo}, nil
+}
 
 // U64 mixes one word.
 func (d *Digest) U64(x uint64) {
@@ -49,21 +79,16 @@ func (d *Digest) floats(xs []float64) {
 	}
 }
 
-// HashTo mixes every input the diffusion dynamics observe into d, so
-// equal digests estimate bit-identically: the whole substrate (graph
-// CSR, PIN rows and initial weights, economic tables), then the campaign.
-func (p *Problem) HashTo(d *Digest) {
-	p.Substrate.hashTo(d)
-	p.hashCampaign(d)
-}
-
-// ContentDigest returns HashTo over NewDigest. The substrate's walk is
-// memoized, so over a warm substrate it mixes in the campaign's dozen
-// words only.
+// ContentDigest returns the content address of p: the digest of every
+// input the diffusion dynamics observe, so problems with equal digests
+// estimate bit-identically. It walks the whole substrate (graph CSR,
+// PIN rows and initial weights, economic tables), then the campaign.
+// The substrate's walk is memoized, so over a warm substrate it mixes
+// in the campaign's dozen words only.
 func (p *Problem) ContentDigest() Digest {
 	s := p.Substrate
 	s.digestOnce.Do(func() {
-		s.digest = NewDigest()
+		s.digest = Digest{Hi: fnvOffset, Lo: fnvOffset ^ 0x9e3779b97f4a7c15} // the empty digest
 		s.hashTo(&s.digest)
 	})
 	d := s.digest

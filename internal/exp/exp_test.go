@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"imdpp/internal/diffusion"
-	"imdpp/internal/service"
 )
 
 // quickCfg is a minimal configuration for harness tests.
@@ -178,7 +177,7 @@ func TestFig13VariantKeepsDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := d.Problem.PIN
-	key := service.HashProblem(d.Problem)
+	key := d.Problem.ContentDigest()
 	for k := 1; k <= 3; k++ {
 		p, err := problemWithMetaSubset(d, k, 100, 3)
 		if err != nil {
@@ -187,12 +186,14 @@ func TestFig13VariantKeepsDataset(t *testing.T) {
 		if d.Problem.PIN != model {
 			t.Fatalf("k=%d: building the variant replaced the dataset's PIN", k)
 		}
-		full := diffusion.NewDigest()
-		d.Problem.HashTo(&full)
-		if service.HashProblem(d.Problem) != key || service.Key(full) != key {
+		// a full walk: the dataset's campaign over a new substrate with
+		// its inputs, whose digest is not memoized
+		s, cold := d.Problem.Substrate, *d.Problem
+		cold.Substrate = &diffusion.Substrate{G: s.G, KG: s.KG, PIN: s.PIN, Importance: s.Importance, BasePref: s.BasePref, Cost: s.Cost}
+		if d.Problem.ContentDigest() != key || cold.ContentDigest() != key {
 			t.Fatalf("k=%d: building the variant moved the dataset's content key", k)
 		}
-		if service.HashProblem(p) == service.HashProblem(d.Clone(100, 3)) {
+		if p.ContentDigest() == d.Clone(100, 3).ContentDigest() {
 			t.Fatalf("k=%d: the variant shares the dataset's content key", k)
 		}
 	}

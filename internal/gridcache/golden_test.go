@@ -27,9 +27,7 @@ func sampleProblem(t testing.TB) *diffusion.Problem {
 
 func newCache(t testing.TB) *gridcache.Cache {
 	t.Helper()
-	return gridcache.New(gridcache.Config{
-		KeyFn: func(p *diffusion.Problem) string { return service.HashProblem(p).String() },
-	})
+	return gridcache.New(gridcache.Config{})
 }
 
 func requireSameEstimates(t *testing.T, label string, want, got []diffusion.Estimate) {

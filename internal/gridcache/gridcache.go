@@ -12,9 +12,7 @@ import (
 // defaultMaxBytes is the in-memory bound when Config leaves it unset.
 const defaultMaxBytes = 64 << 20
 
-// Config sizes a Cache. The zero value is NOT usable on its own: a
-// nil KeyFn disables caching entirely (View returns nil), because
-// without a content address two distinct problems could alias.
+// Config sizes a Cache. The zero value selects the defaults.
 type Config struct {
 	// MaxBytes bounds retained grid bytes in memory (≤0 → 64 MiB).
 	// Committed entries beyond it are evicted oldest-first; in-flight
@@ -25,10 +23,6 @@ type Config struct {
 	// miss — so eviction (or a daemon restart) downgrades a repeat from
 	// a memory hit to a disk hit instead of a re-simulation.
 	Dir string
-	// KeyFn maps a problem to its content address (the serving layer
-	// passes service.ProblemKey, which walks each substrate once). nil
-	// disables the cache.
-	KeyFn func(*diffusion.Problem) string
 }
 
 // Cache is the sample-grid lane over a castore.Store: raw per-sample
@@ -38,21 +32,18 @@ type Config struct {
 // estimators across jobs; per-problem views (View) implement
 // diffusion.GridCache.
 type Cache struct {
-	keyFn func(*diffusion.Problem) string
 	store *castore.Store[[]diffusion.SampleResult]
 
 	samplesSaved atomic.Uint64
 }
 
-// New creates a cache. A nil KeyFn yields a cache whose views are nil
-// — every caller simulates directly, which keeps "cache disabled" a
-// configuration state rather than a code path.
+// New creates a cache. A disabled cache is a nil *Cache: its views
+// are nil, so every caller simulates directly.
 func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = defaultMaxBytes
 	}
 	return &Cache{
-		keyFn: cfg.KeyFn,
 		store: castore.New(castore.Config[[]diffusion.SampleResult]{
 			Budget: cfg.MaxBytes,
 			Cost: func(key string, rows []diffusion.SampleResult) int64 {
@@ -108,15 +99,14 @@ func (c *Cache) Stats() Stats {
 }
 
 // View returns the diffusion.GridCache for one problem — the cache
-// scoped to that problem's content address, the thing an estimator's
-// Grid field holds. It returns nil (caching disabled) on a nil cache
-// or nil KeyFn. It calls KeyFn on every view; a KeyFn that hashes
-// the problem should memoize, as service.ProblemKey does.
+// scoped to that problem's content address (Problem.ContentDigest,
+// memoized per substrate), the thing an estimator's Grid field holds.
+// It returns nil (caching disabled) on a nil cache or problem.
 func (c *Cache) View(p *diffusion.Problem) diffusion.GridCache {
-	if c == nil || c.keyFn == nil || p == nil {
+	if c == nil || p == nil {
 		return nil
 	}
-	return &view{c: c, problemKey: c.keyFn(p), items: p.NumItems()}
+	return &view{c: c, problemKey: p.ContentDigest().String(), items: p.NumItems()}
 }
 
 // view is the per-problem face of the cache.

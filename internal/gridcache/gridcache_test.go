@@ -2,35 +2,30 @@ package gridcache
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"testing"
 
 	"imdpp/internal/dataset"
 	"imdpp/internal/diffusion"
-	"imdpp/internal/kg"
 )
 
-// testCache builds a cache whose problem key is a constant — key-space
-// behaviour is exercised through the group-key coordinates.
-func testCache(maxBytes int64, dir string) (*Cache, diffusion.GridCache) {
-	c := New(Config{
-		MaxBytes: maxBytes,
-		Dir:      dir,
-		KeyFn:    func(*diffusion.Problem) string { return "problem-A" },
-	})
-	return c, c.View(itemsProblem(3))
+// testProblem is the Amazon sample campaign the lane tests key their
+// entries by; every call has the same content address.
+func testProblem(t testing.TB) *diffusion.Problem {
+	t.Helper()
+	d, err := dataset.AmazonSample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Clone(120, 3)
 }
 
-// itemsProblem is a stand-in problem with n items. A view reads only
-// its item count, which bounds the item ids a reloaded spill may hold.
-func itemsProblem(n int) *diffusion.Problem {
-	b := kg.NewBuilder()
-	item := b.NodeTypeID("ITEM")
-	for i := 0; i < n; i++ {
-		b.AddNode(item)
-	}
-	return &diffusion.Problem{Substrate: &diffusion.Substrate{KG: b.Build()}}
+// testCache builds a cache and its view of testProblem; key-space
+// behaviour is exercised through the group-key coordinates.
+func testCache(t testing.TB, maxBytes int64, dir string) (*Cache, diffusion.GridCache) {
+	t.Helper()
+	c := New(Config{MaxBytes: maxBytes, Dir: dir})
+	return c, c.View(testProblem(t))
 }
 
 func rowsFor(tag int, span int) []diffusion.SampleResult {
@@ -164,7 +159,7 @@ func TestDecodeGroupKeyRejects(t *testing.T) {
 }
 
 func TestCacheHitMissCommit(t *testing.T) {
-	c, v := testCache(1<<20, "")
+	c, v := testCache(t, 1<<20, "")
 	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}}
 
 	rows, tk := v.Begin(7, 0, 4, seeds, nil, false)
@@ -198,7 +193,7 @@ func TestCacheHitMissCommit(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	// cost is key bytes plus the rows' retained footprint
-	key := "problem-A" + string(AppendGroupKey(nil, 7, 0, 4, seeds, nil, false))
+	key := testProblem(t).ContentDigest().String() + string(AppendGroupKey(nil, 7, 0, 4, seeds, nil, false))
 	if want := int64(len(key)) + rowsBytes(want); st.Bytes != want {
 		t.Fatalf("committed entry accounts %d bytes, want %d", st.Bytes, want)
 	}
@@ -213,11 +208,11 @@ func TestCacheDiskSpill(t *testing.T) {
 	seeds := []diffusion.Seed{{User: 5, Item: 1, T: 2}}
 	want := rowsFor(9, 6)
 
-	_, v1 := testCache(1<<20, dir)
+	_, v1 := testCache(t, 1<<20, dir)
 	_, tk := v1.Begin(4, 0, 6, seeds, nil, true)
 	tk.Commit(want)
 
-	c2, v2 := testCache(1<<20, dir)
+	c2, v2 := testCache(t, 1<<20, dir)
 	got, tk2 := v2.Begin(4, 0, 6, seeds, nil, true)
 	if tk2 != nil || !sameRows(got, want) {
 		t.Fatalf("spill reload failed: rows=%v ticket=%v", got, tk2)
@@ -227,10 +222,10 @@ func TestCacheDiskSpill(t *testing.T) {
 	}
 
 	// an image whose rows do not span the key's sample range is a miss
-	c3, _ := testCache(1<<20, dir)
+	c3, _ := testCache(t, 1<<20, dir)
 	other := []diffusion.Seed{{User: 6, Item: 1, T: 2}}
-	c3.store.Put("problem-A"+string(AppendGroupKey(nil, 4, 0, 6, other, nil, true)), rowsFor(9, 5))
-	_, v4 := testCache(1<<20, dir)
+	c3.store.Put(testProblem(t).ContentDigest().String()+string(AppendGroupKey(nil, 4, 0, 6, other, nil, true)), rowsFor(9, 5))
+	_, v4 := testCache(t, 1<<20, dir)
 	if rows, tk := v4.Begin(4, 0, 6, other, nil, true); tk == nil {
 		t.Fatalf("short spilled grid served: %d rows", len(rows))
 	}
@@ -241,11 +236,7 @@ func TestCacheDiskSpill(t *testing.T) {
 // estimate matches an uncached one bit for bit. Images that do fit the
 // problem are still served from disk.
 func TestCorruptSpillIsMiss(t *testing.T) {
-	d, err := dataset.AmazonSample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.Clone(120, 3)
+	p := testProblem(t)
 	const m, seed = 6, 11
 	groups := [][]diffusion.Seed{
 		{{User: 0, Item: 0, T: 1}},
@@ -257,7 +248,7 @@ func TestCorruptSpillIsMiss(t *testing.T) {
 	grid := uncached.RunBatchSamples(groups, nil, nil, true, 0, m)
 
 	dir := t.TempDir()
-	c1, _ := testCache(1<<20, dir)
+	c1, _ := testCache(t, 1<<20, dir)
 	for g, rows := range grid {
 		if g == 0 {
 			// item ids run 0..|I|-1: |I| is one past the end
@@ -266,10 +257,10 @@ func TestCorruptSpillIsMiss(t *testing.T) {
 			bad[0].Counts = append(append([]float64(nil), rows[0].Counts...), 1)
 			rows = bad
 		}
-		c1.store.Put("problem-A"+string(AppendGroupKey(nil, seed, 0, m, groups[g], nil, true)), rows)
+		c1.store.Put(p.ContentDigest().String()+string(AppendGroupKey(nil, seed, 0, m, groups[g], nil, true)), rows)
 	}
 
-	c2, _ := testCache(1<<20, dir)
+	c2, _ := testCache(t, 1<<20, dir)
 	e := diffusion.NewEstimator(p, m, seed)
 	e.Grid = c2.View(p)
 	got := e.RunBatchPi(groups, nil)
@@ -292,12 +283,8 @@ func TestViewNilSafety(t *testing.T) {
 	if st := nilCache.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats %+v", st)
 	}
-	noKey := New(Config{})
-	if v := noKey.View(&diffusion.Problem{}); v != nil {
-		t.Fatal("nil KeyFn must yield a nil view")
-	}
-	withKey, _ := testCache(0, "")
-	if v := withKey.View(nil); v != nil {
+	c, _ := testCache(t, 0, "")
+	if v := c.View(nil); v != nil {
 		t.Fatal("nil problem must yield a nil view")
 	}
 }
@@ -305,14 +292,12 @@ func TestViewNilSafety(t *testing.T) {
 // TestProblemKeySeparation checks two problems with distinct content
 // addresses never share entries even at identical group coordinates.
 func TestProblemKeySeparation(t *testing.T) {
-	n := 0
-	c := New(Config{KeyFn: func(*diffusion.Problem) string {
-		n++
-		return fmt.Sprintf("problem-%d", n)
-	}})
-	pA, pB := itemsProblem(1), itemsProblem(1)
+	c := New(Config{})
+	pA := testProblem(t)
+	pB := *pA
+	pB.Budget++
 	vA := c.View(pA)
-	vB := c.View(pB)
+	vB := c.View(&pB)
 	seeds := []diffusion.Seed{{User: 0, Item: 0, T: 1}}
 	_, tk := vA.Begin(1, 0, 2, seeds, nil, false)
 	tk.Commit(rowsFor(1, 2))

@@ -141,7 +141,7 @@ func NewModel(g *kg.KG, metasC, metasS []*kg.MetaGraph, initWeights []float64) (
 // tables, the item adjacency and the initial-weights relevance cache
 // with its per-row maximum are all re-derived from the rows, and the
 // derivations reuse the same arithmetic as NewModel, so a round-tripped
-// model drives the diffusion — and hashes (service.HashProblem) —
+// model drives the diffusion — and hashes (Problem.ContentDigest) —
 // identically to the original. Meta-graph schemas are not part of the wire image;
 // Metas holds placeholders and only its length is meaningful. The
 // floats are outside input too: every initial weighting must lie in

@@ -12,9 +12,9 @@
 // observes. Because sharded estimation (internal/shard, DESIGN.md §7)
 // is result-invariant too, the same cache sits unchanged above a
 // remote-worker backend (Config.Backend): fleet-computed and local
-// solves share cache entries, and HashProblem — the problem-only
-// restriction of the digest — doubles as the content address problems
-// are uploaded to estimator workers under.
+// solves share cache entries. A request's key starts from the
+// problem's own content digest (diffusion's Problem.ContentDigest),
+// the address problems are uploaded to estimator workers under.
 //
 // The hash-exclusion rule is therefore about results, not about
 // backends per se: anything that cannot change the returned floats
@@ -22,13 +22,12 @@
 // digest, while the (ε, δ) parameters of the approximate
 // reverse-reachable sketch backend (internal/sketch, DESIGN.md §9) —
 // which change the answer from exact simulation to coverage counting
-// — hash into their own lane, gated on Epsilon > 0 so every
-// pre-sketch request keeps its exact historical key and sketch
-// answers never alias MC results. Requests carrying epsilon are
+// — hash into their own lane, gated on Epsilon > 0 so an MC request
+// mixes no sketch parameters and sketch answers never alias MC
+// results. Requests carrying epsilon are
 // echoed with backend "sketch" in job snapshots, and the service
-// keeps a second content-addressed cache (sketch.Cache, keyed by
-// ProblemKey + ε + δ + seed, optionally disk-backed) for the built
-// indices themselves. ProblemKey is HashProblem's string, the key the
-// sketch and grid lanes share; it resumes the substrate's memoized
-// digest, so it costs a dozen words per call.
+// keeps a second content-addressed cache (sketch.Cache, keyed by the
+// problem's content digest + ε + δ + seed, optionally disk-backed) for
+// the built indices themselves. That digest resumes the substrate's
+// memoized walk, so keying a request costs a few dozen words.
 package service

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"imdpp/internal/core"
+	"imdpp/internal/diffusion"
 	"imdpp/internal/obs"
 )
 
@@ -25,7 +26,7 @@ const (
 // are safe for concurrent use.
 type Job struct {
 	id  string
-	key Key
+	key diffusion.Digest
 	req Request
 
 	// tenant and priority are the scheduling coordinates (DESIGN.md
@@ -105,7 +106,7 @@ type JobView struct {
 func (j *Job) ID() string { return j.id }
 
 // Key returns the content address of the job's request.
-func (j *Job) Key() Key { return j.key }
+func (j *Job) Key() diffusion.Digest { return j.key }
 
 // Done returns a channel closed when the job reaches a terminal
 // state (done, failed or cancelled).

@@ -71,8 +71,7 @@ type Config struct {
 	Backend core.EstimatorFactory
 	// SketchDir, when non-empty, persists built sketch indexes to disk
 	// in the canonical wire form and reloads them across restarts. In
-	// memory the service keeps the sketch.NewCache default of four
-	// indexes, keyed by problem content address plus (ε, δ, seed) — a
+	// memory the sketch cache keeps its constant four indexes, keyed by problem content address plus (ε, δ, seed) — a
 	// separate lane from the result cache, so approximate artefacts
 	// never alias exact results.
 	SketchDir string
@@ -208,20 +207,20 @@ type Service struct {
 	closed   bool
 	nextID   uint64
 	jobs     map[string]*Job
-	retired  []string     // finished job ids, oldest first, for eviction
-	inflight map[Key]*Job // queued or running job per content address
+	retired  []string                  // finished job ids, oldest first, for eviction
+	inflight map[diffusion.Digest]*Job // queued or running job per content address
 	// cache is the result lane (DESIGN.md §6), used under mu so a hit
 	// check is atomic with the inflight lookup beside it.
 	cache *castore.Store[*core.Solution]
 
 	// sketchCache shares RR sketch indexes across epsilon requests,
-	// keyed by HashProblem + (ε, δ, seed).
+	// keyed by the problem's content digest + (ε, δ, seed).
 	sketchCache *sketch.Cache
 	sketchReqs  atomic.Uint64
 
 	// gridCache memoizes raw sample grids across jobs and sigma
-	// evaluations, keyed by HashProblem + the canonical group key
-	// (DESIGN.md §10); nil when Config disables it.
+	// evaluations, keyed by the problem's content digest + the
+	// canonical group key (DESIGN.md §10); nil when Config disables it.
 	gridCache *gridcache.Cache
 
 	submitted  atomic.Uint64
@@ -253,7 +252,7 @@ func New(cfg Config) *Service {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
-		inflight:   make(map[Key]*Job),
+		inflight:   make(map[diffusion.Digest]*Job),
 		cache:      castore.New(castore.Config[*core.Solution]{Budget: int64(cfg.CacheSize)}),
 		histQueue:  obs.NewHistogram(),
 		histSolve:  obs.NewHistogram(),
@@ -275,12 +274,11 @@ func New(cfg Config) *Service {
 		d := mean * time.Duration(queued/cfg.Workers+1)
 		return min(max(d, time.Second), time.Minute)
 	}
-	s.sketchCache = sketch.NewCache(0, cfg.SketchDir, ProblemKey)
+	s.sketchCache = sketch.NewCache(cfg.SketchDir)
 	if cfg.GridCacheMB > 0 {
 		s.gridCache = gridcache.New(gridcache.Config{
 			MaxBytes: int64(cfg.GridCacheMB) << 20,
 			Dir:      cfg.GridCacheDir,
-			KeyFn:    ProblemKey,
 		})
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -367,7 +365,7 @@ func (s *Service) Submit(req Request) (job *Job, coalescedFlag bool, err error) 
 }
 
 // newJobLocked allocates and registers a job; s.mu must be held.
-func (s *Service) newJobLocked(key Key, req Request) *Job {
+func (s *Service) newJobLocked(key diffusion.Digest, req Request) *Job {
 	s.nextID++
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	tenant := req.Tenant

@@ -3,8 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,7 +12,6 @@ import (
 	"imdpp/internal/core"
 	"imdpp/internal/dataset"
 	"imdpp/internal/diffusion"
-	"imdpp/internal/rng"
 	"imdpp/internal/sketch"
 )
 
@@ -92,8 +89,8 @@ func TestHashRequestStableAndSensitive(t *testing.T) {
 		t.Fatalf("Seed 0 and its default 1 hash differently")
 	}
 
-	distinct := map[Key]string{k1: "base"}
-	check := func(name string, k Key) {
+	distinct := map[diffusion.Digest]string{k1: "base"}
+	check := func(name string, k diffusion.Digest) {
 		if prev, dup := distinct[k]; dup {
 			t.Fatalf("%s collides with %s: %v", name, prev, k)
 		}
@@ -415,22 +412,23 @@ func TestSigma(t *testing.T) {
 }
 
 // TestHashRequestSketchLane: the (ε, δ) cache lane of DESIGN.md §9.
-// Epsilon-absent requests keep their exact pre-sketch content address
-// — the golden keys below were captured at the PR-5 HEAD, before the
-// sketch backend existed — and sketch answers never alias MC results
-// or each other across (ε, δ).
+// The problem's content address keeps its pre-sketch golden, and an
+// epsilon-absent request's key is pinned too: it is the problem's
+// digest, then the adaptive flag and the options, with no sketch
+// parameters mixed. Sketch answers never alias MC results or each
+// other across (ε, δ).
 func TestHashRequestSketchLane(t *testing.T) {
 	p := sampleProblem(t, 100, 4)
 	base := core.Options{MC: 8}
 
-	if got := HashRequest(p, base, false).String(); got != "498753ed8ae6549f3600d75a566d33c1" {
-		t.Fatalf("epsilon-absent HashRequest drifted from the pre-sketch golden key: %s", got)
+	if got := HashRequest(p, base, false).String(); got != "ceea3a8d6f78a117c1e58f197bd71427" {
+		t.Fatalf("epsilon-absent HashRequest drifted from its golden key: %s", got)
 	}
-	if got := HashProblem(p).String(); got != "27dff656949cb46f2ce09e07f4f41a95" {
-		t.Fatalf("HashProblem drifted from the pre-sketch golden key: %s", got)
+	if got := p.ContentDigest().String(); got != "27dff656949cb46f2ce09e07f4f41a95" {
+		t.Fatalf("ContentDigest drifted from the pre-sketch golden key: %s", got)
 	}
 
-	distinct := map[Key]string{HashRequest(p, base, false): "mc"}
+	distinct := map[diffusion.Digest]string{HashRequest(p, base, false): "mc"}
 	check := func(name string, o core.Options) {
 		k := HashRequest(p, o, false)
 		if prev, dup := distinct[k]; dup {
@@ -539,11 +537,11 @@ func TestSketchBackendSelection(t *testing.T) {
 	}
 }
 
-// TestProblemKeyMemo pins the substrate's memoized content digest
-// under ProblemKey, the grid and sketch lanes' content address: over
-// one cold substrate, campaign clones that differ in budget, T, χ or
-// Static, keyed concurrently, each get the key of a full walk of their
-// inputs, and no two share one.
+// TestProblemKeyMemo pins the substrate's memoized content digest, the
+// start of every request key and the grid and sketch lanes' content
+// address: over one cold substrate, campaign clones that differ in
+// budget, T, χ or Static, keyed concurrently, each get the key of a
+// full walk of their inputs, and no two share one.
 func TestProblemKeyMemo(t *testing.T) {
 	d, err := dataset.AmazonSample()
 	if err != nil {
@@ -559,16 +557,14 @@ func TestProblemKeyMemo(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			keys[i] = ProblemKey(p)
+			keys[i] = p.ContentDigest().String()
 		}()
 	}
 	wg.Wait()
 	seen := make(map[string]int)
 	for i, p := range clones {
-		full := diffusion.NewDigest()
-		p.HashTo(&full)
-		if want := Key(full).String(); keys[i] != want {
-			t.Fatalf("clone %d: ProblemKey %s, full walk %s", i, keys[i], want)
+		if want := coldDigest(p).String(); keys[i] != want {
+			t.Fatalf("clone %d: memoized key %s, full walk %s", i, keys[i], want)
 		}
 		if j, dup := seen[keys[i]]; dup {
 			t.Fatalf("clones %d and %d share key %s", j, i, keys[i])
@@ -577,25 +573,10 @@ func TestProblemKeyMemo(t *testing.T) {
 	}
 }
 
-// TestKeyString pins Key.String's format, the 32 lower-case hex digits
-// of Hi then Lo that fmt's %016x%016x gives, its round trip through
-// ParseKey, and its single allocation, the returned string.
-func TestKeyString(t *testing.T) {
-	r := rng.New(0x4B)
-	keys := []Key{{}, {Hi: math.MaxUint64, Lo: math.MaxUint64}, {Hi: 1, Lo: 0xabcdef}}
-	for range 64 {
-		keys = append(keys, Key{Hi: r.Uint64(), Lo: r.Uint64()})
-	}
-	for _, k := range keys {
-		s := k.String()
-		if want := fmt.Sprintf("%016x%016x", k.Hi, k.Lo); s != want {
-			t.Fatalf("Key%+v.String() = %s, want %s", k, s, want)
-		}
-		if back, err := ParseKey(s); err != nil || back != k {
-			t.Fatalf("ParseKey(%s) = %+v, %v, want %+v", s, back, err, k)
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = keys[3].String() }); n > 1 {
-		t.Fatalf("Key.String allocates %v objects, want 1", n)
-	}
+// coldDigest is p's content digest by a full walk: the same campaign
+// over a new substrate with p's inputs, whose digest is not memoized.
+func coldDigest(p *diffusion.Problem) diffusion.Digest {
+	s, cold := p.Substrate, *p
+	cold.Substrate = &diffusion.Substrate{G: s.G, KG: s.KG, PIN: s.PIN, Importance: s.Importance, BasePref: s.BasePref, Cost: s.Cost}
+	return cold.ContentDigest()
 }

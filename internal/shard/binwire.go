@@ -9,7 +9,6 @@ import (
 	"imdpp/internal/graph"
 	"imdpp/internal/obs"
 	"imdpp/internal/pin"
-	"imdpp/internal/service"
 	"imdpp/internal/wirebin"
 )
 
@@ -273,7 +272,7 @@ func decodeOptInt32s(r *wirebin.Reader) []int32 {
 
 // AppendBinary appends the estimate request's binary frame to b.
 func (req *EstimateRequest) AppendBinary(b []byte) ([]byte, error) {
-	key, err := service.ParseKey(req.Problem)
+	key, err := diffusion.ParseDigest(req.Problem)
 	if err != nil {
 		return nil, fmt.Errorf("shard: encode estimate request: %w", err)
 	}
@@ -315,7 +314,7 @@ func DecodeEstimateRequestBinary(data []byte) (EstimateRequest, error) {
 		return req, err
 	}
 	r := wirebin.NewReader(payload)
-	key := service.Key{Hi: r.U64(), Lo: r.U64()}
+	key := diffusion.Digest{Hi: r.U64(), Lo: r.U64()}
 	req.Problem = key.String()
 	req.Seed = r.U64()
 	req.Lo = int(r.Varint())

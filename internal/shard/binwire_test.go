@@ -13,7 +13,6 @@ import (
 
 	"imdpp/internal/diffusion"
 	"imdpp/internal/obs"
-	"imdpp/internal/service"
 )
 
 // TestProblemUploadBinaryRoundTrip pins the content-address gate: the
@@ -45,7 +44,7 @@ func TestProblemUploadBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0, hb, hj := service.HashProblem(p), service.HashProblem(fromBin), service.HashProblem(fromJSON)
+	h0, hb, hj := p.ContentDigest(), fromBin.ContentDigest(), fromJSON.ContentDigest()
 	if h0 != hb || h0 != hj {
 		t.Fatalf("content address drift: original %s binary %s json %s", h0, hb, hj)
 	}
@@ -72,7 +71,7 @@ func TestProblemUploadBinarySmaller(t *testing.T) {
 }
 
 func TestEstimateRequestBinaryRoundTrip(t *testing.T) {
-	key := service.Key{Hi: 0xdeadbeefcafef00d, Lo: 0x0123456789abcdef}
+	key := diffusion.Digest{Hi: 0xdeadbeefcafef00d, Lo: 0x0123456789abcdef}
 	cases := []EstimateRequest{
 		{Problem: key.String(), Seed: 42, Lo: 3, Hi: 17, WithPi: true,
 			Groups: [][]diffusion.Seed{{{User: 1, Item: 2, T: 3}}, {}},
@@ -143,7 +142,7 @@ func TestFrameFlags(t *testing.T) {
 		}
 		grid[g][0].Items, grid[g][0].Counts = []int32{1, 5, 9}, []float64{512, 1024, 512}
 	}
-	key := service.Key{Hi: 1, Lo: 2}.String()
+	key := diffusion.Digest{Hi: 1, Lo: 2}.String()
 	req := EstimateRequest{Problem: key, Hi: 1, Groups: [][]diffusion.Seed{{{User: 1, Item: 2, T: 1}}}}
 	traced := req
 	traced.TraceID, traced.SpanID = 7, 9
@@ -287,7 +286,7 @@ func FuzzDecodeProblemUploadBinary(f *testing.F) {
 
 func FuzzDecodeEstimateRequestBinary(f *testing.F) {
 	f.Add([]byte{})
-	seed, _ := (&EstimateRequest{Problem: service.Key{}.String(), Hi: 1,
+	seed, _ := (&EstimateRequest{Problem: diffusion.Digest{}.String(), Hi: 1,
 		Groups: [][]diffusion.Seed{{}}}).AppendBinary(nil)
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -18,7 +18,7 @@
 //   - Plan: the contiguous sample-range planner.
 //   - Worker: the HTTP server side (mounted by `imdppd -worker`) —
 //     content-addressed problem upload (a problem ships once and is
-//     referenced by its service.HashProblem key thereafter) and the
+//     referenced by its Problem.ContentDigest key thereafter) and the
 //     estimate RPC computing one shard's raw per-sample outcomes.
 //   - Pool: the coordinator-side worker registry — one lifecycle for
 //     listed and self-registering workers (DESIGN.md §13) — and the

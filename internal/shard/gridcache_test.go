@@ -10,7 +10,6 @@ import (
 	"imdpp/internal/core"
 	"imdpp/internal/diffusion"
 	"imdpp/internal/gridcache"
-	"imdpp/internal/service"
 )
 
 // newCachedFleet is newFleet with a private grid cache per worker —
@@ -23,9 +22,7 @@ func newCachedFleet(t testing.TB, n int) (*Pool, []*Worker) {
 	for i := 0; i < n; i++ {
 		w := NewWorker(WorkerConfig{
 			Workers: 2,
-			Grid: gridcache.New(gridcache.Config{
-				KeyFn: func(p *diffusion.Problem) string { return service.HashProblem(p).String() },
-			}),
+			Grid:    gridcache.New(gridcache.Config{}),
 		})
 		mux := http.NewServeMux()
 		w.Mount(mux)
@@ -64,9 +61,7 @@ func TestShardedCachedSolveGolden(t *testing.T) {
 		pool, workers := newCachedFleet(t, shards)
 		cachedOpt := opt
 		cachedOpt.Backend = Backend(pool)
-		cachedOpt.GridCache = gridcache.New(gridcache.Config{
-			KeyFn: func(p *diffusion.Problem) string { return service.HashProblem(p).String() },
-		})
+		cachedOpt.GridCache = gridcache.New(gridcache.Config{})
 
 		var coldHits uint64
 		for pass, name := range []string{"cold", "warm"} {

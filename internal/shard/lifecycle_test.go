@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"imdpp/internal/diffusion"
-	"imdpp/internal/service"
 )
 
 // checkNoGoroutineLeak polls until the goroutine count returns to
@@ -106,7 +105,7 @@ func TestRegisterNegotiatesCaps(t *testing.T) {
 	if err := pool.Register(srv.URL, DefaultWorkerCaps()); err != nil {
 		t.Fatal(err)
 	}
-	if pool.healthyRemotes()[0].knowsProblem(service.HashProblem(p)) {
+	if pool.healthyRemotes()[0].knowsProblem(p.ContentDigest()) {
 		t.Fatal("re-registration kept the stale upload acknowledgement")
 	}
 	requireSameEstimates(t, "re-registration", want, est.RunBatch(groups, nil))
@@ -395,7 +394,7 @@ func TestWorkerDrain(t *testing.T) {
 	}
 
 	// new dispatches are rejected with the typed code...
-	frame, err := (&EstimateRequest{Problem: service.HashProblem(p).String(), Lo: 0, Hi: 1, Groups: [][]diffusion.Seed{{}}}).AppendBinary(nil)
+	frame, err := (&EstimateRequest{Problem: p.ContentDigest().String(), Lo: 0, Hi: 1, Groups: [][]diffusion.Seed{{}}}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"imdpp/internal/diffusion"
 	"imdpp/internal/obs"
-	"imdpp/internal/service"
 )
 
 // Pool is the coordinator-side worker registry: the set of remote
@@ -35,8 +34,8 @@ type Pool struct {
 
 	mu      sync.Mutex
 	remotes []*Remote
-	blobs   map[service.Key]*ProblemBlob // bounded memo, see blobFor
-	blobLRU []service.Key
+	blobs   map[diffusion.Digest]*ProblemBlob // bounded memo, see blobFor
+	blobLRU []diffusion.Digest
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -86,7 +85,7 @@ type Remote struct {
 	mu       sync.Mutex
 	state    remoteState
 	lastErr  string
-	problems map[service.Key]bool // uploads acknowledged by this worker
+	problems map[diffusion.Digest]bool // uploads acknowledged by this worker
 
 	// Lifecycle bookkeeping (guarded by mu; see lifecycle.go).
 	registered   bool       // caps checked by the register RPC: gates heartbeats, shown in /metrics
@@ -115,13 +114,13 @@ func (r *Remote) Healthy() bool {
 
 // knowsProblem reports whether this worker acknowledged an upload of
 // key.
-func (r *Remote) knowsProblem(key service.Key) bool {
+func (r *Remote) knowsProblem(key diffusion.Digest) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.problems[key]
 }
 
-func (r *Remote) setProblem(key service.Key, known bool) {
+func (r *Remote) setProblem(key diffusion.Digest, known bool) {
 	r.mu.Lock()
 	if known {
 		r.problems[key] = true
@@ -158,7 +157,7 @@ func NewPool(urls []string, client *http.Client) *Pool {
 	}
 	p := &Pool{
 		client:     client,
-		blobs:      make(map[service.Key]*ProblemBlob),
+		blobs:      make(map[diffusion.Digest]*ProblemBlob),
 		stop:       make(chan struct{}),
 		specFactor: 2.0,
 		specMin:    25 * time.Millisecond,
@@ -401,23 +400,23 @@ func (p *Pool) Snapshot() PoolStats {
 // its content address. Uploading the same blob to every worker (and
 // re-uploading after worker restarts) reuses the bytes.
 type ProblemBlob struct {
-	Key  service.Key
+	Key  diffusion.Digest
 	body []byte
 }
 
 // NewProblemBlob encodes a problem's upload frame and content address.
 func NewProblemBlob(p *diffusion.Problem) *ProblemBlob {
-	return &ProblemBlob{Key: service.HashProblem(p), body: EncodeProblem(p).AppendBinary(nil)}
+	return &ProblemBlob{Key: p.ContentDigest(), body: EncodeProblem(p).AppendBinary(nil)}
 }
 
 // blobFor memoizes NewProblemBlob per content key, which costs a
-// dozen words over a warm substrate (service.HashProblem). A solver
+// dozen words over a warm substrate (Problem.ContentDigest). A solver
 // run creates two estimators (MC and MCSI) over one problem, and a
 // daemon clones a problem per request; the memo makes them all share
 // one encoding. It holds no problem, and it is bounded: a small FIFO
 // window suffices.
 func (p *Pool) blobFor(prob *diffusion.Problem) *ProblemBlob {
-	key := service.HashProblem(prob)
+	key := prob.ContentDigest()
 	p.mu.Lock()
 	if b, ok := p.blobs[key]; ok {
 		p.mu.Unlock()

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"imdpp/internal/service"
+	"imdpp/internal/diffusion"
 )
 
 // Coordinator side of the worker lifecycle protocol (DESIGN.md §13):
@@ -125,7 +125,7 @@ func (p *Pool) entry(u string) (*Remote, error) {
 	if len(p.remotes) >= maxRemotes {
 		return nil, fmt.Errorf("shard: registry full (%d workers)", maxRemotes)
 	}
-	r := &Remote{url: u, lastHeard: time.Now(), problems: make(map[service.Key]bool)}
+	r := &Remote{url: u, lastHeard: time.Now(), problems: make(map[diffusion.Digest]bool)}
 	p.remotes = append(p.remotes, r)
 	return r, nil
 }
@@ -168,7 +168,7 @@ func (p *Pool) Register(rawURL string, caps WorkerCaps) error {
 	r.probeFails = 0
 	r.strikes = 0
 	r.breakerUntil = time.Time{}
-	r.problems = make(map[service.Key]bool)
+	r.problems = make(map[diffusion.Digest]bool)
 	r.mu.Unlock()
 
 	if rejoined {

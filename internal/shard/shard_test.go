@@ -19,7 +19,6 @@ import (
 	"imdpp/internal/diffusion"
 	"imdpp/internal/graph"
 	"imdpp/internal/pin"
-	"imdpp/internal/service"
 )
 
 func sampleProblem(t testing.TB, budget float64, T int) *diffusion.Problem {
@@ -148,7 +147,7 @@ func TestProblemCodecRoundTrip(t *testing.T) {
 	}
 	// the content address is self-verifying: encode→decode must land on
 	// the same key
-	if h1, h2 := service.HashProblem(p), service.HashProblem(decoded); h1 != h2 {
+	if h1, h2 := p.ContentDigest(), decoded.ContentDigest(); h1 != h2 {
 		t.Fatalf("codec changed the content address: %s vs %s", h1, h2)
 	}
 	// and the decoded problem must drive the engine bit-identically
@@ -432,7 +431,7 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 		t.Fatal("out-of-range meta index decoded without error")
 	}
 	// non-canonical content keys (embedded whitespace) must not alias
-	if _, err := service.ParseKey("0000000000000001 000000000000002"); err == nil {
+	if _, err := diffusion.ParseDigest("0000000000000001 000000000000002"); err == nil {
 		t.Fatal("whitespace-laced key parsed without error")
 	}
 

@@ -13,7 +13,7 @@ import (
 
 // Wire contract of the estimator RPC. The problem upload is the image
 // of everything the diffusion dynamics can observe — exactly the
-// inputs service.HashProblem walks — so the content address is
+// inputs Problem.ContentDigest walks — so the content address is
 // self-verifying: a worker recomputes the hash over its decoded copy
 // and a mismatch (codec drift, corruption) is detected before a single
 // sample is simulated. Seed groups, estimates and per-sample outcomes
@@ -105,7 +105,7 @@ func EncodeProblem(p *diffusion.Problem) ProblemUpload {
 // diffusion engine reads the KG only through |I|); the matrices wrap
 // the decoded row-major data without copying. The result estimates —
 // and content-hashes — bit-identically to the original problem; the
-// caller should verify that with service.HashProblem. The upload's
+// caller should verify that with Problem.ContentDigest. The upload's
 // floats are checked here, once per upload rather than in
 // Problem.Validate on every request: the initial weightings and
 // relevances in pin.ModelFromRows, and every importance, preference
@@ -173,7 +173,7 @@ type UploadResponse struct {
 // legal all-false mask). PerGroupMasks, when non-nil, overrides Market
 // entry-by-entry.
 type EstimateRequest struct {
-	Problem string `json:"problem"` // service.Key hex form
+	Problem string `json:"problem"` // diffusion.Digest hex form
 	Seed    uint64 `json:"seed"`
 	Lo      int    `json:"lo"`
 	Hi      int    `json:"hi"`

@@ -14,7 +14,6 @@ import (
 	"imdpp/internal/diffusion"
 	"imdpp/internal/gridcache"
 	"imdpp/internal/obs"
-	"imdpp/internal/service"
 )
 
 // The worker's two bounds. maxProblems caps the content-addressed
@@ -63,8 +62,8 @@ type Worker struct {
 	cfg WorkerConfig
 
 	mu       sync.Mutex
-	problems map[service.Key]*workerProblem
-	order    []service.Key // insertion order, oldest first, for eviction
+	problems map[diffusion.Digest]*workerProblem
+	order    []diffusion.Digest // insertion order, oldest first, for eviction
 
 	// Drain state (DESIGN.md §13): once draining, new RPCs are rejected
 	// with a typed draining response while in-flight ones finish;
@@ -88,7 +87,7 @@ type workerProblem struct {
 func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:      cfg,
-		problems: make(map[service.Key]*workerProblem),
+		problems: make(map[diffusion.Digest]*workerProblem),
 		drained:  make(chan struct{}),
 	}
 }
@@ -179,7 +178,7 @@ func (w *Worker) Stats() WorkerStats {
 // re-upload path; tests use it to exercise exactly that.
 func (w *Worker) DropProblems() {
 	w.mu.Lock()
-	w.problems = make(map[service.Key]*workerProblem)
+	w.problems = make(map[diffusion.Digest]*workerProblem)
 	w.order = nil
 	w.mu.Unlock()
 }
@@ -234,7 +233,7 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	key := service.HashProblem(p)
+	key := p.ContentDigest()
 	wp := &workerProblem{p: p, grid: w.cfg.Grid.View(p)}
 
 	w.mu.Lock()
@@ -271,7 +270,7 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err))
 		return
 	}
-	key, err := service.ParseKey(req.Problem)
+	key, err := diffusion.ParseDigest(req.Problem)
 	if err != nil {
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, err)
 		return

@@ -10,7 +10,6 @@ import (
 
 	"imdpp/internal/diffusion"
 	"imdpp/internal/gridcache"
-	"imdpp/internal/service"
 )
 
 // TestWorkerReleasesPooledProblems drives a shard worker over HTTP,
@@ -20,7 +19,7 @@ import (
 // the worker's store bound, and then every substrate dropped by
 // DropProblems, must be collected; the stored ones stay alive.
 func TestWorkerReleasesPooledProblems(t *testing.T) {
-	grid := gridcache.New(gridcache.Config{KeyFn: service.ProblemKey})
+	grid := gridcache.New(gridcache.Config{})
 	for _, c := range []struct {
 		name string
 		cfg  WorkerConfig
@@ -66,13 +65,13 @@ func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
 
 	base := sampleProblem(t, 100, 3)
 	const uploads = 12
-	keys := make([]service.Key, uploads)
+	keys := make([]diffusion.Digest, uploads)
 	subs := make([]weak.Pointer[diffusion.Substrate], uploads)
 	for i := range keys {
 		p := *base
 		p.Budget = float64(100 + i) // a distinct content address
 		post(PathProblems, EncodeProblem(&p).AppendBinary(nil))
-		keys[i] = service.HashProblem(&p)
+		keys[i] = p.ContentDigest()
 		req := &EstimateRequest{
 			Problem: keys[i].String(),
 			Seed:    uint64(i),

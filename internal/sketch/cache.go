@@ -19,24 +19,19 @@ import (
 // daemon restart (or a worker receiving a shipped index) skips the
 // build.
 type Cache struct {
-	keyFn  func(*diffusion.Problem) string
 	store  *castore.Store[*Sketch]
 	builds atomic.Uint64
 }
 
-// NewCache creates a cache holding up to max sketches in memory
-// (max ≤ 0 → 4). dir, when non-empty, enables disk persistence (it is
-// created on first write). keyFn maps a problem to its content
-// address and runs on every GetOrBuild, so it should be cheap (the
-// service passes service.ProblemKey); a nil keyFn disables caching
-// entirely (GetOrBuild just builds), because without a content key two
-// distinct problems could alias.
-func NewCache(max int, dir string, keyFn func(*diffusion.Problem) string) *Cache {
-	if max <= 0 {
-		max = 4
-	}
-	return &Cache{keyFn: keyFn, store: castore.New(castore.Config[*Sketch]{
-		Budget: int64(max),
+// cacheEntries is how many sketches a Cache holds in memory.
+const cacheEntries = 4
+
+// NewCache creates a cache holding up to cacheEntries sketches. dir,
+// when non-empty, enables disk persistence (it is created on first
+// write).
+func NewCache(dir string) *Cache {
+	return &Cache{store: castore.New(castore.Config[*Sketch]{
+		Budget: cacheEntries,
 		Dir:    dir,
 		Encode: func(b []byte, sk *Sketch) []byte { return sk.AppendBinary(b) },
 		Decode: Decode,
@@ -66,21 +61,19 @@ func (c *Cache) key(problemKey string, par Params) string {
 		problemKey, math.Float64bits(par.Epsilon), math.Float64bits(par.Delta), par.Seed, par.MaxTheta)
 }
 
-// path returns the disk image location of one cache key.
-func (c *Cache) path(key string) string { return c.store.Path(key) }
-
 // GetOrBuild returns the sketch for (p, par), building it at most once
-// per key across concurrent callers. A nil cache (or nil keyFn) builds
-// directly. Build failures — including preemption via stop — are not
+// per key across concurrent callers, keyed by the problem's content
+// address (Problem.ContentDigest, memoized per substrate). A nil cache
+// builds directly. Build failures — including preemption via stop — are not
 // cached. A caller joined to another's build waits under its own stop:
 // if that build fails, the caller retries, building itself if no one
 // else has started, so one request's cancellation never fails another.
 func (c *Cache) GetOrBuild(p *diffusion.Problem, par Params, workers int, stop <-chan struct{}) (*Sketch, error) {
-	if c == nil || c.keyFn == nil {
+	if c == nil {
 		return Build(p, par, workers, stop)
 	}
 	par = par.withDefaults()
-	problemKey := c.keyFn(p)
+	problemKey := p.ContentDigest().String()
 	key := c.key(problemKey, par)
 	// self-verify a reloaded image: its decoded identity must match
 	// what was asked for. θ is checked against the capped bound because

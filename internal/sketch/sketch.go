@@ -111,8 +111,8 @@ type Sketch struct {
 	// adoption estimates divide by the right weight after a decode.
 	ItemW []float64
 	// ProblemKey is the content address of the problem the sketch was
-	// built for (service.HashProblem form); empty when the builder has
-	// no key function. The disk cache refuses to load a sketch whose
+	// built for (Problem.ContentDigest in hex); empty when built
+	// outside a Cache. The disk cache refuses to load a sketch whose
 	// recorded key disagrees with the requested one.
 	ProblemKey string
 

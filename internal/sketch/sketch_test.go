@@ -6,9 +6,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
-	"os"
 	"runtime"
-	"sync"
 	"testing"
 
 	"imdpp/internal/dataset"
@@ -284,8 +282,7 @@ func TestStaticSigmaWithinContract(t *testing.T) {
 
 func TestCacheSingleflightAndDistinctKeys(t *testing.T) {
 	p := sampleProblem(t, 100, 4)
-	keyFn := func(*diffusion.Problem) string { return "problemkey" }
-	c := NewCache(4, "", keyFn)
+	c := NewCache("")
 
 	par := Params{Epsilon: 0.1, Delta: 0.1, Seed: 1}
 	sk1, err := c.GetOrBuild(p, par, 1, nil)
@@ -326,18 +323,18 @@ func TestCacheSingleflightAndDistinctKeys(t *testing.T) {
 
 func TestCacheDiskRoundTrip(t *testing.T) {
 	p := sampleProblem(t, 100, 4)
+	pk := p.ContentDigest().String()
 	dir := t.TempDir()
-	keyFn := func(*diffusion.Problem) string { return "pk" }
 	par := Params{Epsilon: 0.1, Delta: 0.1, Seed: 9}
 
-	c1 := NewCache(2, dir, keyFn)
+	c1 := NewCache(dir)
 	sk1, err := c1.GetOrBuild(p, par, 1, nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 
 	// A fresh cache over the same directory reloads instead of building.
-	c2 := NewCache(2, dir, keyFn)
+	c2 := NewCache(dir)
 	sk2, err := c2.GetOrBuild(p, par, 1, nil)
 	if err != nil {
 		t.Fatalf("disk load: %v", err)
@@ -349,27 +346,25 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 		t.Fatal("disk round-trip changed sketch bytes")
 	}
 
-	// A cache with a different problem key must NOT accept the file:
-	// .rrsk loads are self-verifying.
-	c3 := NewCache(2, dir, func(*diffusion.Problem) string { return "otherpk" })
-	if _, err := c3.GetOrBuild(p, par, 1, nil); err != nil {
+	// Images the store spills under a key whose request they do not
+	// fit must fail the self-verify and rebuild: one under another
+	// problem's key (its recorded problem key disagrees), and one under
+	// a different-cap key (its sample count satisfies a different
+	// contract than the one being asked for).
+	other := sampleProblem(t, 50, 4)
+	capped := Params{Epsilon: 0.1, Delta: 0.1, Seed: 9, MaxTheta: 32}
+	forge := NewCache(dir)
+	forge.store.Put(forge.key(other.ContentDigest().String(), par.withDefaults()), sk1)
+	forge.store.Put(forge.key(pk, capped.withDefaults()), sk1)
+
+	c3 := NewCache(dir)
+	if _, err := c3.GetOrBuild(other, par, 1, nil); err != nil {
 		t.Fatalf("build under other key: %v", err)
 	}
-	if builds, _, _ := c3.Stats(); builds != 1 {
-		t.Fatalf("foreign key should rebuild, builds = %d", builds)
+	if builds, _, diskHits := c3.Stats(); builds != 1 || diskHits != 0 {
+		t.Fatalf("foreign-key image stats = (%d builds, %d diskHits), want (1, 0)", builds, diskHits)
 	}
-
-	// A file renamed onto a different-cap key must fail the θ
-	// self-verify and rebuild: its sample count satisfies a different
-	// contract than the one being asked for.
-	capped := Params{Epsilon: 0.1, Delta: 0.1, Seed: 9, MaxTheta: 32}
-	c4 := NewCache(2, dir, keyFn)
-	if err := os.Rename(
-		c4.path(c4.key("pk", par.withDefaults())),
-		c4.path(c4.key("pk", capped.withDefaults())),
-	); err != nil {
-		t.Fatalf("rename: %v", err)
-	}
+	c4 := NewCache(dir)
 	sk4, err := c4.GetOrBuild(p, capped, 1, nil)
 	if err != nil {
 		t.Fatalf("capped build: %v", err)
@@ -396,20 +391,17 @@ func TestCacheJoinerOwnStop(t *testing.T) {
 		err error
 	}
 	// run starts the owner, then the joiner once the owner has taken
-	// its key (keyFn is the last step before GetOrBuild looks it up)
+	// its key: the store's first lookup reserves the key for it
 	run := func(ownerStop, joinerStop <-chan struct{}) (c *Cache, owner, joiner chan result) {
-		first := make(chan struct{})
-		var once sync.Once
-		c = NewCache(4, "", func(*diffusion.Problem) string {
-			once.Do(func() { close(first) })
-			return "pk"
-		})
+		c = NewCache("")
 		owner, joiner = make(chan result, 1), make(chan result, 1)
 		go func() {
 			sk, err := c.GetOrBuild(p, par, 1, ownerStop)
 			owner <- result{sk, err}
 		}()
-		<-first
+		for c.store.Stats().Lookups == 0 {
+			runtime.Gosched()
+		}
 		go func() {
 			sk, err := c.GetOrBuild(p, par, 1, joinerStop)
 			joiner <- result{sk, err}

@@ -42,7 +42,6 @@ imdpp/internal/diffusion.(*State).AdoptedList  TestSingleAdoptionKeepsInitReleva
 imdpp/internal/rng.(*Rand).Bernoulli           TestStreamMatchesRand
 imdpp/internal/gridcache.GroupKey.Append       TestGroupKeyRoundTrip
 imdpp/internal/gridcache.DecodeGroupKey        TestGroupKeyRoundTrip
-imdpp/internal/sketch.(*Cache).path            TestCacheDiskRoundTrip
 imdpp/internal/service.(*Service).Cancel       TestCancelRunning
 imdpp/internal/shard.(*Registrar).Registered   TestRegistrarStopsWhenRefused
 imdpp/internal/shard.(*Registrar).Beats        TestRegistrarLoop
