@@ -36,6 +36,19 @@
 // `-shard-workers http://hostA:8081,http://hostB:8081` fans every
 // solve's σ/π batches out over the fleet, bit-identical to a local
 // solve. See README.md "Deploying a worker fleet".
+//
+// Flags (parseConfig; `imdppd -h` describes each):
+//
+//	serving    -addr -workers -queue -cache -solve-workers
+//	           -tenant-quotas -sse-heartbeat
+//	caches     -sketch-dir -grid-cache-mb -grid-cache-dir
+//	scale-out  -worker -shard-workers
+//	operation  -debug-addr -log-level -log-json
+//
+// SIGHUP re-reads -tenant-quotas. SIGINT/SIGTERM close the listener
+// and give in-flight requests up to 30 s to finish; a coordinator
+// cancels its jobs, so event streams and ?wait= long-polls end with
+// the job's cancelled snapshot.
 package main
 
 import (
@@ -60,12 +73,12 @@ import (
 
 // config is the daemon's parsed command line, one field per flag.
 type config struct {
-	addr, register, advertise, sketchDir, gridDir, tenantQuotas, debugAddr string
-	workers, queue, cacheSize, solveWorkers, gridMB                        int
-	worker, shardDynamic, logJSON                                          bool
-	drainTimeout, shardHeartbeat, sseHeartbeat                             time.Duration
-	shardWorkers                                                           []string
-	logLevel                                                               slog.Level
+	addr, sketchDir, gridDir, tenantQuotas, debugAddr string
+	workers, queue, cacheSize, solveWorkers, gridMB   int
+	worker, logJSON                                   bool
+	sseHeartbeat                                      time.Duration
+	shardWorkers                                      []string
+	logLevel                                          slog.Level
 }
 
 // parseConfig parses the daemon's flags and enforces the rules on how
@@ -80,12 +93,7 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.cacheSize, "cache", 128, "content-addressed result cache entries")
 	fs.IntVar(&c.solveWorkers, "solve-workers", 0, "estimator goroutines per solve (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.worker, "worker", false, "run as a remote estimator worker (shard RPC only)")
-	fs.StringVar(&c.register, "register", "", "coordinator base URL; the worker announces itself on /v1/shard/register and heartbeats until drained (requires -worker, DESIGN.md §13)")
-	fs.StringVar(&c.advertise, "advertise", "", "base URL the worker advertises at registration (default: http://<resolved listen address>)")
-	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "on SIGTERM, how long a draining worker waits for in-flight shards before exiting anyway")
-	fs.StringVar(&shardWorkers, "shard-workers", "", "comma-separated worker base URLs seeding the shard registry; fan σ/π estimation out over them")
-	fs.BoolVar(&c.shardDynamic, "shard-dynamic", false, "accept dynamic worker registration on /v1/shard/register; registered workers heartbeat and drain gracefully (DESIGN.md §13)")
-	fs.DurationVar(&c.shardHeartbeat, "shard-heartbeat", 2*time.Second, "failure-detector timescale: the heartbeat cadence dictated to registered workers; any worker silent for 3 intervals is probed, and one out of rotation is re-probed at least that often")
+	fs.StringVar(&shardWorkers, "shard-workers", "", "comma-separated worker base URLs; fan σ/π estimation out over them (DESIGN.md §7, §13)")
 	fs.StringVar(&c.sketchDir, "sketch-dir", "", "directory persisting RR sketch indexes across restarts (empty = memory only)")
 	fs.IntVar(&c.gridMB, "grid-cache-mb", 64, "in-memory sample-grid memoization cache bound in MiB (0 disables); shared across jobs, and by each -worker across estimate requests")
 	fs.StringVar(&c.gridDir, "grid-cache-dir", "", "directory spilling committed sample grids to disk (empty = memory only)")
@@ -97,13 +105,8 @@ func parseConfig(args []string) (config, error) {
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
-	switch {
-	case c.worker && shardWorkers != "":
+	if c.worker && shardWorkers != "" {
 		return c, errors.New("-worker and -shard-workers are mutually exclusive")
-	case c.worker && c.shardDynamic:
-		return c, errors.New("-shard-dynamic is a coordinator flag; a -worker registers with -register instead")
-	case !c.worker && c.register != "":
-		return c, errors.New("-register requires -worker; a coordinator accepts registrations with -shard-dynamic")
 	}
 	var err error
 	if c.shardWorkers, err = imdpp.ParseShardWorkers(shardWorkers); err != nil {
@@ -126,13 +129,11 @@ func main() {
 	// records solve/shard spans into it, a worker its estimate spans
 	tracer := imdpp.NewTracer()
 
-	var handler http.Handler
+	var srv *http.Server
 	cleanup := func() {}
-	var wd *workerDaemon // non-nil in worker mode; drives SIGTERM drain
-	var d *daemon        // non-nil in coordinator mode; drives SIGHUP reload
+	var d *daemon // non-nil in coordinator mode; drives SIGHUP reload
 	if c.worker {
-		wd = newWorkerDaemon(c.solveWorkers, c.gridMB, c.gridDir, tracer)
-		handler = wd.handler()
+		srv = &http.Server{Handler: newWorkerDaemon(c.solveWorkers, c.gridMB, c.gridDir, tracer).handler()}
 	} else {
 		quotas, defQuota, err := loadQuotas(c.tenantQuotas)
 		if err != nil {
@@ -155,23 +156,19 @@ func main() {
 			cfg.GridCacheMB = -1 // flag 0 means off; Config 0 means default
 		}
 		var pool *imdpp.ShardPool
-		if len(c.shardWorkers) > 0 || c.shardDynamic {
-			// -shard-workers entries seed the registry; registrations join
-			// it later — one lifecycle on one timescale (DESIGN.md §13)
+		if len(c.shardWorkers) > 0 {
+			// the listed workers under the probe-driven failure detector,
+			// which also refuses a foreign frame version (DESIGN.md §13)
 			pool = imdpp.NewShardPool(c.shardWorkers, nil)
 			pool.SetLogger(logger)
-			pool.SetHeartbeat(c.shardHeartbeat)
 			healthy := pool.Check(context.Background())
-			logger.Info("shard pool ready",
-				"healthy", healthy, "workers", pool.Size(),
-				"dynamic", c.shardDynamic)
+			logger.Info("shard pool ready", "healthy", healthy, "workers", pool.Size())
 			pool.StartHealthLoop()
 			cfg.Backend = imdpp.ShardBackend(pool)
 		}
 		d = newDaemon(cfg, pool)
-		d.dynamic = c.shardDynamic
 		d.heartbeat = c.sseHeartbeat
-		handler = d.handler()
+		srv = d.server()
 		cleanup = func() {
 			d.svc.Close()
 			if pool != nil {
@@ -196,32 +193,10 @@ func main() {
 	if err != nil {
 		fatal(logger, "listen failed", "addr", c.addr, "err", err)
 	}
-	srv := &http.Server{Handler: handler}
 
 	// the resolved address line is a readiness contract: the smoke
 	// harness scrapes it to discover the random port
 	fmt.Printf("imdppd listening on http://%s\n", ln.Addr())
-
-	// worker fleet membership (DESIGN.md §13): started only after the
-	// listener is up so the advertised URL is live before the
-	// coordinator hears about it
-	var reg *imdpp.ShardRegistrar
-	if wd != nil && c.register != "" {
-		self := c.advertise
-		if self == "" {
-			self = "http://" + ln.Addr().String()
-		}
-		reg, err = imdpp.NewShardRegistrar(imdpp.ShardRegistrarConfig{
-			Coordinator: c.register,
-			SelfURL:     self,
-			Logger:      logger,
-		})
-		if err != nil {
-			fatal(logger, "registrar failed", "err", err)
-		}
-		reg.Start()
-		logger.Info("registering with coordinator", "coordinator", c.register, "self", self)
-	}
 
 	// SIGHUP reloads the tenant-quota table atomically — queued jobs
 	// keep their slots, only future admissions see the new limits
@@ -242,37 +217,36 @@ func main() {
 		}()
 	}
 
+	// SIGINT/SIGTERM closes the listener — a coordinator fails over new
+	// dispatches to other workers, bit-identically (DESIGN.md §13) — and
+	// lets in-flight requests finish within shutdownGrace
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		if wd != nil {
-			// graceful drain (DESIGN.md §13): stop heartbeating, finish
-			// in-flight shard ranges while rejecting new ones with a typed
-			// "draining" error, tell the coordinator, then shut down
-			if reg != nil {
-				reg.Stop()
-			}
-			drained := wd.w.BeginDrain()
-			if reg != nil {
-				deregCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				_ = reg.Deregister(deregCtx)
-				cancel()
-			}
-			select {
-			case <-drained:
-				logger.Info("worker drained: all in-flight shards finished")
-			case <-time.After(c.drainTimeout):
-				logger.Warn("drain timeout expired with shards still in flight", "timeout", c.drainTimeout)
-			}
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-	}()
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(logger, "serve failed", "err", err)
+	if err := serve(ctx, srv, ln, shutdownGrace); err != nil {
+		fatal(logger, "serve failed or shutdown grace expired", "err", err)
 	}
+}
+
+// shutdownGrace bounds how long a shutdown waits for in-flight
+// requests: shard estimates, ?wait= long-polls, /v1/sigma calls.
+const shutdownGrace = 30 * time.Second
+
+// serve runs srv on ln until ctx is done, then shuts it down and
+// returns only once Shutdown has: the listener is closed at once, and
+// in-flight requests get up to grace to complete.
+func serve(ctx context.Context, srv *http.Server, ln net.Listener, grace time.Duration) error {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	err := srv.Shutdown(shutdownCtx)
+	<-served // http.ErrServerClosed
+	return err
 }
 
 // newLogger builds the process logger from the -log-level / -log-json
@@ -312,8 +286,6 @@ type daemon struct {
 	svc     *imdpp.Service
 	pool    *imdpp.ShardPool
 	workers int
-	// dynamic mounts the worker-registration routes (DESIGN.md §13).
-	dynamic bool
 	start   time.Time
 	// heartbeat is the SSE keep-alive comment interval; tests shrink it.
 	heartbeat time.Duration
@@ -353,9 +325,10 @@ func newDaemon(cfg imdpp.ServiceConfig, pool *imdpp.ShardPool) *daemon {
 }
 
 // workerDaemon is the `imdppd -worker` surface: the shard estimator
-// RPC plus liveness and counters. It holds no job queue, cache or
-// datasets — a worker only simulates the sample ranges coordinators
-// send it, against problems they upload by content address.
+// RPC and its /healthz probe (Worker.Mount) plus counters. It holds no
+// job queue, cache or datasets — a worker only simulates the sample
+// ranges coordinators send it, against problems they upload by content
+// address.
 type workerDaemon struct {
 	w     *imdpp.ShardWorker
 	start time.Time
@@ -375,16 +348,6 @@ func newWorkerDaemon(solveWorkers, gridMB int, gridDir string, tracer *imdpp.Tra
 func (wd *workerDaemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	wd.w.Mount(mux)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		status := http.StatusOK
-		body := map[string]any{"ok": true, "worker": true, "uptime_seconds": time.Since(wd.start).Seconds()}
-		if wd.w.Draining() {
-			// a draining worker is deliberately unhealthy: probes must stop
-			// routing to it while its in-flight shards finish (DESIGN.md §13)
-			status, body["ok"], body["draining"] = http.StatusServiceUnavailable, false, true
-		}
-		writeJSON(w, status, body)
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, struct {
 			imdpp.ShardWorkerStats
@@ -397,6 +360,16 @@ func (wd *workerDaemon) handler() http.Handler {
 	return mux
 }
 
+// server is the coordinator's HTTP server. A job's event stream and a
+// ?wait= long-poll end only with their job, so shutdown cancels every
+// job: each watcher gets its terminal event instead of holding
+// Shutdown for the full grace.
+func (d *daemon) server() *http.Server {
+	srv := &http.Server{Handler: d.handler()}
+	srv.RegisterOnShutdown(d.svc.Close)
+	return srv
+}
+
 func (d *daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", d.handleSolve)
@@ -406,11 +379,6 @@ func (d *daemon) handler() http.Handler {
 	mux.HandleFunc("POST /v1/sigma", d.handleSigma)
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	mux.HandleFunc("GET /metrics", d.handleMetrics)
-	if d.pool != nil && d.dynamic {
-		// elastic fleet membership (DESIGN.md §13): workers announce,
-		// heartbeat, and take their leave here
-		d.pool.MountRegistry(mux)
-	}
 	return mux
 }
 

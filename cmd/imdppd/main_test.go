@@ -8,11 +8,14 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -628,11 +631,11 @@ func TestDaemonMetricsSchema(t *testing.T) {
 	}
 
 	// a pool-backed daemon grows the optional "shard" object; pin the
-	// fleet-membership aggregate it carries (DESIGN.md §13)
-	pool := imdpp.NewShardPool(nil, nil)
+	// failure detector's aggregate and the per-remote entry it carries
+	// (DESIGN.md §13), both exactly
+	pool := imdpp.NewShardPool([]string{"http://127.0.0.1:1"}, nil)
 	t.Cleanup(pool.Close)
 	pd := newDaemon(imdpp.ServiceConfig{Workers: 1, QueueDepth: 4, CacheSize: 8}, pool)
-	pd.dynamic = true
 	psrv := httptest.NewServer(pd.handler())
 	t.Cleanup(func() {
 		psrv.Close()
@@ -640,16 +643,33 @@ func TestDaemonMetricsSchema(t *testing.T) {
 	})
 	var pdoc struct {
 		Shard struct {
-			Fleet map[string]any `json:"fleet"`
+			Fleet   map[string]any   `json:"fleet"`
+			Remotes []map[string]any `json:"remotes"`
 		} `json:"shard"`
 	}
 	if code := getJSON(t, psrv.URL+"/metrics", &pdoc); code != http.StatusOK {
 		t.Fatalf("pool metrics: status %d", code)
 	}
-	for _, k := range []string{"registered", "draining", "suspect", "dead",
-		"heartbeats", "breaker_open", "rejoin_count"} {
-		if _, ok := pdoc.Shard.Fleet[k]; !ok {
-			t.Errorf("shard.fleet missing %q", k)
+	requireKeys(t, "shard.fleet", pdoc.Shard.Fleet, []string{"suspect", "dead", "breaker_open", "rejoin_count"}, nil)
+	if len(pdoc.Shard.Remotes) != 1 {
+		t.Fatalf("shard.remotes: %v, want the one listed worker", pdoc.Shard.Remotes)
+	}
+	requireKeys(t, "shard.remotes[0]", pdoc.Shard.Remotes[0],
+		[]string{"url", "state", "healthy", "shards", "failures", "problems"}, []string{"breaker_open", "last_err"})
+}
+
+// requireKeys fails unless obj has every key in want and no key outside
+// want and optional.
+func requireKeys(t *testing.T, what string, obj map[string]any, want, optional []string) {
+	t.Helper()
+	for _, k := range want {
+		if _, ok := obj[k]; !ok {
+			t.Errorf("%s missing %q", what, k)
+		}
+	}
+	for k := range obj {
+		if !slices.Contains(want, k) && !slices.Contains(optional, k) {
+			t.Errorf("%s has unexpected key %q", what, k)
 		}
 	}
 }
@@ -738,127 +758,6 @@ func mustMarshal(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestDaemonDynamicFleet walks the elastic-fleet path (DESIGN.md §13)
-// at the daemon level: a coordinator with -shard-dynamic semantics
-// mounts the registration routes, a worker's registrar announces it
-// and is alive before any probe or estimate RPC, σ through
-// the registered fleet is bit-identical to local, and a draining
-// worker reports unhealthy before deregistering.
-func TestDaemonDynamicFleet(t *testing.T) {
-	wdd := newWorkerDaemon(2, 16, "", nil)
-	wsrv := httptest.NewServer(wdd.handler())
-	t.Cleanup(wsrv.Close)
-
-	pool := imdpp.NewShardPool(nil, nil)
-	t.Cleanup(pool.Close)
-	pool.SetHeartbeat(50 * time.Millisecond)
-	coord := newDaemon(imdpp.ServiceConfig{
-		Workers: 1, QueueDepth: 8, CacheSize: 32,
-		Backend: imdpp.ShardBackend(pool),
-	}, pool)
-	coord.dynamic = true
-	coordSrv := httptest.NewServer(coord.handler())
-	t.Cleanup(func() {
-		coordSrv.Close()
-		coord.svc.Close()
-	})
-
-	reg, err := imdpp.NewShardRegistrar(imdpp.ShardRegistrarConfig{
-		Coordinator: coordSrv.URL,
-		SelfURL:     wsrv.URL,
-	})
-	if err != nil {
-		t.Fatalf("registrar: %v", err)
-	}
-	reg.Start()
-	t.Cleanup(reg.Stop)
-
-	fleet := func() imdpp.ShardFleetStats {
-		t.Helper()
-		var m struct {
-			Shard *imdpp.ShardPoolStats `json:"shard"`
-		}
-		if code := getJSON(t, coordSrv.URL+"/metrics", &m); code != http.StatusOK {
-			t.Fatalf("metrics: status %d", code)
-		}
-		if m.Shard == nil {
-			t.Fatalf("metrics has no shard block")
-		}
-		return m.Shard.Fleet
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for fleet().Registered < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never registered: %+v", fleet())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// the compatibility check happened at registration: the remote is
-	// alive before any estimate RPC, no per-request probe needed
-	var m struct {
-		Shard *imdpp.ShardPoolStats `json:"shard"`
-	}
-	if code := getJSON(t, coordSrv.URL+"/metrics", &m); code != http.StatusOK {
-		t.Fatalf("metrics: status %d", code)
-	}
-	if len(m.Shard.Remotes) != 1 {
-		t.Fatalf("want 1 remote, got %+v", m.Shard.Remotes)
-	}
-	r := m.Shard.Remotes[0]
-	if !r.Registered || r.State != "alive" {
-		t.Fatalf("registered worker not alive: %+v", r)
-	}
-
-	// σ through the dynamically-registered fleet is bit-identical
-	_, localSrv := newTestDaemon(t)
-	body := `{"dataset":"sample","budget":80,"t":3,"mc":64,"seed":5,"seeds":[{"user":0,"item":0,"t":1},{"user":3,"item":1,"t":2}]}`
-	var sharded, local imdpp.Estimate
-	if code := postJSON(t, coordSrv.URL+"/v1/sigma", body, &sharded); code != http.StatusOK {
-		t.Fatalf("sharded sigma: status %d", code)
-	}
-	if code := postJSON(t, localSrv.URL+"/v1/sigma", body, &local); code != http.StatusOK {
-		t.Fatalf("local sigma: status %d", code)
-	}
-	if sharded.Sigma != local.Sigma || sharded.Pi != local.Pi {
-		t.Fatalf("fleet σ differs from local: %+v vs %+v", sharded, local)
-	}
-	for time.Now().Before(deadline) && fleet().Heartbeats < 2 {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if hb := fleet().Heartbeats; hb < 2 {
-		t.Fatalf("worker heartbeats not counted: %d", hb)
-	}
-
-	// drain: the worker turns unhealthy (probes must route away) and
-	// rejects new shard dispatches with the typed "draining" error
-	reg.Stop()
-	<-wdd.w.BeginDrain()
-	resp, err := http.Get(wsrv.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	var hz struct {
-		OK       bool `json:"ok"`
-		Draining bool `json:"draining"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatalf("decode healthz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || hz.OK || !hz.Draining {
-		t.Fatalf("draining worker healthz: status %d body %+v", resp.StatusCode, hz)
-	}
-	deregCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := reg.Deregister(deregCtx); err != nil {
-		t.Fatalf("deregister: %v", err)
-	}
-	if f := fleet(); f.Registered != 0 {
-		t.Fatalf("worker still registered after deregister: %+v", f)
-	}
-}
-
 // TestResolveQuotaSpec pins the @file indirection SIGHUP reload rides
 // on: literal specs pass through, @path reads the file, a missing
 // file is an error rather than a silent empty quota table.
@@ -880,7 +779,7 @@ func TestResolveQuotaSpec(t *testing.T) {
 
 // TestParseConfig pins the flag-combination rules the daemon refuses
 // at startup, and that -shard-workers entries are normalized with the
-// registry's own rules.
+// pool's own rules.
 func TestParseConfig(t *testing.T) {
 	bad := []struct {
 		name string
@@ -888,8 +787,6 @@ func TestParseConfig(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"worker with static list", []string{"-worker", "-shard-workers", "http://a:1"}, "mutually exclusive"},
-		{"dynamic on a worker", []string{"-worker", "-shard-dynamic"}, "coordinator flag"},
-		{"register without worker", []string{"-register", "http://coord:1"}, "requires -worker"},
 		{"malformed list entry", []string{"-shard-workers", "http://a:1,127.0.0.1:9"}, "-shard-workers"},
 		{"schemeless list entry", []string{"-shard-workers", "localhost:9"}, "bad worker url"},
 		{"unknown log level", []string{"-log-level", "loud"}, "log-level"},
@@ -900,18 +797,68 @@ func TestParseConfig(t *testing.T) {
 		}
 	}
 
-	c, err := parseConfig([]string{"-shard-workers", " http://a:1/, ,http://b:2", "-shard-dynamic", "-log-level", "debug"})
+	c, err := parseConfig([]string{"-shard-workers", " http://a:1/, ,http://b:2", "-log-level", "debug"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.shardWorkers) != 2 || c.shardWorkers[0] != "http://a:1" || c.shardWorkers[1] != "http://b:2" {
 		t.Fatalf("shard workers %q", c.shardWorkers)
 	}
-	if !c.shardDynamic || c.logLevel != slog.LevelDebug || c.shardHeartbeat != 2*time.Second || c.addr != "127.0.0.1:8080" {
+	if c.logLevel != slog.LevelDebug || c.addr != "127.0.0.1:8080" {
 		t.Fatalf("parsed config %+v", c)
 	}
-	if c, err = parseConfig([]string{"-worker", "-register", "http://coord:1"}); err != nil || !c.worker || c.register != "http://coord:1" {
+	if c, err = parseConfig([]string{"-worker"}); err != nil || !c.worker {
 		t.Fatalf("worker config %+v, %v", c, err)
+	}
+}
+
+// TestServeWaitsForInFlight pins the shutdown path: once ctx is done,
+// serve closes the listener but returns only after a request already
+// in flight has completed and its response reached the client.
+func TestServeWaitsForInFlight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(started)
+		<-release
+		finished.Store(true)
+		fmt.Fprint(w, "done")
+	})}
+	ctx, cancel := context.WithCancel(context.Background())
+	returned := make(chan error, 1)
+	go func() { returned <- serve(ctx, srv, ln, time.Minute) }()
+
+	reply := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String())
+		if err != nil {
+			reply <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		reply <- string(b)
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-returned:
+		t.Fatalf("serve returned (%v) while a request was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-returned; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if !finished.Load() {
+		t.Fatal("serve returned before the in-flight handler completed")
+	}
+	if got := <-reply; got != "done" {
+		t.Fatalf("in-flight request got %q, want the full response", got)
 	}
 }
 

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -335,4 +337,47 @@ func sseStatus(t *testing.T, url, lastEventID string) int {
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode
+}
+
+// TestShutdownEndsEventStreams: shutting the coordinator's server down
+// while a slow job streams its events cancels the job, so the stream
+// ends with its terminal cancelled event and serve returns long before
+// the grace runs out.
+func TestShutdownEndsEventStreams(t *testing.T) {
+	d := newDaemon(imdpp.ServiceConfig{Workers: 1, QueueDepth: 4, CacheSize: 8}, nil)
+	t.Cleanup(d.svc.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	returned := make(chan error, 1)
+	go func() { returned <- serve(ctx, d.server(), ln, time.Minute) }()
+	base := "http://" + ln.Addr().String()
+
+	var sub solveResponse
+	slow := `{"dataset":"sample","budget":80,"t":3,"mc":32768,"mcsi":512,"candidate_cap":256,"seed":9}`
+	if code := postJSON(t, base+"/v1/solve", slow, &sub); code != http.StatusAccepted {
+		t.Fatalf("solve: status %d", code)
+	}
+	resp, err := http.Get(base + "/v1/jobs/" + sub.JobID + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+
+	cancel() // the stream is in flight: its handler has sent the headers
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("shutdown waited on the open event stream")
+	}
+	evs := events(readSSE(t, resp.Body))
+	if len(evs) == 0 || evs[len(evs)-1].event != "cancelled" {
+		t.Fatalf("stream did not end with a terminal cancelled event: %+v", evs)
+	}
 }

@@ -316,10 +316,11 @@ type (
 	// EstimatorFactory constructs the estimation backend for one
 	// solver run.
 	EstimatorFactory = core.EstimatorFactory
-	// ShardPool is the coordinator-side worker registry: health
-	// checks, per-shard retry, failover re-dispatch, local fallback.
+	// ShardPool is the coordinator side over the listed workers:
+	// health probes, per-shard retry, failover re-dispatch, local
+	// fallback.
 	ShardPool = shard.Pool
-	// ShardPoolStats is the registry snapshot (/metrics "shard").
+	// ShardPoolStats is the pool snapshot (/metrics "shard").
 	ShardPoolStats = shard.PoolStats
 	// ShardWorker is the worker-process side of the estimator RPC.
 	ShardWorker = shard.Worker
@@ -327,20 +328,6 @@ type (
 	ShardWorkerConfig = shard.WorkerConfig
 	// ShardWorkerStats is the worker-side counter snapshot.
 	ShardWorkerStats = shard.WorkerStats
-	// ShardWorkerCaps is the capability advertisement a worker sends at
-	// registration — frame version and capacity hint. A frame version
-	// other than the coordinator's is refused once, at registration,
-	// with a typed 409 incompatible_worker (DESIGN.md §13).
-	ShardWorkerCaps = shard.WorkerCaps
-	// ShardRegistrar is the worker-side fleet-membership loop:
-	// register, heartbeat, re-register across coordinator restarts,
-	// deregister on drain (DESIGN.md §13).
-	ShardRegistrar = shard.Registrar
-	// ShardRegistrarConfig configures a ShardRegistrar.
-	ShardRegistrarConfig = shard.RegistrarConfig
-	// ShardFleetStats is the fleet-membership aggregate inside
-	// ShardPoolStats (/metrics "shard.fleet").
-	ShardFleetStats = shard.FleetStats
 )
 
 // Sharded-estimation constructors.
@@ -348,12 +335,12 @@ var (
 	// LocalEstimator is the default EstimatorFactory: the in-process
 	// batch engine.
 	LocalEstimator = core.LocalEstimator
-	// NewShardPool seeds the worker registry by base URL; seeded and
-	// registered workers share one lifecycle (DESIGN.md §13).
+	// NewShardPool builds the pool over the listed worker base URLs;
+	// the failure detector's probes keep them in or out of rotation and
+	// refuse a worker speaking another frame version (DESIGN.md §13).
 	NewShardPool = shard.NewPool
 	// ParseShardWorkers splits and validates a comma-separated worker
-	// URL list with the normalizer registration uses, refusing a
-	// malformed entry.
+	// URL list with the pool's normalizer, refusing a malformed entry.
 	ParseShardWorkers = shard.ParseWorkerList
 	// ShardBackend returns the EstimatorFactory dispatching over a
 	// pool — plug it into Options.Backend or ServiceConfig.Backend to
@@ -365,12 +352,6 @@ var (
 	// NewShardEstimator creates one sharded estimator directly: an
 	// ordinary *Estimator whose sample grids come from the pool.
 	NewShardEstimator = shard.NewEstimator
-	// NewShardRegistrar builds the worker-side fleet-membership loop
-	// (imdppd -worker -register wires it).
-	NewShardRegistrar = shard.NewRegistrar
-	// DefaultShardWorkerCaps advertises this binary's native
-	// capabilities: its shard frame version and GOMAXPROCS.
-	DefaultShardWorkerCaps = shard.DefaultWorkerCaps
 )
 
 // Sample-grid memoization (package gridcache, DESIGN.md §10): a

@@ -34,8 +34,8 @@ import (
 // There is no per-request negotiation: the coordinator always sends
 // Content-Type: application/x-imdpp-shard, the worker refuses any
 // other body type with 415, and frame-version compatibility is checked
-// once, when a worker registers (DESIGN.md §13). Errors, upload acks
-// and the registry RPCs stay JSON.
+// by the failure detector's /healthz probe (DESIGN.md §13). Errors,
+// upload acks and the probe answer stay JSON.
 //
 // Payloads are never compressed: deflating and inflating an estimate
 // response costs more CPU time than sending the bytes it saves takes on

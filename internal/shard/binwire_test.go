@@ -359,7 +359,7 @@ func BenchmarkEstimateFrame(b *testing.B) {
 // seed 99 (TestShardedBitIdenticalGolden's batch). A frame carries
 // sample values, so a worker folds its bits into the coordinator's
 // grid: a change that moves the engine's bits must bump frameVersion,
-// so registration refuses workers built before it (DESIGN.md §8).
+// so the probe refuses workers built before it (DESIGN.md §8).
 var sampleBits = map[int][]uint64{
 	2: {0x400c13132cba26ec, 0x401a33f69ebf6845, 0x3fefa20e7e29aed9, 0}, // uniform-draw skips
 	3: {0x400c13132cba26ec, 0x401884a70f538fa0, 0x3fe44fd121ef2f5e, 0}, // Exp-draw skips

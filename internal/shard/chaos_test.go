@@ -4,7 +4,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -95,92 +94,6 @@ func TestChaosKillMidSolve(t *testing.T) {
 	}
 	if st.Healthy != 2 {
 		t.Fatalf("fleet after kill: %d healthy, want the 2 direct workers", st.Healthy)
-	}
-}
-
-// drainOnWrite begins drain on the worker the moment the wrapped
-// handler starts its response, while that request is still in flight.
-type drainOnWrite struct {
-	http.ResponseWriter
-	drain func()
-}
-
-func (d drainOnWrite) WriteHeader(code int) {
-	d.drain()
-	d.ResponseWriter.WriteHeader(code)
-}
-
-func (d drainOnWrite) Write(b []byte) (int, error) {
-	d.drain()
-	return d.ResponseWriter.Write(b)
-}
-
-// TestChaosDrainMidSolve SIGTERMs (BeginDrain) a worker while a solve
-// is running: in-flight shards finish, new dispatches get the typed
-// draining rejection, the coordinator re-plans without a strike, and σ
-// is bit-identical.
-//
-// The victim begins its drain while answering its first estimate, so
-// that shard is in flight when the drain starts, and the coordinator
-// reads the answer only after it has started. The victim holds a range
-// of every batch (static split), so the next batch meets the typed
-// rejection however fast the solve runs.
-func TestChaosDrainMidSolve(t *testing.T) {
-	leakCheck(t)
-	p := sampleProblem(t, 100, 2)
-	opt := core.Options{MC: 8, MCSI: 4, CandidateCap: 32, Seed: 7}
-	want, err := core.Solve(p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var urls []string
-	var workers []*Worker
-	for i := 0; i < 3; i++ {
-		w := NewWorker(WorkerConfig{Workers: 2})
-		var wrap func(http.Handler) http.Handler
-		if i == 2 {
-			var once sync.Once
-			drain := func() { once.Do(func() { w.BeginDrain() }) }
-			wrap = func(next http.Handler) http.Handler {
-				return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-					if r.URL.Path != PathEstimate {
-						next.ServeHTTP(rw, r)
-						return
-					}
-					next.ServeHTTP(drainOnWrite{rw, drain}, r)
-					drain() // the handler returned without writing
-				})
-			}
-		}
-		workers = append(workers, w)
-		urls = append(urls, serveWorker(t, w, wrap).URL)
-	}
-	pool := NewPool(urls, nil)
-	t.Cleanup(pool.Close)
-	victim := workers[2]
-
-	opt.Backend = Backend(pool)
-	got, err := core.Solve(p, opt)
-	select {
-	case <-victim.drained:
-	case <-time.After(10 * time.Second):
-		t.Error("drain never completed")
-	}
-	if err != nil {
-		t.Fatalf("solve surfaced the drain: %v", err)
-	}
-	if math.Float64bits(want.Sigma) != math.Float64bits(got.Sigma) {
-		t.Fatalf("drain mid-solve changed σ: %v vs %v", got.Sigma, want.Sigma)
-	}
-	st := pool.Snapshot()
-	if st.Fleet.Draining != 1 {
-		t.Fatalf("coordinator fleet state: %+v, want 1 draining", st.Fleet)
-	}
-	for _, rs := range st.Remotes {
-		if rs.State == "draining" && rs.Failures != 0 {
-			t.Fatalf("drain cost the worker %d failure strikes: %+v", rs.Failures, rs)
-		}
 	}
 }
 

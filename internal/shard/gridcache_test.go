@@ -26,9 +26,6 @@ func newCachedFleet(t testing.TB, n int) (*Pool, []*Worker) {
 		})
 		mux := http.NewServeMux()
 		w.Mount(mux)
-		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-			writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
-		})
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL

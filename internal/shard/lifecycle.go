@@ -15,15 +15,14 @@ import (
 // wherever it runs (§3/§7), so the state machine is pure ops surface.
 //
 //	alive ──dispatch failure──▶ suspect
-//	alive ──silent for hbTimeout, then the probe fails──▶ probing
+//	alive ──silent for the silence timeout, then the probe fails──▶ probing
 //	suspect ──failure-detector probe fails──▶ probing (backoff grows)
 //	probing ──deadAfter consecutive failures──▶ dead (probed at the cap)
-//	suspect|probing|dead ──probe ok / heartbeat / re-register──▶ alive
-//	any ──typed draining response / deregister──▶ draining
+//	suspect|probing|dead ──probe ok──▶ alive
 //
-// One rule for every entry, seeded or registered: registration, a
-// heartbeat and a successful probe all count as hearing from a worker;
-// only silence gets an alive one probed.
+// A successful probe counts as hearing from a worker; only silence
+// gets an alive one probed. A probe fails on any answer but a 200 from
+// a worker that decodes this build's frame version (Pool.probe).
 type remoteState int32
 
 const (
@@ -31,7 +30,6 @@ const (
 	stateSuspect
 	stateProbing
 	stateDead
-	stateDraining
 )
 
 func (s remoteState) String() string {
@@ -44,8 +42,6 @@ func (s remoteState) String() string {
 		return "probing"
 	case stateDead:
 		return "dead"
-	case stateDraining:
-		return "draining"
 	}
 	return "unknown"
 }
@@ -63,16 +59,6 @@ func (p *Pool) backoffFor(fails int) time.Duration {
 	if d > p.probeCap {
 		d = p.probeCap
 	}
-	if d <= 0 {
-		return 0
-	}
-	return jitterHalf(d)
-}
-
-// jitterHalf draws uniformly from [d/2, d] — the jitter shape shared
-// by the failure detector's backoff and the worker-side registrar's
-// register retries.
-func jitterHalf(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
@@ -101,20 +87,6 @@ func (p *Pool) markFailed(r *Remote, err error) {
 	r.mu.Unlock()
 }
 
-// markDraining records a typed draining response: the worker asked to
-// leave rotation gracefully. Not a failure — no strike, no breaker —
-// but no new dispatches either; a probe notices if it restarts.
-func (p *Pool) markDraining(r *Remote) {
-	r.mu.Lock()
-	if r.state != stateDraining {
-		r.state = stateDraining
-		r.lastErr = ""
-		r.probeFails = 0
-		r.nextProbe = time.Now().Add(p.backoffFor(0))
-	}
-	r.mu.Unlock()
-}
-
 // dispatchOK resets the breaker strike count: strikes count
 // *consecutive* dispatch failures, and deliberately survive probe
 // successes — a flapping worker's probes pass while its dispatches
@@ -134,11 +106,9 @@ func (r *Remote) dispatchable() bool {
 }
 
 // detectLoop is the failure detector: a cheap periodic scan that fires
-// due probes — at an alive worker silent for one heartbeat timeout, at
-// a down one on jittered exponential backoff — and lets probe outcomes
-// drive the state machine. A worker that heartbeats is not probed while
-// alive: its beats are the liveness signal, which is the point of
-// registration — no per-worker probe traffic at fleet scale.
+// due probes — at an alive worker silent for the silence timeout, at a
+// down one on jittered exponential backoff — and lets probe outcomes
+// drive the state machine.
 func (p *Pool) detectLoop() {
 	tick := min(p.probeBase, p.probeCap) / 2
 	if tick < time.Millisecond {
@@ -160,11 +130,11 @@ func (p *Pool) detectLoop() {
 }
 
 // detectOnce runs one failure-detector scan: an alive remote is due
-// once silent for hbTimeout, any other once its backoff elapses.
+// once silent for p.silence, any other once its backoff elapses.
 func (p *Pool) detectOnce(now time.Time) {
 	p.probeWhere(p.loopCtx, func(r *Remote) bool {
 		if r.state == stateAlive {
-			return now.Sub(r.lastHeard) > p.hbTimeout
+			return now.Sub(r.lastHeard) > p.silence
 		}
 		return !now.Before(r.nextProbe)
 	})
@@ -218,7 +188,7 @@ func (p *Pool) onProbe(r *Remote, err error) {
 		r.lastHeard = now
 	default:
 		r.probeFails++
-		if r.state != stateDraining && r.state != stateDead {
+		if r.state != stateDead {
 			if r.probeFails >= p.deadAfter {
 				r.state = stateDead
 			} else {

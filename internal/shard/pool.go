@@ -18,7 +18,7 @@ import (
 	"imdpp/internal/obs"
 )
 
-// Pool is the coordinator-side worker registry: the set of remote
+// Pool is the coordinator side of the shard RPC: the listed remote
 // estimator workers, their health, which problems each has been sent,
 // and the dispatch/retry/failover logic.
 // All methods are safe for concurrent use.
@@ -42,18 +42,16 @@ type Pool struct {
 	loopCtx  context.Context // cancelled by Close; bounds detector probes
 	loopStop context.CancelFunc
 
-	// Failure-detector and lifecycle knobs (DESIGN.md §13; fixed after
-	// NewPool/SetHeartbeat except in tests).
+	// Failure-detector knobs (DESIGN.md §13; fixed after NewPool except
+	// in tests).
 	probeBase       time.Duration // first backoff step after a failure
 	probeCap        time.Duration // backoff ceiling (down workers are re-probed at least this often)
 	deadAfter       int           // consecutive probe failures before probing → dead
-	hbInterval      time.Duration // heartbeat cadence dictated to registering workers
-	hbTimeout       time.Duration // silence beyond this gets an alive entry probed
+	silence         time.Duration // silence beyond this gets an alive entry probed
 	breakerTrip     int           // consecutive dispatch failures that open the breaker
 	breakerCooldown time.Duration // dispatch shed window once the breaker opens
 
-	heartbeats atomic.Uint64
-	rejoins    atomic.Uint64
+	rejoins atomic.Uint64
 
 	// Straggler detection knobs (fixed after NewPool except in tests):
 	// a shard is a straggler once its elapsed time exceeds
@@ -75,10 +73,8 @@ type Pool struct {
 	logger  *slog.Logger
 }
 
-// Remote is one registry entry — a worker seeded by NewPool or
-// registered at runtime, one lifecycle either way (lifecycle.go) — with
-// its advertised capabilities, acknowledged problem uploads and
-// dispatch accounting.
+// Remote is one listed worker — its lifecycle state (lifecycle.go),
+// acknowledged problem uploads and dispatch accounting.
 type Remote struct {
 	url string
 
@@ -88,14 +84,12 @@ type Remote struct {
 	problems map[diffusion.Digest]bool // uploads acknowledged by this worker
 
 	// Lifecycle bookkeeping (guarded by mu; see lifecycle.go).
-	registered   bool       // caps checked by the register RPC: gates heartbeats, shown in /metrics
-	caps         WorkerCaps // capability advertisement at registration
-	lastHeard    time.Time  // last registration, heartbeat or successful probe
-	probeFails   int        // consecutive failure-detector probe failures
-	nextProbe    time.Time  // when the failure detector probes next
-	probing      bool       // a probe is in flight
-	strikes      int        // consecutive dispatch failures (breaker input)
-	breakerUntil time.Time  // circuit breaker open until (zero = closed)
+	lastHeard    time.Time // insertion or last successful probe
+	probeFails   int       // consecutive failure-detector probe failures
+	nextProbe    time.Time // when the failure detector probes next
+	probing      bool      // a probe is in flight
+	strikes      int       // consecutive dispatch failures (breaker input)
+	breakerUntil time.Time // circuit breaker open until (zero = closed)
 
 	shards   atomic.Uint64
 	failures atomic.Uint64
@@ -103,8 +97,8 @@ type Remote struct {
 }
 
 // Healthy reports whether the worker is in rotation (lifecycle state
-// alive). Suspect, probing, dead and draining workers all report
-// unhealthy; dispatch additionally requires a closed circuit breaker
+// alive). Suspect, probing and dead workers all report unhealthy;
+// dispatch additionally requires a closed circuit breaker
 // (dispatchable, lifecycle.go).
 func (r *Remote) Healthy() bool {
 	r.mu.Lock()
@@ -130,14 +124,13 @@ func (r *Remote) setProblem(key diffusion.Digest, known bool) {
 	r.mu.Unlock()
 }
 
-// NewPool seeds the registry with the workers at the given base URLs
-// (e.g. "http://10.0.0.7:8081") through Register's insert path:
-// normalized, deduplicated, bounded by maxRemotes; malformed URLs are
-// dropped (ParseWorkerList refuses them). Seeded workers start alive
-// under the one lifecycle: the first failed dispatch or health probe
-// takes a dead one out of rotation, later probes bring it back. Call
-// Check once at startup to verify the fleet, and StartHealthLoop for
-// continuous failure detection.
+// NewPool builds the pool over the workers at the given base URLs
+// (e.g. "http://10.0.0.7:8081"): normalized, deduplicated, bounded by
+// maxRemotes; malformed URLs are dropped (ParseWorkerList refuses
+// them). Workers start alive: the first failed dispatch or health
+// probe takes a dead or incompatible one out of rotation, later probes
+// bring it back. Call Check once at startup to verify the fleet, and
+// StartHealthLoop for continuous failure detection.
 //
 // The pool speaks the binary frame wire (DESIGN.md §8), splits each
 // batch evenly over the healthy workers (Plan) and speculatively
@@ -164,7 +157,9 @@ func NewPool(urls []string, client *http.Client) *Pool {
 		specTick:   5 * time.Millisecond,
 
 		probeBase:       250 * time.Millisecond,
+		probeCap:        probeCeiling,
 		deadAfter:       4,
+		silence:         silenceTimeout,
 		breakerTrip:     3,
 		breakerCooldown: 10 * time.Second,
 
@@ -172,31 +167,24 @@ func NewPool(urls []string, client *http.Client) *Pool {
 		logger:  slog.New(slog.DiscardHandler),
 	}
 	p.loopCtx, p.loopStop = context.WithCancel(context.Background())
-	p.SetHeartbeat(2 * time.Second)
 	for _, raw := range urls {
 		if u, err := normalizeWorkerURL(raw); err == nil {
-			_, _ = p.entry(u) // past maxRemotes the rest are dropped
+			p.entry(u)
 		}
 	}
 	return p
 }
 
-// SetHeartbeat sets the failure detector's one timescale (DESIGN.md
-// §13): d is the beat cadence dictated to registering workers; any
-// alive entry silent for three beats is probed, and one out of
-// rotation is re-probed at least that often. Call before
-// StartHealthLoop.
-func (p *Pool) SetHeartbeat(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	p.hbInterval = d
-	p.hbTimeout = 3 * d
-	p.probeCap = p.hbTimeout
-}
+// The failure detector's timescale (DESIGN.md §13): an alive worker
+// unheard from for silenceTimeout is probed, and one out of rotation
+// is re-probed at least every probeCeiling.
+const (
+	silenceTimeout = 6 * time.Second
+	probeCeiling   = 6 * time.Second
+)
 
-// SetLogger routes the pool's structured dispatch and membership logs
-// (worker failures, drains, registrations) to l; nil restores discard.
+// SetLogger routes the pool's structured dispatch logs (worker
+// failures) to l; nil restores discard.
 // Call during setup, before any dispatch.
 func (p *Pool) SetLogger(l *slog.Logger) {
 	if l == nil {
@@ -208,7 +196,7 @@ func (p *Pool) SetLogger(l *slog.Logger) {
 // RPCLatency snapshots the shard-RPC latency histogram.
 func (p *Pool) RPCLatency() obs.HistStats { return p.rpcHist.Stats() }
 
-// Size returns the number of registry entries.
+// Size returns the number of listed workers.
 func (p *Pool) Size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -232,8 +220,8 @@ func (p *Pool) healthyRemotes() []*Remote {
 // Check probes every worker's /healthz concurrently (one slow or dead
 // worker must not delay the rest — a fleet-wide check costs one probe
 // timeout, not one per casualty), feeding each verdict through the
-// lifecycle state machine: dead workers leave rotation, recovered ones
-// rejoin. It returns the healthy count.
+// lifecycle state machine: dead and incompatible workers leave
+// rotation, recovered ones rejoin. It returns the healthy count.
 func (p *Pool) Check(ctx context.Context) int {
 	// a remote whose detector probe is in flight keeps that verdict
 	remotes, wg := p.probeWhere(ctx, func(*Remote) bool { return true })
@@ -247,6 +235,10 @@ func (p *Pool) Check(ctx context.Context) int {
 	return healthy
 }
 
+// probe asks r's /healthz (Worker.Mount) whether it is up and which
+// frame version it decodes. This is the one compatibility check: a
+// worker speaking another version fails the probe and stays out of
+// rotation instead of failing request by request.
 func (p *Pool) probe(ctx context.Context, r *Remote) error {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -259,21 +251,29 @@ func (p *Pool) probe(ctx context.Context, r *Remote) error {
 		return err
 	}
 	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
+	var hz healthBody
+	err = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&hz)
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+	switch {
+	case resp.StatusCode != http.StatusOK:
 		return fmt.Errorf("healthz status %d", resp.StatusCode)
+	case err != nil:
+		return fmt.Errorf("healthz: %w", err)
+	case hz.CodecVersion != frameVersion:
+		return fmt.Errorf("worker decodes frame version %d, coordinator speaks %d; upgrade coordinator and workers together",
+			hz.CodecVersion, frameVersion)
 	}
 	return nil
 }
 
 // StartHealthLoop starts the failure detector (lifecycle.go) until
-// Close, on the timescale SetHeartbeat set. An alive worker silent for
-// one heartbeat timeout is probed; a worker that died mid-batch is
-// already out of rotation (markFailed) and is re-probed on a jittered
-// exponential backoff — fast first retries, capped at the heartbeat
-// timeout — so restarted workers rejoin without operator action (their
-// problem store is re-filled lazily through the unknown_problem path)
-// and a recovering worker is never hammered in lockstep.
+// Close. An alive worker silent for silenceTimeout is probed; a worker
+// that died mid-batch is already out of rotation (markFailed) and is
+// re-probed on a jittered exponential backoff — fast first retries,
+// capped at probeCeiling — so restarted workers rejoin without
+// operator action (their problem store is re-filled lazily through the
+// unknown_problem path) and a recovering worker is never hammered in
+// lockstep.
 func (p *Pool) StartHealthLoop() {
 	go p.detectLoop()
 }
@@ -287,19 +287,13 @@ func (p *Pool) Close() {
 	})
 }
 
-// RemoteStats is one worker's registry entry in PoolStats.
+// RemoteStats is one listed worker in PoolStats.
 type RemoteStats struct {
 	URL string `json:"url"`
-	// State is the lifecycle state (alive|suspect|probing|dead|
-	// draining, DESIGN.md §13); Healthy is its state == "alive"
-	// projection, kept for pre-fleet scrapers.
+	// State is the lifecycle state (alive|suspect|probing|dead,
+	// DESIGN.md §13); Healthy is its state == "alive" projection.
 	State   string `json:"state"`
 	Healthy bool   `json:"healthy"`
-	// Registered marks workers whose caps the register RPC checked
-	// (seeded or not): provenance, not liveness. Capacity echoes their
-	// advertised concurrency hint.
-	Registered bool `json:"registered,omitempty"`
-	Capacity   int  `json:"capacity,omitempty"`
 	// BreakerOpen reports an open circuit breaker: the worker is shed
 	// from dispatch for the cooldown even if probes pass.
 	BreakerOpen bool   `json:"breaker_open,omitempty"`
@@ -309,28 +303,20 @@ type RemoteStats struct {
 	Problems    int    `json:"problems"`
 }
 
-// FleetStats aggregates the lifecycle registry (DESIGN.md §13): the
-// /metrics shard.fleet block.
+// FleetStats aggregates the failure detector's verdicts (DESIGN.md
+// §13): the /metrics shard.fleet block.
 type FleetStats struct {
-	// Registered counts entries whose caps the register RPC checked
-	// (a seeded worker that registers is one entry, counted here too).
-	Registered int `json:"registered"`
-	// Draining/Suspect/Dead count remotes per lifecycle state (suspect
-	// includes actively-probed suspects).
-	Draining int `json:"draining"`
-	Suspect  int `json:"suspect"`
-	Dead     int `json:"dead"`
-	// Heartbeats counts beats accepted; RejoinCount counts transitions
-	// back into rotation (probe recovery, heartbeat recovery, or a
-	// registration into an entry out of rotation, restarted or seeded).
-	Heartbeats  uint64 `json:"heartbeats"`
-	BreakerOpen int    `json:"breaker_open"`
+	// Suspect/Dead count remotes per lifecycle state (suspect includes
+	// actively-probed suspects).
+	Suspect     int `json:"suspect"`
+	Dead        int `json:"dead"`
+	BreakerOpen int `json:"breaker_open"`
+	// RejoinCount counts probe recoveries back into rotation.
 	RejoinCount uint64 `json:"rejoin_count"`
 }
 
-// PoolStats is the registry snapshot the coordinator daemon reports
-// under /metrics ("worker-pool depth": Workers in the registry,
-// Healthy in rotation).
+// PoolStats is the pool snapshot the coordinator daemon reports under
+// /metrics ("worker-pool depth": Workers listed, Healthy in rotation).
 type PoolStats struct {
 	Workers         int           `json:"workers"`
 	Healthy         int           `json:"healthy"`
@@ -343,7 +329,7 @@ type PoolStats struct {
 	Remotes         []RemoteStats `json:"remotes"`
 }
 
-// Snapshot reports the pool's registry state and dispatch counters.
+// Snapshot reports the pool's worker states and dispatch counters.
 func (p *Pool) Snapshot() PoolStats {
 	p.mu.Lock()
 	remotes := append([]*Remote(nil), p.remotes...)
@@ -356,7 +342,6 @@ func (p *Pool) Snapshot() PoolStats {
 		BytesTx:         p.bytesTx.Load(),
 		BytesRx:         p.bytesRx.Load(),
 	}
-	st.Fleet.Heartbeats = p.heartbeats.Load()
 	st.Fleet.RejoinCount = p.rejoins.Load()
 	now := time.Now()
 	for _, r := range remotes {
@@ -365,22 +350,15 @@ func (p *Pool) Snapshot() PoolStats {
 			URL:         r.url,
 			State:       r.state.String(),
 			Healthy:     r.state == stateAlive,
-			Registered:  r.registered,
-			Capacity:    r.caps.Capacity,
 			BreakerOpen: now.Before(r.breakerUntil),
 			LastErr:     r.lastErr,
 			Problems:    len(r.problems),
 		}
 		switch r.state {
-		case stateDraining:
-			st.Fleet.Draining++
 		case stateSuspect, stateProbing:
 			st.Fleet.Suspect++
 		case stateDead:
 			st.Fleet.Dead++
-		}
-		if r.registered {
-			st.Fleet.Registered++
 		}
 		r.mu.Unlock()
 		if rs.BreakerOpen {
@@ -659,14 +637,6 @@ func (p *Pool) tryShardOn(ctx context.Context, r *Remote, blob *ProblemBlob, req
 	}
 	if ctx.Err() != nil {
 		return nil // cancelled mid-request: not the worker's fault
-	}
-	var se *shardError
-	if errors.As(err, &se) && se.code == CodeDraining {
-		// a graceful goodbye, not a failure: take the worker out of
-		// rotation without a strike and let failover re-plan the range
-		p.markDraining(r)
-		p.logger.Info("shard worker draining", "worker", r.url)
-		return nil
 	}
 	p.markFailed(r, err)
 	p.logger.Warn("shard worker failed", "worker", r.url, "err", err)

@@ -30,19 +30,12 @@ func sampleProblem(t testing.TB, budget float64, T int) *diffusion.Problem {
 	return d.Clone(budget, T)
 }
 
-// serveWorker serves w's shard RPC plus a drain-aware /healthz; wrap,
-// when non-nil, sits in front of the mux.
+// serveWorker serves w's shard RPC and /healthz; wrap, when non-nil,
+// sits in front of the mux.
 func serveWorker(t testing.TB, w *Worker, wrap func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	w.Mount(mux)
-	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		if w.Draining() { // a draining worker must not look probe-healthy
-			writeShardJSON(rw, http.StatusServiceUnavailable, map[string]any{"ok": false, "draining": true})
-			return
-		}
-		writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
-	})
 	var h http.Handler = mux
 	if wrap != nil {
 		h = wrap(mux)
@@ -204,9 +197,6 @@ func TestSpeculativeRedispatch(t *testing.T) {
 		w := NewWorker(WorkerConfig{Workers: 2})
 		mux := http.NewServeMux()
 		w.Mount(mux)
-		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-			writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
-		})
 		handler := http.Handler(mux)
 		if delay > 0 {
 			handler = http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
@@ -550,14 +540,12 @@ func TestCancellationPropagates(t *testing.T) {
 
 	var inFlight atomic.Int32
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		writeShardJSON(rw, http.StatusOK, map[string]bool{"ok": true})
-	})
-	// uploads must succeed (via a real worker) so the estimate is the
-	// call that hangs
+	// probes and uploads must succeed (via a real worker) so the
+	// estimate is the call that hangs
 	real := NewWorker(WorkerConfig{})
 	realMux := http.NewServeMux()
 	real.Mount(realMux)
+	mux.Handle("GET /healthz", realMux)
 	mux.Handle("POST "+PathProblems, realMux)
 	mux.HandleFunc("POST "+PathEstimate, func(rw http.ResponseWriter, r *http.Request) {
 		// drain the body so the server's background read can observe the

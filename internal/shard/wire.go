@@ -20,15 +20,10 @@ import (
 // reuse the PR 3 wire types (diffusion.Seed, diffusion.SampleResult).
 
 // RPC endpoint paths, mounted by Worker.Mount and dialled by Pool.
-// The lifecycle paths (register/heartbeat/deregister, DESIGN.md §13)
-// are mounted by the coordinator and dialled by workers — the reverse
-// direction of the estimate RPCs.
+// Worker.Mount also serves GET /healthz, the failure detector's probe.
 const (
-	PathProblems   = "/v1/shard/problems"
-	PathEstimate   = "/v1/shard/estimate"
-	PathRegister   = "/v1/shard/register"
-	PathHeartbeat  = "/v1/shard/heartbeat"
-	PathDeregister = "/v1/shard/deregister"
+	PathProblems = "/v1/shard/problems"
+	PathEstimate = "/v1/shard/estimate"
 )
 
 // Typed error codes carried in ErrorBody.Code.
@@ -43,18 +38,15 @@ const (
 	// content address than the bytes imply — codec drift between
 	// coordinator and worker builds.
 	CodeHashMismatch = "hash_mismatch"
-	// CodeDraining: the worker received SIGTERM and is finishing its
-	// in-flight ranges; the coordinator re-plans without a strike.
-	CodeDraining = "draining"
-	// CodeUnknownWorker: a heartbeat or deregister named a URL the
-	// coordinator has no registration for (e.g. the coordinator
-	// restarted); the worker re-registers.
-	CodeUnknownWorker = "unknown_worker"
-	// CodeIncompatibleWorker: a registration advertised a frame version
-	// other than the coordinator's (DESIGN.md §13). Terminal: the
-	// worker stops retrying until it is redeployed.
-	CodeIncompatibleWorker = "incompatible_worker"
 )
+
+// healthBody is a worker's GET /healthz answer. The failure detector's
+// probe refuses a worker whose CodecVersion is not this build's frame
+// version (DESIGN.md §13).
+type healthBody struct {
+	OK           bool `json:"ok"`
+	CodecVersion int  `json:"codec_version"`
+}
 
 // ErrorBody is the JSON error payload of every shard RPC failure.
 type ErrorBody struct {

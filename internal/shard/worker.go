@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -65,15 +64,6 @@ type Worker struct {
 	problems map[diffusion.Digest]*workerProblem
 	order    []diffusion.Digest // insertion order, oldest first, for eviction
 
-	// Drain state (DESIGN.md §13): once draining, new RPCs are rejected
-	// with a typed draining response while in-flight ones finish;
-	// drained closes when the last one does.
-	lifeMu        sync.Mutex
-	draining      bool
-	inflightN     int
-	drained       chan struct{}
-	drainedClosed bool
-
 	shardsServed atomic.Uint64
 	samplesDone  atomic.Uint64
 }
@@ -88,59 +78,18 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:      cfg,
 		problems: make(map[diffusion.Digest]*workerProblem),
-		drained:  make(chan struct{}),
 	}
 }
 
-// beginRequest admits one shard RPC unless the worker is draining.
-func (w *Worker) beginRequest() bool {
-	w.lifeMu.Lock()
-	defer w.lifeMu.Unlock()
-	if w.draining {
-		return false
-	}
-	w.inflightN++
-	return true
-}
-
-func (w *Worker) endRequest() {
-	w.lifeMu.Lock()
-	w.inflightN--
-	if w.draining && w.inflightN == 0 && !w.drainedClosed {
-		w.drainedClosed = true
-		close(w.drained)
-	}
-	w.lifeMu.Unlock()
-}
-
-// BeginDrain puts the worker into drain (DESIGN.md §13): in-flight
-// shard RPCs run to completion, new ones are rejected with the typed
-// draining response (the coordinator re-plans those ranges elsewhere
-// without a strike — bit-identically, §3/§7). The returned channel
-// closes when the last in-flight request finishes; it is closed
-// already if the worker is idle. Draining is one-way and idempotent.
-func (w *Worker) BeginDrain() <-chan struct{} {
-	w.lifeMu.Lock()
-	w.draining = true
-	if w.inflightN == 0 && !w.drainedClosed {
-		w.drainedClosed = true
-		close(w.drained)
-	}
-	w.lifeMu.Unlock()
-	return w.drained
-}
-
-// Draining reports whether BeginDrain was called.
-func (w *Worker) Draining() bool {
-	w.lifeMu.Lock()
-	defer w.lifeMu.Unlock()
-	return w.draining
-}
-
-// Mount registers the shard RPC endpoints on mux.
+// Mount registers the shard RPC endpoints on mux, and GET /healthz:
+// the failure detector's probe, answered with the frame version this
+// worker decodes.
 func (w *Worker) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathProblems, w.handleUpload)
 	mux.HandleFunc("POST "+PathEstimate, w.handleEstimate)
+	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
+		writeShardJSON(rw, http.StatusOK, healthBody{OK: true, CodecVersion: frameVersion})
+	})
 }
 
 // WorkerStats is the worker-side counter snapshot, reported by the
@@ -149,7 +98,6 @@ type WorkerStats struct {
 	ProblemsCached   int    `json:"problems_cached"`
 	ShardsServed     uint64 `json:"shards_served"`
 	SamplesSimulated uint64 `json:"samples_simulated"`
-	Draining         bool   `json:"draining"`
 	// Grid nests the worker's sample-grid cache counters, mirroring
 	// the coordinator /metrics shape; nil without a cache.
 	Grid *gridcache.Stats `json:"grid,omitempty"`
@@ -164,7 +112,6 @@ func (w *Worker) Stats() WorkerStats {
 		ProblemsCached:   n,
 		ShardsServed:     w.shardsServed.Load(),
 		SamplesSimulated: w.samplesDone.Load(),
-		Draining:         w.Draining(),
 	}
 	if w.cfg.Grid != nil {
 		g := w.cfg.Grid.Stats()
@@ -213,11 +160,6 @@ func readFrame(rw http.ResponseWriter, r *http.Request, what string) *bytes.Buff
 // address by recomputation, and stores it under that key. The ack is
 // JSON — a few dozen bytes, part of the typed-error protocol.
 func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
-	if !w.beginRequest() {
-		writeShardError(rw, http.StatusServiceUnavailable, CodeDraining, errDraining)
-		return
-	}
-	defer w.endRequest()
 	body := readFrame(rw, r, "problem upload")
 	if body == nil {
 		return
@@ -255,11 +197,6 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 // (cancellation, failover timeout) preempts the simulation within
 // about one campaign.
 func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
-	if !w.beginRequest() {
-		writeShardError(rw, http.StatusServiceUnavailable, CodeDraining, errDraining)
-		return
-	}
-	defer w.endRequest()
 	body := readFrame(rw, r, "estimate request")
 	if body == nil {
 		return
@@ -359,9 +296,6 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	_, _ = rw.Write(out)
 	putScratch(scratch, out)
 }
-
-// errDraining is the body of every typed draining rejection.
-var errDraining = errors.New("worker draining: finishing in-flight shards, not accepting new ones")
 
 func writeShardJSON(rw http.ResponseWriter, status int, v any) {
 	rw.Header().Set("Content-Type", "application/json")

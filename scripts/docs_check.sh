@@ -10,10 +10,7 @@
 #   2. every DESIGN.md section referenced from Go comments (§N) has a
 #      matching `## §N ` heading in DESIGN.md
 #   3. every HTTP route registered in cmd/imdppd
-#      (`HandleFunc("METHOD /path")`), and every fleet route it mounts
-#      through shard.(*Pool).MountRegistry (`"METHOD "+PathX`, the
-#      constant resolved from internal/shard/wire.go), appears in
-#      README.md
+#      (`HandleFunc("METHOD /path")`) appears in README.md
 #   4. every fuzz target (`func Fuzz*` in a _test.go file) is run by
 #      the Makefile `fuzz` target
 #   5. every `make <target>` named in README.md or DESIGN.md (inline
@@ -27,17 +24,6 @@
 set -u
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
-
-# registry_routes ROOT: the routes shard.(*Pool).MountRegistry mounts,
-# as "METHOD /path" with each Path* constant resolved from wire.go
-registry_routes() {
-	local method name
-	awk '/^func \(p \*Pool\) MountRegistry\(/ { on = 1; next } on && /^}/ { exit } on' "$1/internal/shard/registry.go" 2>/dev/null |
-		grep -oE '"[A-Z]+ "\+Path[A-Za-z]+' |
-		while IFS='+' read -r method name; do
-			echo "${method//\"/}$(sed -nE "s/^[[:space:]]*$name[[:space:]]*=[[:space:]]*\"([^\"]+)\".*/\\1/p" "$1/internal/shard/wire.go")"
-		done
-}
 
 check_tree() {
 	local root=$1 fail=0 dir pkg doc first n ref route routes fuzz target targets
@@ -73,9 +59,6 @@ check_tree() {
 	# 3. daemon routes documented in README (read from a here-string, not
 	# a pipe, so the failures survive the loop)
 	routes=$(grep -hoE 'HandleFunc\("[A-Z]+ [^"]+"' "$root"/cmd/imdppd/*.go 2>/dev/null | sed -E 's/HandleFunc\("([^"]+)"/\1/')
-	if grep -qF '.MountRegistry(' "$root"/cmd/imdppd/*.go 2>/dev/null; then
-		routes+=$'\n'$(registry_routes "$root")
-	fi
 	while IFS= read -r route; do
 		[ -z "$route" ] && continue
 		if ! grep -qF "$route" "$root/README.md" 2>/dev/null; then
@@ -163,13 +146,6 @@ self_test() {
 	fi
 
 	copy
-	sed -i 's|POST /v1/shard/heartbeat||g' "$tmp/tree/README.md"
-	if check_tree "$tmp/tree" >/dev/null 2>&1; then
-		echo "docs-check self-test: FAIL — dropping the MountRegistry route 'POST /v1/shard/heartbeat' from README went undetected" >&2
-		return 1
-	fi
-
-	copy
 	sed -i '/FuzzDecodeRowsBinary/d' "$tmp/tree/Makefile"
 	if check_tree "$tmp/tree" >/dev/null 2>&1; then
 		echo "docs-check self-test: FAIL — dropping FuzzDecodeRowsBinary from 'make fuzz' went undetected" >&2
@@ -183,7 +159,7 @@ self_test() {
 		return 1
 	fi
 
-	echo "docs-check self-test: ok (clean tree passes; 6 deliberate breaks detected)"
+	echo "docs-check self-test: ok (clean tree passes; 5 deliberate breaks detected)"
 	return 0
 }
 

@@ -43,8 +43,6 @@ imdpp/internal/rng.(*Rand).Bernoulli           TestStreamMatchesRand
 imdpp/internal/gridcache.GroupKey.Append       TestGroupKeyRoundTrip
 imdpp/internal/gridcache.DecodeGroupKey        TestGroupKeyRoundTrip
 imdpp/internal/service.(*Service).Cancel       TestCancelRunning
-imdpp/internal/shard.(*Registrar).Registered   TestRegistrarStopsWhenRefused
-imdpp/internal/shard.(*Registrar).Beats        TestRegistrarLoop
 imdpp/internal/shard.(*Worker).DropProblems    TestWorkerRestartReupload
 imdpp/internal/dataset.All                     TestAllPresets
 imdpp/internal/fleettest.*                     internal/shard TestChaos* (fault proxy)

@@ -5,7 +5,11 @@
 # daemon (the DESIGN.md §7 contract made observable end to end), both
 # workers must serve shards (the even split gives each a range), and
 # the wire metrics (bytes_tx/bytes_rx, speculative_hits) must be
-# present and sane.
+# present and sane. Then the listed-worker lifecycle (DESIGN.md §13):
+# a kill -9 of one worker mid-solve leaves σ bit-identical with zero
+# failed jobs, the worker restarted on its old address rejoins through
+# the failure detector's probe, and a SIGHUP swaps the coordinator's
+# tenant quota table without a restart.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -14,20 +18,20 @@ WORKDIR=$(mktemp -d)
 BIN="$WORKDIR/imdppd"
 go build -o "$BIN" ./cmd/imdppd
 
-# boot runs inside $(...) subshells, so daemon pids go to a file a
+# boot runs inside <(...) subshells, so daemon pids go to a file a
 # shell variable would not survive
 cleanup() {
     if [ -f "$WORKDIR/pids" ]; then
         while read -r pid; do
-            kill "$pid" 2>/dev/null || true
+            kill -9 "$pid" 2>/dev/null || true
         done <"$WORKDIR/pids"
     fi
     rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
 
-# boot <logfile> <args...>: starts imdppd, scrapes the readiness line,
-# echoes the base URL
+# boot <logfile> <args...>: starts imdppd on a free port (a later -addr
+# in args wins), scrapes the readiness line, echoes "pid url"
 boot() {
     local log=$1
     shift
@@ -35,7 +39,8 @@ boot() {
     # sed may otherwise run before the background shell opens it
     : >"$log"
     "$BIN" -addr 127.0.0.1:0 "$@" >"$log" 2>&1 &
-    echo $! >>"$WORKDIR/pids"
+    local pid=$!
+    echo "$pid" >>"$WORKDIR/pids"
     local addr=""
     for _ in $(seq 1 100); do
         addr=$(sed -n 's#^imdppd listening on ##p' "$log")
@@ -47,19 +52,38 @@ boot() {
         cat "$log" >&2
         exit 1
     fi
-    echo "$addr"
+    echo "$pid $addr"
 }
 
-W1=$(boot "$WORKDIR/worker1.log" -worker)
-W2=$(boot "$WORKDIR/worker2.log" -worker)
-LOCAL=$(boot "$WORKDIR/local.log" -workers 1)
-COORD=$(boot "$WORKDIR/coord.log" -workers 1 -shard-workers "$W1,$W2" -debug-addr 127.0.0.1:0)
+# wait_jq <url> <jq-expr> <what>: polls until the expression is true
+wait_jq() {
+    local url=$1 expr=$2 what=$3
+    for _ in $(seq 1 150); do
+        if curl -sf "$url" | jq -e "$expr" >/dev/null 2>&1; then
+            return 0
+        fi
+        sleep 0.2
+    done
+    echo "timeout waiting for: $what" >&2
+    curl -s "$url" >&2 || true
+    exit 1
+}
+
+echo "default:1:8:4" >"$WORKDIR/quotas"
+read -r _ W1 < <(boot "$WORKDIR/worker1.log" -worker)
+read -r W2PID W2 < <(boot "$WORKDIR/worker2.log" -worker)
+read -r _ LOCAL < <(boot "$WORKDIR/local.log" -workers 1)
+read -r CPID COORD < <(boot "$WORKDIR/coord.log" -workers 1 -shard-workers "$W1,$W2" \
+    -debug-addr 127.0.0.1:0 -tenant-quotas "@$WORKDIR/quotas")
 # the coordinator's opt-in debug listener (pprof + traces)
 DEBUG=$(sed -n 's#^imdppd debug listening on ##p' "$WORKDIR/coord.log")
 [ -n "$DEBUG" ] || { echo "coordinator printed no debug listener line" >&2; cat "$WORKDIR/coord.log" >&2; exit 1; }
 echo "workers at $W1 $W2; coordinator at $COORD; local reference at $LOCAL"
 
-curl -sf "$W1/healthz" | jq -e '.ok and .worker' >/dev/null
+# the worker's probe answer names the frame version the coordinator's
+# failure detector checks (DESIGN.md §13)
+curl -sf "$W1/healthz" | jq -e '.ok and .codec_version > 0' >/dev/null ||
+    { echo "worker healthz does not name its frame version" >&2; curl -s "$W1/healthz" >&2; exit 1; }
 curl -sf "$COORD/metrics" | jq -e '.shard.workers == 2 and .shard.healthy == 2' >/dev/null ||
     { echo "coordinator does not see 2 healthy workers" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
 
@@ -73,10 +97,9 @@ echo "sigma OK: sharded == local == $S_SHARD"
 
 # --- full sharded solve vs local solve: bit-identical ----------------
 SOLVE_REQ='{"dataset":"amazon","scale":0.05,"budget":100,"t":4,"mc":8,"mcsi":4,"candidate_cap":64,"seed":1}'
-solve_sigma() {
-    local base=$1
-    local job view status
-    job=$(curl -sf -X POST "$base/v1/solve" -d "$SOLVE_REQ" | jq -r .job_id)
+# solve_wait <base> <job>: polls to completion, echoes σ
+solve_wait() {
+    local base=$1 job=$2 view status
     for _ in $(seq 1 600); do
         view=$(curl -sf "$base/v1/jobs/$job")
         status=$(echo "$view" | jq -r .status)
@@ -89,8 +112,12 @@ solve_sigma() {
     echo "solve never finished on $base" >&2
     return 1
 }
-SOLVE_SHARD=$(solve_sigma "$COORD")
-SOLVE_LOCAL=$(solve_sigma "$LOCAL")
+# solve_async <base> <request>: submits, echoes the job id
+solve_async() {
+    curl -sf -X POST "$1/v1/solve" -d "$2" | jq -r .job_id
+}
+SOLVE_SHARD=$(solve_wait "$COORD" "$(solve_async "$COORD" "$SOLVE_REQ")")
+SOLVE_LOCAL=$(solve_wait "$LOCAL" "$(solve_async "$LOCAL" "$SOLVE_REQ")")
 [ "$SOLVE_SHARD" = "$SOLVE_LOCAL" ] ||
     { echo "sharded solve σ $SOLVE_SHARD != local $SOLVE_LOCAL" >&2; exit 1; }
 echo "solve OK: sharded == local == $SOLVE_SHARD"
@@ -124,4 +151,45 @@ echo "$METRICS" | jq -e '[.shard.remotes[] | select(.shards > 0)] | length == 2'
     { echo "a worker served no shard under the even split" >&2; echo "$METRICS" >&2; exit 1; }
 
 echo "wire OK: $(echo "$METRICS" | jq -r '.shard.bytes_tx + .shard.bytes_rx') bytes"
+
+# --- kill -9 of a listed worker mid-solve ----------------------------
+# sized to run a few seconds, so the kill lands while batches are still
+# being dispatched; a distinct seed keeps it out of the result cache
+KILL_REQ='{"dataset":"amazon","scale":0.5,"budget":800,"t":4,"mc":64,"mcsi":16,"candidate_cap":256,"seed":2}'
+KILL_LOCAL=$(solve_wait "$LOCAL" "$(solve_async "$LOCAL" "$KILL_REQ")")
+SERVED=$(curl -sf "$W2/metrics" | jq .shards_served)
+JOB=$(solve_async "$COORD" "$KILL_REQ")
+# the victim has served a shard of this solve and the solve still runs
+wait_jq "$W2/metrics" ".shards_served > $SERVED" "the solve to reach worker 2"
+curl -sf "$COORD/v1/jobs/$JOB" | jq -e '.status == "running"' >/dev/null ||
+    { echo "the solve finished before the kill; the kill phase proves nothing" >&2; exit 1; }
+kill -9 "$W2PID"
+SIGMA_KILL=$(solve_wait "$COORD" "$JOB")
+[ "$SIGMA_KILL" = "$KILL_LOCAL" ] ||
+    { echo "kill -9 broke bit-identity: $SIGMA_KILL != $KILL_LOCAL" >&2; exit 1; }
+curl -sf "$COORD/metrics" | jq -e '.jobs_failed == 0 and .shard.redispatches + .shard.local_fallbacks >= 1' >/dev/null ||
+    { echo "kill -9 surfaced a failed job or was never failed over" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
+wait_jq "$COORD/metrics" '.shard.healthy == 1 and .shard.fleet.suspect + .shard.fleet.dead == 1' "killed worker out of rotation"
+echo "kill OK: σ == local == $SIGMA_KILL, zero failed jobs"
+
+# --- restart on the same address: the probe brings it back ----------
+read -r _ W2 < <(boot "$WORKDIR/worker2b.log" -worker -addr "${W2#http://}")
+wait_jq "$COORD/metrics" '.shard.healthy == 2 and .shard.fleet.rejoin_count >= 1 and .shard.fleet.dead == 0' \
+    "restarted worker back in rotation"
+# a fresh σ (new sample seed, so no cache answers it) reaches the
+# restarted process, which re-learns the problem by re-upload
+REJOIN_REQ='{"dataset":"amazon","scale":0.05,"budget":1000,"t":4,"mc":256,"seed":8,"seeds":[{"user":1,"item":0,"t":1},{"user":5,"item":2,"t":2}]}'
+S_SHARD=$(curl -sf -X POST "$COORD/v1/sigma" -d "$REJOIN_REQ" | jq -r .sigma)
+S_LOCAL=$(curl -sf -X POST "$LOCAL/v1/sigma" -d "$REJOIN_REQ" | jq -r .sigma)
+[ "$S_SHARD" = "$S_LOCAL" ] ||
+    { echo "after rejoin sharded σ $S_SHARD != local σ $S_LOCAL" >&2; exit 1; }
+curl -sf "$W2/metrics" | jq -e '.shards_served > 0' >/dev/null ||
+    { echo "the restarted worker served no shard" >&2; exit 1; }
+echo "rejoin OK: worker back in rotation through the probe, σ == local == $S_SHARD"
+
+# --- SIGHUP swaps the quota table without a restart -------------------
+echo "default:1:3:4" >"$WORKDIR/quotas"
+kill -HUP "$CPID"
+wait_jq "$COORD/metrics" '.tenants.default.max_queue == 3' "quota reload applied"
+echo "reload OK: default tenant max_queue 8 -> 3 via SIGHUP"
 echo "shard smoke OK"
