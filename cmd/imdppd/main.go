@@ -95,7 +95,7 @@ func parseConfig(args []string) (config, error) {
 	fs.BoolVar(&c.worker, "worker", false, "run as a remote estimator worker (shard RPC only)")
 	fs.StringVar(&shardWorkers, "shard-workers", "", "comma-separated worker base URLs; fan σ/π estimation out over them (DESIGN.md §7, §13)")
 	fs.StringVar(&c.sketchDir, "sketch-dir", "", "directory persisting RR sketch indexes across restarts (empty = memory only)")
-	fs.IntVar(&c.gridMB, "grid-cache-mb", 64, "in-memory sample-grid memoization cache bound in MiB (0 disables); shared across jobs, and by each -worker across estimate requests")
+	fs.IntVar(&c.gridMB, "grid-cache-mb", 64, "in-memory sample-grid memoization cache bound in MiB (0 disables); shared across jobs, in front of -shard-workers too; refused with -worker")
 	fs.StringVar(&c.gridDir, "grid-cache-dir", "", "directory spilling committed sample grids to disk (empty = memory only)")
 	fs.StringVar(&c.tenantQuotas, "tenant-quotas", "", "per-tenant scheduling quotas: name:weight[:max_queue[:max_inflight]] comma-separated; name 'default' sets the quota unlisted tenants get (DESIGN.md §12)")
 	fs.DurationVar(&c.sseHeartbeat, "sse-heartbeat", 15*time.Second, "SSE keep-alive comment interval on GET /v1/jobs/{id}/events")
@@ -109,6 +109,14 @@ func parseConfig(args []string) (config, error) {
 		return c, errors.New("-worker and -shard-workers are mutually exclusive")
 	}
 	var err error
+	fs.Visit(func(f *flag.Flag) { // a coordinator caches grids, a worker none (DESIGN.md §10)
+		if c.worker && strings.HasPrefix(f.Name, "grid-cache") {
+			err = fmt.Errorf("-worker and -%s are mutually exclusive: the coordinator caches sample grids", f.Name)
+		}
+	})
+	if err != nil {
+		return c, err
+	}
 	if c.shardWorkers, err = imdpp.ParseShardWorkers(shardWorkers); err != nil {
 		return c, fmt.Errorf("-shard-workers: %w", err)
 	}
@@ -133,7 +141,7 @@ func main() {
 	cleanup := func() {}
 	var d *daemon // non-nil in coordinator mode; drives SIGHUP reload
 	if c.worker {
-		srv = &http.Server{Handler: newWorkerDaemon(c.solveWorkers, c.gridMB, c.gridDir, tracer).handler()}
+		srv = &http.Server{Handler: newWorkerDaemon(c.solveWorkers, tracer).handler()}
 	} else {
 		quotas, defQuota, err := loadQuotas(c.tenantQuotas)
 		if err != nil {
@@ -334,13 +342,9 @@ type workerDaemon struct {
 	start time.Time
 }
 
-func newWorkerDaemon(solveWorkers, gridMB int, gridDir string, tracer *imdpp.Tracer) *workerDaemon {
-	cfg := imdpp.ShardWorkerConfig{Workers: solveWorkers, Tracer: tracer}
-	if gridMB > 0 {
-		cfg.Grid = imdpp.NewGridCache(gridMB, gridDir)
-	}
+func newWorkerDaemon(solveWorkers int, tracer *imdpp.Tracer) *workerDaemon {
 	return &workerDaemon{
-		w:     imdpp.NewShardWorker(cfg),
+		w:     imdpp.NewShardWorker(imdpp.ShardWorkerConfig{Workers: solveWorkers, Tracer: tracer}),
 		start: time.Now(),
 	}
 }

@@ -343,8 +343,8 @@ func TestDaemonCancelFinishedJobConflict(t *testing.T) {
 // is bit-identical to a plain local daemon's — the shard-smoke contract
 // in-process.
 func TestDaemonShardedCoordinator(t *testing.T) {
-	w1 := httptest.NewServer(newWorkerDaemon(2, 16, "", nil).handler())
-	w2 := httptest.NewServer(newWorkerDaemon(2, 16, "", nil).handler())
+	w1 := httptest.NewServer(newWorkerDaemon(2, nil).handler())
+	w2 := httptest.NewServer(newWorkerDaemon(2, nil).handler())
 	t.Cleanup(w1.Close)
 	t.Cleanup(w2.Close)
 
@@ -787,6 +787,9 @@ func TestParseConfig(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"worker with static list", []string{"-worker", "-shard-workers", "http://a:1"}, "mutually exclusive"},
+		{"worker with grid cache", []string{"-worker", "-grid-cache-mb", "16"}, "-grid-cache-mb are mutually exclusive"},
+		{"worker with grid spill", []string{"-grid-cache-dir", "grids", "-worker"}, "-grid-cache-dir are mutually exclusive"},
+		{"worker with grid cache off", []string{"-worker", "-grid-cache-mb", "0"}, "-grid-cache-mb are mutually exclusive"},
 		{"malformed list entry", []string{"-shard-workers", "http://a:1,127.0.0.1:9"}, "-shard-workers"},
 		{"schemeless list entry", []string{"-shard-workers", "localhost:9"}, "bad worker url"},
 		{"unknown log level", []string{"-log-level", "loud"}, "log-level"},

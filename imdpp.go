@@ -359,7 +359,7 @@ var (
 // by (problem, seed, sample range, canonical seed group). Because a
 // sample grid is a pure function of those coordinates (§3), a cached
 // grid is a bit-exact substitute for re-simulation — CELF waves,
-// repeated jobs and shard re-dispatch reuse each other's work.
+// repeated jobs and sharded batches reuse each other's work.
 type (
 	// GridCache memoizes raw sample grids across solves.
 	GridCache = gridcache.Cache
@@ -371,8 +371,8 @@ type (
 
 // NewGridCache creates a sample-grid cache bounded at maxMB MiB
 // (0 → 64), spilling committed grids under dir when non-empty. Plug it
-// into Options.GridCache, ServiceConfig (via GridCacheMB/GridCacheDir)
-// or ShardWorkerConfig.Grid.
+// into Options.GridCache or ServiceConfig (via GridCacheMB/GridCacheDir):
+// a sharded solve caches there, in front of its workers.
 func NewGridCache(maxMB int, dir string) *GridCache {
 	if maxMB <= 0 {
 		maxMB = 64

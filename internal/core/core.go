@@ -257,11 +257,11 @@ type gridStatser interface {
 }
 
 // AttachGridCache wires a sample-grid memoization view for p into an
-// estimator: directly for the Monte-Carlo engine (local or sharded;
-// a sharded engine's remote rows bypass it, DESIGN.md §10), via the
-// optional AttachGrid face for the sketch backend's embedded engine.
-// A nil cache, a cache without a key function, or a backend with no
-// attachment surface all leave est untouched.
+// estimator: directly for the Monte-Carlo engine, local or sharded (in
+// front of the producer, so a hit sends no shard RPC, DESIGN.md §10),
+// via the optional AttachGrid face for the sketch backend's engine.
+// A nil cache or a backend with no attachment surface leaves est
+// untouched.
 func AttachGridCache(est Estimator, p *diffusion.Problem, c *gridcache.Cache) {
 	v := c.View(p)
 	if v == nil {
@@ -317,10 +317,10 @@ func (s *solver) sigmaBatch(groups [][]diffusion.Seed) []float64 {
 }
 
 // celfWaveSize is how many stale CELF entries a re-evaluation wave
-// refreshes in one batch. A wave of w candidates yields w·M work
-// units, plenty to keep any pool busy, while the extra refreshes
-// beyond the true top stay cheap (a refreshed gain is reused as a
-// tighter upper bound in later rounds either way). It is a constant —
+// re-scores in one batch, the stale top and up to seven below it. The
+// next pick reseeds the estimator, so those below keep stale estimates
+// from another stream, not bounds. A wave of 4 solved faster but lost
+// σ at Amazon 1.0 (ROADMAP item 2), so it stays 8. It is a constant —
 // not a function of Workers or GOMAXPROCS — so the refresh pattern,
 // and with it the whole solver output, is identical on any machine.
 const celfWaveSize = 8

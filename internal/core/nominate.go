@@ -132,9 +132,10 @@ func (h *celfHeap) Pop() any {
 // initial-gains pass scores the whole universe in one RunBatch with
 // common random numbers (every candidate sees the same sample
 // streams, so the gains are directly comparable), and stale entries
-// are refreshed in waves instead of one heap-pop at a time. A wave may
-// refresh a few entries beyond the true top; those refreshes are not
-// wasted — they become tighter upper bounds for later rounds.
+// are refreshed in waves of celfWaveSize instead of one heap-pop at a
+// time. Entries re-scored below the true top are no bounds for later
+// rounds: the next pick reseeds the estimator, so their keys become
+// stale estimates from another stream (ROADMAP item 2 measures this).
 //
 // Selection stops when the budget is exhausted, the universe is empty,
 // or the best marginal gain is non-positive (the negative-marginal

@@ -4,9 +4,10 @@ import "imdpp/internal/obs"
 
 // This file is the batch evaluation face of the engine. Every estimate
 // — single or batched — funnels through runBatch, which builds the
-// full (group × sample) grid with the one producer of shardable.go
-// (runBatchSamplesRaw, or the grid cache in front of it) or takes it
-// from a remote Sampler, and folds it with ReduceSampleGrid. The
+// full (group × sample) grid, from the grid cache where it holds a
+// group and else from the producer (the local simulation of
+// shardable.go, or a remote Sampler), and folds it with
+// ReduceSampleGrid. The
 // producer schedules (family × sample) work units onto one worker pool
 // kept alive for the whole batch, so a universe of K candidates pays
 // the orchestration cost once instead of K times. A family is a root group plus the groups that share its
@@ -57,18 +58,33 @@ func (e *Estimator) SigmaBatch(groups [][]Seed) []float64 {
 // estimator has run, for throughput (samples/sec) accounting.
 func (e *Estimator) SamplesDone() uint64 { return e.samples.Load() }
 
-// runBatch is the engine: the full grid of samples 0..M-1, from Remote
-// when one is set and else from the local producer, folded in sample
-// order. market and masks are as for RunBatchSamples.
+// runBatch is the engine: the full grid of samples 0..M-1, folded in
+// sample order; market and masks are as for RunBatchSamples. With Grid
+// attached only the groups it misses reach the producer.
 func (e *Estimator) runBatch(groups [][]Seed, market []bool, masks [][]bool, withPi bool) []Estimate {
+	var sp *obs.Span
+	if e.Remote == nil { // a remote producer records its own batch span
+		sp = obs.StartSpan(e.ctx, "sigma_batch")
+		defer sp.End()
+		sp.SetAttrInt("groups", int64(len(groups)))
+		sp.SetAttrInt("samples", int64(e.M))
+	}
+	if e.Grid == nil {
+		return ReduceSampleGrid(e.produce(groups, market, masks, withPi), e.P.NumItems())
+	}
+	hits0 := e.gridHits.Load()
+	grid := e.cachedSamples(groups, market, masks, withPi)
+	sp.SetAttrInt("grid_hits", int64(e.gridHits.Load()-hits0))
+	return ReduceSampleGrid(grid, e.P.NumItems())
+}
+
+// produce returns samples 0..M-1 of every group from Remote when one
+// is set, else from the local simulation; never from the grid cache.
+func (e *Estimator) produce(groups [][]Seed, market []bool, masks [][]bool, withPi bool) [][]SampleResult {
 	if e.Remote != nil && len(groups) > 0 {
 		grid, remote := e.Remote.Samples(e.ctx, e, groups, market, masks, withPi)
 		e.samples.Add(remote)
-		return ReduceSampleGrid(grid, e.P.NumItems())
+		return grid
 	}
-	sp := obs.StartSpan(e.ctx, "sigma_batch")
-	defer sp.End()
-	sp.SetAttrInt("groups", int64(len(groups)))
-	sp.SetAttrInt("samples", int64(e.M))
-	return ReduceSampleGrid(e.sampleGrid(sp, groups, market, masks, withPi, 0, e.M), e.P.NumItems())
+	return e.runBatchSamplesRaw(groups, market, masks, withPi, 0, e.M)
 }

@@ -45,18 +45,17 @@ type Estimator struct {
 	Workers int // 0 → GOMAXPROCS
 
 	// Grid, when non-nil, memoizes raw per-sample outcome grids per
-	// evaluation group (DESIGN.md §10): runBatch and RunBatchSamples
-	// serve repeated (seed, sample-range, group) units from the cache
-	// instead of re-simulating, bit-identically — the reduction of a
-	// cached grid is the same canonical sample-order fold. Attach via
+	// evaluation group (DESIGN.md §10): runBatch looks every group's
+	// [0,M) rows up first and hands only the misses to the producer,
+	// local or Remote, bit-identically. Attach via
 	// gridcache.Cache.View; must not change mid-evaluation.
 	Grid GridCache
 
-	// Remote, when non-nil, produces the full sample grid of every
-	// non-empty batch in place of the local producer (DESIGN.md §7).
-	// RunBatchSamples never consults it, so a remote producer may fall
-	// back on it without recursing. Remote rows bypass Grid; must not
-	// change mid-evaluation.
+	// Remote, when non-nil, produces the grid of every non-empty batch
+	// (or of its cache misses) in place of the local simulation
+	// (DESIGN.md §7). RunBatchSamples consults neither, so a remote
+	// producer may fall back on it without recursing. Must not change
+	// mid-evaluation.
 	Remote Sampler
 
 	samples    atomic.Uint64 // campaigns simulated, for throughput stats

@@ -123,13 +123,12 @@ func sameMask(a, b []bool) bool {
 // the checkpoint at its depth. π is evaluated on each member's own
 // final state; a sharer of depth T has the root's final state, and a
 // resumed sharer recomputes only the users changed since its
-// checkpoint (resumedPi), so a family with cuts keeps the change log.
+// checkpoint (resumedPi) found from the change log restore reads too.
 // It reports false when a bound context cancelled the batch between
 // members.
 func (e *Estimator) runFamily(st *State, res *Result, f *family, groups [][]Seed, maskOf func(int) []bool, withPi bool, i int, master *rng.Rand, emit func(j, g int, res *Result, pi float64)) bool {
 	market := maskOf(f.root)
 	st.resetSplit(master, i)
-	st.logSteps = withPi && len(f.cuts) > 0
 	res.Sigma, res.MarketSigma, res.Adoptions, res.Steps = 0, 0, 0, 0
 	clear(res.PerItem)
 	st.runFrom(groups[f.root], 0, market, res, f.cuts)
@@ -137,7 +136,7 @@ func (e *Estimator) runFamily(st *State, res *Result, f *family, groups [][]Seed
 	if withPi {
 		pi = st.LikelihoodPi(market)
 	}
-	if st.logSteps {
+	if withPi && len(f.cuts) > 0 {
 		st.keepRootRows()
 	}
 	emit(0, f.root, res, pi)

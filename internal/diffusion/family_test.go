@@ -2,6 +2,8 @@ package diffusion
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -235,6 +237,119 @@ func TestFamilySampleAllocFree(t *testing.T) {
 	}
 	if st.MemoryFootprint() <= NewState(p).MemoryFootprint() {
 		t.Fatal("MemoryFootprint does not count checkpoint rows")
+	}
+}
+
+// restoreFull is restore without the change log: every checkpointed
+// row copied back. It is the oracle of TestLogRestoreMatchesFullCopy.
+func (st *State) restoreFull(c int, res *Result) {
+	cp := &st.ckpts[c]
+	st.rewindTo(len(cp.users))
+	nm := st.p.PIN.NumMeta()
+	start := int32(0)
+	for j, u := range cp.users {
+		copy(st.adopted[u], cp.bits[j*st.words:(j+1)*st.words])
+		st.adoptList[u] = append(st.adoptList[u][:0], cp.alist[start:cp.aend[j]]...)
+		start = cp.aend[j]
+		copy(st.Weights(int(u)), cp.wmeta[j*nm:(j+1)*nm])
+		st.prefN[u] = cp.prefN[j]
+	}
+	st.rngv = cp.rngv
+	res.Sigma, res.MarketSigma = cp.sigma, cp.msigma
+	res.Adoptions, res.Steps = cp.adoptions, cp.steps
+	copy(res.PerItem, cp.perItem)
+}
+
+// TestLogRestoreMatchesFullCopy drives two states through the same
+// random campaigns, in the dynamic and the Static regime: each runs a
+// campaign with a checkpoint after every promotion, then restores a
+// random non-increasing sequence of checkpoints (repeats included),
+// each followed by a run extended by one seed, as family members do.
+// One restores from the change log, the other copies every
+// checkpointed row; after each restore and each run, every row field,
+// the touched list, the stream and the Result must be bit-equal. It
+// also requires restores whose log tail rewrote a checkpointed row, so
+// the log-driven path is exercised, not bypassed.
+func TestLogRestoreMatchesFullCopy(t *testing.T) {
+	for _, static := range []bool{false, true} {
+		p := prefixProblem(t, static)
+		a, b := NewState(p), NewState(p)
+		var resA, resB Result
+		resA.PerItem = make([]float64, p.NumItems())
+		resB.PerItem = make([]float64, p.NumItems())
+		same := func(what string) {
+			t.Helper()
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("static=%v, %s: %s", static, what, fmt.Sprintf(format, args...))
+			}
+			if !slices.Equal(a.touched, b.touched) {
+				fail("touched %v vs %v", a.touched, b.touched)
+			}
+			for u := 0; u < p.NumUsers(); u++ {
+				if a.dirty[u] != b.dirty[u] || a.prefN[u] != b.prefN[u] ||
+					!slices.Equal(a.adopted[u], b.adopted[u]) || !slices.Equal(a.adoptList[u], b.adoptList[u]) {
+					fail("user %d: row differs", u)
+				}
+				for k, w := range a.Weights(u) {
+					if math.Float64bits(w) != math.Float64bits(b.Weights(u)[k]) {
+						fail("user %d: weighting %d %v vs %v", u, k, w, b.Weights(u)[k])
+					}
+				}
+			}
+			if a.rngv != b.rngv {
+				fail("streams differ")
+			}
+			if math.Float64bits(resA.Sigma) != math.Float64bits(resB.Sigma) || resA.Adoptions != resB.Adoptions ||
+				resA.Steps != resB.Steps || !slices.Equal(resA.PerItem, resB.PerItem) {
+				fail("results %+v vs %+v", resA, resB)
+			}
+		}
+		r := rng.New(0x5EED)
+		cuts := make([]int, 0, p.T-1)
+		for c := 1; c < p.T; c++ {
+			cuts = append(cuts, c)
+		}
+		rewritten := 0
+		for i := 0; i < 60; i++ {
+			randSeed := func(promo int) Seed {
+				return Seed{User: r.Intn(p.NumUsers()), Item: r.Intn(p.NumItems()), T: promo}
+			}
+			seeds := make([]Seed, 1+r.Intn(3*p.T))
+			for j := range seeds {
+				seeds[j] = randSeed(1 + r.Intn(p.T))
+			}
+			for _, st := range []*State{a, b} {
+				st.Reset(rng.New(uint64(i)))
+			}
+			resA, resB = Result{PerItem: resA.PerItem}, Result{PerItem: resB.PerItem}
+			clear(resA.PerItem)
+			clear(resB.PerItem)
+			a.runFrom(seeds, 0, nil, &resA, cuts)
+			b.runFrom(seeds, 0, nil, &resB, cuts)
+			same(fmt.Sprintf("campaign %d", i))
+			c := len(cuts) - 1
+			for k := 0; k < 4; k++ {
+				c = r.Intn(c + 1)
+				for _, u := range a.adoptLog[a.ckpts[c].logN:] {
+					if j := a.touchAt[u]; a.dirty[u] && int(j) < len(a.ckpts[c].users) {
+						rewritten++
+						break
+					}
+				}
+				a.restore(c, &resA)
+				b.restoreFull(c, &resB)
+				same(fmt.Sprintf("campaign %d restored to promotion %d", i, cuts[c]))
+				extra := randSeed(cuts[c] + 1)
+				a.runFrom(WithSeed(seeds, extra), cuts[c], nil, &resA, nil)
+				b.runFrom(WithSeed(seeds, extra), cuts[c], nil, &resB, nil)
+				same(fmt.Sprintf("campaign %d resumed from promotion %d", i, cuts[c]))
+			}
+		}
+		t.Logf("static=%v: %d restores rewrote a checkpointed row from the log", static, rewritten)
+		if rewritten == 0 {
+			t.Fatalf("static=%v: no restore rewrote a checkpointed row", static)
+		}
 	}
 }
 

@@ -49,31 +49,20 @@ func (e *Estimator) GridStats() (hits, samplesSaved uint64) {
 	return e.gridHits.Load(), e.gridSaved.Load()
 }
 
-// gridServed counts one cache-served group spanning the sample range.
-func (e *Estimator) gridServed(span int) {
-	e.gridHits.Add(1)
-	e.gridSaved.Add(uint64(span))
-}
-
-// cachedSamples is the memoizing front of RunBatchSamples. The
+// cachedSamples is the memoizing front of the producer (produce):
+// samples 0..M-1 of every group, each group looked up first and only
+// the owned misses produced, locally or by Remote, then committed. The
 // protocol is deadlock-free by construction: phase 1 reserves every
-// group non-blocking, phase 2 simulates all owned misses as one raw
+// group non-blocking, phase 2 produces all owned misses as one
 // sub-batch and commits them, and only phase 3 waits on flights owned
 // by other callers — an owner never blocks on a foreign flight before
-// settling its own, so two batches with interleaved ownership cannot
-// wait on each other. A joined flight that aborts (its owner was
-// preempted) degrades to a local single-group simulation.
-func (e *Estimator) cachedSamples(groups [][]Seed, market []bool, masks [][]bool, withPi bool, lo, hi int) [][]SampleResult {
-	k := len(groups)
-	out := make([][]SampleResult, k)
-	if k == 0 || hi <= lo {
-		return out
-	}
+// settling its own. A joined flight that aborts (its owner was
+// preempted) degrades to producing that one group.
+func (e *Estimator) cachedSamples(groups [][]Seed, market []bool, masks [][]bool, withPi bool) [][]SampleResult {
+	out := make([][]SampleResult, len(groups))
 	if e.preempted() {
-		// Match the raw path's cancellation latency: without this, a
-		// cancelled solve that keeps hitting the cache keeps *making
-		// progress* — hits return instantly and never reach the
-		// per-unit preemption checks inside the simulation body.
+		// Match the producer's cancellation latency: hits return
+		// instantly and never reach its per-unit preemption checks.
 		return out
 	}
 	maskFor := func(g int) []bool {
@@ -82,52 +71,61 @@ func (e *Estimator) cachedSamples(groups [][]Seed, market []bool, masks [][]bool
 		}
 		return market
 	}
-	span := hi - lo
-	tickets := make([]GridTicket, k)
-	var owned, joined []int
-	for g := 0; g < k; g++ {
-		rows, t := e.Grid.Begin(e.Seed, lo, hi, groups[g], maskFor(g), withPi)
-		if rows != nil {
-			out[g] = rows
-			e.gridServed(span)
-			continue
+	// a shared market stays shared, so a remote request carries it once
+	subBatch := func(gs []int) [][]SampleResult {
+		sub := make([][]Seed, len(gs))
+		var subMasks [][]bool
+		if masks != nil {
+			subMasks = make([][]bool, len(gs))
 		}
-		tickets[g] = t
-		if t == nil || t.Owned() {
+		for i, g := range gs {
+			sub[i] = groups[g]
+			if masks != nil {
+				subMasks[i] = masks[g]
+			}
+		}
+		return e.produce(sub, market, subMasks, withPi)
+	}
+	served := func(g int, rows []SampleResult) {
+		out[g] = rows
+		e.gridHits.Add(1)
+		e.gridSaved.Add(uint64(e.M))
+	}
+	tickets := make([]GridTicket, len(groups))
+	var owned, joined []int
+	for g := range groups {
+		rows, t := e.Grid.Begin(e.Seed, 0, e.M, groups[g], maskFor(g), withPi)
+		switch {
+		case rows != nil:
+			served(g, rows)
+		case t == nil || t.Owned():
+			tickets[g] = t
 			owned = append(owned, g)
-		} else {
+		default:
+			tickets[g] = t
 			joined = append(joined, g)
 		}
 	}
 	if len(owned) > 0 {
-		sub := make([][]Seed, len(owned))
-		subMasks := make([][]bool, len(owned))
-		for i, g := range owned {
-			sub[i] = groups[g]
-			subMasks[i] = maskFor(g)
-		}
-		rows := e.runBatchSamplesRaw(sub, nil, subMasks, withPi, lo, hi)
+		rows := subBatch(owned)
 		cancelled := e.preempted()
 		for i, g := range owned {
 			out[g] = rows[i]
-			if t := tickets[g]; t != nil {
-				if cancelled {
-					// never publish garbage: a preempted batch's rows are
-					// partial and must not enter the cache
-					t.Abort()
-				} else {
-					t.Commit(rows[i])
-				}
+			switch t := tickets[g]; {
+			case t == nil:
+			case cancelled:
+				t.Abort() // a preempted batch's rows are partial: never publish them
+			default:
+				t.Commit(rows[i])
 			}
 		}
 	}
 	for _, g := range joined {
 		if rows, ok := tickets[g].Wait(e.done); ok {
-			out[g] = rows
-			e.gridServed(span)
-			continue
+			served(g, rows)
+		} else {
+			out[g] = subBatch([]int{g})[0]
 		}
-		out[g] = e.runBatchSamplesRaw([][]Seed{groups[g]}, nil, [][]bool{maskFor(g)}, withPi, lo, hi)[0]
 	}
 	return out
 }

@@ -43,8 +43,8 @@ type SampleResult struct {
 }
 
 // Sampler is a remote producer of the full (group × sample) grid
-// (Estimator.Remote): Samples returns samples 0..e.M-1 of every group,
-// as RunBatchSamples(groups, market, masks, withPi, 0, e.M) would,
+// (Estimator.Remote), behind any grid cache: Samples returns samples
+// 0..e.M-1 of every group, as RunBatchSamples(…, 0, e.M) would,
 // plus how many of those campaigns it simulated outside e (added to
 // e.SamplesDone; samples e simulates itself count there already). It
 // must bit-match the local producer — the §3 contract — and may
@@ -71,42 +71,19 @@ type Sampler interface {
 //
 // A bound, cancelled context (Bind) makes workers stop claiming units;
 // as with the batch engine, the partial result is garbage and callers
-// must check their context before trusting it.
-//
-// With a Grid cache attached, repeated (seed, [lo,hi), group) units
-// are served from the cache and only the misses are simulated — the
-// returned rows are then shared with the cache and must be treated as
-// immutable. Remote is never consulted: this is always the local
-// producer.
+// must check their context before trusting it. This is the plain
+// local producer: it consults neither Grid nor Remote (DESIGN.md §10).
 func (e *Estimator) RunBatchSamples(groups [][]Seed, market []bool, masks [][]bool, withPi bool, lo, hi int) [][]SampleResult {
 	sp := obs.StartSpan(e.ctx, "sample_batch")
 	defer sp.End()
 	sp.SetAttrInt("groups", int64(len(groups)))
 	sp.SetAttrInt("lo", int64(lo))
 	sp.SetAttrInt("hi", int64(hi))
-	return e.sampleGrid(sp, groups, market, masks, withPi, lo, hi)
+	return e.runBatchSamplesRaw(groups, market, masks, withPi, lo, hi)
 }
 
-// sampleGrid produces samples lo..hi-1 of every group: through the
-// grid cache when one is attached, else by simulation. It is the one
-// place RunBatchSamples and runBatch choose, and records the choice on
-// sp.
-func (e *Estimator) sampleGrid(sp *obs.Span, groups [][]Seed, market []bool, masks [][]bool, withPi bool, lo, hi int) [][]SampleResult {
-	if e.Grid == nil {
-		sp.SetAttr("engine", "raw")
-		return e.runBatchSamplesRaw(groups, market, masks, withPi, lo, hi)
-	}
-	hits0 := e.gridHits.Load()
-	grid := e.cachedSamples(groups, market, masks, withPi, lo, hi)
-	sp.SetAttr("engine", "grid")
-	sp.SetAttrInt("grid_hits", int64(e.gridHits.Load()-hits0))
-	return grid
-}
-
-// runBatchSamplesRaw is the uncached simulation body of
-// RunBatchSamples — the single entry point that actually runs
-// campaigns for a sample grid, which is what keeps the cached path
-// from ever consulting the cache recursively.
+// runBatchSamplesRaw is RunBatchSamples without its span: the single
+// entry point that actually runs campaigns for a sample grid.
 func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][]bool, withPi bool, lo, hi int) [][]SampleResult {
 	k := len(groups)
 	out := make([][]SampleResult, k)

@@ -33,9 +33,11 @@ func (st *State) RunCampaign(seeds []Seed, market []bool, res *Result) {
 // runFrom runs promotions from+1..T of the seed group, leaving a
 // checkpoint after every promotion listed in cuts (ascending; the
 // checkpoint of cuts[c] is st.ckpts[c]). from > 0 resumes a state
-// restored to the boundary after promotion from.
+// restored to the boundary after promotion from. Checkpoints turn the
+// change log on until the next Reset: restore reads it.
 func (st *State) runFrom(seeds []Seed, from int, market []bool, res *Result, cuts []int) {
 	p := st.p
+	st.logSteps = st.logSteps || len(cuts) > 0
 	if res.PerItem == nil {
 		res.PerItem = make([]float64, st.items)
 	}

@@ -38,6 +38,7 @@ type State struct {
 	prefN     []int32    // per user, adoptions the Δpref covers (deltaPref)
 	dirty     []bool     // user rows needing reset
 	touched   []int32    // dirty user list
+	touchAt   []int32    // per dirty user, its index in touched
 	rngv      rng.Rand   // sample stream, copied in by Reset
 	// bound is the substrate's clean-target table for the problem's χ,
 	// shared read-only (statepool.go): bound[u·items+x] holds p̄, the
@@ -67,9 +68,9 @@ type State struct {
 
 	// adoptLog lists, while logSteps is set, the users of every step's
 	// new adoptions in step order; a checkpoint keeps its length, so
-	// the users that adopted after it are the log past that length.
-	// The batch engine sets logSteps for the samples of a family whose
-	// resumed members want π (DESIGN.md §3, "Resumed π").
+	// the users that adopted after it, whose rows restore copies back
+	// and resumedPi recomputes around, are the log past that length.
+	// runFrom sets logSteps when it captures checkpoints (DESIGN.md §3).
 	adoptLog []int32
 	logSteps bool
 
@@ -136,6 +137,7 @@ func NewState(p *Problem) *State {
 		wmeta:     make([]float64, n*p.PIN.NumMeta()),
 		prefN:     make([]int32, n),
 		dirty:     make([]bool, n),
+		touchAt:   make([]int32, n),
 		stepStamp: make([]uint32, n),
 		stepEpoch: 1,
 		stepItems: make([][]int32, n),
@@ -271,16 +273,24 @@ func (st *State) sameRow(cp *checkpoint, j int, u int32) bool {
 // captured there must be a prefix of st.touched — true whenever the
 // state has only run forward from that checkpoint, or from a later
 // checkpoint of the same run — so the users touched since are exactly
-// st.touched past that prefix.
+// st.touched past that prefix. A row changes only when its user
+// adopts, so of the captured rows only those of users in the change
+// log past the checkpoint are copied back.
 func (st *State) restore(c int, res *Result) {
 	cp := &st.ckpts[c]
 	st.rewindTo(len(cp.users))
 	nm := st.p.PIN.NumMeta()
-	start := int32(0)
-	for j, u := range cp.users {
+	for _, u := range st.adoptLog[cp.logN:] {
+		if !st.dirty[u] {
+			continue // touched after the checkpoint: cleaned above
+		}
+		j := int(st.touchAt[u])
+		start := int32(0)
+		if j > 0 {
+			start = cp.aend[j-1]
+		}
 		copy(st.adopted[u], cp.bits[j*st.words:(j+1)*st.words])
 		st.adoptList[u] = append(st.adoptList[u][:0], cp.alist[start:cp.aend[j]]...)
-		start = cp.aend[j]
 		copy(st.Weights(int(u)), cp.wmeta[j*nm:(j+1)*nm])
 		st.prefN[u] = cp.prefN[j]
 	}
@@ -340,6 +350,7 @@ func (st *State) markAdopted(u, x int) {
 	st.adoptList[u] = append(st.adoptList[u], int32(x))
 	if !st.dirty[u] {
 		st.dirty[u] = true
+		st.touchAt[u] = int32(len(st.touched))
 		st.touched = append(st.touched, int32(u))
 	}
 }
@@ -512,7 +523,7 @@ func (st *State) MemoryFootprint() uint64 {
 	b += uint64(cap(st.wmeta)) * 8
 	b += uint64(cap(st.prefN)) * 4
 	b += uint64(cap(st.dirty))
-	b += uint64(cap(st.touched)) * 4
+	b += uint64(cap(st.touched)+cap(st.touchAt)) * 4
 	b += uint64(cap(st.frontier)+cap(st.nextFront)) * eventBytes
 	b += uint64(cap(st.stepStamp)) * 4
 	b += uint64(cap(st.stepItems)) * headerBytes

@@ -1,7 +1,7 @@
 // Package gridcache memoizes raw per-sample outcome grids across
-// CELF waves, solver jobs and shard workers — the second cache level
-// of the serving stack (DESIGN.md §10), between the whole-solve LRU
-// and the approximate sketch lane.
+// CELF waves, solver jobs and sharded batches — the second cache level
+// of the serving stack (DESIGN.md §10), in front of the estimator's
+// producer, local or a shard worker fleet.
 //
 // The §3 determinism contract makes every (group × sample-range) grid
 // a pure function of the problem content, the master seed, the global

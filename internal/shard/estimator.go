@@ -18,8 +18,8 @@ import (
 // diffusion.NewEstimator; workers bounds the *local* engine's
 // parallelism for fallback ranges (0 → GOMAXPROCS) — remote workers
 // size themselves. MeanWeights, and every range no worker answers, run
-// on the local engine bit-identically to any worker, and a grid cache
-// attached as Grid serves only those locally computed ranges (§10).
+// on the local engine bit-identically to any worker. A grid cache
+// attached as Grid sits in front of the pool: only misses go out (§10).
 func NewEstimator(pool *Pool, p *diffusion.Problem, samples int, seed uint64, workers int) *diffusion.Estimator {
 	e := diffusion.NewEstimator(p, samples, seed)
 	e.Workers = workers
@@ -50,7 +50,8 @@ type shardState struct {
 	cancel     context.CancelFunc
 }
 
-// Samples is the sharded sample producer (diffusion.Sampler): it
+// Samples is the sharded sample producer (diffusion.Sampler) of a
+// batch, or of its grid-cache misses: it
 // partitions the global sample indices [0,e.M) into contiguous ranges
 // (Plan), fans the ranges out over the healthy workers and re-assembles
 // their raw per-sample outcomes into the full (group × sample) grid,
@@ -67,6 +68,7 @@ type shardState struct {
 // Cancelling ctx aborts the RPCs (which preempts the remote engines);
 // the grid is then garbage the caller must discard.
 func (p *Pool) Samples(ctx context.Context, e *diffusion.Estimator, groups [][]diffusion.Seed, market []bool, masks [][]bool, withPi bool) (grid [][]diffusion.SampleResult, remote uint64) {
+	p.probeUnprobed()
 	remotes := p.healthyRemotes()
 	if len(remotes) == 0 {
 		// dead or empty fleet: the whole batch runs locally, and the
@@ -108,10 +110,9 @@ func (p *Pool) Samples(ctx context.Context, e *diffusion.Estimator, groups [][]d
 	batchSpan.SetAttrInt("samples", int64(m))
 	bctx := obs.ContextWithSpan(ctx, batchSpan)
 
-	// the even split, range i preferring remote i: a fleet of a given
-	// size cuts the same [lo,hi) ranges every batch, so worker grid
-	// caches (§10) hit across solves; contiguous ranges leave the §7
-	// merge untouched
+	// the even split, range i preferring remote i: near-even ranges
+	// balance the engine's uniform per-sample cost, and contiguous
+	// ones leave the §7 merge untouched
 	ranges := Plan(m, len(remotes))
 	batchSpan.SetAttrInt("shards", int64(len(ranges)))
 	states := make([]*shardState, len(ranges))

@@ -3,8 +3,6 @@ package shard
 import (
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"imdpp/internal/core"
@@ -12,36 +10,21 @@ import (
 	"imdpp/internal/gridcache"
 )
 
-// newCachedFleet is newFleet with a private grid cache per worker —
-// the deployment shape of DESIGN.md §10: grids are cached where they
-// are computed, never shipped warm.
-func newCachedFleet(t testing.TB, n int) (*Pool, []*Worker) {
-	t.Helper()
-	urls := make([]string, n)
-	workers := make([]*Worker, n)
-	for i := 0; i < n; i++ {
-		w := NewWorker(WorkerConfig{
-			Workers: 2,
-			Grid:    gridcache.New(gridcache.Config{}),
-		})
-		mux := http.NewServeMux()
-		w.Mount(mux)
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
-		workers[i] = w
+// shardsServed sums the estimate requests the workers have answered.
+func shardsServed(workers []*Worker) uint64 {
+	var n uint64
+	for _, w := range workers {
+		n += w.Stats().ShardsServed
 	}
-	pool := NewPool(urls, nil)
-	t.Cleanup(pool.Close)
-	return pool, workers
+	return n
 }
 
 // TestShardedCachedSolveGolden pins the §10 acceptance bar across the
-// fleet sizes the §7 goldens use: with worker-side grid caches AND a
-// coordinator-side cache on the solve, cold and warm solves stay
-// bit-identical to the plain local solve, and the warm solve is served
-// in part from worker grid caches at every fleet size: the even split
-// cuts the same [lo,hi) keys on every solve.
+// fleet sizes the §7 goldens use: with a coordinator grid cache in
+// front of plain workers, cold and warm solves stay bit-identical to
+// the plain local solve, the cold solve reaches the fleet, and the warm
+// one is served from the cache alone — no worker answers an estimate
+// for it, and its Stats count the hits.
 func TestShardedCachedSolveGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full solves; skipped under -short")
@@ -55,13 +38,13 @@ func TestShardedCachedSolveGolden(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 7} {
 		label := fmt.Sprintf("shards=%d", shards)
-		pool, workers := newCachedFleet(t, shards)
+		pool, workers, _ := newFleet(t, shards)
 		cachedOpt := opt
 		cachedOpt.Backend = Backend(pool)
 		cachedOpt.GridCache = gridcache.New(gridcache.Config{})
 
-		var coldHits uint64
-		for pass, name := range []string{"cold", "warm"} {
+		for _, name := range []string{"cold", "warm"} {
+			served := shardsServed(workers)
 			got, err := core.Solve(p, cachedOpt)
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, name, err)
@@ -77,45 +60,44 @@ func TestShardedCachedSolveGolden(t *testing.T) {
 					t.Fatalf("%s %s: seed %d differs: %+v vs %+v", label, name, i, got.Seeds[i], want.Seeds[i])
 				}
 			}
-			var hits uint64
-			for _, w := range workers {
-				if g := w.Stats().Grid; g != nil {
-					hits += g.Hits
-				}
+			sent := shardsServed(workers) - served
+			switch {
+			case name == "cold" && sent == 0:
+				t.Fatalf("%s cold: no estimate reached the fleet", label)
+			case name == "warm" && sent != 0:
+				t.Fatalf("%s warm: %d estimate requests reached the fleet, want 0", label, sent)
+			case name == "warm" && got.Stats.GridHits == 0:
+				t.Fatalf("%s warm: Stats count no grid hits", label)
 			}
-			if pass == 1 && hits == coldHits {
-				t.Fatalf("%s warm: worker grid caches served nothing", label)
-			}
-			coldHits = hits
 		}
 	}
 }
 
-// TestShardedCachedBatchGolden is the estimator-level variant: a warm
-// sharded RunBatch against cached workers stays bit-identical and the
-// repeat dispatch is answered from worker caches, visible in the
-// worker /metrics counter surface (WorkerStats.Grid).
+// TestShardedCachedBatchGolden is the estimator-level variant: a
+// sharded RunBatch behind a coordinator grid cache is bit-identical to
+// the local engine cold and warm, and the warm batch sends no RPC —
+// every group is a hit, counted by the estimator's GridStats.
 func TestShardedCachedBatchGolden(t *testing.T) {
 	p := sampleProblem(t, 120, 3)
 	groups := groupsFor(p)
 	const m, seed = 13, 99
 	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
 
-	pool, workers := newCachedFleet(t, 2)
+	pool, workers, _ := newFleet(t, 2)
 	est := NewEstimator(pool, p, m, seed, 2)
+	est.Grid = gridcache.New(gridcache.Config{}).View(p)
 	requireSameEstimates(t, "cold", want, est.RunBatch(groups, nil))
-	requireSameEstimates(t, "warm", want, est.RunBatch(groups, nil))
-
-	var hits, lookups uint64
-	for _, w := range workers {
-		g := w.Stats().Grid
-		if g == nil {
-			t.Fatal("cached worker reports no grid stats")
-		}
-		hits += g.Hits
-		lookups += g.Lookups
+	cold := shardsServed(workers)
+	if cold == 0 {
+		t.Fatal("the cold batch never reached the fleet")
 	}
-	if lookups == 0 || hits == 0 {
-		t.Fatalf("worker caches untouched after a repeat batch: lookups=%d hits=%d", lookups, hits)
+	hits0, saved0 := est.GridStats()
+	requireSameEstimates(t, "warm", want, est.RunBatch(groups, nil))
+	if n := shardsServed(workers); n != cold {
+		t.Fatalf("the warm batch sent %d estimate requests, want 0", n-cold)
+	}
+	if hits, saved := est.GridStats(); hits-hits0 != uint64(len(groups)) || saved-saved0 != uint64(len(groups)*m) {
+		t.Fatalf("warm GridStats grew by %d hits, %d samples saved; want %d and %d",
+			hits-hits0, saved-saved0, len(groups), len(groups)*m)
 	}
 }

@@ -98,11 +98,11 @@ func (r *Remote) dispatchOK() {
 }
 
 // dispatchable reports whether r should receive new shard dispatches:
-// in rotation and not shed by its circuit breaker.
+// probed, in rotation and not shed by its circuit breaker.
 func (r *Remote) dispatchable() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.state == stateAlive && !time.Now().Before(r.breakerUntil)
+	return r.probed && r.state == stateAlive && !time.Now().Before(r.breakerUntil)
 }
 
 // detectLoop is the failure detector: a cheap periodic scan that fires
@@ -170,7 +170,7 @@ func (p *Pool) onProbe(r *Remote, err error) {
 	now := time.Now()
 	rejoined := false
 	r.mu.Lock()
-	r.probing = false
+	r.probing, r.probed = false, true
 	switch {
 	case err == nil && now.Before(r.breakerUntil):
 		// the worker answers but its breaker is still open: hold it out

@@ -70,8 +70,9 @@ func TestBackoffJitterBounds(t *testing.T) {
 // check: a worker whose /healthz names another frame version — or
 // none, as a build predating the field — fails the probe and stays out
 // of rotation with a LastErr naming both versions, and no upload or
-// estimate request ever reaches it; a real Worker.Mount worker passes
-// the same check.
+// estimate request ever reaches it. That holds with the fleet Checked
+// at startup and without: a pool never Checked probes each worker on
+// first contact. A real Worker.Mount worker passes the same check.
 func TestProbeRefusesForeignFrameVersion(t *testing.T) {
 	leakCheck(t)
 	p := sampleProblem(t, 120, 3)
@@ -80,34 +81,46 @@ func TestProbeRefusesForeignFrameVersion(t *testing.T) {
 	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
 
 	for _, v := range []int{frameVersion - 1, 0} {
-		var rpcs atomic.Int32
-		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != "/healthz" {
-				rpcs.Add(1)
-			}
-			body := map[string]any{"ok": true}
-			if v != 0 {
-				body["codec_version"] = v
-			}
-			writeShardJSON(rw, http.StatusOK, body)
-		}))
-		t.Cleanup(srv.Close)
-		pool := NewPool([]string{srv.URL}, nil)
-		t.Cleanup(pool.Close)
+		for _, checked := range []bool{true, false} {
+			label := fmt.Sprintf("version %d checked=%v", v, checked)
+			var rpcs, probes atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/healthz" {
+					probes.Add(1)
+				} else {
+					rpcs.Add(1)
+				}
+				body := map[string]any{"ok": true}
+				if v != 0 {
+					body["codec_version"] = v
+				}
+				writeShardJSON(rw, http.StatusOK, body)
+			}))
+			t.Cleanup(srv.Close)
+			pool := NewPool([]string{srv.URL}, nil)
+			t.Cleanup(pool.Close)
 
-		if n := pool.Check(context.Background()); n != 0 {
-			t.Fatalf("version %d: Check = %d healthy, want 0", v, n)
-		}
-		rs := pool.Snapshot().Remotes[0]
-		for _, name := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("speaks %d", frameVersion)} {
-			if !strings.Contains(rs.LastErr, name) {
-				t.Fatalf("version %d: LastErr %q does not name %q", v, rs.LastErr, name)
+			if checked {
+				if n := pool.Check(context.Background()); n != 0 {
+					t.Fatalf("%s: Check = %d healthy, want 0", label, n)
+				}
 			}
-		}
-		// the batch falls back to local compute, still bit-identical
-		requireSameEstimates(t, fmt.Sprintf("refused v%d", v), want, NewEstimator(pool, p, m, seed, 2).RunBatch(groups, nil))
-		if n := rpcs.Load(); n != 0 {
-			t.Fatalf("version %d: %d upload/estimate requests reached a refused worker", v, n)
+			// the batch falls back to local compute, still bit-identical
+			est := NewEstimator(pool, p, m, seed, 2)
+			requireSameEstimates(t, label, want, est.RunBatch(groups, nil))
+			requireSameEstimates(t, label+" again", want, est.RunBatch(groups, nil))
+			if n := rpcs.Load(); n != 0 {
+				t.Fatalf("%s: %d upload/estimate requests reached a refused worker", label, n)
+			}
+			if n := probes.Load(); n != 1 {
+				t.Fatalf("%s: %d probes, want exactly 1", label, n)
+			}
+			rs := pool.Snapshot().Remotes[0]
+			for _, name := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("speaks %d", frameVersion)} {
+				if !strings.Contains(rs.LastErr, name) {
+					t.Fatalf("%s: LastErr %q does not name %q", label, rs.LastErr, name)
+				}
+			}
 		}
 	}
 

@@ -88,6 +88,7 @@ type Remote struct {
 	probeFails   int       // consecutive failure-detector probe failures
 	nextProbe    time.Time // when the failure detector probes next
 	probing      bool      // a probe is in flight
+	probed       bool      // a probe verdict has been folded in
 	strikes      int       // consecutive dispatch failures (breaker input)
 	breakerUntil time.Time // circuit breaker open until (zero = closed)
 
@@ -127,10 +128,10 @@ func (r *Remote) setProblem(key diffusion.Digest, known bool) {
 // NewPool builds the pool over the workers at the given base URLs
 // (e.g. "http://10.0.0.7:8081"): normalized, deduplicated, bounded by
 // maxRemotes; malformed URLs are dropped (ParseWorkerList refuses
-// them). Workers start alive: the first failed dispatch or health
-// probe takes a dead or incompatible one out of rotation, later probes
-// bring it back. Call Check once at startup to verify the fleet, and
-// StartHealthLoop for continuous failure detection.
+// them). Workers start alive but get no frame before a first probe
+// (probeUnprobed); a failed probe or dispatch takes a worker out of
+// rotation, later probes bring it back. Call Check once at startup to
+// verify the fleet, and StartHealthLoop for continuous detection.
 //
 // The pool speaks the binary frame wire (DESIGN.md §8), splits each
 // batch evenly over the healthy workers (Plan) and speculatively
@@ -233,6 +234,15 @@ func (p *Pool) Check(ctx context.Context) int {
 		}
 	}
 	return healthy
+}
+
+// probeUnprobed probes every remote no probe has reached yet (all of
+// them in a pool never Checked) and waits, so the frame version is
+// checked before a worker's first upload or estimate. The probes are
+// not the batch's: a cancelled solve must not fail a worker.
+func (p *Pool) probeUnprobed() {
+	_, wg := p.probeWhere(context.Background(), func(r *Remote) bool { return !r.probed })
+	wg.Wait()
 }
 
 // probe asks r's /healthz (Worker.Mount) whether it is up and which

@@ -427,6 +427,7 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 
 	pool, workers, servers := newFleet(t, 1)
 	blob := NewProblemBlob(sampleProblem(t, 120, 3))
+	pool.probeUnprobed() // nothing is dispatchable before its first probe
 	r := pool.healthyRemotes()[0]
 	if err := pool.ensureProblem(context.Background(), r, blob); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"imdpp/internal/diffusion"
-	"imdpp/internal/gridcache"
 	"imdpp/internal/obs"
 )
 
@@ -33,16 +32,6 @@ type WorkerConfig struct {
 	// Workers bounds estimator goroutines per shard request
 	// (0 → GOMAXPROCS).
 	Workers int
-	// Grid, when non-nil, memoizes raw sample grids across estimate
-	// requests (DESIGN.md §10): coordinator re-dispatch, speculative
-	// duplicates and repeated CELF waves over the same (problem, seed,
-	// range, group) coordinates are served from the cache instead of
-	// re-simulated, bit-identically. Workers host their own instance —
-	// grids are cached where they are computed, never shipped warm.
-	// The key includes the sample range [lo,hi); the pool's even split
-	// cuts the same ranges for a fleet of a given size, so reuse also
-	// spans batches and solves.
-	Grid *gridcache.Cache
 	// Tracer, when non-nil, lets the worker join traced estimate
 	// requests (DESIGN.md §11): its spans are recorded locally and
 	// shipped back in the response for the coordinator to adopt.
@@ -52,7 +41,9 @@ type WorkerConfig struct {
 
 // Worker is the server side of the estimator RPC: a content-addressed
 // store of decoded problems plus the estimate handler that simulates
-// one shard's sample range. Each request runs its own batch-engine
+// one shard's sample range. It caches no sample grids: the coordinator
+// does, in front of the whole fleet (DESIGN.md §10), so a repeated
+// batch never reaches a worker. Each request runs its own batch-engine
 // estimator, so requests against the same problem run concurrently;
 // their simulation states come warm from the decoded problem's
 // substrate (DESIGN.md §5), which dies with the problem once it is
@@ -61,23 +52,18 @@ type Worker struct {
 	cfg WorkerConfig
 
 	mu       sync.Mutex
-	problems map[diffusion.Digest]*workerProblem
+	problems map[diffusion.Digest]*diffusion.Problem
 	order    []diffusion.Digest // insertion order, oldest first, for eviction
 
 	shardsServed atomic.Uint64
 	samplesDone  atomic.Uint64
 }
 
-type workerProblem struct {
-	p    *diffusion.Problem
-	grid diffusion.GridCache // the worker's grid-cache view of p, nil without a cache
-}
-
 // NewWorker creates a shard worker.
 func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:      cfg,
-		problems: make(map[diffusion.Digest]*workerProblem),
+		problems: make(map[diffusion.Digest]*diffusion.Problem),
 	}
 }
 
@@ -98,9 +84,6 @@ type WorkerStats struct {
 	ProblemsCached   int    `json:"problems_cached"`
 	ShardsServed     uint64 `json:"shards_served"`
 	SamplesSimulated uint64 `json:"samples_simulated"`
-	// Grid nests the worker's sample-grid cache counters, mirroring
-	// the coordinator /metrics shape; nil without a cache.
-	Grid *gridcache.Stats `json:"grid,omitempty"`
 }
 
 // Stats snapshots the worker counters.
@@ -108,16 +91,11 @@ func (w *Worker) Stats() WorkerStats {
 	w.mu.Lock()
 	n := len(w.problems)
 	w.mu.Unlock()
-	st := WorkerStats{
+	return WorkerStats{
 		ProblemsCached:   n,
 		ShardsServed:     w.shardsServed.Load(),
 		SamplesSimulated: w.samplesDone.Load(),
 	}
-	if w.cfg.Grid != nil {
-		g := w.cfg.Grid.Stats()
-		st.Grid = &g
-	}
-	return st
 }
 
 // DropProblems empties the problem store — the observable effect of a
@@ -125,7 +103,7 @@ func (w *Worker) Stats() WorkerStats {
 // re-upload path; tests use it to exercise exactly that.
 func (w *Worker) DropProblems() {
 	w.mu.Lock()
-	w.problems = make(map[diffusion.Digest]*workerProblem)
+	w.problems = make(map[diffusion.Digest]*diffusion.Problem)
 	w.order = nil
 	w.mu.Unlock()
 }
@@ -176,11 +154,10 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := p.ContentDigest()
-	wp := &workerProblem{p: p, grid: w.cfg.Grid.View(p)}
 
 	w.mu.Lock()
 	if _, ok := w.problems[key]; !ok {
-		w.problems[key] = wp
+		w.problems[key] = p
 		w.order = append(w.order, key)
 		for len(w.order) > maxProblems {
 			delete(w.problems, w.order[0])
@@ -213,14 +190,13 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	wp := w.problems[key]
+	p := w.problems[key]
 	w.mu.Unlock()
-	if wp == nil {
+	if p == nil {
 		writeShardError(rw, http.StatusNotFound, CodeUnknownProblem,
 			fmt.Errorf("problem %s not loaded on this worker", req.Problem))
 		return
 	}
-	p := wp.p
 	if req.Lo < 0 || req.Hi <= req.Lo {
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("bad sample range [%d,%d)", req.Lo, req.Hi))
@@ -277,7 +253,6 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 
 	est := diffusion.NewEstimator(p, 1, req.Seed)
 	est.Workers = w.cfg.Workers
-	est.Grid = wp.grid
 	est.Bind(ctx)
 	samples := est.RunBatchSamples(req.Groups, market, masks, req.WithPi, req.Lo, req.Hi)
 

@@ -9,30 +9,16 @@ import (
 	"weak"
 
 	"imdpp/internal/diffusion"
-	"imdpp/internal/gridcache"
 )
 
-// TestWorkerReleasesPooledProblems drives a shard worker over HTTP,
-// with and without a sample-grid cache: every uploaded problem answers
-// an estimate, so the worker's decoded copy, a substrate of its own,
-// holds warm states and a clean-target table. A substrate evicted past
-// the worker's store bound, and then every substrate dropped by
-// DropProblems, must be collected; the stored ones stay alive.
+// TestWorkerReleasesPooledProblems drives a shard worker over HTTP:
+// every uploaded problem answers an estimate, so the worker's decoded
+// copy, a substrate of its own, holds warm states and a clean-target
+// table. A substrate evicted past the worker's store bound, and then
+// every substrate dropped by DropProblems, must be collected; the
+// stored ones stay alive.
 func TestWorkerReleasesPooledProblems(t *testing.T) {
-	grid := gridcache.New(gridcache.Config{})
-	for _, c := range []struct {
-		name string
-		cfg  WorkerConfig
-	}{
-		{"plain", WorkerConfig{Workers: 1}},
-		{"grid-cache", WorkerConfig{Workers: 1, Grid: grid}},
-	} {
-		t.Run(c.name, func(t *testing.T) { workerReleasesPooledProblems(t, c.cfg) })
-	}
-}
-
-func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
-	w := NewWorker(cfg)
+	w := NewWorker(WorkerConfig{Workers: 1})
 	mux := http.NewServeMux()
 	w.Mount(mux)
 	srv := httptest.NewServer(mux)
@@ -84,7 +70,7 @@ func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
 		}
 		post(PathEstimate, frame)
 		w.mu.Lock()
-		subs[i] = weak.Make(w.problems[keys[i]].p.Substrate)
+		subs[i] = weak.Make(w.problems[keys[i]].Substrate)
 		w.mu.Unlock()
 	}
 	var evicted, stored []weak.Pointer[diffusion.Substrate]

@@ -2,7 +2,9 @@
 # Shard smoke: boots two estimator workers plus one coordinator over
 # them and drives a sharded σ evaluation and a full sharded solve over
 # HTTP. Every result must be bit-identical to a plain single-process
-# daemon (the DESIGN.md §7 contract made observable end to end), both
+# daemon (the DESIGN.md §7 contract made observable end to end), a
+# repeated σ must be served by the coordinator's grid cache without
+# reaching a worker (§10), both
 # workers must serve shards (the even split gives each a range), and
 # the wire metrics (bytes_tx/bytes_rx, speculative_hits) must be
 # present and sane. Then the listed-worker lifecycle (DESIGN.md §13):
@@ -94,6 +96,22 @@ S_LOCAL=$(curl -sf -X POST "$LOCAL/v1/sigma" -d "$SIGMA_REQ" | jq -r .sigma)
 [ "$S_SHARD" = "$S_LOCAL" ] ||
     { echo "sharded σ $S_SHARD != local σ $S_LOCAL" >&2; exit 1; }
 echo "sigma OK: sharded == local == $S_SHARD"
+
+# --- a repeated sharded σ is the coordinator cache's (§10) -----------
+# the grid cache sits in front of the fleet: the repeat is a hit on the
+# coordinator and sends no shard RPC
+HITS=$(curl -sf "$COORD/metrics" | jq -r .grid.hits)
+SERVED1=$(curl -sf "$W1/metrics" | jq -r .shards_served)
+SERVED2=$(curl -sf "$W2/metrics" | jq -r .shards_served)
+S_AGAIN=$(curl -sf -X POST "$COORD/v1/sigma" -d "$SIGMA_REQ" | jq -r .sigma)
+[ "$S_AGAIN" = "$S_SHARD" ] ||
+    { echo "repeated sharded σ $S_AGAIN != first $S_SHARD" >&2; exit 1; }
+curl -sf "$COORD/metrics" | jq -e ".grid.hits > $HITS" >/dev/null ||
+    { echo "the repeated sharded σ was no coordinator grid hit" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
+curl -sf "$W1/metrics" | jq -e ".shards_served == $SERVED1" >/dev/null &&
+    curl -sf "$W2/metrics" | jq -e ".shards_served == $SERVED2" >/dev/null ||
+    { echo "the repeated sharded σ reached a worker" >&2; exit 1; }
+echo "cache OK: repeated sharded σ == $S_AGAIN from the coordinator cache, no shard RPC"
 
 # --- full sharded solve vs local solve: bit-identical ----------------
 SOLVE_REQ='{"dataset":"amazon","scale":0.05,"budget":100,"t":4,"mc":8,"mcsi":4,"candidate_cap":64,"seed":1}'
