@@ -18,7 +18,11 @@ import (
 // every substrate dropped by DropProblems, must be collected; the
 // stored ones stay alive.
 func TestWorkerReleasesPooledProblems(t *testing.T) {
-	w := NewWorker(WorkerConfig{Workers: 1})
+	t.Run("plain", func(t *testing.T) { workerReleasesPooledProblems(t, WorkerConfig{Workers: 1}) })
+}
+
+func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
+	w := NewWorker(cfg)
 	mux := http.NewServeMux()
 	w.Mount(mux)
 	srv := httptest.NewServer(mux)
