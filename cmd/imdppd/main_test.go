@@ -632,8 +632,11 @@ func TestDaemonMetricsSchema(t *testing.T) {
 
 	// a pool-backed daemon grows the optional "shard" object; pin the
 	// failure detector's aggregate and the per-remote entry it carries
-	// (DESIGN.md §13), both exactly
-	pool := imdpp.NewShardPool([]string{"http://127.0.0.1:1"}, nil)
+	// (DESIGN.md §13), both exactly. Its one worker, a closed listener
+	// the pool never probed, is not in rotation, so it is not healthy.
+	closed := httptest.NewServer(http.NotFoundHandler())
+	closed.Close()
+	pool := imdpp.NewShardPool([]string{closed.URL}, nil)
 	t.Cleanup(pool.Close)
 	pd := newDaemon(imdpp.ServiceConfig{Workers: 1, QueueDepth: 4, CacheSize: 8}, pool)
 	psrv := httptest.NewServer(pd.handler())
@@ -643,6 +646,8 @@ func TestDaemonMetricsSchema(t *testing.T) {
 	})
 	var pdoc struct {
 		Shard struct {
+			Workers int              `json:"workers"`
+			Healthy int              `json:"healthy"`
 			Fleet   map[string]any   `json:"fleet"`
 			Remotes []map[string]any `json:"remotes"`
 		} `json:"shard"`
@@ -650,12 +655,15 @@ func TestDaemonMetricsSchema(t *testing.T) {
 	if code := getJSON(t, psrv.URL+"/metrics", &pdoc); code != http.StatusOK {
 		t.Fatalf("pool metrics: status %d", code)
 	}
-	requireKeys(t, "shard.fleet", pdoc.Shard.Fleet, []string{"suspect", "dead", "breaker_open", "rejoin_count"}, nil)
+	if pdoc.Shard.Workers != 1 || pdoc.Shard.Healthy != 0 {
+		t.Fatalf("never-probed pool: shard.workers %d shard.healthy %d, want 1 and 0", pdoc.Shard.Workers, pdoc.Shard.Healthy)
+	}
+	requireKeys(t, "shard.fleet", pdoc.Shard.Fleet, []string{"suspect", "dead", "rejoin_count"}, nil)
 	if len(pdoc.Shard.Remotes) != 1 {
 		t.Fatalf("shard.remotes: %v, want the one listed worker", pdoc.Shard.Remotes)
 	}
 	requireKeys(t, "shard.remotes[0]", pdoc.Shard.Remotes[0],
-		[]string{"url", "state", "healthy", "shards", "failures", "problems"}, []string{"breaker_open", "last_err"})
+		[]string{"url", "state", "healthy", "shards", "failures", "problems"}, []string{"last_err"})
 }
 
 // requireKeys fails unless obj has every key in want and no key outside

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"imdpp/internal/cluster"
 	"imdpp/internal/diffusion"
@@ -37,21 +38,23 @@ func (s *solver) candidateUniverse() []cluster.Nominee {
 			all = append(all, scored{cluster.Nominee{User: u, Item: x}, score})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+	// a strict total order (score down, then user, then item), so the
+	// sorted universe is unique
+	slices.SortFunc(all, func(a, b scored) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
 		}
-		if all[i].nm.User != all[j].nm.User {
-			return all[i].nm.User < all[j].nm.User
-		}
-		return all[i].nm.Item < all[j].nm.Item
+		return cmp.Or(cmp.Compare(a.nm.User, b.nm.User), cmp.Compare(a.nm.Item, b.nm.Item))
 	})
 	cap := s.opt.CandidateCap
 	if cap > 0 && len(all) > cap {
 		// Keep the universe user-diverse: at most 3 items per user, so
 		// the cap does not fill up with one hub's entire catalogue.
 		kept := all[:0]
-		perUser := map[int]int{}
+		perUser := make([]uint8, p.NumUsers())
 		var overflow []scored
 		for _, sc := range all {
 			if perUser[sc.nm.User] < 3 {

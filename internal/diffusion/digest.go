@@ -3,9 +3,7 @@ package diffusion
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
-	"strconv"
 )
 
 const (
@@ -29,25 +27,6 @@ type Digest struct {
 func (d Digest) String() string {
 	b := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(make([]byte, 0, 16), d.Hi), d.Lo)
 	return string(hex.AppendEncode(make([]byte, 0, 32), b))
-}
-
-// ParseDigest parses the 32-hex-digit form produced by String — the
-// form the shard RPC passes problem references in. Parsing is strict
-// (exactly 32 hex digits, no whitespace or signs), so distinct wire
-// strings cannot alias to one key.
-func ParseDigest(s string) (Digest, error) {
-	if len(s) != 32 {
-		return Digest{}, fmt.Errorf("diffusion: key %q is not 32 hex digits", s)
-	}
-	hi, err := strconv.ParseUint(s[:16], 16, 64)
-	if err != nil {
-		return Digest{}, fmt.Errorf("diffusion: bad key %q: %w", s, err)
-	}
-	lo, err := strconv.ParseUint(s[16:], 16, 64)
-	if err != nil {
-		return Digest{}, fmt.Errorf("diffusion: bad key %q: %w", s, err)
-	}
-	return Digest{Hi: hi, Lo: lo}, nil
 }
 
 // U64 mixes one word.

@@ -70,8 +70,8 @@ type Proxy struct {
 	killAfter atomic.Uint64
 
 	// passHealthz, when set, exempts GET /healthz from fault injection
-	// — a flapping worker whose probes pass while dispatches die, the
-	// circuit breaker's reason to exist.
+	// — a flapping worker whose probes pass while dispatches die, whose
+	// strikes must back its re-admissions off.
 	passHealthz atomic.Bool
 
 	client *http.Client

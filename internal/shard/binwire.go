@@ -271,19 +271,15 @@ func decodeOptInt32s(r *wirebin.Reader) []int32 {
 }
 
 // AppendBinary appends the estimate request's binary frame to b.
-func (req *EstimateRequest) AppendBinary(b []byte) ([]byte, error) {
-	key, err := diffusion.ParseDigest(req.Problem)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encode estimate request: %w", err)
-	}
+func (req *EstimateRequest) AppendBinary(b []byte) []byte {
 	var flags byte
 	if req.TraceID != 0 {
 		flags = flagTraced
 	}
 	start := len(b)
 	b = beginFrame(b, frameEstimateReq, flags)
-	b = wirebin.AppendU64(b, key.Hi)
-	b = wirebin.AppendU64(b, key.Lo)
+	b = wirebin.AppendU64(b, req.Problem.Hi)
+	b = wirebin.AppendU64(b, req.Problem.Lo)
 	b = wirebin.AppendU64(b, req.Seed)
 	b = wirebin.AppendVarint(b, int64(req.Lo))
 	b = wirebin.AppendVarint(b, int64(req.Hi))
@@ -303,7 +299,7 @@ func (req *EstimateRequest) AppendBinary(b []byte) ([]byte, error) {
 		b = wirebin.AppendU64(b, uint64(req.TraceID))
 		b = wirebin.AppendU64(b, uint64(req.SpanID))
 	}
-	return finishFrame(b, start), nil
+	return finishFrame(b, start)
 }
 
 // DecodeEstimateRequestBinary reads one binary estimate-request frame.
@@ -314,8 +310,7 @@ func DecodeEstimateRequestBinary(data []byte) (EstimateRequest, error) {
 		return req, err
 	}
 	r := wirebin.NewReader(payload)
-	key := diffusion.Digest{Hi: r.U64(), Lo: r.U64()}
-	req.Problem = key.String()
+	req.Problem = diffusion.Digest{Hi: r.U64(), Lo: r.U64()}
 	req.Seed = r.U64()
 	req.Lo = int(r.Varint())
 	req.Hi = int(r.Varint())

@@ -73,22 +73,18 @@ func TestProblemUploadBinarySmaller(t *testing.T) {
 func TestEstimateRequestBinaryRoundTrip(t *testing.T) {
 	key := diffusion.Digest{Hi: 0xdeadbeefcafef00d, Lo: 0x0123456789abcdef}
 	cases := []EstimateRequest{
-		{Problem: key.String(), Seed: 42, Lo: 3, Hi: 17, WithPi: true,
+		{Problem: key, Seed: 42, Lo: 3, Hi: 17, WithPi: true,
 			Groups: [][]diffusion.Seed{{{User: 1, Item: 2, T: 3}}, {}},
 			Market: []int32{0, 4, 9}},
-		{Problem: key.String(), Groups: [][]diffusion.Seed{{}},
+		{Problem: key, Groups: [][]diffusion.Seed{{}},
 			Market: []int32{}, // empty non-nil: the all-false mask
 			Lo:     0, Hi: 1},
-		{Problem: key.String(), Groups: [][]diffusion.Seed{{}, {{User: 0, Item: 0, T: 1}}},
+		{Problem: key, Groups: [][]diffusion.Seed{{}, {{User: 0, Item: 0, T: 1}}},
 			PerGroupMasks: [][]int32{nil, {2, 5}},
 			Lo:            0, Hi: 4},
 	}
 	for ci, req := range cases {
-		frame, err := req.AppendBinary(nil)
-		if err != nil {
-			t.Fatalf("case %d: %v", ci, err)
-		}
-		got, err := DecodeEstimateRequestBinary(frame)
+		got, err := DecodeEstimateRequestBinary(req.AppendBinary(nil))
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
@@ -142,23 +138,15 @@ func TestFrameFlags(t *testing.T) {
 		}
 		grid[g][0].Items, grid[g][0].Counts = []int32{1, 5, 9}, []float64{512, 1024, 512}
 	}
-	key := diffusion.Digest{Hi: 1, Lo: 2}.String()
+	key := diffusion.Digest{Hi: 1, Lo: 2}
 	req := EstimateRequest{Problem: key, Hi: 1, Groups: [][]diffusion.Seed{{{User: 1, Item: 2, T: 1}}}}
 	traced := req
 	traced.TraceID, traced.SpanID = 7, 9
-	reqFrame, err := req.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracedFrame, err := traced.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	resp := EstimateResponse{Samples: grid}
 	frames := map[string][]byte{
 		"problem":         EncodeProblem(sampleProblem(t, 120, 3)).AppendBinary(nil),
-		"request":         reqFrame,
-		"traced request":  tracedFrame,
+		"request":         req.AppendBinary(nil),
+		"traced request":  traced.AppendBinary(nil),
 		"response":        resp.AppendBinary(nil),
 		"traced response": (&EstimateResponse{Samples: grid, Spans: []obs.SpanRec{{TraceID: 7, SpanID: 8, Name: "s"}}}).AppendBinary(nil),
 	}
@@ -286,19 +274,13 @@ func FuzzDecodeProblemUploadBinary(f *testing.F) {
 
 func FuzzDecodeEstimateRequestBinary(f *testing.F) {
 	f.Add([]byte{})
-	seed, _ := (&EstimateRequest{Problem: diffusion.Digest{}.String(), Hi: 1,
-		Groups: [][]diffusion.Seed{{}}}).AppendBinary(nil)
-	f.Add(seed)
+	f.Add((&EstimateRequest{Hi: 1, Groups: [][]diffusion.Seed{{}}}).AppendBinary(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeEstimateRequestBinary(data)
 		if err != nil {
 			return
 		}
-		again, err := req.AppendBinary(nil)
-		if err != nil {
-			t.Fatalf("re-encode of decoded request failed: %v", err)
-		}
-		if _, err := DecodeEstimateRequestBinary(again); err != nil {
+		if _, err := DecodeEstimateRequestBinary(req.AppendBinary(nil)); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 	})

@@ -97,10 +97,10 @@ func TestChaosKillMidSolve(t *testing.T) {
 	}
 }
 
-// TestChaosRejoin kills a worker, lets the failure detector walk it
-// suspect → probing → dead on jittered backoff, revives it, and
-// expects it back in rotation (rejoin_count) serving bit-identical
-// work.
+// TestChaosRejoin kills a worker, lets the failure detector's failed
+// probes back it off (suspect → probing → dead at the cap), revives
+// it, and expects it back in rotation (rejoin_count) serving
+// bit-identical work.
 func TestChaosRejoin(t *testing.T) {
 	leakCheck(t)
 	p := sampleProblem(t, 120, 3)
@@ -110,7 +110,6 @@ func TestChaosRejoin(t *testing.T) {
 
 	pool, _, proxy := newChaosFleet(t, 1, nil)
 	pool.probeBase = 5 * time.Millisecond
-	pool.deadAfter = 2
 	pool.probeCap = 50 * time.Millisecond
 	pool.StartHealthLoop()
 	est := NewEstimator(pool, p, m, seed, 2)
@@ -136,10 +135,10 @@ func TestChaosRejoin(t *testing.T) {
 }
 
 // TestChaosFlappingBreaker shapes the flapping worker — health probes
-// pass while every dispatch dies — and expects the per-remote circuit
-// breaker to shed it (breaker_open) instead of letting the next lucky
-// probe feed it more doomed dispatches; results stay bit-identical
-// throughout.
+// pass while every dispatch dies. Probe successes re-admit it but never
+// clear its strikes, so its re-admission backoff grows to the cap
+// instead of feeding it a doomed dispatch every base interval; results
+// stay bit-identical throughout, with no local fallback.
 func TestChaosFlappingBreaker(t *testing.T) {
 	leakCheck(t)
 	p := sampleProblem(t, 120, 3)
@@ -149,31 +148,27 @@ func TestChaosFlappingBreaker(t *testing.T) {
 
 	pool, _, proxy := newChaosFleet(t, 2, nil)
 	pool.probeBase = 5 * time.Millisecond
-	pool.breakerTrip = 2
-	pool.breakerCooldown = time.Minute // hold it open past the test
-	pool.probeCap = 20 * time.Millisecond
+	pool.probeCap = 40 * time.Millisecond // the cap is 3 strikes away
 	pool.StartHealthLoop()
 	est := NewEstimator(pool, p, m, seed, 2)
 
 	proxy.PassHealthz(true)
 	proxy.SetMode(fleettest.Error500)
 
-	// each batch that catches the flapper alive adds a strike; the
-	// probes between batches keep reviving it until the breaker trips
-	waitUntil(t, "breaker open", func() bool {
+	flapper := pool.remotes[2] // the proxied worker
+	waitUntil(t, "flapper backoff at the cap", func() bool {
 		requireSameEstimates(t, "flapping", want, est.RunBatch(groups, nil))
-		return pool.Snapshot().Fleet.BreakerOpen >= 1
+		flapper.mu.Lock()
+		defer flapper.mu.Unlock()
+		return pool.backoffSpan(flapper.probeFails+flapper.strikes) >= pool.probeCap
 	})
-	// with the breaker open the flapper is not dispatchable even if a
-	// probe marks it alive — healthyRemotes excludes it
-	for _, r := range pool.healthyRemotes() {
-		if !r.dispatchable() {
-			t.Fatal("healthyRemotes returned a breaker-shed worker")
-		}
-	}
-	requireSameEstimates(t, "post-breaker", want, est.RunBatch(groups, nil))
-	if st := pool.Snapshot(); st.LocalFallbacks != 0 {
+	requireSameEstimates(t, "at the cap", want, est.RunBatch(groups, nil))
+	st := pool.Snapshot()
+	if st.LocalFallbacks != 0 {
 		t.Fatalf("flapping forced a local fallback with 2 good workers: %+v", st)
+	}
+	if rs := st.Remotes[2]; rs.Failures < 3 || rs.State == "dead" || rs.State == "probing" {
+		t.Fatalf("flapper %+v: want at least 3 failed dispatches and no failed probe", rs)
 	}
 }
 

@@ -84,7 +84,7 @@ func (p *Pool) Samples(ctx context.Context, e *diffusion.Estimator, groups [][]d
 	blob := p.blobFor(e.P)
 
 	tmpl := EstimateRequest{
-		Problem: blob.Key.String(),
+		Problem: blob.Key,
 		Seed:    e.Seed,
 		WithPi:  withPi,
 		Groups:  groups,

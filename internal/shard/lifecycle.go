@@ -3,112 +3,108 @@ package shard
 import (
 	"context"
 	"math/rand/v2"
-	"sync"
 	"time"
 )
 
-// Worker lifecycle states (DESIGN.md §13). A remote is dispatchable
-// only while alive (and its circuit breaker is closed); every other
-// state keeps it out of rotation while the failure detector decides
-// its fate. None of the transitions can affect results: membership
-// only moves work between workers, and every shard is bit-identical
-// wherever it runs (§3/§7), so the state machine is pure ops surface.
+// The failure rule (DESIGN.md §13). A listed worker is out of rotation
+// until a probe answers. Any failure takes it out again — a failed
+// dispatch (markFailed) or a failed probe (onProbe) — and schedules
+// its next probe at backoffFor(probeFails + strikes):
 //
-//	alive ──dispatch failure──▶ suspect
-//	alive ──silent for the silence timeout, then the probe fails──▶ probing
-//	suspect ──failure-detector probe fails──▶ probing (backoff grows)
-//	probing ──deadAfter consecutive failures──▶ dead (probed at the cap)
-//	suspect|probing|dead ──probe ok──▶ alive
+//   - probeFails counts failed probes since the worker left rotation;
+//     a probe success clears it.
+//   - strikes counts consecutive failed dispatches; a probe success
+//     leaves it alone and only a dispatch success clears it, so a
+//     flapping worker (probes pass, dispatches die) is re-admitted on
+//     a backoff that grows to the cap.
 //
 // A successful probe counts as hearing from a worker; only silence
-// gets an alive one probed. A probe fails on any answer but a 200 from
-// a worker that decodes this build's frame version (Pool.probe).
-type remoteState int32
+// gets one in rotation probed. A probe fails on any answer but a 200
+// from a worker that decodes this build's frame version (Pool.probe).
+// None of this can affect results: rotation only moves work between
+// workers, and every shard is bit-identical wherever it runs (§3/§7).
 
-const (
-	stateAlive remoteState = iota
-	stateSuspect
-	stateProbing
-	stateDead
-)
-
-func (s remoteState) String() string {
-	switch s {
-	case stateAlive:
-		return "alive"
-	case stateSuspect:
-		return "suspect"
-	case stateProbing:
-		return "probing"
-	case stateDead:
-		return "dead"
-	}
-	return "unknown"
-}
-
-// backoffFor returns the jittered exponential delay before the probe
-// after fails consecutive failures: probeBase doubling per failure,
-// capped at probeCap, drawn uniformly from [d/2, d] so a fleet of
-// coordinators (or one coordinator probing a rack that died together)
-// never hammers a recovering worker in lockstep.
-func (p *Pool) backoffFor(fails int) time.Duration {
+// backoffSpan is the delay bound after n failures: probeBase doubling
+// per failure, capped at probeCap.
+func (p *Pool) backoffSpan(n int) time.Duration {
 	d := min(p.probeBase, p.probeCap)
-	for i := 0; i < fails && d < p.probeCap; i++ {
+	for i := 0; i < n && d < p.probeCap; i++ {
 		d *= 2
 	}
-	if d > p.probeCap {
-		d = p.probeCap
-	}
+	return min(d, p.probeCap)
+}
+
+// backoffFor draws the delay before the next probe after n failures
+// uniformly from [d/2, d], d = backoffSpan(n), so a fleet of
+// coordinators (or one coordinator probing a rack that died together)
+// never hammers a recovering worker in lockstep.
+func (p *Pool) backoffFor(n int) time.Duration {
+	d := p.backoffSpan(n)
 	if d <= 0 {
 		return 0
 	}
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 
-// markFailed records a dispatch failure on r: the worker leaves
-// rotation as suspect pending a probe, and breakerTrip consecutive
-// dispatch failures open its circuit breaker — a flapping worker
-// (probes fine, dispatches die) is shed for a full breakerCooldown
-// instead of being re-admitted by the next lucky probe.
+// leave takes r out of rotation for err and schedules its next probe
+// (called under r.mu).
+func (p *Pool) leave(r *Remote, err error) {
+	r.inRotation = false
+	r.lastErr = err.Error()
+	r.nextProbe = time.Now().Add(p.backoffFor(r.probeFails + r.strikes))
+}
+
+// markFailed records a failed dispatch on r: one more strike, and out
+// of rotation until a probe answers.
 func (p *Pool) markFailed(r *Remote, err error) {
 	r.failures.Add(1)
-	now := time.Now()
 	r.mu.Lock()
 	r.strikes++
-	if r.strikes >= p.breakerTrip && !now.Before(r.breakerUntil) {
-		r.breakerUntil = now.Add(p.breakerCooldown)
-	}
-	if r.state == stateAlive || r.state == stateProbing {
-		r.state = stateSuspect
-		r.probeFails = 0
-		r.nextProbe = now.Add(p.backoffFor(0))
-	}
-	r.lastErr = err.Error()
+	p.leave(r, err)
 	r.mu.Unlock()
 }
 
-// dispatchOK resets the breaker strike count: strikes count
-// *consecutive* dispatch failures, and deliberately survive probe
-// successes — a flapping worker's probes pass while its dispatches
-// fail, which is exactly the pattern the breaker exists to catch.
+// dispatchOK clears r's strikes: a dispatch success is the only proof
+// that a worker does more than answer probes.
 func (r *Remote) dispatchOK() {
 	r.mu.Lock()
 	r.strikes = 0
 	r.mu.Unlock()
 }
 
-// dispatchable reports whether r should receive new shard dispatches:
-// probed, in rotation and not shed by its circuit breaker.
+// dispatchable reports whether r is in rotation: the predicate both
+// dispatch and Snapshot's Healthy count.
 func (r *Remote) dispatchable() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.probed && r.state == stateAlive && !time.Now().Before(r.breakerUntil)
+	return r.inRotation
+}
+
+// unprobed reports whether no verdict has reached r yet: out of
+// rotation with no probe scheduled, as every listed worker starts
+// (called under r.mu).
+func (r *Remote) unprobed() bool {
+	return !r.inRotation && r.nextProbe.IsZero()
+}
+
+// label derives r's /metrics state (called under r.mu): alive in
+// rotation; suspect out with no failed probe since it left; dead out
+// with a failed probe and its backoff at the cap; probing otherwise.
+func (p *Pool) label(r *Remote) string {
+	switch {
+	case r.inRotation:
+		return "alive"
+	case r.probeFails == 0:
+		return "suspect"
+	case p.backoffSpan(r.probeFails+r.strikes) >= p.probeCap:
+		return "dead"
+	}
+	return "probing"
 }
 
 // detectLoop is the failure detector: a cheap periodic scan that fires
-// due probes — at an alive worker silent for the silence timeout, at a
-// down one on jittered exponential backoff — and lets probe outcomes
-// drive the state machine.
+// due probes — at a worker in rotation silent for the silence timeout,
+// at one out of rotation once its backoff elapses.
 func (p *Pool) detectLoop() {
 	tick := min(p.probeBase, p.probeCap) / 2
 	if tick < time.Millisecond {
@@ -129,11 +125,11 @@ func (p *Pool) detectLoop() {
 	}
 }
 
-// detectOnce runs one failure-detector scan: an alive remote is due
-// once silent for p.silence, any other once its backoff elapses.
+// detectOnce runs one failure-detector scan. A worker never probed is
+// due at once (its nextProbe is zero).
 func (p *Pool) detectOnce(now time.Time) {
 	p.probeWhere(p.loopCtx, func(r *Remote) bool {
-		if r.state == stateAlive {
+		if r.inRotation {
 			return now.Sub(r.lastHeard) > p.silence
 		}
 		return !now.Before(r.nextProbe)
@@ -141,63 +137,48 @@ func (p *Pool) detectOnce(now time.Time) {
 }
 
 // probeWhere starts a probe at every remote due selects (called under
-// r.mu). At most one probe per remote is in flight (r.probing); probes
-// run concurrently so one unresponsive worker never delays verdicts on
-// the rest. It returns the remotes scanned and the probes started.
-func (p *Pool) probeWhere(ctx context.Context, due func(*Remote) bool) ([]*Remote, *sync.WaitGroup) {
+// r.mu) and returns one channel per selected remote, closed once its
+// verdict is folded in. At most one probe per remote is in flight: a
+// selected remote already being probed yields that probe's channel.
+// Probes run concurrently so one unresponsive worker never delays
+// verdicts on the rest.
+func (p *Pool) probeWhere(ctx context.Context, due func(*Remote) bool) []chan struct{} {
 	p.mu.Lock()
 	remotes := append([]*Remote(nil), p.remotes...)
 	p.mu.Unlock()
-	wg := new(sync.WaitGroup)
+	var verdicts []chan struct{}
 	for _, r := range remotes {
 		r.mu.Lock()
-		start := !r.probing && due(r)
-		r.probing = r.probing || start
+		if !due(r) {
+			r.mu.Unlock()
+			continue
+		}
+		start := r.probeDone == nil
+		if start {
+			r.probeDone = make(chan struct{})
+		}
+		verdicts = append(verdicts, r.probeDone)
 		r.mu.Unlock()
 		if start {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				p.onProbe(r, p.probe(ctx, r))
-			}()
+			go func() { p.onProbe(r, p.probe(ctx, r)) }()
 		}
 	}
-	return remotes, wg
+	return verdicts
 }
 
-// onProbe folds one probe verdict into r's lifecycle state.
+// onProbe folds one probe verdict into r: a success puts it in
+// rotation, a failure takes it out.
 func (p *Pool) onProbe(r *Remote, err error) {
-	now := time.Now()
-	rejoined := false
 	r.mu.Lock()
-	r.probing, r.probed = false, true
-	switch {
-	case err == nil && now.Before(r.breakerUntil):
-		// the worker answers but its breaker is still open: hold it out
-		// of rotation until the cooldown elapses, then re-probe
-		if r.state == stateSuspect || r.state == stateDead {
-			r.state = stateProbing
-		}
-		r.nextProbe = r.breakerUntil
-		r.lastHeard = now
-	case err == nil:
-		rejoined = r.state != stateAlive
-		r.state = stateAlive
-		r.probeFails = 0
-		r.lastErr = ""
-		r.lastHeard = now
-	default:
+	rejoined := err == nil && !r.inRotation && !r.unprobed()
+	if err == nil {
+		r.inRotation, r.probeFails, r.lastErr, r.lastHeard = true, 0, "", time.Now()
+	} else {
 		r.probeFails++
-		if r.state != stateDead {
-			if r.probeFails >= p.deadAfter {
-				r.state = stateDead
-			} else {
-				r.state = stateProbing
-			}
-		}
-		r.lastErr = err.Error()
-		r.nextProbe = now.Add(p.backoffFor(r.probeFails))
+		p.leave(r, err)
 	}
+	close(r.probeDone)
+	r.probeDone = nil
 	r.mu.Unlock()
 	if rejoined {
 		p.rejoins.Add(1)

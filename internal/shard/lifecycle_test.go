@@ -201,8 +201,9 @@ func requireAliveUntil(t *testing.T, pool *Pool, hits *atomic.Int32, probes int3
 }
 
 // TestLivenessSeededWorkerAnsweringProbesStaysAlive: a listed worker
-// is probed once per silence timeout — never more often — and,
-// answering, stays in rotation without a rejoin.
+// enters rotation at the health loop's first probe, is then probed once
+// per silence timeout — never more often — and, answering, stays in
+// rotation without a rejoin.
 func TestLivenessSeededWorkerAnsweringProbesStaysAlive(t *testing.T) {
 	leakCheck(t)
 	url, hits := healthzCounter(t)
@@ -211,35 +212,171 @@ func TestLivenessSeededWorkerAnsweringProbesStaysAlive(t *testing.T) {
 	pool.silence, pool.probeCap = 30*time.Millisecond, 30*time.Millisecond
 	start := time.Now()
 	pool.StartHealthLoop()
+	waitUntil(t, "first probe", func() bool { return pool.Snapshot().Healthy == 1 })
 	requireAliveUntil(t, pool, hits, 10)
-	// each probe needs a full timeout of silence after the last one
+	// the first probe is immediate; each later one needs a full timeout
+	// of silence after the last one
 	if n, most := hits.Load(), int32(time.Since(start)/pool.silence)+1; n > most {
 		t.Fatalf("%d probes in %v: more than one per %v timeout", n, time.Since(start), pool.silence)
 	}
 }
 
 // TestLivenessUnreachableSeededWorkerLeavesRotation: a listed worker
-// that refuses connections leaves rotation after one silence timeout
-// plus one (failed) probe — not before the timeout, and without
-// waiting out further backoff.
+// that refuses connections never enters rotation. The health loop's
+// first probe fails at once, without waiting out a silence timeout,
+// and the worker reads probing with the probe's error.
 func TestLivenessUnreachableSeededWorkerLeavesRotation(t *testing.T) {
 	leakCheck(t)
 	dead := httptest.NewServer(http.NotFoundHandler())
 	url := dead.URL
 	dead.Close() // connections to url are now refused
-	start := time.Now()
 	pool := NewPool([]string{url}, nil)
 	t.Cleanup(pool.Close)
-	pool.silence, pool.probeCap = 60*time.Millisecond, 60*time.Millisecond
+	pool.silence = time.Minute
 	pool.StartHealthLoop()
-	waitUntil(t, "unreachable worker out of rotation", func() bool { return pool.Snapshot().Healthy == 0 })
-	elapsed := time.Since(start)
-	// a refused probe fails at once; the slack covers detector ticks and
-	// a loaded scheduler
-	if elapsed < pool.silence || elapsed > pool.silence+time.Second {
-		t.Fatalf("left rotation after %v, want within (%v, %v]", elapsed, pool.silence, pool.silence+time.Second)
-	}
-	if rs := pool.Snapshot().Remotes[0]; rs.LastErr == "" || rs.Failures != 0 {
+	waitUntil(t, "a failed first probe", func() bool {
+		st := pool.Snapshot()
+		if st.Healthy != 0 {
+			t.Fatalf("an unreachable worker entered rotation: %+v", st)
+		}
+		return st.Remotes[0].LastErr != ""
+	})
+	if rs := pool.Snapshot().Remotes[0]; rs.State != "probing" || rs.Failures != 0 {
 		t.Fatalf("out of rotation by a failed probe, not a dispatch: %+v", rs)
+	}
+}
+
+// TestNeverProbedWorkerIsNotHealthy: a pool over a closed listener,
+// never Checked and without a health loop, reports no healthy worker
+// before its first batch — Snapshot counts what dispatch would use.
+// The first batch probes the worker, fails over to local compute and
+// stays bit-identical.
+func TestNeverProbedWorkerIsNotHealthy(t *testing.T) {
+	leakCheck(t)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	url := dead.URL
+	dead.Close()
+	pool := NewPool([]string{url}, nil)
+	t.Cleanup(pool.Close)
+	if st := pool.Snapshot(); st.Workers != 1 || st.Healthy != 0 || st.Remotes[0].Healthy {
+		t.Fatalf("never-probed worker reads healthy: %+v", st)
+	}
+
+	p := sampleProblem(t, 120, 3)
+	groups := groupsFor(p)
+	const m, seed = 6, 5
+	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
+	requireSameEstimates(t, "first batch", want, NewEstimator(pool, p, m, seed, 2).RunBatch(groups, nil))
+	if st := pool.Snapshot(); st.Healthy != 0 || st.LocalFallbacks != 1 || st.Remotes[0].State != "probing" {
+		t.Fatalf("after the first batch: %+v", st)
+	}
+}
+
+// TestFailureRule drives markFailed, onProbe and dispatchOK through
+// failure sequences. After every step it pins rotation, the two
+// counts, the derived label (in Snapshot too, whose Healthy counts
+// what dispatch uses) and, after a failure, that the next probe waits
+// backoffFor(probeFails + strikes).
+func TestFailureRule(t *testing.T) {
+	const (
+		probeOK = iota
+		probeFail
+		dispatchFail
+		dispatchOK
+	)
+	type step struct {
+		op             int
+		fails, strikes int
+		label          string
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"probe failures back off to dead at the cap", []step{
+			{probeFail, 1, 0, "probing"},
+			{probeFail, 2, 0, "probing"},
+			{probeFail, 3, 0, "probing"},
+			{probeFail, 4, 0, "dead"},
+			{probeFail, 5, 0, "dead"},
+			{probeOK, 0, 0, "alive"},
+		}},
+		{"a probe success keeps strikes", []step{
+			{probeOK, 0, 0, "alive"},
+			{dispatchFail, 0, 1, "suspect"},
+			{probeOK, 0, 1, "alive"},
+			{dispatchFail, 0, 2, "suspect"},
+			{dispatchFail, 0, 3, "suspect"}, // a late failure of an earlier dispatch
+			{probeOK, 0, 3, "alive"},
+			{dispatchFail, 0, 4, "suspect"}, // strikes alone reach the cap
+			{probeFail, 1, 4, "dead"},
+			{probeFail, 2, 4, "dead"},
+		}},
+		{"a dispatch success clears strikes", []step{
+			{probeOK, 0, 0, "alive"},
+			{dispatchFail, 0, 1, "suspect"},
+			{probeOK, 0, 1, "alive"},
+			{dispatchOK, 0, 0, "alive"},
+			{dispatchFail, 0, 1, "suspect"},
+		}},
+		{"silence probe fails in rotation", []step{
+			{probeOK, 0, 0, "alive"},
+			{probeFail, 1, 0, "probing"},
+			{dispatchFail, 1, 1, "probing"},
+			{probeFail, 2, 1, "probing"},
+			{probeFail, 3, 1, "dead"},
+			{probeOK, 0, 1, "alive"},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pool := NewPool([]string{"http://127.0.0.1:9"}, nil)
+			defer pool.Close()
+			pool.probeBase, pool.probeCap = time.Second, 16*time.Second // the cap is 4 failures away
+			r := pool.remotes[0]
+			if st := pool.Snapshot(); st.Healthy != 0 || st.Remotes[0].State != "suspect" {
+				t.Fatalf("never probed: %+v", st)
+			}
+			for i, s := range c.steps {
+				before := time.Now()
+				switch s.op {
+				case probeOK, probeFail:
+					var err error
+					if s.op == probeFail {
+						err = fmt.Errorf("probe %d failed", i)
+					}
+					r.mu.Lock()
+					r.probeDone = make(chan struct{})
+					r.mu.Unlock()
+					pool.onProbe(r, err)
+				case dispatchFail:
+					pool.markFailed(r, fmt.Errorf("dispatch %d failed", i))
+				case dispatchOK:
+					r.dispatchOK()
+				}
+				after := time.Now()
+
+				r.mu.Lock()
+				fails, strikes, next := r.probeFails, r.strikes, r.nextProbe
+				r.mu.Unlock()
+				if fails != s.fails || strikes != s.strikes {
+					t.Fatalf("step %d: probeFails %d strikes %d, want %d %d", i, fails, strikes, s.fails, s.strikes)
+				}
+				in := s.label == "alive"
+				st := pool.Snapshot()
+				if rs := st.Remotes[0]; rs.State != s.label || rs.Healthy != in || r.dispatchable() != in {
+					t.Fatalf("step %d: %+v dispatchable=%v, want %s", i, rs, r.dispatchable(), s.label)
+				}
+				if st.Healthy != len(pool.healthyRemotes()) {
+					t.Fatalf("step %d: Snapshot counts %d healthy, dispatch %d", i, st.Healthy, len(pool.healthyRemotes()))
+				}
+				if s.op == probeFail || s.op == dispatchFail {
+					span := pool.backoffSpan(s.fails + s.strikes)
+					if next.Before(before.Add(span/2)) || next.After(after.Add(span)) {
+						t.Fatalf("step %d: next probe in %v, want within [%v, %v]", i, next.Sub(before), span/2, span)
+					}
+				}
+			}
+		})
 	}
 }

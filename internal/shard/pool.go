@@ -44,12 +44,9 @@ type Pool struct {
 
 	// Failure-detector knobs (DESIGN.md §13; fixed after NewPool except
 	// in tests).
-	probeBase       time.Duration // first backoff step after a failure
-	probeCap        time.Duration // backoff ceiling (down workers are re-probed at least this often)
-	deadAfter       int           // consecutive probe failures before probing → dead
-	silence         time.Duration // silence beyond this gets an alive entry probed
-	breakerTrip     int           // consecutive dispatch failures that open the breaker
-	breakerCooldown time.Duration // dispatch shed window once the breaker opens
+	probeBase time.Duration // first backoff step after a failure
+	probeCap  time.Duration // backoff ceiling (workers out of rotation are re-probed at least this often)
+	silence   time.Duration // silence beyond this gets a worker in rotation probed
 
 	rejoins atomic.Uint64
 
@@ -73,38 +70,26 @@ type Pool struct {
 	logger  *slog.Logger
 }
 
-// Remote is one listed worker — its lifecycle state (lifecycle.go),
+// Remote is one listed worker — its place in rotation (lifecycle.go),
 // acknowledged problem uploads and dispatch accounting.
 type Remote struct {
 	url string
 
 	mu       sync.Mutex
-	state    remoteState
 	lastErr  string
 	problems map[diffusion.Digest]bool // uploads acknowledged by this worker
 
 	// Lifecycle bookkeeping (guarded by mu; see lifecycle.go).
-	lastHeard    time.Time // insertion or last successful probe
-	probeFails   int       // consecutive failure-detector probe failures
-	nextProbe    time.Time // when the failure detector probes next
-	probing      bool      // a probe is in flight
-	probed       bool      // a probe verdict has been folded in
-	strikes      int       // consecutive dispatch failures (breaker input)
-	breakerUntil time.Time // circuit breaker open until (zero = closed)
+	inRotation bool          // a probe answered since the last failure
+	probeFails int           // failed probes since the worker left rotation
+	strikes    int           // consecutive failed dispatches
+	nextProbe  time.Time     // when the failure detector probes next (zero: never probed)
+	lastHeard  time.Time     // last successful probe
+	probeDone  chan struct{} // the in-flight probe's verdict (nil: none)
 
 	shards   atomic.Uint64
 	failures atomic.Uint64
 	inflight atomic.Int32 // shard RPCs currently outstanding
-}
-
-// Healthy reports whether the worker is in rotation (lifecycle state
-// alive). Suspect, probing and dead workers all report unhealthy;
-// dispatch additionally requires a closed circuit breaker
-// (dispatchable, lifecycle.go).
-func (r *Remote) Healthy() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state == stateAlive
 }
 
 // knowsProblem reports whether this worker acknowledged an upload of
@@ -128,10 +113,11 @@ func (r *Remote) setProblem(key diffusion.Digest, known bool) {
 // NewPool builds the pool over the workers at the given base URLs
 // (e.g. "http://10.0.0.7:8081"): normalized, deduplicated, bounded by
 // maxRemotes; malformed URLs are dropped (ParseWorkerList refuses
-// them). Workers start alive but get no frame before a first probe
-// (probeUnprobed); a failed probe or dispatch takes a worker out of
-// rotation, later probes bring it back. Call Check once at startup to
-// verify the fleet, and StartHealthLoop for continuous detection.
+// them). A worker is out of rotation until a probe answers — Check, the
+// health loop or a batch's first-contact probe (probeUnprobed) — and
+// any failed dispatch or probe takes it out again until a later probe
+// answers (lifecycle.go). Call Check once at startup to verify the
+// fleet, and StartHealthLoop for continuous detection.
 //
 // The pool speaks the binary frame wire (DESIGN.md §8), splits each
 // batch evenly over the healthy workers (Plan) and speculatively
@@ -157,12 +143,9 @@ func NewPool(urls []string, client *http.Client) *Pool {
 		specMin:    25 * time.Millisecond,
 		specTick:   5 * time.Millisecond,
 
-		probeBase:       250 * time.Millisecond,
-		probeCap:        probeCeiling,
-		deadAfter:       4,
-		silence:         silenceTimeout,
-		breakerTrip:     3,
-		breakerCooldown: 10 * time.Second,
+		probeBase: 250 * time.Millisecond,
+		probeCap:  probeCeiling,
+		silence:   silenceTimeout,
 
 		rpcHist: obs.NewHistogram(),
 		logger:  slog.New(slog.DiscardHandler),
@@ -176,9 +159,9 @@ func NewPool(urls []string, client *http.Client) *Pool {
 	return p
 }
 
-// The failure detector's timescale (DESIGN.md §13): an alive worker
-// unheard from for silenceTimeout is probed, and one out of rotation
-// is re-probed at least every probeCeiling.
+// The failure detector's timescale (DESIGN.md §13): a worker in
+// rotation unheard from for silenceTimeout is probed, and one out of
+// rotation is re-probed at least every probeCeiling.
 const (
 	silenceTimeout = 6 * time.Second
 	probeCeiling   = 6 * time.Second
@@ -204,8 +187,7 @@ func (p *Pool) Size() int {
 	return len(p.remotes)
 }
 
-// healthyRemotes snapshots the workers currently accepting dispatches:
-// alive with a closed circuit breaker.
+// healthyRemotes snapshots the workers in rotation.
 func (p *Pool) healthyRemotes() []*Remote {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -220,29 +202,27 @@ func (p *Pool) healthyRemotes() []*Remote {
 
 // Check probes every worker's /healthz concurrently (one slow or dead
 // worker must not delay the rest — a fleet-wide check costs one probe
-// timeout, not one per casualty), feeding each verdict through the
-// lifecycle state machine: dead and incompatible workers leave
-// rotation, recovered ones rejoin. It returns the healthy count.
+// timeout, not one per casualty) and folds each verdict in: down and
+// incompatible workers leave rotation, answering ones enter it. A
+// worker whose detector probe is in flight keeps that verdict. It
+// returns the count in rotation.
 func (p *Pool) Check(ctx context.Context) int {
-	// a remote whose detector probe is in flight keeps that verdict
-	remotes, wg := p.probeWhere(ctx, func(*Remote) bool { return true })
-	wg.Wait()
-	healthy := 0
-	for _, r := range remotes {
-		if r.Healthy() {
-			healthy++
-		}
-	}
-	return healthy
+	waitVerdicts(p.probeWhere(ctx, func(*Remote) bool { return true }))
+	return len(p.healthyRemotes())
 }
 
-// probeUnprobed probes every remote no probe has reached yet (all of
-// them in a pool never Checked) and waits, so the frame version is
+// probeUnprobed probes every remote no verdict has reached yet (all
+// of them in a pool never Checked) and waits, so the frame version is
 // checked before a worker's first upload or estimate. The probes are
 // not the batch's: a cancelled solve must not fail a worker.
 func (p *Pool) probeUnprobed() {
-	_, wg := p.probeWhere(context.Background(), func(r *Remote) bool { return !r.probed })
-	wg.Wait()
+	waitVerdicts(p.probeWhere(context.Background(), (*Remote).unprobed))
+}
+
+func waitVerdicts(verdicts []chan struct{}) {
+	for _, done := range verdicts {
+		<-done
+	}
 }
 
 // probe asks r's /healthz (Worker.Mount) whether it is up and which
@@ -277,13 +257,13 @@ func (p *Pool) probe(ctx context.Context, r *Remote) error {
 }
 
 // StartHealthLoop starts the failure detector (lifecycle.go) until
-// Close. An alive worker silent for silenceTimeout is probed; a worker
-// that died mid-batch is already out of rotation (markFailed) and is
-// re-probed on a jittered exponential backoff — fast first retries,
-// capped at probeCeiling — so restarted workers rejoin without
-// operator action (their problem store is re-filled lazily through the
-// unknown_problem path) and a recovering worker is never hammered in
-// lockstep.
+// Close. A worker never probed is probed at once, one in rotation once
+// silent for silenceTimeout; a worker that died mid-batch is already
+// out of rotation (markFailed) and is re-probed on a jittered
+// exponential backoff — fast first retries, capped at probeCeiling —
+// so restarted workers rejoin without operator action (their problem
+// store is re-filled lazily through the unknown_problem path) and a
+// recovering worker is never hammered in lockstep.
 func (p *Pool) StartHealthLoop() {
 	go p.detectLoop()
 }
@@ -300,27 +280,23 @@ func (p *Pool) Close() {
 // RemoteStats is one listed worker in PoolStats.
 type RemoteStats struct {
 	URL string `json:"url"`
-	// State is the lifecycle state (alive|suspect|probing|dead,
-	// DESIGN.md §13); Healthy is its state == "alive" projection.
-	State   string `json:"state"`
-	Healthy bool   `json:"healthy"`
-	// BreakerOpen reports an open circuit breaker: the worker is shed
-	// from dispatch for the cooldown even if probes pass.
-	BreakerOpen bool   `json:"breaker_open,omitempty"`
-	LastErr     string `json:"last_err,omitempty"`
-	Shards      uint64 `json:"shards"`
-	Failures    uint64 `json:"failures"`
-	Problems    int    `json:"problems"`
+	// State is derived from the failure counts (alive|suspect|probing|
+	// dead, Pool.label); Healthy reports the worker in rotation.
+	State    string `json:"state"`
+	Healthy  bool   `json:"healthy"`
+	LastErr  string `json:"last_err,omitempty"`
+	Shards   uint64 `json:"shards"`
+	Failures uint64 `json:"failures"`
+	Problems int    `json:"problems"`
 }
 
 // FleetStats aggregates the failure detector's verdicts (DESIGN.md
 // §13): the /metrics shard.fleet block.
 type FleetStats struct {
-	// Suspect/Dead count remotes per lifecycle state (suspect includes
-	// actively-probed suspects).
-	Suspect     int `json:"suspect"`
-	Dead        int `json:"dead"`
-	BreakerOpen int `json:"breaker_open"`
+	// Suspect/Dead count remotes per state label (suspect includes
+	// probing).
+	Suspect int `json:"suspect"`
+	Dead    int `json:"dead"`
 	// RejoinCount counts probe recoveries back into rotation.
 	RejoinCount uint64 `json:"rejoin_count"`
 }
@@ -353,26 +329,21 @@ func (p *Pool) Snapshot() PoolStats {
 		BytesRx:         p.bytesRx.Load(),
 	}
 	st.Fleet.RejoinCount = p.rejoins.Load()
-	now := time.Now()
 	for _, r := range remotes {
 		r.mu.Lock()
 		rs := RemoteStats{
-			URL:         r.url,
-			State:       r.state.String(),
-			Healthy:     r.state == stateAlive,
-			BreakerOpen: now.Before(r.breakerUntil),
-			LastErr:     r.lastErr,
-			Problems:    len(r.problems),
-		}
-		switch r.state {
-		case stateSuspect, stateProbing:
-			st.Fleet.Suspect++
-		case stateDead:
-			st.Fleet.Dead++
+			URL:      r.url,
+			State:    p.label(r),
+			Healthy:  r.inRotation,
+			LastErr:  r.lastErr,
+			Problems: len(r.problems),
 		}
 		r.mu.Unlock()
-		if rs.BreakerOpen {
-			st.Fleet.BreakerOpen++
+		switch rs.State {
+		case "suspect", "probing":
+			st.Fleet.Suspect++
+		case "dead":
+			st.Fleet.Dead++
 		}
 		rs.Shards = r.shards.Load()
 		rs.Failures = r.failures.Load()
@@ -567,11 +538,8 @@ func (p *Pool) estimateOn(ctx context.Context, r *Remote, blob *ProblemBlob, req
 		use.SpanID = sp.SpanID()
 	}
 	scratch := getScratch()
-	body, err := use.AppendBinary((*scratch)[:0])
-	defer func() { putScratch(scratch, body) }()
-	if err != nil {
-		return nil, err
-	}
+	body := use.AppendBinary((*scratch)[:0])
+	defer putScratch(scratch, body)
 	for attempt := 0; ; attempt++ {
 		if err := p.ensureProblem(ctx, r, blob); err != nil {
 			return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/url"
 	"strings"
-	"time"
 
 	"imdpp/internal/diffusion"
 )
@@ -49,9 +48,9 @@ func ParseWorkerList(list string) ([]string, error) {
 	return urls, nil
 }
 
-// entry inserts a fresh entry for the normalized URL u — alive, just
-// heard from — unless u already has one or the list holds maxRemotes:
-// one worker, one entry.
+// entry inserts a fresh entry for the normalized URL u — out of
+// rotation until a probe answers — unless u already has one or the
+// list holds maxRemotes: one worker, one entry.
 func (p *Pool) entry(u string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -61,6 +60,6 @@ func (p *Pool) entry(u string) {
 		}
 	}
 	if len(p.remotes) < maxRemotes {
-		p.remotes = append(p.remotes, &Remote{url: u, lastHeard: time.Now(), problems: make(map[diffusion.Digest]bool)})
+		p.remotes = append(p.remotes, &Remote{url: u, problems: make(map[diffusion.Digest]bool)})
 	}
 }

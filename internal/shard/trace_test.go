@@ -102,7 +102,7 @@ func TestTracePropagation(t *testing.T) {
 // byte-identical frames to a pre-tracing encoder (no flag, no fields).
 func TestEstimateRequestTraceBinaryRoundTrip(t *testing.T) {
 	req := EstimateRequest{
-		Problem: "0123456789abcdef0123456789abcdef",
+		Problem: diffusion.Digest{Hi: 0x0123456789abcdef, Lo: 0x0123456789abcdef},
 		Seed:    7,
 		Lo:      2,
 		Hi:      10,
@@ -110,10 +110,7 @@ func TestEstimateRequestTraceBinaryRoundTrip(t *testing.T) {
 		TraceID: 0xabc123,
 		SpanID:  0xdef456,
 	}
-	b, err := req.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := req.AppendBinary(nil)
 	if b[5]&flagTraced == 0 {
 		t.Fatal("traced request frame missing flagTraced")
 	}
@@ -126,10 +123,7 @@ func TestEstimateRequestTraceBinaryRoundTrip(t *testing.T) {
 	}
 
 	req.TraceID, req.SpanID = 0, 0
-	plain, err := req.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := req.AppendBinary(nil)
 	if plain[5]&flagTraced != 0 {
 		t.Fatal("untraced request frame carries flagTraced")
 	}

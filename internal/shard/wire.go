@@ -165,11 +165,11 @@ type UploadResponse struct {
 // legal all-false mask). PerGroupMasks, when non-nil, overrides Market
 // entry-by-entry.
 type EstimateRequest struct {
-	Problem string `json:"problem"` // diffusion.Digest hex form
-	Seed    uint64 `json:"seed"`
-	Lo      int    `json:"lo"`
-	Hi      int    `json:"hi"`
-	WithPi  bool   `json:"with_pi,omitempty"`
+	Problem diffusion.Digest `json:"problem"`
+	Seed    uint64           `json:"seed"`
+	Lo      int              `json:"lo"`
+	Hi      int              `json:"hi"`
+	WithPi  bool             `json:"with_pi,omitempty"`
 	// No omitempty on the mask fields: an empty non-nil mask (legal,
 	// all-false) must stay distinguishable from nil (all users) across
 	// the wire — omitempty would collapse both to absent.

@@ -184,13 +184,8 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err))
 		return
 	}
-	key, err := diffusion.ParseDigest(req.Problem)
-	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
 	w.mu.Lock()
-	p := w.problems[key]
+	p := w.problems[req.Problem]
 	w.mu.Unlock()
 	if p == nil {
 		writeShardError(rw, http.StatusNotFound, CodeUnknownProblem,

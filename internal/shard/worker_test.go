@@ -63,16 +63,12 @@ func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
 		post(PathProblems, EncodeProblem(&p).AppendBinary(nil))
 		keys[i] = p.ContentDigest()
 		req := &EstimateRequest{
-			Problem: keys[i].String(),
+			Problem: keys[i],
 			Seed:    uint64(i),
 			Hi:      4,
 			Groups:  [][]diffusion.Seed{{{User: 1, Item: 2, T: 1}}},
 		}
-		frame, err := req.AppendBinary(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		post(PathEstimate, frame)
+		post(PathEstimate, req.AppendBinary(nil))
 		w.mu.Lock()
 		subs[i] = weak.Make(w.problems[keys[i]].Substrate)
 		w.mu.Unlock()

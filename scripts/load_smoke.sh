@@ -6,7 +6,7 @@
 # solve-wall sample per client. Its solves are short enough that the
 # queue barely forms, so this phase does not show that jobs wait; a
 # queue-depth assertion needs the injected scheduler clock of ROADMAP
-# item 7.
+# item 11.
 #
 # A second multi-tenant phase (DESIGN.md §12) restarts the daemon with
 # -tenant-quotas: one greedy tenant (weight 1, tiny queue, one job in
