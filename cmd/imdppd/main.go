@@ -31,9 +31,9 @@
 //	curl -s localhost:8080/v1/jobs/j1
 //
 // Scale-out (DESIGN.md §7): `imdppd -worker` turns the process into a
-// remote estimator worker serving the shard RPC (problem upload +
-// per-sample-range estimation); a coordinator started with
-// `-shard-workers http://hostA:8081,http://hostB:8081` fans every
+// remote estimator worker serving the shard RPC (problem upload and
+// per-sample-range estimation over frame streams); a coordinator started
+// with `-shard-workers http://hostA:8081,http://hostB:8081` fans every
 // solve's σ/π batches out over the fleet, bit-identical to a local
 // solve. See README.md "Deploying a worker fleet".
 //
@@ -141,7 +141,9 @@ func main() {
 	cleanup := func() {}
 	var d *daemon // non-nil in coordinator mode; drives SIGHUP reload
 	if c.worker {
-		srv = &http.Server{Handler: newWorkerDaemon(c.solveWorkers, tracer).handler()}
+		var ended <-chan struct{}
+		srv, ended = newWorkerDaemon(c.solveWorkers, tracer).server(shutdownGrace)
+		cleanup = func() { <-ended }
 	} else {
 		quotas, defQuota, err := loadQuotas(c.tenantQuotas)
 		if err != nil {
@@ -227,7 +229,8 @@ func main() {
 
 	// SIGINT/SIGTERM closes the listener — a coordinator fails over new
 	// dispatches to other workers, bit-identically (DESIGN.md §13) — and
-	// lets in-flight requests finish within shutdownGrace
+	// lets in-flight requests finish within shutdownGrace; a worker
+	// writes its in-flight replies and closes its shard streams
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := serve(ctx, srv, ln, shutdownGrace); err != nil {
@@ -347,6 +350,22 @@ func newWorkerDaemon(solveWorkers int, tracer *imdpp.Tracer) *workerDaemon {
 		w:     imdpp.NewShardWorker(imdpp.ShardWorkerConfig{Workers: solveWorkers, Tracer: tracer}),
 		start: time.Now(),
 	}
+}
+
+// server is the worker's HTTP server. Every shard stream is a
+// hijacked connection, which http.Server.Shutdown does not wait for,
+// so shutdown also shuts the worker down: each in-flight reply is
+// written, every stream closed, and ended closes within grace.
+func (wd *workerDaemon) server(grace time.Duration) (*http.Server, <-chan struct{}) {
+	srv := &http.Server{Handler: wd.handler()}
+	ended := make(chan struct{})
+	srv.RegisterOnShutdown(func() {
+		defer close(ended)
+		ctx, cancel := context.WithTimeout(context.Background(), grace)
+		defer cancel()
+		_ = wd.w.Shutdown(ctx)
+	})
+	return srv, ended
 }
 
 func (wd *workerDaemon) handler() http.Handler {

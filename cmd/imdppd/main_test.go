@@ -873,6 +873,86 @@ func TestServeWaitsForInFlight(t *testing.T) {
 	}
 }
 
+// TestWorkerShutdownWritesInFlightReplies pins a worker's shutdown:
+// its shard streams are hijacked connections, which
+// http.Server.Shutdown does not wait for, so the worker's own shutdown
+// hook writes the reply of the estimate in flight, closes the stream
+// and ends within the grace. The batch completes on the worker,
+// bit-identical to a local run, with no local fallback.
+func TestWorkerShutdownWritesInFlightReplies(t *testing.T) {
+	const grace = 30 * time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ended := newWorkerDaemon(1, nil).server(grace)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	returned := make(chan error, 1)
+	go func() { returned <- serve(ctx, srv, ln, grace) }()
+
+	// an estimate of a few hundred milliseconds on one engine goroutine
+	ds, err := imdpp.LoadDataset("amazon", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ds.Clone(800, 4)
+	groups := make([][]imdpp.Seed, 8)
+	for g := range groups {
+		groups[g] = []imdpp.Seed{{User: g + 1, Item: 0, T: 1}, {User: 3*g + 7, Item: 1, T: 1}, {User: 5*g + 11, Item: 2, T: 2}}
+	}
+	const m, seed = 1 << 14, 9
+	want := imdpp.NewEstimator(p, m, seed).RunBatch(groups, nil)
+
+	pool := imdpp.NewShardPool([]string{"http://" + ln.Addr().String()}, nil)
+	defer pool.Close()
+	got := make(chan []imdpp.Estimate, 1)
+	go func() { got <- imdpp.NewShardEstimator(pool, p, m, seed, 1).RunBatch(groups, nil) }()
+	// the estimate follows the upload's ack on the stream
+	deadline := time.Now().Add(10 * time.Second)
+	for st := pool.Snapshot(); len(st.Remotes) == 0 || st.Remotes[0].Problems == 0; st = pool.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatal("the problem upload never reached the worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-got:
+		t.Fatal("the batch finished before the shutdown; the test proves nothing")
+	default:
+	}
+	start := time.Now()
+	cancel()
+	res := <-got
+	t.Logf("the batch ended %v into the shutdown", time.Since(start))
+	for g := range want {
+		if res[g].Sigma != want[g].Sigma || res[g].Adoptions != want[g].Adoptions {
+			t.Fatalf("group %d after the shutdown: %+v, want %+v", g, res[g], want[g])
+		}
+	}
+	if err := <-returned; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	select {
+	case <-ended:
+	case <-time.After(grace):
+		t.Fatal("the worker's streams outlived the grace")
+	}
+	if waited := time.Since(start); waited > grace {
+		t.Fatalf("shutdown took %v, past the %v grace", waited, grace)
+	}
+	if st := pool.Snapshot(); st.LocalFallbacks != 0 || st.Remotes[0].Shards != 1 {
+		t.Fatalf("the in-flight reply was lost: %+v", st)
+	}
+	// the worker closed the stream the pool keeps idle, and the closed
+	// listener takes no new one: the next batch runs locally
+	imdpp.NewShardEstimator(pool, p, 64, seed, 1).RunBatch(groups, nil)
+	if st := pool.Snapshot(); st.LocalFallbacks != 1 || st.Remotes[0].Shards != 1 {
+		t.Fatalf("a stream outlived the worker's shutdown: %+v", st)
+	}
+}
+
 // TestLoadQuotas: startup and SIGHUP reload share one resolve-and-parse
 // path, refusing a bad spec either way.
 func TestLoadQuotas(t *testing.T) {

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"imdpp/internal/diffusion"
@@ -13,29 +16,35 @@ import (
 )
 
 // Binary wire format of the shard RPC (DESIGN.md §8), its only wire
-// format. Every estimate request, estimate response and problem upload
-// body is one frame:
+// format. The coordinator opens a stream with GET PathEstimate and
+// Connection: Upgrade, Upgrade: imdpp-shard; once the worker answers
+// 101 Switching Protocols, the connection carries frames only, one
+// request frame answered by one reply frame at a time:
 //
 //	magic   [3]byte  "IMB"
-//	version byte     3
-//	kind    byte     frameProblem | frameEstimateReq | frameEstimateResp
+//	version byte     4
+//	kind    byte     frameProblem | frameEstimateReq (requests),
+//	                 frameProblemAck | frameEstimateResp | frameError (replies)
 //	flags   byte     bit 1: traced; every other bit must be clear
 //	length  u32 LE   payload byte count
 //	payload [length]byte
 //
 // The payload is a wirebin stream (little-endian, length-prefixed
-// slices, tagged compact floats — see internal/wirebin). Frames are
-// self-describing enough to reject version or kind drift with a typed
-// error before any payload decoding; semantic compatibility between
-// coordinator and worker builds is still gated by the content hash — a
-// worker whose decoder disagrees with the coordinator's encoder lands
-// on a different hash and the upload fails loudly with hash_mismatch.
+// slices, tagged compact floats — see internal/wirebin). A problem
+// upload is answered by an ack carrying the content address the worker
+// computed, an estimate by its response, and any failure by an error
+// frame with a typed code and message. Frames are self-describing
+// enough to reject version or kind drift before any payload decoding;
+// a worker closes the stream on a request frame of another version or
+// kind, or one declaring a payload past maxFramePayload. Semantic
+// compatibility between coordinator and worker builds is still gated
+// by the content hash: a worker whose decoder disagrees with the
+// coordinator's encoder lands on a different hash, and the upload fails
+// loudly with hash_mismatch.
 //
-// There is no per-request negotiation: the coordinator always sends
-// Content-Type: application/x-imdpp-shard, the worker refuses any
-// other body type with 415, and frame-version compatibility is checked
-// by the failure detector's /healthz probe (DESIGN.md §13). Errors,
-// upload acks and the probe answer stay JSON.
+// There is no per-stream negotiation: frame-version compatibility is
+// checked by the failure detector's /healthz probe (DESIGN.md §13),
+// whose answer stays JSON.
 //
 // Payloads are never compressed: deflating and inflating an estimate
 // response costs more CPU time than sending the bytes it saves takes on
@@ -43,18 +52,22 @@ import (
 // which could be DEFLATE-compressed, and any frame with that flag (bit
 // 0) set are refused.
 
-// ContentTypeBinary is the media type of every shard frame body.
-const ContentTypeBinary = "application/x-imdpp-shard"
+// upgradeToken names the stream protocol in the Upgrade header.
+const upgradeToken = "imdpp-shard"
 
 // Frame kind bytes.
 const (
 	frameProblem      = 1
 	frameEstimateReq  = 2
 	frameEstimateResp = 3
+	frameProblemAck   = 4
+	frameError        = 5
 )
 
 const (
-	frameVersion = 3
+	// frameVersion 4 carries the same sample bits as version 3; it
+	// marks the move from one HTTP POST per frame to upgraded streams.
+	frameVersion = 4
 	// flagTraced marks a frame whose payload ends with trace-context
 	// fields (request: trace + parent span id; response: worker span
 	// records, DESIGN.md §11). Untraced frames carry neither the bit
@@ -119,6 +132,99 @@ func openFrame(data []byte, wantKind byte) ([]byte, byte, error) {
 		return nil, 0, fmt.Errorf("shard: frame length %d != header-declared %d", len(data)-frameHeaderLen, n)
 	}
 	return data[frameHeaderLen:], flags, nil
+}
+
+// readFrame reads one frame off a stream into buf, reusing its
+// storage, and returns it whole for the decoder of its kind (openFrame
+// checks the rest). A frame of another magic or version, or one
+// declaring a payload past maxFramePayload, fails before anything is
+// allocated for the payload; the payload's storage then grows only as
+// its bytes arrive, so a length field alone cannot make the reader
+// allocate. Any error leaves the stream out of step: close it.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], frameHeaderLen)[:frameHeaderLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	if buf[0] != frameMagic[0] || buf[1] != frameMagic[1] || buf[2] != frameMagic[2] {
+		return buf, fmt.Errorf("shard: bad frame magic %q", buf[:3])
+	}
+	if buf[3] != frameVersion {
+		return buf, fmt.Errorf("shard: unsupported frame version %d (want %d)", buf[3], frameVersion)
+	}
+	n := int(binary.LittleEndian.Uint32(buf[6:frameHeaderLen]))
+	if n > maxFramePayload {
+		return buf, fmt.Errorf("shard: frame payload %d exceeds %d-byte bound", n, maxFramePayload)
+	}
+	total := frameHeaderLen + n
+	for len(buf) < total {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(total-len(buf), max(len(buf), 64<<10)))
+		}
+		m, err := r.Read(buf[len(buf):min(cap(buf), total)])
+		buf = buf[:len(buf)+m]
+		if err != nil && len(buf) < total {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// appendAck appends the ack of a problem upload: the content address
+// the worker computed over its decoded copy.
+func appendAck(b []byte, key diffusion.Digest) []byte {
+	start := len(b)
+	b = beginFrame(b, frameProblemAck, 0)
+	b = wirebin.AppendU64(b, key.Hi)
+	b = wirebin.AppendU64(b, key.Lo)
+	return finishFrame(b, start)
+}
+
+func decodeAck(data []byte) (diffusion.Digest, error) {
+	payload, _, err := openFrame(data, frameProblemAck)
+	if err != nil {
+		return diffusion.Digest{}, err
+	}
+	r := wirebin.NewReader(payload)
+	key := diffusion.Digest{Hi: r.U64(), Lo: r.U64()}
+	return key, r.Done()
+}
+
+// appendError appends an error frame: the typed code and message of a
+// request the worker refused or failed.
+func appendError(b []byte, code string, err error) []byte {
+	start := len(b)
+	b = beginFrame(b, frameError, 0)
+	b = wirebin.AppendString(b, code)
+	b = wirebin.AppendString(b, err.Error())
+	return finishFrame(b, start)
+}
+
+func decodeError(data []byte) error {
+	payload, _, err := openFrame(data, frameError)
+	if err != nil {
+		return err
+	}
+	r := wirebin.NewReader(payload)
+	se := &shardError{code: r.String(), msg: r.String()}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("shard: error frame: %w", err)
+	}
+	return se
+}
+
+// shardError is a worker's error frame, or a refusal of the
+// coordinator's own, with its typed code.
+type shardError struct {
+	code string
+	msg  string
+}
+
+func (e *shardError) Error() string {
+	return fmt.Sprintf("shard rpc: code %q: %s", e.code, e.msg)
 }
 
 // frameFlagsError reports a frame whose flags byte sets a bit this

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"net/http"
+	"strings"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -205,6 +206,10 @@ func TestChaosFaultTable(t *testing.T) {
 			if st.Redispatches == 0 && st.LocalFallbacks == 0 && st.SpeculativeHits == 0 {
 				t.Fatalf("%s: no rescue recorded: %+v", mode, st)
 			}
+			// the proxy's error frame decodes as the worker's typed error
+			if rs := st.Remotes[1]; mode == fleettest.Error500 && !strings.Contains(rs.LastErr, "injected fault") {
+				t.Fatalf("error500: LastErr %q does not carry the injected error frame", rs.LastErr)
+			}
 		})
 	}
 }
@@ -221,7 +226,6 @@ func TestChaosDelayTriggersSpeculation(t *testing.T) {
 
 	pool, _, proxy := newChaosFleet(t, 1, nil)
 	pool.specMin = 5 * time.Millisecond
-	pool.specTick = 2 * time.Millisecond
 	est := NewEstimator(pool, p, m, seed, 2)
 
 	requireSameEstimates(t, "warm", want, est.RunBatch(groups, nil))

@@ -16,16 +16,18 @@
 // The package provides:
 //
 //   - Plan: the contiguous sample-range planner.
-//   - Worker: the HTTP server side (mounted by `imdppd -worker`) —
-//     content-addressed problem upload (a problem ships once and is
-//     referenced by its Problem.ContentDigest key thereafter), the
-//     estimate RPC computing one shard's raw per-sample outcomes, and
-//     the /healthz probe naming its frame version.
+//   - Worker: the server side (mounted by `imdppd -worker`) — frame
+//     streams upgraded from GET /v1/shard/estimate carrying
+//     content-addressed problem uploads (a problem ships once and is
+//     referenced by its Problem.ContentDigest key thereafter) and
+//     estimate requests, each answered with one shard's raw per-sample
+//     outcomes, plus the /healthz probe naming its frame version.
 //   - Pool: the coordinator side — the listed workers under a
 //     probe-driven failure detector that also refuses a worker
 //     speaking another frame version (DESIGN.md §13) — and the sample
-//     producer Pool.Samples: per-shard retry, failover re-dispatch,
-//     speculative straggler re-dispatch and local fallback.
+//     producer Pool.Samples: every range written before any reply is
+//     awaited, per-shard retry, failover re-dispatch, speculative
+//     straggler re-dispatch and local fallback.
 //   - NewEstimator/Backend: the one diffusion.Estimator with the pool
 //     as its Remote producer, so Solve/SolveAdaptiveCtx/TDSI and the
 //     serving layer run unchanged over local or sharded estimation.

@@ -46,10 +46,11 @@ func (p *Pool) backoffFor(n int) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 
-// leave takes r out of rotation for err and schedules its next probe
-// (called under r.mu).
+// leave takes r out of rotation for err, closes its idle streams and
+// schedules its next probe (called under r.mu).
 func (p *Pool) leave(r *Remote, err error) {
 	r.inRotation = false
+	r.dropStreams()
 	r.lastErr = err.Error()
 	r.nextProbe = time.Now().Add(p.backoffFor(r.probeFails + r.strikes))
 }

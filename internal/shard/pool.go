@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,10 +51,14 @@ type Pool struct {
 	// Straggler detection knobs (fixed after NewPool except in tests):
 	// a shard is a straggler once its elapsed time exceeds
 	// specFactor × the median latency of completed shards (floored at
-	// specMin), checked every specTick.
+	// specMin, which is also when a batch first checks).
 	specFactor float64
 	specMin    time.Duration
-	specTick   time.Duration
+
+	// rtTimeout is the ceiling on one stream round trip: the client's
+	// Timeout, which never wraps a stream itself (transport).
+	rtTimeout time.Duration
+	closed    atomic.Bool // Close ran: released streams close
 
 	redispatches    atomic.Uint64
 	localFallbacks  atomic.Uint64
@@ -86,6 +88,8 @@ type Remote struct {
 	nextProbe  time.Time     // when the failure detector probes next (zero: never probed)
 	lastHeard  time.Time     // last successful probe
 	probeDone  chan struct{} // the in-flight probe's verdict (nil: none)
+
+	idle []*stream // open streams between requests (stream.go)
 
 	shards   atomic.Uint64
 	failures atomic.Uint64
@@ -123,9 +127,11 @@ func (r *Remote) setProblem(key diffusion.Digest, known bool) {
 // batch evenly over the healthy workers (Plan) and speculatively
 // re-dispatches stragglers — both result-invariant (§7/§8).
 //
-// client nil selects a default with a 10-minute per-request ceiling —
-// a liveness guard so a worker that accepts a shard and then hangs
-// forever is eventually classified as failed and its range
+// The client's Transport (nil: http.DefaultTransport) dials the frame
+// streams and its Do sends the probes. Its Timeout is the ceiling on
+// each stream round trip; client nil selects a default with a 10-minute
+// ceiling — a liveness guard so a worker that accepts a shard and then
+// hangs forever is eventually classified as failed and its range
 // re-dispatched, rather than stalling the solve. Deployments whose
 // individual shard estimates legitimately run longer must pass their
 // own client with a larger (or zero) Timeout, or estimates will be
@@ -141,7 +147,7 @@ func NewPool(urls []string, client *http.Client) *Pool {
 		stop:       make(chan struct{}),
 		specFactor: 2.0,
 		specMin:    25 * time.Millisecond,
-		specTick:   5 * time.Millisecond,
+		rtTimeout:  client.Timeout,
 
 		probeBase: 250 * time.Millisecond,
 		probeCap:  probeCeiling,
@@ -268,12 +274,22 @@ func (p *Pool) StartHealthLoop() {
 	go p.detectLoop()
 }
 
-// Close stops the failure detector and cancels its in-flight probes.
-// In-flight dispatches are unaffected.
+// Close stops the failure detector, cancels its in-flight probes and
+// closes the idle streams. In-flight dispatches are unaffected; their
+// streams close as they end.
 func (p *Pool) Close() {
 	p.stopOnce.Do(func() {
+		p.closed.Store(true)
 		close(p.stop)
 		p.loopStop()
+		p.mu.Lock()
+		remotes := append([]*Remote(nil), p.remotes...)
+		p.mu.Unlock()
+		for _, r := range remotes {
+			r.mu.Lock()
+			r.dropStreams()
+			r.mu.Unlock()
+		}
 	})
 }
 
@@ -396,33 +412,10 @@ func (p *Pool) blobFor(prob *diffusion.Problem) *ProblemBlob {
 	return b
 }
 
-// shardError is a dispatch failure with the worker's typed code.
-type shardError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func (e *shardError) Error() string {
-	return fmt.Sprintf("shard rpc: status %d code %q: %s", e.status, e.code, e.msg)
-}
-
-// Pooled scratch for RPC bodies (requests encoded, responses read).
-// Buffers above recycleMax are dropped instead of pooled so one huge
-// grid does not pin its footprint forever.
+// Pooled scratch for request frames the coordinator encodes and frames
+// a worker reads. Buffers above recycleMax are dropped instead of
+// pooled so one huge grid does not pin its footprint forever.
 const recycleMax = 4 << 20
-
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
-
-func putBuf(b *bytes.Buffer) {
-	if b == nil || b.Cap() > recycleMax {
-		return
-	}
-	b.Reset()
-	bufPool.Put(b)
-}
 
 var scratchPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
@@ -439,154 +432,155 @@ func putScratch(b *[]byte, used []byte) {
 	scratchPool.Put(b)
 }
 
-// post sends one binary frame and returns the full response body in a
-// pooled buffer the caller must release with putBuf. The body is
-// always drained to EOF — on error paths too — so the transport can
-// reuse the connection instead of tearing it down and re-dialling
-// under retry; tx/rx bytes feed the pool counters.
-func (p *Pool) post(ctx context.Context, url string, body []byte) (*bytes.Buffer, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
-	p.bytesTx.Add(uint64(len(body)))
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	// the largest legal response is one max-payload frame plus its
-	// header; reading one byte past that distinguishes "right at the
-	// bound" from "too large" without ever buffering more
-	const maxResp = maxFramePayload + frameHeaderLen
-	buf := getBuf()
-	n, readErr := io.Copy(buf, io.LimitReader(resp.Body, maxResp+1))
-	if n <= maxResp {
-		// drain the (empty or tiny) remainder so the transport reuses
-		// the connection; an oversized body skips this — discarding the
-		// connection is cheaper than swallowing gigabytes
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	}
-	resp.Body.Close()
-	p.bytesRx.Add(uint64(n))
-	if readErr != nil {
-		putBuf(buf)
-		return nil, readErr
-	}
-	if n > maxResp {
-		putBuf(buf)
-		return nil, fmt.Errorf("shard: response exceeds the %d-byte frame bound", maxResp)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var eb ErrorBody
-		data := buf.Bytes()
-		if len(data) > 1<<16 {
-			data = data[:1<<16]
-		}
-		_ = json.Unmarshal(data, &eb)
-		if eb.Error == "" {
-			eb.Error = strings.TrimSpace(string(data))
-		}
-		putBuf(buf)
-		return nil, &shardError{status: resp.StatusCode, code: eb.Code, msg: eb.Error}
-	}
-	return buf, nil
-}
-
 // ensureProblem uploads blob to r unless r already acknowledged it,
 // verifying the worker-computed content address against the local one.
 func (p *Pool) ensureProblem(ctx context.Context, r *Remote, blob *ProblemBlob) error {
 	if r.knowsProblem(blob.Key) {
 		return nil
 	}
-	buf, err := p.post(ctx, r.url+PathProblems, blob.body)
+	s, err := p.takeStream(ctx, r)
 	if err != nil {
 		return err
 	}
-	var ack UploadResponse
-	err = json.Unmarshal(buf.Bytes(), &ack)
-	putBuf(buf)
-	if err != nil {
-		return fmt.Errorf("shard: decode upload ack: %w", err)
+	err = p.send(ctx, s, blob.body)
+	var key diffusion.Digest
+	if err == nil {
+		var reply []byte
+		if reply, err = p.recv(ctx, s); err == nil {
+			if key, err = decodeAck(reply); err != nil {
+				err = fmt.Errorf("shard: decode upload ack: %w", err)
+			}
+		}
 	}
-	if ack.Hash != blob.Key.String() {
+	p.release(r, s, err)
+	if err != nil {
+		return err
+	}
+	if key != blob.Key {
 		// the worker decoded different content than we encoded — a
 		// build-skew bug, not a transient fault; surface it loudly
-		return &shardError{status: http.StatusConflict, code: CodeHashMismatch,
-			msg: fmt.Sprintf("worker hashed %s, coordinator %s", ack.Hash, blob.Key)}
+		return &shardError{code: CodeHashMismatch,
+			msg: fmt.Sprintf("worker hashed %s, coordinator %s", key, blob.Key)}
 	}
 	r.setProblem(blob.Key, true)
 	return nil
 }
 
-// estimateOn runs one shard request on one worker, handling the
-// lazy-upload and evicted/restarted-worker (unknown_problem) paths.
-func (p *Pool) estimateOn(ctx context.Context, r *Remote, blob *ProblemBlob, req *EstimateRequest) (*EstimateResponse, error) {
+// call is one estimate request to one worker, from its write to its
+// reply: the shard_rpc span of its attempt chain, its frame and the
+// stream it is in flight on.
+type call struct {
+	r       *Remote
+	blob    *ProblemBlob
+	sp      *obs.Span
+	scratch *[]byte
+	frame   []byte
+	s       *stream // nil: not in flight (err says why)
+	start   time.Time
+	err     error
+}
+
+// begin encodes req and writes it to r, first uploading the problem if
+// r has not acknowledged it. Its failure is the call's err, reported
+// by await.
+func (p *Pool) begin(ctx context.Context, r *Remote, blob *ProblemBlob, req *EstimateRequest) *call {
 	r.inflight.Add(1)
-	defer r.inflight.Add(-1)
 	// one span per RPC attempt chain, joined to the batch span riding
 	// ctx; nil when untraced. req is shared across failover and
 	// speculative dispatch, so the trace ids go on a private copy.
-	sp := obs.StartSpan(ctx, "shard_rpc")
-	defer sp.End()
-	sp.SetAttr("worker", r.url)
-	sp.SetAttrInt("lo", int64(req.Lo))
-	sp.SetAttrInt("hi", int64(req.Hi))
+	c := &call{r: r, blob: blob, sp: obs.StartSpan(ctx, "shard_rpc"), scratch: getScratch()}
+	c.sp.SetAttr("worker", r.url)
+	c.sp.SetAttrInt("lo", int64(req.Lo))
+	c.sp.SetAttrInt("hi", int64(req.Hi))
 	use := *req
-	if sp != nil {
-		use.TraceID = sp.TraceID()
-		use.SpanID = sp.SpanID()
+	if c.sp != nil {
+		use.TraceID = c.sp.TraceID()
+		use.SpanID = c.sp.SpanID()
 	}
-	scratch := getScratch()
-	body := use.AppendBinary((*scratch)[:0])
-	defer putScratch(scratch, body)
+	c.frame = use.AppendBinary((*c.scratch)[:0])
+	if c.err = p.ensureProblem(ctx, r, blob); c.err == nil {
+		c.write(ctx, p)
+	}
+	return c
+}
+
+// write puts the call's frame on a stream to its worker.
+func (c *call) write(ctx context.Context, p *Pool) {
+	c.start = time.Now()
+	if c.s, c.err = p.takeStream(ctx, c.r); c.err != nil {
+		return
+	}
+	if c.err = p.send(ctx, c.s, c.frame); c.err != nil {
+		c.s.close()
+		c.s = nil
+	}
+}
+
+// await reads the call's reply and ends it. An unknown_problem answer
+// (the worker evicted the problem or restarted) is retried once after
+// a re-upload.
+func (p *Pool) await(ctx context.Context, c *call) (*EstimateResponse, error) {
+	defer func() {
+		c.r.inflight.Add(-1)
+		putScratch(c.scratch, c.frame)
+		c.sp.End()
+	}()
 	for attempt := 0; ; attempt++ {
-		if err := p.ensureProblem(ctx, r, blob); err != nil {
-			return nil, err
+		if c.err != nil {
+			c.sp.SetAttr("error", c.err.Error())
+			return nil, c.err
 		}
-		start := time.Now()
-		buf, err := p.post(ctx, r.url+PathEstimate, body)
+		reply, err := p.recv(ctx, c.s)
+		var resp EstimateResponse
 		if err == nil {
-			resp, err := DecodeEstimateResponseBinary(buf.Bytes())
-			putBuf(buf)
-			if err != nil {
-				return nil, fmt.Errorf("shard: decode estimate response: %w", err)
+			if resp, err = DecodeEstimateResponseBinary(reply); err != nil {
+				err = fmt.Errorf("shard: decode estimate response: %w", err)
 			}
-			r.shards.Add(1)
-			r.dispatchOK()
-			p.rpcHist.Observe(time.Since(start))
-			sp.Adopt(resp.Spans)
+		}
+		p.release(c.r, c.s, err)
+		c.s = nil
+		if err == nil {
+			c.r.shards.Add(1)
+			c.r.dispatchOK()
+			p.rpcHist.Observe(time.Since(c.start))
+			c.sp.Adopt(resp.Spans)
 			return &resp, nil
 		}
+		c.err = err
 		var se *shardError
 		if attempt == 0 && errors.As(err, &se) && se.code == CodeUnknownProblem {
 			// the worker evicted or lost the problem (e.g. restart):
 			// forget the acknowledgement and re-upload once
-			r.setProblem(blob.Key, false)
-			continue
+			c.r.setProblem(c.blob.Key, false)
+			if c.err = p.ensureProblem(ctx, c.r, c.blob); c.err == nil {
+				c.write(ctx, p)
+			}
 		}
-		sp.SetAttr("error", err.Error())
-		return nil, err
 	}
 }
 
 // runShard computes one sample range, trying the preferred worker
-// first and failing over across the rest of the given rotation. A
-// worker failure marks it unhealthy (a health probe restores it
-// later); cancellation aborts without blaming any worker. It returns
-// nil when every worker failed — the caller falls back to computing
-// the range locally.
-func (p *Pool) runShard(ctx context.Context, remotes []*Remote, preferred int, blob *ProblemBlob, req *EstimateRequest, items int) [][]diffusion.SampleResult {
+// first — with first, the call the batch already wrote to it, when
+// there is one — and failing over across the rest of the given
+// rotation. A worker failure marks it unhealthy (a health probe
+// restores it later); cancellation aborts without blaming any worker.
+// It returns nil when every worker failed — the caller falls back to
+// computing the range locally.
+func (p *Pool) runShard(ctx context.Context, remotes []*Remote, preferred int, blob *ProblemBlob, req *EstimateRequest, items int, first *call) [][]diffusion.SampleResult {
 	n := len(remotes)
 	for i := 0; i < n; i++ {
 		r := remotes[(preferred+i)%n]
-		if ctx.Err() != nil {
+		var rows [][]diffusion.SampleResult
+		switch {
+		case i == 0 && first != nil:
+			rows = p.settle(ctx, first, req, items)
+		case ctx.Err() != nil:
 			return nil
-		}
-		if !r.dispatchable() {
+		case !r.dispatchable():
 			continue
+		default:
+			rows = p.tryShardOn(ctx, r, blob, req, items)
 		}
-		rows := p.tryShardOn(ctx, r, blob, req, items)
 		if rows != nil {
 			return rows
 		}
@@ -606,7 +600,13 @@ func (p *Pool) runShard(ctx context.Context, remotes []*Remote, preferred int, b
 // single extra attempt on a chosen idle worker, never a failover chain
 // of its own — the primary dispatch remains the range's guarantor.
 func (p *Pool) tryShardOn(ctx context.Context, r *Remote, blob *ProblemBlob, req *EstimateRequest, items int) [][]diffusion.SampleResult {
-	resp, err := p.estimateOn(ctx, r, blob, req)
+	return p.settle(ctx, p.begin(ctx, r, blob, req), req, items)
+}
+
+// settle awaits c and validates its rows, marking its worker failed
+// (and returning nil) on any non-cancellation error.
+func (p *Pool) settle(ctx context.Context, c *call, req *EstimateRequest, items int) [][]diffusion.SampleResult {
+	resp, err := p.await(ctx, c)
 	if err == nil {
 		err = validateSamples(resp.Samples, req, items)
 		if err == nil {
@@ -616,8 +616,8 @@ func (p *Pool) tryShardOn(ctx context.Context, r *Remote, blob *ProblemBlob, req
 	if ctx.Err() != nil {
 		return nil // cancelled mid-request: not the worker's fault
 	}
-	p.markFailed(r, err)
-	p.logger.Warn("shard worker failed", "worker", r.url, "err", err)
+	p.markFailed(c.r, err)
+	p.logger.Warn("shard worker failed", "worker", c.r.url, "err", err)
 	return nil
 }
 

@@ -1,14 +1,15 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,9 @@ import (
 	"imdpp/internal/core"
 	"imdpp/internal/dataset"
 	"imdpp/internal/diffusion"
+	"imdpp/internal/fleettest"
 	"imdpp/internal/graph"
+	"imdpp/internal/obs"
 	"imdpp/internal/pin"
 )
 
@@ -193,34 +196,19 @@ func TestSpeculativeRedispatch(t *testing.T) {
 	const m, seed = 8, 17
 	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
 
-	newWorkerServer := func(delay time.Duration) *httptest.Server {
-		w := NewWorker(WorkerConfig{Workers: 2})
-		mux := http.NewServeMux()
-		w.Mount(mux)
-		handler := http.Handler(mux)
-		if delay > 0 {
-			handler = http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodPost && r.URL.Path == PathEstimate {
-					select {
-					case <-time.After(delay):
-					case <-r.Context().Done():
-						return
-					}
-				}
-				mux.ServeHTTP(rw, r)
-			})
-		}
-		srv := httptest.NewServer(handler)
-		t.Cleanup(srv.Close)
-		return srv
-	}
-	fast := newWorkerServer(0)
-	slow := newWorkerServer(800 * time.Millisecond)
+	fast := serveWorker(t, NewWorker(WorkerConfig{Workers: 2}), nil)
+	// the slow worker's estimates wait 800ms at a proxy in front of it
+	slow := fleettest.NewProxy(serveWorker(t, NewWorker(WorkerConfig{Workers: 2}), nil).URL)
+	slow.Only(isEstimate)
+	slow.SetDelay(800 * time.Millisecond)
+	slow.SetMode(fleettest.Delay)
+	front := httptest.NewServer(slow.Handler())
+	t.Cleanup(front.Close)
+	t.Cleanup(slow.Close)
 
-	pool := NewPool([]string{fast.URL, slow.URL}, nil)
+	pool := NewPool([]string{fast.URL, front.URL}, nil)
 	t.Cleanup(pool.Close)
 	pool.specMin = 5 * time.Millisecond
-	pool.specTick = 2 * time.Millisecond
 
 	est := NewEstimator(pool, p, m, seed, 2)
 	start := time.Now()
@@ -293,11 +281,15 @@ func TestFailoverWorkerDeath(t *testing.T) {
 	const m, seed = 12, 5
 	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
 
-	pool, _, servers := newFleet(t, 2)
+	pool, workers, servers := newFleet(t, 2)
 	est := NewEstimator(pool, p, m, seed, 2)
-	// warm both workers, then kill one
+	// warm both workers, then kill one: its listener and its streams
 	requireSameEstimates(t, "warm", want, est.RunBatch(groups, nil))
-	servers[1].Close()
+	kill := func(i int) {
+		servers[i].Close()
+		_ = workers[i].Shutdown(context.Background())
+	}
+	kill(1)
 	requireSameEstimates(t, "after death", want, est.RunBatch(groups, nil))
 
 	st := pool.Snapshot()
@@ -308,7 +300,7 @@ func TestFailoverWorkerDeath(t *testing.T) {
 		t.Fatalf("death produced neither redispatch nor fallback: %+v", st)
 	}
 	// with the whole fleet dead the estimator degrades to local compute
-	servers[0].Close()
+	kill(0)
 	requireSameEstimates(t, "fleet dead", want, est.RunBatch(groups, nil))
 }
 
@@ -323,25 +315,25 @@ func TestShardedSamplesDone(t *testing.T) {
 	want := diffusion.NewEstimator(p, m, seed).RunBatchPi(groups, nil)
 	perBatch := uint64(len(groups) * m)
 
-	// failUpper refuses every range but the first, so the second range
-	// of a two-worker plan fails on both workers and runs locally
-	failUpper := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == PathEstimate {
-				body, _ := io.ReadAll(r.Body)
-				if req, err := DecodeEstimateRequestBinary(body); err == nil && req.Lo > 0 {
-					http.Error(rw, "refused", http.StatusInternalServerError)
-					return
-				}
-				r.Body = io.NopCloser(bytes.NewReader(body))
-			}
-			h.ServeHTTP(rw, r)
-		})
-	}
-	newPool := func(n int, wrap func(http.Handler) http.Handler) *Pool {
+	// failUpper puts each worker behind a proxy that answers every
+	// range but the first with an error frame, so the second range of a
+	// two-worker plan fails on both workers and runs locally
+	newPool := func(n int, failUpper bool) *Pool {
 		urls := make([]string, n)
 		for i := range urls {
-			urls[i] = serveWorker(t, NewWorker(WorkerConfig{Workers: 2}), wrap).URL
+			urls[i] = serveWorker(t, NewWorker(WorkerConfig{Workers: 2}), nil).URL
+			if failUpper {
+				proxy := fleettest.NewProxy(urls[i])
+				proxy.Only(func(frame []byte) bool {
+					req, err := DecodeEstimateRequestBinary(frame)
+					return err == nil && req.Lo > 0
+				})
+				proxy.SetMode(fleettest.Error500)
+				front := httptest.NewServer(proxy.Handler())
+				t.Cleanup(front.Close)
+				t.Cleanup(proxy.Close)
+				urls[i] = front.URL
+			}
 		}
 		pool := NewPool(urls, nil)
 		t.Cleanup(pool.Close)
@@ -352,9 +344,9 @@ func TestShardedSamplesDone(t *testing.T) {
 		pool     *Pool
 		fallback bool // a range must have run locally
 	}{
-		{"healthy fleet", newPool(2, nil), false},
-		{"fallback range", newPool(2, failUpper), true},
-		{"dead fleet", newPool(0, nil), true},
+		{"healthy fleet", newPool(2, false), false},
+		{"fallback range", newPool(2, true), true},
+		{"dead fleet", newPool(0, false), true},
 	} {
 		est := NewEstimator(tc.pool, p, m, seed, 2)
 		for batch := uint64(1); batch <= 2; batch++ {
@@ -366,6 +358,71 @@ func TestShardedSamplesDone(t *testing.T) {
 		if st := tc.pool.Snapshot(); (st.LocalFallbacks > 0) != tc.fallback {
 			t.Fatalf("%s: local fallbacks %d, want fallback=%v", tc.name, st.LocalFallbacks, tc.fallback)
 		}
+	}
+}
+
+// dialCounter wraps http.DefaultTransport, counting stream upgrades
+// and whether any request carried a batch's context value.
+type dialCounter struct {
+	upgrades, sawBatch atomic.Int32
+	fake101            bool // answer upgrades with a 101 whose body is no stream
+}
+
+type batchKey struct{}
+
+func (d *dialCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Context().Value(batchKey{}) != nil {
+		d.sawBatch.Add(1)
+	}
+	if req.Header.Get("Upgrade") == "" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	d.upgrades.Add(1)
+	if d.fake101 {
+		return &http.Response{StatusCode: http.StatusSwitchingProtocols, Body: io.NopCloser(strings.NewReader("")), Request: req}, nil
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestStreamDialPitfalls pins how streams are dialled. A client
+// Timeout bounds each round trip but never the stream, so streams
+// outlive it and are reused; streams are dialled under the pool's own
+// context, never carrying a batch's values; and a 101 whose body is no
+// stream fails the dial, named in the worker's LastErr, with the batch
+// still bit-identical on the local engine.
+func TestStreamDialPitfalls(t *testing.T) {
+	p := sampleProblem(t, 120, 3)
+	groups := groupsFor(p)
+	const m, seed = 8, 23
+	want := diffusion.NewEstimator(p, m, seed).RunBatch(groups, nil)
+	ctx := context.WithValue(context.Background(), batchKey{}, true)
+
+	urls := []string{serveWorker(t, NewWorker(WorkerConfig{Workers: 2}), nil).URL, serveWorker(t, NewWorker(WorkerConfig{Workers: 2}), nil).URL}
+	dc := &dialCounter{}
+	pool := NewPool(urls, &http.Client{Transport: dc, Timeout: 200 * time.Millisecond})
+	t.Cleanup(pool.Close)
+	est := NewEstimator(pool, p, m, seed, 2)
+	est.Bind(ctx)
+	for i := 0; i < 3; i++ {
+		requireSameEstimates(t, "timeout client", want, est.RunBatch(groups, nil))
+		time.Sleep(300 * time.Millisecond) // past the client Timeout
+	}
+	if st := pool.Snapshot(); st.LocalFallbacks != 0 || st.Redispatches != 0 || st.Healthy != 2 {
+		t.Fatalf("a client Timeout tore streams down: %+v", st)
+	}
+	if n := dc.upgrades.Load(); n != 2 {
+		t.Fatalf("%d stream upgrades for 3 batches over 2 workers, want one stream per worker, reused", n)
+	}
+	if n := dc.sawBatch.Load(); n != 0 {
+		t.Fatalf("%d requests carried the batch's context", n)
+	}
+
+	fake := &dialCounter{fake101: true}
+	pool = NewPool(urls[:1], &http.Client{Transport: fake})
+	t.Cleanup(pool.Close)
+	requireSameEstimates(t, "fake 101", want, NewEstimator(pool, p, m, seed, 2).RunBatch(groups, nil))
+	if rs := pool.Snapshot().Remotes[0]; rs.Healthy || !strings.Contains(rs.LastErr, "io.ReadWriteCloser") {
+		t.Fatalf("a 101 without a stream: %+v, want the worker out with LastErr naming io.ReadWriteCloser", rs)
 	}
 }
 
@@ -391,10 +448,11 @@ func TestWorkerRestartReupload(t *testing.T) {
 // TestWorkerRejectsHostileRequests pins the worker's input guards: a
 // zero-vertex graph payload smuggling arcs must fail decoding (not
 // panic in CSR rebuild), an upload carrying a non-finite or
-// out-of-range float is refused bad_request, an estimate frame whose
-// groups × span work bound is absurd must be rejected before
-// allocation, and a body that is not a binary frame is refused by
-// media type.
+// out-of-range float gets a bad_request error frame, an estimate frame
+// whose groups × span work bound is absurd gets one naming the bound
+// before allocation, and a frame declaring a payload past the 1 GiB
+// bound, or of another version or kind, closes the stream. None of it
+// counts as a served shard.
 func TestWorkerRejectsHostileRequests(t *testing.T) {
 	// corrupt graph: n=0 with a dangling arc
 	_, err := DecodeProblem(ProblemUpload{
@@ -428,6 +486,7 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 	if err := pool.ensureProblem(context.Background(), r, blob); err != nil {
 		t.Fatal(err)
 	}
+	s := testStream(t, pool)
 	// one float field at a time; the upload's slices are views of the
 	// problem, so each case edits a copy
 	floats := []struct {
@@ -450,9 +509,8 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 		if _, err := DecodeProblem(bad); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: decode error %v, want one naming %q", c.name, err, c.want)
 		}
-		status, eb := postShard(t, servers[0].URL+PathProblems, ContentTypeBinary, bad.AppendBinary(nil))
-		if status != http.StatusBadRequest || eb.Code != CodeBadRequest {
-			t.Fatalf("%s: upload status %d body %+v, want 400 %q", c.name, status, eb, CodeBadRequest)
+		if se := requireErrorFrame(t, pool, s, bad.AppendBinary(nil)); se.code != CodeBadRequest || !strings.Contains(se.msg, c.want) {
+			t.Fatalf("%s: upload answered %v, want %q naming %q", c.name, se, CodeBadRequest, c.want)
 		}
 	}
 	if got := workers[0].Stats().ProblemsCached; got != 1 {
@@ -465,26 +523,72 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 		Hi:      1 << 40,
 		Groups:  [][]diffusion.Seed{{}},
 	}
-	status, eb := postShard(t, servers[0].URL+PathEstimate, ContentTypeBinary, req.AppendBinary(nil))
-	if status != http.StatusBadRequest || eb.Code != CodeBadRequest {
-		t.Fatalf("oversized estimate: status %d body %+v, want 400 %q", status, eb, CodeBadRequest)
-	}
 	// the rejection must come from the work-unit guard, not from an
-	// earlier decode or media-type check
-	if !strings.Contains(eb.Error, "-unit bound") {
-		t.Fatalf("oversized estimate rejected for the wrong reason: %q", eb.Error)
+	// earlier decode check
+	if se := requireErrorFrame(t, pool, s, req.AppendBinary(nil)); se.code != CodeBadRequest || !strings.Contains(se.msg, "-unit bound") {
+		t.Fatalf("oversized estimate answered %v, want %q naming the unit bound", se, CodeBadRequest)
 	}
-	// the same request as JSON is refused by media type: there is no
-	// JSON decoder left on the worker
-	body, _ := json.Marshal(req)
-	status, eb = postShard(t, servers[0].URL+PathEstimate, "application/json", body)
-	if status != http.StatusUnsupportedMediaType || eb.Code != CodeBadRequest {
-		t.Fatalf("JSON estimate: status %d body %+v, want 415 %q", status, eb, CodeBadRequest)
+
+	// frames that break the framing close the stream, each on a stream
+	// of its own
+	huge := binary.LittleEndian.AppendUint32([]byte{'I', 'M', 'B', frameVersion, frameEstimateReq, 0}, maxFramePayload+1)
+	oldVersion := req.AppendBinary(nil)
+	oldVersion[3] = frameVersion - 1
+	reply := (&EstimateResponse{Samples: [][]diffusion.SampleResult{{}}}).AppendBinary(nil)
+	for name, frame := range map[string][]byte{
+		"a payload past the bound": huge, "version 3": oldVersion, "a reply kind": reply,
+	} {
+		s := testStream(t, pool)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := pool.send(context.Background(), s, frame); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err := pool.recv(context.Background(), s)
+		runtime.ReadMemStats(&after)
+		var se *shardError
+		if err == nil || errors.As(err, &se) {
+			t.Fatalf("%s: answered (%v), want the stream closed", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Fatalf("%s: the worker allocated %d bytes before closing the stream", name, grew)
+		}
 	}
 	if got := workers[0].Stats().ShardsServed; got != 0 {
 		t.Fatalf("hostile request counted as served: %d", got)
 	}
+	_ = servers
 }
+
+// testStream dials a frame stream to pool's first worker, the way a
+// coordinator does, for a test to write raw frames on.
+func testStream(t testing.TB, pool *Pool) *stream {
+	t.Helper()
+	s, err := pool.dial(context.Background(), pool.remotes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.close)
+	return s
+}
+
+// requireErrorFrame sends frame on s and returns the error frame it
+// must be answered with.
+func requireErrorFrame(t *testing.T, pool *Pool, s *stream, frame []byte) *shardError {
+	t.Helper()
+	if err := pool.send(context.Background(), s, frame); err != nil {
+		t.Fatal(err)
+	}
+	_, err := pool.recv(context.Background(), s)
+	var se *shardError
+	if !errors.As(err, &se) {
+		t.Fatalf("answered %v, want an error frame", err)
+	}
+	return se
+}
+
+// isEstimate matches estimate request frames (fleettest.Proxy.Only).
+func isEstimate(frame []byte) bool { return frame[4] == frameEstimateReq }
 
 // withAt returns a copy of xs with xs[i] = v.
 func withAt(xs []float64, i int, v float64) []float64 {
@@ -508,54 +612,27 @@ func withRelevance(rows [][]pin.PairRel, s float64) [][]pin.PairRel {
 	panic("no relevance row to corrupt")
 }
 
-// postShard sends one raw shard RPC body and decodes the typed error
-// body of a non-200 answer.
-func postShard(t *testing.T, url, contentType string, body []byte) (int, ErrorBody) {
-	t.Helper()
-	resp, err := http.Post(url, contentType, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var eb ErrorBody
-	if resp.StatusCode != http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-			t.Fatalf("status %d: undecodable error body: %v", resp.StatusCode, err)
-		}
-	}
-	return resp.StatusCode, eb
-}
-
-// TestCancellationPropagates cancels a sharded solve whose only worker
-// hangs, and expects the coordinator to unwind promptly with ctx.Err().
+// TestCancellationPropagates cancels a sharded solve whose only
+// worker never answers an estimate (a proxy in front of it drops them),
+// and expects the coordinator to unwind promptly with ctx.Err().
 func TestCancellationPropagates(t *testing.T) {
 	p := sampleProblem(t, 100, 2)
 
-	var inFlight atomic.Int32
-	mux := http.NewServeMux()
-	// probes and uploads must succeed (via a real worker) so the
-	// estimate is the call that hangs
-	real := NewWorker(WorkerConfig{})
-	realMux := http.NewServeMux()
-	real.Mount(realMux)
-	mux.Handle("GET /healthz", realMux)
-	mux.Handle("POST "+PathProblems, realMux)
-	mux.HandleFunc("POST "+PathEstimate, func(rw http.ResponseWriter, r *http.Request) {
-		// drain the body so the server's background read can observe the
-		// coordinator abandoning the connection
-		_, _ = io.Copy(io.Discard, r.Body)
-		inFlight.Add(1)
-		<-r.Context().Done() // hang until the coordinator goes away
-	})
-	srv := httptest.NewServer(mux)
+	// probes and uploads reach the real worker, so the estimate is the
+	// call that hangs
+	proxy := fleettest.NewProxy(serveWorker(t, NewWorker(WorkerConfig{}), nil).URL)
+	proxy.Only(isEstimate)
+	proxy.SetMode(fleettest.Drop)
+	srv := httptest.NewServer(proxy.Handler())
 	t.Cleanup(srv.Close)
+	t.Cleanup(proxy.Close)
 
 	pool := NewPool([]string{srv.URL}, nil)
 	t.Cleanup(pool.Close)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		for i := 0; i < 200 && inFlight.Load() == 0; i++ {
+		for i := 0; i < 200 && proxy.Faults() == 0; i++ {
 			time.Sleep(5 * time.Millisecond)
 		}
 		cancel()
@@ -569,7 +646,83 @@ func TestCancellationPropagates(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v to propagate through the coordinator", elapsed)
 	}
-	if inFlight.Load() == 0 {
+	if proxy.Faults() == 0 {
 		t.Fatal("the hanging worker was never reached; the test proved nothing")
+	}
+}
+
+// TestCancelStopsWorkerEngine abandons a batch of 2²² samples (64
+// groups × 2¹⁶) once a real worker has started it: closing the stream
+// must stop the worker's engine (DESIGN.md §7) — its worker_estimate
+// span ends within 2 s of the cancel, and nothing counts as served.
+// Distinct groups are one engine family each, so the worker
+// materializes a row per family it reaches, not the whole grid. On the
+// Amazon-0.5 problem the whole batch is seconds of engine work, so an
+// engine that ignored the close would still be running at the bound.
+func TestCancelStopsWorkerEngine(t *testing.T) {
+	leakCheck(t)
+	d, err := dataset.Amazon(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Clone(800, 4)
+	wtracer := obs.NewTracer()
+	w := NewWorker(WorkerConfig{Workers: 1, Tracer: wtracer})
+	pool := NewPool([]string{serveWorker(t, w, nil).URL}, nil)
+	t.Cleanup(pool.Close)
+
+	root := obs.NewTracer().Start("cancel_test")
+	ctx, cancel := context.WithCancel(obs.ContextWithSpan(context.Background(), root))
+	defer cancel()
+	groups := make([][]diffusion.Seed, 64)
+	for g := range groups {
+		groups[g] = []diffusion.Seed{{User: g + 1, Item: 0, T: 1}, {User: 3*g + 7, Item: 1, T: 1}, {User: 5*g + 11, Item: 2, T: 2}}
+	}
+	// a small batch first, so the worker holds the problem and the only
+	// request that can keep it busy below is the big estimate
+	NewEstimator(pool, p, 2, 5, 1).RunBatch(groups[:1], nil)
+	warm := w.Stats()
+	est := NewEstimator(pool, p, 1<<16, 5, 1)
+	est.Bind(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		est.RunBatch(groups, nil)
+	}()
+	waitUntil(t, "the worker to start the estimate", func() bool {
+		w.smu.Lock()
+		defer w.smu.Unlock()
+		for ws := range w.streams {
+			if ws.busy {
+				return true
+			}
+		}
+		return false
+	})
+	time.Sleep(20 * time.Millisecond) // well inside the engine's run
+	cancel()
+	cancelled := time.Now()
+	var span obs.SpanRec
+	for span.Name == "" {
+		for _, tr := range wtracer.Snapshot() {
+			for _, s := range tr.Spans {
+				if s.Name == "worker_estimate" {
+					span = s
+				}
+			}
+		}
+		if time.Since(cancelled) > 2*time.Second {
+			t.Fatal("the worker's estimate still runs 2 s after the batch was abandoned")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if end := time.Unix(0, span.Start+span.DurNS); end.Sub(cancelled) > 2*time.Second {
+		t.Fatalf("worker_estimate ended %v after the cancel", end.Sub(cancelled))
+	}
+	t.Logf("worker_estimate ended %v after the cancel (ran %v)", time.Unix(0, span.Start+span.DurNS).Sub(cancelled), time.Duration(span.DurNS))
+	<-done
+	t.Logf("batch returned %v after the cancel", time.Since(cancelled))
+	if st := w.Stats(); st != warm {
+		t.Fatalf("an abandoned estimate counted as served: %+v, %+v before it", st, warm)
 	}
 }

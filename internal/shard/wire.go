@@ -17,16 +17,15 @@ import (
 // self-verifying: a worker recomputes the hash over its decoded copy
 // and a mismatch (codec drift, corruption) is detected before a single
 // sample is simulated. Seed groups, estimates and per-sample outcomes
-// reuse the PR 3 wire types (diffusion.Seed, diffusion.SampleResult).
+// reuse the engine's own types (diffusion.Seed, diffusion.SampleResult).
 
-// RPC endpoint paths, mounted by Worker.Mount and dialled by Pool.
-// Worker.Mount also serves GET /healthz, the failure detector's probe.
-const (
-	PathProblems = "/v1/shard/problems"
-	PathEstimate = "/v1/shard/estimate"
-)
+// PathEstimate is the shard RPC's one endpoint: a coordinator opens
+// a frame stream with GET PathEstimate and Connection: Upgrade,
+// Upgrade: imdpp-shard (DESIGN.md §8). Worker.Mount also serves
+// GET /healthz, the failure detector's probe.
+const PathEstimate = "/v1/shard/estimate"
 
-// Typed error codes carried in ErrorBody.Code.
+// Typed error codes carried in error frames.
 const (
 	// CodeUnknownProblem: the estimate referenced a problem hash the
 	// worker does not hold (never uploaded, evicted, or the worker
@@ -46,12 +45,6 @@ const (
 type healthBody struct {
 	OK           bool `json:"ok"`
 	CodecVersion int  `json:"codec_version"`
-}
-
-// ErrorBody is the JSON error payload of every shard RPC failure.
-type ErrorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
 }
 
 // ProblemUpload is the wire image of one diffusion.Problem.
@@ -152,12 +145,6 @@ func DecodeProblem(u ProblemUpload) (*diffusion.Problem, error) {
 	return p, nil
 }
 
-// UploadResponse acknowledges a problem upload with the content
-// address the worker computed over its decoded copy.
-type UploadResponse struct {
-	Hash string `json:"hash"`
-}
-
 // EstimateRequest asks a worker for the raw outcomes of the global
 // samples [Lo, Hi) of every group, under the referenced problem.
 // Masks are shipped as sorted user-id lists: nil means all users, an
@@ -165,33 +152,28 @@ type UploadResponse struct {
 // legal all-false mask). PerGroupMasks, when non-nil, overrides Market
 // entry-by-entry.
 type EstimateRequest struct {
-	Problem diffusion.Digest `json:"problem"`
-	Seed    uint64           `json:"seed"`
-	Lo      int              `json:"lo"`
-	Hi      int              `json:"hi"`
-	WithPi  bool             `json:"with_pi,omitempty"`
-	// No omitempty on the mask fields: an empty non-nil mask (legal,
-	// all-false) must stay distinguishable from nil (all users) across
-	// the wire — omitempty would collapse both to absent.
-	Groups        [][]diffusion.Seed `json:"groups"`
-	Market        []int32            `json:"market"`
-	PerGroupMasks [][]int32          `json:"masks"`
+	Problem       diffusion.Digest
+	Seed          uint64
+	Lo, Hi        int
+	WithPi        bool
+	Groups        [][]diffusion.Seed
+	Market        []int32
+	PerGroupMasks [][]int32
 	// TraceID/SpanID propagate the coordinator's trace context
 	// (DESIGN.md §11) so worker spans join the coordinator's trace.
-	// Zero means untraced; on the binary frame the pair rides behind
-	// the flagTraced bit. Tracing never affects sample content.
-	TraceID obs.ID `json:"trace_id,omitempty"`
-	SpanID  obs.ID `json:"span_id,omitempty"`
+	// Zero means untraced; on the frame the pair rides behind the
+	// flagTraced bit. Tracing never affects sample content.
+	TraceID, SpanID obs.ID
 }
 
 // EstimateResponse carries the per-sample outcomes: Samples[g][i-Lo]
 // is global sample i of group g.
 type EstimateResponse struct {
-	Samples [][]diffusion.SampleResult `json:"samples"`
+	Samples [][]diffusion.SampleResult
 	// Spans are the worker-side span records for a traced request,
 	// adopted into the coordinator's trace. Only populated when the
 	// request carried a trace id.
-	Spans []obs.SpanRec `json:"spans,omitempty"`
+	Spans []obs.SpanRec
 }
 
 // maskToUsers flattens a membership mask into a sorted user-id list

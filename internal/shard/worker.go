@@ -1,14 +1,17 @@
 package shard
 
 import (
-	"bytes"
+	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime"
+	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"imdpp/internal/diffusion"
 	"imdpp/internal/obs"
@@ -17,11 +20,10 @@ import (
 // The worker's two bounds. maxProblems caps the content-addressed
 // problem store: the oldest problem is evicted beyond it, and
 // coordinators transparently re-upload an evicted problem on the next
-// unknown_problem response. maxUnits caps one estimate request's total
-// work — groups × sample-range span, each unit one campaign simulation
-// — so a buggy or hostile coordinator cannot OOM or pin the worker
-// with one request; requests beyond it are rejected with a typed
-// bad_request.
+// unknown_problem error frame. maxUnits caps one estimate request's
+// total work — groups × sample-range span, each unit one campaign
+// simulation — so a buggy or hostile coordinator cannot OOM or pin the
+// worker with one request; requests beyond it get a typed bad_request.
 const (
 	maxProblems = 8
 	maxUnits    = 1 << 24
@@ -40,20 +42,27 @@ type WorkerConfig struct {
 }
 
 // Worker is the server side of the estimator RPC: a content-addressed
-// store of decoded problems plus the estimate handler that simulates
-// one shard's sample range. It caches no sample grids: the coordinator
-// does, in front of the whole fleet (DESIGN.md §10), so a repeated
-// batch never reaches a worker. Each request runs its own batch-engine
-// estimator, so requests against the same problem run concurrently;
-// their simulation states come warm from the decoded problem's
-// substrate (DESIGN.md §5), which dies with the problem once it is
-// evicted or dropped.
+// store of decoded problems plus the frame streams that simulate shard
+// sample ranges. It caches no sample grids: the coordinator does, in
+// front of the whole fleet (DESIGN.md §10), so a repeated batch never
+// reaches a worker. Each stream runs its own batch-engine estimator per
+// request, so streams against the same problem run concurrently; their
+// simulation states come warm from the decoded problem's substrate
+// (DESIGN.md §5), which dies with the problem once it is evicted or
+// dropped.
 type Worker struct {
 	cfg WorkerConfig
 
 	mu       sync.Mutex
 	problems map[diffusion.Digest]*diffusion.Problem
 	order    []diffusion.Digest // insertion order, oldest first, for eviction
+
+	// The open streams (guarded by smu). Shutdown sets closing, which
+	// refuses new streams and ends each open one after its reply.
+	smu     sync.Mutex
+	streams map[*workerStream]struct{}
+	closing bool
+	live    sync.WaitGroup // one per open stream
 
 	shardsServed atomic.Uint64
 	samplesDone  atomic.Uint64
@@ -64,18 +73,52 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:      cfg,
 		problems: make(map[diffusion.Digest]*diffusion.Problem),
+		streams:  make(map[*workerStream]struct{}),
 	}
 }
 
-// Mount registers the shard RPC endpoints on mux, and GET /healthz:
-// the failure detector's probe, answered with the frame version this
-// worker decodes.
+// Mount registers the shard RPC's stream endpoint on mux, and GET
+// /healthz: the failure detector's probe, answered with the frame
+// version this worker decodes.
 func (w *Worker) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST "+PathProblems, w.handleUpload)
-	mux.HandleFunc("POST "+PathEstimate, w.handleEstimate)
+	mux.HandleFunc("GET "+PathEstimate, w.handleStream)
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		writeShardJSON(rw, http.StatusOK, healthBody{OK: true, CodecVersion: frameVersion})
 	})
+}
+
+// Shutdown ends the worker's streams, which http.Server.Shutdown does
+// not wait for: they are hijacked connections. New streams are
+// refused, idle ones closed at once, and a stream running a request
+// writes its reply first and then closes. Shutdown returns once every
+// stream has ended; if ctx ends first, it closes the rest, which
+// preempts their engines, and returns ctx.Err().
+func (w *Worker) Shutdown(ctx context.Context) error {
+	w.smu.Lock()
+	w.closing = true
+	for ws := range w.streams {
+		if !ws.busy {
+			ws.conn.Close()
+		}
+	}
+	w.smu.Unlock()
+	ended := make(chan struct{})
+	go func() {
+		w.live.Wait()
+		close(ended)
+	}()
+	select {
+	case <-ended:
+		return nil
+	case <-ctx.Done():
+	}
+	w.smu.Lock()
+	for ws := range w.streams {
+		ws.conn.Close()
+	}
+	w.smu.Unlock()
+	<-ended
+	return ctx.Err()
 }
 
 // WorkerStats is the worker-side counter snapshot, reported by the
@@ -108,53 +151,176 @@ func (w *Worker) DropProblems() {
 	w.mu.Unlock()
 }
 
-// readFrame drains a binary-frame request body into a pooled buffer
-// the caller must release with putBuf. A body of any other media type
-// is refused 415, and one past the frame bound 400 (rather than being
-// truncated into a confusing decode error); both carry the typed
-// bad_request code, already written to rw when readFrame returns nil.
-func readFrame(rw http.ResponseWriter, r *http.Request, what string) *bytes.Buffer {
-	ct := r.Header.Get("Content-Type")
-	if mt, _, _ := mime.ParseMediaType(ct); mt != ContentTypeBinary {
-		writeShardError(rw, http.StatusUnsupportedMediaType, CodeBadRequest,
-			fmt.Errorf("bad %s: content type %q, want %s", what, ct, ContentTypeBinary))
-		return nil
-	}
-	const maxBody = maxFramePayload + frameHeaderLen
-	buf := getBuf()
-	n, err := io.Copy(buf, io.LimitReader(r.Body, maxBody+1))
-	if err == nil && n > maxBody {
-		err = fmt.Errorf("request body exceeds the %d-byte frame bound", maxBody)
-	}
-	if err != nil {
-		putBuf(buf)
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad %s: %w", what, err))
-		return nil
-	}
-	return buf
+// workerStream is one upgraded connection: request frames in, one
+// reply frame out per request, in order.
+type workerStream struct {
+	w    *Worker
+	conn net.Conn
+	busy bool // a request is being answered (guarded by w.smu)
 }
 
-// handleUpload decodes a problem upload frame, verifies its content
-// address by recomputation, and stores it under that key. The ack is
-// JSON — a few dozen bytes, part of the typed-error protocol.
-func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
-	body := readFrame(rw, r, "problem upload")
-	if body == nil {
+// handleStream upgrades the connection to a frame stream and serves it
+// until the coordinator closes it, a frame breaks the framing, or
+// Shutdown.
+func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
+	if !headerHasToken(r.Header, "Connection", "upgrade") || !headerHasToken(r.Header, "Upgrade", upgradeToken) {
+		rw.Header().Set("Connection", "Upgrade")
+		rw.Header().Set("Upgrade", upgradeToken)
+		http.Error(rw, "shard rpc: upgrade to "+upgradeToken+" required", http.StatusUpgradeRequired)
 		return
 	}
-	u, err := DecodeProblemUploadBinary(body.Bytes())
-	putBuf(body)
+	conn, brw, err := http.NewResponseController(rw).Hijack()
 	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad problem upload: %w", err))
+		http.Error(rw, "shard rpc: "+err.Error(), http.StatusInternalServerError)
 		return
+	}
+	_ = conn.SetDeadline(time.Time{})
+	ws := &workerStream{w: w, conn: conn}
+	w.smu.Lock()
+	if w.closing { // Shutdown began: no new streams
+		w.smu.Unlock()
+		conn.Close()
+		return
+	}
+	w.streams[ws] = struct{}{}
+	w.live.Add(1)
+	w.smu.Unlock()
+	defer func() {
+		w.smu.Lock()
+		delete(w.streams, ws)
+		w.smu.Unlock()
+		w.live.Done()
+	}()
+	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+upgradeToken+"\r\n\r\n"); err != nil {
+		conn.Close()
+		return
+	}
+	ws.serve(brw.Reader)
+}
+
+// headerHasToken reports whether the comma-separated header key lists
+// token, case-insensitively.
+func headerHasToken(h http.Header, key, token string) bool {
+	for _, v := range h.Values(key) {
+		for _, t := range strings.Split(v, ",") {
+			if strings.EqualFold(strings.TrimSpace(t), token) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// inFrame is one request frame read ahead of the stream's loop, in
+// pooled scratch the loop releases.
+type inFrame struct {
+	scratch *[]byte
+	data    []byte
+}
+
+// serve answers request frames one at a time. A read-ahead goroutine
+// owns the reading: while a request runs, its pending read is what
+// sees the coordinator go away, and EOF or any read error cancels ctx,
+// which preempts the running engine within about one campaign.
+func (ws *workerStream) serve(br *bufio.Reader) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	frames := make(chan inFrame)
+	go func() {
+		defer close(frames)
+		defer cancel()
+		for {
+			scratch := getScratch()
+			data, err := readFrame(br, (*scratch)[:0])
+			if err != nil {
+				putScratch(scratch, data)
+				return
+			}
+			select {
+			case frames <- inFrame{scratch, data}:
+			case <-ctx.Done():
+				putScratch(scratch, data)
+				return
+			}
+		}
+	}()
+	defer func() {
+		ws.conn.Close()
+		for f := range frames { // the reader ends on the closed conn
+			putScratch(f.scratch, f.data)
+		}
+	}()
+	out := getScratch()
+	defer func() { putScratch(out, *out) }()
+	for f := range frames {
+		if !ws.begin() {
+			putScratch(f.scratch, f.data)
+			return
+		}
+		reply, ok := ws.w.answer(ctx, f.data, (*out)[:0])
+		putScratch(f.scratch, f.data)
+		*out = reply[:0]
+		if !ok || ctx.Err() != nil {
+			return // another kind of frame, or the coordinator is gone
+		}
+		if _, err := ws.conn.Write(reply); err != nil {
+			return
+		}
+		if !ws.end() {
+			return
+		}
+	}
+}
+
+// begin marks the stream busy, or reports false once Shutdown began.
+func (ws *workerStream) begin() bool {
+	ws.w.smu.Lock()
+	defer ws.w.smu.Unlock()
+	ws.busy = !ws.w.closing
+	return ws.busy
+}
+
+// end marks the stream idle after its reply, or reports false once
+// Shutdown began.
+func (ws *workerStream) end() bool {
+	ws.w.smu.Lock()
+	defer ws.w.smu.Unlock()
+	ws.busy = false
+	return !ws.w.closing
+}
+
+// answer appends the reply to one request frame to b. ok is false for
+// a frame of a kind no coordinator sends: the stream must close.
+func (w *Worker) answer(ctx context.Context, frame, b []byte) (reply []byte, ok bool) {
+	switch frame[4] {
+	case frameProblem:
+		key, err := w.upload(frame)
+		if err != nil {
+			return appendError(b, CodeBadRequest, err), true
+		}
+		return appendAck(b, key), true
+	case frameEstimateReq:
+		resp, code, err := w.estimate(ctx, frame)
+		if err != nil {
+			return appendError(b, code, err), true
+		}
+		return resp.AppendBinary(b), true
+	}
+	return b, false
+}
+
+// upload decodes a problem upload frame, verifies its content address
+// by recomputation, and stores it under that key.
+func (w *Worker) upload(frame []byte) (diffusion.Digest, error) {
+	u, err := DecodeProblemUploadBinary(frame)
+	if err != nil {
+		return diffusion.Digest{}, fmt.Errorf("bad problem upload: %w", err)
 	}
 	p, err := DecodeProblem(u)
 	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return diffusion.Digest{}, err
 	}
 	key := p.ContentDigest()
-
 	w.mu.Lock()
 	if _, ok := w.problems[key]; !ok {
 		w.problems[key] = p
@@ -165,37 +331,27 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.mu.Unlock()
-	writeShardJSON(rw, http.StatusOK, UploadResponse{Hash: key.String()})
+	return key, nil
 }
 
-// handleEstimate simulates samples [Lo,Hi) of every group and returns
-// their raw outcomes as a binary frame. The estimator is bound to the
-// request context, so a coordinator abandoning the request
+// estimate simulates samples [Lo,Hi) of every group of an estimate
+// request frame and returns their raw outcomes, or a typed refusal.
+// The estimator is bound to ctx, so a coordinator closing the stream
 // (cancellation, failover timeout) preempts the simulation within
-// about one campaign.
-func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
-	body := readFrame(rw, r, "estimate request")
-	if body == nil {
-		return
-	}
-	req, err := DecodeEstimateRequestBinary(body.Bytes())
-	putBuf(body)
+// about one campaign; the partial result is then garbage.
+func (w *Worker) estimate(ctx context.Context, frame []byte) (*EstimateResponse, string, error) {
+	req, err := DecodeEstimateRequestBinary(frame)
 	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err))
-		return
+		return nil, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err)
 	}
 	w.mu.Lock()
 	p := w.problems[req.Problem]
 	w.mu.Unlock()
 	if p == nil {
-		writeShardError(rw, http.StatusNotFound, CodeUnknownProblem,
-			fmt.Errorf("problem %s not loaded on this worker", req.Problem))
-		return
+		return nil, CodeUnknownProblem, fmt.Errorf("problem %s not loaded on this worker", req.Problem)
 	}
 	if req.Lo < 0 || req.Hi <= req.Lo {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("bad sample range [%d,%d)", req.Lo, req.Hi))
-		return
+		return nil, CodeBadRequest, fmt.Errorf("bad sample range [%d,%d)", req.Lo, req.Hi)
 	}
 	span := req.Hi - req.Lo
 	groups := len(req.Groups)
@@ -203,36 +359,28 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 		groups = 1
 	}
 	if span > maxUnits/groups {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("request of %d groups × %d samples exceeds the worker's %d-unit bound", len(req.Groups), span, maxUnits))
-		return
+		return nil, CodeBadRequest, fmt.Errorf("request of %d groups × %d samples exceeds the worker's %d-unit bound", len(req.Groups), span, maxUnits)
 	}
 	for g, seeds := range req.Groups {
 		for _, s := range seeds {
 			if s.User < 0 || s.User >= p.NumUsers() || s.Item < 0 || s.Item >= p.NumItems() || s.T < 1 || s.T > p.T {
-				writeShardError(rw, http.StatusBadRequest, CodeBadRequest,
-					fmt.Errorf("group %d: seed (%d,%d,%d) out of range", g, s.User, s.Item, s.T))
-				return
+				return nil, CodeBadRequest, fmt.Errorf("group %d: seed (%d,%d,%d) out of range", g, s.User, s.Item, s.T)
 			}
 		}
 	}
 	market, err := usersToMask(req.Market, p.NumUsers())
 	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return nil, CodeBadRequest, err
 	}
 	var masks [][]bool
 	if req.PerGroupMasks != nil {
 		if len(req.PerGroupMasks) != len(req.Groups) {
-			writeShardError(rw, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("%d masks for %d groups", len(req.PerGroupMasks), len(req.Groups)))
-			return
+			return nil, CodeBadRequest, fmt.Errorf("%d masks for %d groups", len(req.PerGroupMasks), len(req.Groups))
 		}
 		masks = make([][]bool, len(req.PerGroupMasks))
 		for g, users := range req.PerGroupMasks {
 			if masks[g], err = usersToMask(users, p.NumUsers()); err != nil {
-				writeShardError(rw, http.StatusBadRequest, CodeBadRequest, err)
-				return
+				return nil, CodeBadRequest, err
 			}
 		}
 	}
@@ -244,35 +392,22 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	wspan.SetAttrInt("groups", int64(len(req.Groups)))
 	wspan.SetAttrInt("lo", int64(req.Lo))
 	wspan.SetAttrInt("hi", int64(req.Hi))
-	ctx := obs.ContextWithSpan(r.Context(), wspan)
 
 	est := diffusion.NewEstimator(p, 1, req.Seed)
 	est.Workers = w.cfg.Workers
-	est.Bind(ctx)
+	est.Bind(obs.ContextWithSpan(ctx, wspan))
 	samples := est.RunBatchSamples(req.Groups, market, masks, req.WithPi, req.Lo, req.Hi)
-
-	if r.Context().Err() != nil {
-		// the coordinator is gone; the partial result is garbage
+	if ctx.Err() != nil {
 		wspan.End()
-		return
+		return nil, "", ctx.Err()
 	}
 	w.shardsServed.Add(1)
-	w.samplesDone.Add(uint64(len(req.Groups) * (req.Hi - req.Lo)))
-	resp := EstimateResponse{Samples: samples, Spans: wspan.EndCollect()}
-	scratch := getScratch()
-	out := resp.AppendBinary((*scratch)[:0])
-	rw.Header().Set("Content-Type", ContentTypeBinary)
-	rw.WriteHeader(http.StatusOK)
-	_, _ = rw.Write(out)
-	putScratch(scratch, out)
+	w.samplesDone.Add(uint64(len(req.Groups) * span))
+	return &EstimateResponse{Samples: samples, Spans: wspan.EndCollect()}, "", nil
 }
 
 func writeShardJSON(rw http.ResponseWriter, status int, v any) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
 	_ = json.NewEncoder(rw).Encode(v)
-}
-
-func writeShardError(rw http.ResponseWriter, status int, code string, err error) {
-	writeShardJSON(rw, status, ErrorBody{Error: err.Error(), Code: code})
 }

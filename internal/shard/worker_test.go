@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bytes"
-	"net/http"
-	"net/http/httptest"
+	"context"
 	"runtime"
 	"testing"
 	"weak"
@@ -11,10 +9,10 @@ import (
 	"imdpp/internal/diffusion"
 )
 
-// TestWorkerReleasesPooledProblems drives a shard worker over HTTP:
-// every uploaded problem answers an estimate, so the worker's decoded
-// copy, a substrate of its own, holds warm states and a clean-target
-// table. A substrate evicted past the worker's store bound, and then
+// TestWorkerReleasesPooledProblems drives a shard worker over a frame
+// stream: every uploaded problem answers an estimate, so the worker's
+// decoded copy, a substrate of its own, holds warm states and a
+// clean-target table. A substrate evicted past the worker's store bound, and then
 // every substrate dropped by DropProblems, must be collected; the
 // stored ones stay alive.
 func TestWorkerReleasesPooledProblems(t *testing.T) {
@@ -23,19 +21,16 @@ func TestWorkerReleasesPooledProblems(t *testing.T) {
 
 func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
 	w := NewWorker(cfg)
-	mux := http.NewServeMux()
-	w.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	post := func(path string, body []byte) {
+	pool := NewPool([]string{serveWorker(t, w, nil).URL}, nil)
+	defer pool.Close()
+	s := testStream(t, pool)
+	call := func(frame []byte) {
 		t.Helper()
-		resp, err := http.Post(srv.URL+path, ContentTypeBinary, bytes.NewReader(body))
-		if err != nil {
+		if err := pool.send(context.Background(), s, frame); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+		if _, err := pool.recv(context.Background(), s); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// alive counts the substrates in subs not yet collected.
@@ -60,7 +55,7 @@ func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
 	for i := range keys {
 		p := *base
 		p.Budget = float64(100 + i) // a distinct content address
-		post(PathProblems, EncodeProblem(&p).AppendBinary(nil))
+		call(EncodeProblem(&p).AppendBinary(nil))
 		keys[i] = p.ContentDigest()
 		req := &EstimateRequest{
 			Problem: keys[i],
@@ -68,7 +63,7 @@ func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
 			Hi:      4,
 			Groups:  [][]diffusion.Seed{{{User: 1, Item: 2, T: 1}}},
 		}
-		post(PathEstimate, req.AppendBinary(nil))
+		call(req.AppendBinary(nil))
 		w.mu.Lock()
 		subs[i] = weak.Make(w.problems[keys[i]].Substrate)
 		w.mu.Unlock()

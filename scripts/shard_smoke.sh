@@ -10,8 +10,10 @@
 # present and sane. Then the listed-worker lifecycle (DESIGN.md §13):
 # a kill -9 of one worker mid-solve leaves σ bit-identical with zero
 # failed jobs, the worker restarted on its old address rejoins through
-# the failure detector's probe, and a SIGHUP swaps the coordinator's
-# tenant quota table without a restart.
+# the failure detector's probe, a SIGTERM of a worker mid-solve keeps σ
+# bit-identical while the worker exits within its shutdown grace, and
+# a SIGHUP swaps the coordinator's tenant quota table without a
+# restart.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -191,7 +193,7 @@ wait_jq "$COORD/metrics" '.shard.healthy == 1 and .shard.fleet.suspect + .shard.
 echo "kill OK: σ == local == $SIGMA_KILL, zero failed jobs"
 
 # --- restart on the same address: the probe brings it back ----------
-read -r _ W2 < <(boot "$WORKDIR/worker2b.log" -worker -addr "${W2#http://}")
+read -r W2PID W2 < <(boot "$WORKDIR/worker2b.log" -worker -addr "${W2#http://}")
 wait_jq "$COORD/metrics" '.shard.healthy == 2 and .shard.fleet.rejoin_count >= 1 and .shard.fleet.dead == 0' \
     "restarted worker back in rotation"
 # a fresh σ (new sample seed, so no cache answers it) reaches the
@@ -204,6 +206,37 @@ S_LOCAL=$(curl -sf -X POST "$LOCAL/v1/sigma" -d "$REJOIN_REQ" | jq -r .sigma)
 curl -sf "$W2/metrics" | jq -e '.shards_served > 0' >/dev/null ||
     { echo "the restarted worker served no shard" >&2; exit 1; }
 echo "rejoin OK: worker back in rotation through the probe, σ == local == $S_SHARD"
+
+# --- SIGTERM of a listed worker mid-solve -----------------------------
+# a worker's shard streams are hijacked connections, so its shutdown
+# writes each in-flight reply and closes every stream itself; it must
+# exit within the 30 s grace while the solve fails over bit-identically
+TERM_REQ='{"dataset":"amazon","scale":0.5,"budget":800,"t":4,"mc":64,"mcsi":16,"candidate_cap":256,"seed":3}'
+TERM_LOCAL=$(solve_wait "$LOCAL" "$(solve_async "$LOCAL" "$TERM_REQ")")
+SERVED=$(curl -sf "$W2/metrics" | jq .shards_served)
+JOB=$(solve_async "$COORD" "$TERM_REQ")
+wait_jq "$W2/metrics" ".shards_served > $SERVED" "the solve to reach the restarted worker 2"
+curl -sf "$COORD/v1/jobs/$JOB" | jq -e '.status == "running"' >/dev/null ||
+    { echo "the solve finished before the SIGTERM; the phase proves nothing" >&2; exit 1; }
+kill -TERM "$W2PID"
+TERM_START=$(date +%s)
+SIGMA_TERM=$(solve_wait "$COORD" "$JOB")
+[ "$SIGMA_TERM" = "$TERM_LOCAL" ] ||
+    { echo "SIGTERM broke bit-identity: $SIGMA_TERM != $TERM_LOCAL" >&2; exit 1; }
+# alive <pid>: the process runs (a zombie awaiting its reaper does not)
+alive() {
+    local stat
+    stat=$(ps -o stat= -p "$1" 2>/dev/null) || return 1
+    [ -n "$stat" ] && [ "${stat#Z}" = "$stat" ]
+}
+for _ in $(seq 1 300); do
+    alive "$W2PID" || break
+    sleep 0.1
+done
+! alive "$W2PID" || { echo "worker 2 still runs 30 s after SIGTERM" >&2; cat "$WORKDIR/worker2b.log" >&2; exit 1; }
+curl -sf "$COORD/metrics" | jq -e '.jobs_failed == 0' >/dev/null ||
+    { echo "SIGTERM surfaced a failed job" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
+echo "sigterm OK: σ == local == $SIGMA_TERM, worker gone $(($(date +%s) - TERM_START)) s after SIGTERM"
 
 # --- SIGHUP swaps the quota table without a restart -------------------
 echo "default:1:3:4" >"$WORKDIR/quotas"
