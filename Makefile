@@ -114,9 +114,9 @@ sketch-smoke:
 
 # Docs lint: internal/* doc.go package comments present, DESIGN.md §
 # anchors referenced from code exist, README documents every imdppd
-# route, `make fuzz` runs every fuzz target, and every `make <target>`
-# the README or DESIGN.md names exists. --self-test proves the gate
-# can fail.
+# route, `make fuzz` runs every fuzz target, every `make <target>` the
+# README or DESIGN.md names exists, and imdppd's package comment lists
+# exactly the flags it registers. --self-test proves the gate can fail.
 docs-check:
 	./scripts/docs_check.sh
 	./scripts/docs_check.sh --self-test
@@ -142,14 +142,13 @@ reach-check:
 	./scripts/reach_check.sh
 	./scripts/reach_check.sh --self-test
 
-# Short fuzz pass over every wire-codec decoder, the cache spill-image
-# reader and the daemon's solve and sigma request decoders (the seed
-# corpora are committed under */testdata/fuzz or added in the test).
+# Short fuzz pass over every wire-codec decoder and the daemon's solve
+# and sigma request decoders (the seed corpora are committed under
+# */testdata/fuzz or added in the test).
 fuzz:
 	$(GO) test ./internal/wirebin -run '^FuzzReader$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 	$(GO) test ./internal/diffusion -run '^FuzzSampleGridCodec$$' -fuzz '^FuzzSampleGridCodec$$' -fuzztime 10s
 	$(GO) test ./internal/gridcache -run '^FuzzGroupKeyCodec$$' -fuzz '^FuzzGroupKeyCodec$$' -fuzztime 10s
-	$(GO) test ./internal/castore -run '^FuzzSpillImage$$' -fuzz '^FuzzSpillImage$$' -fuzztime 10s
 	$(GO) test ./internal/graph -run '^FuzzDecodeBinaryExport$$' -fuzz '^FuzzDecodeBinaryExport$$' -fuzztime 10s
 	$(GO) test ./internal/pin -run '^FuzzDecodeRowsBinary$$' -fuzz '^FuzzDecodeRowsBinary$$' -fuzztime 10s
 	$(GO) test ./internal/shard -run '^FuzzDecodeProblemUploadBinary$$' -fuzz '^FuzzDecodeProblemUploadBinary$$' -fuzztime 10s

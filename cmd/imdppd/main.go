@@ -41,7 +41,7 @@
 //
 //	serving    -addr -workers -queue -cache -solve-workers
 //	           -tenant-quotas -sse-heartbeat
-//	caches     -sketch-dir -grid-cache-mb -grid-cache-dir
+//	caches     -grid-cache-mb
 //	scale-out  -worker -shard-workers
 //	operation  -debug-addr -log-level -log-json
 //
@@ -73,12 +73,12 @@ import (
 
 // config is the daemon's parsed command line, one field per flag.
 type config struct {
-	addr, sketchDir, gridDir, tenantQuotas, debugAddr string
-	workers, queue, cacheSize, solveWorkers, gridMB   int
-	worker, logJSON                                   bool
-	sseHeartbeat                                      time.Duration
-	shardWorkers                                      []string
-	logLevel                                          slog.Level
+	addr, tenantQuotas, debugAddr                   string
+	workers, queue, cacheSize, solveWorkers, gridMB int
+	worker, logJSON                                 bool
+	sseHeartbeat                                    time.Duration
+	shardWorkers                                    []string
+	logLevel                                        slog.Level
 }
 
 // parseConfig parses the daemon's flags and enforces the rules on how
@@ -94,9 +94,7 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.solveWorkers, "solve-workers", 0, "estimator goroutines per solve (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.worker, "worker", false, "run as a remote estimator worker (shard RPC only)")
 	fs.StringVar(&shardWorkers, "shard-workers", "", "comma-separated worker base URLs; fan σ/π estimation out over them (DESIGN.md §7, §13)")
-	fs.StringVar(&c.sketchDir, "sketch-dir", "", "directory persisting RR sketch indexes across restarts (empty = memory only)")
 	fs.IntVar(&c.gridMB, "grid-cache-mb", 64, "in-memory sample-grid memoization cache bound in MiB (0 disables); shared across jobs, in front of -shard-workers too; refused with -worker")
-	fs.StringVar(&c.gridDir, "grid-cache-dir", "", "directory spilling committed sample grids to disk (empty = memory only)")
 	fs.StringVar(&c.tenantQuotas, "tenant-quotas", "", "per-tenant scheduling quotas: name:weight[:max_queue[:max_inflight]] comma-separated; name 'default' sets the quota unlisted tenants get (DESIGN.md §12)")
 	fs.DurationVar(&c.sseHeartbeat, "sse-heartbeat", 15*time.Second, "SSE keep-alive comment interval on GET /v1/jobs/{id}/events")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "optional debug listener (net/http/pprof + /debug/traces) kept off the serving mux; empty disables (DESIGN.md §11)")
@@ -110,8 +108,8 @@ func parseConfig(args []string) (config, error) {
 	}
 	var err error
 	fs.Visit(func(f *flag.Flag) { // a coordinator caches grids, a worker none (DESIGN.md §10)
-		if c.worker && strings.HasPrefix(f.Name, "grid-cache") {
-			err = fmt.Errorf("-worker and -%s are mutually exclusive: the coordinator caches sample grids", f.Name)
+		if c.worker && f.Name == "grid-cache-mb" {
+			err = errors.New("-worker and -grid-cache-mb are mutually exclusive: the coordinator caches sample grids")
 		}
 	})
 	if err != nil {
@@ -154,9 +152,7 @@ func main() {
 			QueueDepth:   c.queue,
 			CacheSize:    c.cacheSize,
 			SolveWorkers: c.solveWorkers,
-			SketchDir:    c.sketchDir,
 			GridCacheMB:  c.gridMB,
-			GridCacheDir: c.gridDir,
 			Tenants:      quotas,
 			DefaultQuota: defQuota,
 			Tracer:       tracer,
@@ -304,6 +300,15 @@ type daemon struct {
 	mu       sync.Mutex
 	datasets map[dsKey]*imdpp.Dataset
 	dsOrder  []dsKey // memoized keys, oldest first
+	building map[dsKey]*dsBuild
+}
+
+// dsBuild is one dataset generation in flight. Requests for its key
+// wait on done and share its result, so they share one Substrate.
+type dsBuild struct {
+	done chan struct{}
+	ds   *imdpp.Dataset
+	err  error
 }
 
 type dsKey struct {
@@ -332,6 +337,7 @@ func newDaemon(cfg imdpp.ServiceConfig, pool *imdpp.ShardPool) *daemon {
 		start:     time.Now(),
 		heartbeat: 15 * time.Second,
 		datasets:  make(map[dsKey]*imdpp.Dataset),
+		building:  make(map[dsKey]*dsBuild),
 	}
 }
 
@@ -529,32 +535,49 @@ func (d *daemon) loadProblem(spec problemSpec) (*imdpp.Problem, error) {
 	if spec.Scale > maxScale {
 		return nil, &imdpp.InputError{Field: "Scale", Reason: fmt.Sprintf("%g: want ≤ %d", spec.Scale, maxScale)}
 	}
-	key := dsKey{name: strings.ToLower(spec.Dataset), scale: spec.Scale}
-	d.mu.Lock()
-	ds, ok := d.datasets[key]
-	d.mu.Unlock()
-	if !ok {
-		// built outside the lock: dataset generation can take seconds
-		// at scale, and concurrent first requests for distinct datasets
-		// shouldn't serialise (a duplicate build for the same key is
-		// wasted work, not corruption — last writer wins)
-		var err error
-		ds, err = imdpp.LoadDataset(key.name, key.scale)
-		if err != nil {
-			return nil, err
-		}
-		d.mu.Lock()
-		if _, dup := d.datasets[key]; !dup {
-			d.dsOrder = append(d.dsOrder, key)
-			if len(d.dsOrder) > maxDatasets {
-				delete(d.datasets, d.dsOrder[0])
-				d.dsOrder = d.dsOrder[1:]
-			}
-		}
-		d.datasets[key] = ds
-		d.mu.Unlock()
+	ds, err := d.dataset(dsKey{name: strings.ToLower(spec.Dataset), scale: spec.Scale})
+	if err != nil {
+		return nil, err
 	}
 	return ds.Clone(spec.Budget, spec.T), nil
+}
+
+// dataset returns the memoized dataset for key, generating it on a
+// miss. Generation runs outside the lock, since it can take seconds at
+// scale and first requests for distinct keys should not serialise;
+// concurrent first requests for one key wait for a single build, so
+// their problems share its Substrate. A failed build is not memoized.
+func (d *daemon) dataset(key dsKey) (*imdpp.Dataset, error) {
+	d.mu.Lock()
+	if ds, ok := d.datasets[key]; ok {
+		d.mu.Unlock()
+		return ds, nil
+	}
+	b, waiting := d.building[key]
+	if !waiting {
+		b = &dsBuild{done: make(chan struct{})}
+		d.building[key] = b
+	}
+	d.mu.Unlock()
+	if waiting {
+		<-b.done
+		return b.ds, b.err
+	}
+
+	b.ds, b.err = imdpp.LoadDataset(key.name, key.scale)
+	d.mu.Lock()
+	delete(d.building, key)
+	if b.err == nil {
+		d.datasets[key] = b.ds
+		d.dsOrder = append(d.dsOrder, key)
+		if len(d.dsOrder) > maxDatasets {
+			delete(d.datasets, d.dsOrder[0])
+			d.dsOrder = d.dsOrder[1:]
+		}
+	}
+	d.mu.Unlock()
+	close(b.done)
+	return b.ds, b.err
 }
 
 func parseOrder(s string) (imdpp.OrderMetric, error) {

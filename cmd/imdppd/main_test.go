@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -270,6 +271,48 @@ func TestDaemonDatasetMemoBounded(t *testing.T) {
 	}
 	if _, ok := d.datasets[key(maxDatasets+3)]; !ok {
 		t.Fatal("newest dataset was evicted")
+	}
+}
+
+// TestDaemonDatasetBuiltOnce: concurrent first requests for one
+// dataset wait for a single build, so every problem they get shares
+// one Substrate (and with it the digest memo, state pool and
+// clean-target tables).
+func TestDaemonDatasetBuiltOnce(t *testing.T) {
+	d, _ := newTestDaemon(t)
+	const n = 8
+	spec := problemSpec{Dataset: "amazon", Scale: 2, Budget: 80, T: 3}
+	probs := make([]*imdpp.Problem, n)
+	errs := make([]error, n)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range probs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+			probs[i], errs[i] = d.loadProblem(spec)
+		}()
+	}
+	close(release)
+	wg.Wait()
+	for i, p := range probs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if p.Substrate != probs[0].Substrate {
+			t.Fatalf("request %d got its own Substrate: the dataset was built more than once", i)
+		}
+	}
+	if len(d.datasets) != 1 || len(d.building) != 0 {
+		t.Fatalf("memo holds %d datasets, %d builds in flight; want 1 and 0", len(d.datasets), len(d.building))
+	}
+	// a failed build is returned, not memoized
+	if _, err := d.loadProblem(problemSpec{Dataset: "nosuch", Budget: 80, T: 3}); err == nil {
+		t.Fatal("unknown dataset loaded")
+	}
+	if len(d.datasets) != 1 || len(d.building) != 0 {
+		t.Fatalf("a failed build left %d datasets, %d builds in flight", len(d.datasets), len(d.building))
 	}
 }
 
@@ -570,12 +613,12 @@ func TestDaemonMetricsSchema(t *testing.T) {
 	if err := json.Unmarshal(mustMarshal(t, doc), &nested); err != nil {
 		t.Fatalf("decode nested: %v", err)
 	}
-	for _, k := range []string{"requests", "builds", "cache_hits", "disk_hits"} {
+	for _, k := range []string{"requests", "builds", "cache_hits"} {
 		if _, ok := nested.Sketch[k]; !ok {
 			t.Errorf("sketch object missing %q", k)
 		}
 	}
-	for _, k := range []string{"lookups", "hits", "disk_hits", "singleflights", "evictions", "bytes", "entries", "samples_saved"} {
+	for _, k := range []string{"lookups", "hits", "singleflights", "evictions", "bytes", "entries", "samples_saved"} {
 		if _, ok := nested.Grid[k]; !ok {
 			t.Errorf("grid object missing %q", k)
 		}
@@ -796,7 +839,8 @@ func TestParseConfig(t *testing.T) {
 	}{
 		{"worker with static list", []string{"-worker", "-shard-workers", "http://a:1"}, "mutually exclusive"},
 		{"worker with grid cache", []string{"-worker", "-grid-cache-mb", "16"}, "-grid-cache-mb are mutually exclusive"},
-		{"worker with grid spill", []string{"-grid-cache-dir", "grids", "-worker"}, "-grid-cache-dir are mutually exclusive"},
+		{"no grid spill", []string{"-grid-cache-dir", "grids"}, "flag provided but not defined: -grid-cache-dir"},
+		{"no sketch spill", []string{"-sketch-dir", "sketches"}, "flag provided but not defined: -sketch-dir"},
 		{"worker with grid cache off", []string{"-worker", "-grid-cache-mb", "0"}, "-grid-cache-mb are mutually exclusive"},
 		{"malformed list entry", []string{"-shard-workers", "http://a:1,127.0.0.1:9"}, "-shard-workers"},
 		{"schemeless list entry", []string{"-shard-workers", "localhost:9"}, "bad worker url"},

@@ -369,18 +369,15 @@ type (
 	GridCacheStats = gridcache.Stats
 )
 
-// NewGridCache creates a sample-grid cache bounded at maxMB MiB
-// (0 → 64), spilling committed grids under dir when non-empty. Plug it
-// into Options.GridCache or ServiceConfig (via GridCacheMB/GridCacheDir):
-// a sharded solve caches there, in front of its workers.
-func NewGridCache(maxMB int, dir string) *GridCache {
+// NewGridCache creates an in-memory sample-grid cache bounded at maxMB
+// MiB (0 → 64). Plug it into Options.GridCache, or size the service's
+// own with ServiceConfig.GridCacheMB: a sharded solve caches there, in
+// front of its workers.
+func NewGridCache(maxMB int) *GridCache {
 	if maxMB <= 0 {
 		maxMB = 64
 	}
-	return gridcache.New(gridcache.Config{
-		MaxBytes: int64(maxMB) << 20,
-		Dir:      dir,
-	})
+	return gridcache.New(gridcache.Config{MaxBytes: int64(maxMB) << 20})
 }
 
 // Approximate estimation (package sketch, DESIGN.md §9): a reverse-
@@ -416,8 +413,7 @@ var (
 	NewSketchEstimator = sketch.New
 	// BuildSketch builds one RR index eagerly.
 	BuildSketch = sketch.Build
-	// NewSketchCache creates a sketch index cache (optionally
-	// disk-persistent).
+	// NewSketchCache creates an in-memory sketch index cache.
 	NewSketchCache = sketch.NewCache
 	// SketchTheta returns the RR sample count for an (ε, δ) contract.
 	SketchTheta = sketch.Theta

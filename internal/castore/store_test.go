@@ -1,10 +1,7 @@
 package castore
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,18 +9,10 @@ import (
 
 // byteStore is a store of byte-slice values costed like a lane that
 // accounts memory: key bytes plus value bytes.
-func byteStore(budget int64, dir string) *Store[[]byte] {
+func byteStore(budget int64) *Store[[]byte] {
 	return New(Config[[]byte]{
 		Budget: budget,
 		Cost:   func(key string, v []byte) int64 { return int64(len(key) + len(v)) },
-		Dir:    dir,
-		Encode: func(b, v []byte) []byte { return append(b, v...) },
-		Decode: func(p []byte) ([]byte, error) {
-			if len(p) == 0 {
-				return nil, errors.New("empty payload")
-			}
-			return append([]byte(nil), p...), nil
-		},
 	})
 }
 
@@ -92,10 +81,10 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestSingleflightJoinAndAbort(t *testing.T) {
-	s := byteStore(1<<20, "")
+	s := byteStore(1 << 20)
 
-	_, owner := s.Begin("a", nil)
-	_, joiner := s.Begin("a", nil)
+	_, owner := s.Begin("a")
+	_, joiner := s.Begin("a")
 	if owner == nil || !owner.Owned() || joiner == nil || joiner.Owned() {
 		t.Fatalf("second concurrent Begin must join, not own (owner=%v joiner=%v)", owner, joiner)
 	}
@@ -110,7 +99,7 @@ func TestSingleflightJoinAndAbort(t *testing.T) {
 	}()
 	owner.Commit(want)
 	<-done
-	if v, tk := s.Begin("a", nil); tk != nil || string(v) != string(want) {
+	if v, tk := s.Begin("a"); tk != nil || string(v) != string(want) {
 		t.Fatalf("committed key is not a hit (ticket %v)", tk)
 	}
 	if st := s.Stats(); st.Joins != 1 || st.Hits != 1 || st.Lookups != 3 {
@@ -118,22 +107,22 @@ func TestSingleflightJoinAndAbort(t *testing.T) {
 	}
 
 	// abort: the waiter is released empty-handed and may retry as owner
-	_, owner2 := s.Begin("b", nil)
-	_, joiner2 := s.Begin("b", nil)
+	_, owner2 := s.Begin("b")
+	_, joiner2 := s.Begin("b")
 	owner2.Abort()
 	owner2.Commit(want) // settled: a late Commit is a no-op
 	if _, ok := joiner2.Wait(nil); ok {
 		t.Fatal("waiter on an aborted flight must get ok=false")
 	}
-	if _, retry := s.Begin("b", nil); retry == nil || !retry.Owned() {
+	if _, retry := s.Begin("b"); retry == nil || !retry.Owned() {
 		t.Fatal("aborted key must be ownable again")
 	} else {
 		retry.Abort()
 	}
 
 	// a fired stop preempts a Wait; the owner's flight is unaffected
-	_, owner3 := s.Begin("c", nil)
-	_, joiner3 := s.Begin("c", nil)
+	_, owner3 := s.Begin("c")
+	_, joiner3 := s.Begin("c")
 	stop := make(chan struct{})
 	close(stop)
 	if _, ok := joiner3.Wait(stop); ok {
@@ -147,10 +136,10 @@ func TestSingleflightJoinAndAbort(t *testing.T) {
 
 func TestEvictionCostLedger(t *testing.T) {
 	// each entry costs 2 key bytes + 100 value bytes; 1000 holds nine
-	s := byteStore(1000, "")
+	s := byteStore(1000)
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("%02d", i)
-		v, tk := s.Begin(key, nil)
+		v, tk := s.Begin(key)
 		if tk == nil || !tk.Owned() {
 			t.Fatalf("key %s: unexpected hit %v", key, v)
 		}
@@ -169,18 +158,18 @@ func TestEvictionCostLedger(t *testing.T) {
 		t.Fatalf("stats %+v: want 23 evictions, 9 resident", st)
 	}
 	// oldest keys are gone, the newest survive (LRU evicts oldest-first)
-	if _, tk := s.Begin("00", nil); tk == nil {
+	if _, tk := s.Begin("00"); tk == nil {
 		t.Fatal("evicted key still answers from memory")
 	} else {
 		tk.Abort()
 	}
-	if _, tk := s.Begin("31", nil); tk != nil {
+	if _, tk := s.Begin("31"); tk != nil {
 		t.Fatal("newest key was evicted before older ones")
 	}
 	// an entry whose cost alone exceeds the budget is evicted at once,
 	// but the owner's waiters still receive it
-	_, owner := s.Begin("big", nil)
-	_, joiner := s.Begin("big", nil)
+	_, owner := s.Begin("big")
+	_, joiner := s.Begin("big")
 	owner.Commit(valueFor(0, 2000))
 	if v, ok := joiner.Wait(nil); !ok || len(v) != 2000 {
 		t.Fatalf("waiter lost an oversize value: ok=%v len=%d", ok, len(v))
@@ -191,55 +180,6 @@ func TestEvictionCostLedger(t *testing.T) {
 	if cost, _ := ledger(t, s); s.Stats().Cost != cost {
 		t.Fatal("ledger drifted after an oversize eviction")
 	}
-}
-
-func TestSpillRoundTripAndCorruption(t *testing.T) {
-	dir := t.TempDir()
-	want := valueFor(9, 48)
-
-	s1 := byteStore(1<<20, dir)
-	_, tk := s1.Begin("key-A", nil)
-	tk.Commit(want)
-	if st := s1.Stats(); st.DiskHits != 0 {
-		t.Fatalf("writer claims disk hits: %+v", st)
-	}
-
-	// a fresh store over the same directory reloads instead of missing
-	s2 := byteStore(1<<20, dir)
-	if v, tk := s2.Begin("key-A", nil); tk != nil || string(v) != string(want) {
-		t.Fatalf("spill reload failed: v=%v ticket=%v", v, tk)
-	}
-	if v, tk := s2.Begin("key-A", nil); tk != nil || string(v) != string(want) {
-		t.Fatal("reloaded entry not resident")
-	}
-	if st := s2.Stats(); st.DiskHits != 1 || st.Hits != 1 {
-		t.Fatalf("stats %+v: want one disk hit, then one memory hit", st)
-	}
-
-	image, err := os.ReadFile(s1.Path("key-A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// every damaged or foreign image is a miss, never a value
-	miss := func(name string, b []byte, key string, accept func([]byte) bool) {
-		t.Helper()
-		s := byteStore(1<<20, dir)
-		if err := os.WriteFile(s.Path(key), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if v, tk := s.Begin(key, accept); tk == nil {
-			t.Fatalf("%s: served %v", name, v)
-		} else {
-			tk.Abort()
-		}
-	}
-	miss("garbage", []byte("garbage"), "key-A", nil)
-	miss("truncated", image[:len(image)-1], "key-A", nil)
-	miss("extended", append(append([]byte(nil), image...), 0), "key-A", nil)
-	miss("no magic", image[len(imageMagic):], "key-A", nil)
-	miss("renamed onto another key", image, "key-B", nil)
-	miss("undecodable payload", binary.LittleEndian.AppendUint64(appendHeader(nil, "key-A"), 0), "key-A", nil)
-	miss("rejected by the caller", image, "key-A", func([]byte) bool { return false })
 }
 
 // TestCacheConcurrentStress hammers one store from many goroutines
@@ -254,7 +194,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 		rounds  = 30
 		size    = 16
 	)
-	s := byteStore(1<<20, "") // no eviction: committed keys stay
+	s := byteStore(1 << 20) // no eviction: committed keys stay
 	var owners [keys]atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -263,7 +203,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				kid := (w + r) % keys
-				v, tk := s.Begin(fmt.Sprint(kid), nil)
+				v, tk := s.Begin(fmt.Sprint(kid))
 				switch {
 				case tk == nil:
 				case tk.Owned():
@@ -295,7 +235,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 	}
 
 	// eviction-heavy phase: the ledger under churn, aborts and Puts
-	s2 := byteStore(150, "")
+	s2 := byteStore(150)
 	var wg2 sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg2.Add(1)
@@ -304,7 +244,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				kid := (w*rounds + r) % (keys * 2)
 				key := fmt.Sprint(kid)
-				_, tk := s2.Begin(key, nil)
+				_, tk := s2.Begin(key)
 				switch {
 				case tk == nil:
 				case !tk.Owned():

@@ -6,7 +6,7 @@ package diffusion
 // indices, seed group, market mask, withPi) — so a cache keyed by
 // exactly those coordinates can substitute stored raw outcomes for
 // re-simulation with zero accuracy loss. The estimator stays agnostic
-// of the cache's policy (bounds, eviction, disk spill, key encoding):
+// of the cache's policy (bounds, eviction, key encoding):
 // it only speaks the Begin/Commit/Abort/Wait protocol below.
 // internal/gridcache provides the implementation; the interface lives
 // here because gridcache imports diffusion and not vice versa.

@@ -34,12 +34,12 @@ import (
 // them exactly however they are spread over a row or over shard
 // ranges (DESIGN.md §7).
 type SampleResult struct {
-	Sigma       float64   `json:"sigma"`
-	MarketSigma float64   `json:"market_sigma"`
-	Pi          float64   `json:"pi"`
-	Adoptions   float64   `json:"adoptions"`
-	Items       []int32   `json:"items,omitempty"`
-	Counts      []float64 `json:"counts,omitempty"`
+	Sigma       float64
+	MarketSigma float64
+	Pi          float64
+	Adoptions   float64
+	Items       []int32
+	Counts      []float64
 }
 
 // Sampler is a remote producer of the full (group × sample) grid
@@ -235,8 +235,7 @@ func addItemTotals(s *SampleResult, acc []float64) {
 // Items and Counts, every item in [0, items) and every count an
 // integer in [0, 2^53] — the range in which row totals add exactly. The
 // fold indexes PerItem by item unchecked, so rows from outside the
-// process — a shard worker's response, a grid spill reloaded from disk
-// — must pass it.
+// process — a shard worker's response — must pass it.
 func ValidateSampleRow(row []SampleResult, span, items int) error {
 	if len(row) != span {
 		return fmt.Errorf("%d samples for range span %d", len(row), span)

@@ -7,14 +7,12 @@ import "fmt"
 // (sorted by target, duplicates merged), the exported arrays are a
 // canonical function of the edge multiset, and Import reproduces the
 // original Graph — including the derived in-adjacency — bit for bit.
-// The JSON field names are a stable wire contract of the shard
-// subsystem's problem upload.
 type Export struct {
-	N        int       `json:"n"`
-	Directed bool      `json:"directed"`
-	OutOff   []int32   `json:"out_off"`
-	OutTo    []int32   `json:"out_to"`
-	OutW     []float64 `json:"out_w"`
+	N        int
+	Directed bool
+	OutOff   []int32
+	OutTo    []int32
+	OutW     []float64
 }
 
 // Export returns the graph's CSR image. The slices are views of the

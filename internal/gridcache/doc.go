@@ -24,10 +24,9 @@
 //
 // The cache is the byte-costed lane of internal/castore: concurrent
 // misses on one key simulate once (Begin hands ownership to the first
-// caller; the rest Wait), committed entries are evicted oldest-first
-// past MaxBytes, and an optional spill directory persists grids in
-// the canonical AppendSampleGrid wire form so eviction or a restart
-// degrades repeats to disk hits instead of re-simulation. Estimators
+// caller; the rest Wait) and committed entries are evicted
+// oldest-first past MaxBytes. Grids live in memory only: an evicted
+// grid, or one from before a restart, is simulated again. Estimators
 // attach per-problem views (Cache.View) through the
 // diffusion.GridCache interface.
 package gridcache

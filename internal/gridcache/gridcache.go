@@ -1,12 +1,10 @@
 package gridcache
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"imdpp/internal/castore"
 	"imdpp/internal/diffusion"
-	"imdpp/internal/wirebin"
 )
 
 // defaultMaxBytes is the in-memory bound when Config leaves it unset.
@@ -18,11 +16,6 @@ type Config struct {
 	// Committed entries beyond it are evicted oldest-first; in-flight
 	// reservations are never evicted.
 	MaxBytes int64
-	// Dir, when non-empty, spills every committed grid to disk in the
-	// canonical AppendSampleGrid wire form and reloads it on a later
-	// miss — so eviction (or a daemon restart) downgrades a repeat from
-	// a memory hit to a disk hit instead of a re-simulation.
-	Dir string
 }
 
 // Cache is the sample-grid lane over a castore.Store: raw per-sample
@@ -49,11 +42,6 @@ func New(cfg Config) *Cache {
 			Cost: func(key string, rows []diffusion.SampleResult) int64 {
 				return int64(len(key)) + rowsBytes(rows)
 			},
-			Dir: cfg.Dir,
-			Encode: func(b []byte, rows []diffusion.SampleResult) []byte {
-				return diffusion.AppendSampleGrid(b, [][]diffusion.SampleResult{rows})
-			},
-			Decode: decodeRows,
 		}),
 	}
 }
@@ -64,9 +52,6 @@ type Stats struct {
 	// Lookups counts Begin calls; Hits the ones answered from memory.
 	Lookups uint64 `json:"lookups"`
 	Hits    uint64 `json:"hits"`
-	// DiskHits counts grids reloaded from the spill directory instead
-	// of re-simulated (neither a memory hit nor a miss-simulate).
-	DiskHits uint64 `json:"disk_hits"`
 	// Singleflights counts callers that joined an in-flight
 	// simulation of the same key instead of duplicating it.
 	Singleflights uint64 `json:"singleflights"`
@@ -75,8 +60,8 @@ type Stats struct {
 	// Bytes/Entries describe current residency.
 	Bytes   int64 `json:"bytes"`
 	Entries int   `json:"entries"`
-	// SamplesSaved totals the campaign simulations that hits (memory,
-	// disk and joined flights) avoided.
+	// SamplesSaved totals the campaign simulations that hits and joined
+	// flights avoided.
 	SamplesSaved uint64 `json:"samples_saved"`
 }
 
@@ -89,7 +74,6 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Lookups:       st.Lookups,
 		Hits:          st.Hits,
-		DiskHits:      st.DiskHits,
 		Singleflights: st.Joins,
 		Evictions:     st.Evictions,
 		Bytes:         st.Cost,
@@ -106,14 +90,13 @@ func (c *Cache) View(p *diffusion.Problem) diffusion.GridCache {
 	if c == nil || p == nil {
 		return nil
 	}
-	return &view{c: c, problemKey: p.ContentDigest().String(), items: p.NumItems()}
+	return &view{c: c, problemKey: p.ContentDigest().String()}
 }
 
 // view is the per-problem face of the cache.
 type view struct {
 	c          *Cache
 	problemKey string
-	items      int // the problem's item count, for checking reloaded rows
 }
 
 // Begin implements diffusion.GridCache: resolve one (seed, [lo,hi),
@@ -122,11 +105,7 @@ type view struct {
 // (the same unit is in flight elsewhere — caller Waits).
 func (v *view) Begin(seed uint64, lo, hi int, seeds []diffusion.Seed, market []bool, withPi bool) ([]diffusion.SampleResult, diffusion.GridTicket) {
 	key := v.problemKey + string(AppendGroupKey(nil, seed, lo, hi, seeds, market, withPi))
-	// a spill image that decodes but does not fit the problem (a
-	// corrupt or foreign file) is a miss, not rows for the fold
-	rows, t := v.c.store.Begin(key, func(rows []diffusion.SampleResult) bool {
-		return diffusion.ValidateSampleRow(rows, hi-lo, v.items) == nil
-	})
+	rows, t := v.c.store.Begin(key)
 	if t == nil {
 		v.c.samplesSaved.Add(uint64(hi - lo))
 		return rows, nil
@@ -163,18 +142,4 @@ func rowsBytes(rows []diffusion.SampleResult) int64 {
 		b += int64(cap(rows[i].Items))*4 + int64(cap(rows[i].Counts))*8
 	}
 	return b
-}
-
-// decodeRows reads the spill payload: one row set as a single-group
-// AppendSampleGrid grid.
-func decodeRows(payload []byte) ([]diffusion.SampleResult, error) {
-	r := wirebin.NewReader(payload)
-	grid, err := diffusion.DecodeSampleGrid(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(grid) != 1 {
-		return nil, errors.New("gridcache: spill image is not one row set")
-	}
-	return grid[0], r.Done()
 }

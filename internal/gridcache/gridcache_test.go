@@ -2,7 +2,6 @@ package gridcache
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"imdpp/internal/dataset"
@@ -22,9 +21,9 @@ func testProblem(t testing.TB) *diffusion.Problem {
 
 // testCache builds a cache and its view of testProblem; key-space
 // behaviour is exercised through the group-key coordinates.
-func testCache(t testing.TB, maxBytes int64, dir string) (*Cache, diffusion.GridCache) {
+func testCache(t testing.TB, maxBytes int64) (*Cache, diffusion.GridCache) {
 	t.Helper()
-	c := New(Config{MaxBytes: maxBytes, Dir: dir})
+	c := New(Config{MaxBytes: maxBytes})
 	return c, c.View(testProblem(t))
 }
 
@@ -159,7 +158,7 @@ func TestDecodeGroupKeyRejects(t *testing.T) {
 }
 
 func TestCacheHitMissCommit(t *testing.T) {
-	c, v := testCache(t, 1<<20, "")
+	c, v := testCache(t, 1<<20)
 	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}}
 
 	rows, tk := v.Begin(7, 0, 4, seeds, nil, false)
@@ -199,82 +198,6 @@ func TestCacheHitMissCommit(t *testing.T) {
 	}
 }
 
-// TestCacheDiskSpill checks the lane's spill codec: a fresh cache
-// over the same directory reloads a committed grid as a disk hit that
-// saves its samples. Image verification is castore's
-// (TestSpillRoundTripAndCorruption).
-func TestCacheDiskSpill(t *testing.T) {
-	dir := t.TempDir()
-	seeds := []diffusion.Seed{{User: 5, Item: 1, T: 2}}
-	want := rowsFor(9, 6)
-
-	_, v1 := testCache(t, 1<<20, dir)
-	_, tk := v1.Begin(4, 0, 6, seeds, nil, true)
-	tk.Commit(want)
-
-	c2, v2 := testCache(t, 1<<20, dir)
-	got, tk2 := v2.Begin(4, 0, 6, seeds, nil, true)
-	if tk2 != nil || !sameRows(got, want) {
-		t.Fatalf("spill reload failed: rows=%v ticket=%v", got, tk2)
-	}
-	if st := c2.Stats(); st.DiskHits != 1 || st.SamplesSaved != 6 {
-		t.Fatalf("stats %+v: want one 6-sample disk hit", st)
-	}
-
-	// an image whose rows do not span the key's sample range is a miss
-	c3, _ := testCache(t, 1<<20, dir)
-	other := []diffusion.Seed{{User: 6, Item: 1, T: 2}}
-	c3.store.Put(testProblem(t).ContentDigest().String()+string(AppendGroupKey(nil, 4, 0, 6, other, nil, true)), rowsFor(9, 5))
-	_, v4 := testCache(t, 1<<20, dir)
-	if rows, tk := v4.Begin(4, 0, 6, other, nil, true); tk == nil {
-		t.Fatalf("short spilled grid served: %d rows", len(rows))
-	}
-}
-
-// TestCorruptSpillIsMiss: a spill image that decodes but names an item
-// the problem does not have is a miss, never rows for the fold, so the
-// estimate matches an uncached one bit for bit. Images that do fit the
-// problem are still served from disk.
-func TestCorruptSpillIsMiss(t *testing.T) {
-	p := testProblem(t)
-	const m, seed = 6, 11
-	groups := [][]diffusion.Seed{
-		{{User: 0, Item: 0, T: 1}},
-		{{User: 1, Item: 2, T: 1}, {User: 4, Item: 3, T: 2}},
-		{{User: 7, Item: 5, T: 3}},
-	}
-	uncached := diffusion.NewEstimator(p, m, seed)
-	want := uncached.RunBatchPi(groups, nil)
-	grid := uncached.RunBatchSamples(groups, nil, nil, true, 0, m)
-
-	dir := t.TempDir()
-	c1, _ := testCache(t, 1<<20, dir)
-	for g, rows := range grid {
-		if g == 0 {
-			// item ids run 0..|I|-1: |I| is one past the end
-			bad := append([]diffusion.SampleResult(nil), rows...)
-			bad[0].Items = append(append([]int32(nil), rows[0].Items...), int32(p.NumItems()))
-			bad[0].Counts = append(append([]float64(nil), rows[0].Counts...), 1)
-			rows = bad
-		}
-		c1.store.Put(p.ContentDigest().String()+string(AppendGroupKey(nil, seed, 0, m, groups[g], nil, true)), rows)
-	}
-
-	c2, _ := testCache(t, 1<<20, dir)
-	e := diffusion.NewEstimator(p, m, seed)
-	e.Grid = c2.View(p)
-	got := e.RunBatchPi(groups, nil)
-	for g := range want {
-		if math.Float64bits(got[g].Sigma) != math.Float64bits(want[g].Sigma) ||
-			math.Float64bits(got[g].Pi) != math.Float64bits(want[g].Pi) {
-			t.Fatalf("group %d: cached %+v != uncached %+v", g, got[g], want[g])
-		}
-	}
-	if st := c2.Stats(); st.DiskHits != uint64(len(groups)-1) {
-		t.Fatalf("stats %+v: want the %d valid images served from disk", st, len(groups)-1)
-	}
-}
-
 func TestViewNilSafety(t *testing.T) {
 	var nilCache *Cache
 	if v := nilCache.View(&diffusion.Problem{}); v != nil {
@@ -283,7 +206,7 @@ func TestViewNilSafety(t *testing.T) {
 	if st := nilCache.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats %+v", st)
 	}
-	c, _ := testCache(t, 0, "")
+	c, _ := testCache(t, 0)
 	if v := c.View(nil); v != nil {
 		t.Fatal("nil problem must yield a nil view")
 	}

@@ -8,19 +8,16 @@ import (
 )
 
 // Contrib is one meta-graph's contribution to a related item pair.
-// The JSON field names are a stable wire contract of the shard
-// subsystem's problem upload.
 type Contrib struct {
-	Meta uint8   `json:"m"` // index into the model's meta-graph list
-	S    float64 `json:"s"` // s(x,y|m)
+	Meta uint8   // index into the model's meta-graph list
+	S    float64 // s(x,y|m)
 }
 
 // PairRel is one entry of an item's merged relevance row: the related
-// item and the per-meta-graph contributions. JSON field names are a
-// stable wire contract (shard problem upload).
+// item and the per-meta-graph contributions.
 type PairRel struct {
-	Y        int32     `json:"y"`
-	Contribs []Contrib `json:"c"`
+	Y        int32
+	Contribs []Contrib
 }
 
 // RelInit is one row entry's (rC, rS) under the initial weights.

@@ -27,7 +27,7 @@
 // results. Requests carrying epsilon are
 // echoed with backend "sketch" in job snapshots, and the service
 // keeps a second content-addressed cache (sketch.Cache, keyed by the
-// problem's content digest + ε + δ + seed, optionally disk-backed) for
-// the built indices themselves. That digest resumes the substrate's
+// problem's content digest + ε + δ + seed, in memory) for the built
+// indices themselves. That digest resumes the substrate's
 // memoized walk, so keying a request costs a few dozen words.
 package service

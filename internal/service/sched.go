@@ -3,6 +3,8 @@ package service
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -405,26 +407,26 @@ func (s *scheduler) metrics() map[string]TenantMetrics {
 func ParseTenantQuotas(spec string) (map[string]TenantQuota, TenantQuota, error) {
 	quotas := make(map[string]TenantQuota)
 	var def TenantQuota
-	if spec == "" {
-		return quotas, def, nil
-	}
-	for _, entry := range splitNonEmpty(spec, ',') {
-		parts := splitKeep(entry, ':')
+	for _, entry := range strings.Split(spec, ",") {
+		if entry == "" {
+			continue
+		}
+		parts := strings.Split(entry, ":")
 		if len(parts) < 2 || len(parts) > 4 || parts[0] == "" {
 			return nil, def, fmt.Errorf("service: bad tenant quota %q (want name:weight[:max_queue[:max_inflight]])", entry)
 		}
 		var q TenantQuota
 		var err error
-		if q.Weight, err = atoiDefault(parts[1]); err != nil {
+		if q.Weight, err = quotaInt(parts[1]); err != nil {
 			return nil, def, fmt.Errorf("service: tenant %q: bad weight %q", parts[0], parts[1])
 		}
 		if len(parts) > 2 {
-			if q.MaxQueue, err = atoiDefault(parts[2]); err != nil {
+			if q.MaxQueue, err = quotaInt(parts[2]); err != nil {
 				return nil, def, fmt.Errorf("service: tenant %q: bad max_queue %q", parts[0], parts[2])
 			}
 		}
 		if len(parts) > 3 {
-			if q.MaxInflight, err = atoiDefault(parts[3]); err != nil {
+			if q.MaxInflight, err = quotaInt(parts[3]); err != nil {
 				return nil, def, fmt.Errorf("service: tenant %q: bad max_inflight %q", parts[0], parts[3])
 			}
 		}
@@ -437,47 +439,15 @@ func ParseTenantQuotas(spec string) (map[string]TenantQuota, TenantQuota, error)
 	return quotas, def, nil
 }
 
-func splitNonEmpty(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == sep {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func splitKeep(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == sep {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return out
-}
-
-// atoiDefault parses a non-negative int, with "" meaning 0 (take the
-// default).
-func atoiDefault(s string) (int, error) {
+// quotaInt parses one quota number: a decimal in [0, 2³⁰] with no
+// sign, "" meaning 0 (take the default).
+func quotaInt(s string) (int, error) {
 	if s == "" {
 		return 0, nil
 	}
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, errors.New("not a number")
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<30 {
-			return 0, errors.New("out of range")
-		}
+	n, err := strconv.ParseUint(s, 10, 64)
+	if err == nil && n > 1<<30 {
+		err = errors.New("out of range")
 	}
-	return n, nil
+	return int(n), err
 }

@@ -314,6 +314,12 @@ func TestParseTenantQuotas(t *testing.T) {
 		{spec: "pro:x", wantErr: true},
 		{spec: "pro:1:2:3:4", wantErr: true},
 		{spec: "pro:1:-2", wantErr: true},
+		{spec: "pro:+1", wantErr: true},
+		{spec: "pro: 1", wantErr: true},
+		{spec: "pro:2000000000", wantErr: true},
+		{spec: "pro:1073741825", wantErr: true},
+		{spec: "pro:1073741824", want: map[string]TenantQuota{"pro": {Weight: 1 << 30}}},
+		{spec: ",pro:1,,", want: map[string]TenantQuota{"pro": {Weight: 1}}},
 	}
 	for _, c := range cases {
 		got, def, err := ParseTenantQuotas(c.spec)

@@ -69,12 +69,6 @@ type Config struct {
 	// where the coverage queries run rather than shipped per-sample
 	// like MC grids (DESIGN.md §9).
 	Backend core.EstimatorFactory
-	// SketchDir, when non-empty, persists built sketch indexes to disk
-	// in the canonical wire form and reloads them across restarts. In
-	// memory the sketch cache keeps its constant four indexes, keyed by problem content address plus (ε, δ, seed) — a
-	// separate lane from the result cache, so approximate artefacts
-	// never alias exact results.
-	SketchDir string
 	// GridCacheMB bounds the in-memory sample-grid memoization cache
 	// (internal/gridcache, DESIGN.md §10) in MiB (default 64; 0 uses
 	// the default, negative disables). The cache is shared by every
@@ -83,11 +77,6 @@ type Config struct {
 	// the whole-solve result cache and, unlike the sketch lane, never
 	// changes an answer.
 	GridCacheMB int
-	// GridCacheDir, when non-empty, spills committed sample grids to
-	// disk in the canonical wire form and reloads them on a miss, so
-	// eviction or a restart degrades repeats to disk hits instead of
-	// re-simulation.
-	GridCacheDir string
 	// Tracer, when non-nil, records one trace per job and sigma
 	// evaluation (DESIGN.md §11). Tracing is observation only: the §3
 	// determinism contract guarantees traced and untraced runs return
@@ -182,13 +171,11 @@ type LatencyMetrics struct {
 
 // SketchMetrics groups the sketch-backend counters: requests that
 // selected the approximate backend (epsilon set), RR indexes actually
-// built, in-memory sketch cache hits, and indexes reloaded from the
-// disk spill (-sketch-dir) instead of rebuilt.
+// built and sketch cache hits.
 type SketchMetrics struct {
 	Requests  uint64 `json:"requests"`
 	Builds    uint64 `json:"builds"`
 	CacheHits uint64 `json:"cache_hits"`
-	DiskHits  uint64 `json:"disk_hits"`
 }
 
 // Service runs campaign solves asynchronously. Create with New,
@@ -274,12 +261,9 @@ func New(cfg Config) *Service {
 		d := mean * time.Duration(queued/cfg.Workers+1)
 		return min(max(d, time.Second), time.Minute)
 	}
-	s.sketchCache = sketch.NewCache(cfg.SketchDir)
+	s.sketchCache = sketch.NewCache()
 	if cfg.GridCacheMB > 0 {
-		s.gridCache = gridcache.New(gridcache.Config{
-			MaxBytes: int64(cfg.GridCacheMB) << 20,
-			Dir:      cfg.GridCacheDir,
-		})
+		s.gridCache = gridcache.New(gridcache.Config{MaxBytes: int64(cfg.GridCacheMB) << 20})
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -688,7 +672,7 @@ func (s *Service) Metrics() Metrics {
 		m.SamplesPerSec = float64(m.SamplesSimulated+s.saved.Load()) / m.SolveSeconds
 	}
 	m.Sketch.Requests = s.sketchReqs.Load()
-	m.Sketch.Builds, m.Sketch.CacheHits, m.Sketch.DiskHits = s.sketchCache.Stats()
+	m.Sketch.Builds, m.Sketch.CacheHits = s.sketchCache.Stats()
 	m.Grid = s.gridCache.Stats()
 	m.Latency.QueueWait = s.histQueue.Stats()
 	m.Latency.SolveWall = s.histSolve.Stats()

@@ -17,9 +17,9 @@ import (
 )
 
 // TestProblemUploadBinaryRoundTrip pins the content-address gate: the
-// binary-decoded problem must land on the same content address — and
-// drive the engine bit-identically — as the original and as an
-// independent encoding/json round trip of the same upload.
+// binary frame decodes to exactly the upload that was encoded, and the
+// problem rebuilt from it lands on the original's content address and
+// drives the engine bit-identically.
 func TestProblemUploadBinaryRoundTrip(t *testing.T) {
 	p := sampleProblem(t, 120, 3)
 	u := EncodeProblem(p)
@@ -29,25 +29,15 @@ func TestProblemUploadBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(decodedU, u) {
+		t.Fatal("binary round trip changed the upload")
+	}
 	fromBin, err := DecodeProblem(decodedU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonBytes, err := json.Marshal(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jsonU ProblemUpload
-	if err := json.Unmarshal(jsonBytes, &jsonU); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := DecodeProblem(jsonU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0, hb, hj := p.ContentDigest(), fromBin.ContentDigest(), fromJSON.ContentDigest()
-	if h0 != hb || h0 != hj {
-		t.Fatalf("content address drift: original %s binary %s json %s", h0, hb, hj)
+	if h0, hb := p.ContentDigest(), fromBin.ContentDigest(); h0 != hb {
+		t.Fatalf("content address drift: original %s binary %s", h0, hb)
 	}
 	groups := groupsFor(p)
 	requireSameEstimates(t, "binary-decoded problem",

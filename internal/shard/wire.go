@@ -49,18 +49,18 @@ type healthBody struct {
 
 // ProblemUpload is the wire image of one diffusion.Problem.
 type ProblemUpload struct {
-	Users       int              `json:"users"`
-	Items       int              `json:"items"`
-	Graph       graph.Export     `json:"graph"`
-	NumC        int              `json:"num_c"`
-	InitWeights []float64        `json:"init_weights"`
-	Rows        [][]pin.PairRel  `json:"rows"`
-	Importance  []float64        `json:"importance"`
-	BasePref    []float64        `json:"base_pref"` // row-major users×items
-	Cost        []float64        `json:"cost"`      // row-major users×items
-	Budget      float64          `json:"budget"`
-	T           int              `json:"t"`
-	Params      diffusion.Params `json:"params"`
+	Users       int
+	Items       int
+	Graph       graph.Export
+	NumC        int
+	InitWeights []float64
+	Rows        [][]pin.PairRel
+	Importance  []float64
+	BasePref    []float64 // row-major users×items
+	Cost        []float64 // row-major users×items
+	Budget      float64
+	T           int
+	Params      diffusion.Params
 }
 
 // EncodeProblem builds the wire image of a problem. The slices are

@@ -11,13 +11,11 @@ import (
 
 // Cache shares built sketches across estimators and requests, one
 // castore entry each. Entries are keyed by the problem's content
-// address plus the sketch parameters (ε, δ, seed, MaxTheta) — the same content-addressing discipline as
-// the serving layer's result cache, but a separate lane: a sketch is
-// an approximation artefact and must never alias an exact MC result
-// (DESIGN.md §9). With a directory configured, built sketches are also
-// persisted in the canonical wire form and reloaded on miss, so a
-// daemon restart (or a worker receiving a shipped index) skips the
-// build.
+// address plus the sketch parameters (ε, δ, seed, MaxTheta) — the same
+// content-addressing discipline as the serving layer's result cache,
+// but a separate lane: a sketch is an approximation artefact and must
+// never alias an exact MC result (DESIGN.md §9). Sketches live in
+// memory only; a restart rebuilds them.
 type Cache struct {
 	store  *castore.Store[*Sketch]
 	builds atomic.Uint64
@@ -26,28 +24,19 @@ type Cache struct {
 // cacheEntries is how many sketches a Cache holds in memory.
 const cacheEntries = 4
 
-// NewCache creates a cache holding up to cacheEntries sketches. dir,
-// when non-empty, enables disk persistence (it is created on first
-// write).
-func NewCache(dir string) *Cache {
-	return &Cache{store: castore.New(castore.Config[*Sketch]{
-		Budget: cacheEntries,
-		Dir:    dir,
-		Encode: func(b []byte, sk *Sketch) []byte { return sk.AppendBinary(b) },
-		Decode: Decode,
-	})}
+// NewCache creates a cache holding up to cacheEntries sketches.
+func NewCache() *Cache {
+	return &Cache{store: castore.New(castore.Config[*Sketch]{Budget: cacheEntries})}
 }
 
-// Stats reports cumulative builds, in-memory hits (joined in-flight
-// builds included), and disk reloads. A disk reload avoids a build but
-// counts as neither a build nor an in-memory hit — diskHits is the
-// only trace it leaves.
-func (c *Cache) Stats() (builds, hits, diskHits uint64) {
+// Stats reports cumulative builds and hits (joined in-flight builds
+// included).
+func (c *Cache) Stats() (builds, hits uint64) {
 	if c == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	st := c.store.Stats()
-	return c.builds.Load(), st.Hits + st.Joins, st.DiskHits
+	return c.builds.Load(), st.Hits + st.Joins
 }
 
 // key renders the cache identity of one (problem, Params) pair. Float
@@ -73,18 +62,9 @@ func (c *Cache) GetOrBuild(p *diffusion.Problem, par Params, workers int, stop <
 		return Build(p, par, workers, stop)
 	}
 	par = par.withDefaults()
-	problemKey := p.ContentDigest().String()
-	key := c.key(problemKey, par)
-	// self-verify a reloaded image: its decoded identity must match
-	// what was asked for. θ is checked against the capped bound because
-	// MaxTheta is not stored in the image.
-	identity := func(sk *Sketch) bool {
-		return sk.ProblemKey == problemKey && sk.Seed == par.Seed &&
-			sk.Epsilon == par.Epsilon && sk.Delta == par.Delta &&
-			sk.Theta == par.theta()
-	}
+	key := c.key(p.ContentDigest().String(), par)
 	for {
-		sk, t := c.store.Begin(key, identity)
+		sk, t := c.store.Begin(key)
 		if t == nil {
 			return sk, nil
 		}
@@ -105,7 +85,6 @@ func (c *Cache) GetOrBuild(p *diffusion.Problem, par Params, workers int, stop <
 			return nil, err
 		}
 		c.builds.Add(1)
-		sk.ProblemKey = problemKey
 		t.Commit(sk)
 		return sk, nil
 	}

@@ -21,10 +21,9 @@
 // Sample i draws from stream rng.New(seed).Split(i) — the same §3
 // common-random-numbers discipline as the MC engine — so sketch
 // construction is deterministic: same (problem, ε, δ, seed) ⇒
-// byte-identical index, across worker counts and machines. That is
-// what makes a sketch content-addressable (cache.go keys it by the
-// problem's content hash plus the sketch parameters) and shippable
-// (codec.go serialises it with internal/wirebin primitives).
+// identical index, across worker counts and machines. That is what
+// makes a sketch content-addressable: cache.go keys it by the
+// problem's content hash plus the sketch parameters.
 //
 // Estimator adapts a sketch to the solver's backend interface
 // (core.Estimator): σ-only evaluations are answered by coverage

@@ -29,7 +29,7 @@ const defaultMaxTheta = 1 << 20
 
 // Params select one sketch: the (ε, δ) accuracy contract plus the
 // master seed of the RR sample streams. Two sketches built from equal
-// (problem, Params) are byte-identical — the §3 determinism contract
+// (problem, Params) are identical — the §3 determinism contract
 // extended to index construction.
 type Params struct {
 	// Epsilon is the additive accuracy: |σ̂(S) − σ(S)| ≤ ε·n·W with
@@ -92,14 +92,14 @@ func (par Params) theta() int {
 	return t
 }
 
-// Sketch is one immutable RR-sample index for one problem. Exported
-// fields are the serialised identity (codec.go); the coverage index is
-// derived and rebuilt after decode.
+// Sketch is one immutable RR-sample index for one problem. The
+// exported fields are its content; the coverage index is derived from
+// them by Build.
 type Sketch struct {
 	Users int
 	Items int
-	// Seed, Epsilon, Delta identify the build parameters (Theta is
-	// derived but stored so a decoded sketch is self-describing).
+	// Seed, Epsilon, Delta identify the build parameters; Theta is the
+	// sample count they imply.
 	Seed    uint64
 	Epsilon float64
 	Delta   float64
@@ -107,20 +107,14 @@ type Sketch struct {
 	// WSum is Σ_x w_x at build time, the σ scale factor.
 	WSum float64
 	// ItemW is the per-item importance table w_x the target items were
-	// drawn against — retained (and serialised) so the unweighted
-	// adoption estimates divide by the right weight after a decode.
+	// drawn against, which the unweighted adoption estimates divide by.
 	ItemW []float64
-	// ProblemKey is the content address of the problem the sketch was
-	// built for (Problem.ContentDigest in hex); empty when built
-	// outside a Cache. The disk cache refuses to load a sketch whose
-	// recorded key disagrees with the requested one.
-	ProblemKey string
 
 	// Targets[i] is sample i's target pair key u·Items+x.
 	Targets []int64
 	// Pairs[Off[i]:Off[i+1]] is sample i's RR set: every product-graph
 	// pair whose adoption could have caused the target's, sorted
-	// ascending (canonical form; the codec delta-encodes it).
+	// ascending (canonical form).
 	Off   []int64
 	Pairs []int64
 
@@ -164,7 +158,7 @@ func (sk *Sketch) buildIndex() {
 }
 
 // Build generates the θ RR samples for p under par. workers bounds the
-// build parallelism (0 → GOMAXPROCS); the result is byte-identical for
+// build parallelism (0 → GOMAXPROCS); the result is identical for
 // any worker count because sample i always draws from stream Split(i)
 // of the master generator and lands in slot i. stop, when non-nil,
 // preempts the build (ErrPreempted).

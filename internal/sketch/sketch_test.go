@@ -1,11 +1,11 @@
 package sketch
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -54,16 +54,15 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build w=4: %v", err)
 	}
-	b1 := sk1.AppendBinary(nil)
-	if b4 := sk4.AppendBinary(nil); !bytes.Equal(b1, b4) {
-		t.Fatal("sketch bytes differ across worker counts — the §3 stream discipline is broken")
+	if !reflect.DeepEqual(sk1, sk4) {
+		t.Fatal("sketches differ across worker counts — the §3 stream discipline is broken")
 	}
 	skAgain, err := Build(p, par, 4, nil)
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	if !bytes.Equal(b1, skAgain.AppendBinary(nil)) {
-		t.Fatal("sketch bytes differ across rebuilds")
+	if !reflect.DeepEqual(sk1, skAgain) {
+		t.Fatal("sketches differ across rebuilds")
 	}
 	if sk1.Theta != Theta(par.Epsilon, par.Delta) {
 		t.Fatalf("built θ = %d, want %d", sk1.Theta, Theta(par.Epsilon, par.Delta))
@@ -148,62 +147,8 @@ func TestBuildPreempted(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	p := sampleProblem(t, 100, 4)
-	sk, err := Build(p, Params{Epsilon: 0.08, Delta: 0.1, Seed: 11}, 2, nil)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	sk.ProblemKey = "deadbeefdeadbeefdeadbeefdeadbeef"
-	enc := sk.AppendBinary(nil)
-
-	dec, err := Decode(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !bytes.Equal(enc, dec.AppendBinary(nil)) {
-		t.Fatal("re-encode of decoded sketch is not byte-identical")
-	}
-	if dec.ProblemKey != sk.ProblemKey || dec.Seed != sk.Seed || dec.Theta != sk.Theta ||
-		dec.Epsilon != sk.Epsilon || dec.Delta != sk.Delta || dec.Users != sk.Users || dec.Items != sk.Items {
-		t.Fatal("decoded identity fields differ")
-	}
-
-	// A decoded sketch must answer queries identically.
-	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}, {User: 3, Item: 2, T: 2}}
-	var sc1, sc2 Scratch
-	if a, b := sk.Estimate(seeds, nil, nil, &sc1), dec.Estimate(seeds, nil, nil, &sc2); a.Sigma != b.Sigma {
-		t.Fatalf("decoded sketch σ = %v, want %v", b.Sigma, a.Sigma)
-	}
-}
-
-func TestCodecRejectsCorruption(t *testing.T) {
-	p := sampleProblem(t, 100, 4)
-	sk, err := Build(p, Params{Epsilon: 0.1, Delta: 0.1, Seed: 3}, 1, nil)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	enc := sk.AppendBinary(nil)
-
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("nil input accepted")
-	}
-	if _, err := Decode(enc[:len(enc)-1]); err == nil {
-		t.Fatal("truncated input accepted")
-	}
-	bad := append([]byte(nil), enc...)
-	bad[0] ^= 0xff
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	trailing := append(append([]byte(nil), enc...), 0x00)
-	if _, err := Decode(trailing); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
 // TestEstimateMatchesStoredSets recomputes coverage by brute force
-// over the serialized sample sets and checks Estimate agrees — the
+// over the stored sample sets and checks Estimate agrees — the
 // coverage-counting query path against its own ground truth.
 func TestEstimateMatchesStoredSets(t *testing.T) {
 	p := sampleProblem(t, 100, 4)
@@ -282,7 +227,7 @@ func TestStaticSigmaWithinContract(t *testing.T) {
 
 func TestCacheSingleflightAndDistinctKeys(t *testing.T) {
 	p := sampleProblem(t, 100, 4)
-	c := NewCache("")
+	c := NewCache()
 
 	par := Params{Epsilon: 0.1, Delta: 0.1, Seed: 1}
 	sk1, err := c.GetOrBuild(p, par, 1, nil)
@@ -296,7 +241,7 @@ func TestCacheSingleflightAndDistinctKeys(t *testing.T) {
 	if sk1 != sk2 {
 		t.Fatal("identical parameters did not share one sketch")
 	}
-	if builds, hits, _ := c.Stats(); builds != 1 || hits != 1 {
+	if builds, hits := c.Stats(); builds != 1 || hits != 1 {
 		t.Fatalf("stats = (%d builds, %d hits), want (1, 1)", builds, hits)
 	}
 
@@ -316,64 +261,8 @@ func TestCacheSingleflightAndDistinctKeys(t *testing.T) {
 			t.Fatalf("%+v aliased the (0.1, 0.1, 1) sketch", par2)
 		}
 	}
-	if builds, _, _ := c.Stats(); builds != 5 {
+	if builds, _ := c.Stats(); builds != 5 {
 		t.Fatalf("builds = %d, want 5", builds)
-	}
-}
-
-func TestCacheDiskRoundTrip(t *testing.T) {
-	p := sampleProblem(t, 100, 4)
-	pk := p.ContentDigest().String()
-	dir := t.TempDir()
-	par := Params{Epsilon: 0.1, Delta: 0.1, Seed: 9}
-
-	c1 := NewCache(dir)
-	sk1, err := c1.GetOrBuild(p, par, 1, nil)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-
-	// A fresh cache over the same directory reloads instead of building.
-	c2 := NewCache(dir)
-	sk2, err := c2.GetOrBuild(p, par, 1, nil)
-	if err != nil {
-		t.Fatalf("disk load: %v", err)
-	}
-	if builds, _, diskHits := c2.Stats(); builds != 0 || diskHits != 1 {
-		t.Fatalf("disk reload stats = (%d builds, %d diskHits), want (0, 1)", builds, diskHits)
-	}
-	if !bytes.Equal(sk1.AppendBinary(nil), sk2.AppendBinary(nil)) {
-		t.Fatal("disk round-trip changed sketch bytes")
-	}
-
-	// Images the store spills under a key whose request they do not
-	// fit must fail the self-verify and rebuild: one under another
-	// problem's key (its recorded problem key disagrees), and one under
-	// a different-cap key (its sample count satisfies a different
-	// contract than the one being asked for).
-	other := sampleProblem(t, 50, 4)
-	capped := Params{Epsilon: 0.1, Delta: 0.1, Seed: 9, MaxTheta: 32}
-	forge := NewCache(dir)
-	forge.store.Put(forge.key(other.ContentDigest().String(), par.withDefaults()), sk1)
-	forge.store.Put(forge.key(pk, capped.withDefaults()), sk1)
-
-	c3 := NewCache(dir)
-	if _, err := c3.GetOrBuild(other, par, 1, nil); err != nil {
-		t.Fatalf("build under other key: %v", err)
-	}
-	if builds, _, diskHits := c3.Stats(); builds != 1 || diskHits != 0 {
-		t.Fatalf("foreign-key image stats = (%d builds, %d diskHits), want (1, 0)", builds, diskHits)
-	}
-	c4 := NewCache(dir)
-	sk4, err := c4.GetOrBuild(p, capped, 1, nil)
-	if err != nil {
-		t.Fatalf("capped build: %v", err)
-	}
-	if sk4.Theta != 32 {
-		t.Fatalf("capped θ = %d, want 32 (stale uncapped image accepted?)", sk4.Theta)
-	}
-	if builds, _, diskHits := c4.Stats(); builds != 1 || diskHits != 0 {
-		t.Fatalf("mismatched-θ image stats = (%d builds, %d diskHits), want (1, 0)", builds, diskHits)
 	}
 }
 
@@ -393,7 +282,7 @@ func TestCacheJoinerOwnStop(t *testing.T) {
 	// run starts the owner, then the joiner once the owner has taken
 	// its key: the store's first lookup reserves the key for it
 	run := func(ownerStop, joinerStop <-chan struct{}) (c *Cache, owner, joiner chan result) {
-		c = NewCache("")
+		c = NewCache()
 		owner, joiner = make(chan result, 1), make(chan result, 1)
 		go func() {
 			sk, err := c.GetOrBuild(p, par, 1, ownerStop)
@@ -412,7 +301,7 @@ func TestCacheJoinerOwnStop(t *testing.T) {
 	// the owner is cancelled after the nil-stop joiner joined
 	stop := make(chan struct{})
 	c, owner, joiner := run(stop, nil)
-	for _, hits, _ := c.Stats(); hits == 0; _, hits, _ = c.Stats() {
+	for _, hits := c.Stats(); hits == 0; _, hits = c.Stats() {
 		runtime.Gosched()
 	}
 	close(stop)

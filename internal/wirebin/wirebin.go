@@ -143,20 +143,6 @@ func (r *Reader) U8() byte {
 	return v
 }
 
-// U32 reads a fixed-width little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.b) {
-		r.fail("truncated u32 at %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
 // U64 reads a fixed-width little-endian uint64.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {

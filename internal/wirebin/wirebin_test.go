@@ -34,7 +34,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		u8 := byte(rng.Intn(256))
-		u32 := rng.Uint32()
 		u64 := rng.Uint64()
 		uv := rng.Uint64() >> uint(rng.Intn(64))
 		iv := rng.Int63() - rng.Int63()
@@ -57,7 +56,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 
 		var b []byte
 		b = AppendU8(b, u8)
-		b = AppendU32(b, u32)
 		b = AppendU64(b, u64)
 		b = AppendUvarint(b, uv)
 		b = AppendVarint(b, iv)
@@ -69,9 +67,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 		r := NewReader(b)
 		if got := r.U8(); got != u8 {
 			t.Fatalf("u8 %d != %d", got, u8)
-		}
-		if got := r.U32(); got != u32 {
-			t.Fatalf("u32 %d != %d", got, u32)
 		}
 		if got := r.U64(); got != u64 {
 			t.Fatalf("u64 %d != %d", got, u64)
@@ -149,7 +144,6 @@ func FuzzReader(f *testing.F) {
 		_ = r.AscInt32s()
 		_ = r.Bool()
 		_ = r.String()
-		_ = r.U32()
 		_ = r.U64()
 		_ = r.Err()
 	})

@@ -15,6 +15,8 @@
 #      the Makefile `fuzz` target
 #   5. every `make <target>` named in README.md or DESIGN.md (inline
 #      code, or a `make` line in a fenced block) is a Makefile target
+#   6. the `Flags` block of cmd/imdppd's package comment names exactly
+#      the flags parseConfig registers (`fs.*Var(&..., "<name>"`)
 #
 # Usage:
 #   scripts/docs_check.sh              # lint the working tree
@@ -26,7 +28,7 @@ set -u
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 
 check_tree() {
-	local root=$1 fail=0 dir pkg doc first n ref route routes fuzz target targets
+	local root=$1 fail=0 dir pkg doc first n ref route routes fuzz target targets documented registered
 
 	# 1. package docs
 	for dir in "$root"/internal/*/; do
@@ -102,6 +104,18 @@ check_tree() {
 			}' "$root/README.md" "$root/DESIGN.md" 2>/dev/null | grep -E '^[a-z][a-z0-9-]*$' | sort -u)
 	MAKE
 
+	# 6. imdppd's documented flags are the registered ones: the block is
+	# the tab-led comment lines under `// Flags`
+	documented=$(awk '/^\/\/ Flags/ { on = 1; next } on && /^\/\/\t/ { print; n++; next } on && n { exit }' \
+		"$root/cmd/imdppd/main.go" 2>/dev/null | grep -oE ' -[a-z][a-z0-9-]*' | sed 's/^ -//' | sort -u)
+	registered=$(grep -oE 'fs\.[A-Za-z]+Var\(&[^,]+, "[a-z][a-z0-9-]*"' "$root/cmd/imdppd/main.go" 2>/dev/null |
+		sed -E 's/.*"([^"]+)"$/\1/' | sort -u)
+	if [ -z "$registered" ] || [ "$documented" != "$registered" ]; then
+		echo "docs-check: cmd/imdppd/main.go: the package comment's Flags block does not match parseConfig" >&2
+		diff <(echo "$documented") <(echo "$registered") | sed -nE 's/^< (.*)/  documented, not registered: -\1/p; s/^> (.*)/  registered, not documented: -\1/p' >&2
+		fail=1
+	fi
+
 	return $fail
 }
 
@@ -159,7 +173,14 @@ self_test() {
 		return 1
 	fi
 
-	echo "docs-check self-test: ok (clean tree passes; 5 deliberate breaks detected)"
+	copy
+	sed -i '/^\/\/\tcaches /s/$/ -grid-cache-dir/' "$tmp/tree/cmd/imdppd/main.go"
+	if check_tree "$tmp/tree" >/dev/null 2>&1; then
+		echo "docs-check self-test: FAIL — a stale -grid-cache-dir in imdppd's Flags block went undetected" >&2
+		return 1
+	fi
+
+	echo "docs-check self-test: ok (clean tree passes; 6 deliberate breaks detected)"
 	return 0
 }
 
