@@ -355,13 +355,14 @@ var (
 )
 
 // Sample-grid memoization (package gridcache, DESIGN.md §10): a
-// bounded, byte-accounted cache of raw per-sample outcome grids keyed
-// by (problem, seed, sample range, canonical seed group). Because a
-// sample grid is a pure function of those coordinates (§3), a cached
-// grid is a bit-exact substitute for re-simulation — CELF waves,
-// repeated jobs and sharded batches reuse each other's work.
+// bounded, byte-accounted cache of each seed group's folded estimate,
+// keyed by (problem, seed, sample range, canonical seed group). Because
+// a group's sample grid, and so its fold, is a pure function of those
+// coordinates (§3), a cached estimate is a bit-exact substitute for
+// re-simulation — CELF waves, repeated jobs and sharded batches reuse
+// each other's work.
 type (
-	// GridCache memoizes raw sample grids across solves.
+	// GridCache memoizes each group's folded sample grid across solves.
 	GridCache = gridcache.Cache
 	// GridCacheConfig sizes a GridCache.
 	GridCacheConfig = gridcache.Config

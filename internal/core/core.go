@@ -85,8 +85,8 @@ type Options struct {
 	// in (0, 1); 0 with Epsilon set selects the default 0.05. Only
 	// meaningful alongside Epsilon.
 	Delta float64
-	// GridCache, when non-nil, memoizes raw per-sample outcome grids
-	// across CELF waves and solver runs (internal/gridcache,
+	// GridCache, when non-nil, memoizes each group's folded sample
+	// grid across CELF waves and solver runs (internal/gridcache,
 	// DESIGN.md §10): repeated (problem, seed, sample-range, group)
 	// evaluations are served from the cache instead of re-simulated.
 	// Memoization is exact under the §3 determinism contract —

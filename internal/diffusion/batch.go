@@ -4,10 +4,10 @@ import "imdpp/internal/obs"
 
 // This file is the batch evaluation face of the engine. Every estimate
 // — single or batched — funnels through runBatch, which builds the
-// full (group × sample) grid, from the grid cache where it holds a
-// group and else from the producer (the local simulation of
-// shardable.go, or a remote Sampler), and folds it with
-// ReduceSampleGrid. The
+// full (group × sample) grid from the producer (the local simulation
+// of shardable.go, or a remote Sampler) and folds it with
+// ReduceSampleGrid; the grid cache, where it holds a group, serves
+// that group's fold instead. The
 // producer schedules (family × sample) work units onto one worker pool
 // kept alive for the whole batch, so a universe of K candidates pays
 // the orchestration cost once instead of K times. A family is a root group plus the groups that share its
@@ -60,7 +60,8 @@ func (e *Estimator) SamplesDone() uint64 { return e.samples.Load() }
 
 // runBatch is the engine: the full grid of samples 0..M-1, folded in
 // sample order; market and masks are as for RunBatchSamples. With Grid
-// attached only the groups it misses reach the producer.
+// attached it serves the folds it holds, and only the groups it misses
+// reach the producer.
 func (e *Estimator) runBatch(groups [][]Seed, market []bool, masks [][]bool, withPi bool) []Estimate {
 	var sp *obs.Span
 	if e.Remote == nil { // a remote producer records its own batch span
@@ -73,9 +74,9 @@ func (e *Estimator) runBatch(groups [][]Seed, market []bool, masks [][]bool, wit
 		return ReduceSampleGrid(e.produce(groups, market, masks, withPi), e.P.NumItems())
 	}
 	hits0 := e.gridHits.Load()
-	grid := e.cachedSamples(groups, market, masks, withPi)
+	ests := e.cachedEstimates(groups, market, masks, withPi)
 	sp.SetAttrInt("grid_hits", int64(e.gridHits.Load()-hits0))
-	return ReduceSampleGrid(grid, e.P.NumItems())
+	return ests
 }
 
 // produce returns samples 0..M-1 of every group from Remote when one

@@ -44,10 +44,10 @@ type Estimator struct {
 	Seed    uint64
 	Workers int // 0 → GOMAXPROCS
 
-	// Grid, when non-nil, memoizes raw per-sample outcome grids per
-	// evaluation group (DESIGN.md §10): runBatch looks every group's
-	// [0,M) rows up first and hands only the misses to the producer,
-	// local or Remote, bit-identically. Attach via
+	// Grid, when non-nil, memoizes the folded [0,M) sample grid of
+	// every evaluation group (DESIGN.md §10): runBatch looks every
+	// group's estimate up first and hands only the misses to the
+	// producer, local or Remote, bit-identically. Attach via
 	// gridcache.Cache.View; must not change mid-evaluation.
 	Grid GridCache
 

@@ -356,19 +356,20 @@ func TestLogRestoreMatchesFullCopy(t *testing.T) {
 // mapGrid is an unbounded in-memory GridCache: every miss is owned.
 type mapGrid struct {
 	mu   sync.Mutex
-	rows map[string][]SampleResult
+	ests map[string]Estimate
 }
 
-func newMapGrid() *mapGrid { return &mapGrid{rows: map[string][]SampleResult{}} }
+func newMapGrid() *mapGrid { return &mapGrid{ests: map[string]Estimate{}} }
 
-func (c *mapGrid) Begin(seed uint64, lo, hi int, seeds []Seed, market []bool, withPi bool) ([]SampleResult, GridTicket) {
-	key := fmt.Sprint(seed, lo, hi, seeds, market, withPi)
+func (c *mapGrid) Begin(seed uint64, m int, seeds []Seed, market []bool, withPi bool) (Estimate, GridTicket) {
+	key := fmt.Sprint(seed, m, seeds, market, withPi)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rows, ok := c.rows[key]; ok {
-		return rows, nil
+	if est, ok := c.ests[key]; ok {
+		est.PerItem = slices.Clone(est.PerItem)
+		return est, nil
 	}
-	return nil, mapTicket{c, key}
+	return Estimate{}, mapTicket{c, key}
 }
 
 type mapTicket struct {
@@ -378,12 +379,38 @@ type mapTicket struct {
 
 func (t mapTicket) Owned() bool { return true }
 
-func (t mapTicket) Commit(rows []SampleResult) {
+func (t mapTicket) Commit(est Estimate) {
 	t.c.mu.Lock()
-	t.c.rows[t.key] = rows
+	t.c.ests[t.key] = est
 	t.c.mu.Unlock()
 }
 
 func (t mapTicket) Abort() {}
 
-func (t mapTicket) Wait(<-chan struct{}) ([]SampleResult, bool) { return nil, false }
+func (t mapTicket) Wait(<-chan struct{}) (Estimate, bool) { return Estimate{}, false }
+
+// TestGridCommitOwnsPerItem checks that every estimate a batch commits
+// owns its PerItem: none shares a backing array with the Estimate the
+// batch returned for its group, so a caller writing to its results
+// cannot reach the cache, and an entry cannot pin the batch's buffer.
+func TestGridCommitOwnsPerItem(t *testing.T) {
+	const m, seed = 9, 3
+	p := prefixProblem(t, false)
+	groups, _ := prefixGroups()
+	want := perGroupRun(p, m, seed, groups, make([][]bool, len(groups)), true)
+	c := newMapGrid()
+	e := NewEstimator(p, m, seed)
+	e.Grid = c
+	got := e.RunBatchPi(groups, nil)
+	requireEstimates(t, "cold", got, want)
+	for g, est := range got {
+		committed := c.ests[fmt.Sprint(uint64(seed), m, groups[g], []bool(nil), true)]
+		if len(committed.PerItem) == 0 || &committed.PerItem[0] == &est.PerItem[0] {
+			t.Fatalf("group %d: committed PerItem shares the returned estimate's array", g)
+		}
+		for j := range est.PerItem {
+			est.PerItem[j] = math.NaN()
+		}
+	}
+	requireEstimates(t, "warm after the cold results were overwritten", e.RunBatchPi(groups, nil), want)
+}

@@ -1,18 +1,19 @@
-// Package gridcache memoizes raw per-sample outcome grids across
-// CELF waves, solver jobs and sharded batches — the second cache level
-// of the serving stack (DESIGN.md §10), in front of the estimator's
-// producer, local or a shard worker fleet.
+// Package gridcache memoizes each seed group's folded sample grid
+// across CELF waves, solver jobs and sharded batches — the second
+// cache level of the serving stack (DESIGN.md §10), in front of the
+// estimator's producer, local or a shard worker fleet.
 //
 // The §3 determinism contract makes every (group × sample-range) grid
 // a pure function of the problem content, the master seed, the global
 // sample indices, the seed group, the market mask and the withPi
 // flag. The cache keys entries by exactly those coordinates —
 // problem content address plus the canonical wirebin group key of
-// key.go — and stores the raw diffusion.SampleResult rows, so serving
-// a hit and reducing it with the canonical sample-order fold
-// (diffusion.ReduceSampleGrid) is bit-identical to re-simulating.
-// Memoization is therefore free speed with zero accuracy loss, unlike
-// the §9 sketch backend, which trades ε for it.
+// key.go. The canonical sample-order fold (diffusion.ReduceSampleGrid)
+// reduces a group from its own row alone, so the cache stores each
+// group's folded diffusion.Estimate — O(items) bytes, whatever the
+// sample count — and serving a hit is bit-identical to re-simulating
+// and folding. Memoization is therefore free speed with zero accuracy
+// loss, unlike the §9 sketch backend, which trades ε for it.
 //
 // Group keys are canonicalised only as far as the engine provably
 // ignores: seeds are bucketed by promotion T ascending with within-T
@@ -25,8 +26,10 @@
 // The cache is the byte-costed lane of internal/castore: concurrent
 // misses on one key simulate once (Begin hands ownership to the first
 // caller; the rest Wait) and committed entries are evicted
-// oldest-first past MaxBytes. Grids live in memory only: an evicted
-// grid, or one from before a restart, is simulated again. Estimators
+// oldest-first past MaxBytes. Entries live in memory only: an evicted
+// entry, or one from before a restart, is simulated again. A commit
+// hands the cache its estimate; every hit or joined flight gets its
+// own copy of PerItem, so no caller writes through to an entry. Estimators
 // attach per-problem views (Cache.View) through the
 // diffusion.GridCache interface.
 package gridcache

@@ -1,7 +1,9 @@
 package gridcache
 
 import (
+	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"imdpp/internal/castore"
 	"imdpp/internal/diffusion"
@@ -12,20 +14,20 @@ const defaultMaxBytes = 64 << 20
 
 // Config sizes a Cache. The zero value selects the defaults.
 type Config struct {
-	// MaxBytes bounds retained grid bytes in memory (≤0 → 64 MiB).
+	// MaxBytes bounds retained entry bytes in memory (≤0 → 64 MiB).
 	// Committed entries beyond it are evicted oldest-first; in-flight
 	// reservations are never evicted.
 	MaxBytes int64
 }
 
-// Cache is the sample-grid lane over a castore.Store: raw per-sample
-// outcome grids keyed by (problem content address, master seed,
-// sample range, canonical group key) and costed in bytes — DESIGN.md
-// §10. One Cache is safe for concurrent use by any number of
-// estimators across jobs; per-problem views (View) implement
-// diffusion.GridCache.
+// Cache is the sample-grid lane over a castore.Store: each group's
+// folded estimate over samples 0..M-1, keyed by (problem content
+// address, master seed, sample range, canonical group key) and costed
+// in bytes — DESIGN.md §10. One Cache is safe for concurrent use by
+// any number of estimators across jobs; per-problem views (View)
+// implement diffusion.GridCache.
 type Cache struct {
-	store *castore.Store[[]diffusion.SampleResult]
+	store *castore.Store[diffusion.Estimate]
 
 	samplesSaved atomic.Uint64
 }
@@ -37,11 +39,9 @@ func New(cfg Config) *Cache {
 		cfg.MaxBytes = defaultMaxBytes
 	}
 	return &Cache{
-		store: castore.New(castore.Config[[]diffusion.SampleResult]{
+		store: castore.New(castore.Config[diffusion.Estimate]{
 			Budget: cfg.MaxBytes,
-			Cost: func(key string, rows []diffusion.SampleResult) int64 {
-				return int64(len(key)) + rowsBytes(rows)
-			},
+			Cost:   entryBytes,
 		}),
 	}
 }
@@ -99,47 +99,49 @@ type view struct {
 	problemKey string
 }
 
-// Begin implements diffusion.GridCache: resolve one (seed, [lo,hi),
-// group, market, withPi) unit to stored rows (hit), an owned ticket
-// (first miss — caller simulates and settles), or a joined ticket
-// (the same unit is in flight elsewhere — caller Waits).
-func (v *view) Begin(seed uint64, lo, hi int, seeds []diffusion.Seed, market []bool, withPi bool) ([]diffusion.SampleResult, diffusion.GridTicket) {
-	key := v.problemKey + string(AppendGroupKey(nil, seed, lo, hi, seeds, market, withPi))
-	rows, t := v.c.store.Begin(key)
+// Begin implements diffusion.GridCache: resolve one (seed, m, group,
+// market, withPi) unit to a copy of its stored estimate (hit), an
+// owned ticket (first miss — caller produces and settles), or a joined
+// ticket (the same unit is in flight elsewhere — caller Waits).
+func (v *view) Begin(seed uint64, m int, seeds []diffusion.Seed, market []bool, withPi bool) (diffusion.Estimate, diffusion.GridTicket) {
+	key := v.problemKey + string(AppendGroupKey(nil, seed, 0, m, seeds, market, withPi))
+	est, t := v.c.store.Begin(key)
 	if t == nil {
-		v.c.samplesSaved.Add(uint64(hi - lo))
-		return rows, nil
+		v.c.samplesSaved.Add(uint64(m))
+		return ownCopy(est), nil
 	}
-	return nil, ticket{t, &v.c.samplesSaved}
+	return diffusion.Estimate{}, ticket{t, &v.c.samplesSaved, m}
 }
 
 // ticket adapts a store ticket to diffusion.GridTicket, crediting the
-// samples a joined flight saved.
+// m samples a joined flight saved.
 type ticket struct {
-	*castore.Ticket[[]diffusion.SampleResult]
+	*castore.Ticket[diffusion.Estimate]
 	saved *atomic.Uint64
+	m     int
 }
 
-func (t ticket) Wait(stop <-chan struct{}) ([]diffusion.SampleResult, bool) {
-	rows, ok := t.Ticket.Wait(stop)
+func (t ticket) Wait(stop <-chan struct{}) (diffusion.Estimate, bool) {
+	est, ok := t.Ticket.Wait(stop)
 	if ok {
-		t.saved.Add(uint64(len(rows)))
+		t.saved.Add(uint64(t.m))
 	}
-	return rows, ok
+	return ownCopy(est), ok
 }
 
-// sampleResultBytes approximates the fixed per-row footprint of one
-// diffusion.SampleResult (four float64s plus two slice headers).
-const sampleResultBytes = 80
+// ownCopy copies a stored estimate's PerItem, so no caller can write
+// through to the entry.
+func ownCopy(est diffusion.Estimate) diffusion.Estimate {
+	est.PerItem = slices.Clone(est.PerItem)
+	return est
+}
 
-// rowsBytes accounts the retained footprint of one committed row set:
-// struct overhead plus the sparse per-item backing arrays. Only a row's
-// first sample carries item entries (its row totals), so a row of M
-// samples costs about 80·M bytes plus 12 per item it adopted.
-func rowsBytes(rows []diffusion.SampleResult) int64 {
-	b := int64(len(rows)) * sampleResultBytes
-	for i := range rows {
-		b += int64(cap(rows[i].Items))*4 + int64(cap(rows[i].Counts))*8
-	}
-	return b
+// estimateBytes is the fixed footprint of one diffusion.Estimate (four
+// float64s and the PerItem slice header).
+const estimateBytes = int64(unsafe.Sizeof(diffusion.Estimate{}))
+
+// entryBytes is the cost of one committed entry: its key, the Estimate
+// and its PerItem array — O(items), whatever the sample count.
+func entryBytes(key string, est diffusion.Estimate) int64 {
+	return int64(len(key)) + estimateBytes + 8*int64(cap(est.PerItem))
 }

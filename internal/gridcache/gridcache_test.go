@@ -2,7 +2,9 @@ package gridcache
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"imdpp/internal/dataset"
 	"imdpp/internal/diffusion"
@@ -27,30 +29,23 @@ func testCache(t testing.TB, maxBytes int64) (*Cache, diffusion.GridCache) {
 	return c, c.View(testProblem(t))
 }
 
-func rowsFor(tag int, span int) []diffusion.SampleResult {
-	rows := make([]diffusion.SampleResult, span)
-	for i := range rows {
-		rows[i] = diffusion.SampleResult{
-			Sigma:     float64(tag*1000 + i),
-			Pi:        float64(tag) / 7,
-			Adoptions: float64(i),
-			Items:     []int32{int32(i % 3)},
-			Counts:    []float64{float64(tag)},
-		}
+// estimateFor is a distinct estimate per tag over the given items.
+func estimateFor(tag, items int) diffusion.Estimate {
+	est := diffusion.Estimate{
+		Sigma:     float64(tag * 1000),
+		Pi:        float64(tag) / 7,
+		Adoptions: float64(tag) / 3,
+		PerItem:   make([]float64, items),
 	}
-	return rows
+	for j := range est.PerItem {
+		est.PerItem[j] = float64(tag + j)
+	}
+	return est
 }
 
-func sameRows(a, b []diffusion.SampleResult) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Sigma != b[i].Sigma || a[i].Pi != b[i].Pi {
-			return false
-		}
-	}
-	return true
+func sameEstimate(a, b diffusion.Estimate) bool {
+	return a.Sigma == b.Sigma && a.MarketSigma == b.MarketSigma && a.Pi == b.Pi &&
+		a.Adoptions == b.Adoptions && slices.Equal(a.PerItem, b.PerItem)
 }
 
 func TestGroupKeyRoundTrip(t *testing.T) {
@@ -161,40 +156,81 @@ func TestCacheHitMissCommit(t *testing.T) {
 	c, v := testCache(t, 1<<20)
 	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}}
 
-	rows, tk := v.Begin(7, 0, 4, seeds, nil, false)
-	if rows != nil || tk == nil || !tk.Owned() {
-		t.Fatalf("first Begin: rows=%v ticket=%v — want an owned miss", rows, tk)
+	est, tk := v.Begin(7, 4, seeds, nil, false)
+	if est.PerItem != nil || tk == nil || !tk.Owned() {
+		t.Fatalf("first Begin: est=%v ticket=%v — want an owned miss", est, tk)
 	}
-	want := rowsFor(1, 4)
-	tk.Commit(want)
+	want := estimateFor(1, 3)
+	tk.Commit(estimateFor(1, 3))
 
-	got, tk2 := v.Begin(7, 0, 4, seeds, nil, false)
-	if tk2 != nil || !sameRows(got, want) {
-		t.Fatalf("second Begin: not a hit (rows=%v ticket=%v)", got, tk2)
+	got, tk2 := v.Begin(7, 4, seeds, nil, false)
+	if tk2 != nil || !sameEstimate(got, want) {
+		t.Fatalf("second Begin: not a hit (est=%v ticket=%v)", got, tk2)
 	}
 	// a different coordinate misses
-	if rows, tk := v.Begin(8, 0, 4, seeds, nil, false); rows != nil || !tk.Owned() {
+	if _, tk := v.Begin(8, 4, seeds, nil, false); tk == nil || !tk.Owned() {
 		t.Fatal("different seed must miss")
 	} else {
 		tk.Abort()
 	}
 
 	// a joined flight is a singleflight and credits the samples it saved
-	_, owner := v.Begin(9, 0, 4, seeds, nil, false)
-	_, joiner := v.Begin(9, 0, 4, seeds, nil, false)
+	_, owner := v.Begin(9, 4, seeds, nil, false)
+	_, joiner := v.Begin(9, 4, seeds, nil, false)
 	owner.Abort()
 	if _, ok := joiner.Wait(nil); ok {
-		t.Fatal("joiner of an aborted flight got rows")
+		t.Fatal("joiner of an aborted flight got an estimate")
+	}
+	_, owner = v.Begin(10, 4, seeds, nil, false)
+	_, joiner = v.Begin(10, 4, seeds, nil, false)
+	owner.Commit(estimateFor(2, 3))
+	if got, ok := joiner.Wait(nil); !ok || !sameEstimate(got, estimateFor(2, 3)) {
+		t.Fatalf("joiner of a committed flight got %v, ok=%v", got, ok)
 	}
 
 	st := c.Stats()
-	if st.Lookups != 5 || st.Hits != 1 || st.Singleflights != 1 || st.Entries != 1 || st.SamplesSaved != 4 {
+	if st.Lookups != 7 || st.Hits != 1 || st.Singleflights != 2 || st.Entries != 2 || st.SamplesSaved != 8 {
 		t.Fatalf("stats %+v", st)
 	}
-	// cost is key bytes plus the rows' retained footprint
-	key := testProblem(t).ContentDigest().String() + string(AppendGroupKey(nil, 7, 0, 4, seeds, nil, false))
-	if want := int64(len(key)) + rowsBytes(want); st.Bytes != want {
-		t.Fatalf("committed entry accounts %d bytes, want %d", st.Bytes, want)
+}
+
+// TestEntryCostIndependentOfM pins the lane's footprint: one group's
+// entry costs its key, the fixed Estimate size and 8 bytes per item,
+// whatever the sample count it folds.
+func TestEntryCostIndependentOfM(t *testing.T) {
+	const items = 5
+	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}}
+	problemKey := testProblem(t).ContentDigest().String()
+	for _, m := range []int{32, 4096} {
+		c, v := testCache(t, 1<<20)
+		_, tk := v.Begin(7, m, seeds, nil, false)
+		tk.Commit(estimateFor(1, items))
+		key := problemKey + string(AppendGroupKey(nil, 7, 0, m, seeds, nil, false))
+		want := int64(len(key)) + int64(unsafe.Sizeof(diffusion.Estimate{})) + 8*items
+		if st := c.Stats(); st.Bytes != want {
+			t.Fatalf("M=%d: entry costs %d bytes, want %d", m, st.Bytes, want)
+		}
+	}
+}
+
+// TestHitOwnsPerItem checks no caller can write through to an entry:
+// changing one hit's (or a joined flight's) PerItem leaves the next hit
+// as committed.
+func TestHitOwnsPerItem(t *testing.T) {
+	_, v := testCache(t, 1<<20)
+	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}}
+	want := estimateFor(1, 3)
+	_, owner := v.Begin(7, 4, seeds, nil, false)
+	_, joiner := v.Begin(7, 4, seeds, nil, false)
+	owner.Commit(estimateFor(1, 3))
+	joined, _ := joiner.Wait(nil)
+	joined.PerItem[0] = -1
+	for i := 0; i < 2; i++ {
+		got, tk := v.Begin(7, 4, seeds, nil, false)
+		if tk != nil || !sameEstimate(got, want) {
+			t.Fatalf("hit %d: %v, want %v", i, got, want)
+		}
+		got.PerItem[0] = -1
 	}
 }
 
@@ -222,9 +258,9 @@ func TestProblemKeySeparation(t *testing.T) {
 	vA := c.View(pA)
 	vB := c.View(&pB)
 	seeds := []diffusion.Seed{{User: 0, Item: 0, T: 1}}
-	_, tk := vA.Begin(1, 0, 2, seeds, nil, false)
-	tk.Commit(rowsFor(1, 2))
-	if rows, tk := vB.Begin(1, 0, 2, seeds, nil, false); rows != nil {
+	_, tk := vA.Begin(1, 2, seeds, nil, false)
+	tk.Commit(estimateFor(1, 3))
+	if _, tk := vB.Begin(1, 2, seeds, nil, false); tk == nil {
 		t.Fatal("problem B answered from problem A's entry")
 	} else {
 		tk.Abort()

@@ -205,7 +205,7 @@ type Service struct {
 	sketchCache *sketch.Cache
 	sketchReqs  atomic.Uint64
 
-	// gridCache memoizes raw sample grids across jobs and sigma
+	// gridCache memoizes folded sample grids across jobs and sigma
 	// evaluations, keyed by the problem's content digest + the
 	// canonical group key (DESIGN.md §10); nil when Config disables it.
 	gridCache *gridcache.Cache

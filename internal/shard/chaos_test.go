@@ -3,8 +3,8 @@ package shard
 import (
 	"math"
 	"net/http"
-	"strings"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 

@@ -3,7 +3,8 @@
 # end-to-end session — async solve to completion, identical resubmit
 # asserted to be a cache hit with bit-identical σ, two near-duplicate
 # solves asserted to share sample grids via the daemon-wide grid cache
-# (DESIGN.md §10), cancel endpoint asserted to abort a running solve,
+# (DESIGN.md §10), an exact σ asserted to cost the grid lane O(items)
+# bytes and to hit on repeat, cancel endpoint asserted to abort a running solve,
 # and /metrics asserted coherent.
 set -euo pipefail
 
@@ -102,6 +103,22 @@ done
 GRID_HITS=$(curl -sf "$ADDR/metrics" | jq -r .grid.hits)
 [ "$GRID_HITS" -gt 0 ] || { echo "grid cache reported no hits after near-duplicate solves" >&2; exit 1; }
 echo "grid cache: $GRID_HITS hits across near-duplicate solves"
+
+# A grid entry is one group's folded estimate, O(items) bytes whatever
+# the sample count: an exact σ over 4096 samples grows the lane by less
+# than 1 KiB (a cache of raw sample rows would hold ~80 bytes each),
+# and repeating it is a grid hit with bit-identical σ.
+SIGMA_REQ='{"dataset":"amazon","scale":0.05,"budget":1000,"t":4,"mc":4096,"seed":3,"seeds":[{"user":1,"item":0,"t":1},{"user":5,"item":2,"t":2}]}'
+GRID0=$(curl -sf "$ADDR/metrics" | jq -c '.grid')
+S1=$(curl -sf -X POST "$ADDR/v1/sigma" -d "$SIGMA_REQ" | jq -r .sigma)
+GRID1=$(curl -sf "$ADDR/metrics" | jq -c '.grid')
+GROWTH=$(( $(echo "$GRID1" | jq .bytes) - $(echo "$GRID0" | jq .bytes) ))
+[ "$GROWTH" -lt 1024 ] || { echo "an mc=4096 σ grew the grid lane by $GROWTH bytes" >&2; exit 1; }
+S2=$(curl -sf -X POST "$ADDR/v1/sigma" -d "$SIGMA_REQ" | jq -r .sigma)
+[ "$S1" = "$S2" ] || { echo "repeated σ $S2 != first $S1" >&2; exit 1; }
+curl -sf "$ADDR/metrics" | jq -e ".grid.hits > $(echo "$GRID1" | jq .hits)" >/dev/null ||
+    { echo "the repeated σ was no grid hit" >&2; exit 1; }
+echo "grid entry: mc=4096 σ grew the lane by $GROWTH bytes; repeat hit, σ = $S1"
 
 # cancel path: a heavy solve (≳30s uncancelled) aborted mid-run
 HEAVY='{"dataset":"amazon","scale":0.05,"budget":100,"t":4,"mc":131072,"mcsi":4096,"candidate_cap":256,"seed":99}'
