@@ -9,5 +9,7 @@
 // waiter's own stop). A joiner whose owner aborts gets ok=false and
 // may Begin again as owner, so one caller's cancellation never fails
 // another. Get and Put serve callers that coalesce requests on their
-// own. In-flight entries carry no cost and are never evicted.
+// own. In-flight entries carry no cost and are never evicted. A Ticket
+// holds its flight's done channel; settling closes it and clears it
+// from the entry, so a committed entry keeps no channel.
 package castore

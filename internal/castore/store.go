@@ -25,9 +25,10 @@ type Store[V any] struct {
 	st    Stats      // counters; Entries is filled in by Stats
 }
 
-// entry is one index slot. Until committed it is a flight (done open,
-// not in the LRU); done is closed once, by Commit or Abort. Put
-// entries never fly and have no done channel.
+// entry is one index slot. Until settled it is a flight (not in the
+// LRU) and done is the channel its tickets wait on; Commit or Abort
+// closes it once and clears the field, so a committed entry holds no
+// channel. Put entries never fly.
 type entry[V any] struct {
 	key       string
 	v         V
@@ -80,13 +81,15 @@ func (s *Store[V]) Begin(key string) (V, *Ticket[V]) {
 			return v, nil
 		}
 		s.st.Joins++
+		t := &Ticket[V]{s: s, e: e, done: e.done}
 		s.mu.Unlock()
-		return zero, &Ticket[V]{s: s, e: e}
+		return zero, t
 	}
-	e := &entry[V]{key: key, done: make(chan struct{})}
+	done := make(chan struct{})
+	e := &entry[V]{key: key, done: done}
 	s.index[key] = e
 	s.mu.Unlock()
-	return zero, &Ticket[V]{s: s, e: e, owned: true}
+	return zero, &Ticket[V]{s: s, e: e, done: done, owned: true}
 }
 
 // Get returns the committed value under key, refreshing its recency.
@@ -122,9 +125,12 @@ func (s *Store[V]) Put(key string, v V) {
 
 // Ticket is one Begin reservation. The owner settles it with Commit
 // or Abort (the first call wins; later ones are no-ops); joiners Wait.
+// A ticket keeps its flight's done channel, taken under the store's
+// lock, so the entry can drop it once the flight settles.
 type Ticket[V any] struct {
 	s       *Store[V]
 	e       *entry[V]
+	done    chan struct{}
 	owned   bool
 	settled bool
 }
@@ -137,7 +143,7 @@ func (t *Ticket[V]) Owned() bool { return t.owned }
 func (t *Ticket[V]) Commit(v V) {
 	if t.owned && !t.settled {
 		t.settled = true
-		t.s.commit(t.e, v)
+		t.s.commit(t, v)
 	}
 }
 
@@ -152,8 +158,9 @@ func (t *Ticket[V]) Abort() {
 	if t.s.index[t.e.key] == t.e {
 		delete(t.s.index, t.e.key)
 	}
+	t.e.done = nil
 	t.s.mu.Unlock()
-	close(t.e.done)
+	close(t.done)
 }
 
 // Wait blocks until the flight settles or stop fires (a nil stop never
@@ -162,7 +169,7 @@ func (t *Ticket[V]) Abort() {
 func (t *Ticket[V]) Wait(stop <-chan struct{}) (V, bool) {
 	var zero V
 	select {
-	case <-t.e.done:
+	case <-t.done:
 	case <-stop:
 		return zero, false
 	}
@@ -177,17 +184,19 @@ func (t *Ticket[V]) Wait(stop <-chan struct{}) (V, bool) {
 	return t.e.v, true
 }
 
-// commit publishes v into a flight, enrols it if it is still indexed
-// and wakes waiters.
-func (s *Store[V]) commit(e *entry[V], v V) {
+// commit publishes v into t's flight, enrols it if it is still
+// indexed and wakes waiters.
+func (s *Store[V]) commit(t *Ticket[V], v V) {
+	e := t.e
 	e.v, e.cost = v, s.cfg.Cost(e.key, v)
 	s.mu.Lock()
 	e.committed = true
+	e.done = nil
 	if s.index[e.key] == e {
 		s.enrolLocked(e)
 	}
 	s.mu.Unlock()
-	close(e.done)
+	close(t.done)
 }
 
 // enrolLocked adds a committed, indexed entry to the LRU and evicts

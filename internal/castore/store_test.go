@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // byteStore is a store of byte-slice values costed like a lane that
@@ -24,7 +25,8 @@ func valueFor(tag, n int) []byte {
 	return v
 }
 
-// ledger recomputes the committed cost and count from the index.
+// ledger recomputes the committed cost and count from the index, and
+// checks that no committed entry keeps a flight channel.
 func ledger[V any](t *testing.T, s *Store[V]) (cost int64, n int) {
 	t.Helper()
 	s.mu.Lock()
@@ -33,6 +35,9 @@ func ledger[V any](t *testing.T, s *Store[V]) (cost int64, n int) {
 		if e.committed {
 			if e.elem == nil || e.key != k {
 				t.Fatalf("committed entry %q outside the LRU", k)
+			}
+			if e.done != nil {
+				t.Fatalf("committed entry %q holds its flight channel", k)
 			}
 			cost += e.cost
 			n++
@@ -131,6 +136,56 @@ func TestSingleflightJoinAndAbort(t *testing.T) {
 	owner3.Commit(want)
 	if v, ok := s.Get("c"); !ok || string(v) != string(want) {
 		t.Fatal("owner's commit lost after a joiner gave up")
+	}
+}
+
+// TestJoinerWakesOnSettle pins the hand-off of a flight's channel:
+// joiners waiting when the owner settles and a joiner that calls Wait
+// only afterwards all wake, on Commit and on Abort, and the settled
+// entry no longer holds the channel. make race runs it under -race.
+func TestJoinerWakesOnSettle(t *testing.T) {
+	want := valueFor(1, 8)
+	for _, commit := range []bool{true, false} {
+		s := byteStore(1 << 20)
+		_, owner := s.Begin("k")
+		woke := make(chan bool, 3)
+		for range 3 {
+			_, tk := s.Begin("k")
+			go func() {
+				_, ok := tk.Wait(nil)
+				woke <- ok
+			}()
+		}
+		_, late := s.Begin("k")
+		time.Sleep(10 * time.Millisecond) // let the joiners block
+		if commit {
+			owner.Commit(want)
+		} else {
+			owner.Abort()
+		}
+		go func() {
+			_, ok := late.Wait(nil)
+			woke <- ok
+		}()
+		for range 4 {
+			select {
+			case ok := <-woke:
+				if ok != commit {
+					t.Fatalf("commit=%v: a joiner woke with ok=%v", commit, ok)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("commit=%v: a joiner never woke", commit)
+			}
+		}
+		s.mu.Lock()
+		e := s.index["k"]
+		s.mu.Unlock()
+		switch {
+		case commit && (e == nil || e.done != nil):
+			t.Fatal("the committed entry is missing or holds its flight channel")
+		case !commit && e != nil:
+			t.Fatal("the aborted flight is still indexed")
+		}
 	}
 }
 

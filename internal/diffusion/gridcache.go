@@ -1,7 +1,5 @@
 package diffusion
 
-import "slices"
-
 // This file is the estimator's estimate memoization hook (DESIGN.md
 // §10). The §3 determinism contract makes every group's grid of
 // samples 0..M-1 a pure function of (problem, master seed, M, seed
@@ -20,7 +18,8 @@ import "slices"
 // returns a ticket that is either owned (this caller must produce the
 // estimate and Commit it — or Abort on cancellation) or joined
 // (another caller is already producing the same unit; Wait for it).
-// Every Estimate a cache hands out owns its PerItem.
+// A cache keeps its own copy of what it stores, and every Estimate it
+// hands out owns its PerItem.
 type GridCache interface {
 	Begin(seed uint64, m int, seeds []Seed, market []bool, withPi bool) (Estimate, GridTicket)
 }
@@ -32,8 +31,7 @@ type GridTicket interface {
 	// Owned reports whether this caller must produce the estimate.
 	Owned() bool
 	// Commit publishes the produced estimate (owner only). The cache
-	// retains est, PerItem included: the caller must not touch it
-	// afterwards.
+	// keeps its own copy: the caller keeps est, PerItem included.
 	Commit(est Estimate)
 	// Abort cancels an owned flight without publishing (preemption);
 	// waiters are released empty-handed and the next Begin retries.
@@ -119,11 +117,7 @@ func (e *Estimator) cachedEstimates(groups [][]Seed, market []bool, masks [][]bo
 				tickets[g].Abort() // a preempted batch's samples are partial: never publish them
 				continue
 			}
-			// ReduceSampleGrid slices every PerItem from one buffer; an
-			// entry holding its slice would pin the whole sub-batch's.
-			committed := ests[i]
-			committed.PerItem = slices.Clone(committed.PerItem)
-			tickets[g].Commit(committed)
+			tickets[g].Commit(ests[i])
 		}
 	}
 	for _, g := range joined {

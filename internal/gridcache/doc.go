@@ -10,10 +10,13 @@
 // problem content address plus the canonical wirebin group key of
 // key.go. The canonical sample-order fold (diffusion.ReduceSampleGrid)
 // reduces a group from its own row alone, so the cache stores each
-// group's folded diffusion.Estimate — O(items) bytes, whatever the
-// sample count — and serving a hit is bit-identical to re-simulating
-// and folding. Memoization is therefore free speed with zero accuracy
-// loss, unlike the §9 sketch backend, which trades ε for it.
+// group's folded diffusion.Estimate, packed: the four float fields, M
+// and each item's integer total (the fold's PerItem[j] is total·(1/M)),
+// varint-coded — O(items) bytes, whatever the sample count. Unpacking
+// repeats the fold's arithmetic, so serving a hit is bit-identical to
+// re-simulating and folding. Memoization is therefore free speed with
+// zero accuracy loss, unlike the §9 sketch backend, which trades ε for
+// it.
 //
 // Group keys are canonicalised only as far as the engine provably
 // ignores: seeds are bucketed by promotion T ascending with within-T
@@ -28,8 +31,8 @@
 // caller; the rest Wait) and committed entries are evicted
 // oldest-first past MaxBytes. Entries live in memory only: an evicted
 // entry, or one from before a restart, is simulated again. A commit
-// hands the cache its estimate; every hit or joined flight gets its
-// own copy of PerItem, so no caller writes through to an entry. Estimators
-// attach per-problem views (Cache.View) through the
+// packs the estimate, so the cache keeps its own copy; every hit or
+// joined flight unpacks a fresh one, so no caller writes through to an
+// entry. Estimators attach per-problem views (Cache.View) through the
 // diffusion.GridCache interface.
 package gridcache

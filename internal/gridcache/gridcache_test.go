@@ -2,6 +2,9 @@ package gridcache
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"unsafe"
@@ -195,34 +198,47 @@ func TestCacheHitMissCommit(t *testing.T) {
 }
 
 // TestEntryCostIndependentOfM pins the lane's footprint: one group's
-// entry costs its key, the fixed Estimate size and 8 bytes per item,
-// whatever the sample count it folds.
+// entry costs its key (16 digest bytes and the group key), a string
+// header and the packed estimate — 32 bytes of floats, M and the item
+// count as varints, then one varint total per item — whatever the
+// sample count it folds, beyond the varint widths.
 func TestEntryCostIndependentOfM(t *testing.T) {
 	const items = 5
 	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}}
-	problemKey := testProblem(t).ContentDigest().String()
+	d := testProblem(t).ContentDigest()
+	uv := func(x uint64) int64 { return int64(len(binary.AppendUvarint(nil, x))) }
 	for _, m := range []int{32, 4096} {
 		c, v := testCache(t, 1<<20)
 		_, tk := v.Begin(7, m, seeds, nil, false)
 		tk.Commit(estimateFor(1, items))
-		key := problemKey + string(AppendGroupKey(nil, 7, 0, m, seeds, nil, false))
-		want := int64(len(key)) + int64(unsafe.Sizeof(diffusion.Estimate{})) + 8*items
+		key := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, d.Hi), d.Lo)
+		key = AppendGroupKey(key, 7, 0, m, seeds, nil, false)
+		packed := 4*8 + uv(uint64(m)) + uv(items)
+		for j := range items {
+			packed += uv(uint64((1 + j) * m)) // estimateFor's PerItem[j] is 1+j
+		}
+		want := int64(len(key)) + int64(unsafe.Sizeof("")) + packed
 		if st := c.Stats(); st.Bytes != want {
 			t.Fatalf("M=%d: entry costs %d bytes, want %d", m, st.Bytes, want)
+		}
+		if bound := int64(len(key)) + 16 + 4*8 + 2*3 + items*3; want > bound {
+			t.Fatalf("M=%d: entry costs %d bytes, over the %d-byte bound", m, want, bound)
 		}
 	}
 }
 
 // TestHitOwnsPerItem checks no caller can write through to an entry:
-// changing one hit's (or a joined flight's) PerItem leaves the next hit
-// as committed.
+// changing the committed estimate after Commit, one hit's or a joined
+// flight's PerItem leaves the next hit as committed.
 func TestHitOwnsPerItem(t *testing.T) {
 	_, v := testCache(t, 1<<20)
 	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}}
 	want := estimateFor(1, 3)
 	_, owner := v.Begin(7, 4, seeds, nil, false)
 	_, joiner := v.Begin(7, 4, seeds, nil, false)
-	owner.Commit(estimateFor(1, 3))
+	committed := estimateFor(1, 3)
+	owner.Commit(committed)
+	committed.PerItem[0] = -1
 	joined, _ := joiner.Wait(nil)
 	joined.PerItem[0] = -1
 	for i := 0; i < 2; i++ {
@@ -231,6 +247,99 @@ func TestHitOwnsPerItem(t *testing.T) {
 			t.Fatalf("hit %d: %v, want %v", i, got, want)
 		}
 		got.PerItem[0] = -1
+	}
+}
+
+// foldPerItem is ReduceSampleGrid's per-item arithmetic: the integer
+// total scaled by 1/m.
+func foldPerItem(total uint64, m int) float64 {
+	return float64(total) * (1 / float64(m))
+}
+
+// TestPackRoundTrip is the packing's property test: for every sample
+// count M the engine may use and every per-item total from 0 to M·|V|
+// (|V| = 2¹⁷ users, more than any dataset), at the extremes and at
+// random, the fold's PerItem survives pack and unpack bit for bit, and
+// the four float fields do whatever their bits.
+func TestPackRoundTrip(t *testing.T) {
+	const users = 1 << 17
+	r := rand.New(rand.NewPCG(1, 2))
+	for _, m := range []int{1, 16, 32, 100, 4096, 1 << 22} {
+		top := uint64(m) * users
+		totals := []uint64{0, 1, 2, uint64(m) - 1, uint64(m), uint64(m) + 1, top / 2, top - 1, top}
+		for range 20000 {
+			totals = append(totals, r.Uint64N(top+1))
+		}
+		for off := 0; off < len(totals); off += 64 {
+			chunk := totals[off:min(off+64, len(totals))]
+			est := diffusion.Estimate{
+				Sigma:       math.Float64frombits(r.Uint64()),
+				MarketSigma: math.Copysign(0, -1),
+				Pi:          math.NaN(),
+				Adoptions:   math.Inf(1),
+				PerItem:     make([]float64, len(chunk)),
+			}
+			for j, total := range chunk {
+				est.PerItem[j] = foldPerItem(total, m)
+			}
+			packed, ok := pack(est, m)
+			if !ok {
+				t.Fatalf("M=%d: pack refused totals %v", m, chunk)
+			}
+			got := unpack(packed)
+			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if !same(got.Sigma, est.Sigma) || !same(got.MarketSigma, est.MarketSigma) ||
+				!same(got.Pi, est.Pi) || !same(got.Adoptions, est.Adoptions) || len(got.PerItem) != len(chunk) {
+				t.Fatalf("M=%d: floats or item count changed: %+v → %+v", m, est, got)
+			}
+			for j := range chunk {
+				if !same(got.PerItem[j], est.PerItem[j]) {
+					t.Fatalf("M=%d: total %d: PerItem %v unpacked as %v", m, chunk[j], est.PerItem[j], got.PerItem[j])
+				}
+			}
+		}
+	}
+}
+
+// TestFoldPerItemIsReduceSampleGrid checks foldPerItem against the
+// fold itself, on a row whose first sample carries the item totals as
+// the engine's rows do.
+func TestFoldPerItemIsReduceSampleGrid(t *testing.T) {
+	for _, m := range []int{1, 16, 100, 4096} {
+		totals := []uint64{0, 1, 7, uint64(m) - 1, uint64(m)*3 + 1, uint64(m) * 1000}
+		row := make([]diffusion.SampleResult, m)
+		for j, total := range totals {
+			row[0].Items = append(row[0].Items, int32(j))
+			row[0].Counts = append(row[0].Counts, float64(total))
+		}
+		est := diffusion.ReduceSampleGrid([][]diffusion.SampleResult{row}, len(totals))[0]
+		for j, total := range totals {
+			if math.Float64bits(est.PerItem[j]) != math.Float64bits(foldPerItem(total, m)) {
+				t.Fatalf("M=%d total %d: fold %v, foldPerItem %v", m, total, est.PerItem[j], foldPerItem(total, m))
+			}
+		}
+	}
+}
+
+// TestCommitUnpackableAborts checks that an estimate the packing cannot
+// rebuild bit for bit is never stored: its flight aborts, releasing its
+// joiners empty-handed, and the next Begin owns the key afresh.
+func TestCommitUnpackableAborts(t *testing.T) {
+	_, v := testCache(t, 1<<20)
+	seeds := []diffusion.Seed{{User: 1, Item: 0, T: 1}}
+	for i, perItem := range []float64{0.3, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), 0x1p60} {
+		seed := uint64(100 + i)
+		_, owner := v.Begin(seed, 16, seeds, nil, false)
+		_, joiner := v.Begin(seed, 16, seeds, nil, false)
+		owner.Commit(diffusion.Estimate{PerItem: []float64{1, perItem}})
+		if _, ok := joiner.Wait(nil); ok {
+			t.Fatalf("PerItem %v: the joiner got an estimate the cache cannot rebuild", perItem)
+		}
+		if _, tk := v.Begin(seed, 16, seeds, nil, false); tk == nil || !tk.Owned() {
+			t.Fatalf("PerItem %v: stored although not packable", perItem)
+		} else {
+			tk.Abort()
+		}
 	}
 }
 

@@ -34,6 +34,10 @@ type Job struct {
 	// priority orders within it. Immutable after admission.
 	tenant   string
 	priority int
+	// dequeued marks a job a worker has taken from its sub-queue, which
+	// holds an inflight slot until it settles. Guarded by the
+	// scheduler's mutex.
+	dequeued bool
 
 	ctx        context.Context
 	cancelCtx  context.CancelFunc

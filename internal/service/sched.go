@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -244,8 +245,8 @@ func (s *scheduler) admit(j *Job) error {
 }
 
 // next blocks until a job is dispatchable and returns it, or returns
-// false once the scheduler is closed and drained. The caller owns the
-// returned job's inflight slot and must release() it.
+// false once the scheduler is closed and drained. The returned job
+// holds its tenant's inflight slot until it settles (settle).
 func (s *scheduler) next() (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,6 +284,7 @@ func (s *scheduler) pickLocked() *Job {
 			s.credit--
 			s.total--
 			tq.inflight++
+			j.dequeued = true
 			return j
 		}
 		s.rr = (s.rr + 1) % n
@@ -298,11 +300,27 @@ func (s *scheduler) eligibleLocked(tq *tenantQ) bool {
 	return len(tq.q) > 0 && (s.closed || tq.inflight < tq.quota.MaxInflight)
 }
 
-// release returns the tenant's inflight slot after a job settles,
-// recording its terminal accounting.
-func (s *scheduler) release(tenant string, qwait time.Duration, completed bool) {
+// settle accounts a job as it settles, from its settled hook and so
+// before any waiter wakes: a dequeued job returns its tenant's inflight
+// slot, recording its queue wait and whether it completed; a queued one
+// leaves its sub-queue, so no worker dequeues a settled job and a
+// cancelled job never holds its tenant at MaxQueue. A job never
+// admitted (a result-cache hit) is in neither state and costs nothing.
+func (s *scheduler) settle(j *Job, qwait time.Duration, completed bool) {
 	s.mu.Lock()
-	tq := s.tenantLocked(tenant)
+	tq := s.tenants[j.tenant]
+	if tq == nil {
+		s.mu.Unlock()
+		return
+	}
+	if !j.dequeued {
+		if i := slices.Index(tq.q, j); i >= 0 {
+			tq.q = slices.Delete(tq.q, i, i+1)
+			s.total--
+		}
+		s.mu.Unlock()
+		return
+	}
 	tq.inflight--
 	if completed {
 		tq.completed++
@@ -310,27 +328,6 @@ func (s *scheduler) release(tenant string, qwait time.Duration, completed bool) 
 	s.mu.Unlock()
 	tq.hist.Observe(qwait)
 	s.cond.Signal()
-}
-
-// remove withdraws a still-queued job (cancelled before dispatch),
-// freeing its queue slot immediately so quota accounting stays exact.
-// It reports whether the job was found; false means a worker already
-// dequeued it and owns its lifecycle.
-func (s *scheduler) remove(j *Job) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tq, ok := s.tenants[j.tenant]
-	if !ok {
-		return false
-	}
-	for i, queued := range tq.q {
-		if queued == j {
-			tq.q = append(tq.q[:i], tq.q[i+1:]...)
-			s.total--
-			return true
-		}
-	}
-	return false
 }
 
 // reload swaps the quota table atomically (DESIGN.md §12): every

@@ -52,7 +52,7 @@ func TestSchedulerDRRFairness(t *testing.T) {
 			t.Fatalf("next %d: scheduler closed early", i)
 		}
 		order = append(order, j.tenant)
-		s.release(j.tenant, 0, true)
+		s.settle(j, 0, true)
 	}
 	count := func(upto int, tenant string) int {
 		n := 0
@@ -101,7 +101,7 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 		if j != w {
 			t.Fatalf("dequeue %d: got job %d, want job %d", i, indexOf(jobs, j), indexOf(jobs, w))
 		}
-		s.release(j.tenant, 0, true)
+		s.settle(j, 0, true)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestSchedulerMaxInflight(t *testing.T) {
 		t.Fatalf("dispatched job for capped tenant %q", j.tenant)
 	case <-time.After(50 * time.Millisecond):
 	}
-	s.release("a", 0, true)
+	s.settle(a1, 0, true)
 	select {
 	case j := <-picked:
 		if j != a2 {
@@ -237,7 +237,7 @@ func TestSchedulerQuotaReload(t *testing.T) {
 		if !ok || j.tenant != "pro" {
 			t.Fatalf("drain %d: ok=%v tenant=%q", i, ok, j.tenant)
 		}
-		s.release(j.tenant, 0, true)
+		s.settle(j, 0, true)
 	}
 	// with the backlog drained below MaxQueue, admission works again
 	if err := s.admit(schedJob("pro", 0)); err != nil {
@@ -622,6 +622,47 @@ func TestSchedulerStressConcurrent(t *testing.T) {
 
 	s.Close()
 	checkNoGoroutineLeak(t, baseline)
+}
+
+// TestInflightReleasedBeforeWait: a job returns its tenant's inflight
+// slot before any waiter wakes, on every path that dequeues it — run
+// to completion, cancelled after dequeue and drained at close — so
+// Metrics read right after Wait never shows it inflight. Each job has
+// a tenant of its own, so its row's inflight count is its own.
+func TestInflightReleasedBeforeWait(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 64, CacheSize: -1})
+	p := sampleProblem(t, 60, 2)
+	var wg sync.WaitGroup
+	submit := func(req Request, tenant string, seed uint64) *Job {
+		req.Tenant = tenant
+		req.Options.Seed = seed
+		j, _, err := s.Submit(req)
+		if err != nil {
+			t.Fatalf("submit %s: %v", tenant, err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = j.Wait(context.Background())
+			if row := s.Metrics().Tenants[tenant]; row.Inflight != 0 || row.Queued != 0 {
+				t.Errorf("tenant %s: inflight=%d queued=%d right after Wait, want 0/0", tenant, row.Inflight, row.Queued)
+			}
+		}()
+		return j
+	}
+	for i := range 48 {
+		j := submit(quickReq(p), fmt.Sprintf("run%d", i), uint64(i+1))
+		if i%3 == 0 {
+			j.Cancel() // races the dispatch: queued, dequeued or running
+		}
+	}
+	wg.Wait()
+	// drained at close: two solves running, the rest queued behind them
+	for i := range 6 {
+		submit(slowReq(p), fmt.Sprintf("close%d", i), uint64(i+1))
+	}
+	s.Close()
+	wg.Wait()
 }
 
 // TestCloseWithSubscribersAttached: Close settles every queued job as

@@ -405,7 +405,6 @@ func (s *Service) Cancel(id string) bool {
 func (s *Service) cancelJob(j *Job) {
 	j.cancelCtx()
 	if j.finishIfQueued(s.settled(j, &s.cancelled)) {
-		s.sched.remove(j)
 		s.clearInflight(j)
 	}
 }
@@ -443,18 +442,20 @@ func (s *Service) retireJob(j *Job) {
 }
 
 // settled returns the hook a job's finish runs when it settles the
-// job: it counts the job on c and retires it, before any waiter wakes.
+// job, with j.mu held and before any waiter wakes: it counts the job
+// on c, settles its scheduler accounting and retires it. A job settles
+// once, so every job a worker dequeues — run, drained at close or
+// cancelled after dequeue — returns its tenant's inflight slot exactly
+// once, and a waiter never sees it still inflight.
 func (s *Service) settled(j *Job, c *atomic.Uint64) func() {
 	return func() {
 		c.Add(1)
+		s.sched.settle(j, j.started.Sub(j.created), j.status == StatusDone)
 		s.retireJob(j)
 	}
 }
 
-// worker is the solver loop: one goroutine per Config.Workers. Every
-// job handed out by the scheduler — run, drained-at-close or
-// cancelled-after-dequeue — releases its tenant's inflight slot here,
-// so the per-tenant accounting is exact.
+// worker is the solver loop: one goroutine per Config.Workers.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
@@ -463,7 +464,6 @@ func (s *Service) worker() {
 			return
 		}
 		s.runJob(j)
-		s.sched.release(j.tenant, j.queueWait(), j.Snapshot().Status == StatusDone)
 	}
 }
 
