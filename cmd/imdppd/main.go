@@ -58,17 +58,19 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"imdpp"
+	"imdpp/internal/castore"
 )
 
 // config is the daemon's parsed command line, one field per flag.
@@ -96,7 +98,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&shardWorkers, "shard-workers", "", "comma-separated worker base URLs; fan σ/π estimation out over them (DESIGN.md §7, §13)")
 	fs.IntVar(&c.gridMB, "grid-cache-mb", 64, "in-memory sample-grid memoization cache bound in MiB (0 disables); shared across jobs, in front of -shard-workers too; refused with -worker")
 	fs.StringVar(&c.tenantQuotas, "tenant-quotas", "", "per-tenant scheduling quotas: name:weight[:max_queue[:max_inflight]] comma-separated; name 'default' sets the quota unlisted tenants get (DESIGN.md §12)")
-	fs.DurationVar(&c.sseHeartbeat, "sse-heartbeat", 15*time.Second, "SSE keep-alive comment interval on GET /v1/jobs/{id}/events")
+	fs.DurationVar(&c.sseHeartbeat, "sse-heartbeat", defaultHeartbeat, "SSE keep-alive comment interval on GET /v1/jobs/{id}/events")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "optional debug listener (net/http/pprof + /debug/traces) kept off the serving mux; empty disables (DESIGN.md §11)")
 	fs.TextVar(&c.logLevel, "log-level", slog.LevelInfo, "log verbosity: debug|info|warn|error")
 	fs.BoolVar(&c.logJSON, "log-json", false, "emit logs as JSON lines instead of text")
@@ -105,6 +107,9 @@ func parseConfig(args []string) (config, error) {
 	}
 	if c.worker && shardWorkers != "" {
 		return c, errors.New("-worker and -shard-workers are mutually exclusive")
+	}
+	if c.sseHeartbeat <= 0 {
+		return c, fmt.Errorf("-sse-heartbeat %v: want > 0", c.sseHeartbeat)
 	}
 	var err error
 	fs.Visit(func(f *flag.Flag) { // a coordinator caches grids, a worker none (DESIGN.md §10)
@@ -286,9 +291,10 @@ func debugMux(tracer *imdpp.Tracer) http.Handler {
 }
 
 // daemon wires the HTTP surface to the serving layer, memoizing up to
-// maxDatasets synthetic datasets so repeated requests against one
-// workload don't pay regeneration. pool is non-nil when the daemon
-// coordinates a shard worker fleet.
+// maxDatasets synthetic datasets in a castore (least recently used
+// evicted first) so repeated requests against one workload don't pay
+// regeneration. pool is non-nil when the daemon coordinates a shard
+// worker fleet.
 type daemon struct {
 	svc     *imdpp.Service
 	pool    *imdpp.ShardPool
@@ -296,19 +302,7 @@ type daemon struct {
 	start   time.Time
 	// heartbeat is the SSE keep-alive comment interval; tests shrink it.
 	heartbeat time.Duration
-
-	mu       sync.Mutex
-	datasets map[dsKey]*imdpp.Dataset
-	dsOrder  []dsKey // memoized keys, oldest first
-	building map[dsKey]*dsBuild
-}
-
-// dsBuild is one dataset generation in flight. Requests for its key
-// wait on done and share its result, so they share one Substrate.
-type dsBuild struct {
-	done chan struct{}
-	ds   *imdpp.Dataset
-	err  error
+	memo      *castore.Store[*imdpp.Dataset] // by dsKey.String
 }
 
 type dsKey struct {
@@ -316,13 +310,21 @@ type dsKey struct {
 	scale float64
 }
 
+// String is the key's memo form: the scale's bits in fixed width, then
+// the name.
+func (k dsKey) String() string {
+	return fmt.Sprintf("%016x%s", math.Float64bits(k.scale), k.name)
+}
+
 const (
 	// maxScale bounds a request's dataset scale. Generation cost grows
 	// as scale²: Douban at scale 8 allocates about 227 MB.
 	maxScale = 8
-	// maxDatasets bounds the dataset memo; past it the oldest entry is
-	// evicted.
+	// maxDatasets bounds the dataset memo; past it the least recently
+	// used entry is evicted.
 	maxDatasets = 8
+	// defaultHeartbeat is -sse-heartbeat's default.
+	defaultHeartbeat = 15 * time.Second
 )
 
 func newDaemon(cfg imdpp.ServiceConfig, pool *imdpp.ShardPool) *daemon {
@@ -335,9 +337,8 @@ func newDaemon(cfg imdpp.ServiceConfig, pool *imdpp.ShardPool) *daemon {
 		pool:      pool,
 		workers:   workers,
 		start:     time.Now(),
-		heartbeat: 15 * time.Second,
-		datasets:  make(map[dsKey]*imdpp.Dataset),
-		building:  make(map[dsKey]*dsBuild),
+		heartbeat: defaultHeartbeat,
+		memo:      castore.New(castore.Config[*imdpp.Dataset]{Budget: maxDatasets}),
 	}
 }
 
@@ -543,41 +544,14 @@ func (d *daemon) loadProblem(spec problemSpec) (*imdpp.Problem, error) {
 }
 
 // dataset returns the memoized dataset for key, generating it on a
-// miss. Generation runs outside the lock, since it can take seconds at
-// scale and first requests for distinct keys should not serialise;
+// miss. Generation holds no lock, since it can take seconds at scale
+// and first requests for distinct keys should not serialise;
 // concurrent first requests for one key wait for a single build, so
 // their problems share its Substrate. A failed build is not memoized.
 func (d *daemon) dataset(key dsKey) (*imdpp.Dataset, error) {
-	d.mu.Lock()
-	if ds, ok := d.datasets[key]; ok {
-		d.mu.Unlock()
-		return ds, nil
-	}
-	b, waiting := d.building[key]
-	if !waiting {
-		b = &dsBuild{done: make(chan struct{})}
-		d.building[key] = b
-	}
-	d.mu.Unlock()
-	if waiting {
-		<-b.done
-		return b.ds, b.err
-	}
-
-	b.ds, b.err = imdpp.LoadDataset(key.name, key.scale)
-	d.mu.Lock()
-	delete(d.building, key)
-	if b.err == nil {
-		d.datasets[key] = b.ds
-		d.dsOrder = append(d.dsOrder, key)
-		if len(d.dsOrder) > maxDatasets {
-			delete(d.datasets, d.dsOrder[0])
-			d.dsOrder = d.dsOrder[1:]
-		}
-	}
-	d.mu.Unlock()
-	close(b.done)
-	return b.ds, b.err
+	return d.memo.Do(key.String(), nil, func() (*imdpp.Dataset, error) {
+		return imdpp.LoadDataset(key.name, key.scale)
+	})
 }
 
 func parseOrder(s string) (imdpp.OrderMetric, error) {
@@ -774,7 +748,8 @@ func (d *daemon) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		lastID = r.URL.Query().Get("last_event_id")
 	}
 	if lastID != "" {
-		if _, err := fmt.Sscanf(lastID, "%d", &last); err != nil || last < 0 {
+		var err error
+		if last, err = strconv.Atoi(lastID); err != nil || last < 0 {
 			writeError(w, http.StatusBadRequest, &imdpp.InputError{Field: "Last-Event-ID", Reason: fmt.Sprintf("bad sequence number %q", lastID)})
 			return
 		}
@@ -785,11 +760,7 @@ func (d *daemon) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	heartbeat := d.heartbeat
-	if heartbeat <= 0 {
-		heartbeat = 15 * time.Second
-	}
-	timer := time.NewTimer(heartbeat)
+	timer := time.NewTimer(d.heartbeat)
 	defer timer.Stop()
 	for {
 		// grab the wake channel BEFORE reading, so a publication landing
@@ -814,7 +785,7 @@ func (d *daemon) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			default:
 			}
 		}
-		timer.Reset(heartbeat)
+		timer.Reset(d.heartbeat)
 		select {
 		case <-wake:
 		case <-timer.C:
@@ -922,9 +893,6 @@ func (d *daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (d *daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	datasets := len(d.datasets)
-	d.mu.Unlock()
 	out := struct {
 		imdpp.ServiceMetrics
 		// SolveWorkers is the solver worker-pool depth: how many jobs
@@ -936,7 +904,7 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}{
 		ServiceMetrics: d.svc.Metrics(),
 		SolveWorkers:   d.workers,
-		DatasetsCached: datasets,
+		DatasetsCached: int(d.memo.Stats().Cost), // one per stored dataset
 		UptimeSeconds:  time.Since(d.start).Seconds(),
 	}
 	if d.pool != nil {

@@ -248,7 +248,7 @@ func TestDaemonDatasetMemoBounded(t *testing.T) {
 	if !errors.As(err, &ie) || ie.Field != "Scale" {
 		t.Fatalf("loadProblem(scale 64) = %v, want InputError{Field: Scale}", err)
 	}
-	if n := len(d.datasets); n != 0 {
+	if n := d.memo.Stats().Entries; n != 0 {
 		t.Fatalf("a rejected scale memoized %d datasets", n)
 	}
 	// the sample dataset ignores scale, so each scale is a cheap
@@ -262,14 +262,14 @@ func TestDaemonDatasetMemoBounded(t *testing.T) {
 		if _, err := d.loadProblem(problemSpec{Dataset: "sample", Scale: key(i).scale, Budget: 80, T: 3}); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(d.datasets); n > maxDatasets || n != len(d.dsOrder) || n != min(i, maxDatasets) {
-			t.Fatalf("after %d datasets: memo holds %d (order %d), want %d", i, n, len(d.dsOrder), min(i, maxDatasets))
+		if n := d.memo.Stats().Entries; n > maxDatasets || n != min(i, maxDatasets) {
+			t.Fatalf("after %d datasets: memo holds %d, want %d", i, n, min(i, maxDatasets))
 		}
 	}
-	if _, ok := d.datasets[key(3)]; ok {
+	if _, ok := d.memo.Get(key(3).String()); ok {
 		t.Fatal("oldest datasets were not evicted")
 	}
-	if _, ok := d.datasets[key(maxDatasets+3)]; !ok {
+	if _, ok := d.memo.Get(key(maxDatasets + 3).String()); !ok {
 		t.Fatal("newest dataset was evicted")
 	}
 }
@@ -304,15 +304,16 @@ func TestDaemonDatasetBuiltOnce(t *testing.T) {
 			t.Fatalf("request %d got its own Substrate: the dataset was built more than once", i)
 		}
 	}
-	if len(d.datasets) != 1 || len(d.building) != 0 {
-		t.Fatalf("memo holds %d datasets, %d builds in flight; want 1 and 0", len(d.datasets), len(d.building))
+	// each stored dataset costs 1; Entries counts flights too
+	if st := d.memo.Stats(); st.Cost != 1 || st.Entries != 1 {
+		t.Fatalf("memo holds %d datasets, %d builds in flight; want 1 and 0", st.Cost, int64(st.Entries)-st.Cost)
 	}
 	// a failed build is returned, not memoized
 	if _, err := d.loadProblem(problemSpec{Dataset: "nosuch", Budget: 80, T: 3}); err == nil {
 		t.Fatal("unknown dataset loaded")
 	}
-	if len(d.datasets) != 1 || len(d.building) != 0 {
-		t.Fatalf("a failed build left %d datasets, %d builds in flight", len(d.datasets), len(d.building))
+	if st := d.memo.Stats(); st.Cost != 1 || st.Entries != 1 {
+		t.Fatalf("a failed build left %d datasets, %d builds in flight", st.Cost, int64(st.Entries)-st.Cost)
 	}
 }
 
@@ -845,6 +846,8 @@ func TestParseConfig(t *testing.T) {
 		{"malformed list entry", []string{"-shard-workers", "http://a:1,127.0.0.1:9"}, "-shard-workers"},
 		{"schemeless list entry", []string{"-shard-workers", "localhost:9"}, "bad worker url"},
 		{"unknown log level", []string{"-log-level", "loud"}, "log-level"},
+		{"zero heartbeat", []string{"-sse-heartbeat", "0s"}, "-sse-heartbeat 0s: want > 0"},
+		{"negative heartbeat", []string{"-sse-heartbeat", "-1s"}, "-sse-heartbeat -1s: want > 0"},
 	}
 	for _, c := range bad {
 		if _, err := parseConfig(c.args); err == nil || !strings.Contains(err.Error(), c.want) {

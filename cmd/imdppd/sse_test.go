@@ -205,8 +205,10 @@ func TestSSELastEventIDResume(t *testing.T) {
 		t.Fatalf("query-param resume replayed %d events, want %d", len(qp), len(resumed))
 	}
 
-	if code := sseStatus(t, srv.URL+"/v1/jobs/"+sub.JobID+"/events", "not-a-number"); code != http.StatusBadRequest {
-		t.Fatalf("bad Last-Event-ID: status %d, want 400", code)
+	for _, bad := range []string{"not-a-number", "12abc", "0x10", "-1"} {
+		if code := sseStatus(t, srv.URL+"/v1/jobs/"+sub.JobID+"/events", bad); code != http.StatusBadRequest {
+			t.Fatalf("bad Last-Event-ID %q: status %d, want 400", bad, code)
+		}
 	}
 	if code := sseStatus(t, srv.URL+"/v1/jobs/nope/events", ""); code != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d, want 404", code)

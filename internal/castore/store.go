@@ -2,6 +2,7 @@ package castore
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -90,6 +91,40 @@ func (s *Store[V]) Begin(key string) (V, *Ticket[V]) {
 	s.index[key] = e
 	s.mu.Unlock()
 	return zero, &Ticket[V]{s: s, e: e, done: done, owned: true}
+}
+
+// ErrStopped is Do's error when the caller's stop fires while it waits
+// on another caller's build.
+var ErrStopped = errors.New("castore: wait stopped")
+
+// Do returns the value under key, running build on a miss: one build
+// per key across concurrent callers, which share its value. A failed
+// build is returned to its caller and not stored; a joiner it leaves
+// empty-handed begins again, building itself if no one else has. A
+// joiner's stop (nil: never) ends only its own wait, with ErrStopped.
+func (s *Store[V]) Do(key string, stop <-chan struct{}, build func() (V, error)) (V, error) {
+	for {
+		v, t := s.Begin(key)
+		if t == nil {
+			return v, nil
+		}
+		if t.Owned() {
+			defer t.Abort() // a panicking build must not strand its joiners
+			v, err := build()
+			if err == nil {
+				t.Commit(v)
+			}
+			return v, err
+		}
+		if v, ok := t.Wait(stop); ok {
+			return v, nil
+		}
+		select {
+		case <-stop:
+			return v, ErrStopped
+		default: // the owner's build failed
+		}
+	}
 }
 
 // Get returns the committed value under key, refreshing its recency.

@@ -1,6 +1,7 @@
 package castore
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -323,5 +324,130 @@ func TestCacheConcurrentStress(t *testing.T) {
 	}
 	if st.Cost > 150 {
 		t.Fatalf("churn left cost %d resident past the 150 budget", st.Cost)
+	}
+}
+
+// TestDoBuildsOnce: concurrent callers of one key share one build and
+// its value, and a later call is a hit.
+func TestDoBuildsOnce(t *testing.T) {
+	s := byteStore(1 << 20)
+	const callers = 16
+	var builds atomic.Int32
+	release := make(chan struct{})
+	got := make([][]byte, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := s.Do("k", nil, func() ([]byte, error) {
+				builds.Add(1)
+				<-release // hold the flight open until every caller is in
+				return valueFor(7, 8), nil
+			})
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+			got[i] = v
+		}()
+	}
+	for s.Stats().Lookups < callers {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one key, want 1", n)
+	}
+	for i, v := range got {
+		if &v[0] != &got[0][0] {
+			t.Fatalf("caller %d got its own value, not the shared build", i)
+		}
+	}
+	if _, err := s.Do("k", nil, func() ([]byte, error) {
+		t.Fatal("a stored key was built again")
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDoFailedBuildNotStored: a failed build returns its error to its
+// owner and stores nothing; a joiner that was waiting on it builds the
+// value itself.
+func TestDoFailedBuildNotStored(t *testing.T) {
+	s := byteStore(1 << 20)
+	boom := errors.New("boom")
+	joined, fail := make(chan struct{}), make(chan struct{})
+	owner := make(chan error, 1)
+	go func() {
+		_, err := s.Do("k", nil, func() ([]byte, error) {
+			close(joined)
+			<-fail
+			return nil, boom
+		})
+		owner <- err
+	}()
+	<-joined
+	joiner := make(chan []byte, 1)
+	go func() {
+		v, err := s.Do("k", nil, func() ([]byte, error) { return valueFor(3, 8), nil })
+		if err != nil {
+			t.Errorf("joiner: %v", err)
+		}
+		joiner <- v
+	}()
+	for s.Stats().Joins == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(fail)
+	if err := <-owner; !errors.Is(err, boom) {
+		t.Fatalf("owner got %v, want its build's error", err)
+	}
+	if v := <-joiner; string(v) != string(valueFor(3, 8)) {
+		t.Fatalf("joiner got %v, want the value it built itself", v)
+	}
+	if v, ok := s.Get("k"); !ok || string(v) != string(valueFor(3, 8)) {
+		t.Fatal("the joiner's build was not stored")
+	}
+	if st := s.Stats(); st.Entries != 1 || st.Cost != int64(1+8) {
+		t.Fatalf("stats %+v: the failed build left a trace", st)
+	}
+}
+
+// TestDoJoinerOwnStop: a joiner whose stop fires returns at once with
+// ErrStopped, while the owner's build still completes and is stored.
+func TestDoJoinerOwnStop(t *testing.T) {
+	s := byteStore(1 << 20)
+	building, finish := make(chan struct{}), make(chan struct{})
+	owner := make(chan []byte, 1)
+	go func() {
+		v, _ := s.Do("k", nil, func() ([]byte, error) {
+			close(building)
+			<-finish
+			return valueFor(5, 8), nil
+		})
+		owner <- v
+	}()
+	<-building
+	stop := make(chan struct{})
+	close(stop)
+	if _, err := s.Do("k", stop, func() ([]byte, error) {
+		t.Fatal("a joiner built while the owner's build ran")
+		return nil, nil
+	}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped joiner got %v, want ErrStopped", err)
+	}
+	select {
+	case <-owner:
+		t.Fatal("the owner finished before its build was released")
+	default:
+	}
+	close(finish)
+	if v := <-owner; string(v) != string(valueFor(5, 8)) {
+		t.Fatalf("owner got %v", v)
+	}
+	if v, ok := s.Get("k"); !ok || string(v) != string(valueFor(5, 8)) {
+		t.Fatal("the owner's build was not stored after its joiner stopped")
 	}
 }

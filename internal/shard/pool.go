@@ -12,8 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"imdpp/internal/castore"
 	"imdpp/internal/diffusion"
 	"imdpp/internal/obs"
+	"imdpp/internal/wirebin"
 )
 
 // Pool is the coordinator side of the shard RPC: the listed remote
@@ -29,11 +31,10 @@ import (
 // exactly-once delivery.
 type Pool struct {
 	client *http.Client
+	frames *castore.Store[*ProblemBlob] // upload frames by content key, see blobFor
 
 	mu      sync.Mutex
 	remotes []*Remote
-	blobs   map[diffusion.Digest]*ProblemBlob // bounded memo, see blobFor
-	blobLRU []diffusion.Digest
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -77,9 +78,10 @@ type Pool struct {
 type Remote struct {
 	url string
 
-	mu       sync.Mutex
-	lastErr  string
-	problems map[diffusion.Digest]bool // uploads acknowledged by this worker
+	acks *castore.Store[struct{}] // uploads this worker acknowledged, by content key
+
+	mu      sync.Mutex
+	lastErr string
 
 	// Lifecycle bookkeeping (guarded by mu; see lifecycle.go).
 	inRotation bool          // a probe answered since the last failure
@@ -96,22 +98,23 @@ type Remote struct {
 	inflight atomic.Int32 // shard RPCs currently outstanding
 }
 
+// newRemote is the entry for the normalized worker URL u. Its ack
+// store is bounded like the worker's problem store: an ack evicted
+// here costs one re-upload, and the worker holds no more anyway.
+func newRemote(u string) *Remote {
+	return &Remote{url: u, acks: castore.New(castore.Config[struct{}]{Budget: maxProblems})}
+}
+
 // knowsProblem reports whether this worker acknowledged an upload of
 // key.
 func (r *Remote) knowsProblem(key diffusion.Digest) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.problems[key]
+	_, ok := r.acks.Get(digestKey(key))
+	return ok
 }
 
-func (r *Remote) setProblem(key diffusion.Digest, known bool) {
-	r.mu.Lock()
-	if known {
-		r.problems[key] = true
-	} else {
-		delete(r.problems, key)
-	}
-	r.mu.Unlock()
+// digestKey is a content key's castore form: its 16 raw bytes.
+func digestKey(d diffusion.Digest) string {
+	return string(wirebin.AppendU64(wirebin.AppendU64(make([]byte, 0, 16), d.Hi), d.Lo))
 }
 
 // NewPool builds the pool over the workers at the given base URLs
@@ -143,7 +146,7 @@ func NewPool(urls []string, client *http.Client) *Pool {
 	}
 	p := &Pool{
 		client:     client,
-		blobs:      make(map[diffusion.Digest]*ProblemBlob),
+		frames:     castore.New(castore.Config[*ProblemBlob]{Budget: maxFrames}),
 		stop:       make(chan struct{}),
 		specFactor: 2.0,
 		specMin:    25 * time.Millisecond,
@@ -352,7 +355,7 @@ func (p *Pool) Snapshot() PoolStats {
 			State:    p.label(r),
 			Healthy:  r.inRotation,
 			LastErr:  r.lastErr,
-			Problems: len(r.problems),
+			Problems: r.acks.Stats().Entries,
 		}
 		r.mu.Unlock()
 		switch rs.State {
@@ -384,31 +387,19 @@ func NewProblemBlob(p *diffusion.Problem) *ProblemBlob {
 	return &ProblemBlob{Key: p.ContentDigest(), body: EncodeProblem(p).AppendBinary(nil)}
 }
 
+// maxFrames bounds the pool's upload-frame memo (blobFor).
+const maxFrames = 4
+
 // blobFor memoizes NewProblemBlob per content key, which costs a
 // dozen words over a warm substrate (Problem.ContentDigest). A solver
 // run creates two estimators (MC and MCSI) over one problem, and a
 // daemon clones a problem per request; the memo makes them all share
-// one encoding. It holds no problem, and it is bounded: a small FIFO
-// window suffices.
+// one encoding, built once. It holds no problem, and it is bounded: a
+// small LRU window suffices.
 func (p *Pool) blobFor(prob *diffusion.Problem) *ProblemBlob {
-	key := prob.ContentDigest()
-	p.mu.Lock()
-	if b, ok := p.blobs[key]; ok {
-		p.mu.Unlock()
-		return b
-	}
-	p.mu.Unlock()
-	b := NewProblemBlob(prob)
-	p.mu.Lock()
-	if _, ok := p.blobs[key]; !ok {
-		p.blobs[key] = b
-		p.blobLRU = append(p.blobLRU, key)
-		for len(p.blobLRU) > 4 {
-			delete(p.blobs, p.blobLRU[0])
-			p.blobLRU = p.blobLRU[1:]
-		}
-	}
-	p.mu.Unlock()
+	b, _ := p.frames.Do(digestKey(prob.ContentDigest()), nil, func() (*ProblemBlob, error) {
+		return NewProblemBlob(prob), nil
+	})
 	return b
 }
 
@@ -432,12 +423,9 @@ func putScratch(b *[]byte, used []byte) {
 	scratchPool.Put(b)
 }
 
-// ensureProblem uploads blob to r unless r already acknowledged it,
-// verifying the worker-computed content address against the local one.
-func (p *Pool) ensureProblem(ctx context.Context, r *Remote, blob *ProblemBlob) error {
-	if r.knowsProblem(blob.Key) {
-		return nil
-	}
+// upload sends blob to r and records the acknowledgement, verifying
+// the worker-computed content address against the local one.
+func (p *Pool) upload(ctx context.Context, r *Remote, blob *ProblemBlob) error {
 	s, err := p.takeStream(ctx, r)
 	if err != nil {
 		return err
@@ -462,7 +450,7 @@ func (p *Pool) ensureProblem(ctx context.Context, r *Remote, blob *ProblemBlob) 
 		return &shardError{code: CodeHashMismatch,
 			msg: fmt.Sprintf("worker hashed %s, coordinator %s", key, blob.Key)}
 	}
-	r.setProblem(blob.Key, true)
+	r.acks.Put(digestKey(blob.Key), struct{}{})
 	return nil
 }
 
@@ -498,7 +486,10 @@ func (p *Pool) begin(ctx context.Context, r *Remote, blob *ProblemBlob, req *Est
 		use.SpanID = c.sp.SpanID()
 	}
 	c.frame = use.AppendBinary((*c.scratch)[:0])
-	if c.err = p.ensureProblem(ctx, r, blob); c.err == nil {
+	if !r.knowsProblem(blob.Key) {
+		c.err = p.upload(ctx, r, blob)
+	}
+	if c.err == nil {
 		c.write(ctx, p)
 	}
 	return c
@@ -550,9 +541,8 @@ func (p *Pool) await(ctx context.Context, c *call) (*EstimateResponse, error) {
 		var se *shardError
 		if attempt == 0 && errors.As(err, &se) && se.code == CodeUnknownProblem {
 			// the worker evicted or lost the problem (e.g. restart):
-			// forget the acknowledgement and re-upload once
-			c.r.setProblem(c.blob.Key, false)
-			if c.err = p.ensureProblem(ctx, c.r, c.blob); c.err == nil {
+			// re-upload once, which renews the acknowledgement
+			if c.err = p.upload(ctx, c.r, c.blob); c.err == nil {
 				c.write(ctx, p)
 			}
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/url"
 	"strings"
-
-	"imdpp/internal/diffusion"
 )
 
 // The pool's membership is the worker list it was built with
@@ -60,6 +58,6 @@ func (p *Pool) entry(u string) {
 		}
 	}
 	if len(p.remotes) < maxRemotes {
-		p.remotes = append(p.remotes, &Remote{url: u, problems: make(map[diffusion.Digest]bool)})
+		p.remotes = append(p.remotes, newRemote(u))
 	}
 }

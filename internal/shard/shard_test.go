@@ -445,6 +445,28 @@ func TestWorkerRestartReupload(t *testing.T) {
 	}
 }
 
+// TestAcksBoundedByWorkerStore sends more distinct problems through
+// one pool than a worker can hold: each worker's acknowledged uploads
+// stay within maxProblems, the worker's store bound, and every batch
+// stays bit-identical to the local engine.
+func TestAcksBoundedByWorkerStore(t *testing.T) {
+	base := sampleProblem(t, 100, 3)
+	groups := groupsFor(base)
+	const m, seed, problems = 6, 11, 40
+	pool, _, _ := newFleet(t, 2)
+	for i := range problems {
+		p := *base
+		p.Budget = float64(100 + i) // a distinct content address
+		want := diffusion.NewEstimator(&p, m, seed).RunBatch(groups, nil)
+		requireSameEstimates(t, fmt.Sprintf("problem %d", i), want, NewEstimator(pool, &p, m, seed, 2).RunBatch(groups, nil))
+	}
+	for _, rs := range pool.Snapshot().Remotes {
+		if rs.Problems > maxProblems {
+			t.Fatalf("%s: %d acknowledged uploads after %d problems, want ≤ %d", rs.URL, rs.Problems, problems, maxProblems)
+		}
+	}
+}
+
 // TestWorkerRejectsHostileRequests pins the worker's input guards: a
 // zero-vertex graph payload smuggling arcs must fail decoding (not
 // panic in CSR rebuild), an upload carrying a non-finite or
@@ -483,7 +505,7 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 	blob := NewProblemBlob(sampleProblem(t, 120, 3))
 	pool.probeUnprobed() // nothing is dispatchable before its first probe
 	r := pool.healthyRemotes()[0]
-	if err := pool.ensureProblem(context.Background(), r, blob); err != nil {
+	if err := pool.upload(context.Background(), r, blob); err != nil {
 		t.Fatal(err)
 	}
 	s := testStream(t, pool)

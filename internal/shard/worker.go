@@ -13,14 +13,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"imdpp/internal/castore"
 	"imdpp/internal/diffusion"
 	"imdpp/internal/obs"
 )
 
 // The worker's two bounds. maxProblems caps the content-addressed
-// problem store: the oldest problem is evicted beyond it, and
-// coordinators transparently re-upload an evicted problem on the next
-// unknown_problem error frame. maxUnits caps one estimate request's
+// problem store: the least recently used problem is evicted beyond
+// it, and coordinators transparently re-upload an evicted problem on
+// the next unknown_problem error frame. maxUnits caps one estimate request's
 // total work — groups × sample-range span, each unit one campaign
 // simulation — so a buggy or hostile coordinator cannot OOM or pin the
 // worker with one request; requests beyond it get a typed bad_request.
@@ -53,9 +54,9 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg WorkerConfig
 
-	mu       sync.Mutex
-	problems map[diffusion.Digest]*diffusion.Problem
-	order    []diffusion.Digest // insertion order, oldest first, for eviction
+	// problems is the decoded problem store by content key
+	// (digestKey); DropProblems swaps in an empty one.
+	problems atomic.Pointer[castore.Store[*diffusion.Problem]]
 
 	// The open streams (guarded by smu). Shutdown sets closing, which
 	// refuses new streams and ends each open one after its reply.
@@ -70,11 +71,9 @@ type Worker struct {
 
 // NewWorker creates a shard worker.
 func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{
-		cfg:      cfg,
-		problems: make(map[diffusion.Digest]*diffusion.Problem),
-		streams:  make(map[*workerStream]struct{}),
-	}
+	w := &Worker{cfg: cfg, streams: make(map[*workerStream]struct{})}
+	w.DropProblems()
+	return w
 }
 
 // Mount registers the shard RPC's stream endpoint on mux, and GET
@@ -131,11 +130,8 @@ type WorkerStats struct {
 
 // Stats snapshots the worker counters.
 func (w *Worker) Stats() WorkerStats {
-	w.mu.Lock()
-	n := len(w.problems)
-	w.mu.Unlock()
 	return WorkerStats{
-		ProblemsCached:   n,
+		ProblemsCached:   w.problems.Load().Stats().Entries,
 		ShardsServed:     w.shardsServed.Load(),
 		SamplesSimulated: w.samplesDone.Load(),
 	}
@@ -145,10 +141,7 @@ func (w *Worker) Stats() WorkerStats {
 // worker restart. Coordinators recover through the unknown_problem
 // re-upload path; tests use it to exercise exactly that.
 func (w *Worker) DropProblems() {
-	w.mu.Lock()
-	w.problems = make(map[diffusion.Digest]*diffusion.Problem)
-	w.order = nil
-	w.mu.Unlock()
+	w.problems.Store(castore.New(castore.Config[*diffusion.Problem]{Budget: maxProblems}))
 }
 
 // workerStream is one upgraded connection: request frames in, one
@@ -310,7 +303,8 @@ func (w *Worker) answer(ctx context.Context, frame, b []byte) (reply []byte, ok 
 }
 
 // upload decodes a problem upload frame, verifies its content address
-// by recomputation, and stores it under that key.
+// by recomputation, and stores it under that key. A problem already
+// stored is kept, so a re-upload keeps its warm substrate.
 func (w *Worker) upload(frame []byte) (diffusion.Digest, error) {
 	u, err := DecodeProblemUploadBinary(frame)
 	if err != nil {
@@ -321,16 +315,7 @@ func (w *Worker) upload(frame []byte) (diffusion.Digest, error) {
 		return diffusion.Digest{}, err
 	}
 	key := p.ContentDigest()
-	w.mu.Lock()
-	if _, ok := w.problems[key]; !ok {
-		w.problems[key] = p
-		w.order = append(w.order, key)
-		for len(w.order) > maxProblems {
-			delete(w.problems, w.order[0])
-			w.order = w.order[1:]
-		}
-	}
-	w.mu.Unlock()
+	_, _ = w.problems.Load().Do(digestKey(key), nil, func() (*diffusion.Problem, error) { return p, nil }) // this build cannot fail
 	return key, nil
 }
 
@@ -344,9 +329,7 @@ func (w *Worker) estimate(ctx context.Context, frame []byte) (*EstimateResponse,
 	if err != nil {
 		return nil, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err)
 	}
-	w.mu.Lock()
-	p := w.problems[req.Problem]
-	w.mu.Unlock()
+	p, _ := w.problems.Load().Get(digestKey(req.Problem))
 	if p == nil {
 		return nil, CodeUnknownProblem, fmt.Errorf("problem %s not loaded on this worker", req.Problem)
 	}

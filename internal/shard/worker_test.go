@@ -64,20 +64,17 @@ func workerReleasesPooledProblems(t *testing.T, cfg WorkerConfig) {
 			Groups:  [][]diffusion.Seed{{{User: 1, Item: 2, T: 1}}},
 		}
 		call(req.AppendBinary(nil))
-		w.mu.Lock()
-		subs[i] = weak.Make(w.problems[keys[i]].Substrate)
-		w.mu.Unlock()
+		stored, _ := w.problems.Load().Get(digestKey(keys[i]))
+		subs[i] = weak.Make(stored.Substrate)
 	}
 	var evicted, stored []weak.Pointer[diffusion.Substrate]
-	w.mu.Lock()
 	for i, k := range keys {
-		if w.problems[k] == nil {
+		if _, ok := w.problems.Load().Get(digestKey(k)); !ok {
 			evicted = append(evicted, subs[i])
 		} else {
 			stored = append(stored, subs[i])
 		}
 	}
-	w.mu.Unlock()
 	if len(evicted) == 0 {
 		t.Fatalf("worker kept all %d problems; the test needs evictions", uploads)
 	}

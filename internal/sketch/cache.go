@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -51,41 +52,26 @@ func (c *Cache) key(problemKey string, par Params) string {
 }
 
 // GetOrBuild returns the sketch for (p, par), building it at most once
-// per key across concurrent callers, keyed by the problem's content
-// address (Problem.ContentDigest, memoized per substrate). A nil cache
-// builds directly. Build failures — including preemption via stop — are not
-// cached. A caller joined to another's build waits under its own stop:
-// if that build fails, the caller retries, building itself if no one
-// else has started, so one request's cancellation never fails another.
+// per key across concurrent callers (castore's Do), keyed by the
+// problem's content address (Problem.ContentDigest, memoized per
+// substrate). A nil cache builds directly. Build failures — including
+// preemption via stop — are not cached, and a caller joined to a build
+// that fails builds itself, so one request's cancellation never fails
+// another. A joiner's own stop ends its wait with ErrPreempted.
 func (c *Cache) GetOrBuild(p *diffusion.Problem, par Params, workers int, stop <-chan struct{}) (*Sketch, error) {
 	if c == nil {
 		return Build(p, par, workers, stop)
 	}
 	par = par.withDefaults()
-	key := c.key(p.ContentDigest().String(), par)
-	for {
-		sk, t := c.store.Begin(key)
-		if t == nil {
-			return sk, nil
-		}
-		if !t.Owned() {
-			if sk, ok := t.Wait(stop); ok {
-				return sk, nil
-			}
-			select {
-			case <-stop:
-				return nil, ErrPreempted
-			default:
-				continue // the owner's build failed; retry
-			}
-		}
+	sk, err := c.store.Do(c.key(p.ContentDigest().String(), par), stop, func() (*Sketch, error) {
 		sk, err := Build(p, par, workers, stop)
-		if err != nil {
-			t.Abort()
-			return nil, err
+		if err == nil {
+			c.builds.Add(1)
 		}
-		c.builds.Add(1)
-		t.Commit(sk)
-		return sk, nil
+		return sk, err
+	})
+	if errors.Is(err, castore.ErrStopped) {
+		return nil, ErrPreempted
 	}
+	return sk, err
 }

@@ -43,7 +43,6 @@ imdpp/internal/rng.(*Rand).Bernoulli           TestStreamMatchesRand
 imdpp/internal/gridcache.GroupKey.Append       TestGroupKeyRoundTrip
 imdpp/internal/gridcache.DecodeGroupKey        TestGroupKeyRoundTrip
 imdpp/internal/service.(*Service).Cancel       TestCancelRunning
-imdpp/internal/shard.(*Worker).DropProblems    TestWorkerRestartReupload
 imdpp/internal/dataset.All                     TestAllPresets
 imdpp/internal/fleettest.*                     internal/shard TestChaos* (fault proxy)
 imdpp/internal/servicetest.*                   cmd/imdppd TestChaos* (burst and fault harness)
