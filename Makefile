@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test dysimbench-test race bench fmt fmt-check vet lint smoke serve-smoke load-smoke shard-smoke sketch-smoke docs-check inline-check reach-check fuzz
+.PHONY: all build test test-1cpu dysimbench-test race bench fmt fmt-check vet lint smoke serve-smoke load-smoke shard-smoke sketch-smoke docs-check inline-check reach-check fuzz
 
 all: build test
 
@@ -12,6 +12,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The engine's tests and goldens at one CPU. An Estimator left at
+# Workers 0 runs GOMAXPROCS goroutines, so on a multi-CPU host they
+# check the sample-row path; at one CPU they check the one-goroutine
+# fold (DESIGN.md §3).
+test-1cpu:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/diffusion ./internal/core ./internal/gridcache ./internal/service ./internal/shard .
 
 # The committed benchmark is its own module (dysimbench/go.mod), so
 # `go test ./...` at the root does not reach it. Its tests compare
@@ -28,7 +35,8 @@ race:
 
 # Single-shot benchmark pass: batched vs sequential nominee scoring,
 # raw σ estimation and the end-to-end Amazon solve, each at one and two
-# CPUs (at one CPU the solve runs the engine's one-goroutine branch);
+# CPUs (at one CPU the engine runs one goroutine, which folds each
+# sample as it draws it; at two it keeps sample rows for the fold);
 # then the engine's own kernels (a campaign, a selection-shaped
 # campaign, a scheduling sample), at a fixed count that warms the state
 # pools so allocs/op shows the steady state; then a σ query through a

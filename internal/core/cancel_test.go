@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,33 +30,88 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	}
 }
 
+// cancelOnCall is an estimation backend that calls tick before each
+// estimate and then runs it on the wrapped backend.
+type cancelOnCall struct {
+	Estimator
+	tick func()
+}
+
+func (c cancelOnCall) Sigma(seeds []diffusion.Seed) float64 {
+	c.tick()
+	return c.Estimator.Sigma(seeds)
+}
+
+func (c cancelOnCall) Run(seeds []diffusion.Seed, market []bool, withPi bool) diffusion.Estimate {
+	c.tick()
+	return c.Estimator.Run(seeds, market, withPi)
+}
+
+func (c cancelOnCall) RunBatch(groups [][]diffusion.Seed, market []bool) []diffusion.Estimate {
+	c.tick()
+	return c.Estimator.RunBatch(groups, market)
+}
+
+func (c cancelOnCall) RunBatchPi(groups [][]diffusion.Seed, market []bool) []diffusion.Estimate {
+	c.tick()
+	return c.Estimator.RunBatchPi(groups, market)
+}
+
+func (c cancelOnCall) RunBatchMasked(groups [][]diffusion.Seed, masks [][]bool, withPi bool) []diffusion.Estimate {
+	c.tick()
+	return c.Estimator.RunBatchMasked(groups, masks, withPi)
+}
+
+func (c cancelOnCall) SigmaBatch(groups [][]diffusion.Seed) []float64 {
+	c.tick()
+	return c.Estimator.SigmaBatch(groups)
+}
+
 // TestSolveCtxCancelMidSolve: cancelling a running solve returns
 // ctx.Err() within about one campaign simulation and leaks no
-// goroutines from the estimator pool.
+// goroutines from the estimator pool. The backend cancels on the
+// solve's cancelCall-th estimate, just before the engine runs it, so
+// the cancel lands inside the solve however fast the host runs it.
 func TestSolveCtxCancelMidSolve(t *testing.T) {
+	const cancelCall = 3 // of the 8 a whole solve makes: still selecting seeds
 	p := sampleProblem(t, 80, 3)
 	baseline := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		calls    atomic.Int64
+		cancelAt time.Time // written by the solve before it returns
+	)
+	opt := cancelOpts()
+	opt.Backend = func(p *diffusion.Problem, samples int, seed uint64, workers int) Estimator {
+		return cancelOnCall{LocalEstimator(p, samples, seed, workers), func() {
+			if calls.Add(1) == cancelCall {
+				cancelAt = time.Now()
+				cancel()
+			}
+		}}
+	}
 	type result struct {
 		sol Solution
 		err error
 	}
 	res := make(chan result, 1)
 	go func() {
-		sol, err := SolveCtx(ctx, p, cancelOpts())
+		sol, err := SolveCtx(ctx, p, opt)
 		res <- result{sol, err}
 	}()
-	time.Sleep(20 * time.Millisecond) // let the solve get going
-	cancelAt := time.Now()
-	cancel()
+	var r result
 	select {
-	case r := <-res:
-		if !errors.Is(r.err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v (sol σ=%v)", r.err, r.sol.Sigma)
-		}
+	case r = <-res:
 	case <-time.After(5 * time.Second):
-		t.Fatal("solve did not return after cancel")
+		t.Fatal("solve did not return")
+	}
+	if n := calls.Load(); n < cancelCall {
+		t.Fatalf("the solve made %d estimates and ended before the cancel on estimate %d", n, cancelCall)
+	}
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v (sol σ=%v)", r.err, r.sol.Sigma)
 	}
 	if latency := time.Since(cancelAt); latency > 500*time.Millisecond {
 		t.Fatalf("cancel latency %v, want ≤ 500ms", latency)

@@ -19,7 +19,7 @@ func (s *solver) candidateUniverse() []cluster.Nominee {
 		nm    cluster.Nominee
 		score float64
 	}
-	var all []scored
+	all := make([]scored, 0, p.NumUsers()*p.NumItems())
 	for u := 0; u < p.NumUsers(); u++ {
 		deg := float64(p.G.OutDegree(u))
 		if deg == 0 {

@@ -97,7 +97,9 @@ func estimatesEqual(a, b Estimate) bool {
 
 // TestRunBatchMatchesRun: RunBatch must return bit-identical Estimates
 // to per-group Run for the same master seed, for every worker count in
-// {1, 4, GOMAXPROCS}, with and without a market mask and π.
+// {1, 4, GOMAXPROCS}, with and without a market mask and π. One worker
+// folds each sample as it draws it; the sample grid of the same worker
+// count, folded by ReduceSampleGrid, must give the same bits.
 func TestRunBatchMatchesRun(t *testing.T) {
 	p := batchProblem(t)
 	groups := batchGroups(p)
@@ -134,10 +136,15 @@ func TestRunBatchMatchesRun(t *testing.T) {
 				} else {
 					got = e.RunBatch(groups, mask)
 				}
+				grid := ReduceSampleGrid(e.RunBatchSamples(groups, mask, nil, withPi, 0, m), p.NumItems())
 				for g := range groups {
 					if !estimatesEqual(got[g], want[g]) {
 						t.Fatalf("masked=%v withPi=%v workers=%d group %d: batch %+v != run %+v",
 							masked, withPi, w, g, got[g], want[g])
+					}
+					if !estimatesEqual(grid[g], want[g]) {
+						t.Fatalf("masked=%v withPi=%v workers=%d group %d: folded grid %+v != run %+v",
+							masked, withPi, w, g, grid[g], want[g])
 					}
 				}
 			}

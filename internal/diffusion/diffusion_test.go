@@ -428,16 +428,28 @@ func TestEstimatorDeterministic(t *testing.T) {
 	}
 }
 
+// TestEstimatorWorkerInvariance: every field of an estimate, π and a
+// market mask included, has the same bits at Workers 1 (which folds
+// each sample as it draws it), 2 and 4 (which fold the sample grid).
+// At M = 99 a fold that scaled differently (x/M against x·(1/M), or
+// each count by 1/M) shows in the bits; at M = 64 or 100 it need not.
 func TestEstimatorWorkerInvariance(t *testing.T) {
 	p := testProblem(t, lineGraph(4, 0.5),
 		func(u, x int) float64 { return 0.8 }, nil, 2, DefaultParams())
 	seeds := []Seed{{User: 0, Item: 0, T: 1}}
-	e1 := NewEstimator(p, 64, 42)
-	e1.Workers = 1
-	e2 := NewEstimator(p, 64, 42)
-	e2.Workers = 4
-	if a, b := e1.Sigma(seeds), e2.Sigma(seeds); math.Abs(a-b) > 1e-9 {
-		t.Fatalf("worker count changed estimate: %v vs %v", a, b)
+	market := []bool{true, false, true, true}
+	var want Estimate
+	for _, w := range []int{1, 2, 4} {
+		e := NewEstimator(p, 99, 42)
+		e.Workers = w
+		got := e.Run(seeds, market, true)
+		if w == 1 {
+			want = got
+			continue
+		}
+		if !estimatesEqual(got, want) {
+			t.Fatalf("workers=%d: %+v, workers=1: %+v", w, got, want)
+		}
 	}
 }
 

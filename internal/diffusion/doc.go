@@ -7,8 +7,9 @@
 //
 // The Monte-Carlo estimator computes the importance-aware influence σ
 // (Def. 1) and the future-adoption likelihood π (Eq. 13) through one
-// batch engine (batch.go: one sample-grid producer and one fold) under
-// the DESIGN.md §3 determinism contract:
+// batch engine (batch.go, shardable.go: one claim loop that folds as
+// it draws on one goroutine and keeps sample rows for ReduceSampleGrid
+// otherwise) under the DESIGN.md §3 determinism contract:
 // sample i of every seed group draws from the stream Split(i) of the
 // master seed and per-group results reduce in sample order, so every
 // Estimate is bit-identical across worker counts, GOMAXPROCS — and,

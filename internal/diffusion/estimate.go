@@ -29,15 +29,17 @@ type Estimate struct {
 // every problem over it, so a fresh Estimator per query on a warm
 // substrate builds no State. Which pooled state a worker gets never changes a result: every
 // sample starts from Reset. All evaluation —
-// single (Run) and batched (RunBatch and friends) — builds the
-// (group × sample) grid with the one producer in shardable.go, which
-// shares common random numbers across the groups of a batch, and folds
-// it with ReduceSampleGrid in sample order, so every Estimate is a pure
-// function of (Seed, M) regardless of Workers. It is the Monte-Carlo
+// single (Run) and batched (RunBatch and friends) — draws the
+// (group × sample) grid with the one claim loop in shardable.go, which
+// shares common random numbers across the groups of a batch, and adds
+// each group's samples in sample order, so every Estimate is a pure
+// function of (Seed, M) regardless of Workers. With one worker the
+// loop folds each sample as it draws it; with several it keeps the
+// grid's rows until ReduceSampleGrid folds them. It is the Monte-Carlo
 // implementation of the solver's estimation-backend interface
 // (core.Estimator), local or sharded: with Remote set the grid comes
 // from a remote producer (internal/shard's worker fleet) instead, and
-// is folded the same way.
+// is folded by ReduceSampleGrid.
 type Estimator struct {
 	P       *Problem
 	M       int // samples per estimate

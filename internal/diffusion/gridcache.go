@@ -3,8 +3,8 @@ package diffusion
 // This file is the estimator's estimate memoization hook (DESIGN.md
 // §10). The §3 determinism contract makes every group's grid of
 // samples 0..M-1 a pure function of (problem, master seed, M, seed
-// group, market mask, withPi), and ReduceSampleGrid folds a group from
-// its own row alone — so a cache keyed by exactly those coordinates
+// group, market mask, withPi), and each group is folded from its own
+// samples alone — so a cache keyed by exactly those coordinates
 // can substitute the stored fold of a group for its re-simulation with
 // zero accuracy loss. The estimator stays agnostic of the cache's
 // policy (bounds, eviction, key encoding): it only speaks the
@@ -60,11 +60,10 @@ func (e *Estimator) GridStats() (hits, samplesSaved uint64) {
 // foreign flight before settling its own. A joined flight that aborts
 // (its owner was preempted) degrades to producing that one group.
 func (e *Estimator) cachedEstimates(groups [][]Seed, market []bool, masks [][]bool, withPi bool) []Estimate {
-	items := e.P.NumItems()
 	if e.preempted() {
 		// Match the producer's cancellation latency: hits return
 		// instantly and never reach its per-unit preemption checks.
-		return ReduceSampleGrid(make([][]SampleResult, len(groups)), items)
+		return newEstimates(len(groups), e.P.NumItems())
 	}
 	out := make([]Estimate, len(groups))
 	maskFor := func(g int) []bool {
@@ -86,7 +85,7 @@ func (e *Estimator) cachedEstimates(groups [][]Seed, market []bool, masks [][]bo
 				subMasks[i] = masks[g]
 			}
 		}
-		return ReduceSampleGrid(e.produce(sub, market, subMasks, withPi), items)
+		return e.produce(sub, market, subMasks, withPi)
 	}
 	served := func(g int, est Estimate) {
 		out[g] = est

@@ -12,17 +12,22 @@ import (
 	"imdpp/internal/rng"
 )
 
-// This file is the shardable face of the batch engine. The (group ×
-// sample) grid of DESIGN.md §3 is partitionable by global sample index
-// with zero accuracy cost: sample i of every group always draws from
-// the stream Split(i) of the master generator, so *which process*
-// simulates a sample cannot change its outcome. What is NOT free is
-// the reduction: float64 addition is non-associative, so a shard must
-// ship its raw per-sample outcomes — not pre-reduced partial sums —
-// and the merger must fold them in global sample order 0..M-1 with the
-// same accumulation arithmetic the single-process engine uses. That is
-// exactly what RunBatchSamples (producer) and ReduceSampleGrid
-// (merger) implement; DESIGN.md §7 states the full sharding contract.
+// This file is the shardable face of the batch engine and its one
+// claim loop (drawBatch). The (group × sample) grid of DESIGN.md §3 is
+// partitionable by global sample index with zero accuracy cost: sample
+// i of every group always draws from the stream Split(i) of the master
+// generator, so *which process* simulates a sample cannot change its
+// outcome. What is NOT free is the reduction: float64 addition is
+// non-associative, so a shard must ship its raw per-sample outcomes —
+// not pre-reduced partial sums — and the merger must fold them in
+// global sample order 0..M-1 with the same accumulation arithmetic the
+// single-process engine uses. That is exactly what RunBatchSamples
+// (producer) and ReduceSampleGrid (merger) implement; DESIGN.md §7
+// states the full sharding contract. Rows are kept only where samples
+// arrive out of order: several local goroutines, sample ranges and
+// remote grids. One local goroutine drawing 0..M-1 already visits each
+// group's samples in order, so it folds them as it draws (foldSink)
+// and holds no row.
 
 // SampleResult is one Monte-Carlo sample's raw campaign outcome — the
 // unit shipped between shard workers and the coordinator. Per-item
@@ -82,13 +87,25 @@ func (e *Estimator) RunBatchSamples(groups [][]Seed, market []bool, masks [][]bo
 	return e.runBatchSamplesRaw(groups, market, masks, withPi, lo, hi)
 }
 
-// runBatchSamplesRaw is RunBatchSamples without its span: the single
-// entry point that actually runs campaigns for a sample grid.
+// runBatchSamplesRaw is RunBatchSamples without its span: the rows of
+// samples lo..hi-1 of every group, drawn on e.workers() goroutines.
 func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][]bool, withPi bool, lo, hi int) [][]SampleResult {
+	grid := &rowGrid{out: make([][]SampleResult, len(groups)), lo: lo, span: hi - lo, items: e.P.NumItems()}
+	e.drawBatch(groups, market, masks, withPi, lo, hi, e.workers(), func() sampleSink { return &rowSink{grid: grid} })
+	return grid.out
+}
+
+// drawBatch is the engine's one claim loop: it simulates samples
+// lo..hi-1 of every group as (family × sample) units on up to w
+// goroutines and hands each goroutine's samples to its own sink from
+// newSink. Units are claimed family-major, so a single goroutine
+// visits each group's samples in index order. A bound, cancelled
+// context makes the goroutines stop claiming units between them; the
+// sinks then hold partial garbage, which callers must not trust.
+func (e *Estimator) drawBatch(groups [][]Seed, market []bool, masks [][]bool, withPi bool, lo, hi, w int, newSink func() sampleSink) {
 	k := len(groups)
-	out := make([][]SampleResult, k)
 	if k == 0 || hi <= lo {
-		return out
+		return
 	}
 	maskOf := func(int) []bool { return market }
 	if masks != nil {
@@ -98,73 +115,16 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 	span := hi - lo
 	master := rng.New(e.Seed)
 	units := len(fams) * span
-
-	w := e.workers()
-	if w > units {
-		w = units
-	}
-	var (
-		next  int64
-		rowMu sync.Mutex
-	)
-	items := e.P.NumItems()
-	body := func() {
+	w = min(w, units)
+	var next int64
+	body := func(sink sampleSink) {
 		st := e.getState()
 		defer e.putState(st)
+		defer sink.family(nil)
 		var res Result
-		res.PerItem = make([]float64, items)
-		// totals[j*items:(j+1)*items] sums member j's per-item counts
-		// over this worker's samples of its current family.
-		var totals []float64
+		res.PerItem = make([]float64, e.P.NumItems())
 		lastF, i := -1, 0
-		// settle moves the worker from family lastF to family next (-1:
-		// none). It adds the worker's totals for lastF into the first
-		// sample of each member's row, and claims next's rows. Units are
-		// claimed family-major, so a worker settles each family at most
-		// once and the mutex stays off the per-sample path; a claimed
-		// family's rows are never reassigned, so writing samples after
-		// the claim needs no lock.
-		//
-		// Rows materialize on first claim, not up front: at large
-		// k × span the eager grid is gigabytes of allocation with no
-		// preemption point, which is exactly the window a cancelled
-		// solve gets stuck in. A preempted batch leaves unclaimed groups
-		// nil — the result is declared garbage then anyway (callers must
-		// check their context).
-		settle := func(next int) {
-			rowMu.Lock()
-			defer rowMu.Unlock()
-			if lastF >= 0 {
-				f := &fams[lastF]
-				for j := 0; j < f.size(); j++ {
-					addItemTotals(&out[f.member(j)][0], totals[j*items:(j+1)*items])
-				}
-			}
-			if lastF = next; next < 0 {
-				return
-			}
-			f := &fams[next]
-			for j := 0; j < f.size(); j++ {
-				if g := f.member(j); out[g] == nil {
-					out[g] = make([]SampleResult, span)
-				}
-			}
-			n := f.size() * items
-			totals = slices.Grow(totals[:0], n)[:n]
-			clear(totals)
-		}
-		defer settle(-1)
-		emit := func(j, g int, res *Result, pi float64) {
-			slot := &out[g][i-lo]
-			slot.Sigma = res.Sigma
-			slot.MarketSigma = res.MarketSigma
-			slot.Adoptions = float64(res.Adoptions)
-			slot.Pi = pi
-			acc := totals[j*items : (j+1)*items]
-			for x, v := range res.PerItem {
-				acc[x] += v
-			}
-		}
+		emit := func(j, g int, res *Result, pi float64) { sink.put(j, g, i, res, pi) }
 		for {
 			if e.preempted() {
 				return // cancelled: abandon between units
@@ -176,7 +136,8 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 			f := int(u) / span
 			i = lo + int(u)%span
 			if f != lastF {
-				settle(f)
+				lastF = f
+				sink.family(&fams[f])
 			}
 			if !e.runFamily(st, &res, &fams[f], groups, maskOf, withPi, i, master, emit) {
 				return
@@ -184,20 +145,121 @@ func (e *Estimator) runBatchSamplesRaw(groups [][]Seed, market []bool, masks [][
 		}
 	}
 	if w <= 1 {
-		body()
+		body(newSink())
 	} else {
 		var wg sync.WaitGroup
 		for wi := 0; wi < w; wi++ {
 			wg.Add(1)
-			go func() {
+			go func(sink sampleSink) {
 				defer wg.Done()
-				body()
-			}()
+				body(sink)
+			}(newSink())
 		}
 		wg.Wait()
 	}
 	e.samples.Add(uint64(k * span))
-	return out
+}
+
+// sampleSink takes the samples one goroutine of drawBatch simulates,
+// in its claim order.
+type sampleSink interface {
+	// family is called before the goroutine's first sample of family
+	// f, and with nil once it stops drawing.
+	family(f *family)
+	// put takes sample i of batch group g, member j of the current
+	// family.
+	put(j, g, i int, res *Result, pi float64)
+}
+
+// rowGrid is the (group × sample) grid of one batch's row sinks:
+// out[g][i-lo] is sample i of group g.
+type rowGrid struct {
+	mu    sync.Mutex
+	out   [][]SampleResult
+	lo    int
+	span  int
+	items int
+}
+
+// rowSink is one goroutine's sink into a rowGrid. Each sample lands in
+// its own slot, so goroutines may draw in any order. totals[j*items:
+// (j+1)*items] sums member j's per-item counts over this goroutine's
+// samples of its current family.
+type rowSink struct {
+	grid   *rowGrid
+	f      *family
+	totals []float64
+}
+
+// family moves the goroutine from its current family to f (nil:
+// none). It adds the goroutine's totals for the family it leaves into
+// the first sample of each member's row, and claims f's rows. Units
+// are claimed family-major, so a goroutine settles each family at most
+// once and the mutex stays off the per-sample path; a claimed family's
+// rows are never reassigned, so writing samples after the claim needs
+// no lock.
+//
+// Rows materialize on first claim, not up front: at large k × span the
+// eager grid is gigabytes of allocation with no preemption point,
+// which is exactly the window a cancelled solve gets stuck in. A
+// preempted batch leaves unclaimed groups nil — the result is declared
+// garbage then anyway (callers must check their context).
+func (s *rowSink) family(f *family) {
+	r := s.grid
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.f != nil {
+		for j := 0; j < s.f.size(); j++ {
+			addItemTotals(&r.out[s.f.member(j)][0], s.totals[j*r.items:(j+1)*r.items])
+		}
+	}
+	if s.f = f; f == nil {
+		return
+	}
+	for j := 0; j < f.size(); j++ {
+		if g := f.member(j); r.out[g] == nil {
+			r.out[g] = make([]SampleResult, r.span)
+		}
+	}
+	n := f.size() * r.items
+	s.totals = slices.Grow(s.totals[:0], n)[:n]
+	clear(s.totals)
+}
+
+func (s *rowSink) put(j, g, i int, res *Result, pi float64) {
+	slot := &s.grid.out[g][i-s.grid.lo]
+	slot.Sigma = res.Sigma
+	slot.MarketSigma = res.MarketSigma
+	slot.Adoptions = float64(res.Adoptions)
+	slot.Pi = pi
+	items := s.grid.items
+	acc := s.totals[j*items : (j+1)*items]
+	for x, v := range res.PerItem {
+		acc[x] += v
+	}
+}
+
+// foldSink adds each sample into its group's Estimate as it is drawn,
+// for a single goroutine drawing samples 0..M-1 (Estimator.produce).
+// That goroutine visits each group's samples in index order, the order
+// in which ReduceSampleGrid adds a row, so the float fields take the
+// same bits; the per-item counts are integers far below 2^53, summed
+// exactly. Scaled by Estimate.mean(M), as ReduceSampleGrid scales a
+// row, the sums are the Estimates the grid would fold to, with no row
+// held.
+type foldSink []Estimate
+
+func (foldSink) family(*family) {}
+
+func (s foldSink) put(_, g, _ int, res *Result, pi float64) {
+	est := &s[g]
+	est.Sigma += res.Sigma
+	est.MarketSigma += res.MarketSigma
+	est.Pi += pi
+	est.Adoptions += float64(res.Adoptions)
+	for x, v := range res.PerItem {
+		est.PerItem[x] += v
+	}
 }
 
 // addItemTotals adds the dense per-item counts acc into s's sparse
@@ -270,15 +332,9 @@ func ValidateSampleRow(row []SampleResult, span, items int) error {
 // and added in sample order, and the per-item entries are integer row
 // totals whose sum is exact in any order.
 func ReduceSampleGrid(grid [][]SampleResult, items int) []Estimate {
-	k := len(grid)
-	out := make([]Estimate, k)
-	if k == 0 {
-		return out
-	}
-	buf := make([]float64, k*items)
+	out := newEstimates(len(grid), items)
 	for g := range out {
 		acc := &out[g]
-		acc.PerItem = buf[g*items : (g+1)*items : (g+1)*items]
 		row := grid[g]
 		for si := range row {
 			s := &row[si]
@@ -290,14 +346,31 @@ func ReduceSampleGrid(grid [][]SampleResult, items int) []Estimate {
 				acc.PerItem[it] += s.Counts[jj]
 			}
 		}
-		inv := 1 / float64(len(row))
-		acc.Sigma *= inv
-		acc.MarketSigma *= inv
-		acc.Pi *= inv
-		acc.Adoptions *= inv
-		for j := range acc.PerItem {
-			acc.PerItem[j] *= inv
-		}
+		acc.mean(len(row))
 	}
 	return out
+}
+
+// newEstimates returns k zero Estimates whose PerItem slices, items
+// long, share one buffer.
+func newEstimates(k, items int) []Estimate {
+	out := make([]Estimate, k)
+	buf := make([]float64, k*items)
+	for g := range out {
+		out[g].PerItem = buf[g*items : (g+1)*items : (g+1)*items]
+	}
+	return out
+}
+
+// mean turns the sums over n samples in est into their means: every
+// field times 1/n, the one finish of both folds.
+func (est *Estimate) mean(n int) {
+	inv := 1 / float64(n)
+	est.Sigma *= inv
+	est.MarketSigma *= inv
+	est.Pi *= inv
+	est.Adoptions *= inv
+	for j := range est.PerItem {
+		est.PerItem[j] *= inv
+	}
 }
